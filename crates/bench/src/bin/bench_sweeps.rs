@@ -40,6 +40,12 @@
 //! O(n)-vs-O(Δ) factor incrementality buys at an N-claim KB, and
 //! `deletes_per_sec_n{N}` tracks absolute retraction throughput.
 //!
+//! Beside it, `grounding_cost/*` prices grounding itself by KB size on the
+//! same program: `full_ms_n{N}` is a from-scratch `Grounder::ground` of an
+//! N-claim corpus, `incremental_insert_ms_n{N}` is `ground_incremental` of
+//! one *fixed* 100-claim insertion into a live N-claim KB — flat in N when
+//! delta grounding is O(Δ).
+//!
 //! A fifth series, `query_cost/*`, prices the serving read path: the
 //! probability-ordered index every publish maintains (`FactQuery::run`)
 //! raced against the full tuple-index scan (`FactQuery::run_scan`) on
@@ -534,6 +540,58 @@ fn bench_retraction_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>)
     }
 }
 
+/// Claims inserted by the `grounding_cost` delta, whatever the KB size.
+const GROUNDING_DELTA: usize = 100;
+
+/// Time a from-scratch grounding of an N-claim corpus and the incremental
+/// grounding of one fixed-size insertion into it.  Emits
+/// `grounding_cost/{full_ms, incremental_insert_ms}_n{N}`.
+fn bench_grounding_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) {
+    println!("\ngrounding_cost: full grounding vs one {GROUNDING_DELTA}-claim insert, by KB size");
+    let program = dd_grounding::parse_program(RETRACTION_PROGRAM).expect("program parses");
+    for &n in sizes {
+        let mut update = KbcUpdate::new();
+        for id in n..n + GROUNDING_DELTA {
+            update.insert("Claim", tuple![id as i64]);
+            if id % 3 == 0 {
+                update.insert("Label", tuple![id as i64]);
+            }
+        }
+        let (mut full_secs, mut insert_secs) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            let db = retraction_database(n, &[]);
+            let start = Instant::now();
+            let mut grounder = dd_grounding::Grounder::new(program.clone(), db, standard_udfs())
+                .expect("grounder builds");
+            grounder.ground().expect("full grounding");
+            full_secs = full_secs.min(start.elapsed().as_secs_f64());
+
+            let start = Instant::now();
+            let grounding = grounder
+                .ground_incremental(&update)
+                .expect("incremental insert batch");
+            insert_secs = insert_secs.min(start.elapsed().as_secs_f64());
+            assert_eq!(grounding.delta.new_variables.len(), GROUNDING_DELTA);
+            assert_eq!(grounder.num_catalogued_variables(), n + GROUNDING_DELTA);
+        }
+        println!(
+            "  n={n:>6}: full {:>10} | +{GROUNDING_DELTA} claims {:>10}",
+            secs(full_secs),
+            secs(insert_secs)
+        );
+        for (kind, value) in [
+            ("full_ms", full_secs),
+            ("incremental_insert_ms", insert_secs),
+        ] {
+            entries.push(Entry {
+                name: format!("grounding_cost/{kind}_n{n}"),
+                unit: "ms",
+                value: value * 1e3,
+            });
+        }
+    }
+}
+
 fn main() {
     let mut smoke = false;
     let mut out_path = "BENCH_sweeps.json".to_string();
@@ -559,10 +617,12 @@ fn main() {
         &[10_000, 100_000, 1_000_000]
     };
     let publish_reps = if smoke { 3 } else { 5 };
+    // n = 8 000 runs in both profiles: `check_sweeps` holds its
+    // `delete_speedup` to a floor of its own.
     let retraction_sizes: &[usize] = if smoke {
-        &[500, 2_000]
-    } else {
         &[2_000, 8_000]
+    } else {
+        &[2_000, 8_000, 32_000]
     };
 
     let mut entries = Vec::new();
@@ -580,6 +640,7 @@ fn main() {
     );
     bench_publish_cost(publish_sizes, publish_reps, &mut entries);
     bench_retraction_cost(retraction_sizes, publish_reps, &mut entries);
+    bench_grounding_cost(retraction_sizes, publish_reps, &mut entries);
     bench_query_cost(publish_sizes, publish_reps, &mut entries);
 
     let mut json = String::from("[\n");

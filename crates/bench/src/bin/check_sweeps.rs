@@ -4,9 +4,12 @@
 //! non-finite value, any `*_speedup` metric sits below 1.0× — i.e. when an
 //! optimization this repo has already banked (compiled flat graph, persistent
 //! pool dispatch, sharded O(Δ) publish, incremental retraction) has regressed
-//! behind its baseline — or a whole required series stopped emitting speedup
+//! behind its baseline — a whole required series stopped emitting speedup
 //! entries (the coverage floor: a sweep that silently stops running is a
-//! regression too).
+//! regression too), or a speedup with a floor of its own
+//! (`dd_bench::sweeps::SPEEDUP_FLOORS`: `retraction_cost/delete_speedup_n8000`
+//! ≥ 5×, so an O(KB) "incremental" path cannot silently return) is missing or
+//! below it.
 //!
 //! Usage: `cargo run --release -p dd-bench --bin check_sweeps [file.json]`
 //! (default `BENCH_sweeps.json`).  CI runs it against a fresh `--smoke` file:
@@ -16,7 +19,9 @@
 //! cargo run --release -p dd-bench --bin check_sweeps -- ci-smoke.json
 //! ```
 
-use dd_bench::sweeps::{coverage_violations, gate_violations, parse_bench_entries};
+use dd_bench::sweeps::{
+    coverage_violations, floor_violations, gate_violations, parse_bench_entries,
+};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -53,6 +58,7 @@ fn main() -> ExitCode {
 
     let mut violations = gate_violations(&entries, 1.0);
     violations.extend(coverage_violations(&entries));
+    violations.extend(floor_violations(&entries));
     if violations.is_empty() {
         println!("check_sweeps: all gates pass");
         ExitCode::SUCCESS

@@ -91,6 +91,30 @@ pub fn coverage_violations(entries: &[BenchEntry]) -> Vec<String> {
         .collect()
 }
 
+/// Speedups held to more than the general 1.0×.  An "incremental" deletion
+/// that re-reads the whole KB still beats a from-scratch re-ground by a
+/// constant (it was a flat 2.4× at every size); 5× at 8 000 claims with a 5 %
+/// deletion batch is only reachable when the work follows the delta.
+pub const SPEEDUP_FLOORS: [(&str, f64); 1] = [("retraction_cost/delete_speedup_n8000", 5.0)];
+
+/// The named floors of [`SPEEDUP_FLOORS`]: each entry must be present and at
+/// or above its floor.  Returns one violation message per failure.
+pub fn floor_violations(entries: &[BenchEntry]) -> Vec<String> {
+    SPEEDUP_FLOORS
+        .iter()
+        .filter_map(
+            |(name, floor)| match entries.iter().find(|e| e.name == *name) {
+                None => Some(format!("{name} is missing (floor {floor:.1}x)")),
+                Some(e) if e.value.is_nan() || e.value < *floor => Some(format!(
+                    "{name}: {:.3}x is below its {floor:.1}x floor",
+                    e.value
+                )),
+                Some(_) => None,
+            },
+        )
+        .collect()
+}
+
 /// The smoke gate: every entry must hold a finite value, and every metric
 /// whose name contains `speedup` must be at least `min_speedup` (the CI gate
 /// uses 1.0 — "never slower than the baseline it replaced").  Returns the
@@ -215,6 +239,25 @@ mod tests {
         let mut decoy = partial.to_vec();
         decoy.push(entry("query_cost/indexed_topk_us_n1"));
         assert_eq!(coverage_violations(&decoy).len(), 1);
+    }
+
+    #[test]
+    fn named_floors_require_presence_and_value() {
+        let (name, floor) = SPEEDUP_FLOORS[0];
+        let entry = |value: f64| BenchEntry {
+            name: name.into(),
+            unit: "x".into(),
+            value,
+        };
+        assert!(floor_violations(&[entry(floor)]).is_empty());
+        assert!(floor_violations(&[entry(floor + 10.0)]).is_empty());
+        // The O(KB) path's flat 2.4x passes the general gate but not this one.
+        assert!(gate_violations(&[entry(2.4)], 1.0).is_empty());
+        assert_eq!(floor_violations(&[entry(2.4)]).len(), 1);
+        assert_eq!(floor_violations(&[entry(f64::NAN)]).len(), 1);
+        let missing = floor_violations(&[]);
+        assert_eq!(missing.len(), 1);
+        assert!(missing[0].contains(name) && missing[0].contains("missing"));
     }
 
     #[test]

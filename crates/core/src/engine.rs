@@ -338,17 +338,21 @@ impl DeepDive {
         self.epoch
     }
 
-    /// Commit one run's inference output: validate it, write it back into the
-    /// `<relation>_marginal` tables, and atomically publish it as the next
-    /// epoch's snapshot.  Validation happens first so a rejected result
-    /// touches neither the database nor the served snapshot; the write lock is
-    /// held only for the pointer swap.
+    /// Commit one run's inference output: validate it and atomically publish
+    /// it as the next epoch's snapshot.  Validation happens first so a
+    /// rejected result leaves the served snapshot untouched; the write lock is
+    /// held only for the pointer swap.  Nothing is written into the database:
+    /// the `<relation>_marginal` tables of §2.5 are built on demand by
+    /// [`Grounder::marginal_table`].
     ///
-    /// The publish is O(Δ) in catalog work: the grounder's drained dirty-set
-    /// names exactly the relations that gained variables since the last
+    /// The publish is O(Δ) in *catalog* work: the grounder's drained dirty-set
+    /// names exactly the relations whose variables changed since the last
     /// publish, and only those shards are re-indexed (sorted Δ-merge); all
     /// other shards go into the new snapshot as `Arc` clones shared with the
-    /// previous epoch.  Returns the re-indexed relation names (sorted).
+    /// previous epoch.  What stays O(variables) per epoch is the marginal
+    /// vector itself (validated here, owned by the snapshot) and the ranked
+    /// shards' revalidation against it.  Returns the re-indexed relation
+    /// names (sorted).
     fn commit_marginals(&mut self, marginals: Marginals) -> Result<Vec<String>, EngineError> {
         let num_variables = self.grounder.graph().num_variables();
         if marginals.len() != num_variables {
@@ -366,7 +370,6 @@ impl DeepDive {
                 detail: format!("non-finite marginal probability {bad}"),
             });
         }
-        self.grounder.write_back_marginals(marginals.values());
 
         // Drain the grounder's catalog op-log and re-index only the relations
         // that appear in it.  Ops are recorded chronologically; netting them

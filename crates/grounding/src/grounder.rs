@@ -16,8 +16,14 @@ use dd_factorgraph::{
     VariableRole, Weight, WeightId,
 };
 use dd_relstore::view::Term;
-use dd_relstore::{Database, MaterializedView, RelError, Tuple, Value};
+use dd_relstore::{
+    Column, DataType, Database, ExecStats, MaterializedView, QueryPlan, RelError, Schema, Table,
+    Tuple, Value,
+};
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Summary of one grounding run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -60,11 +66,13 @@ pub struct GroundingRecord {
     pub label: Option<bool>,
 }
 
-/// Per-variable usage counters, keyed by the stable `(relation, tuple)`
-/// identity (never by `VarId`, which moves under compaction).
+/// Per-variable usage counters.  Stored in a vector parallel to the graph's
+/// variables and compacted with the same `swap_remove` moves, so a counter
+/// always sits at its variable's current id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct VarUse {
-    /// Grounding records referencing the variable (head or body).
+    /// Grounding records referencing the variable: as their head, or as a
+    /// body literal of the factor they created.
     pub refs: i64,
     /// Grounding records whose *head* is this variable.
     pub head_refs: i64,
@@ -87,6 +95,221 @@ impl VarUse {
             VariableRole::Query
         }
     }
+
+    pub(crate) fn add_label(&mut self, polarity: bool, by: i64) {
+        if polarity {
+            self.pos_labels += by;
+        } else {
+            self.neg_labels += by;
+        }
+    }
+}
+
+/// Where one term of an atom instantiated under a binding comes from.
+#[derive(Debug, Clone)]
+enum TermSrc {
+    Const(Value),
+    /// Position in the body query's projection (the binding tuple).
+    Binding(usize),
+    /// A variable the projection does not carry.
+    Null,
+}
+
+impl TermSrc {
+    /// The source of rule variable `name` under a body query projecting
+    /// onto `projection`.
+    fn var(projection: &[String], name: &str) -> Self {
+        projection
+            .iter()
+            .position(|p| p == name)
+            .map_or(TermSrc::Null, TermSrc::Binding)
+    }
+
+    fn value<'a>(&'a self, binding: &'a Tuple) -> &'a Value {
+        match self {
+            TermSrc::Const(v) => v,
+            TermSrc::Binding(i) => binding.get(*i).unwrap_or(&Value::Null),
+            TermSrc::Null => &Value::Null,
+        }
+    }
+}
+
+/// An atom over a variable relation, ready to be instantiated per binding.
+#[derive(Debug, Clone)]
+pub(crate) struct AtomTemplate {
+    pub relation: String,
+    terms: Vec<TermSrc>,
+    /// The terms are exactly the projection, in order: the instantiated
+    /// tuple *is* the binding (the usual shape of a rule head).
+    is_binding: bool,
+    /// Literal polarity (body atoms; the head is always positive).
+    pub positive: bool,
+}
+
+impl AtomTemplate {
+    fn new(atom: &crate::ast::RuleAtom, projection: &[String]) -> Self {
+        let terms: Vec<TermSrc> = atom
+            .terms
+            .iter()
+            .map(|t| match t {
+                Term::Const(v) => TermSrc::Const(v.clone()),
+                Term::Var(v) => TermSrc::var(projection, v),
+            })
+            .collect();
+        let is_binding = terms.len() == projection.len()
+            && terms
+                .iter()
+                .enumerate()
+                .all(|(i, t)| matches!(t, TermSrc::Binding(at) if *at == i));
+        AtomTemplate {
+            relation: atom.relation.clone(),
+            terms,
+            is_binding,
+            positive: !atom.negated,
+        }
+    }
+
+    pub fn instantiate(&self, binding: &Tuple) -> Tuple {
+        if self.is_binding && binding.arity() == self.terms.len() {
+            return binding.clone();
+        }
+        Tuple::from_iter(self.terms.iter().map(|t| t.value(binding).clone()))
+    }
+
+    /// Whether `self.instantiate(binding) == *tuple`, without building it.
+    fn instantiates_to(&self, binding: &Tuple, tuple: &Tuple) -> bool {
+        self.terms.len() == tuple.arity()
+            && self
+                .terms
+                .iter()
+                .zip(tuple.values())
+                .all(|(t, v)| t.value(binding) == v)
+    }
+}
+
+/// How the weight of one grounding is found.
+#[derive(Debug, Clone)]
+enum WeightTemplate {
+    /// One weight for every grounding of the rule.
+    Shared {
+        description: String,
+        initial: f64,
+        fixed: bool,
+    },
+    /// `rule::udf(args…)`: groundings whose UDF output matches share a weight.
+    Tied {
+        prefix: String,
+        udf: String,
+        args: Vec<TermSrc>,
+    },
+}
+
+/// Everything about a weighted or supervision rule that does not depend on
+/// the binding being grounded, computed once when the rule enters the
+/// program: the compiled body query and, relative to its projection, the
+/// head, the body literals and the weight key.
+#[derive(Debug)]
+pub(crate) struct RuleTemplate {
+    /// Position of the rule in `program.rules`.
+    pub index: usize,
+    pub name: String,
+    /// The body query projecting onto [`Rule::projection_vars`].
+    pub plan: QueryPlan,
+    pub head: AtomTemplate,
+    /// Body atoms over variable relations: the factor's body literals.
+    /// Empty for label rules, which create no factor.
+    pub body_vars: Vec<AtomTemplate>,
+    /// Label polarity for supervision rules; weighted rules carry `None`.
+    pub label: Option<bool>,
+    weight: WeightTemplate,
+    pub semantics: Semantics,
+}
+
+impl RuleTemplate {
+    /// Compile the template of `rule`, which is (or is about to become)
+    /// `program.rules[index]`; `None` for rule kinds the grounder never
+    /// grounds bindings of.
+    pub fn compile(
+        program: &Program,
+        rule: &Rule,
+        index: usize,
+    ) -> Result<Option<Arc<Self>>, RelError> {
+        if !matches!(
+            rule.kind,
+            RuleKind::FeatureExtraction | RuleKind::Inference | RuleKind::Supervision
+        ) {
+            return Ok(None);
+        }
+        let projection = rule.projection_vars();
+        let label = match (&rule.kind, &rule.weight) {
+            (RuleKind::Supervision, WeightSpec::Label(polarity)) => Some(*polarity),
+            _ => None,
+        };
+        let shared = |suffix: &str, initial: f64, fixed: bool| WeightTemplate::Shared {
+            description: format!("{}::{suffix}", rule.name),
+            initial,
+            fixed,
+        };
+        let weight = match &rule.weight {
+            WeightSpec::Fixed(w) => shared("fixed", *w, true),
+            WeightSpec::Learnable { initial } => shared("rule", *initial, false),
+            WeightSpec::Tied { udf, args } => WeightTemplate::Tied {
+                prefix: format!("{}::", rule.name),
+                udf: udf.clone(),
+                args: args.iter().map(|a| TermSrc::var(&projection, a)).collect(),
+            },
+            WeightSpec::Label(_) | WeightSpec::None => shared("none", 0.0, true),
+        };
+        let body_vars = if label.is_some() {
+            Vec::new()
+        } else {
+            rule.body
+                .iter()
+                .filter(|atom| program.role_of(&atom.relation) == RelationRole::Variable)
+                .map(|atom| AtomTemplate::new(atom, &projection))
+                .collect()
+        };
+        Ok(Some(Arc::new(RuleTemplate {
+            index,
+            name: rule.name.clone(),
+            plan: QueryPlan::compile(&rule.body_query())?,
+            head: AtomTemplate::new(&rule.head, &projection),
+            body_vars,
+            label,
+            weight,
+            semantics: rule.semantics,
+        })))
+    }
+
+    /// The weight descriptor of one grounding: `(tying key, initial value, fixed)`.
+    pub fn weight_descriptor(
+        &self,
+        udfs: &UdfRegistry,
+        binding: &Tuple,
+    ) -> (Cow<'_, str>, f64, bool) {
+        match &self.weight {
+            WeightTemplate::Shared {
+                description,
+                initial,
+                fixed,
+            } => (Cow::Borrowed(description), *initial, *fixed),
+            WeightTemplate::Tied { prefix, udf, args } => {
+                let arg_values: Vec<Value> =
+                    args.iter().map(|a| a.value(binding).clone()).collect();
+                let key = udfs.call(udf, &arg_values);
+                (Cow::Owned(format!("{prefix}{key}")), 0.0, false)
+            }
+        }
+    }
+}
+
+/// A weight as first created for a descriptor.
+pub(crate) fn new_weight(description: &str, initial: f64, fixed: bool) -> Weight {
+    if fixed {
+        Weight::fixed(0, initial, description)
+    } else {
+        Weight::learnable(0, initial, description)
+    }
 }
 
 /// The grounding engine.
@@ -95,8 +318,15 @@ pub struct Grounder {
     pub(crate) db: Database,
     pub(crate) udfs: UdfRegistry,
     pub(crate) graph: FactorGraph,
+    /// Per-rule grounding templates, parallel to `program.rules`.
+    pub(crate) templates: Vec<Option<Arc<RuleTemplate>>>,
     /// (relation, tuple) → variable id.
     pub(crate) var_catalog: HashMap<(String, Tuple), VarId>,
+    /// variable id → (relation, tuple): the catalog's inverse, parallel to
+    /// the graph's variables and patched on every `swap_remove` move.
+    pub(crate) var_keys: Vec<(String, Tuple)>,
+    /// Per-variable reference/label counters, parallel to `var_keys`.
+    pub(crate) var_use: Vec<VarUse>,
     /// Catalog ops recorded since the last [`Grounder::take_catalog_delta`]
     /// drain, grouped per relation — the dirty-set a sharded snapshot publish
     /// consumes to re-index only the relations that actually changed.
@@ -108,13 +338,13 @@ pub struct Grounder {
     /// rule name → grounded body-query bindings with their support records.
     /// `BTreeMap` so retraction sweeps are deterministic per seed.
     pub(crate) grounded_bindings: HashMap<String, BTreeMap<Tuple, GroundingRecord>>,
-    /// Per-variable reference/label counters, keyed by stable identity.
-    pub(crate) var_use: HashMap<(String, Tuple), VarUse>,
-    /// factor id → (rule, binding) that owns it, kept current across
-    /// compaction moves; the inverse of `GroundingRecord::factor`.
-    pub(crate) factor_owners: HashMap<FactorId, (String, Tuple)>,
-    /// weight id → number of referencing factors.
-    pub(crate) weight_use: HashMap<WeightId, i64>,
+    /// factor id → (rule index, binding) that owns it: the inverse of
+    /// `GroundingRecord::factor`, parallel to the graph's factors and
+    /// compacted with the same `swap_remove` moves.
+    pub(crate) factor_owners: Vec<(usize, Tuple)>,
+    /// weight id → number of referencing factors, parallel to the graph's
+    /// weights.
+    pub(crate) weight_use: Vec<i64>,
     /// Heads whose supervision labels are suppressed (sticky): existing labels
     /// were un-pinned and future labels are recorded but not applied.
     pub(crate) suppressed_labels: BTreeSet<(String, Tuple)>,
@@ -136,22 +366,43 @@ impl Grounder {
     ) -> Result<Self, GroundingError> {
         program.validate()?;
         program.create_schema(&mut db);
-        Ok(Grounder {
+        let mut grounder = Grounder {
             program,
             db,
             udfs,
             graph: FactorGraph::new(),
+            templates: Vec::new(),
             var_catalog: HashMap::new(),
+            var_keys: Vec::new(),
+            var_use: Vec::new(),
             fresh_catalog: BTreeMap::new(),
             weight_catalog: HashMap::new(),
             grounded_bindings: HashMap::new(),
-            var_use: HashMap::new(),
-            factor_owners: HashMap::new(),
-            weight_use: HashMap::new(),
+            factor_owners: Vec::new(),
+            weight_use: Vec::new(),
             suppressed_labels: BTreeSet::new(),
             next_var_key: 0,
             candidate_views: HashMap::new(),
-        })
+        };
+        grounder.compile_templates()?;
+        Ok(grounder)
+    }
+
+    /// Compile the template of every rule of the program.
+    fn compile_templates(&mut self) -> Result<(), RelError> {
+        self.templates = self
+            .program
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(index, rule)| RuleTemplate::compile(&self.program, rule, index))
+            .collect::<Result<_, _>>()?;
+        Ok(())
+    }
+
+    /// Templates of the weighted and supervision rules, in program order.
+    pub(crate) fn grounding_templates(&self) -> Vec<Arc<RuleTemplate>> {
+        self.templates.iter().flatten().cloned().collect()
     }
 
     // ---------------------------------------------------------------- accessors
@@ -206,7 +457,8 @@ impl Grounder {
     /// Drain the catalog ops recorded since the last drain, grouped by
     /// relation in sorted order.  The keys are exactly the relations a
     /// publisher must re-index — every other relation's index is unchanged —
-    /// which is what makes snapshot publication O(Δ) instead of O(catalog).
+    /// which is what makes the catalog side of snapshot publication O(Δ)
+    /// instead of O(catalog).
     /// Ops within a relation are chronological; netting them per tuple
     /// (last op wins) yields the upserts and removals to apply.
     pub fn take_catalog_delta(&mut self) -> BTreeMap<String, Vec<CatalogOp>> {
@@ -233,8 +485,10 @@ impl Grounder {
 
     /// True if supervision labels on this head are suppressed.
     pub fn is_supervision_suppressed(&self, relation: &str, tuple: &Tuple) -> bool {
-        self.suppressed_labels
-            .contains(&(relation.to_string(), tuple.clone()))
+        !self.suppressed_labels.is_empty()
+            && self
+                .suppressed_labels
+                .contains(&(relation.to_string(), tuple.clone()))
     }
 
     // ---------------------------------------------------------------- grounding
@@ -254,47 +508,43 @@ impl Grounder {
         }
 
         // Phase 2: weighted and supervision rules.
-        let rules: Vec<Rule> = self
-            .program
-            .rules
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.kind,
-                    RuleKind::FeatureExtraction | RuleKind::Inference | RuleKind::Supervision
-                )
-            })
-            .cloned()
-            .collect();
-        for rule in &rules {
-            self.ground_rule(rule)?;
+        for template in self.grounding_templates() {
+            self.ground_rule(&template, &mut ExecStats::default())?;
         }
 
         Ok(self.result())
     }
 
-    /// Ground a single rule (weighted or supervision) over the current database,
-    /// skipping bindings already grounded.  Used both by full grounding and when
-    /// a brand-new rule is added incrementally.
-    pub fn ground_rule(&mut self, rule: &Rule) -> Result<usize, RelError> {
-        let query = rule.body_query();
-        let bindings = query.evaluate(&self.db)?;
-        let tuples: Vec<(Tuple, i64)> = bindings
-            .iter_counted()
-            .map(|(t, c)| (t.clone(), c))
-            .collect();
-        let mut new_groundings = 0usize;
-        for (binding, count) in tuples {
-            if self.ground_binding_counted(rule, &binding, count)? {
-                new_groundings += 1;
+    /// Ground one weighted or supervision rule over the current database,
+    /// skipping bindings already grounded.
+    fn ground_rule(
+        &mut self,
+        template: &RuleTemplate,
+        stats: &mut ExecStats,
+    ) -> Result<usize, RelError> {
+        let bindings = template.plan.bindings(&self.db, stats)?;
+        // The rule's records leave the grounder for the loop, so a binding
+        // costs one descent into them instead of one per question asked.
+        let mut records = self
+            .grounded_bindings
+            .remove(&template.name)
+            .unwrap_or_default();
+        let grounded_before = records.len();
+        for (binding, count) in bindings {
+            if let Entry::Vacant(slot) = records.entry(binding) {
+                let record = self.ground_binding(template, slot.key(), count);
+                slot.insert(record);
             }
         }
+        let new_groundings = records.len() - grounded_before;
+        self.grounded_bindings
+            .insert(template.name.clone(), records);
         Ok(new_groundings)
     }
 
     /// Evaluate one candidate-mapping rule, inserting the (distinct) head tuples
     /// into the head relation and remembering the materialized view.
-    pub fn evaluate_candidate_rule(&mut self, rule: &Rule) -> Result<usize, RelError> {
+    pub(crate) fn evaluate_candidate_rule(&mut self, rule: &Rule) -> Result<usize, RelError> {
         let head_vars = rule.head_vars();
         let query = dd_relstore::ConjunctiveQuery::new(
             rule.head.relation.clone(),
@@ -307,8 +557,7 @@ impl Grounder {
         {
             let head_table = self.db.table_mut(&rule.head.relation)?;
             for tuple in view.result().iter() {
-                if !head_table.contains(tuple) {
-                    head_table.insert(tuple.clone())?;
+                if head_table.insert_if_absent(tuple.clone())? {
                     inserted += 1;
                 }
             }
@@ -317,41 +566,18 @@ impl Grounder {
         Ok(inserted)
     }
 
-    /// Ground one body-query binding of a weighted/supervision rule.  Returns
-    /// `false` if the binding was grounded before.
-    pub fn ground_binding(&mut self, rule: &Rule, binding: &Tuple) -> Result<bool, RelError> {
-        self.ground_binding_counted(rule, binding, 1)
-    }
-
-    /// [`Grounder::ground_binding`] with an explicit derivation count, which
-    /// becomes the new record's retraction support.
-    pub fn ground_binding_counted(
+    /// Ground one not-yet-grounded body-query binding of a weighted or
+    /// supervision rule with the given derivation count, which becomes the
+    /// retraction support of the record returned for it.
+    fn ground_binding(
         &mut self,
-        rule: &Rule,
+        template: &RuleTemplate,
         binding: &Tuple,
         count: i64,
-    ) -> Result<bool, RelError> {
-        if self
-            .grounded_bindings
-            .get(&rule.name)
-            .is_some_and(|m| m.contains_key(binding))
-        {
-            return Ok(false);
-        }
-
-        let projection_vars = rule.projection_vars();
-        let value_of = |var: &str| -> Value {
-            projection_vars
-                .iter()
-                .position(|v| v == var)
-                .and_then(|i| binding.get(i).cloned())
-                .unwrap_or(Value::Null)
-        };
-
+    ) -> GroundingRecord {
         // Resolve the head tuple and its variable.
-        let head_tuple = Self::instantiate_atom_tuple(&rule.head.terms, &value_of);
-        let head_var = self.var_for_tuple(&rule.head.relation, &head_tuple);
-        let head_key = (rule.head.relation.clone(), head_tuple.clone());
+        let head_tuple = template.head.instantiate(binding);
+        let head_var = self.var_for_tuple(&template.head.relation, &head_tuple);
 
         let mut record = GroundingRecord {
             support: count.max(1),
@@ -359,98 +585,107 @@ impl Grounder {
             label: None,
         };
 
-        match (&rule.kind, &rule.weight) {
-            (RuleKind::Supervision, WeightSpec::Label(polarity)) => {
-                if !self.suppressed_labels.contains(&head_key) {
-                    record.label = Some(*polarity);
-                    let usage = self.var_use.entry(head_key.clone()).or_default();
-                    if *polarity {
-                        usage.pos_labels += 1;
-                    } else {
-                        usage.neg_labels += 1;
-                    }
+        match template.label {
+            Some(polarity) => {
+                if !self.is_supervision_suppressed(&template.head.relation, &head_tuple) {
+                    record.label = Some(polarity);
+                    let usage = &mut self.var_use[head_var];
+                    usage.add_label(polarity, 1);
                     let role = usage.role();
                     let var = self.graph.variable_mut(head_var);
                     var.role = role;
                     var.initial_value = role.fixed_value().unwrap_or(false);
                 }
+                self.var_use[head_var].refs += 1;
             }
-            _ => {
-                let weight_id = self.weight_for_rule(rule, &value_of);
+            None => {
+                let weight_id = self.weight_for_binding(template, binding);
                 // Body atoms over variable relations become body literals.
-                let mut body_lits = Vec::new();
-                for atom in &rule.body {
-                    if self.program.role_of(&atom.relation) == RelationRole::Variable {
-                        let t = Self::instantiate_atom_tuple(&atom.terms, &value_of);
-                        let v = self.var_for_tuple(&atom.relation, &t);
-                        body_lits.push(Lit {
-                            var: v,
-                            positive: !atom.negated,
-                        });
-                    }
+                let mut body_lits = Vec::with_capacity(template.body_vars.len());
+                for atom in &template.body_vars {
+                    let var = self.var_for_tuple(&atom.relation, &atom.instantiate(binding));
+                    body_lits.push(Lit {
+                        var,
+                        positive: atom.positive,
+                    });
                 }
-                let factor = Self::make_factor(weight_id, body_lits, head_var, rule.semantics);
+                // Reference counting, for retraction: once per distinct variable.
+                let mut referenced: Vec<VarId> = body_lits.iter().map(|l| l.var).collect();
+                referenced.push(head_var);
+                referenced.sort_unstable();
+                referenced.dedup();
+                for var in referenced {
+                    self.var_use[var].refs += 1;
+                }
+                let factor = Self::make_factor(weight_id, body_lits, head_var, template.semantics);
                 let fid = self.graph.add_factor(factor);
                 record.factor = Some(fid);
-                self.factor_owners
-                    .insert(fid, (rule.name.clone(), binding.clone()));
-                *self.weight_use.entry(weight_id).or_insert(0) += 1;
+                self.own_factor(fid, template.index, binding.clone());
             }
         }
-
-        // Reference counting by stable identity, for retraction.
-        for key in Self::record_var_keys(&self.program, rule, binding) {
-            self.var_use.entry(key).or_default().refs += 1;
-        }
-        self.var_use.entry(head_key).or_default().head_refs += 1;
-
-        self.grounded_bindings
-            .entry(rule.name.clone())
-            .or_default()
-            .insert(binding.clone(), record);
+        self.var_use[head_var].head_refs += 1;
 
         // Make sure the head tuple exists in its relation so error-analysis
         // queries can see it.
-        if let Ok(table) = self.db.table_mut(&rule.head.relation) {
-            if !table.contains(&head_tuple) && table.schema().check(head_tuple.values()) {
-                let _ = table.insert(head_tuple);
-            }
-        }
-        Ok(true)
+        self.insert_head_tuple(&template.head.relation, head_tuple);
+        record
     }
 
-    /// The distinct `(relation, tuple)` variable identities a grounding of
-    /// `rule` under `binding` references: the head plus every body atom over a
-    /// variable relation.  Sorted and deduplicated, so live bookkeeping and
-    /// state reconstruction count identically.
-    pub(crate) fn record_var_keys(
-        program: &Program,
-        rule: &Rule,
-        binding: &Tuple,
-    ) -> Vec<(String, Tuple)> {
-        let projection_vars = rule.projection_vars();
-        let value_of = |var: &str| -> Value {
-            projection_vars
-                .iter()
-                .position(|v| v == var)
-                .and_then(|i| binding.get(i).cloned())
-                .unwrap_or(Value::Null)
-        };
-        let mut keys = vec![(
-            rule.head.relation.clone(),
-            Self::instantiate_atom_tuple(&rule.head.terms, &value_of),
-        )];
-        for atom in &rule.body {
-            if program.role_of(&atom.relation) == RelationRole::Variable {
-                keys.push((
-                    atom.relation.clone(),
-                    Self::instantiate_atom_tuple(&atom.terms, &value_of),
-                ));
-            }
+    /// Record the owner of a factor the graph just appended and count the
+    /// factor against its weight.
+    pub(crate) fn own_factor(&mut self, fid: FactorId, rule: usize, binding: Tuple) {
+        debug_assert_eq!(
+            fid,
+            self.factor_owners.len(),
+            "factors are appended densely"
+        );
+        self.factor_owners.push((rule, binding));
+        let weight_id = self.graph.factor(fid).weight_id;
+        if self.weight_use.len() <= weight_id {
+            self.weight_use.resize(weight_id + 1, 0);
         }
-        keys.sort();
-        keys.dedup();
-        keys
+        self.weight_use[weight_id] += 1;
+    }
+
+    /// The grounding records of a rule, created empty on first use.
+    pub(crate) fn records_mut(&mut self, rule: &str) -> &mut BTreeMap<Tuple, GroundingRecord> {
+        if !self.grounded_bindings.contains_key(rule) {
+            self.grounded_bindings
+                .insert(rule.to_string(), BTreeMap::new());
+        }
+        self.grounded_bindings
+            .get_mut(rule)
+            .expect("inserted just above")
+    }
+
+    /// Insert a grounding's head tuple into its relation unless it is
+    /// already there (or does not fit the declared schema).
+    pub(crate) fn insert_head_tuple(&mut self, relation: &str, tuple: Tuple) {
+        if let Ok(table) = self.db.table_mut(relation) {
+            let _ = table.insert_if_absent(tuple);
+        }
+    }
+
+    /// The variables a grounding record of `template` under `binding`
+    /// references — its head and, for weighted rules, the body literals of
+    /// its factor — resolved through the catalog: `(head, distinct ids)`.
+    /// A label rule's body is not referenced: it creates no factor, so
+    /// nothing of it lives in the graph.
+    pub(crate) fn record_vars(
+        &self,
+        template: &RuleTemplate,
+        binding: &Tuple,
+    ) -> (Option<VarId>, Vec<VarId>) {
+        let head = self.variable_for(&template.head.relation, &template.head.instantiate(binding));
+        let mut vars: Vec<VarId> =
+            head.into_iter()
+                .chain(template.body_vars.iter().filter_map(|atom| {
+                    self.variable_for(&atom.relation, &atom.instantiate(binding))
+                }))
+                .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        (head, vars)
     }
 
     /// Build the factor for one grounding.  With Linear semantics (or an empty
@@ -484,24 +719,8 @@ impl Grounder {
         }
     }
 
-    /// Instantiate an atom's terms under a binding.
-    pub(crate) fn instantiate_atom_tuple<F>(terms: &[Term], value_of: &F) -> Tuple
-    where
-        F: Fn(&str) -> Value,
-    {
-        Tuple::new(
-            terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(v) => v.clone(),
-                    Term::Var(v) => value_of(v),
-                })
-                .collect(),
-        )
-    }
-
     /// Get or create the random variable for a tuple of a variable relation.
-    pub(crate) fn var_for_tuple(&mut self, relation: &str, tuple: &Tuple) -> VarId {
+    fn var_for_tuple(&mut self, relation: &str, tuple: &Tuple) -> VarId {
         let key = (relation.to_string(), tuple.clone());
         if let Some(&v) = self.var_catalog.get(&key) {
             return v;
@@ -511,51 +730,40 @@ impl Grounder {
         let id = self
             .graph
             .add_variable(Variable::query(0).with_origin(relation, origin_key));
-        self.var_catalog.insert(key, id);
-        self.fresh_catalog
-            .entry(relation.to_string())
-            .or_default()
-            .push(CatalogOp::Upsert(tuple.clone(), id));
+        self.register_variable(key, id);
         id
     }
 
-    /// The weight descriptor of one grounding: `(tying key, initial value, fixed)`.
-    pub(crate) fn weight_descriptor<F>(
-        udfs: &UdfRegistry,
-        rule: &Rule,
-        value_of: &F,
-    ) -> (String, f64, bool)
-    where
-        F: Fn(&str) -> Value,
-    {
-        match &rule.weight {
-            WeightSpec::Fixed(w) => (format!("{}::fixed", rule.name), *w, true),
-            WeightSpec::Learnable { initial } => (format!("{}::rule", rule.name), *initial, false),
-            WeightSpec::Tied { udf, args } => {
-                let arg_values: Vec<Value> = args.iter().map(|a| value_of(a)).collect();
-                let key = udfs.call(udf, &arg_values);
-                (format!("{}::{}", rule.name, key), 0.0, false)
+    /// Enter a variable the graph just appended into the catalog, its
+    /// inverse, the usage counters and the publish dirty-set.
+    pub(crate) fn register_variable(&mut self, key: (String, Tuple), id: VarId) {
+        debug_assert_eq!(id, self.var_keys.len(), "variables are appended densely");
+        self.log_catalog_op(&key.0, CatalogOp::Upsert(key.1.clone(), id));
+        self.var_keys.push(key.clone());
+        self.var_use.push(VarUse::default());
+        self.var_catalog.insert(key, id);
+    }
+
+    /// Append to a relation's pending catalog ops.
+    pub(crate) fn log_catalog_op(&mut self, relation: &str, op: CatalogOp) {
+        match self.fresh_catalog.get_mut(relation) {
+            Some(ops) => ops.push(op),
+            None => {
+                self.fresh_catalog.insert(relation.to_string(), vec![op]);
             }
-            WeightSpec::Label(_) | WeightSpec::None => (format!("{}::none", rule.name), 0.0, true),
         }
     }
 
     /// Resolve the weight for one grounding of a rule, creating it on first use.
-    pub(crate) fn weight_for_rule<F>(&mut self, rule: &Rule, value_of: &F) -> WeightId
-    where
-        F: Fn(&str) -> Value,
-    {
-        let (description, initial, fixed) = Self::weight_descriptor(&self.udfs, rule, value_of);
-        if let Some(&w) = self.weight_catalog.get(&description) {
+    fn weight_for_binding(&mut self, template: &RuleTemplate, binding: &Tuple) -> WeightId {
+        let (description, initial, fixed) = template.weight_descriptor(&self.udfs, binding);
+        if let Some(&w) = self.weight_catalog.get(description.as_ref()) {
             return w;
         }
-        let weight = if fixed {
-            Weight::fixed(0, initial, &description)
-        } else {
-            Weight::learnable(0, initial, &description)
-        };
-        let id = self.graph.add_weight(weight);
-        self.weight_catalog.insert(description, id);
+        let id = self
+            .graph
+            .add_weight(new_weight(&description, initial, fixed));
+        self.weight_catalog.insert(description.into_owned(), id);
         id
     }
 
@@ -575,44 +783,27 @@ impl Grounder {
         }
     }
 
-    /// Write marginal probabilities back into a `<relation>_marginal` table:
-    /// `(original columns…, probability)`.  This mirrors DeepDive reloading each
-    /// tuple into the database with its marginal probability (§2.5).  The slice
-    /// is indexed by variable id; variables beyond its end are skipped.
-    pub fn write_back_marginals(&mut self, marginals: &[f64]) {
-        let mut rows: HashMap<String, Vec<(Tuple, f64)>> = HashMap::new();
-        for ((relation, tuple), &var) in &self.var_catalog {
-            if let Some(&p) = marginals.get(var) {
-                rows.entry(relation.clone())
-                    .or_default()
-                    .push((tuple.clone(), p));
+    /// The `<relation>_marginal` table — `(original columns…, probability)`
+    /// for every variable of `relation` — built on demand.  This mirrors
+    /// DeepDive reloading each tuple into the database with its marginal
+    /// probability (§2.5); serving reads go through snapshots instead, so
+    /// nothing materializes these tables per epoch.  The slice is indexed by
+    /// variable id; variables beyond its end are skipped.
+    pub fn marginal_table(&self, relation: &str, marginals: &[f64]) -> Result<Table, RelError> {
+        let base = self.db.table(relation)?;
+        let mut columns: Vec<Column> = base.schema().columns().to_vec();
+        columns.push(Column::new("probability", DataType::Float));
+        let mut table = Table::new(format!("{relation}_marginal"), Schema::new(columns));
+        for ((rel, tuple), &var) in &self.var_catalog {
+            if rel == relation {
+                if let Some(&p) = marginals.get(var) {
+                    let mut values = tuple.values().to_vec();
+                    values.push(Value::Float(p));
+                    table.insert(Tuple::new(values))?;
+                }
             }
         }
-        for (relation, tuples) in rows {
-            let table_name = format!("{relation}_marginal");
-            let base_schema = match self.db.table(&relation) {
-                Ok(t) => t.schema().clone(),
-                Err(_) => continue,
-            };
-            let mut cols: Vec<(String, dd_relstore::DataType)> = base_schema
-                .columns()
-                .iter()
-                .map(|c| (c.name.clone(), c.data_type))
-                .collect();
-            cols.push(("probability".to_string(), dd_relstore::DataType::Float));
-            let schema = dd_relstore::Schema::new(
-                cols.into_iter()
-                    .map(|(n, t)| dd_relstore::Column::new(n, t))
-                    .collect(),
-            );
-            self.db.create_or_replace_table(&table_name, schema);
-            let table = self.db.table_mut(&table_name).expect("just created");
-            for (tuple, p) in tuples {
-                let mut values = tuple.into_values();
-                values.push(Value::Float(p));
-                let _ = table.insert(Tuple::new(values));
-            }
-        }
+        Ok(table)
     }
 
     /// Permanently suppress supervision for one head tuple and un-pin any
@@ -636,31 +827,15 @@ impl Grounder {
 
         let mut pos_cleared = 0i64;
         let mut neg_cleared = 0i64;
-        let supervision_rules: Vec<Rule> = self
-            .program
-            .rules
-            .iter()
-            .filter(|r| r.kind == RuleKind::Supervision && r.head.relation == relation)
-            .cloned()
-            .collect();
-        for rule in &supervision_rules {
-            let Some(records) = self.grounded_bindings.get_mut(&rule.name) else {
+        for template in self.templates.iter().flatten() {
+            if template.label.is_none() || template.head.relation != relation {
+                continue;
+            }
+            let Some(records) = self.grounded_bindings.get_mut(&template.name) else {
                 continue;
             };
-            let projection_vars = rule.projection_vars();
             for (binding, record) in records.iter_mut() {
-                if record.label.is_none() {
-                    continue;
-                }
-                let value_of = |var: &str| -> Value {
-                    projection_vars
-                        .iter()
-                        .position(|v| v == var)
-                        .and_then(|i| binding.get(i).cloned())
-                        .unwrap_or(Value::Null)
-                };
-                let head_tuple = Self::instantiate_atom_tuple(&rule.head.terms, &value_of);
-                if head_tuple != *tuple {
+                if record.label.is_none() || !template.head.instantiates_to(binding, tuple) {
                     continue;
                 }
                 match record.label.take() {
@@ -671,30 +846,23 @@ impl Grounder {
             }
         }
 
-        if pos_cleared > 0 || neg_cleared > 0 {
-            if let Some(usage) = self.var_use.get_mut(&head_key) {
-                usage.pos_labels -= pos_cleared;
-                usage.neg_labels -= neg_cleared;
-            }
+        let Some(&var) = self.var_catalog.get(&head_key) else {
+            return Vec::new();
+        };
+        let usage = &mut self.var_use[var];
+        usage.pos_labels -= pos_cleared;
+        usage.neg_labels -= neg_cleared;
+        let role = usage.role();
+        let v = self.graph.variable_mut(var);
+        if v.role == role {
+            return Vec::new();
         }
-        let role = self
-            .var_use
-            .get(&head_key)
-            .map(VarUse::role)
-            .unwrap_or(VariableRole::Query);
-        let mut changes = Vec::new();
-        if let Some(&var) = self.var_catalog.get(&head_key) {
-            let v = self.graph.variable_mut(var);
-            if v.role != role {
-                v.role = role;
-                v.initial_value = role.fixed_value().unwrap_or(false);
-                changes.push(EvidenceChange {
-                    var,
-                    new_role: role,
-                });
-            }
-        }
-        changes
+        v.role = role;
+        v.initial_value = role.fixed_value().unwrap_or(false);
+        vec![EvidenceChange {
+            var,
+            new_role: role,
+        }]
     }
 
     // ------------------------------------------------------------- persistence
@@ -751,64 +919,36 @@ impl Grounder {
     /// Rebuild a grounder from exported state plus a (re-supplied) UDF
     /// registry.
     ///
-    /// Derived bookkeeping is reconstructed rather than persisted: the weight
-    /// catalog and per-weight refcounts come from scanning the graph's factors
-    /// (so orphaned weight slots stay out of the catalog), per-variable usage
-    /// counters are recomputed from the grounding records via
-    /// `Grounder::record_var_keys` (the same computation live bookkeeping
-    /// uses), and candidate views are re-materialized from the restored
-    /// database.
+    /// Derived bookkeeping is reconstructed rather than persisted: rule
+    /// templates are recompiled from the program, the catalog's inverse comes
+    /// from the catalog, the weight catalog and per-weight refcounts come from
+    /// scanning the graph's factors (so orphaned weight slots stay out of the
+    /// catalog), per-variable usage counters are recomputed from the grounding
+    /// records via `Grounder::record_vars` (the same computation the live
+    /// retraction sweep uses), and candidate views are re-materialized from
+    /// the restored database.
     pub fn from_state(state: GrounderState, udfs: UdfRegistry) -> Result<Self, GroundingError> {
         // Per-weight refcounts and the live-weight catalog, from the factors.
-        let mut weight_use: HashMap<WeightId, i64> = HashMap::new();
+        let mut weight_use = vec![0i64; state.graph.num_weights()];
         for factor in state.graph.factors() {
-            *weight_use.entry(factor.weight_id).or_insert(0) += 1;
+            weight_use[factor.weight_id] += 1;
         }
         let weight_catalog: HashMap<String, WeightId> = state
             .graph
             .weights()
             .iter()
-            .filter(|w| weight_use.get(&w.id).copied().unwrap_or(0) > 0)
+            .filter(|w| weight_use[w.id] > 0)
             .map(|w| (w.description.clone(), w.id))
             .collect();
-        // Per-variable usage and factor ownership, from the records.
-        let mut var_use: HashMap<(String, Tuple), VarUse> = HashMap::new();
-        let mut factor_owners: HashMap<FactorId, (String, Tuple)> = HashMap::new();
-        for (rule_name, records) in &state.grounded_bindings {
-            let rule = state
-                .program
-                .rules
-                .iter()
-                .find(|r| r.name == *rule_name)
-                .ok_or(GroundingError::Program(ProgramError::UnknownRule {
-                    rule: rule_name.clone(),
-                }))?;
-            for (binding, record) in records {
-                for key in Self::record_var_keys(&state.program, rule, binding) {
-                    var_use.entry(key).or_default().refs += 1;
-                }
-                let projection_vars = rule.projection_vars();
-                let value_of = |var: &str| -> Value {
-                    projection_vars
-                        .iter()
-                        .position(|v| v == var)
-                        .and_then(|i| binding.get(i).cloned())
-                        .unwrap_or(Value::Null)
-                };
-                let head_key = (
-                    rule.head.relation.clone(),
-                    Self::instantiate_atom_tuple(&rule.head.terms, &value_of),
-                );
-                let usage = var_use.entry(head_key).or_default();
-                usage.head_refs += 1;
-                match record.label {
-                    Some(true) => usage.pos_labels += 1,
-                    Some(false) => usage.neg_labels += 1,
-                    None => {}
-                }
-                if let Some(fid) = record.factor {
-                    factor_owners.insert(fid, (rule_name.clone(), binding.clone()));
-                }
+        let num_variables = state.graph.num_variables();
+        // Owners are filled in from the records below; a factor without a
+        // record keeps an owner no rule index matches.
+        let unowned = (usize::MAX, Tuple::new(Vec::new()));
+        let factor_owners = vec![unowned; state.graph.num_factors()];
+        let mut var_keys = vec![(String::new(), Tuple::new(Vec::new())); num_variables];
+        for (rel, tuple, var) in &state.var_catalog {
+            if let Some(slot) = var_keys.get_mut(*var) {
+                *slot = (rel.clone(), tuple.clone());
             }
         }
         let mut grounder = Grounder {
@@ -816,11 +956,14 @@ impl Grounder {
             db: state.db,
             udfs,
             graph: state.graph,
+            templates: Vec::new(),
             var_catalog: state
                 .var_catalog
                 .into_iter()
                 .map(|(rel, tuple, var)| ((rel, tuple), var))
                 .collect(),
+            var_keys,
+            var_use: vec![VarUse::default(); num_variables],
             fresh_catalog: state.catalog_ops.into_iter().collect(),
             weight_catalog,
             grounded_bindings: state
@@ -828,13 +971,45 @@ impl Grounder {
                 .into_iter()
                 .map(|(rule, records)| (rule, records.into_iter().collect()))
                 .collect(),
-            var_use,
             factor_owners,
             weight_use,
             suppressed_labels: state.suppressed_labels.into_iter().collect(),
             next_var_key: state.next_var_key,
             candidate_views: HashMap::new(),
         };
+        grounder.compile_templates()?;
+
+        // Per-variable usage and factor ownership, from the records.
+        for (rule_name, records) in &grounder.grounded_bindings {
+            let template = grounder
+                .templates
+                .iter()
+                .flatten()
+                .find(|t| t.name == *rule_name)
+                .ok_or(GroundingError::Program(ProgramError::UnknownRule {
+                    rule: rule_name.clone(),
+                }))?;
+            for (binding, record) in records {
+                let (head, vars) = grounder.record_vars(template, binding);
+                for var in vars {
+                    grounder.var_use[var].refs += 1;
+                }
+                if let Some(head) = head {
+                    let usage = &mut grounder.var_use[head];
+                    usage.head_refs += 1;
+                    if let Some(polarity) = record.label {
+                        usage.add_label(polarity, 1);
+                    }
+                }
+                if let Some(slot) = record
+                    .factor
+                    .and_then(|f| grounder.factor_owners.get_mut(f))
+                {
+                    *slot = (template.index, binding.clone());
+                }
+            }
+        }
+
         for rule_name in state.view_rules {
             let rule = grounder
                 .program
@@ -1163,17 +1338,30 @@ mod tests {
     }
 
     #[test]
-    fn marginal_write_back_creates_probability_table() {
+    fn marginal_table_is_built_on_demand() {
         let mut g = grounder();
         g.ground().unwrap();
         let n = g.graph().num_variables();
         let marginals: Vec<f64> = (0..n).map(|i| 0.25 + 0.5 * (i % 2) as f64).collect();
-        g.write_back_marginals(&marginals);
-        // A short slice writes back only the variables it covers.
-        g.write_back_marginals(&marginals[..0]);
-        let t = g.database().table("MarriedMentions_marginal").unwrap();
+        let t = g.marginal_table("MarriedMentions", &marginals).unwrap();
+        assert_eq!(t.name(), "MarriedMentions_marginal");
         assert_eq!(t.len(), n);
         assert_eq!(t.schema().arity(), 3);
+        let v = g
+            .variable_for("MarriedMentions", &tuple![10i64, 11i64])
+            .unwrap();
+        assert!(t.contains(&tuple![10i64, 11i64, marginals[v]]));
+        // A short slice covers only the variables it reaches.
+        let none = g
+            .marginal_table("MarriedMentions", &marginals[..0])
+            .unwrap();
+        assert!(none.is_empty());
+        // Nothing is written into the database.
+        assert!(!g.database().has_table("MarriedMentions_marginal"));
+        assert!(matches!(
+            g.marginal_table("Nowhere", &marginals),
+            Err(RelError::NoSuchTable(_))
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    transition is recorded in the delta;
 //! 2. base-relation deltas are cascaded through the candidate-mapping rules as
 //!    signed multiplicities (Z-sets).  Each rule's materialized view runs a
-//!    DRed-style distinct refresh ([`MaterializedView::refresh_dred`]); a
+//!    DRed-style distinct refresh ([`dd_relstore::MaterializedView::refresh_dred`]); a
 //!    deletion reported by one view is cancelled when a sibling rule with the
 //!    same head still derives the tuple (re-derivation);
 //! 3. the weighted and supervision rules are differentiated against the
@@ -31,16 +31,16 @@
 //! has no record of, or driving a binding's derivation support negative, is a
 //! typed [`GroundingError::Retraction`].
 
-use crate::ast::{Rule, RuleKind, WeightSpec};
+use crate::ast::{Rule, RuleKind};
 use crate::error::{GroundingError, ProgramError};
-use crate::grounder::{CatalogOp, Grounder, GroundingRecord, VarUse};
-use crate::program::RelationRole;
+use crate::grounder::{new_weight, CatalogOp, Grounder, GroundingRecord, RuleTemplate};
 use dd_factorgraph::{
-    DeltaFactor, EvidenceChange, Factor, FactorId, FactorKind, GraphDelta, Lit, NewVarRef,
-    NewWeightRef, Semantics, VarId, Variable, VariableRole, Weight,
+    DeltaFactor, EvidenceChange, FactorId, GraphDelta, Lit, NewVarRef, NewWeightRef, VarId,
+    Variable,
 };
-use dd_relstore::{DeltaRelation, MaterializedView, Tuple, Value};
+use dd_relstore::{DeltaRelation, ExecStats, Tuple};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// One update to a KBC system: data changes, supervision retractions, and/or
 /// new rules.
@@ -119,15 +119,22 @@ pub struct IncrementalGrounding {
     /// publish dirty-set: only these relations' snapshot shards need
     /// re-indexing, every other shard can be shared with the previous epoch.
     pub touched_relations: BTreeSet<String>,
+    /// Deterministic work counter of the relational side of this run: Δ rows
+    /// the delta rules were seeded from plus index entries and rows the joins
+    /// visited (see [`ExecStats::rows_probed`]).  For a fixed Δ it does not
+    /// depend on how large the rest of the knowledge base is.
+    pub rows_probed: u64,
 }
 
 /// One new grounding staged by the [`DeltaBuilder`], resolved to graph ids
 /// after the delta is applied.
 struct NewBinding {
-    rule: String,
+    template: Arc<RuleTemplate>,
     binding: Tuple,
     support: i64,
     label: Option<bool>,
+    /// The grounding's head, then the body literals of its factor.
+    referenced: Vec<NewVarRef>,
     /// Index into `delta.new_factors`, for weighted rules.
     factor_slot: Option<usize>,
 }
@@ -147,10 +154,10 @@ struct DeltaBuilder {
     pending_weights: HashMap<String, usize>,
     pending_weight_keys: Vec<String>,
     new_bindings: Vec<NewBinding>,
-    seen_bindings: HashSet<(String, Tuple)>,
+    /// `(rule index, binding)` pairs staged so far.
+    seen_bindings: HashSet<(usize, Tuple)>,
     /// Head tuples to insert into their relation's table once the update lands.
     pending_head_tuples: Vec<(String, Tuple)>,
-    new_groundings: usize,
 }
 
 impl DeltaBuilder {
@@ -163,10 +170,10 @@ impl DeltaBuilder {
 
     /// Resolve a `(relation, tuple)` to an existing variable or a pending new one.
     fn var_ref(&mut self, grounder: &Grounder, relation: &str, tuple: &Tuple) -> NewVarRef {
-        if let Some(v) = grounder.variable_for(relation, tuple) {
+        let key = (relation.to_string(), tuple.clone());
+        if let Some(&v) = grounder.var_catalog.get(&key) {
             return NewVarRef::Existing(v);
         }
-        let key = (relation.to_string(), tuple.clone());
         if let Some(&i) = self.pending_vars.get(&key) {
             return NewVarRef::New(i);
         }
@@ -180,25 +187,24 @@ impl DeltaBuilder {
     }
 
     /// Resolve the weight of one grounding to an existing or pending new weight.
-    fn weight_ref<F>(&mut self, grounder: &Grounder, rule: &Rule, value_of: &F) -> NewWeightRef
-    where
-        F: Fn(&str) -> Value,
-    {
-        let (description, initial, fixed) =
-            Grounder::weight_descriptor(grounder.udfs(), rule, value_of);
+    fn weight_ref(
+        &mut self,
+        grounder: &Grounder,
+        template: &RuleTemplate,
+        binding: &Tuple,
+    ) -> NewWeightRef {
+        let (description, initial, fixed) = template.weight_descriptor(grounder.udfs(), binding);
         if let Some(w) = grounder.weight_for(&description) {
             return NewWeightRef::Existing(w);
         }
-        if let Some(&i) = self.pending_weights.get(&description) {
+        if let Some(&i) = self.pending_weights.get(description.as_ref()) {
             return NewWeightRef::New(i);
         }
         let i = self.delta.new_weights.len();
-        let weight = if fixed {
-            Weight::fixed(0, initial, &description)
-        } else {
-            Weight::learnable(0, initial, &description)
-        };
-        self.delta.new_weights.push(weight);
+        self.delta
+            .new_weights
+            .push(new_weight(&description, initial, fixed));
+        let description = description.into_owned();
         self.pending_weights.insert(description.clone(), i);
         self.pending_weight_keys.push(description);
         NewWeightRef::New(i)
@@ -212,97 +218,64 @@ impl DeltaBuilder {
     fn ground_binding(
         &mut self,
         grounder: &Grounder,
-        rule: &Rule,
+        template: &Arc<RuleTemplate>,
         binding: &Tuple,
         count: i64,
     ) -> bool {
-        let binding_key = (rule.name.clone(), binding.clone());
-        if self.seen_bindings.contains(&binding_key)
-            || grounder.grounded_binding_exists(&rule.name, binding)
+        if grounder.grounded_binding_exists(&template.name, binding)
+            || !self.seen_bindings.insert((template.index, binding.clone()))
         {
             return false;
         }
-        self.seen_bindings.insert(binding_key);
 
-        let projection_vars = rule.projection_vars();
-        let value_of = |var: &str| -> Value {
-            projection_vars
-                .iter()
-                .position(|v| v == var)
-                .and_then(|i| binding.get(i).cloned())
-                .unwrap_or(Value::Null)
-        };
-
-        let head_tuple = Grounder::instantiate_atom_tuple(&rule.head.terms, &value_of);
-        let head_ref = self.var_ref(grounder, &rule.head.relation, &head_tuple);
-        self.pending_head_tuples
-            .push((rule.head.relation.clone(), head_tuple.clone()));
+        let head_tuple = template.head.instantiate(binding);
+        let head_ref = self.var_ref(grounder, &template.head.relation, &head_tuple);
+        let mut referenced = vec![head_ref];
 
         let mut label = None;
         let mut factor_slot = None;
-        match (&rule.kind, &rule.weight) {
-            (RuleKind::Supervision, WeightSpec::Label(polarity)) => {
-                if !grounder.is_supervision_suppressed(&rule.head.relation, &head_tuple) {
-                    label = Some(*polarity);
+        match template.label {
+            Some(polarity) => {
+                if !grounder.is_supervision_suppressed(&template.head.relation, &head_tuple) {
+                    label = Some(polarity);
                 }
             }
-            _ => {
-                let weight = self.weight_ref(grounder, rule, &value_of);
-                let mut var_refs = Vec::new();
-                let slot_of = |refs: &mut Vec<NewVarRef>, r: NewVarRef| -> usize {
-                    refs.push(r);
-                    refs.len() - 1
-                };
-                let mut body_lits = Vec::new();
-                for atom in &rule.body {
-                    if grounder.program().role_of(&atom.relation) == RelationRole::Variable {
-                        let t = Grounder::instantiate_atom_tuple(&atom.terms, &value_of);
-                        let r = self.var_ref(grounder, &atom.relation, &t);
-                        let slot = slot_of(&mut var_refs, r);
-                        body_lits.push(Lit {
-                            var: slot,
-                            positive: !atom.negated,
-                        });
-                    }
+            None => {
+                let weight = self.weight_ref(grounder, template, binding);
+                // `var_refs` slots: the body literals in order, then the head.
+                let mut body_lits = Vec::with_capacity(template.body_vars.len());
+                for atom in &template.body_vars {
+                    let r = self.var_ref(grounder, &atom.relation, &atom.instantiate(binding));
+                    body_lits.push(Lit {
+                        var: referenced.len() - 1,
+                        positive: atom.positive,
+                    });
+                    referenced.push(r);
                 }
-                let head_slot = slot_of(&mut var_refs, head_ref);
-                let template = if body_lits.is_empty() {
-                    Factor::is_true(0, head_slot)
-                } else {
-                    match rule.semantics {
-                        Semantics::Linear => Factor::new(
-                            0,
-                            FactorKind::Imply {
-                                body: body_lits,
-                                head: Lit::pos(head_slot),
-                            },
-                        ),
-                        s => Factor::new(
-                            0,
-                            FactorKind::Aggregate {
-                                head: Lit::pos(head_slot),
-                                semantics: s,
-                                groundings: vec![body_lits],
-                            },
-                        ),
-                    }
-                };
+                // The factor is built over `var_refs` slots with weight 0; the
+                // delta resolves both when it is applied.
+                let head_slot = body_lits.len();
+                let factor = Grounder::make_factor(0, body_lits, head_slot, template.semantics);
+                let mut var_refs = referenced[1..].to_vec();
+                var_refs.push(head_ref);
                 factor_slot = Some(self.delta.new_factors.len());
                 self.delta.new_factors.push(DeltaFactor {
                     weight,
-                    template,
+                    template: factor,
                     var_refs,
                 });
             }
         }
+        self.pending_head_tuples
+            .push((template.head.relation.clone(), head_tuple));
         self.new_bindings.push(NewBinding {
-            rule: rule.name.clone(),
+            template: Arc::clone(template),
             binding: binding.clone(),
             support: count.max(1),
             label,
+            referenced,
             factor_slot,
         });
-        self.new_groundings += 1;
         true
     }
 }
@@ -321,31 +294,59 @@ impl Grounder {
     /// removal op for replay.
     fn retract_factor(&mut self, fid: FactorId, ops: &mut Vec<FactorId>) {
         let weight_id = self.graph.factor(fid).weight_id;
-        self.factor_owners.remove(&fid);
         let moved = self.graph.remove_factor(fid);
+        self.factor_owners.swap_remove(fid);
         ops.push(fid);
-        if let Some(old_last) = moved {
-            if let Some(owner) = self.factor_owners.remove(&old_last) {
-                if let Some(rec) = self
-                    .grounded_bindings
-                    .get_mut(&owner.0)
-                    .and_then(|m| m.get_mut(&owner.1))
-                {
-                    rec.factor = Some(fid);
-                }
-                self.factor_owners.insert(fid, owner);
+        if moved.is_some() {
+            // The factor formerly last now lives at `fid`: re-point its record.
+            let (rule, binding) = &self.factor_owners[fid];
+            if let Some(rec) = self
+                .program
+                .rules
+                .get(*rule)
+                .and_then(|r| self.grounded_bindings.get_mut(&r.name))
+                .and_then(|m| m.get_mut(binding))
+            {
+                rec.factor = Some(fid);
             }
         }
-        let uses = self.weight_use.entry(weight_id).or_insert(0);
-        *uses -= 1;
-        if *uses <= 0 {
-            self.weight_use.remove(&weight_id);
-            let description = self.graph.weight(weight_id).description.clone();
+        self.weight_use[weight_id] -= 1;
+        if self.weight_use[weight_id] <= 0 {
+            let description = &self.graph.weight(weight_id).description;
             // The weight slot itself stays in the graph (learned-weight vectors
             // are indexed by WeightId); only the catalog forgets it.
-            if self.weight_catalog.get(&description) == Some(&weight_id) {
-                self.weight_catalog.remove(&description);
+            if self.weight_catalog.get(description) == Some(&weight_id) {
+                self.weight_catalog.remove(description);
             }
+        }
+    }
+
+    /// Remove one unreferenced variable from the graph, the catalog and its
+    /// inverse, patching the entry of the variable `swap_remove` moved into
+    /// the freed id.  Records the catalog ops and the removal op for replay.
+    fn retract_variable(
+        &mut self,
+        key: &(String, Tuple),
+        ops: &mut Vec<VarId>,
+        touched_relations: &mut BTreeSet<String>,
+    ) {
+        let Some(vid) = self.var_catalog.remove(key) else {
+            return;
+        };
+        let moved = self.graph.remove_variable(vid);
+        self.var_keys.swap_remove(vid);
+        self.var_use.swap_remove(vid);
+        ops.push(vid);
+        self.log_catalog_op(&key.0, CatalogOp::Remove(key.1.clone()));
+        touched_relations.insert(key.0.clone());
+        if moved.is_some() {
+            // The variable formerly last now lives at `vid`.
+            let moved_key = self.var_keys[vid].clone();
+            if let Some(id) = self.var_catalog.get_mut(&moved_key) {
+                *id = vid;
+            }
+            self.log_catalog_op(&moved_key.0, CatalogOp::Upsert(moved_key.1, vid));
+            touched_relations.insert(moved_key.0);
         }
     }
 
@@ -363,6 +364,18 @@ impl Grounder {
             .collect();
         let mut derived_deltas: HashMap<String, DeltaRelation> = HashMap::new();
         let mut touched_relations = BTreeSet::new();
+        let mut stats = ExecStats::default();
+
+        // New rules are compiled before anything is touched, so a malformed
+        // rule rejects the update instead of landing half of it.
+        let new_templates = update
+            .new_rules
+            .iter()
+            .enumerate()
+            .map(|(i, rule)| {
+                RuleTemplate::compile(&self.program, rule, self.program.rules.len() + i)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         // ---- 0. supervision retractions (sticky suppression + un-pinning).
         // The graph is mutated in place; the evidence transitions themselves
@@ -384,8 +397,9 @@ impl Grounder {
             .cloned()
             .collect();
         // Candidate rules that have never been evaluated (e.g. the program was
-        // created and updates were applied without an explicit initial run) are
-        // grounded now, against the pre-update state, so their derived tuples are
+        // created and updates were applied without an explicit initial run, or
+        // the rule was added in an earlier update without data) are grounded
+        // now, against the pre-update state, so their derived tuples are
         // visible to the weighted rules below.
         for rule in &ordered {
             if !self.candidate_views.contains_key(&rule.name) {
@@ -400,29 +414,18 @@ impl Grounder {
             if !touches_change {
                 continue;
             }
-            let head_rel = rule.head.relation.clone();
+            let head_rel = &rule.head.relation;
 
             // DRed distinct refresh of this rule's view: ±1 presence
             // transitions within the view, over-deletions already cancelled
             // against the view's own remaining derivations.
-            let view_delta = match self.candidate_views.get_mut(&rule.name) {
-                Some(view) => view.refresh_dred(&self.db, &accumulated)?,
-                None => {
-                    // The rule was never grounded (e.g. added in an earlier update
-                    // without data): materialize it now against the pre-update
-                    // state and differentiate.
-                    let q = dd_relstore::ConjunctiveQuery::new(
-                        head_rel.clone(),
-                        rule.head_vars(),
-                        rule.body.clone(),
-                    )
-                    .with_filters(rule.filters.clone());
-                    let mut view = MaterializedView::materialize(q, &self.db)?;
-                    let d = view.refresh_dred(&self.db, &accumulated)?;
-                    self.candidate_views.insert(rule.name.clone(), view);
-                    d
-                }
-            };
+            let view = self
+                .candidate_views
+                .get_mut(&rule.name)
+                .expect("every candidate rule was materialized above");
+            let probed_before = view.rows_probed();
+            let view_delta = view.refresh_dred(&self.db, &accumulated)?;
+            stats.rows_probed += view.rows_probed() - probed_before;
 
             // Cross-rule re-derivation and dedup: a tuple deleted from this
             // view survives if a sibling rule with the same head still derives
@@ -430,13 +433,9 @@ impl Grounder {
             // did not already carry it (base table + deltas accumulated so far).
             let mut distinct_delta = DeltaRelation::new(head_rel.clone());
             for (tuple, transition) in view_delta.iter() {
-                let head_count = self
-                    .db
-                    .table(&head_rel)
-                    .map(|t| t.count(tuple))
-                    .unwrap_or(0);
+                let head_count = self.db.table(head_rel).map(|t| t.count(tuple)).unwrap_or(0);
                 let pending = accumulated
-                    .get(&head_rel)
+                    .get(head_rel)
                     .map(|d| d.count(tuple))
                     .unwrap_or(0);
                 let present_before = head_count + pending > 0;
@@ -447,7 +446,7 @@ impl Grounder {
                 } else if present_before {
                     let rederived = self.candidate_views.iter().any(|(name, sibling)| {
                         name != &rule.name
-                            && sibling.query().name == head_rel
+                            && sibling.query().name == *head_rel
                             && sibling.result().contains(tuple)
                     });
                     if !rederived {
@@ -462,37 +461,28 @@ impl Grounder {
                     .merge(&distinct_delta);
                 accumulated
                     .entry(head_rel.clone())
-                    .or_insert_with(|| DeltaRelation::new(head_rel))
+                    .or_insert_with(|| DeltaRelation::new(head_rel.clone()))
                     .merge(&distinct_delta);
             }
         }
 
         // ---- 2. differentiate the weighted and supervision rules (pre-update db).
-        let weighted: Vec<Rule> = self
-            .program
-            .rules
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.kind,
-                    RuleKind::FeatureExtraction | RuleKind::Inference | RuleKind::Supervision
-                )
-            })
-            .cloned()
-            .collect();
-        let mut rule_deltas: Vec<(Rule, DeltaRelation)> = Vec::new();
-        for rule in &weighted {
-            let touches_change = rule
-                .body_relations()
+        let mut rule_deltas: Vec<(Arc<RuleTemplate>, DeltaRelation)> = Vec::new();
+        for template in self.grounding_templates() {
+            let touches_change = template
+                .plan
+                .query()
+                .relations()
                 .iter()
                 .any(|r| accumulated.contains_key(*r));
             if !touches_change {
                 continue;
             }
-            let query = rule.body_query();
-            let delta = query.delta_evaluate(&self.db, &accumulated)?;
+            let delta = template
+                .plan
+                .delta_evaluate(&self.db, &accumulated, &mut stats)?;
             if !delta.is_empty() {
-                rule_deltas.push((rule.clone(), delta));
+                rule_deltas.push((template, delta));
             }
         }
 
@@ -505,18 +495,15 @@ impl Grounder {
         let mut label_dirty: BTreeSet<(String, Tuple)> = BTreeSet::new();
         let mut dead_var_keys: BTreeSet<(String, Tuple)> = BTreeSet::new();
         let mut retracted_groundings = 0usize;
-        for (rule, delta) in &rule_deltas {
+        for (template, delta) in &rule_deltas {
             for (binding, count) in delta.iter() {
                 if count >= 0 {
                     continue;
                 }
-                let Some(record) = self
-                    .grounded_bindings
-                    .get_mut(&rule.name)
-                    .and_then(|m| m.get_mut(binding))
-                else {
+                let records = self.grounded_bindings.get_mut(&template.name);
+                let Some(record) = records.and_then(|m| m.get_mut(binding)) else {
                     return Err(GroundingError::Retraction {
-                        rule: rule.name.clone(),
+                        rule: template.name.clone(),
                         detail: format!(
                             "no grounding recorded for binding {binding:?} (delta {count})"
                         ),
@@ -524,7 +511,7 @@ impl Grounder {
                 };
                 if record.support + count < 0 {
                     return Err(GroundingError::Retraction {
-                        rule: rule.name.clone(),
+                        rule: template.name.clone(),
                         detail: format!(
                             "binding {binding:?} has support {} but delta {count} \
                              (more deletions than derivations)",
@@ -538,91 +525,43 @@ impl Grounder {
                 }
                 let record = self
                     .grounded_bindings
-                    .get_mut(&rule.name)
+                    .get_mut(&template.name)
                     .expect("checked above")
                     .remove(binding)
                     .expect("checked above");
                 retracted_groundings += 1;
 
+                let (head, referenced) = self.record_vars(template, binding);
                 if let Some(fid) = record.factor {
                     self.retract_factor(fid, &mut removed_factor_ops);
                 }
-
-                let projection_vars = rule.projection_vars();
-                let value_of = |var: &str| -> Value {
-                    projection_vars
-                        .iter()
-                        .position(|v| v == var)
-                        .and_then(|i| binding.get(i).cloned())
-                        .unwrap_or(Value::Null)
+                for var in referenced {
+                    let usage = &mut self.var_use[var];
+                    usage.refs -= 1;
+                    if usage.refs <= 0 {
+                        dead_var_keys.insert(self.var_keys[var].clone());
+                    }
+                }
+                let Some(head) = head else {
+                    continue;
                 };
-                let head_key = (
-                    rule.head.relation.clone(),
-                    Self::instantiate_atom_tuple(&rule.head.terms, &value_of),
-                );
+                let usage = &mut self.var_use[head];
                 if let Some(label) = record.label {
-                    if let Some(usage) = self.var_use.get_mut(&head_key) {
-                        if label {
-                            usage.pos_labels -= 1;
-                        } else {
-                            usage.neg_labels -= 1;
-                        }
-                    }
-                    label_dirty.insert(head_key.clone());
+                    usage.add_label(label, -1);
+                    label_dirty.insert(self.var_keys[head].clone());
                 }
-                for key in Self::record_var_keys(&self.program, rule, binding) {
-                    if let Some(usage) = self.var_use.get_mut(&key) {
-                        usage.refs -= 1;
-                        if usage.refs <= 0 {
-                            dead_var_keys.insert(key);
-                        }
-                    }
-                }
-                if let Some(usage) = self.var_use.get_mut(&head_key) {
-                    usage.head_refs -= 1;
-                    if usage.head_refs <= 0 {
-                        // Withdraw the derivation this grounding inserted into
-                        // the head's variable relation.
-                        if let Ok(table) = self.db.table_mut(&rule.head.relation) {
-                            table.delete(&head_key.1);
-                        }
+                usage.head_refs -= 1;
+                if usage.head_refs <= 0 {
+                    // Withdraw the derivation this grounding inserted into
+                    // the head's variable relation.
+                    if let Ok(table) = self.db.table_mut(&template.head.relation) {
+                        table.delete(&self.var_keys[head].1);
                     }
                 }
             }
         }
-        if !dead_var_keys.is_empty() {
-            // Reverse map VarId → catalog key, maintained through swap_remove
-            // moves so each removal patches at most one other entry.
-            let mut reverse: HashMap<VarId, (String, Tuple)> = self
-                .var_catalog
-                .iter()
-                .map(|(k, &v)| (v, k.clone()))
-                .collect();
-            for key in &dead_var_keys {
-                let Some(vid) = self.var_catalog.remove(key) else {
-                    continue;
-                };
-                self.var_use.remove(key);
-                reverse.remove(&vid);
-                let moved = self.graph.remove_variable(vid);
-                removed_var_ops.push(vid);
-                self.fresh_catalog
-                    .entry(key.0.clone())
-                    .or_default()
-                    .push(CatalogOp::Remove(key.1.clone()));
-                touched_relations.insert(key.0.clone());
-                if let Some(old_last) = moved {
-                    if let Some(moved_key) = reverse.remove(&old_last) {
-                        self.var_catalog.insert(moved_key.clone(), vid);
-                        reverse.insert(vid, moved_key.clone());
-                        self.fresh_catalog
-                            .entry(moved_key.0.clone())
-                            .or_default()
-                            .push(CatalogOp::Upsert(moved_key.1.clone(), vid));
-                        touched_relations.insert(moved_key.0);
-                    }
-                }
-            }
+        for key in &dead_var_keys {
+            self.retract_variable(key, &mut removed_var_ops, &mut touched_relations);
         }
 
         // ---- 3. apply the relational deltas to the database.
@@ -636,119 +575,90 @@ impl Grounder {
         // post-removal graph, plus brand-new rules grounded in full against
         // the post-update database.
         let mut builder = DeltaBuilder::new(self.next_var_key);
-        for (rule, delta) in &rule_deltas {
+        for (template, delta) in &rule_deltas {
             for (binding, count) in delta.iter() {
                 if count <= 0 {
                     continue;
                 }
                 if let Some(record) = self
                     .grounded_bindings
-                    .get_mut(&rule.name)
+                    .get_mut(&template.name)
                     .and_then(|m| m.get_mut(binding))
                 {
                     // Already grounded: the new derivations only raise support.
                     record.support += count;
                 } else {
-                    builder.ground_binding(self, rule, binding, count);
+                    builder.ground_binding(self, template, binding, count);
                 }
             }
         }
-        for rule in &update.new_rules {
+        for (rule, template) in update.new_rules.iter().zip(new_templates) {
             self.program.rules.push(rule.clone());
-            match rule.kind {
-                RuleKind::CandidateMapping => {
-                    // Full evaluation of the new candidate rule; the inserted
-                    // tuples immediately become visible to subsequently added
-                    // rules and to later incremental updates.
-                    self.evaluate_candidate_rule(rule)?;
+            self.templates.push(template.clone());
+            if rule.kind == RuleKind::CandidateMapping {
+                // Full evaluation of the new candidate rule; the inserted
+                // tuples immediately become visible to subsequently added
+                // rules and to later incremental updates.
+                self.evaluate_candidate_rule(rule)?;
+            }
+            if let Some(template) = template {
+                let bindings = template.plan.evaluate(&self.db, &mut stats)?;
+                for (binding, count) in bindings.iter_counted() {
+                    builder.ground_binding(self, &template, binding, count);
                 }
-                RuleKind::FeatureExtraction | RuleKind::Inference | RuleKind::Supervision => {
-                    let query = rule.body_query();
-                    let bindings = query.evaluate(&self.db)?;
-                    for (binding, count) in bindings.iter_counted() {
-                        builder.ground_binding(self, rule, binding, count);
-                    }
-                }
-                RuleKind::ErrorAnalysis => {}
             }
         }
 
         // ---- 5. apply the additions, update the catalogs and usage counters,
         // then derive every dirty variable's evidence role from the counters.
-        let additions = builder.delta.clone();
+        let additions = std::mem::take(&mut builder.delta);
         let base_weight_count = self.graph.num_weights();
         let (new_var_ids, new_factor_ids) = self.graph.apply_delta(&additions);
         self.next_var_key += builder.pending_var_keys.len() as u64;
-        for (key, id) in builder.pending_var_keys.iter().zip(new_var_ids.iter()) {
-            self.var_catalog.insert(key.clone(), *id);
+        for (key, id) in builder.pending_var_keys.into_iter().zip(&new_var_ids) {
             touched_relations.insert(key.0.clone());
-            self.fresh_catalog
-                .entry(key.0.clone())
-                .or_default()
-                .push(CatalogOp::Upsert(key.1.clone(), *id));
+            self.register_variable(key, *id);
         }
-        for (i, key) in builder.pending_weight_keys.iter().enumerate() {
-            self.weight_catalog
-                .insert(key.clone(), base_weight_count + i);
+        for (i, key) in builder.pending_weight_keys.into_iter().enumerate() {
+            self.weight_catalog.insert(key, base_weight_count + i);
         }
+        let new_groundings = builder.new_bindings.len();
         for staged in builder.new_bindings {
-            let rule = self
-                .program
-                .rules
-                .iter()
-                .find(|r| r.name == staged.rule)
-                .cloned()
-                .expect("staged binding's rule is in the program");
             let factor = staged.factor_slot.map(|slot| new_factor_ids[slot]);
             if let Some(fid) = factor {
-                self.factor_owners
-                    .insert(fid, (staged.rule.clone(), staged.binding.clone()));
-                let weight_id = self.graph.factor(fid).weight_id;
-                *self.weight_use.entry(weight_id).or_insert(0) += 1;
+                self.own_factor(fid, staged.template.index, staged.binding.clone());
             }
-            let projection_vars = rule.projection_vars();
-            let value_of = |var: &str| -> Value {
-                projection_vars
-                    .iter()
-                    .position(|v| v == var)
-                    .and_then(|i| staged.binding.get(i).cloned())
-                    .unwrap_or(Value::Null)
-            };
-            let head_key = (
-                rule.head.relation.clone(),
-                Self::instantiate_atom_tuple(&rule.head.terms, &value_of),
-            );
-            for key in Self::record_var_keys(&self.program, &rule, &staged.binding) {
-                self.var_use.entry(key).or_default().refs += 1;
+            let mut referenced: Vec<VarId> = staged
+                .referenced
+                .iter()
+                .map(|r| match r {
+                    NewVarRef::Existing(v) => *v,
+                    NewVarRef::New(i) => new_var_ids[*i],
+                })
+                .collect();
+            let head = referenced[0];
+            referenced.sort_unstable();
+            referenced.dedup();
+            for var in referenced {
+                self.var_use[var].refs += 1;
             }
-            let usage = self.var_use.entry(head_key.clone()).or_default();
+            let usage = &mut self.var_use[head];
             usage.head_refs += 1;
             if let Some(label) = staged.label {
-                if label {
-                    usage.pos_labels += 1;
-                } else {
-                    usage.neg_labels += 1;
-                }
-                label_dirty.insert(head_key);
+                usage.add_label(label, 1);
+                label_dirty.insert(self.var_keys[head].clone());
             }
-            self.grounded_bindings
-                .entry(staged.rule)
-                .or_default()
-                .insert(
-                    staged.binding,
-                    GroundingRecord {
-                        support: staged.support,
-                        factor,
-                        label: staged.label,
-                    },
-                );
+            self.records_mut(&staged.template.name).insert(
+                staged.binding,
+                GroundingRecord {
+                    support: staged.support,
+                    factor,
+                    label: staged.label,
+                },
+            );
         }
         for (relation, tuple) in builder.pending_head_tuples {
-            if let Ok(table) = self.db.table_mut(&relation) {
-                if !table.contains(&tuple) && table.schema().check(tuple.values()) {
-                    let _ = table.insert(tuple);
-                }
-            }
+            self.insert_head_tuple(&relation, tuple);
         }
 
         // Evidence pass: every variable whose label counts changed (or whose
@@ -760,11 +670,7 @@ impl Grounder {
             let Some(&var) = self.var_catalog.get(key) else {
                 continue;
             };
-            let role = self
-                .var_use
-                .get(key)
-                .map(VarUse::role)
-                .unwrap_or(VariableRole::Query);
+            let role = self.var_use[var].role();
             if forced_evidence.contains(key) || self.graph.variable(var).role != role {
                 let v = self.graph.variable_mut(var);
                 v.role = role;
@@ -784,9 +690,10 @@ impl Grounder {
         Ok(IncrementalGrounding {
             delta,
             derived_deltas,
-            new_groundings: builder.new_groundings,
+            new_groundings,
             retracted_groundings,
             touched_relations,
+            rows_probed: stats.rows_probed,
         })
     }
 }
@@ -794,9 +701,10 @@ impl Grounder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::RuleAtom;
-    use crate::program::{Program, RelationDecl};
+    use crate::ast::{RuleAtom, WeightSpec};
+    use crate::program::{Program, RelationDecl, RelationRole};
     use crate::udf::standard_udfs;
+    use dd_factorgraph::VariableRole;
     use dd_relstore::view::{Filter, Term};
     use dd_relstore::{tuple, DataType, Database, Schema};
 
@@ -1267,5 +1175,83 @@ mod tests {
         // The suppressed record is still tracked, just label-free.
         let record = g.grounding_record("S1", &tuple![10i64, 11i64]).unwrap();
         assert_eq!(record.label, None);
+    }
+
+    /// A doc-keyed claims KB: six claims, their labels and two links per
+    /// document, every rule joining on `doc`.  `Pair` adds a candidate rule
+    /// and a self-join on a partial key, so the delta path goes through an
+    /// index probe and a maintained view as well as point lookups.
+    const CLAIMS: &str = "\
+        relation Claim(doc: int, id: int) base.\n\
+        relation Pos(doc: int, id: int) base.\n\
+        relation Neg(doc: int, id: int) base.\n\
+        relation Link(doc: int, a: int, b: int) base.\n\
+        relation PairCandidate(doc: int, a: int, b: int) derived.\n\
+        relation Fact(doc: int, id: int) variable.\n\
+        relation Rel(doc: int, a: int, b: int) variable.\n\
+        relation Pair(doc: int, a: int, b: int) variable.\n\
+        rule C candidate: PairCandidate(doc, a, b) :- Link(doc, a, x), Link(doc, b, y), a < b.\n\
+        rule F feature: Fact(doc, id) :- Claim(doc, id) weight = 1.5.\n\
+        rule SP supervision+: Fact(doc, id) :- Claim(doc, id), Pos(doc, id).\n\
+        rule SN supervision-: Fact(doc, id) :- Claim(doc, id), Neg(doc, id).\n\
+        rule L feature: Rel(doc, a, b) :- Link(doc, a, b) weight = 0.5.\n\
+        rule LP supervision+: Rel(doc, a, b) :- Link(doc, a, b), Pos(doc, a).\n\
+        rule P feature: Pair(doc, a, b) :- PairCandidate(doc, a, b), Claim(doc, a) weight = 0.25.\n";
+
+    fn claims_rows(doc: i64) -> Vec<(&'static str, Tuple)> {
+        let mut rows = Vec::new();
+        for id in 0..6 {
+            rows.push(("Claim", tuple![doc, id]));
+            let label = if (doc + id) % 3 == 0 { "Neg" } else { "Pos" };
+            rows.push((label, tuple![doc, id]));
+        }
+        for index in 0..2 {
+            rows.push(("Link", tuple![doc, index, (doc + index) % 6]));
+        }
+        rows
+    }
+
+    fn claims_grounder(docs: i64) -> Grounder {
+        let program = crate::parser::parse_program(CLAIMS).unwrap();
+        let mut db = Database::new();
+        program.create_schema(&mut db);
+        for doc in 0..docs {
+            for (relation, row) in claims_rows(doc) {
+                db.insert(relation, row).unwrap();
+            }
+        }
+        let mut g = Grounder::new(program, db, standard_udfs()).unwrap();
+        g.ground().unwrap();
+        g
+    }
+
+    #[test]
+    fn delta_work_does_not_depend_on_kb_size() {
+        let new_docs = 1_000_000..1_000_008;
+        let mut insert = KbcUpdate::new();
+        let mut delete = KbcUpdate::new();
+        for doc in new_docs {
+            for (relation, row) in claims_rows(doc) {
+                insert.insert(relation, row.clone());
+                delete.delete(relation, row);
+            }
+        }
+        let mut small = claims_grounder(500);
+        let mut large = claims_grounder(5_000);
+        for (what, update) in [("insert", &insert), ("delete", &delete)] {
+            let on_small = small.ground_incremental(update).unwrap();
+            let on_large = large.ground_incremental(update).unwrap();
+            assert!(on_small.rows_probed > 0, "{what}");
+            assert_eq!(on_small.rows_probed, on_large.rows_probed, "{what}");
+            assert_eq!(on_small.new_groundings, on_large.new_groundings, "{what}");
+            assert_eq!(
+                on_small.retracted_groundings, on_large.retracted_groundings,
+                "{what}"
+            );
+        }
+        // The 8 documents came and went; each other one keeps its 6 `Fact`,
+        // 2 `Rel` and 1 `Pair` variables.
+        assert_eq!(small.graph().num_variables(), 500 * 9);
+        assert_eq!(large.graph().num_variables(), 5_000 * 9);
     }
 }

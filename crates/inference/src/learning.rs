@@ -88,6 +88,8 @@ pub struct LearningTrace {
     pub losses: Vec<f64>,
     /// Final weight vector.
     pub final_weights: Vec<f64>,
+    /// Gibbs sweeps run, clamped and free chains together.
+    pub sweeps: usize,
 }
 
 impl LearningTrace {
@@ -189,6 +191,14 @@ impl<'g> Learner<'g> {
         // Compile once; each epoch only moves weight values, which
         // `refresh_weights` re-resolves in place without rebuilding topology.
         let mut flat = self.graph.compile();
+
+        // Nothing to learn: every epoch would sample both chains only to
+        // skip every weight, and the loss never moves.
+        if self.graph.weights().iter().all(|w| w.fixed) {
+            trace.losses = vec![self.evidence_loss_on(&flat); options.epochs];
+            trace.final_weights = self.graph.weight_values();
+            return trace;
+        }
         let all_vars: Vec<usize> = (0..self.graph.num_variables()).collect();
 
         // Large graph + pool => estimate expectations with persistent hogwild
@@ -257,6 +267,7 @@ impl<'g> Learner<'g> {
                 self.graph.set_weight_value(k, new);
             }
             lr *= options.decay;
+            trace.sweeps += clamped_sweeps + free_sweeps;
             flat.refresh_weights(self.graph);
             if let Some((clamped_chain, free_chain)) = &mut hogwild {
                 clamped_chain.refresh_weights(self.graph);
@@ -343,6 +354,71 @@ mod tests {
     }
 
     #[test]
+    fn fixed_only_graph_performs_zero_sweeps() {
+        let mut b = FactorGraphBuilder::new();
+        let w_fixed = b.tied_weight("prior", 2.0, true);
+        for label in [false, true, true] {
+            let v = b.add_evidence_variable(label);
+            b.add_factor(Factor::is_true(w_fixed, v));
+        }
+        let mut g = b.build();
+        let mut learner = Learner::new(&mut g);
+        let loss = learner.evidence_loss();
+        let trace = learner.learn(&LearnOptions {
+            epochs: 7,
+            ..Default::default()
+        });
+        assert_eq!(trace.sweeps, 0);
+        // Same shape as a run that sampled: one loss per epoch, all weights.
+        assert_eq!(trace.losses, vec![loss; 7]);
+        assert_eq!(trace.final_weights, vec![2.0]);
+        // A warmstart still lands before the early return.
+        let warm = Learner::new(&mut g).learn(&LearnOptions {
+            warmstart: Some(vec![1.25]),
+            ..Default::default()
+        });
+        assert_eq!(warm.sweeps, 0);
+        assert_eq!(warm.final_weights, vec![1.25]);
+    }
+
+    #[test]
+    fn learnable_graph_learns_exactly_as_before_the_early_return() {
+        // One learnable weight next to a fixed one: the sampled path must be
+        // untouched by the fixed-only shortcut.  The expected bits were
+        // produced by the learner as it was before the shortcut existed.
+        let mut g = classifier_graph(12);
+        let w_fixed = g.add_weight(dd_factorgraph::Weight::fixed(0, 0.5, "prior"));
+        g.add_factor(Factor::is_true(w_fixed, 0));
+        let trace = Learner::new(&mut g).learn(&LearnOptions {
+            epochs: 6,
+            seed: 11,
+            ..Default::default()
+        });
+        assert_eq!(trace.sweeps, 6 * 10);
+        let bits: Vec<u64> = trace.final_weights.iter().map(|w| w.to_bits()).collect();
+        let losses: Vec<u64> = trace.losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                4607780335375980280u64,
+                13832070731799581772,
+                4602678819172646912
+            ]
+        );
+        assert_eq!(
+            losses,
+            [
+                4602881041733272363u64,
+                4601495772975223839,
+                4599964078515135439,
+                4599276352698096894,
+                4598666901093035367,
+                4598098136681051001
+            ]
+        );
+    }
+
+    #[test]
     fn warmstart_initializes_from_previous_model() {
         let mut g = classifier_graph(20);
         let opts = LearnOptions {
@@ -389,7 +465,7 @@ mod tests {
     fn epochs_to_within_threshold() {
         let trace = LearningTrace {
             losses: vec![1.0, 0.6, 0.45, 0.41, 0.40],
-            final_weights: vec![],
+            ..Default::default()
         };
         assert_eq!(trace.epochs_to_within(0.40, 0.10), Some(3));
         assert_eq!(trace.epochs_to_within(0.40, 0.5), Some(1));

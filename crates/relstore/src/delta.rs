@@ -7,7 +7,9 @@
 
 use crate::table::Table;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// The direction of a single change.
@@ -21,7 +23,8 @@ pub enum DeltaOp {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeltaRelation {
     relation: String,
-    /// tuple -> net count change (positive = insertions, negative = deletions).
+    /// tuple -> non-zero net count change (positive = insertions, negative =
+    /// deletions); a change that cancels out leaves no entry.
     /// Ordered so delta iteration — and thus incremental grounding — is
     /// deterministic (see the note on [`Table`]).
     changes: BTreeMap<Tuple, i64>,
@@ -43,42 +46,55 @@ impl DeltaRelation {
 
     /// Record an insertion of `tuple`.
     pub fn insert(&mut self, tuple: Tuple) {
-        *self.changes.entry(tuple).or_insert(0) += 1;
+        self.change(tuple, 1);
     }
 
     /// Record a deletion of `tuple`.
     pub fn delete(&mut self, tuple: Tuple) {
-        *self.changes.entry(tuple).or_insert(0) -= 1;
+        self.change(tuple, -1);
     }
 
     /// Record a change with an explicit count.
     pub fn change(&mut self, tuple: Tuple, count: i64) {
-        if count != 0 {
-            *self.changes.entry(tuple).or_insert(0) += count;
+        if count == 0 {
+            return;
+        }
+        match self.changes.entry(tuple) {
+            Entry::Occupied(mut e) => {
+                *e.get_mut() += count;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(count);
+            }
         }
     }
 
     /// Net change for a tuple.
     pub fn count(&self, tuple: &Tuple) -> i64 {
-        self.changes.get(tuple).copied().unwrap_or(0)
+        self.count_of(tuple.values())
+    }
+
+    /// [`DeltaRelation::count`] for a row given as a value slice.
+    pub(crate) fn count_of(&self, values: &[Value]) -> i64 {
+        self.changes.get(values).copied().unwrap_or(0)
     }
 
     /// Number of tuples with a non-zero net change.
     pub fn len(&self) -> usize {
-        self.changes.values().filter(|&&c| c != 0).count()
+        self.changes.len()
     }
 
     /// True if there is no net change.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.changes.is_empty()
     }
 
     /// Iterate over `(tuple, net count)` pairs with non-zero net change.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.changes
-            .iter()
-            .filter(|(_, &c)| c != 0)
-            .map(|(t, &c)| (t, c))
+        self.changes.iter().map(|(t, &c)| (t, c))
     }
 
     /// Only the insertions (positive part), as a counted table-like iterator.
@@ -109,25 +125,6 @@ impl DeltaRelation {
             self.change(t.clone(), c);
         }
     }
-
-    /// Materialize the positive part as a [`Table`] with the given schema-bearing
-    /// prototype (usually the base table).
-    pub fn positive_table(&self, proto: &Table, name: &str) -> Table {
-        let mut t = Table::new(name, proto.schema().clone());
-        for (tup, c) in self.insertions() {
-            t.merge_unchecked(tup.clone(), c);
-        }
-        t
-    }
-
-    /// Materialize the negative part (deletions, positive counts) as a [`Table`].
-    pub fn negative_table(&self, proto: &Table, name: &str) -> Table {
-        let mut t = Table::new(name, proto.schema().clone());
-        for (tup, c) in self.deletions() {
-            t.merge_unchecked(tup.clone(), c);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -145,6 +142,8 @@ mod tests {
         assert_eq!(d.count(&tuple![1i64]), 1);
         d.delete(tuple![1i64]);
         assert!(d.is_empty());
+        assert_eq!(d.len(), 0);
+        assert_eq!(d.iter().count(), 0);
     }
 
     #[test]
@@ -187,19 +186,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(&tuple![1i64]), 2);
         assert_eq!(a.count(&tuple![2i64]), -1);
-    }
-
-    #[test]
-    fn materialized_parts_have_schema() {
-        let proto = Table::new("R", Schema::of(&[("x", DataType::Int)]));
-        let mut d = DeltaRelation::new("R");
-        d.insert(tuple![5i64]);
-        d.delete(tuple![6i64]);
-        let pos = d.positive_table(&proto, "R_ins");
-        let neg = d.negative_table(&proto, "R_del");
-        assert_eq!(pos.len(), 1);
-        assert!(pos.contains(&tuple![5i64]));
-        assert_eq!(neg.len(), 1);
-        assert!(neg.contains(&tuple![6i64]));
     }
 }

@@ -7,8 +7,8 @@
 //! engine with
 //!
 //! * a catalog of named, schema-checked [`Table`]s collected in a [`Database`],
-//! * the relational operators needed by rule-body evaluation
-//!   (selection, projection, natural/hash join, union, difference, distinct),
+//! * one slot-compiled, index-backed executor for rule-shaped (conjunctive)
+//!   queries ([`plan`]) over persistent secondary hash indexes,
 //! * *counted* relations — every tuple carries a derivation count, which is the
 //!   representation required by counting-based incremental view maintenance and
 //!   by the DRed algorithm of Gupta, Mumick & Subrahmanian that DeepDive uses for
@@ -23,7 +23,8 @@
 pub mod database;
 pub mod delta;
 pub mod error;
-pub mod ops;
+mod index;
+pub mod plan;
 pub mod schema;
 pub mod table;
 pub mod tuple;
@@ -33,7 +34,7 @@ pub mod view;
 pub use database::Database;
 pub use delta::{DeltaOp, DeltaRelation};
 pub use error::{RelError, RelResult};
-pub use ops::{difference, distinct, hash_join, project, select, union};
+pub use plan::{ExecStats, QueryPlan};
 pub use schema::{Column, DataType, Schema};
 pub use table::Table;
 pub use tuple::Tuple;

@@ -74,31 +74,6 @@ impl Schema {
                 .zip(self.columns.iter())
                 .all(|(v, c)| v.is_null() || v.data_type() == c.data_type)
     }
-
-    /// A new schema that is the concatenation of `self` and `other`
-    /// (used by joins; duplicate names are suffixed with `_r`).
-    pub fn concat(&self, other: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        for c in &other.columns {
-            let name = if self.index_of(&c.name).is_some() {
-                format!("{}_r", c.name)
-            } else {
-                c.name.clone()
-            };
-            columns.push(Column::new(name, c.data_type));
-        }
-        Schema { columns }
-    }
-
-    /// Project this schema onto the given column indices.
-    pub fn project(&self, indices: &[usize]) -> Schema {
-        Schema {
-            columns: indices
-                .iter()
-                .filter_map(|&i| self.columns.get(i).cloned())
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -137,24 +112,5 @@ mod tests {
         assert!(!s.check(&[Value::Int(1), Value::Int(10)]));
         // wrong type
         assert!(!s.check(&[Value::Int(1), Value::text("x"), Value::text("Obama")]));
-    }
-
-    #[test]
-    fn concat_renames_duplicates() {
-        let a = Schema::of(&[("id", DataType::Int), ("x", DataType::Text)]);
-        let b = Schema::of(&[("id", DataType::Int), ("y", DataType::Text)]);
-        let c = a.concat(&b);
-        assert_eq!(c.arity(), 4);
-        assert_eq!(c.columns()[2].name, "id_r");
-        assert_eq!(c.index_of("y"), Some(3));
-    }
-
-    #[test]
-    fn project_selects_columns() {
-        let s = person_schema();
-        let p = s.project(&[2, 0]);
-        assert_eq!(p.arity(), 2);
-        assert_eq!(p.columns()[0].name, "text");
-        assert_eq!(p.columns()[1].name, "sentence_id");
     }
 }

@@ -1,12 +1,14 @@
 //! Counted tables (bag relations with derivation counts).
 
 use crate::error::{RelError, RelResult};
+use crate::index::HashIndex;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::{Arc, RwLock};
 
 /// An in-memory relation.
 ///
@@ -22,11 +24,43 @@ use std::collections::{BTreeMap, HashMap};
 /// assignment) is then deterministic per seed, which the samplers' "runs are
 /// reproducible" guarantee depends on.  A `HashMap` here made grounding order
 /// — and therefore learned models — vary per *process*.
+///
+/// Query execution probes the table through secondary hash indexes keyed by
+/// column set.  An index is built on the first probe that needs it and
+/// from then on maintained by every mutation, so a join against an unchanged
+/// table costs the rows it touches, not the rows the table holds.  Indexes
+/// are derived state: a clone starts without them and they are never part of
+/// a persisted table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: BTreeMap<Tuple, i64>,
+    /// Number of rows with a positive count.
+    present: usize,
+    /// Sum of the positive counts.
+    present_total: i64,
+    indexes: Indexes,
+}
+
+/// The table's secondary indexes.  Behind a lock because they are created
+/// through `&Table`; handed out as `Arc`s so a query holds no lock while it
+/// runs, and `Arc::make_mut` keeps maintenance copy-free once it is done.
+#[derive(Debug, Default)]
+struct Indexes(RwLock<Vec<Arc<HashIndex>>>);
+
+impl Clone for Indexes {
+    fn clone(&self) -> Self {
+        Indexes::default()
+    }
+}
+
+impl Indexes {
+    fn get_mut(&mut self) -> &mut Vec<Arc<HashIndex>> {
+        // A poisoned lock only means a panic elsewhere while the list was
+        // held; the list itself is valid after every step of every update.
+        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl Table {
@@ -36,6 +70,26 @@ impl Table {
             name: name.into(),
             schema,
             rows: BTreeMap::new(),
+            present: 0,
+            present_total: 0,
+            indexes: Indexes::default(),
+        }
+    }
+
+    /// A table over rows already in tuple order, distinct, with positive
+    /// counts (a query result): the map is built in one pass.
+    pub(crate) fn from_sorted_rows(
+        name: impl Into<String>,
+        schema: Schema,
+        rows: Vec<(Tuple, i64)>,
+    ) -> Self {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(rows.iter().all(|(_, count)| *count > 0));
+        Table {
+            present: rows.len(),
+            present_total: rows.iter().map(|(_, count)| count).sum(),
+            rows: rows.into_iter().collect(),
+            ..Table::new(name, schema)
         }
     }
 
@@ -51,17 +105,17 @@ impl Table {
 
     /// Number of distinct tuples currently present (count > 0).
     pub fn len(&self) -> usize {
-        self.rows.values().filter(|&&c| c > 0).count()
+        self.present
     }
 
     /// True if no tuple is present.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.present == 0
     }
 
     /// Total multiplicity (sum of positive counts).
     pub fn total_count(&self) -> i64 {
-        self.rows.values().filter(|&&c| c > 0).sum()
+        self.present_total
     }
 
     /// Insert a tuple with multiplicity 1, schema-checked.
@@ -71,58 +125,93 @@ impl Table {
 
     /// Insert a tuple with the given multiplicity (may be negative: a deletion).
     pub fn insert_with_count(&mut self, tuple: Tuple, count: i64) -> RelResult<()> {
-        if !self.schema.check(tuple.values()) {
-            return Err(RelError::SchemaMismatch {
-                table: self.name.clone(),
-                detail: format!("tuple {tuple} does not match schema"),
-            });
-        }
+        self.check(&tuple)?;
         self.merge_unchecked(tuple, count);
         Ok(())
+    }
+
+    fn check(&self, tuple: &Tuple) -> RelResult<()> {
+        if self.schema.check(tuple.values()) {
+            Ok(())
+        } else {
+            Err(RelError::SchemaMismatch {
+                table: self.name.clone(),
+                detail: format!("tuple {tuple} does not match schema"),
+            })
+        }
+    }
+
+    /// Insert one derivation of a tuple unless it is already present
+    /// (count > 0), schema-checked.  Returns whether it was inserted.
+    pub fn insert_if_absent(&mut self, tuple: Tuple) -> RelResult<bool> {
+        self.check(&tuple)?;
+        Ok(self.merge_with(tuple, |count| i64::from(count <= 0)) != 0)
     }
 
     /// Merge a count without schema checking (internal fast path for operators
     /// whose output schema is constructed to match by construction).
     pub(crate) fn merge_unchecked(&mut self, tuple: Tuple, count: i64) {
-        if count == 0 {
-            return;
-        }
-        match self.rows.entry(tuple) {
+        self.merge_with(tuple, |_| count);
+    }
+
+    /// Add `change(current count)` to a tuple's count in one map descent and
+    /// return the change.  Every mutation of `rows` goes through here, which
+    /// is what keeps the presence counters and the indexes in step.
+    fn merge_with(&mut self, tuple: Tuple, change: impl FnOnce(i64) -> i64) -> i64 {
+        let (before, after) = match self.rows.entry(tuple) {
             Entry::Occupied(mut e) => {
-                let v = e.get_mut();
-                *v += count;
-                if *v == 0 {
-                    e.remove();
+                let before = *e.get();
+                let after = before + change(before);
+                if after == 0 {
+                    let (row, _) = e.remove_entry();
+                    for index in self.indexes.get_mut() {
+                        Arc::make_mut(index).remove(&row);
+                    }
+                } else {
+                    *e.get_mut() = after;
                 }
+                (before, after)
             }
             Entry::Vacant(e) => {
-                e.insert(count);
+                let after = change(0);
+                if after != 0 {
+                    for index in self.indexes.get_mut() {
+                        Arc::make_mut(index).insert(e.key());
+                    }
+                    e.insert(after);
+                }
+                (0, after)
             }
+        };
+        if before > 0 {
+            self.present -= 1;
+            self.present_total -= before;
         }
+        if after > 0 {
+            self.present += 1;
+            self.present_total += after;
+        }
+        after - before
     }
 
     /// Delete one derivation of a tuple.  Returns `true` if the tuple was present.
     pub fn delete(&mut self, tuple: &Tuple) -> bool {
-        match self.rows.get_mut(tuple) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
-                if *c == 0 {
-                    self.rows.remove(tuple);
-                }
-                true
-            }
-            _ => false,
-        }
+        self.merge_with(tuple.clone(), |count| -i64::from(count > 0)) != 0
     }
 
     /// Remove all derivations of a tuple, returning the previous count.
     pub fn remove_all(&mut self, tuple: &Tuple) -> i64 {
-        self.rows.remove(tuple).unwrap_or(0)
+        -self.merge_with(tuple.clone(), |count| -count)
     }
 
     /// Current multiplicity of a tuple (0 when absent).
     pub fn count(&self, tuple: &Tuple) -> i64 {
-        self.rows.get(tuple).copied().unwrap_or(0)
+        self.count_of(tuple.values())
+    }
+
+    /// [`Table::count`] for a row given as a value slice (no tuple is built).
+    pub(crate) fn count_of(&self, values: &[Value]) -> i64 {
+        self.rows.get(values).copied().unwrap_or(0)
     }
 
     /// True if the tuple is present with positive multiplicity.
@@ -159,16 +248,40 @@ impl Table {
     /// Remove every tuple.
     pub fn clear(&mut self) {
         self.rows.clear();
+        self.present = 0;
+        self.present_total = 0;
+        self.indexes.get_mut().clear();
     }
 
-    /// Build an index from the values of `key_cols` to the tuples holding them.
-    /// Used by the hash-join operator and by grounding.
-    pub fn index_on(&self, key_cols: &[usize]) -> HashMap<Vec<Value>, Vec<Tuple>> {
-        let mut index: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-        for t in self.iter() {
-            index.entry(t.key(key_cols)).or_default().push(t.clone());
+    /// The index on `cols` (ascending column positions), built from the
+    /// stored rows if this is the first probe on that column set.
+    pub(crate) fn index(&self, cols: &[usize]) -> Arc<HashIndex> {
+        let find = |list: &[Arc<HashIndex>]| list.iter().find(|i| i.cols() == cols).cloned();
+        let existing = find(&self.indexes.0.read().unwrap_or_else(|e| e.into_inner()));
+        if let Some(index) = existing {
+            return index;
         }
+        let mut list = self.indexes.0.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(index) = find(&list) {
+            return index;
+        }
+        let index = Arc::new(HashIndex::build(cols, self.rows.keys()));
+        list.push(Arc::clone(&index));
         index
+    }
+
+    /// Compare every maintained index with one rebuilt from the stored rows.
+    /// Returns the number of indexes checked, or the column set of the first
+    /// one that has drifted — an invariant probe for tests.
+    pub fn verify_indexes(&self) -> Result<usize, Vec<usize>> {
+        let list = self.indexes.0.read().unwrap_or_else(|e| e.into_inner());
+        for index in list.iter() {
+            let rebuilt = HashIndex::build(index.cols(), self.rows.keys());
+            if index.canonical() != rebuilt.canonical() {
+                return Err(index.cols().to_vec());
+            }
+        }
+        Ok(list.len())
     }
 
     /// Bulk-load tuples with count 1 (schema-checked, stops at the first error).
@@ -240,15 +353,61 @@ mod tests {
     }
 
     #[test]
-    fn index_on_groups_by_key() {
+    fn presence_counters_follow_every_mutation() {
+        let mut t = people();
+        t.insert_with_count(tuple![1i64, 10i64], 3).unwrap();
+        t.insert(tuple![1i64, 11i64]).unwrap();
+        // An over-deleted row is stored but not present.
+        t.insert_with_count(tuple![2i64, 12i64], -2).unwrap();
+        assert_eq!((t.len(), t.total_count()), (2, 4));
+        assert_eq!(t.iter_net_counted().count(), 3);
+        t.insert_with_count(tuple![2i64, 12i64], 3).unwrap();
+        assert_eq!((t.len(), t.total_count()), (3, 5));
+        assert!(t.delete(&tuple![1i64, 10i64]));
+        assert_eq!((t.len(), t.total_count()), (3, 4));
+        assert_eq!(t.remove_all(&tuple![1i64, 10i64]), 2);
+        assert_eq!((t.len(), t.total_count()), (2, 2));
+        t.clear();
+        assert_eq!((t.len(), t.total_count()), (0, 0));
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn insert_if_absent_adds_one_derivation_at_most() {
+        let mut t = people();
+        assert_eq!(t.insert_if_absent(tuple![1i64, 10i64]), Ok(true));
+        assert_eq!(t.insert_if_absent(tuple![1i64, 10i64]), Ok(false));
+        assert_eq!(t.count(&tuple![1i64, 10i64]), 1);
+        // An over-deleted row is not present: it gains a derivation.
+        t.insert_with_count(tuple![2i64, 20i64], -1).unwrap();
+        assert_eq!(t.insert_if_absent(tuple![2i64, 20i64]), Ok(true));
+        assert_eq!(t.iter_net_counted().count(), 1);
+        assert!(t.insert_if_absent(tuple!["x", 1i64]).is_err());
+    }
+
+    #[test]
+    fn index_is_built_on_first_probe_and_maintained_afterwards() {
         let mut t = people();
         t.insert(tuple![1i64, 10i64]).unwrap();
         t.insert(tuple![1i64, 11i64]).unwrap();
         t.insert(tuple![2i64, 12i64]).unwrap();
-        let idx = t.index_on(&[0]);
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx[&vec![Value::Int(1)]].len(), 2);
-        assert_eq!(idx[&vec![Value::Int(2)]].len(), 1);
+        assert_eq!(t.verify_indexes(), Ok(0));
+        assert_eq!(t.index(&[0]).get(&[Value::Int(1)]).len(), 2);
+        assert_eq!(t.verify_indexes(), Ok(1));
+
+        t.insert(tuple![1i64, 13i64]).unwrap();
+        t.insert(tuple![1i64, 13i64]).unwrap();
+        assert!(t.delete(&tuple![1i64, 10i64]));
+        t.remove_all(&tuple![2i64, 12i64]);
+        let index = t.index(&[0]);
+        assert_eq!(index.get(&[Value::Int(1)]).len(), 2);
+        assert!(index.get(&[Value::Int(2)]).is_empty());
+        assert_eq!(t.verify_indexes(), Ok(1));
+
+        // Derived state: a clone starts without indexes, `clear` drops them.
+        assert_eq!(t.clone().verify_indexes(), Ok(0));
+        t.clear();
+        assert_eq!(t.verify_indexes(), Ok(0));
     }
 
     #[test]

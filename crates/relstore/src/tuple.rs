@@ -2,7 +2,9 @@
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A row of values.
 ///
@@ -10,15 +12,29 @@ use std::fmt;
 /// [`crate::DeltaRelation`], and — after grounding — each tuple of a user
 /// relation corresponds to one Boolean random variable of the factor graph
 /// (paper §2.4).
+///
+/// The values live behind an `Arc`, so a clone is a *row handle*: the table,
+/// its secondary indexes, delta relations and the grounder's catalogs all
+/// share one allocation per row.  Equality, ordering and hashing are those of
+/// the value slice, which is what lets maps keyed by `Tuple` be probed with a
+/// borrowed `&[Value]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
+}
+
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.values
+    }
 }
 
 impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// Build a tuple from anything convertible to `Value`.
@@ -49,27 +65,11 @@ impl Tuple {
 
     /// Consume the tuple and return its values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.to_vec()
     }
 
-    /// Project onto the given indices (missing indices are skipped).
-    pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple {
-            values: indices
-                .iter()
-                .filter_map(|&i| self.values.get(i).cloned())
-                .collect(),
-        }
-    }
-
-    /// Concatenate two tuples (used by joins).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        Tuple { values }
-    }
-
-    /// Extract a key — the values at `indices` — used for hash joins.
+    /// Extract a key — the values at `indices` — as the secondary indexes
+    /// store it.
     pub fn key(&self, indices: &[usize]) -> Vec<Value> {
         indices
             .iter()
@@ -118,16 +118,6 @@ mod tests {
         assert_eq!(t.arity(), 3);
         assert_eq!(t.get(1).and_then(|v| v.as_text()), Some("spouse"));
         assert_eq!(t.get(2).and_then(|v| v.as_bool()), Some(true));
-    }
-
-    #[test]
-    fn project_and_concat() {
-        let a = tuple![1i64, "x"];
-        let b = tuple![2i64, "y"];
-        let c = a.concat(&b);
-        assert_eq!(c.arity(), 4);
-        let p = c.project(&[3, 0]);
-        assert_eq!(p, tuple!["y", 1i64]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`ConjunctiveQuery`] — `head(vars) :- atom_1, …, atom_k, filters`, where each
 //!   atom binds variables against a relation and may be negated;
-//! * a full evaluator producing a counted result relation;
+//! * evaluation and delta evaluation, both run by the compiled
+//!   [`crate::plan::QueryPlan`] executor;
 //! * [`MaterializedView`] — a stored result that can be refreshed from scratch or
 //!   maintained incrementally from [`DeltaRelation`]s with the classic counting /
 //!   DRed delta-rule evaluation the paper adopts from Gupta–Mumick–Subrahmanian.
@@ -19,10 +20,10 @@
 
 use crate::database::Database;
 use crate::delta::DeltaRelation;
-use crate::error::{RelError, RelResult};
+use crate::error::RelResult;
+use crate::plan::{ExecStats, QueryPlan};
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;
-use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -122,8 +123,8 @@ impl ConjunctiveQuery {
     }
 
     /// Output schema: one column per head variable.  Column types are inferred
-    /// from the first atom that binds each variable; `Null` if unbound (which is
-    /// reported as an error at evaluation time).
+    /// from the first atom that binds each variable; `Null` if unbound (which
+    /// plan compilation reports as an error).
     pub fn output_schema(&self, db: &Database) -> Schema {
         let mut cols = Vec::new();
         for hv in &self.head_vars {
@@ -147,205 +148,10 @@ impl ConjunctiveQuery {
         Schema::new(cols)
     }
 
-    /// Evaluate the query against `db`, with `overrides` replacing named tables
-    /// (used by delta evaluation to substitute "new" or "delta" versions).
-    pub fn evaluate_with(
-        &self,
-        db: &Database,
-        overrides: &HashMap<String, Table>,
-    ) -> RelResult<Table> {
-        let fetch = |name: &str| -> RelResult<&Table> {
-            if let Some(t) = overrides.get(name) {
-                Ok(t)
-            } else {
-                db.table(name)
-            }
-        };
-        self.evaluate_fetch(db, &fetch)
-    }
-
-    /// Evaluate against `db` with no overrides.
+    /// Evaluate against `db`: compile the query and run the plan once.  Callers
+    /// that evaluate the same query repeatedly keep the [`QueryPlan`].
     pub fn evaluate(&self, db: &Database) -> RelResult<Table> {
-        self.evaluate_with(db, &HashMap::new())
-    }
-
-    fn evaluate_fetch<'a, F>(&self, db: &Database, fetch: &F) -> RelResult<Table>
-    where
-        F: Fn(&str) -> RelResult<&'a Table>,
-    {
-        // Bindings: variable assignment plus derivation count.
-        let mut bindings: Vec<(HashMap<String, Value>, i64)> = vec![(HashMap::new(), 1)];
-
-        for atom in &self.atoms {
-            let table = fetch(&atom.relation)?;
-            if table.schema().arity() != atom.terms.len() {
-                return Err(RelError::InvalidQuery(format!(
-                    "atom {}({}) has arity {} but relation has arity {}",
-                    atom.relation,
-                    atom.terms.len(),
-                    atom.terms.len(),
-                    table.schema().arity()
-                )));
-            }
-            bindings = if atom.negated {
-                Self::apply_negated_atom(atom, table, bindings)?
-            } else {
-                Self::apply_positive_atom(atom, table, bindings)
-            };
-            if bindings.is_empty() {
-                break;
-            }
-        }
-
-        // Filters.
-        for f in &self.filters {
-            bindings.retain(|(b, _)| Self::filter_holds(f, b));
-        }
-
-        // Project onto head variables.
-        let schema = self.output_schema(db);
-        let mut out = Table::new(self.name.clone(), schema);
-        for (b, c) in bindings {
-            let mut row = Vec::with_capacity(self.head_vars.len());
-            for hv in &self.head_vars {
-                match b.get(hv) {
-                    Some(v) => row.push(v.clone()),
-                    None => {
-                        return Err(RelError::InvalidQuery(format!(
-                            "head variable `{hv}` is not bound by the body of `{}`",
-                            self.name
-                        )))
-                    }
-                }
-            }
-            out.merge_unchecked(Tuple::new(row), c);
-        }
-        Ok(out)
-    }
-
-    fn filter_holds(f: &Filter, b: &HashMap<String, Value>) -> bool {
-        let get = |n: &str| b.get(n);
-        match f {
-            Filter::Ne(a, c) => match (get(a), get(c)) {
-                (Some(x), Some(y)) => x != y,
-                _ => false,
-            },
-            Filter::Eq(a, c) => match (get(a), get(c)) {
-                (Some(x), Some(y)) => x == y,
-                _ => false,
-            },
-            Filter::Lt(a, c) => match (get(a), get(c)) {
-                (Some(x), Some(y)) => x < y,
-                _ => false,
-            },
-        }
-    }
-
-    fn apply_positive_atom(
-        atom: &QueryAtom,
-        table: &Table,
-        bindings: Vec<(HashMap<String, Value>, i64)>,
-    ) -> Vec<(HashMap<String, Value>, i64)> {
-        // Positions whose value is determined by the current bindings/constants.
-        let mut out = Vec::new();
-        if bindings.is_empty() {
-            return out;
-        }
-        // Determine the "bound positions" w.r.t. the first binding — all bindings
-        // share the same bound-variable set because atoms are processed in order.
-        let sample = &bindings[0].0;
-        let bound_positions: Vec<usize> = atom
-            .terms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| match t {
-                Term::Const(_) => true,
-                Term::Var(v) => sample.contains_key(v),
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let index = table.index_on(&bound_positions);
-
-        for (binding, count) in bindings {
-            let key: Vec<Value> = bound_positions
-                .iter()
-                .map(|&i| match &atom.terms[i] {
-                    Term::Const(v) => v.clone(),
-                    Term::Var(v) => binding[v].clone(),
-                })
-                .collect();
-            let Some(matches) = index.get(&key) else {
-                continue;
-            };
-            for tuple in matches {
-                let tuple_count = table.count(tuple);
-                // Unify the unbound positions.
-                let mut new_binding = binding.clone();
-                let mut ok = true;
-                for (i, term) in atom.terms.iter().enumerate() {
-                    if bound_positions.contains(&i) {
-                        continue;
-                    }
-                    match term {
-                        Term::Const(v) => {
-                            if tuple.get(i) != Some(v) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        Term::Var(v) => {
-                            let val = tuple.get(i).cloned().unwrap_or(Value::Null);
-                            match new_binding.get(v) {
-                                Some(existing) if existing != &val => {
-                                    ok = false;
-                                    break;
-                                }
-                                Some(_) => {}
-                                None => {
-                                    new_binding.insert(v.clone(), val);
-                                }
-                            }
-                        }
-                    }
-                }
-                if ok {
-                    out.push((new_binding, count * tuple_count));
-                }
-            }
-        }
-        out
-    }
-
-    fn apply_negated_atom(
-        atom: &QueryAtom,
-        table: &Table,
-        bindings: Vec<(HashMap<String, Value>, i64)>,
-    ) -> RelResult<Vec<(HashMap<String, Value>, i64)>> {
-        // All variables of a negated atom must already be bound (safe negation).
-        if let Some((sample, _)) = bindings.first() {
-            for v in atom.variables() {
-                if !sample.contains_key(v) {
-                    return Err(RelError::InvalidQuery(format!(
-                        "negated atom `{}` uses unbound variable `{v}`",
-                        atom.relation
-                    )));
-                }
-            }
-        }
-        Ok(bindings
-            .into_iter()
-            .filter(|(b, _)| {
-                let probe: Vec<Value> = atom
-                    .terms
-                    .iter()
-                    .map(|t| match t {
-                        Term::Const(v) => v.clone(),
-                        Term::Var(v) => b[v].clone(),
-                    })
-                    .collect();
-                !table.contains(&Tuple::new(probe))
-            })
-            .collect())
+        QueryPlan::compile(self)?.evaluate(db, &mut ExecStats::default())
     }
 
     /// Compute the *delta* of this query caused by `deltas`, with `db` in its
@@ -365,139 +171,33 @@ impl ConjunctiveQuery {
         db: &Database,
         deltas: &HashMap<String, DeltaRelation>,
     ) -> RelResult<DeltaRelation> {
-        // Pre-materialize the "new" version of every changed relation.
-        let mut new_tables: HashMap<String, Table> = HashMap::new();
-        for (name, delta) in deltas {
-            if let Ok(base) = db.table(name) {
-                let mut t = base.clone();
-                delta.apply_to(&mut t);
-                new_tables.insert(name.clone(), t);
-            }
-        }
-
-        let mut result = DeltaRelation::new(self.name.clone());
-
-        for (i, atom) in self.atoms.iter().enumerate() {
-            let Some(delta) = deltas.get(&atom.relation) else {
-                continue;
-            };
-            if delta.is_empty() {
-                continue;
-            }
-            if atom.negated {
-                return Err(RelError::InvalidQuery(format!(
-                    "cannot incrementally maintain negated atom over changed relation `{}`",
-                    atom.relation
-                )));
-            }
-            let base = db.table(&atom.relation)?;
-
-            for (sign, part) in [
-                (1i64, delta.positive_table(base, &atom.relation)),
-                (-1i64, delta.negative_table(base, &atom.relation)),
-            ] {
-                if part.is_empty() {
-                    continue;
-                }
-                // Rename every atom to a unique per-position alias and bind each
-                // alias to the table version it should read: the delta part at
-                // position i, the post-update state before i, the pre-update
-                // state after i.
-                let mut q = self.clone();
-                let mut ov: HashMap<String, Table> = HashMap::new();
-                for (j, other) in self.atoms.iter().enumerate() {
-                    let alias = format!("__delta_pos_{j}__");
-                    q.atoms[j].relation = alias.clone();
-                    let tbl = if j == i {
-                        part.clone()
-                    } else if j < i {
-                        match new_tables.get(&other.relation) {
-                            Some(t) => t.clone(),
-                            None => db.table(&other.relation)?.clone(),
-                        }
-                    } else {
-                        db.table(&other.relation)?.clone()
-                    };
-                    ov.insert(alias, tbl);
-                }
-                let fetch = |name: &str| -> RelResult<&Table> {
-                    if let Some(t) = ov.get(name) {
-                        Ok(t)
-                    } else {
-                        db.table(name)
-                    }
-                };
-                let partial = q.evaluate_fetch_with_schema(db, &fetch, self)?;
-                for (t, c) in partial.iter_counted() {
-                    result.change(t.clone(), sign * c);
-                }
-            }
-        }
-        Ok(result)
-    }
-
-    fn evaluate_fetch_with_schema<'a, F>(
-        &self,
-        db: &Database,
-        fetch: &F,
-        schema_source: &ConjunctiveQuery,
-    ) -> RelResult<Table>
-    where
-        F: Fn(&str) -> RelResult<&'a Table>,
-    {
-        let mut bindings: Vec<(HashMap<String, Value>, i64)> = vec![(HashMap::new(), 1)];
-        for atom in &self.atoms {
-            let table = fetch(&atom.relation)?;
-            bindings = if atom.negated {
-                Self::apply_negated_atom(atom, table, bindings)?
-            } else {
-                Self::apply_positive_atom(atom, table, bindings)
-            };
-            if bindings.is_empty() {
-                break;
-            }
-        }
-        for f in &self.filters {
-            bindings.retain(|(b, _)| Self::filter_holds(f, b));
-        }
-        let schema = schema_source.output_schema(db);
-        let mut out = Table::new(self.name.clone(), schema);
-        for (b, c) in bindings {
-            let mut row = Vec::with_capacity(self.head_vars.len());
-            for hv in &self.head_vars {
-                match b.get(hv) {
-                    Some(v) => row.push(v.clone()),
-                    None => {
-                        return Err(RelError::InvalidQuery(format!(
-                            "head variable `{hv}` is not bound by the body of `{}`",
-                            self.name
-                        )))
-                    }
-                }
-            }
-            out.merge_unchecked(Tuple::new(row), c);
-        }
-        Ok(out)
+        QueryPlan::compile(self)?.delta_evaluate(db, deltas, &mut ExecStats::default())
     }
 }
 
 /// A materialized, incrementally maintainable view over a conjunctive query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaterializedView {
-    query: ConjunctiveQuery,
+    /// The defining query, compiled once.
+    plan: QueryPlan,
     result: Table,
     /// Number of incremental refreshes applied since the last full refresh.
     incremental_refreshes: usize,
+    /// Work done by every evaluation and refresh so far.
+    stats: ExecStats,
 }
 
 impl MaterializedView {
     /// Materialize the view by full evaluation.
     pub fn materialize(query: ConjunctiveQuery, db: &Database) -> RelResult<Self> {
-        let result = query.evaluate(db)?;
+        let plan = QueryPlan::compile(&query)?;
+        let mut stats = ExecStats::default();
+        let result = plan.evaluate(db, &mut stats)?;
         Ok(MaterializedView {
-            query,
+            plan,
             result,
             incremental_refreshes: 0,
+            stats,
         })
     }
 
@@ -508,7 +208,7 @@ impl MaterializedView {
 
     /// The defining query.
     pub fn query(&self) -> &ConjunctiveQuery {
-        &self.query
+        self.plan.query()
     }
 
     /// Number of incremental refreshes applied since materialization.
@@ -516,9 +216,15 @@ impl MaterializedView {
         self.incremental_refreshes
     }
 
+    /// Rows visited by every evaluation and refresh of this view so far
+    /// (see [`ExecStats::rows_probed`]).
+    pub fn rows_probed(&self) -> u64 {
+        self.stats.rows_probed
+    }
+
     /// Fully re-evaluate the view (the "Rerun" path).
     pub fn refresh_full(&mut self, db: &Database) -> RelResult<()> {
-        self.result = self.query.evaluate(db)?;
+        self.result = self.plan.evaluate(db, &mut self.stats)?;
         self.incremental_refreshes = 0;
         Ok(())
     }
@@ -531,7 +237,7 @@ impl MaterializedView {
         db: &Database,
         deltas: &HashMap<String, DeltaRelation>,
     ) -> RelResult<DeltaRelation> {
-        let view_delta = self.query.delta_evaluate(db, deltas)?;
+        let view_delta = self.plan.delta_evaluate(db, deltas, &mut self.stats)?;
         view_delta.apply_to(&mut self.result);
         self.incremental_refreshes += 1;
         Ok(view_delta)
@@ -562,8 +268,8 @@ impl MaterializedView {
         db: &Database,
         deltas: &HashMap<String, DeltaRelation>,
     ) -> RelResult<DeltaRelation> {
-        let view_delta = self.query.delta_evaluate(db, deltas)?;
-        let mut distinct = DeltaRelation::new(self.query.name.clone());
+        let view_delta = self.plan.delta_evaluate(db, deltas, &mut self.stats)?;
+        let mut distinct = DeltaRelation::new(self.plan.query().name.clone());
         for (t, c) in view_delta.iter() {
             let before = self.result.count(t);
             let after = before + c;
@@ -582,6 +288,7 @@ impl MaterializedView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RelError;
     use crate::schema::DataType;
     use crate::tuple;
 
@@ -696,6 +403,33 @@ mod tests {
             ],
         );
         assert!(matches!(q.evaluate(&db), Err(RelError::InvalidQuery(_))));
+    }
+
+    #[test]
+    fn arity_mismatch_is_one_typed_error_on_both_paths() {
+        let db = example_db();
+        // Sentence has arity 1; the atom gives it two terms.
+        let q = ConjunctiveQuery::new(
+            "Bad",
+            vec!["s".into()],
+            vec![
+                QueryAtom::new("PersonCandidate", vec![Term::var("s"), Term::var("m")]),
+                QueryAtom::new("Sentence", vec![Term::var("s"), Term::var("x")]),
+            ],
+        );
+        let mut deltas = HashMap::new();
+        let mut d = DeltaRelation::new("PersonCandidate");
+        d.insert(tuple![3i64, 30i64]);
+        deltas.insert("PersonCandidate".to_string(), d);
+        let full = q.evaluate(&db).unwrap_err();
+        let delta = q.delta_evaluate(&db, &deltas).unwrap_err();
+        assert_eq!(full, delta);
+        let RelError::InvalidQuery(message) = full else {
+            panic!("expected InvalidQuery, got {full:?}");
+        };
+        assert!(message.contains("`Sentence`"), "{message}");
+        assert!(message.contains("2 terms"), "{message}");
+        assert!(message.contains("arity 1"), "{message}");
     }
 
     #[test]
