@@ -53,7 +53,24 @@
 //! threshold query shapes.  `{topk,threshold}_speedup_n{N}` is the factor
 //! the ranked index buys over rescanning at an N-fact relation.
 //!
-//! Usage: `cargo run --release -p dd-bench --bin bench_sweeps [--smoke] [output.json]`
+//! A sixth series, `cold_start/*`, prices the path a fresh engine pays once:
+//! ground → learn + infer → publish → materialize, in milliseconds per phase
+//! at 4 000 and 16 000 facts on a claims-shaped KB (every fact pinned by
+//! supervision: the serving benchmark's shape) and at two News corpus scales.
+//! Beside the timings it reports counts that repeat exactly, taken with a
+//! counting global allocator: `allocs_per_binding` (heap allocations of one
+//! `Grounder::ground` per grounded binding), `allocs_per_sample` (the
+//! allocations one more stored sample adds to `materialize`) and
+//! `allocs_per_mh_step` (the allocations one more chain step adds to
+//! `SampleMaterialization::infer`).  `check_sweeps` holds them to ceilings,
+//! so a per-binding or per-sample allocation cannot return unnoticed on a
+//! box too noisy to show it in a timing.
+//!
+//! Usage: `cargo run --release -p dd-bench --bin bench_sweeps [--smoke] [--only <series>] [output.json]`
+//!
+//! `--only cold_start` (any series name above) runs that series alone, for
+//! work on one layer; the partial file it writes is not one `check_sweeps`
+//! accepts.
 //!
 //! `--smoke` runs a reduced-iteration profile (fewer sweeps, smaller publish
 //! catalogs) for CI: the emitted metrics keep the same names and the same
@@ -61,18 +78,70 @@
 //! cheaper, noisier estimates.
 
 use dd_bench::secs;
-use dd_factorgraph::{FactorGraph, FlatGraph};
-use dd_grounding::{standard_udfs, KbcUpdate};
-use dd_inference::{sigmoid, GibbsSampler, Marginals, ParallelGibbs, SweepRng};
+use dd_factorgraph::{FactorGraph, FlatGraph, GraphDelta, WeightChange};
+use dd_grounding::{standard_udfs, KbcUpdate, Program};
+use dd_inference::{
+    sigmoid, DistributionChange, GibbsSampler, Marginals, ParallelGibbs, SampleMaterialization,
+    SweepRng,
+};
 use dd_relstore::{tuple, DataType, Database, Schema, Tuple};
 use dd_workloads::{pairwise_graph, KbcSystem, RuleTemplate, SyntheticConfig, SystemKind};
 use deepdive::{CatalogShards, DeepDive, EngineConfig, ExecutionMode, Snapshot};
 use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The system allocator, counting calls that obtain memory (`alloc`,
+/// `alloc_zeroed`, `realloc`).  The count is a statistic only: it publishes
+/// no other data, hence `Relaxed`.
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Run `work` and return its result with the number of heap allocations the
+/// process made meanwhile (the bench is single-threaded wherever this is
+/// used, so they are the work's own).
+fn count_allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = work();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
 
 /// Explicit thread counts for the pooled-vs-spawn dispatch comparison.
 const THREAD_COUNTS: [usize; 2] = [2, 4];
@@ -592,21 +661,240 @@ fn bench_grounding_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) 
     }
 }
 
+/// Doc-keyed claims program (the serving benchmark's KB): two variable
+/// relations, six rules, every fact pinned by a supervision rule.
+const CLAIMS_PROGRAM: &str = "\
+    relation Claim(doc: int, id: int) base.\n\
+    relation Pos(doc: int, id: int) base.\n\
+    relation Neg(doc: int, id: int) base.\n\
+    relation Link(doc: int, a: int, b: int) base.\n\
+    relation Fact(doc: int, id: int) variable.\n\
+    relation Rel(doc: int, a: int, b: int) variable.\n\
+    rule F feature: Fact(doc, id) :- Claim(doc, id) weight = 1.5.\n\
+    rule SP supervision+: Fact(doc, id) :- Claim(doc, id), Pos(doc, id).\n\
+    rule SN supervision-: Fact(doc, id) :- Claim(doc, id), Neg(doc, id).\n\
+    rule L feature: Rel(doc, a, b) :- Link(doc, a, b) weight = 0.5.\n\
+    rule LP supervision+: Rel(doc, a, b) :- Link(doc, a, b), Pos(doc, a).\n\
+    rule LN supervision-: Rel(doc, a, b) :- Link(doc, a, b), Neg(doc, a).\n";
+
+/// Facts (variables) one claims document contributes: 6 `Fact` + 2 `Rel`.
+const CLAIMS_FACTS_PER_DOC: usize = 8;
+
+/// A claims KB of `facts` facts; labels and links from a fixed mixing of the
+/// document number.
+fn claims_database(facts: usize) -> Database {
+    let mut db = Database::new();
+    let pair = || Schema::of(&[("doc", DataType::Int), ("id", DataType::Int)]);
+    for table in ["Claim", "Pos", "Neg"] {
+        db.create_table(table, pair()).expect("fresh table");
+    }
+    let link = Schema::of(&[
+        ("doc", DataType::Int),
+        ("a", DataType::Int),
+        ("b", DataType::Int),
+    ]);
+    db.create_table("Link", link).expect("fresh table");
+    for doc in 0..(facts / CLAIMS_FACTS_PER_DOC) as i64 {
+        let bits = (doc as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for id in 0..6i64 {
+            db.insert("Claim", tuple![doc, id]).expect("seed row");
+            let label = if (bits >> id) & 1 == 1 { "Pos" } else { "Neg" };
+            db.insert(label, tuple![doc, id]).expect("seed row");
+        }
+        for index in 0..2i64 {
+            let b = ((bits >> (8 + 4 * index)) % 6) as i64;
+            db.insert("Link", tuple![doc, index, b]).expect("seed row");
+        }
+    }
+    db
+}
+
+/// The News system with FE1 + S1 + S2 in the program from the start (the
+/// document-stream benchmark's program), so a cold start grounds variables.
+fn news_cold_start(scale: f64) -> (Program, Database) {
+    let system = KbcSystem::generate(SystemKind::News, scale, 11);
+    let mut program = system.program.clone();
+    for template in [RuleTemplate::FE1, RuleTemplate::S1, RuleTemplate::S2] {
+        program.rules.push(template.rule(system.semantics));
+    }
+    (program, system.corpus.database.clone())
+}
+
+fn cold_start_config() -> EngineConfig {
+    EngineConfig {
+        num_threads: Some(1),
+        ..EngineConfig::default()
+    }
+}
+
+/// Time the phases of a cold start (best of `reps` fresh engines) and emit
+/// `cold_start/{ground,learn_infer,publish,materialize}_ms_{label}`.
+fn bench_cold_start_phases(
+    label: &str,
+    program: &Program,
+    db: &Database,
+    reps: usize,
+    entries: &mut Vec<Entry>,
+) {
+    let mut best = [f64::INFINITY; 4];
+    let mut facts = 0;
+    for _ in 0..reps {
+        let mut engine = DeepDive::builder()
+            .program(program.clone())
+            .database(db.clone())
+            .udfs(standard_udfs())
+            .config(cold_start_config())
+            .build()
+            .expect("engine builds");
+        let start = Instant::now();
+        let report = engine.initial_run().expect("initial run");
+        let run_secs = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        engine.materialize().expect("materialize");
+        let materialize_secs = start.elapsed().as_secs_f64();
+        let learn_infer = report.learning_secs + report.inference_secs;
+        // What `initial_run` spends outside its three reported phases is the
+        // snapshot publish (catalog shards, ranked indexes, the swap).
+        let publish = run_secs - report.grounding_secs - learn_infer;
+        for (slot, value) in best.iter_mut().zip([
+            report.grounding_secs,
+            learn_infer,
+            publish,
+            materialize_secs,
+        ]) {
+            *slot = slot.min(value);
+        }
+        facts = engine.snapshot().num_catalogued_variables();
+    }
+    println!(
+        "  {label:>12} ({facts} facts): ground {:>9} | learn+infer {:>9} | publish {:>9} | materialize {:>9}",
+        secs(best[0]),
+        secs(best[1]),
+        secs(best[2]),
+        secs(best[3])
+    );
+    for (phase, value) in ["ground", "learn_infer", "publish", "materialize"]
+        .into_iter()
+        .zip(best)
+    {
+        entries.push(Entry {
+            name: format!("cold_start/{phase}_ms_{label}"),
+            unit: "ms",
+            value: value * 1e3,
+        });
+    }
+}
+
+/// The exact counters of the cold path, on the 4 000-fact claims KB and a
+/// fixed synthetic chain: allocations per grounded binding, per additional
+/// stored sample, per additional MH step.
+fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
+    // Per binding: one full grounding.
+    let program = dd_grounding::parse_program(CLAIMS_PROGRAM).expect("program parses");
+    let mut grounder =
+        dd_grounding::Grounder::new(program.clone(), claims_database(4_000), standard_udfs())
+            .expect("grounder builds");
+    let (result, allocations) = count_allocations(|| grounder.ground().expect("full grounding"));
+    let bindings: usize = result.groundings_per_rule.values().sum();
+    let per_binding = allocations as f64 / bindings as f64;
+
+    // Per sample: what doubling the sample count adds to `materialize`.
+    const SAMPLES: usize = 1_000;
+    let materialize_allocations = |samples: usize| {
+        let mut engine = DeepDive::builder()
+            .program(program.clone())
+            .database(claims_database(4_000))
+            .config(EngineConfig {
+                materialization_samples: samples,
+                ..cold_start_config()
+            })
+            .build()
+            .expect("engine builds");
+        engine.initial_run().expect("initial run");
+        count_allocations(|| engine.materialize().expect("materialize")).1
+    };
+    let (base, doubled) = (
+        materialize_allocations(SAMPLES),
+        materialize_allocations(2 * SAMPLES),
+    );
+    let per_sample = doubled.saturating_sub(base) as f64 / SAMPLES as f64;
+
+    // Per MH step: what doubling the chain length adds to `infer`, on a
+    // graph with free variables and a changed (tied) weight.
+    let graph = fig5_graph(true);
+    let materialization = SampleMaterialization::materialize(&graph, 4 * SAMPLES, 20, 7);
+    let mut updated = graph.clone();
+    let delta = GraphDelta {
+        weight_changes: vec![WeightChange {
+            weight_id: 0,
+            new_value: updated.weight(0).value + 0.3,
+        }],
+        ..Default::default()
+    };
+    let change = DistributionChange::apply_and_describe(&mut updated, &delta);
+    let infer_allocations = |steps: usize| {
+        let (outcome, allocations) =
+            count_allocations(|| materialization.infer(&updated, &change, steps, 7));
+        assert!(!outcome.exhausted);
+        allocations
+    };
+    let (base, doubled) = (infer_allocations(SAMPLES), infer_allocations(2 * SAMPLES));
+    let per_step = doubled.saturating_sub(base) as f64 / SAMPLES as f64;
+
+    println!(
+        "  allocations: {per_binding:.3} per binding ({allocations} over {bindings} bindings) | \
+         {per_sample:.4} per sample | {per_step:.4} per MH step"
+    );
+    for (name, value) in [
+        ("allocs_per_binding", per_binding),
+        ("allocs_per_sample", per_sample),
+        ("allocs_per_mh_step", per_step),
+    ] {
+        entries.push(Entry {
+            name: format!("cold_start/{name}"),
+            unit: "allocs",
+            value,
+        });
+    }
+}
+
+fn bench_cold_start(reps: usize, entries: &mut Vec<Entry>) {
+    println!("\ncold_start: ground / learn+infer / publish / materialize of a fresh engine");
+    let claims = dd_grounding::parse_program(CLAIMS_PROGRAM).expect("program parses");
+    for facts in [4_000usize, 16_000] {
+        let label = format!("claims_n{facts}");
+        bench_cold_start_phases(&label, &claims, &claims_database(facts), reps, entries);
+    }
+    // News grounds one candidate fact per document, 216 documents per unit
+    // of scale.
+    for facts in [4_000usize, 16_000] {
+        let (program, db) = news_cold_start(facts as f64 / 216.0);
+        bench_cold_start_phases(&format!("news_n{facts}"), &program, &db, reps, entries);
+    }
+    bench_cold_start_allocations(entries);
+}
+
 fn main() {
     let mut smoke = false;
+    let mut only: Option<String> = None;
     let mut out_path = "BENCH_sweeps.json".to_string();
-    for arg in std::env::args().skip(1) {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
+            "--only" => only = args.next(),
             other if other.starts_with('-') => {
                 eprintln!(
-                    "bench_sweeps: unknown flag '{other}' (expected [--smoke] [output.json])"
+                    "bench_sweeps: unknown flag '{other}' \
+                     (expected [--smoke] [--only <series>] [output.json])"
                 );
                 std::process::exit(2);
             }
             other => out_path = other.to_string(),
         }
     }
+    // `--only cold_start` runs one series (a partial file: not for the gate).
+    let runs = |series: &str| only.as_deref().is_none_or(|o| o == series);
 
     // Smoke mode trades precision for CI wall-clock: fewer timed sweeps and
     // smaller publish catalogs, same metrics, same gates.
@@ -626,22 +914,37 @@ fn main() {
     };
 
     let mut entries = Vec::new();
-    bench_workload(
-        "fig9_news_end_to_end",
-        &fig9_graph(),
-        fig9_sweeps,
-        &mut entries,
-    );
-    bench_workload(
-        "fig5_synthetic_pairwise",
-        &fig5_graph(smoke),
-        fig5_sweeps,
-        &mut entries,
-    );
-    bench_publish_cost(publish_sizes, publish_reps, &mut entries);
-    bench_retraction_cost(retraction_sizes, publish_reps, &mut entries);
-    bench_grounding_cost(retraction_sizes, publish_reps, &mut entries);
-    bench_query_cost(publish_sizes, publish_reps, &mut entries);
+    if runs("fig9_news_end_to_end") {
+        bench_workload(
+            "fig9_news_end_to_end",
+            &fig9_graph(),
+            fig9_sweeps,
+            &mut entries,
+        );
+    }
+    if runs("fig5_synthetic_pairwise") {
+        bench_workload(
+            "fig5_synthetic_pairwise",
+            &fig5_graph(smoke),
+            fig5_sweeps,
+            &mut entries,
+        );
+    }
+    if runs("publish_cost") {
+        bench_publish_cost(publish_sizes, publish_reps, &mut entries);
+    }
+    if runs("retraction_cost") {
+        bench_retraction_cost(retraction_sizes, publish_reps, &mut entries);
+    }
+    if runs("grounding_cost") {
+        bench_grounding_cost(retraction_sizes, publish_reps, &mut entries);
+    }
+    if runs("query_cost") {
+        bench_query_cost(publish_sizes, publish_reps, &mut entries);
+    }
+    if runs("cold_start") {
+        bench_cold_start(publish_reps, &mut entries);
+    }
 
     let mut json = String::from("[\n");
     for (i, e) in entries.iter().enumerate() {

@@ -8,8 +8,12 @@
 //! entries (the coverage floor: a sweep that silently stops running is a
 //! regression too), or a speedup with a floor of its own
 //! (`dd_bench::sweeps::SPEEDUP_FLOORS`: `retraction_cost/delete_speedup_n8000`
-//! ≥ 5×, so an O(KB) "incremental" path cannot silently return) is missing or
-//! below it.
+//! ≥ 4×, so an O(KB) "incremental" path cannot silently return) is missing or
+//! below it, or an exact allocation counter of the cold path
+//! (`dd_bench::sweeps::COUNT_CEILINGS`: `cold_start/allocs_per_binding`,
+//! `allocs_per_sample`, `allocs_per_mh_step`) is missing or not below its
+//! ceiling — a count repeats exactly, so this gate holds on a box too noisy
+//! for a timing.
 //!
 //! Usage: `cargo run --release -p dd-bench --bin check_sweeps [file.json]`
 //! (default `BENCH_sweeps.json`).  CI runs it against a fresh `--smoke` file:
@@ -20,7 +24,8 @@
 //! ```
 
 use dd_bench::sweeps::{
-    coverage_violations, floor_violations, gate_violations, parse_bench_entries,
+    ceiling_violations, coverage_violations, floor_violations, gate_violations,
+    parse_bench_entries, COUNT_CEILINGS,
 };
 use std::process::ExitCode;
 
@@ -56,9 +61,19 @@ fn main() -> ExitCode {
         println!("  {:<55} {:>9.3}{}", entry.name, entry.value, entry.unit);
     }
 
+    for (name, ceiling) in COUNT_CEILINGS {
+        if let Some(entry) = entries.iter().find(|e| e.name == name) {
+            println!(
+                "  {:<55} {:>9.4} (ceiling {ceiling})",
+                entry.name, entry.value
+            );
+        }
+    }
+
     let mut violations = gate_violations(&entries, 1.0);
     violations.extend(coverage_violations(&entries));
     violations.extend(floor_violations(&entries));
+    violations.extend(ceiling_violations(&entries));
     if violations.is_empty() {
         println!("check_sweeps: all gates pass");
         ExitCode::SUCCESS

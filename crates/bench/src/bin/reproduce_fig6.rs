@@ -51,7 +51,7 @@ fn main() {
         let extracted: Vec<Tuple> = engine
             .grounder()
             .variable_catalog()
-            .filter(|((rel, _), _)| rel == "MarriedMentions")
+            .filter(|((rel, _), _)| *rel == "MarriedMentions")
             .filter(|(_, &v)| marginals.get(v) > 0.9)
             .map(|((_, t), _)| t.clone())
             .collect();

@@ -94,7 +94,7 @@ pub fn decompose_by_relations(graph: &FactorGraph, relations: &[&str]) -> Vec<De
     let active: Vec<bool> = graph
         .variables()
         .iter()
-        .map(|v| relations.contains(&v.relation.as_str()))
+        .map(|v| relations.contains(&&*v.relation))
         .collect();
     decompose(graph, &active)
 }

@@ -31,7 +31,8 @@ use crate::engine::ExecutionMode;
 use crate::materialization::Materialization;
 use crate::snapshot::{CatalogShard, CatalogShards, Snapshot};
 use dd_factorgraph::{
-    Factor, FactorGraph, FactorKind, GraphStats, Lit, Semantics, Variable, VariableRole, Weight,
+    Factor, FactorGraph, FactorKind, GraphStats, Lit, RelName, Semantics, Variable, VariableRole,
+    Weight,
 };
 use dd_grounding::grounder::GroundingRecord;
 use dd_grounding::{
@@ -46,6 +47,7 @@ use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{Column, DataType, Database, DeltaRelation, Schema, Table, Tuple, Value};
 use dd_storage::{CheckpointStore, StorageError, Wal};
 use dd_wire::json::{parse, Json};
+use std::collections::HashSet;
 
 /// Format version stamped into every checkpoint payload.  Bumped whenever the
 /// encoding changes incompatibly; recovery refuses versions it does not know
@@ -226,10 +228,13 @@ fn f64_bits_of(s: &str, ctx: &str) -> R<f64> {
     Ok(f64::from_bits(bits))
 }
 
-fn enc_hex(bytes: &[u8]) -> Json {
-    let mut s = String::with_capacity(bytes.len() * 2);
+/// Lower-case hex of `len` bytes.
+fn enc_hex(len: usize, bytes: impl Iterator<Item = u8>) -> Json {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut s = String::with_capacity(len * 2);
     for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+        s.push(DIGITS[usize::from(b >> 4)] as char);
+        s.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     Json::String(s)
 }
@@ -680,12 +685,15 @@ fn enc_variable(v: &Variable) -> Json {
         ),
         ("initial_value", Json::Bool(v.initial_value)),
         ("active", Json::Bool(v.active)),
-        ("relation", Json::String(v.relation.clone())),
+        ("relation", Json::String(v.relation.to_string())),
         ("key", enc_u64(v.key)),
     ])
 }
 
-fn dec_variable(j: &Json, ctx: &str) -> R<Variable> {
+/// Decode one variable; `relations` interns the relation names of one
+/// graph, so its variables share one handle per relation as they did when
+/// the graph was grounded.
+fn dec_variable(j: &Json, relations: &mut HashSet<RelName>, ctx: &str) -> R<Variable> {
     let role = match str_of(field(j, "role", ctx)?, ctx)? {
         "query" => VariableRole::Query,
         "pos" => VariableRole::PositiveEvidence,
@@ -696,7 +704,15 @@ fn dec_variable(j: &Json, ctx: &str) -> R<Variable> {
     var.role = role;
     var.initial_value = bool_of(field(j, "initial_value", ctx)?, ctx)?;
     var.active = bool_of(field(j, "active", ctx)?, ctx)?;
-    var.relation = str_of(field(j, "relation", ctx)?, ctx)?.to_string();
+    let relation = str_of(field(j, "relation", ctx)?, ctx)?;
+    var.relation = match relations.get(relation) {
+        Some(handle) => handle.clone(),
+        None => {
+            let handle = RelName::from(relation);
+            relations.insert(handle.clone());
+            handle
+        }
+    };
     var.key = u64_of(field(j, "key", ctx)?, ctx)?;
     Ok(var)
 }
@@ -820,8 +836,8 @@ fn enc_graph(g: &FactorGraph) -> Json {
 fn dec_graph(j: &Json, ctx: &str) -> R<FactorGraph> {
     let mut graph = FactorGraph::new();
     // Replay in id order: `add_*` assigns ids sequentially, so re-adding in
-    // the encoded (id) order reproduces ids, the (relation, key) variable
-    // index, and the factor adjacency lists exactly.
+    // the encoded (id) order reproduces ids and the factor adjacency lists
+    // exactly.
     for w in arr_of(field(j, "weights", ctx)?, ctx)? {
         let mut weight = Weight::learnable(
             usize_of(field(w, "id", ctx)?, ctx)?,
@@ -831,8 +847,9 @@ fn dec_graph(j: &Json, ctx: &str) -> R<FactorGraph> {
         weight.fixed = bool_of(field(w, "fixed", ctx)?, ctx)?;
         graph.add_weight(weight);
     }
+    let mut relations = HashSet::new();
     for v in arr_of(field(j, "variables", ctx)?, ctx)? {
-        graph.add_variable(dec_variable(v, ctx)?);
+        graph.add_variable(dec_variable(v, &mut relations, ctx)?);
     }
     for f in arr_of(field(j, "factors", ctx)?, ctx)? {
         graph.add_factor(dec_factor(f, ctx)?);
@@ -860,23 +877,29 @@ fn dec_marginals(j: &Json, ctx: &str) -> R<Marginals> {
     Ok(Marginals::from_values(dec_f64s(j, ctx)?))
 }
 
+/// One hex string per sample — the sample's bits, 8 variables per byte —
+/// which is what the per-sample byte bundles this store used to be made of
+/// encoded to; the arena's rows write the same bytes.
 fn enc_sample_set(s: &SampleSet) -> Json {
+    let bytes_per_sample = s.num_vars().div_ceil(8);
+    let bundles = s
+        .rows()
+        .map(|row| enc_hex(bytes_per_sample, row.bytes()))
+        .collect();
     obj(vec![
-        ("num_vars", enc_usize(s.num_vars)),
-        (
-            "bundles",
-            Json::Array(s.bundles().iter().map(|b| enc_hex(b)).collect()),
-        ),
+        ("num_vars", enc_usize(s.num_vars())),
+        ("bundles", Json::Array(bundles)),
     ])
 }
 
 fn dec_sample_set(j: &Json, ctx: &str) -> R<SampleSet> {
-    let num_vars = usize_of(field(j, "num_vars", ctx)?, ctx)?;
-    let bundles = arr_of(field(j, "bundles", ctx)?, ctx)?
-        .iter()
-        .map(|b| hex_of(b, ctx))
-        .collect::<R<Vec<_>>>()?;
-    Ok(SampleSet::from_bundles(num_vars, bundles))
+    let mut samples = SampleSet::new(usize_of(field(j, "num_vars", ctx)?, ctx)?);
+    for bundle in arr_of(field(j, "bundles", ctx)?, ctx)? {
+        if !samples.push_bytes(&hex_of(bundle, ctx)?) {
+            return Err(bad(ctx, "sample bundle does not cover the variables"));
+        }
+    }
+    Ok(samples)
 }
 
 fn enc_materialization(m: &Materialization) -> Json {
@@ -923,7 +946,9 @@ fn enc_materialization(m: &Materialization) -> Json {
         ),
         ("strawman", strawman),
         ("weights", enc_f64s(&m.weights)),
-        ("seconds", enc_f64(m.seconds)),
+        // Wall-clock: recorded as 0 so the bytes depend on the inputs only.
+        // The field stays (and is decoded) for directories written before.
+        ("seconds", enc_f64(0.0)),
         ("num_samples", enc_usize(m.num_samples)),
     ])
 }
@@ -1617,7 +1642,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_graphs_round_trip_with_identical_ids_and_index() {
+    fn factor_graphs_round_trip_with_identical_ids_and_origins() {
         let mut g = FactorGraph::new();
         let w0 = g.add_weight(Weight::learnable(0, 0.5, "w::feat"));
         let w1 = g.add_weight(Weight::fixed(0, 3.0, "w::prior"));
@@ -1643,7 +1668,7 @@ mod tests {
         assert_eq!(decoded.factors(), g.factors());
         assert_eq!(decoded.variables(), g.variables());
         assert_eq!(decoded.weights(), g.weights());
-        // The (relation, key) index is rebuilt by replaying add_variable.
+        // Origins survive (a 64-bit key beyond f64's integer range included).
         assert_eq!(decoded.find_variable("R", u64::MAX - 1), Some(v0));
         // Adjacency is rebuilt too.
         assert_eq!(decoded.factors_of(v0), g.factors_of(v0));
@@ -1653,12 +1678,46 @@ mod tests {
 
     #[test]
     fn sample_sets_round_trip_through_hex() {
-        let set = SampleSet::from_bundles(12, vec![vec![0x00, 0xff, 0x7a], vec![], vec![0x01]]);
-        let decoded = dec_sample_set(&enc_sample_set(&set), "test").unwrap();
-        assert_eq!(decoded.num_vars, 12);
-        assert_eq!(decoded.bundles(), set.bundles());
+        // Sub-byte, sub-word, word-aligned and word-straddling sizes.
+        for num_vars in [0usize, 5, 12, 64, 70, 130] {
+            let mut set = SampleSet::new(num_vars);
+            for s in 0..4 {
+                let values = (0..num_vars).map(|v| (v * 5 + s) % 3 == 0).collect();
+                set.push(&dd_factorgraph::World::from_values(values));
+            }
+            let encoded = enc_sample_set(&set);
+            let decoded = dec_sample_set(&encoded, "test").unwrap();
+            assert_eq!(decoded, set, "{num_vars} vars");
+            assert_eq!(enc_sample_set(&decoded).encode(), encoded.encode());
+        }
+        // The empty set.
+        let empty = SampleSet::new(12);
+        let decoded = dec_sample_set(&enc_sample_set(&empty), "test").unwrap();
+        assert_eq!(decoded, empty);
         assert!(hex_of(&Json::String("0g".into()), "test").is_err());
         assert!(hex_of(&Json::String("abc".into()), "test").is_err());
+    }
+
+    #[test]
+    fn sample_sets_keep_the_per_bundle_hex_format() {
+        // The payload a store of per-sample byte bundles over 12 variables
+        // wrote for the worlds {0, 2, 9} and {11}: one two-byte hex string
+        // per sample.  The arena must write exactly that, and read it back.
+        let payload = r#"{"num_vars":"12","bundles":["0502","0008"]}"#;
+        let decoded = dec_sample_set(&parse(payload).unwrap(), "test").unwrap();
+        assert_eq!(decoded.len(), 2);
+        let trues = |i: usize| -> Vec<usize> {
+            let row = decoded.row(i);
+            (0..12)
+                .filter(|&v| dd_factorgraph::WorldView::value(&row, v))
+                .collect()
+        };
+        assert_eq!(trues(0), vec![0, 2, 9]);
+        assert_eq!(trues(1), vec![11]);
+        assert_eq!(enc_sample_set(&decoded).encode(), payload);
+        // A bundle of the wrong length is a typed error, not a panic.
+        let short = r#"{"num_vars":"12","bundles":["05"]}"#;
+        assert!(dec_sample_set(&parse(short).unwrap(), "test").is_err());
     }
 
     #[test]

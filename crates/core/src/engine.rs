@@ -27,7 +27,7 @@ use crate::materialization::Materialization;
 use crate::optimizer::{choose_strategy, StrategyChoice};
 use crate::quality::QualityReport;
 use crate::snapshot::{self, Snapshot, SnapshotReader};
-use dd_factorgraph::FactorGraph;
+use dd_factorgraph::{FactorGraph, FlatGraph};
 use dd_grounding::{Grounder, KbcUpdate, Program, UdfRegistry};
 use dd_inference::{
     DistributionChange, GibbsOptions, GibbsSampler, LearnOptions, Learner, Marginals, ParallelGibbs,
@@ -35,6 +35,7 @@ use dd_inference::{
 use dd_relstore::{Database, Tuple};
 use rayon::ThreadPool;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -145,6 +146,12 @@ pub struct DeepDive {
     /// `num_threads` pool, lazily (first above-threshold use) for the shared
     /// global pool, so small-graph engines never spawn workers at all.
     pool: OnceLock<Arc<ThreadPool>>,
+    /// The compilation of the grounder's current graph, when one is at hand:
+    /// the learner compiles (and keeps current with the weights it moves),
+    /// the full-Gibbs inference and the materialization that follow sample
+    /// on the same compilation.  Dropped whenever grounding is about to
+    /// change the graph.
+    compiled: Option<FlatGraph>,
     materialization: Option<Materialization>,
     /// Epoch at which [`DeepDive::materialize`] was last called.
     materialized_epoch: Option<u64>,
@@ -248,6 +255,7 @@ impl DeepDive {
             grounder: Grounder::new(program, db, udfs)?,
             config,
             pool,
+            compiled: None,
             materialization: None,
             materialized_epoch: None,
             materialized_coverage: None,
@@ -284,6 +292,7 @@ impl DeepDive {
             grounder,
             config,
             pool,
+            compiled: None,
             materialization: state.materialization,
             materialized_epoch: state.materialized_epoch,
             materialized_coverage: state.materialized_coverage,
@@ -455,6 +464,7 @@ impl DeepDive {
 
     fn initial_run_inner(&mut self) -> Result<IterationReport, EngineError> {
         let t0 = Instant::now();
+        self.compiled = None;
         self.grounder.ground()?;
         let grounding_secs = t0.elapsed().as_secs_f64();
 
@@ -498,7 +508,9 @@ impl DeepDive {
     }
 
     fn materialize_inner(&mut self) {
-        self.materialization = Some(Materialization::build(self.grounder.graph(), &self.config));
+        let graph = self.grounder.graph();
+        let flat = self.compiled.get_or_insert_with(|| graph.compile());
+        self.materialization = Some(Materialization::build_on(flat, graph, &self.config));
         self.materialized_epoch = Some(self.epoch);
         self.materialized_coverage = Some((
             self.grounder.graph().num_variables(),
@@ -605,6 +617,7 @@ impl DeepDive {
             pre_update_graph.num_weights(),
         );
         let t0 = Instant::now();
+        self.compiled = None;
         let incremental = self.grounder.ground_incremental(update)?;
         let grounding_secs = t0.elapsed().as_secs_f64();
 
@@ -1034,19 +1047,23 @@ impl DeepDive {
     /// actually met, so small-graph engines stay pool-free.
     fn run_learner(&mut self, learn: &LearnOptions) -> dd_inference::LearningTrace {
         let threshold = self.config.parallel_threshold;
-        let pool = (self.grounder.graph().query_variables().len() >= threshold)
-            .then(|| Arc::clone(self.pool()));
+        let mut flat = match self.compiled.take() {
+            Some(flat) => flat,
+            None => self.grounder.graph().compile(),
+        };
+        let pool = (flat.query_variables().len() >= threshold).then(|| Arc::clone(self.pool()));
         let mut learner = Learner::new(self.grounder.graph_mut());
         if let Some(pool) = pool {
             learner = learner.with_pool(pool, threshold);
         }
-        learner.learn(learn)
+        let trace = learner.learn_on(&mut flat, learn);
+        self.compiled = Some(flat);
+        trace
     }
 
-    /// Full Gibbs over the current graph.  The sampler compiles the graph into
-    /// its [`dd_factorgraph::FlatGraph`] hot representation internally; every
-    /// engine execution (grounding or learning) changes the graph before the
-    /// next inference, so there is nothing to cache across calls.
+    /// Full Gibbs over the current graph, on the compilation the learner left
+    /// behind when there is one (the graph has not changed since), on a fresh
+    /// one otherwise.
     ///
     /// Graphs with at least [`EngineConfig::parallel_threshold`] query
     /// variables run hogwild sweeps on the engine's persistent pool; smaller
@@ -1057,16 +1074,19 @@ impl DeepDive {
             seed: self.config.seed,
             ..self.config.gibbs.clone()
         };
-        let graph = self.grounder.graph();
-        if graph.query_variables().len() >= self.config.parallel_threshold {
+        let flat = match &self.compiled {
+            Some(flat) => Cow::Borrowed(flat),
+            None => Cow::Owned(self.grounder.graph().compile()),
+        };
+        if flat.query_variables().len() >= self.config.parallel_threshold {
             let pool = self.pool();
             if pool.num_threads() > 1 {
-                return ParallelGibbs::new(graph, options.seed)
+                return ParallelGibbs::from_flat(flat.into_owned(), options.seed)
                     .with_pool(Arc::clone(pool))
                     .run(options.sweeps, options.burn_in);
             }
         }
-        GibbsSampler::new(graph, self.config.seed).run(&options)
+        GibbsSampler::from_flat(&flat, self.config.seed).run(&options)
     }
 
     fn incremental_gibbs_options(&self) -> GibbsOptions {

@@ -9,9 +9,10 @@
 //! anchor of the tradeoff study.
 
 use crate::config::EngineConfig;
-use dd_factorgraph::FactorGraph;
+use dd_factorgraph::{FactorGraph, FlatGraph};
 use dd_inference::{
-    GibbsSampler, SampleMaterialization, StrawmanMaterialization, VariationalMaterialization,
+    GibbsSampler, SampleMaterialization, SampleSet, StrawmanMaterialization,
+    VariationalMaterialization,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -25,7 +26,8 @@ pub struct Materialization {
     pub strawman: Option<StrawmanMaterialization>,
     /// Weight values at materialization time (the warmstart model).
     pub weights: Vec<f64>,
-    /// Wall-clock seconds spent materializing.
+    /// Wall-clock seconds spent materializing.  In-memory only: checkpoints
+    /// record `0`, so their bytes are a pure function of the engine's inputs.
     pub seconds: f64,
     /// Number of samples drawn.
     pub num_samples: usize,
@@ -34,24 +36,17 @@ pub struct Materialization {
 impl Materialization {
     /// Materialize both strategies from one Gibbs run over `graph`.
     pub fn build(graph: &FactorGraph, config: &EngineConfig) -> Self {
+        Self::build_on(&graph.compile(), graph, config)
+    }
+
+    /// [`Materialization::build`] on a compilation of `graph` the caller
+    /// already holds (the engine's learner and full-Gibbs inference compile
+    /// the same graph just before).
+    pub fn build_on(flat: &FlatGraph, graph: &FactorGraph, config: &EngineConfig) -> Self {
         let start = Instant::now();
-        let mut sampler = GibbsSampler::new(graph, config.seed);
-        let samples = sampler.draw_samples(
-            config.materialization_samples,
-            config.gibbs.burn_in.max(config.variational.burn_in),
-        );
-        let sampling = SampleMaterialization::from_samples(samples.clone(), graph.num_variables());
-        let variational =
-            VariationalMaterialization::from_samples(graph, &samples, &config.variational);
-        let strawman = StrawmanMaterialization::materialize(graph);
-        Materialization {
-            sampling,
-            variational,
-            strawman,
-            weights: graph.weight_values(),
-            seconds: start.elapsed().as_secs_f64(),
-            num_samples: config.materialization_samples,
-        }
+        let mut sampler = Self::burnt_in_sampler(flat, config);
+        let samples = sampler.draw_samples(config.materialization_samples, 0);
+        Self::from_sample_set(graph, samples, config, start)
     }
 
     /// Materialize as many samples as possible within a wall-clock budget — the
@@ -63,19 +58,39 @@ impl Materialization {
         budget_seconds: f64,
     ) -> Self {
         let start = Instant::now();
-        let mut sampler = GibbsSampler::new(graph, config.seed);
-        let mut samples = dd_inference::SampleSet::new(graph.num_variables());
-        for _ in 0..config.gibbs.burn_in {
-            sampler.sweep();
-        }
+        let flat = graph.compile();
+        let mut sampler = Self::burnt_in_sampler(&flat, config);
+        let mut samples = SampleSet::new(graph.num_variables());
         while start.elapsed().as_secs_f64() < budget_seconds {
             sampler.sweep();
             samples.push(sampler.world());
         }
+        Self::from_sample_set(graph, samples, config, start)
+    }
+
+    /// The materialization chain, burnt in.  One Gibbs run feeds both
+    /// strategies, so it discards the longer of their two burn-ins.
+    fn burnt_in_sampler<'g>(flat: &'g FlatGraph, config: &EngineConfig) -> GibbsSampler<'g> {
+        let mut sampler = GibbsSampler::from_flat(flat, config.seed);
+        for _ in 0..config.gibbs.burn_in.max(config.variational.burn_in) {
+            sampler.sweep();
+        }
+        sampler
+    }
+
+    /// Both strategies (and the strawman, where affordable) from one drawn
+    /// sample set: the variational approximation reads the rows in place,
+    /// then the sampling strategy takes the set over as its proposal store.
+    fn from_sample_set(
+        graph: &FactorGraph,
+        samples: SampleSet,
+        config: &EngineConfig,
+        start: Instant,
+    ) -> Self {
         let num_samples = samples.len();
-        let sampling = SampleMaterialization::from_samples(samples.clone(), graph.num_variables());
         let variational =
             VariationalMaterialization::from_samples(graph, &samples, &config.variational);
+        let sampling = SampleMaterialization::from_samples(samples, graph.num_variables());
         let strawman = StrawmanMaterialization::materialize(graph);
         Materialization {
             sampling,
@@ -125,6 +140,36 @@ mod tests {
         let g = graph(40);
         let m = Materialization::build(&g, &EngineConfig::fast());
         assert!(m.strawman.is_none());
+    }
+
+    #[test]
+    fn budgeted_and_counted_builds_burn_in_identically() {
+        // One burn-in rule: the first sample either path stores is the same
+        // world of the same chain, even when the two configured burn-ins
+        // differ in either direction.
+        let g = graph(10);
+        for (gibbs_burn_in, variational_burn_in) in [(5, 40), (40, 5)] {
+            let mut config = EngineConfig::fast();
+            config.gibbs.burn_in = gibbs_burn_in;
+            config.variational.burn_in = variational_burn_in;
+            let counted = Materialization::build(&g, &config);
+            let budgeted = Materialization::build_with_budget(&g, &config, 0.02);
+            assert!(budgeted.num_samples >= 1);
+            assert_eq!(
+                counted.sampling.samples().row(0),
+                budgeted.sampling.samples().row(0)
+            );
+            // ... and that world is 40 burn-in sweeps + 1 into the chain.
+            let flat = g.compile();
+            let mut chain = GibbsSampler::from_flat(&flat, config.seed);
+            for _ in 0..41 {
+                chain.sweep();
+            }
+            assert_eq!(
+                counted.sampling.samples().row(0).words(),
+                chain.world().as_words()
+            );
+        }
     }
 
     #[test]

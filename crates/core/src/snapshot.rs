@@ -428,6 +428,26 @@ pub struct CatalogShards {
     shards: Vec<CatalogShard>,
 }
 
+/// The `(relation, tuple)` key of a catalog entry handed to
+/// [`CatalogShards::build`]: a pair behind one reference (a map's own key)
+/// or a pair of references (the grounder's per-relation catalog, which
+/// stores no such pair).
+pub trait CatalogKey<'a> {
+    fn parts(self) -> (&'a str, &'a Tuple);
+}
+
+impl<'a> CatalogKey<'a> for &'a (String, Tuple) {
+    fn parts(self) -> (&'a str, &'a Tuple) {
+        (&self.0, &self.1)
+    }
+}
+
+impl<'a> CatalogKey<'a> for (&'a String, &'a Tuple) {
+    fn parts(self) -> (&'a str, &'a Tuple) {
+        (self.0, self.1)
+    }
+}
+
 impl CatalogShards {
     /// An empty catalog (the epoch-0 state).
     pub fn new() -> Self {
@@ -438,15 +458,16 @@ impl CatalogShards {
     /// scan.  This is the O(n) full-rebuild path the sharded publish replaces;
     /// it remains the baseline leg of the `publish_cost` benchmark series and
     /// the constructor of choice when no previous epoch exists.
-    pub fn build<'a>(
-        entries: impl Iterator<Item = (&'a (String, Tuple), &'a usize)>,
+    pub fn build<'a, K: CatalogKey<'a>>(
+        entries: impl Iterator<Item = (K, &'a usize)>,
         generation: u64,
     ) -> Self {
         let mut per_relation: std::collections::BTreeMap<&'a str, Vec<(Tuple, usize)>> =
             std::collections::BTreeMap::new();
-        for ((relation, tuple), &var) in entries {
+        for (key, &var) in entries {
+            let (relation, tuple) = key.parts();
             per_relation
-                .entry(relation.as_str())
+                .entry(relation)
                 .or_default()
                 .push((tuple.clone(), var));
         }

@@ -1,7 +1,7 @@
 //! The factor graph: variables, weights, factors, and adjacency.
 
 use crate::delta::GraphDelta;
-use crate::factor::{Factor, FactorId};
+use crate::factor::{Factor, FactorId, FactorKind};
 use crate::variable::{VarId, Variable, VariableRole};
 use crate::weight::{Weight, WeightId};
 use crate::world::{World, WorldView};
@@ -36,11 +36,6 @@ pub struct FactorGraph {
     /// Jagged adjacency: `adjacency[v]` lists the factors touching variable v.
     /// (The samplers use the true-CSR copy inside [`crate::FlatGraph`].)
     adjacency: Vec<Vec<FactorId>>,
-    /// `(relation, key) → variable` index maintained by
-    /// [`FactorGraph::add_variable`]; on duplicate origins the first variable
-    /// wins, matching the scan order [`FactorGraph::find_variable`] used to
-    /// have.
-    var_index: HashMap<(String, u64), VarId>,
 }
 
 impl FactorGraph {
@@ -65,13 +60,22 @@ impl FactorGraph {
 
     // --------------------------------------------------------------- building
 
+    /// A graph over the same variables (ids, roles, origins) with no weights
+    /// and no factors — the starting point of an approximate graph of this
+    /// one.
+    pub fn variables_only(&self) -> FactorGraph {
+        FactorGraph {
+            variables: self.variables.clone(),
+            factors: Vec::new(),
+            weights: Vec::new(),
+            adjacency: vec![Vec::new(); self.variables.len()],
+        }
+    }
+
     /// Add a variable, returning its id.
     pub fn add_variable(&mut self, mut var: Variable) -> VarId {
         let id = self.variables.len();
         var.id = id;
-        self.var_index
-            .entry((var.relation.clone(), var.key))
-            .or_insert(id);
         self.variables.push(var);
         self.adjacency.push(Vec::new());
         id
@@ -94,6 +98,17 @@ impl FactorGraph {
             factor.weight_id
         );
         let id = self.factors.len();
+        if let FactorKind::IsTrue(v) = factor.kind {
+            // The per-variable prior every feature grounding creates: one
+            // variable, nothing to collect or dedup.
+            assert!(
+                v < self.variables.len(),
+                "factor references unknown variable {v}"
+            );
+            self.adjacency[v].push(id);
+            self.factors.push(factor);
+            return id;
+        }
         let mut vars = factor.variables();
         for &v in &vars {
             assert!(
@@ -188,9 +203,14 @@ impl FactorGraph {
             .collect()
     }
 
-    /// Look up a variable id by its `(relation, key)` origin.
+    /// Look up a variable id by its `(relation, key)` origin: a scan (on
+    /// duplicate origins the first variable wins).  Nothing on a hot path
+    /// asks — the grounder's catalog maps tuples to variables — so the graph
+    /// maintains no index for it.
     pub fn find_variable(&self, relation: &str, key: u64) -> Option<VarId> {
-        self.var_index.get(&(relation.to_string(), key)).copied()
+        self.variables
+            .iter()
+            .position(|v| v.key == key && &*v.relation == relation)
     }
 
     // ---------------------------------------------------------------- energies
@@ -347,8 +367,8 @@ impl FactorGraph {
     /// with [`FactorGraph::remove_factor`] first (retraction bugs fail loudly).
     ///
     /// If another variable occupied the last slot it is moved into the freed
-    /// id; its `id` field, its factors' literal references, and the
-    /// `(relation, key)` index are all patched.  Returns the moved variable's
+    /// id; its `id` field and its factors' literal references are patched.
+    /// Returns the moved variable's
     /// previous id (`Some(old_last)`), or `None` if the removed variable was
     /// last.
     pub fn remove_variable(&mut self, v: VarId) -> Option<VarId> {
@@ -360,10 +380,6 @@ impl FactorGraph {
             self.adjacency[v].is_empty(),
             "remove_variable: variable {v} still has incident factors"
         );
-        let origin = (self.variables[v].relation.clone(), self.variables[v].key);
-        if self.var_index.get(&origin) == Some(&v) {
-            self.var_index.remove(&origin);
-        }
         let last = self.variables.len() - 1;
         self.variables.swap_remove(v);
         self.adjacency.swap_remove(v);
@@ -372,12 +388,6 @@ impl FactorGraph {
         }
         // The variable formerly at `last` now lives at `v`.
         self.variables[v].id = v;
-        let moved_origin = (self.variables[v].relation.clone(), self.variables[v].key);
-        if let Some(e) = self.var_index.get_mut(&moved_origin) {
-            if *e == last {
-                *e = v;
-            }
-        }
         let adj: Vec<FactorId> = self.adjacency[v].clone();
         for f in adj {
             crate::delta::remap_factor_vars(&mut self.factors[f], &|slot| {
@@ -697,7 +707,7 @@ mod tests {
         // v0 is isolated; removing it moves v2 into slot 0.
         assert_eq!(g.remove_variable(v0), Some(2));
         assert_eq!(g.num_variables(), 2);
-        assert_eq!(g.variable(0).relation, "S");
+        assert_eq!(&*g.variable(0).relation, "S");
         assert_eq!(g.variable(0).id, 0);
         assert_eq!(g.find_variable("S", 0), Some(0));
         assert_eq!(g.find_variable("R", 0), None);

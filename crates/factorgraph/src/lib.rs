@@ -36,6 +36,6 @@ pub use factor::{Factor, FactorId, FactorKind, Lit};
 pub use flat::FlatGraph;
 pub use graph::{FactorGraph, FactorGraphBuilder, GraphStats};
 pub use semantics::Semantics;
-pub use variable::{VarId, Variable, VariableRole};
+pub use variable::{RelName, VarId, Variable, VariableRole};
 pub use weight::{Weight, WeightId};
 pub use world::{World, WorldView};

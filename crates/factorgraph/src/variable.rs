@@ -1,6 +1,20 @@
 //! Boolean random variables of the factor graph.
 
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
+
+/// An interned relation name: cloning is a reference-count bump, comparing
+/// two handles of the same interning is a pointer check, and ordering is the
+/// name's — so ordered collections keyed by it iterate exactly as they did
+/// when keyed by `String`.  Names are plain strings only at the edges
+/// (parser, durability codec, wire, snapshot API).
+pub type RelName = Arc<str>;
+
+/// The shared empty relation name of variables without an origin.
+fn no_relation() -> RelName {
+    static EMPTY: OnceLock<RelName> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::from("")).clone()
+}
 
 /// Index of a variable in its [`crate::FactorGraph`].
 pub type VarId = usize;
@@ -55,7 +69,7 @@ pub struct Variable {
     pub active: bool,
     /// Name of the user relation this variable's tuple belongs to (may be empty
     /// for synthetic graphs).
-    pub relation: String,
+    pub relation: RelName,
     /// Opaque key identifying the tuple within its relation.
     pub key: u64,
 }
@@ -68,7 +82,7 @@ impl Variable {
             role: VariableRole::Query,
             initial_value: false,
             active: true,
-            relation: String::new(),
+            relation: no_relation(),
             key: id as u64,
         }
     }
@@ -84,13 +98,14 @@ impl Variable {
             },
             initial_value: value,
             active: true,
-            relation: String::new(),
+            relation: no_relation(),
             key: id as u64,
         }
     }
 
-    /// Attach a relation name and key (builder style).
-    pub fn with_origin(mut self, relation: impl Into<String>, key: u64) -> Self {
+    /// Attach a relation name and key (builder style).  Passing an existing
+    /// [`RelName`] handle shares it; a `&str` interns a fresh one.
+    pub fn with_origin(mut self, relation: impl Into<RelName>, key: u64) -> Self {
         self.relation = relation.into();
         self.key = key;
         self
@@ -147,7 +162,7 @@ mod tests {
         let v = Variable::query(0)
             .with_origin("MarriedMentions", 42)
             .inactive();
-        assert_eq!(v.relation, "MarriedMentions");
+        assert_eq!(&*v.relation, "MarriedMentions");
         assert_eq!(v.key, 42);
         assert!(!v.active);
     }

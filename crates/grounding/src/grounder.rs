@@ -8,11 +8,12 @@
 //! incremental grounder in [`crate::incremental`] updates all of them in place.
 
 use crate::ast::{Rule, RuleKind, WeightSpec};
+use crate::catalog::{RelSlot, VariableCatalog};
 use crate::error::{GroundingError, ProgramError};
 use crate::program::{Program, RelationRole};
 use crate::udf::UdfRegistry;
 use dd_factorgraph::{
-    EvidenceChange, Factor, FactorGraph, FactorId, FactorKind, Lit, Semantics, VarId, Variable,
+    EvidenceChange, Factor, FactorGraph, FactorId, FactorKind, Lit, RelName, Semantics, VarId,
     VariableRole, Weight, WeightId,
 };
 use dd_relstore::view::Term;
@@ -21,8 +22,7 @@ use dd_relstore::{
     Tuple, Value,
 };
 use std::borrow::Cow;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Summary of one grounding run.
@@ -137,7 +137,11 @@ impl TermSrc {
 /// An atom over a variable relation, ready to be instantiated per binding.
 #[derive(Debug, Clone)]
 pub(crate) struct AtomTemplate {
-    pub relation: String,
+    /// The relation's interned name.
+    pub relation: RelName,
+    /// Its slot in the grounder's variable catalog, resolved once here so
+    /// grounding a binding never looks a relation up by name.
+    pub slot: RelSlot,
     terms: Vec<TermSrc>,
     /// The terms are exactly the projection, in order: the instantiated
     /// tuple *is* the binding (the usual shape of a rule head).
@@ -147,7 +151,11 @@ pub(crate) struct AtomTemplate {
 }
 
 impl AtomTemplate {
-    fn new(atom: &crate::ast::RuleAtom, projection: &[String]) -> Self {
+    fn new(
+        atom: &crate::ast::RuleAtom,
+        projection: &[String],
+        catalog: &mut VariableCatalog,
+    ) -> Self {
         let terms: Vec<TermSrc> = atom
             .terms
             .iter()
@@ -161,8 +169,10 @@ impl AtomTemplate {
                 .iter()
                 .enumerate()
                 .all(|(i, t)| matches!(t, TermSrc::Binding(at) if *at == i));
+        let slot = catalog.intern(&atom.relation);
         AtomTemplate {
-            relation: atom.relation.clone(),
+            relation: catalog.relation(slot).handle.clone(),
+            slot,
             terms,
             is_binding,
             positive: !atom.negated,
@@ -228,9 +238,11 @@ pub(crate) struct RuleTemplate {
 impl RuleTemplate {
     /// Compile the template of `rule`, which is (or is about to become)
     /// `program.rules[index]`; `None` for rule kinds the grounder never
-    /// grounds bindings of.
+    /// grounds bindings of.  The variable relations the rule mentions get
+    /// their (possibly still empty) slot in `catalog`.
     pub fn compile(
         program: &Program,
+        catalog: &mut VariableCatalog,
         rule: &Rule,
         index: usize,
     ) -> Result<Option<Arc<Self>>, RelError> {
@@ -266,14 +278,14 @@ impl RuleTemplate {
             rule.body
                 .iter()
                 .filter(|atom| program.role_of(&atom.relation) == RelationRole::Variable)
-                .map(|atom| AtomTemplate::new(atom, &projection))
+                .map(|atom| AtomTemplate::new(atom, &projection, catalog))
                 .collect()
         };
         Ok(Some(Arc::new(RuleTemplate {
             index,
             name: rule.name.clone(),
             plan: QueryPlan::compile(&rule.body_query())?,
-            head: AtomTemplate::new(&rule.head, &projection),
+            head: AtomTemplate::new(&rule.head, &projection, catalog),
             body_vars,
             label,
             weight,
@@ -320,17 +332,11 @@ pub struct Grounder {
     pub(crate) graph: FactorGraph,
     /// Per-rule grounding templates, parallel to `program.rules`.
     pub(crate) templates: Vec<Option<Arc<RuleTemplate>>>,
-    /// (relation, tuple) → variable id.
-    pub(crate) var_catalog: HashMap<(String, Tuple), VarId>,
-    /// variable id → (relation, tuple): the catalog's inverse, parallel to
-    /// the graph's variables and patched on every `swap_remove` move.
-    pub(crate) var_keys: Vec<(String, Tuple)>,
-    /// Per-variable reference/label counters, parallel to `var_keys`.
-    pub(crate) var_use: Vec<VarUse>,
-    /// Catalog ops recorded since the last [`Grounder::take_catalog_delta`]
-    /// drain, grouped per relation — the dirty-set a sharded snapshot publish
-    /// consumes to re-index only the relations that actually changed.
-    pub(crate) fresh_catalog: BTreeMap<String, Vec<CatalogOp>>,
+    /// Per-relation `tuple → variable id` maps with their pending publish
+    /// ops and suppressed supervision heads, plus the inverse map and the
+    /// usage counters (vectors parallel to the graph's variables, patched on
+    /// every `swap_remove` move).
+    pub(crate) catalog: VariableCatalog,
     /// weight description → weight id, covering only weights with at least one
     /// referencing factor.  Orphaned weight slots stay in the graph (learned
     /// weight vectors are indexed by `WeightId`) but leave the catalog.
@@ -345,15 +351,150 @@ pub struct Grounder {
     /// weight id → number of referencing factors, parallel to the graph's
     /// weights.
     pub(crate) weight_use: Vec<i64>,
-    /// Heads whose supervision labels are suppressed (sticky): existing labels
-    /// were un-pinned and future labels are recorded but not applied.
-    pub(crate) suppressed_labels: BTreeSet<(String, Tuple)>,
-    /// Monotonic origin-key counter for new variables.  Never reused after a
-    /// removal, so `(relation, key)` origins stay unique for the graph's
-    /// lifetime (a catalog-length counter would collide after shrinkage).
-    pub(crate) next_var_key: u64,
     /// Materialized views for candidate-mapping rules (incremental maintenance).
     pub(crate) candidate_views: HashMap<String, MaterializedView>,
+}
+
+/// The graph-side state a grounding loop mutates, borrowed apart from the
+/// database and the record maps so the loop can hold its rule's head table
+/// and record map across bindings.
+struct GraphSide<'a> {
+    graph: &'a mut FactorGraph,
+    catalog: &'a mut VariableCatalog,
+    weight_catalog: &'a mut HashMap<String, WeightId>,
+    factor_owners: &'a mut Vec<(usize, Tuple)>,
+    weight_use: &'a mut Vec<i64>,
+    udfs: &'a UdfRegistry,
+}
+
+/// Record the owner of a factor the graph just appended and count the factor
+/// against its weight.
+pub(crate) fn own_factor(
+    factor_owners: &mut Vec<(usize, Tuple)>,
+    weight_use: &mut Vec<i64>,
+    fid: FactorId,
+    weight_id: WeightId,
+    rule: usize,
+    binding: Tuple,
+) {
+    debug_assert_eq!(fid, factor_owners.len(), "factors are appended densely");
+    factor_owners.push((rule, binding));
+    if weight_use.len() <= weight_id {
+        weight_use.resize(weight_id + 1, 0);
+    }
+    weight_use[weight_id] += 1;
+}
+
+impl GraphSide<'_> {
+    /// Ground one not-yet-grounded body-query binding of a weighted or
+    /// supervision rule with the given derivation count, which becomes the
+    /// retraction support of the record returned for it (with the head
+    /// tuple, for the caller to insert into the head relation).
+    /// `shared_weight` caches the rule's weight id across the bindings of
+    /// one loop when every grounding shares it.
+    fn ground_binding(
+        &mut self,
+        template: &RuleTemplate,
+        binding: &Tuple,
+        count: i64,
+        shared_weight: &mut Option<WeightId>,
+    ) -> (GroundingRecord, Tuple) {
+        // Resolve the head tuple and its variable.
+        let head_tuple = template.head.instantiate(binding);
+        let (head_relation, vars) = self.catalog.relation_and_vars(template.head.slot);
+        let head_var = head_relation.var_for(&head_tuple, vars, self.graph);
+
+        let mut record = GroundingRecord {
+            support: count.max(1),
+            factor: None,
+            label: None,
+        };
+
+        match template.label {
+            Some(polarity) => {
+                let usage = &mut vars.usage[head_var];
+                if !head_relation.suppressed.contains(&head_tuple) {
+                    record.label = Some(polarity);
+                    usage.add_label(polarity, 1);
+                    let role = usage.role();
+                    let var = self.graph.variable_mut(head_var);
+                    var.role = role;
+                    var.initial_value = role.fixed_value().unwrap_or(false);
+                }
+                usage.refs += 1;
+            }
+            None => {
+                let weight_id = self.weight_for_binding(template, binding, shared_weight);
+                // Body atoms over variable relations become body literals.
+                let mut body_lits = Vec::with_capacity(template.body_vars.len());
+                for atom in &template.body_vars {
+                    let (relation, vars) = self.catalog.relation_and_vars(atom.slot);
+                    let var = relation.var_for(&atom.instantiate(binding), vars, self.graph);
+                    body_lits.push(Lit {
+                        var,
+                        positive: atom.positive,
+                    });
+                }
+                // Reference counting, for retraction: once per distinct variable.
+                let usage = &mut self.catalog.vars.usage;
+                if body_lits.is_empty() {
+                    usage[head_var].refs += 1;
+                } else {
+                    let mut referenced: Vec<VarId> = body_lits.iter().map(|l| l.var).collect();
+                    referenced.push(head_var);
+                    referenced.sort_unstable();
+                    referenced.dedup();
+                    for var in referenced {
+                        usage[var].refs += 1;
+                    }
+                }
+                let factor =
+                    Grounder::make_factor(weight_id, body_lits, head_var, template.semantics);
+                let fid = self.graph.add_factor(factor);
+                record.factor = Some(fid);
+                own_factor(
+                    self.factor_owners,
+                    self.weight_use,
+                    fid,
+                    weight_id,
+                    template.index,
+                    binding.clone(),
+                );
+            }
+        }
+        self.catalog.vars.usage[head_var].head_refs += 1;
+        (record, head_tuple)
+    }
+
+    /// Resolve the weight for one grounding of a rule, creating it on first use.
+    fn weight_for_binding(
+        &mut self,
+        template: &RuleTemplate,
+        binding: &Tuple,
+        shared_weight: &mut Option<WeightId>,
+    ) -> WeightId {
+        if let Some(w) = *shared_weight {
+            return w;
+        }
+        let (description, initial, fixed) = template.weight_descriptor(self.udfs, binding);
+        // A borrowed description is the rule's one weight for every
+        // grounding: nothing about the next binding can change the answer.
+        let shared = matches!(description, Cow::Borrowed(_));
+        let id = match self.weight_catalog.get(description.as_ref()) {
+            Some(&w) => w,
+            None => {
+                let id = self
+                    .graph
+                    .add_weight(new_weight(&description, initial, fixed));
+                self.weight_catalog.insert(description.into_owned(), id);
+                id
+            }
+        };
+        if shared {
+            *shared_weight = Some(id);
+        }
+        id
+    }
 }
 
 impl Grounder {
@@ -372,16 +513,11 @@ impl Grounder {
             udfs,
             graph: FactorGraph::new(),
             templates: Vec::new(),
-            var_catalog: HashMap::new(),
-            var_keys: Vec::new(),
-            var_use: Vec::new(),
-            fresh_catalog: BTreeMap::new(),
+            catalog: VariableCatalog::default(),
             weight_catalog: HashMap::new(),
             grounded_bindings: HashMap::new(),
             factor_owners: Vec::new(),
             weight_use: Vec::new(),
-            suppressed_labels: BTreeSet::new(),
-            next_var_key: 0,
             candidate_views: HashMap::new(),
         };
         grounder.compile_templates()?;
@@ -395,7 +531,9 @@ impl Grounder {
             .rules
             .iter()
             .enumerate()
-            .map(|(index, rule)| RuleTemplate::compile(&self.program, rule, index))
+            .map(|(index, rule)| {
+                RuleTemplate::compile(&self.program, &mut self.catalog, rule, index)
+            })
             .collect::<Result<_, _>>()?;
         Ok(())
     }
@@ -439,19 +577,18 @@ impl Grounder {
 
     /// Variable id of a tuple, if it has one.
     pub fn variable_for(&self, relation: &str, tuple: &Tuple) -> Option<VarId> {
-        self.var_catalog
-            .get(&(relation.to_string(), tuple.clone()))
-            .copied()
+        self.catalog.get(relation, tuple)
     }
 
-    /// Iterate over the `(relation, tuple) → variable` catalog.
-    pub fn variable_catalog(&self) -> impl Iterator<Item = (&(String, Tuple), &VarId)> {
-        self.var_catalog.iter()
+    /// Iterate over the `(relation, tuple) → variable` catalog, relation by
+    /// relation (entries of one relation in no particular order).
+    pub fn variable_catalog(&self) -> impl Iterator<Item = ((&String, &Tuple), &VarId)> {
+        self.catalog.iter()
     }
 
     /// Number of entries in the `(relation, tuple) → variable` catalog.
     pub fn num_catalogued_variables(&self) -> usize {
-        self.var_catalog.len()
+        self.catalog.len()
     }
 
     /// Drain the catalog ops recorded since the last drain, grouped by
@@ -462,7 +599,7 @@ impl Grounder {
     /// Ops within a relation are chronological; netting them per tuple
     /// (last op wins) yields the upserts and removals to apply.
     pub fn take_catalog_delta(&mut self) -> BTreeMap<String, Vec<CatalogOp>> {
-        std::mem::take(&mut self.fresh_catalog)
+        self.catalog.take_delta()
     }
 
     /// Weight id for a tying key, if it has at least one live factor.
@@ -485,10 +622,7 @@ impl Grounder {
 
     /// True if supervision labels on this head are suppressed.
     pub fn is_supervision_suppressed(&self, relation: &str, tuple: &Tuple) -> bool {
-        !self.suppressed_labels.is_empty()
-            && self
-                .suppressed_labels
-                .contains(&(relation.to_string(), tuple.clone()))
+        self.catalog.is_suppressed(relation, tuple)
     }
 
     // ---------------------------------------------------------------- grounding
@@ -523,20 +657,47 @@ impl Grounder {
         stats: &mut ExecStats,
     ) -> Result<usize, RelError> {
         let bindings = template.plan.bindings(&self.db, stats)?;
-        // The rule's records leave the grounder for the loop, so a binding
-        // costs one descent into them instead of one per question asked.
+        // Everything a binding needs is resolved once per rule: the rule's
+        // records leave the grounder for the loop, the head relation's table
+        // is held across it, and the catalogs are reached through the
+        // template's slots — a binding costs no lookup by name.
         let mut records = self
             .grounded_bindings
             .remove(&template.name)
             .unwrap_or_default();
-        let grounded_before = records.len();
+        let mut side = GraphSide {
+            graph: &mut self.graph,
+            catalog: &mut self.catalog,
+            weight_catalog: &mut self.weight_catalog,
+            factor_owners: &mut self.factor_owners,
+            weight_use: &mut self.weight_use,
+            udfs: &self.udfs,
+        };
+        let mut head_table = self.db.table_mut(&template.head.relation).ok();
+        let mut shared_weight = None;
+        // Bindings arrive in tuple order, so the new records are collected
+        // and enter the map in one ordered pass.
+        let mut grounded: Vec<(Tuple, GroundingRecord)> = Vec::new();
         for (binding, count) in bindings {
-            if let Entry::Vacant(slot) = records.entry(binding) {
-                let record = self.ground_binding(template, slot.key(), count);
-                slot.insert(record);
+            if records.contains_key(&binding) {
+                continue;
             }
+            let (record, head_tuple) =
+                side.ground_binding(template, &binding, count, &mut shared_weight);
+            // Make sure the head tuple exists in its relation so
+            // error-analysis queries can see it (unless it does not fit the
+            // declared schema).
+            if let Some(table) = head_table.as_deref_mut() {
+                let _ = table.insert_if_absent(head_tuple);
+            }
+            grounded.push((binding, record));
         }
-        let new_groundings = records.len() - grounded_before;
+        let new_groundings = grounded.len();
+        if records.is_empty() {
+            records = grounded.into_iter().collect();
+        } else {
+            records.extend(grounded);
+        }
         self.grounded_bindings
             .insert(template.name.clone(), records);
         Ok(new_groundings)
@@ -566,106 +727,6 @@ impl Grounder {
         Ok(inserted)
     }
 
-    /// Ground one not-yet-grounded body-query binding of a weighted or
-    /// supervision rule with the given derivation count, which becomes the
-    /// retraction support of the record returned for it.
-    fn ground_binding(
-        &mut self,
-        template: &RuleTemplate,
-        binding: &Tuple,
-        count: i64,
-    ) -> GroundingRecord {
-        // Resolve the head tuple and its variable.
-        let head_tuple = template.head.instantiate(binding);
-        let head_var = self.var_for_tuple(&template.head.relation, &head_tuple);
-
-        let mut record = GroundingRecord {
-            support: count.max(1),
-            factor: None,
-            label: None,
-        };
-
-        match template.label {
-            Some(polarity) => {
-                if !self.is_supervision_suppressed(&template.head.relation, &head_tuple) {
-                    record.label = Some(polarity);
-                    let usage = &mut self.var_use[head_var];
-                    usage.add_label(polarity, 1);
-                    let role = usage.role();
-                    let var = self.graph.variable_mut(head_var);
-                    var.role = role;
-                    var.initial_value = role.fixed_value().unwrap_or(false);
-                }
-                self.var_use[head_var].refs += 1;
-            }
-            None => {
-                let weight_id = self.weight_for_binding(template, binding);
-                // Body atoms over variable relations become body literals.
-                let mut body_lits = Vec::with_capacity(template.body_vars.len());
-                for atom in &template.body_vars {
-                    let var = self.var_for_tuple(&atom.relation, &atom.instantiate(binding));
-                    body_lits.push(Lit {
-                        var,
-                        positive: atom.positive,
-                    });
-                }
-                // Reference counting, for retraction: once per distinct variable.
-                let mut referenced: Vec<VarId> = body_lits.iter().map(|l| l.var).collect();
-                referenced.push(head_var);
-                referenced.sort_unstable();
-                referenced.dedup();
-                for var in referenced {
-                    self.var_use[var].refs += 1;
-                }
-                let factor = Self::make_factor(weight_id, body_lits, head_var, template.semantics);
-                let fid = self.graph.add_factor(factor);
-                record.factor = Some(fid);
-                self.own_factor(fid, template.index, binding.clone());
-            }
-        }
-        self.var_use[head_var].head_refs += 1;
-
-        // Make sure the head tuple exists in its relation so error-analysis
-        // queries can see it.
-        self.insert_head_tuple(&template.head.relation, head_tuple);
-        record
-    }
-
-    /// Record the owner of a factor the graph just appended and count the
-    /// factor against its weight.
-    pub(crate) fn own_factor(&mut self, fid: FactorId, rule: usize, binding: Tuple) {
-        debug_assert_eq!(
-            fid,
-            self.factor_owners.len(),
-            "factors are appended densely"
-        );
-        self.factor_owners.push((rule, binding));
-        let weight_id = self.graph.factor(fid).weight_id;
-        if self.weight_use.len() <= weight_id {
-            self.weight_use.resize(weight_id + 1, 0);
-        }
-        self.weight_use[weight_id] += 1;
-    }
-
-    /// The grounding records of a rule, created empty on first use.
-    pub(crate) fn records_mut(&mut self, rule: &str) -> &mut BTreeMap<Tuple, GroundingRecord> {
-        if !self.grounded_bindings.contains_key(rule) {
-            self.grounded_bindings
-                .insert(rule.to_string(), BTreeMap::new());
-        }
-        self.grounded_bindings
-            .get_mut(rule)
-            .expect("inserted just above")
-    }
-
-    /// Insert a grounding's head tuple into its relation unless it is
-    /// already there (or does not fit the declared schema).
-    pub(crate) fn insert_head_tuple(&mut self, relation: &str, tuple: Tuple) {
-        if let Ok(table) = self.db.table_mut(relation) {
-            let _ = table.insert_if_absent(tuple);
-        }
-    }
-
     /// The variables a grounding record of `template` under `binding`
     /// references — its head and, for weighted rules, the body literals of
     /// its factor — resolved through the catalog: `(head, distinct ids)`.
@@ -676,13 +737,15 @@ impl Grounder {
         template: &RuleTemplate,
         binding: &Tuple,
     ) -> (Option<VarId>, Vec<VarId>) {
-        let head = self.variable_for(&template.head.relation, &template.head.instantiate(binding));
-        let mut vars: Vec<VarId> =
-            head.into_iter()
-                .chain(template.body_vars.iter().filter_map(|atom| {
-                    self.variable_for(&atom.relation, &atom.instantiate(binding))
-                }))
-                .collect();
+        let var_of = |atom: &AtomTemplate| {
+            let relation = self.catalog.relation(atom.slot);
+            relation.vars.get(&atom.instantiate(binding)).copied()
+        };
+        let head = var_of(&template.head);
+        let mut vars: Vec<VarId> = head
+            .into_iter()
+            .chain(template.body_vars.iter().filter_map(var_of))
+            .collect();
         vars.sort_unstable();
         vars.dedup();
         (head, vars)
@@ -719,54 +782,6 @@ impl Grounder {
         }
     }
 
-    /// Get or create the random variable for a tuple of a variable relation.
-    fn var_for_tuple(&mut self, relation: &str, tuple: &Tuple) -> VarId {
-        let key = (relation.to_string(), tuple.clone());
-        if let Some(&v) = self.var_catalog.get(&key) {
-            return v;
-        }
-        let origin_key = self.next_var_key;
-        self.next_var_key += 1;
-        let id = self
-            .graph
-            .add_variable(Variable::query(0).with_origin(relation, origin_key));
-        self.register_variable(key, id);
-        id
-    }
-
-    /// Enter a variable the graph just appended into the catalog, its
-    /// inverse, the usage counters and the publish dirty-set.
-    pub(crate) fn register_variable(&mut self, key: (String, Tuple), id: VarId) {
-        debug_assert_eq!(id, self.var_keys.len(), "variables are appended densely");
-        self.log_catalog_op(&key.0, CatalogOp::Upsert(key.1.clone(), id));
-        self.var_keys.push(key.clone());
-        self.var_use.push(VarUse::default());
-        self.var_catalog.insert(key, id);
-    }
-
-    /// Append to a relation's pending catalog ops.
-    pub(crate) fn log_catalog_op(&mut self, relation: &str, op: CatalogOp) {
-        match self.fresh_catalog.get_mut(relation) {
-            Some(ops) => ops.push(op),
-            None => {
-                self.fresh_catalog.insert(relation.to_string(), vec![op]);
-            }
-        }
-    }
-
-    /// Resolve the weight for one grounding of a rule, creating it on first use.
-    fn weight_for_binding(&mut self, template: &RuleTemplate, binding: &Tuple) -> WeightId {
-        let (description, initial, fixed) = template.weight_descriptor(&self.udfs, binding);
-        if let Some(&w) = self.weight_catalog.get(description.as_ref()) {
-            return w;
-        }
-        let id = self
-            .graph
-            .add_weight(new_weight(&description, initial, fixed));
-        self.weight_catalog.insert(description.into_owned(), id);
-        id
-    }
-
     /// Summary of the current grounding state.
     pub fn result(&self) -> GroundingResult {
         let stats = self.graph.stats();
@@ -794,13 +809,14 @@ impl Grounder {
         let mut columns: Vec<Column> = base.schema().columns().to_vec();
         columns.push(Column::new("probability", DataType::Float));
         let mut table = Table::new(format!("{relation}_marginal"), Schema::new(columns));
-        for ((rel, tuple), &var) in &self.var_catalog {
-            if rel == relation {
-                if let Some(&p) = marginals.get(var) {
-                    let mut values = tuple.values().to_vec();
-                    values.push(Value::Float(p));
-                    table.insert(Tuple::new(values))?;
-                }
+        let Some(catalog) = self.catalog.by_name(relation) else {
+            return Ok(table);
+        };
+        for (tuple, &var) in &catalog.vars {
+            if let Some(&p) = marginals.get(var) {
+                let mut values = tuple.values().to_vec();
+                values.push(Value::Float(p));
+                table.insert(Tuple::new(values))?;
             }
         }
         Ok(table)
@@ -822,13 +838,14 @@ impl Grounder {
         relation: &str,
         tuple: &Tuple,
     ) -> Vec<EvidenceChange> {
-        let head_key = (relation.to_string(), tuple.clone());
-        self.suppressed_labels.insert(head_key.clone());
+        let slot = self.catalog.intern(relation);
+        let (head_relation, vars) = self.catalog.relation_and_vars(slot);
+        head_relation.suppressed.insert(tuple.clone());
 
         let mut pos_cleared = 0i64;
         let mut neg_cleared = 0i64;
         for template in self.templates.iter().flatten() {
-            if template.label.is_none() || template.head.relation != relation {
+            if template.label.is_none() || template.head.slot != slot {
                 continue;
             }
             let Some(records) = self.grounded_bindings.get_mut(&template.name) else {
@@ -846,10 +863,10 @@ impl Grounder {
             }
         }
 
-        let Some(&var) = self.var_catalog.get(&head_key) else {
+        let Some(&var) = head_relation.vars.get(tuple) else {
             return Vec::new();
         };
-        let usage = &mut self.var_use[var];
+        let usage = &mut vars.usage[var];
         usage.pos_labels -= pos_cleared;
         usage.neg_labels -= neg_cleared;
         let role = usage.role();
@@ -878,7 +895,7 @@ impl Grounder {
     /// deterministic in the database contents).
     pub fn export_state(&self) -> GrounderState {
         let mut var_catalog: Vec<(String, Tuple, VarId)> = self
-            .var_catalog
+            .catalog
             .iter()
             .map(|((rel, tuple), &var)| (rel.clone(), tuple.clone(), var))
             .collect();
@@ -904,15 +921,11 @@ impl Grounder {
             db: self.db.clone(),
             graph: self.graph.clone(),
             var_catalog,
-            catalog_ops: self
-                .fresh_catalog
-                .iter()
-                .map(|(rel, ops)| (rel.clone(), ops.clone()))
-                .collect(),
+            catalog_ops: self.catalog.pending_ops().into_iter().collect(),
             grounded_bindings,
             view_rules,
-            suppressed_labels: self.suppressed_labels.iter().cloned().collect(),
-            next_var_key: self.next_var_key,
+            suppressed_labels: self.catalog.suppressed(),
+            next_var_key: self.catalog.vars.next_key,
         }
     }
 
@@ -945,26 +958,19 @@ impl Grounder {
         // record keeps an owner no rule index matches.
         let unowned = (usize::MAX, Tuple::new(Vec::new()));
         let factor_owners = vec![unowned; state.graph.num_factors()];
-        let mut var_keys = vec![(String::new(), Tuple::new(Vec::new())); num_variables];
-        for (rel, tuple, var) in &state.var_catalog {
-            if let Some(slot) = var_keys.get_mut(*var) {
-                *slot = (rel.clone(), tuple.clone());
-            }
-        }
         let mut grounder = Grounder {
             program: state.program,
             db: state.db,
             udfs,
             graph: state.graph,
             templates: Vec::new(),
-            var_catalog: state
-                .var_catalog
-                .into_iter()
-                .map(|(rel, tuple, var)| ((rel, tuple), var))
-                .collect(),
-            var_keys,
-            var_use: vec![VarUse::default(); num_variables],
-            fresh_catalog: state.catalog_ops.into_iter().collect(),
+            catalog: VariableCatalog::restore(
+                state.var_catalog,
+                state.catalog_ops,
+                state.suppressed_labels,
+                state.next_var_key,
+                num_variables,
+            ),
             weight_catalog,
             grounded_bindings: state
                 .grounded_bindings
@@ -973,8 +979,6 @@ impl Grounder {
                 .collect(),
             factor_owners,
             weight_use,
-            suppressed_labels: state.suppressed_labels.into_iter().collect(),
-            next_var_key: state.next_var_key,
             candidate_views: HashMap::new(),
         };
         grounder.compile_templates()?;
@@ -992,10 +996,10 @@ impl Grounder {
             for (binding, record) in records {
                 let (head, vars) = grounder.record_vars(template, binding);
                 for var in vars {
-                    grounder.var_use[var].refs += 1;
+                    grounder.catalog.vars.usage[var].refs += 1;
                 }
                 if let Some(head) = head {
-                    let usage = &mut grounder.var_use[head];
+                    let usage = &mut grounder.catalog.vars.usage[head];
                     usage.head_refs += 1;
                     if let Some(polarity) = record.label {
                         usage.add_label(polarity, 1);

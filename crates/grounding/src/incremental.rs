@@ -32,8 +32,11 @@
 //! typed [`GroundingError::Retraction`].
 
 use crate::ast::{Rule, RuleKind};
+use crate::catalog::{RelSlot, VarKey};
 use crate::error::{GroundingError, ProgramError};
-use crate::grounder::{new_weight, CatalogOp, Grounder, GroundingRecord, RuleTemplate};
+use crate::grounder::{
+    new_weight, own_factor, AtomTemplate, Grounder, GroundingRecord, RuleTemplate,
+};
 use dd_factorgraph::{
     DeltaFactor, EvidenceChange, FactorId, GraphDelta, Lit, NewVarRef, NewWeightRef, VarId,
     Variable,
@@ -133,6 +136,8 @@ struct NewBinding {
     binding: Tuple,
     support: i64,
     label: Option<bool>,
+    /// The head tuple, to insert into the head relation once the update lands.
+    head_tuple: Tuple,
     /// The grounding's head, then the body literals of its factor.
     referenced: Vec<NewVarRef>,
     /// Index into `delta.new_factors`, for weighted rules.
@@ -149,15 +154,14 @@ struct DeltaBuilder {
     /// Origin-key base for pending variables: the grounder's `next_var_key`
     /// at builder creation (pending var `i` gets origin key `base + i`).
     base_var_key: u64,
-    pending_vars: HashMap<(String, Tuple), usize>,
-    pending_var_keys: Vec<(String, Tuple)>,
+    /// Pending new variables by catalog slot and tuple.
+    pending_vars: HashMap<(RelSlot, Tuple), usize>,
+    pending_var_keys: Vec<(RelSlot, Tuple)>,
     pending_weights: HashMap<String, usize>,
     pending_weight_keys: Vec<String>,
     new_bindings: Vec<NewBinding>,
     /// `(rule index, binding)` pairs staged so far.
     seen_bindings: HashSet<(usize, Tuple)>,
-    /// Head tuples to insert into their relation's table once the update lands.
-    pending_head_tuples: Vec<(String, Tuple)>,
 }
 
 impl DeltaBuilder {
@@ -168,19 +172,19 @@ impl DeltaBuilder {
         }
     }
 
-    /// Resolve a `(relation, tuple)` to an existing variable or a pending new one.
-    fn var_ref(&mut self, grounder: &Grounder, relation: &str, tuple: &Tuple) -> NewVarRef {
-        let key = (relation.to_string(), tuple.clone());
-        if let Some(&v) = grounder.var_catalog.get(&key) {
+    /// Resolve an atom's tuple to an existing variable or a pending new one.
+    fn var_ref(&mut self, grounder: &Grounder, atom: &AtomTemplate, tuple: &Tuple) -> NewVarRef {
+        if let Some(&v) = grounder.catalog.relation(atom.slot).vars.get(tuple) {
             return NewVarRef::Existing(v);
         }
+        let key = (atom.slot, tuple.clone());
         if let Some(&i) = self.pending_vars.get(&key) {
             return NewVarRef::New(i);
         }
         let i = self.delta.new_variables.len();
-        self.delta
-            .new_variables
-            .push(Variable::query(0).with_origin(relation, self.base_var_key + i as u64));
+        self.delta.new_variables.push(
+            Variable::query(0).with_origin(atom.relation.clone(), self.base_var_key + i as u64),
+        );
         self.pending_vars.insert(key.clone(), i);
         self.pending_var_keys.push(key);
         NewVarRef::New(i)
@@ -229,14 +233,15 @@ impl DeltaBuilder {
         }
 
         let head_tuple = template.head.instantiate(binding);
-        let head_ref = self.var_ref(grounder, &template.head.relation, &head_tuple);
+        let head_ref = self.var_ref(grounder, &template.head, &head_tuple);
         let mut referenced = vec![head_ref];
 
         let mut label = None;
         let mut factor_slot = None;
         match template.label {
             Some(polarity) => {
-                if !grounder.is_supervision_suppressed(&template.head.relation, &head_tuple) {
+                let head_relation = grounder.catalog.relation(template.head.slot);
+                if !head_relation.suppressed.contains(&head_tuple) {
                     label = Some(polarity);
                 }
             }
@@ -245,7 +250,7 @@ impl DeltaBuilder {
                 // `var_refs` slots: the body literals in order, then the head.
                 let mut body_lits = Vec::with_capacity(template.body_vars.len());
                 for atom in &template.body_vars {
-                    let r = self.var_ref(grounder, &atom.relation, &atom.instantiate(binding));
+                    let r = self.var_ref(grounder, atom, &atom.instantiate(binding));
                     body_lits.push(Lit {
                         var: referenced.len() - 1,
                         positive: atom.positive,
@@ -266,13 +271,12 @@ impl DeltaBuilder {
                 });
             }
         }
-        self.pending_head_tuples
-            .push((template.head.relation.clone(), head_tuple));
         self.new_bindings.push(NewBinding {
             template: Arc::clone(template),
             binding: binding.clone(),
             support: count.max(1),
             label,
+            head_tuple,
             referenced,
             factor_slot,
         });
@@ -321,35 +325,6 @@ impl Grounder {
         }
     }
 
-    /// Remove one unreferenced variable from the graph, the catalog and its
-    /// inverse, patching the entry of the variable `swap_remove` moved into
-    /// the freed id.  Records the catalog ops and the removal op for replay.
-    fn retract_variable(
-        &mut self,
-        key: &(String, Tuple),
-        ops: &mut Vec<VarId>,
-        touched_relations: &mut BTreeSet<String>,
-    ) {
-        let Some(vid) = self.var_catalog.remove(key) else {
-            return;
-        };
-        let moved = self.graph.remove_variable(vid);
-        self.var_keys.swap_remove(vid);
-        self.var_use.swap_remove(vid);
-        ops.push(vid);
-        self.log_catalog_op(&key.0, CatalogOp::Remove(key.1.clone()));
-        touched_relations.insert(key.0.clone());
-        if moved.is_some() {
-            // The variable formerly last now lives at `vid`.
-            let moved_key = self.var_keys[vid].clone();
-            if let Some(id) = self.var_catalog.get_mut(&moved_key) {
-                *id = vid;
-            }
-            self.log_catalog_op(&moved_key.0, CatalogOp::Upsert(moved_key.1, vid));
-            touched_relations.insert(moved_key.0);
-        }
-    }
-
     /// Incrementally ground an update, mutating the database, the catalogs, and
     /// the factor graph, and returning the applied [`GraphDelta`] plus statistics.
     pub fn ground_incremental(
@@ -363,7 +338,8 @@ impl Grounder {
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         let mut derived_deltas: HashMap<String, DeltaRelation> = HashMap::new();
-        let mut touched_relations = BTreeSet::new();
+        // Catalog slots of the relations whose catalog changes in this run.
+        let mut touched_slots: BTreeSet<RelSlot> = BTreeSet::new();
         let mut stats = ExecStats::default();
 
         // New rules are compiled before anything is touched, so a malformed
@@ -373,7 +349,8 @@ impl Grounder {
             .iter()
             .enumerate()
             .map(|(i, rule)| {
-                RuleTemplate::compile(&self.program, rule, self.program.rules.len() + i)
+                let index = self.program.rules.len() + i;
+                RuleTemplate::compile(&self.program, &mut self.catalog, rule, index)
             })
             .collect::<Result<Vec<_>, _>>()?;
 
@@ -382,10 +359,12 @@ impl Grounder {
         // are emitted by the final evidence pass, once every removal and
         // addition has settled the variable ids, so the replayed delta applies
         // them to the right (post-compaction) variables.
-        let mut forced_evidence: BTreeSet<(String, Tuple)> = BTreeSet::new();
+        let mut forced_evidence: BTreeSet<VarKey> = BTreeSet::new();
         for (relation, tuple) in &update.retracted_supervision {
             self.apply_supervision_retraction(relation, tuple);
-            forced_evidence.insert((relation.clone(), tuple.clone()));
+            let slot = self.catalog.intern(relation);
+            let handle = self.catalog.relation(slot).handle.clone();
+            forced_evidence.insert((handle, tuple.clone()));
         }
 
         // ---- 1. cascade through candidate-mapping rules (pre-update database).
@@ -492,8 +471,8 @@ impl Grounder {
         // removed afterwards in sorted key order.
         let mut removed_factor_ops: Vec<FactorId> = Vec::new();
         let mut removed_var_ops: Vec<VarId> = Vec::new();
-        let mut label_dirty: BTreeSet<(String, Tuple)> = BTreeSet::new();
-        let mut dead_var_keys: BTreeSet<(String, Tuple)> = BTreeSet::new();
+        let mut label_dirty: BTreeSet<VarKey> = BTreeSet::new();
+        let mut dead_var_keys: BTreeSet<VarKey> = BTreeSet::new();
         let mut retracted_groundings = 0usize;
         for (template, delta) in &rule_deltas {
             for (binding, count) in delta.iter() {
@@ -535,33 +514,40 @@ impl Grounder {
                 if let Some(fid) = record.factor {
                     self.retract_factor(fid, &mut removed_factor_ops);
                 }
+                let vars = &mut self.catalog.vars;
                 for var in referenced {
-                    let usage = &mut self.var_use[var];
+                    let usage = &mut vars.usage[var];
                     usage.refs -= 1;
                     if usage.refs <= 0 {
-                        dead_var_keys.insert(self.var_keys[var].clone());
+                        dead_var_keys.insert(vars.keys[var].clone());
                     }
                 }
                 let Some(head) = head else {
                     continue;
                 };
-                let usage = &mut self.var_use[head];
+                let usage = &mut vars.usage[head];
                 if let Some(label) = record.label {
                     usage.add_label(label, -1);
-                    label_dirty.insert(self.var_keys[head].clone());
+                    label_dirty.insert(vars.keys[head].clone());
                 }
                 usage.head_refs -= 1;
                 if usage.head_refs <= 0 {
                     // Withdraw the derivation this grounding inserted into
                     // the head's variable relation.
                     if let Ok(table) = self.db.table_mut(&template.head.relation) {
-                        table.delete(&self.var_keys[head].1);
+                        table.delete(&vars.keys[head].1);
                     }
                 }
             }
         }
         for key in &dead_var_keys {
-            self.retract_variable(key, &mut removed_var_ops, &mut touched_relations);
+            // The catalog patches the entry of the variable `swap_remove`
+            // moved into the freed id and records both catalog ops.
+            if let Some((vid, slot, moved_slot)) = self.catalog.remove(key, &mut self.graph) {
+                removed_var_ops.push(vid);
+                touched_slots.insert(slot);
+                touched_slots.extend(moved_slot);
+            }
         }
 
         // ---- 3. apply the relational deltas to the database.
@@ -574,7 +560,7 @@ impl Grounder {
         // ---- 4. additions: positive binding counts, resolved against the
         // post-removal graph, plus brand-new rules grounded in full against
         // the post-update database.
-        let mut builder = DeltaBuilder::new(self.next_var_key);
+        let mut builder = DeltaBuilder::new(self.catalog.vars.next_key);
         for (template, delta) in &rule_deltas {
             for (binding, count) in delta.iter() {
                 if count <= 0 {
@@ -614,51 +600,75 @@ impl Grounder {
         let additions = std::mem::take(&mut builder.delta);
         let base_weight_count = self.graph.num_weights();
         let (new_var_ids, new_factor_ids) = self.graph.apply_delta(&additions);
-        self.next_var_key += builder.pending_var_keys.len() as u64;
-        for (key, id) in builder.pending_var_keys.into_iter().zip(&new_var_ids) {
-            touched_relations.insert(key.0.clone());
-            self.register_variable(key, *id);
+        self.catalog.vars.next_key += builder.pending_var_keys.len() as u64;
+        for ((slot, tuple), id) in builder.pending_var_keys.into_iter().zip(&new_var_ids) {
+            touched_slots.insert(slot);
+            let (relation, vars) = self.catalog.relation_and_vars(slot);
+            relation.register(tuple, *id, vars);
         }
         for (i, key) in builder.pending_weight_keys.into_iter().enumerate() {
             self.weight_catalog.insert(key, base_weight_count + i);
         }
         let new_groundings = builder.new_bindings.len();
-        for staged in builder.new_bindings {
-            let factor = staged.factor_slot.map(|slot| new_factor_ids[slot]);
-            if let Some(fid) = factor {
-                self.own_factor(fid, staged.template.index, staged.binding.clone());
+        // Staged bindings arrive grouped by rule; the rule's record map and
+        // its head relation's table are looked up once per group.
+        let mut staged_bindings = builder.new_bindings.into_iter().peekable();
+        while let Some(first) = staged_bindings.peek() {
+            let template = Arc::clone(&first.template);
+            let records = self
+                .grounded_bindings
+                .entry(template.name.clone())
+                .or_default();
+            let mut head_table = self.db.table_mut(&template.head.relation).ok();
+            while let Some(staged) =
+                staged_bindings.next_if(|s| Arc::ptr_eq(&s.template, &template))
+            {
+                let factor = staged.factor_slot.map(|slot| new_factor_ids[slot]);
+                if let Some(fid) = factor {
+                    own_factor(
+                        &mut self.factor_owners,
+                        &mut self.weight_use,
+                        fid,
+                        self.graph.factor(fid).weight_id,
+                        template.index,
+                        staged.binding.clone(),
+                    );
+                }
+                let mut referenced: Vec<VarId> = staged
+                    .referenced
+                    .iter()
+                    .map(|r| match r {
+                        NewVarRef::Existing(v) => *v,
+                        NewVarRef::New(i) => new_var_ids[*i],
+                    })
+                    .collect();
+                let head = referenced[0];
+                referenced.sort_unstable();
+                referenced.dedup();
+                let vars = &mut self.catalog.vars;
+                for var in referenced {
+                    vars.usage[var].refs += 1;
+                }
+                let usage = &mut vars.usage[head];
+                usage.head_refs += 1;
+                if let Some(label) = staged.label {
+                    usage.add_label(label, 1);
+                    label_dirty.insert(vars.keys[head].clone());
+                }
+                records.insert(
+                    staged.binding,
+                    GroundingRecord {
+                        support: staged.support,
+                        factor,
+                        label: staged.label,
+                    },
+                );
+                // The head tuple enters its relation unless it is already
+                // there (or does not fit the declared schema).
+                if let Some(table) = head_table.as_deref_mut() {
+                    let _ = table.insert_if_absent(staged.head_tuple);
+                }
             }
-            let mut referenced: Vec<VarId> = staged
-                .referenced
-                .iter()
-                .map(|r| match r {
-                    NewVarRef::Existing(v) => *v,
-                    NewVarRef::New(i) => new_var_ids[*i],
-                })
-                .collect();
-            let head = referenced[0];
-            referenced.sort_unstable();
-            referenced.dedup();
-            for var in referenced {
-                self.var_use[var].refs += 1;
-            }
-            let usage = &mut self.var_use[head];
-            usage.head_refs += 1;
-            if let Some(label) = staged.label {
-                usage.add_label(label, 1);
-                label_dirty.insert(self.var_keys[head].clone());
-            }
-            self.records_mut(&staged.template.name).insert(
-                staged.binding,
-                GroundingRecord {
-                    support: staged.support,
-                    factor,
-                    label: staged.label,
-                },
-            );
-        }
-        for (relation, tuple) in builder.pending_head_tuples {
-            self.insert_head_tuple(&relation, tuple);
         }
 
         // Evidence pass: every variable whose label counts changed (or whose
@@ -667,10 +677,10 @@ impl Grounder {
         // updated in phase 0, but a replayed delta still needs the transition.
         let mut evidence_changes = Vec::new();
         for key in label_dirty.union(&forced_evidence) {
-            let Some(&var) = self.var_catalog.get(key) else {
+            let Some(var) = self.catalog.get_key(key) else {
                 continue;
             };
-            let role = self.var_use[var].role();
+            let role = self.catalog.vars.usage[var].role();
             if forced_evidence.contains(key) || self.graph.variable(var).role != role {
                 let v = self.graph.variable_mut(var);
                 v.role = role;
@@ -692,7 +702,7 @@ impl Grounder {
             derived_deltas,
             new_groundings,
             retracted_groundings,
-            touched_relations,
+            touched_relations: self.catalog.names_of(touched_slots),
             rows_probed: stats.rows_probed,
         })
     }
@@ -702,6 +712,7 @@ impl Grounder {
 mod tests {
     use super::*;
     use crate::ast::{RuleAtom, WeightSpec};
+    use crate::grounder::CatalogOp;
     use crate::program::{Program, RelationDecl, RelationRole};
     use crate::udf::standard_udfs;
     use dd_factorgraph::VariableRole;

@@ -23,6 +23,7 @@
 //!   [`dd_factorgraph::GraphDelta`].
 
 pub mod ast;
+mod catalog;
 pub mod error;
 pub mod grounder;
 pub mod incremental;

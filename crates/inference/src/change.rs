@@ -16,6 +16,7 @@
 
 use dd_factorgraph::{FactorGraph, FactorId, GraphDelta, VarId, WeightId, WorldView};
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 
 /// The changed part of a distribution, expressed against the *updated* graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -95,31 +96,77 @@ impl DistributionChange {
             && self.new_variables.is_empty()
     }
 
+    /// Resolve the change against the *updated* graph, once, into what an
+    /// evaluation of `ΔW(I)` reads per world: the new factors, and every
+    /// pre-existing factor tied to a changed weight with its weight
+    /// difference.  Finding the latter is one pass over the graph's factors;
+    /// callers that price many worlds (an MH chain, the strawman's
+    /// enumeration) resolve once and evaluate per world.
+    pub fn resolve<'a>(&'a self, updated: &'a FactorGraph) -> ResolvedChange<'a> {
+        // Changed weights with a non-zero difference, in recorded order (a
+        // weight recorded twice contributes twice, as it always has).
+        let changed: Vec<(WeightId, f64)> = self
+            .changed_weights
+            .iter()
+            .map(|&(w, old_value)| (w, updated.weight(w).value - old_value))
+            .filter(|&(_, diff)| diff != 0.0)
+            .collect();
+        let mut reweighted = Vec::new();
+        if !changed.is_empty() {
+            let new_factors: HashSet<FactorId> = self.new_factors.iter().copied().collect();
+            let mut tied: HashMap<WeightId, Vec<FactorId>> =
+                changed.iter().map(|&(w, _)| (w, Vec::new())).collect();
+            for (fid, factor) in updated.factors().iter().enumerate() {
+                if let Some(factors) = tied.get_mut(&factor.weight_id) {
+                    if !new_factors.contains(&fid) {
+                        factors.push(fid);
+                    }
+                }
+            }
+            // Changed-weight order, then factor-id order: the order the sum
+            // has always been taken in, so it is bit-identical.
+            for &(w, diff) in &changed {
+                reweighted.extend(tied[&w].iter().map(|&fid| (fid, diff)));
+            }
+        }
+        ResolvedChange {
+            change: self,
+            updated,
+            reweighted,
+        }
+    }
+}
+
+/// A [`DistributionChange`] resolved against its updated graph (see
+/// [`DistributionChange::resolve`]).
+#[derive(Debug, Clone)]
+pub struct ResolvedChange<'a> {
+    change: &'a DistributionChange,
+    updated: &'a FactorGraph,
+    /// `(factor, w_new − w_old)` for every pre-existing factor tied to a
+    /// changed weight.
+    reweighted: Vec<(FactorId, f64)>,
+}
+
+impl ResolvedChange<'_> {
     /// `ΔW(I)`: the log-weight difference contributed by the changed part of the
     /// graph, evaluated in `world` against the *updated* graph.  Returns
     /// `f64::NEG_INFINITY` for worlds inconsistent with new evidence.
-    pub fn delta_log_weight<W: WorldView + ?Sized>(&self, updated: &FactorGraph, world: &W) -> f64 {
-        for &(v, required) in &self.new_evidence {
+    pub fn delta_log_weight<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
+        for &(v, required) in &self.change.new_evidence {
             if world.value(v) != required {
                 return f64::NEG_INFINITY;
             }
         }
+        let updated = self.updated;
         let mut total = 0.0;
-        for &f in &self.new_factors {
+        for &f in &self.change.new_factors {
             let factor = updated.factor(f);
             total += factor.energy(world, updated.weight(factor.weight_id).value);
         }
-        for &(w, old_value) in &self.changed_weights {
-            let diff = updated.weight(w).value - old_value;
-            if diff == 0.0 {
-                continue;
-            }
-            // Every factor tied to this weight contributes (w_new − w_old)·φ.
-            for (fid, factor) in updated.factors().iter().enumerate() {
-                if factor.weight_id == w && !self.new_factors.contains(&fid) {
-                    total += diff * factor.feature_value(world);
-                }
-            }
+        // Every factor tied to a changed weight contributes (w_new − w_old)·φ.
+        for &(f, diff) in &self.reweighted {
+            total += diff * updated.factor(f).feature_value(world);
         }
         total
     }
@@ -162,9 +209,9 @@ mod tests {
 
         // Δ log-weight is 2.0 only when both var 0 and the new var are true.
         let world_both = World::from_values(vec![true, false, true]);
-        assert!((change.delta_log_weight(&g, &world_both) - 2.0).abs() < 1e-12);
+        assert!((change.resolve(&g).delta_log_weight(&world_both) - 2.0).abs() < 1e-12);
         let world_one = World::from_values(vec![true, false, false]);
-        assert_eq!(change.delta_log_weight(&g, &world_one), 0.0);
+        assert_eq!(change.resolve(&g).delta_log_weight(&world_one), 0.0);
     }
 
     #[test]
@@ -181,9 +228,9 @@ mod tests {
         assert_eq!(change.changed_weights, vec![(0, 1.0)]);
         // Both variables true -> two factors tied to weight 0 -> Δ = 2 × 0.5.
         let world = World::from_values(vec![true, true]);
-        assert!((change.delta_log_weight(&g, &world) - 1.0).abs() < 1e-12);
+        assert!((change.resolve(&g).delta_log_weight(&world) - 1.0).abs() < 1e-12);
         let world0 = World::from_values(vec![false, false]);
-        assert_eq!(change.delta_log_weight(&g, &world0), 0.0);
+        assert_eq!(change.resolve(&g).delta_log_weight(&world0), 0.0);
     }
 
     #[test]
@@ -199,10 +246,10 @@ mod tests {
         let change = DistributionChange::apply_and_describe(&mut g, &delta);
         assert_eq!(change.new_evidence, vec![(1, true)]);
         let consistent = World::from_values(vec![false, true]);
-        assert_eq!(change.delta_log_weight(&g, &consistent), 0.0);
+        assert_eq!(change.resolve(&g).delta_log_weight(&consistent), 0.0);
         let inconsistent = World::from_values(vec![false, false]);
         assert_eq!(
-            change.delta_log_weight(&g, &inconsistent),
+            change.resolve(&g).delta_log_weight(&inconsistent),
             f64::NEG_INFINITY
         );
     }
@@ -213,6 +260,6 @@ mod tests {
         let change = DistributionChange::apply_and_describe(&mut g, &GraphDelta::new());
         assert!(change.is_empty());
         let w = World::from_values(vec![true, true]);
-        assert_eq!(change.delta_log_weight(&g, &w), 0.0);
+        assert_eq!(change.resolve(&g).delta_log_weight(&w), 0.0);
     }
 }

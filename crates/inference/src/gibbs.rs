@@ -56,11 +56,50 @@ impl GibbsOptions {
 
 /// A set of worlds drawn from a factor graph — the "tuple bundles" that the
 /// sampling materialization strategy stores (§3.2.2, after MCDB).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// All samples live in one contiguous arena of `u64` words with a fixed
+/// stride of `num_vars.div_ceil(64)` words per sample, in the same packed
+/// layout as [`World`] (low bit of a row's word 0 is variable 0, bits at
+/// positions `>= num_vars` are zero).  Storing a sample appends the
+/// sampler's words; reading one is a borrowed [`SampleRow`] — no sample is
+/// ever its own heap object.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SampleSet {
-    pub num_vars: usize,
-    /// Bit-packed worlds, one entry per sample.
-    bundles: Vec<Vec<u8>>,
+    num_vars: usize,
+    /// Number of stored samples (the arena is empty when `num_vars == 0`).
+    len: usize,
+    words: Vec<u64>,
+}
+
+/// One stored sample, borrowed from its [`SampleSet`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampleRow<'a> {
+    words: &'a [u64],
+    num_vars: usize,
+}
+
+impl<'a> SampleRow<'a> {
+    /// The row's packed words (see [`World::as_words`]).
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// The row as bytes, 8 variables per byte — `num_vars.div_ceil(8)` of
+    /// them, exactly [`World::to_bitvec`] of the sampled world (the
+    /// checkpoint codec's unit).
+    pub fn bytes(&self) -> impl Iterator<Item = u8> + 'a {
+        self.words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .take(self.num_vars.div_ceil(8))
+    }
+}
+
+impl WorldView for SampleRow<'_> {
+    #[inline]
+    fn value(&self, v: VarId) -> bool {
+        self.words[v / 64] >> (v % 64) & 1 == 1
+    }
 }
 
 impl SampleSet {
@@ -68,61 +107,102 @@ impl SampleSet {
     pub fn new(num_vars: usize) -> Self {
         SampleSet {
             num_vars,
-            bundles: Vec::new(),
+            len: 0,
+            words: Vec::new(),
         }
+    }
+
+    /// Number of variables every sample assigns.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// Words per stored sample.
+    fn stride(&self) -> usize {
+        self.num_vars.div_ceil(64)
+    }
+
+    /// Make room for `additional` more samples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.words.reserve(additional * self.stride());
     }
 
     /// Number of stored samples.
     pub fn len(&self) -> usize {
-        self.bundles.len()
+        self.len
     }
 
     /// True if no samples are stored.
     pub fn is_empty(&self) -> bool {
-        self.bundles.is_empty()
+        self.len == 0
     }
 
-    /// Store a world (bit-packed: one bit per variable).
+    /// Store a world: its words are appended to the arena.
     pub fn push(&mut self, world: &World) {
-        debug_assert_eq!(world.len(), self.num_vars);
-        self.bundles.push(world.to_bitvec());
+        assert_eq!(world.len(), self.num_vars, "sample over the wrong graph");
+        self.words.extend_from_slice(world.as_words());
+        self.len += 1;
     }
 
-    /// Retrieve the `i`-th stored world.
-    pub fn get(&self, i: usize) -> World {
-        World::from_bitvec(&self.bundles[i], self.num_vars)
+    /// Store a sample given as bytes, 8 variables per byte (the inverse of
+    /// [`SampleRow::bytes`]; bits at positions `>= num_vars` are dropped).
+    /// Returns `false`, storing nothing, unless there are exactly
+    /// `num_vars.div_ceil(8)` bytes.
+    pub fn push_bytes(&mut self, bytes: &[u8]) -> bool {
+        if bytes.len() != self.num_vars.div_ceil(8) {
+            return false;
+        }
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.words.push(u64::from_le_bytes(word));
+        }
+        let tail = self.num_vars % 64;
+        if tail != 0 {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
+        self.len += 1;
+        true
     }
 
-    /// The raw bit-packed bundles (checkpoint codec access).
-    pub fn bundles(&self) -> &[Vec<u8>] {
-        &self.bundles
+    /// The `i`-th stored sample.
+    pub fn row(&self, i: usize) -> SampleRow<'_> {
+        assert!(i < self.len, "sample {i} out of bounds ({})", self.len);
+        let stride = self.stride();
+        SampleRow {
+            words: &self.words[i * stride..(i + 1) * stride],
+            num_vars: self.num_vars,
+        }
     }
 
-    /// Rebuild a sample set from raw bundles, exactly as stored.
-    pub fn from_bundles(num_vars: usize, bundles: Vec<Vec<u8>>) -> Self {
-        SampleSet { num_vars, bundles }
+    /// The stored samples, in the order they were drawn.
+    pub fn rows(&self) -> impl Iterator<Item = SampleRow<'_>> {
+        (0..self.len).map(|i| self.row(i))
     }
 
-    /// Approximate storage size in bytes.
+    /// Storage size in bytes at 1 bit per variable per sample (the arena
+    /// itself rounds every sample up to whole words).
     pub fn storage_bytes(&self) -> usize {
-        self.bundles.iter().map(|b| b.len()).sum()
+        self.len * self.num_vars.div_ceil(8)
     }
 
     /// Empirical marginals of the stored samples, accumulated straight off the
     /// packed bits (no per-sample `World` is ever materialized).
     pub fn marginals(&self) -> Marginals {
         let mut counts = vec![0usize; self.num_vars];
-        for bundle in &self.bundles {
-            for (byte_index, &byte) in bundle.iter().enumerate() {
-                let mut bits = byte;
+        for row in self.rows() {
+            for (word_index, &word) in row.words.iter().enumerate() {
+                let mut bits = word;
                 while bits != 0 {
                     let bit = bits.trailing_zeros() as usize;
-                    counts[byte_index * 8 + bit] += 1;
+                    counts[word_index * 64 + bit] += 1;
                     bits &= bits - 1;
                 }
             }
         }
-        let n = self.bundles.len().max(1) as f64;
+        let n = self.len.max(1) as f64;
         Marginals::from_values(counts.into_iter().map(|c| c as f64 / n).collect())
     }
 }
@@ -207,6 +287,17 @@ impl<'g> GibbsSampler<'g> {
         self.world = world;
     }
 
+    /// Restart the RNG stream from `seed`, keeping the current world.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = SweepRng::seed_from_u64(seed);
+    }
+
+    /// The current world, for overwriting in place (the caller keeps its
+    /// length and the evidence assignment).
+    pub fn world_mut(&mut self) -> &mut World {
+        &mut self.world
+    }
+
     /// The current world.
     pub fn world(&self) -> &World {
         &self.world
@@ -270,6 +361,7 @@ impl<'g> GibbsSampler<'g> {
             self.sweep();
         }
         let mut set = SampleSet::new(self.flat.num_variables());
+        set.reserve(n);
         for _ in 0..n {
             self.sweep();
             set.push(&self.world);
@@ -409,10 +501,12 @@ mod tests {
         let mut s = GibbsSampler::new(&g, 5);
         let set = s.draw_samples(64, 10);
         assert_eq!(set.len(), 64);
-        // 2 variables -> 1 byte per bundle
+        // 2 variables -> 1 byte per sample
         assert_eq!(set.storage_bytes(), 64);
-        let w = set.get(0);
-        assert_eq!(w.len(), 2);
+        // The last row is the sampler's final world, bit for bit.
+        let last = set.row(63);
+        assert_eq!(last.words(), s.world().as_words());
+        assert_eq!(last.bytes().collect::<Vec<u8>>(), s.world().to_bitvec());
         let m = set.marginals();
         assert!(m.get(0) >= 0.0 && m.get(0) <= 1.0);
     }
@@ -423,12 +517,11 @@ mod tests {
         let mut s = GibbsSampler::new(&g, 21);
         let set = s.draw_samples(200, 20);
         let fast = set.marginals();
-        // Reference: unpack every world and count.
-        let mut counts = vec![0usize; set.num_vars];
-        for i in 0..set.len() {
-            let w = set.get(i);
+        // Reference: read every row bit by bit and count.
+        let mut counts = vec![0usize; set.num_vars()];
+        for row in set.rows() {
             for (v, c) in counts.iter_mut().enumerate() {
-                if w.value(v) {
+                if row.value(v) {
                     *c += 1;
                 }
             }
@@ -436,6 +529,57 @@ mod tests {
         for (v, &c) in counts.iter().enumerate() {
             assert!((fast.get(v) - c as f64 / set.len() as f64).abs() < 1e-12);
         }
+    }
+
+    /// The per-sample `Vec<u8>` bundle store the arena replaced, kept as the
+    /// reference the arena's byte view must reproduce.
+    fn reference_bundles(worlds: &[World]) -> Vec<Vec<u8>> {
+        worlds.iter().map(World::to_bitvec).collect()
+    }
+
+    #[test]
+    fn arena_rows_round_trip_through_bundle_bytes() {
+        // Word-aligned, sub-word, and straddling sizes; 0 variables too.
+        for num_vars in [0usize, 1, 7, 8, 63, 64, 65, 130, 192] {
+            let worlds: Vec<World> = (0..5)
+                .map(|s| World::from_values((0..num_vars).map(|v| (v * 7 + s) % 3 == 0).collect()))
+                .collect();
+            let mut set = SampleSet::new(num_vars);
+            for w in &worlds {
+                set.push(w);
+            }
+            assert_eq!(set.len(), 5);
+            assert_eq!(set.storage_bytes(), 5 * num_vars.div_ceil(8));
+            let bundles = reference_bundles(&worlds);
+            let mut decoded = SampleSet::new(num_vars);
+            for (row, bundle) in set.rows().zip(&bundles) {
+                assert_eq!(&row.bytes().collect::<Vec<u8>>(), bundle, "{num_vars} vars");
+                assert!(decoded.push_bytes(bundle));
+            }
+            assert_eq!(decoded, set, "{num_vars} vars");
+            for (row, world) in decoded.rows().zip(&worlds) {
+                assert_eq!(row.words(), world.as_words());
+                assert!((0..num_vars).all(|v| row.value(v) == world.value(v)));
+            }
+        }
+        // The empty set: nothing stored, nothing to read, marginals all zero.
+        let empty = SampleSet::new(70);
+        assert!(empty.is_empty());
+        assert_eq!(empty.rows().count(), 0);
+        assert_eq!(empty.storage_bytes(), 0);
+        assert_eq!(empty.marginals().values(), vec![0.0; 70]);
+    }
+
+    #[test]
+    fn push_bytes_rejects_wrong_lengths_and_masks_the_tail() {
+        let mut set = SampleSet::new(12);
+        assert!(!set.push_bytes(&[0xff]));
+        assert!(!set.push_bytes(&[0xff, 0xff, 0xff]));
+        assert!(set.is_empty());
+        // Bits 12..16 of the second byte are beyond the variables.
+        assert!(set.push_bytes(&[0xff, 0xff]));
+        assert_eq!(set.row(0).words(), &[0x0fff]);
+        assert_eq!(set.row(0).bytes().collect::<Vec<u8>>(), vec![0xff, 0x0f]);
     }
 
     #[test]

@@ -175,8 +175,17 @@ impl<'g> Learner<'g> {
 
     /// Run learning, mutating the graph's weights, and return the trace.
     pub fn learn(&mut self, options: &LearnOptions) -> LearningTrace {
+        let mut flat = self.graph.compile();
+        self.learn_on(&mut flat, options)
+    }
+
+    /// [`Learner::learn`] on a compilation of the learner's graph the caller
+    /// holds — and keeps: it comes back carrying the learned weights, ready
+    /// for the inference that follows.
+    pub fn learn_on(&mut self, flat: &mut FlatGraph, options: &LearnOptions) -> LearningTrace {
         if let Some(ws) = &options.warmstart {
             self.graph.set_weight_values(ws);
+            flat.refresh_weights(self.graph);
         }
 
         let mut trace = LearningTrace::default();
@@ -188,14 +197,14 @@ impl<'g> Learner<'g> {
             }
         };
 
-        // Compile once; each epoch only moves weight values, which
-        // `refresh_weights` re-resolves in place without rebuilding topology.
-        let mut flat = self.graph.compile();
-
+        // `flat` serves the whole run: each epoch only moves weight values,
+        // which `refresh_weights` re-resolves in place without rebuilding
+        // topology.
+        //
         // Nothing to learn: every epoch would sample both chains only to
         // skip every weight, and the loss never moves.
         if self.graph.weights().iter().all(|w| w.fixed) {
-            trace.losses = vec![self.evidence_loss_on(&flat); options.epochs];
+            trace.losses = vec![self.evidence_loss_on(flat); options.epochs];
             trace.final_weights = self.graph.weight_values();
             return trace;
         }
@@ -232,7 +241,7 @@ impl<'g> Learner<'g> {
                 None => {
                     let clamped = {
                         let mut s =
-                            GibbsSampler::from_flat(&flat, mix_seed(options.seed, epoch as u64));
+                            GibbsSampler::from_flat(flat, mix_seed(options.seed, epoch as u64));
                         if let Some(w) = clamped_world.take() {
                             s.set_world(w);
                         }
@@ -242,7 +251,7 @@ impl<'g> Learner<'g> {
                     };
                     let free = {
                         let mut s = GibbsSampler::from_flat(
-                            &flat,
+                            flat,
                             mix_seed(options.seed, FREE_STREAM + epoch as u64),
                         )
                         .with_free_vars(all_vars.clone());
@@ -273,7 +282,7 @@ impl<'g> Learner<'g> {
                 clamped_chain.refresh_weights(self.graph);
                 free_chain.refresh_weights(self.graph);
             }
-            trace.losses.push(self.evidence_loss_on(&flat));
+            trace.losses.push(self.evidence_loss_on(flat));
         }
         trace.final_weights = self.graph.weight_values();
         trace

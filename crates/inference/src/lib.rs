@@ -34,9 +34,9 @@ pub mod sampling;
 pub mod strawman;
 pub mod variational;
 
-pub use change::DistributionChange;
+pub use change::{DistributionChange, ResolvedChange};
 pub use convergence::{iterations_to_converge, ConvergenceReport};
-pub use gibbs::{sigmoid, GibbsOptions, GibbsSampler, SampleSet, SweepRng};
+pub use gibbs::{sigmoid, GibbsOptions, GibbsSampler, SampleRow, SampleSet, SweepRng};
 pub use learning::{LearnOptions, LearnStrategy, Learner, LearningTrace};
 pub use marginals::{calibration_buckets, CalibrationBucket, Marginals};
 pub use parallel::ParallelGibbs;

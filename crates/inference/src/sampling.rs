@@ -17,7 +17,7 @@
 use crate::change::DistributionChange;
 use crate::gibbs::{GibbsOptions, GibbsSampler, SampleSet};
 use crate::marginals::Marginals;
-use dd_factorgraph::{FactorGraph, FlatGraph, World, WorldView};
+use dd_factorgraph::{FactorGraph, FlatGraph, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -99,6 +99,13 @@ impl SampleMaterialization {
     /// Each chain step consumes one stored proposal; if the store runs out the
     /// outcome is flagged `exhausted` and the marginals reflect the steps taken
     /// so far.
+    ///
+    /// A step allocates nothing: the change is resolved against the updated
+    /// graph once ([`DistributionChange::resolve`]), proposals are read as
+    /// borrowed rows of the sample arena into one reusable world, and the
+    /// chain's state is added to the marginal counts once per *stay* —
+    /// `steps spent in the state × its bits` when the chain leaves it —
+    /// instead of once per step.
     pub fn infer(
         &self,
         updated: &FactorGraph,
@@ -108,9 +115,6 @@ impl SampleMaterialization {
     ) -> MhOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
         let total_vars = updated.num_variables();
-        let mut counts = vec![0usize; total_vars];
-        let mut accepted = 0usize;
-        let mut steps = 0usize;
 
         if self.samples.is_empty() {
             return MhOutcome {
@@ -121,14 +125,11 @@ impl SampleMaterialization {
             };
         }
 
+        let resolved = change.resolve(updated);
         // Proposal extension Gibbs-samples the new variables; compile the
         // updated graph once here instead of once per stored proposal.
-        let flat = if change.new_variables.is_empty() {
-            None
-        } else {
-            Some(updated.compile())
-        };
-        let init = updated.initial_world();
+        let flat = (!change.new_variables.is_empty()).then(|| updated.compile());
+        let mut proposals = ProposalStage::new(self, flat.as_ref(), updated, change);
 
         // Proposals are consumed in a shuffled order.  Consecutive Gibbs sweeps
         // are autocorrelated; the independence-sampler analysis (and therefore
@@ -145,60 +146,62 @@ impl SampleMaterialization {
         // evidence, so consistency is found by scanning, and only if *no* stored
         // sample is consistent do we repair one as a last resort.
         let mut next_proposal = 0usize;
-        let mut found: Option<(World, f64)> = None;
+        let mut found: Option<f64> = None;
         while next_proposal < order.len() {
-            let cand = self.extend_sample(flat.as_ref(), &init, change, order[next_proposal], seed);
+            let cand = proposals.load(order[next_proposal], seed);
             next_proposal += 1;
-            let d = change.delta_log_weight(updated, &cand);
+            let d = resolved.delta_log_weight(cand);
             if d > f64::NEG_INFINITY {
-                found = Some((cand, d));
+                found = Some(d);
                 break;
             }
         }
-        let (mut current, mut current_delta) = match found {
-            Some(pair) => pair,
+        let mut current_delta = match found {
+            Some(d) => d,
             None => {
-                let mut c = self.extend_sample(flat.as_ref(), &init, change, order[0], seed);
+                let c = proposals.load(order[0], seed);
                 for &(v, val) in &change.new_evidence {
                     c.set(v, val);
                 }
-                let d = change.delta_log_weight(updated, &c);
-                let d = if d == f64::NEG_INFINITY { 0.0 } else { d };
-                (c, d)
+                let d = resolved.delta_log_weight(c);
+                if d == f64::NEG_INFINITY {
+                    0.0
+                } else {
+                    d
+                }
             }
         };
+        // The chain's state, and the steps it has been counted for so far.
+        let mut current = proposals.take();
+        let mut stay = 0usize;
 
+        let mut counts = vec![0usize; total_vars];
+        let mut accepted = 0usize;
+        let mut steps = 0usize;
         let mut exhausted = false;
         for _ in 0..inference_samples {
             if next_proposal >= order.len() {
                 exhausted = true;
                 break;
             }
-            let proposal = self.extend_sample(
-                flat.as_ref(),
-                &init,
-                change,
-                order[next_proposal],
-                seed ^ 0x9e37,
-            );
+            let proposal = proposals.load(order[next_proposal], seed ^ 0x9e37);
             next_proposal += 1;
             steps += 1;
 
-            let proposal_delta = change.delta_log_weight(updated, &proposal);
+            let proposal_delta = resolved.delta_log_weight(proposal);
             // Independence sampler acceptance: the Pr(0) terms cancel, leaving
             // exp(ΔW(I') − ΔW(I)).
             let log_alpha = proposal_delta - current_delta;
             if log_alpha >= 0.0 || rng.gen::<f64>() < log_alpha.exp() {
-                current = proposal;
+                add_weighted(&mut counts, &current, stay);
+                proposals.swap(&mut current);
+                stay = 0;
                 current_delta = proposal_delta;
                 accepted += 1;
             }
-            for (v, c) in counts.iter_mut().enumerate() {
-                if current.value(v) {
-                    *c += 1;
-                }
-            }
+            stay += 1;
         }
+        add_weighted(&mut counts, &current, stay);
 
         let denom = steps.max(1) as f64;
         MhOutcome {
@@ -214,46 +217,114 @@ impl SampleMaterialization {
             exhausted,
         }
     }
+}
 
-    /// Fetch stored sample `i` and extend it to the updated graph: new variables
-    /// (ΔV) get values by Gibbs-sampling them conditioned on the stored part,
-    /// and new evidence is honoured.  `flat` is the compiled updated graph,
-    /// present exactly when the change introduces new variables; `init` is the
-    /// updated graph's initial world.
-    fn extend_sample(
-        &self,
-        flat: Option<&FlatGraph>,
-        init: &World,
+/// `counts[v] += times` for every variable `v` true in `world` (variables
+/// beyond `counts` are not counted).
+fn add_weighted(counts: &mut [usize], world: &World, times: usize) {
+    if times == 0 {
+        return;
+    }
+    for (word_index, &word) in world.as_words().iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let v = word_index * 64 + bits.trailing_zeros() as usize;
+            if let Some(count) = counts.get_mut(v) {
+                *count += times;
+            }
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Turns stored samples into proposals over the updated graph, one at a time,
+/// in one reusable world: new variables (ΔV) get values by Gibbs-sampling
+/// them conditioned on the stored part, everything else the stored sample
+/// does not cover starts from the updated graph's initial world.
+struct ProposalStage<'a> {
+    samples: &'a SampleSet,
+    /// The updated graph's initial world.
+    init: World,
+    /// Restricted sampler over the non-evidence new variables (its world is
+    /// the staged proposal); `None` when the change adds none.
+    sampler: Option<GibbsSampler<'a>>,
+    /// The staged proposal when there is no sampler to hold it.
+    world: World,
+}
+
+impl<'a> ProposalStage<'a> {
+    /// `flat` is the compiled updated graph, present exactly when the change
+    /// introduces new variables.
+    fn new(
+        materialization: &'a SampleMaterialization,
+        flat: Option<&'a FlatGraph>,
+        updated: &FactorGraph,
         change: &DistributionChange,
-        i: usize,
-        seed: u64,
-    ) -> World {
-        let stored = self.samples.get(i);
-        let mut values = stored.to_vec();
-        for v in self.num_original_vars..init.len() {
-            values.push(init.value(v));
+    ) -> Self {
+        let samples = &materialization.samples;
+        let mut init = updated.initial_world();
+        if init.len() < samples.num_vars() {
+            // A stored sample never covers more than the graph it extends
+            // to; keep every stored bit addressable if a caller breaks that.
+            init = World::all_false(samples.num_vars());
         }
-        let world = World::from_values(values);
-        let Some(flat) = flat else {
-            return world;
-        };
-        // A few restricted Gibbs sweeps over only the new variables.
-        let free: Vec<usize> = change
-            .new_variables
-            .iter()
-            .copied()
-            .filter(|&v| !flat.is_evidence(v))
-            .collect();
-        if free.is_empty() {
-            return world;
+        let sampler = flat.and_then(|flat| {
+            // A few restricted Gibbs sweeps over only the new variables.
+            let free: Vec<usize> = change
+                .new_variables
+                .iter()
+                .copied()
+                .filter(|&v| !flat.is_evidence(v))
+                .collect();
+            (!free.is_empty() && flat.num_variables() == init.len())
+                .then(|| GibbsSampler::from_flat(flat, 0).with_free_vars(free))
+        });
+        ProposalStage {
+            samples,
+            world: init.clone(),
+            init,
+            sampler,
         }
-        let mut sampler =
-            GibbsSampler::from_flat(flat, seed.wrapping_add(i as u64)).with_free_vars(free);
-        sampler.set_world(world);
-        for _ in 0..3 {
-            sampler.sweep();
+    }
+
+    fn staged(&mut self) -> &mut World {
+        match &mut self.sampler {
+            Some(sampler) => sampler.world_mut(),
+            None => &mut self.world,
         }
-        sampler.world().clone()
+    }
+
+    /// Stage stored sample `i` extended to the updated graph.
+    fn load(&mut self, i: usize, seed: u64) -> &mut World {
+        let row = self.samples.row(i);
+        let num_stored = self.samples.num_vars();
+        match &mut self.sampler {
+            Some(sampler) => {
+                sampler
+                    .world_mut()
+                    .assign_prefix_and_rest(row.words(), num_stored, &self.init);
+                sampler.reseed(seed.wrapping_add(i as u64));
+                for _ in 0..3 {
+                    sampler.sweep();
+                }
+            }
+            None => self
+                .world
+                .assign_prefix_and_rest(row.words(), num_stored, &self.init),
+        }
+        self.staged()
+    }
+
+    /// Move the staged proposal out (the stage keeps a world to reuse).
+    fn take(&mut self) -> World {
+        let mut out = self.init.clone();
+        self.swap(&mut out);
+        out
+    }
+
+    /// Exchange the staged proposal with `other`.
+    fn swap(&mut self, other: &mut World) {
+        std::mem::swap(self.staged(), other);
     }
 }
 

@@ -113,7 +113,7 @@ impl StrawmanMaterialization {
     ///
     /// New variables introduced by the change are enumerated on the fly (their
     /// count must keep the total enumeration feasible); evidence changes are
-    /// handled by `DistributionChange::delta_log_weight` returning −∞ for
+    /// handled by `ResolvedChange::delta_log_weight` returning −∞ for
     /// inconsistent worlds.
     pub fn incremental_marginals(
         &self,
@@ -132,6 +132,7 @@ impl StrawmanMaterialization {
             values.push(init.value(v));
         }
         let mut world = World::from_values(values);
+        let resolved = change.resolve(updated);
 
         let mut z = 0.0f64;
         let mut p_true = vec![0.0f64; total_vars];
@@ -150,7 +151,7 @@ impl StrawmanMaterialization {
                 for (i, &v) in new_vars.iter().enumerate() {
                     world.set(v, (new_mask >> i) & 1 == 1);
                 }
-                let delta = change.delta_log_weight(updated, &world);
+                let delta = resolved.delta_log_weight(&world);
                 if delta == f64::NEG_INFINITY {
                     continue;
                 }

@@ -27,7 +27,7 @@
 
 use crate::gibbs::{GibbsOptions, GibbsSampler, SampleSet};
 use crate::marginals::Marginals;
-use dd_factorgraph::{Factor, FactorGraph, GraphDelta, VarId, Weight, World, WorldView};
+use dd_factorgraph::{Factor, FactorGraph, GraphDelta, VarId, Weight, WorldView};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -96,9 +96,15 @@ impl VariationalMaterialization {
         let index_of: HashMap<VarId, usize> =
             query.iter().enumerate().map(|(i, &v)| (v, i)).collect();
 
-        // Line 2: NZ = pairs of query variables co-occurring in some factor.
+        // Line 2: NZ = pairs of query variables co-occurring in some factor
+        // (none without query variables: the factors need not be walked).
         let mut nz: HashSet<(usize, usize)> = HashSet::new();
-        for f in graph.factors() {
+        let factors = if query.is_empty() {
+            &[][..]
+        } else {
+            graph.factors()
+        };
+        for f in factors {
             let vars: Vec<usize> = f
                 .variables()
                 .into_iter()
@@ -114,13 +120,13 @@ impl VariationalMaterialization {
             }
         }
 
-        // Line 3: estimate means and the covariance matrix restricted to NZ.
+        // Line 3: estimate means and the covariance matrix restricted to NZ,
+        // straight off the stored rows.
         let n_samples = samples.len().max(1) as f64;
         let mut means = vec![0.0f64; query.len()];
-        let worlds: Vec<World> = (0..samples.len()).map(|i| samples.get(i)).collect();
-        for w in &worlds {
+        for row in samples.rows() {
             for (qi, &v) in query.iter().enumerate() {
-                if w.value(v) {
+                if row.value(v) {
                     means[qi] += 1.0;
                 }
             }
@@ -132,9 +138,9 @@ impl VariationalMaterialization {
         for &(a, b) in &nz {
             let (va, vb) = (query[a], query[b]);
             let mut c = 0.0;
-            for w in &worlds {
-                let xa = if w.value(va) { 1.0 } else { 0.0 };
-                let xb = if w.value(vb) { 1.0 } else { 0.0 };
+            for row in samples.rows() {
+                let xa = if row.value(va) { 1.0 } else { 0.0 };
+                let xb = if row.value(vb) { 1.0 } else { 0.0 };
                 c += (xa - means[a]) * (xb - means[b]);
             }
             cov.insert((a, b), c / n_samples);
@@ -155,10 +161,7 @@ impl VariationalMaterialization {
         };
 
         // Lines 5-7: build the approximate graph — same variables, new factors.
-        let mut approx = FactorGraph::new();
-        for v in graph.variables() {
-            approx.add_variable(v.clone());
-        }
+        let mut approx = graph.variables_only();
         // Unary factors from the sample means preserve original marginals.
         for (qi, &v) in query.iter().enumerate() {
             let p = means[qi].clamp(1e-3, 1.0 - 1e-3);
