@@ -66,6 +66,20 @@
 //! so a per-binding or per-sample allocation cannot return unnoticed on a
 //! box too noisy to show it in a timing.
 //!
+//! A seventh series, `codec/*`, prices the JSON codec under checkpoints, WAL
+//! records and wire frames.  `parse_ns_per_byte_{64k,1m}` time
+//! `dd_wire::json::parse` on two documents of one shape, 64 KB and 1 MB, and
+//! `parse_scaling_x` is their ratio: about 1 for a scanner that is linear in
+//! the document, 16–20 for the one this replaced (it re-validated the rest of
+//! the document at every character of every string).
+//! `checkpoint_encode_allocs_per_row` (heap allocations of one steady-state
+//! `DeepDive::checkpoint` per stored base row: state export, encoding, file
+//! write) and `response_decode_allocs_per_row` (`Response::decode` of a
+//! 400-fact `all_facts` page, per fact) are exact counts under ceilings like
+//! the cold path's, and `recovery_ms_n650` is the reopening of a durable
+//! 648-document News directory holding a checkpoint with a materialization
+//! and 16 update rounds logged after it.
+//!
 //! Usage: `cargo run --release -p dd-bench --bin bench_sweeps [--smoke] [--only <series>] [output.json]`
 //!
 //! `--only cold_start` (any series name above) runs that series alone, for
@@ -85,13 +99,17 @@ use dd_inference::{
     SweepRng,
 };
 use dd_relstore::{tuple, DataType, Database, Schema, Tuple};
+use dd_server::{Batch, OpResult, Response};
 use dd_workloads::{pairwise_graph, KbcSystem, RuleTemplate, SyntheticConfig, SystemKind};
-use deepdive::{CatalogShards, DeepDive, EngineConfig, ExecutionMode, Snapshot};
+use deepdive::{
+    CatalogShards, DeepDive, DurabilityConfig, EngineConfig, ExecutionMode, FsyncPolicy, Snapshot,
+};
 use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -713,11 +731,16 @@ fn claims_database(facts: usize) -> Database {
 /// document-stream benchmark's program), so a cold start grounds variables.
 fn news_cold_start(scale: f64) -> (Program, Database) {
     let system = KbcSystem::generate(SystemKind::News, scale, 11);
+    (stream_program(&system), system.corpus.database.clone())
+}
+
+/// `system`'s program with FE1 + S1 + S2 added.
+fn stream_program(system: &KbcSystem) -> Program {
     let mut program = system.program.clone();
     for template in [RuleTemplate::FE1, RuleTemplate::S1, RuleTemplate::S2] {
         program.rules.push(template.rule(system.semantics));
     }
-    (program, system.corpus.database.clone())
+    program
 }
 
 fn cold_start_config() -> EngineConfig {
@@ -874,6 +897,164 @@ fn bench_cold_start(reps: usize, entries: &mut Vec<Entry>) {
     bench_cold_start_allocations(entries);
 }
 
+/// A wire response holding one `all_facts` page of `rows` facts.
+fn all_facts_page(rows: usize) -> Response {
+    let facts = (0..rows as i64)
+        .map(|i| {
+            let relation = if i % 3 == 0 { "Rel" } else { "Fact" };
+            (
+                relation.to_string(),
+                tuple![i / 6, i % 6],
+                0.5 + 0.001 * (i % 400) as f64,
+            )
+        })
+        .collect();
+    Response::Batch(Batch {
+        epoch: 7,
+        results: vec![OpResult::AllFacts(facts)],
+        epochs: None,
+    })
+}
+
+/// Best-of-`reps` nanoseconds per byte of `json::parse` on an `all_facts`
+/// document of about `bytes` bytes.
+fn parse_ns_per_byte(bytes: usize, reps: usize) -> f64 {
+    // A fact row encodes to ~55 bytes.
+    let text = String::from_utf8(all_facts_page(bytes / 55).encode()).expect("JSON is UTF-8");
+    let best = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let doc = dd_wire::json::parse(black_box(&text)).expect("the encoder's output parses");
+            let elapsed = start.elapsed().as_secs_f64();
+            black_box(doc);
+            elapsed
+        })
+        .fold(f64::INFINITY, f64::min);
+    best * 1e9 / text.len() as f64
+}
+
+/// A scratch directory for one durable engine of this process.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dd-bench-sweeps-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
+    println!("\ncodec: scanner scaling, allocations per row, recovery of a durable directory");
+    let (small, large) = (
+        parse_ns_per_byte(64 << 10, 4 * reps),
+        parse_ns_per_byte(1 << 20, reps),
+    );
+    println!(
+        "  parse: {small:.2} ns/B at 64 KB | {large:.2} ns/B at 1 MB | scaling {:.2}x",
+        large / small
+    );
+
+    // Allocations of a steady-state checkpoint (the second one: the first
+    // sizes the output buffer) per stored base row, on the claims KB.
+    let dir = scratch_dir("checkpoint");
+    let database = claims_database(4_000);
+    let rows = database.total_tuples();
+    let mut engine = DeepDive::builder()
+        .program_text(CLAIMS_PROGRAM)
+        .database(database)
+        .config(cold_start_config())
+        .durability(DurabilityConfig::new(&dir).fsync(FsyncPolicy::Never))
+        .build()
+        .expect("durable engine builds");
+    engine.initial_run().expect("initial run");
+    engine.checkpoint().expect("first checkpoint");
+    let (_, allocations) = count_allocations(|| engine.checkpoint().expect("checkpoint"));
+    let checkpoint_per_row = allocations as f64 / rows as f64;
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Allocations of decoding one 400-fact page, per fact.
+    const PAGE: usize = 400;
+    let frame = all_facts_page(PAGE).encode();
+    let (decoded, allocations) = count_allocations(|| Response::decode(&frame));
+    assert!(decoded.is_ok());
+    let decode_per_row = allocations as f64 / PAGE as f64;
+    println!(
+        "  allocations: {checkpoint_per_row:.4} per row of a checkpoint ({rows} rows) | \
+         {decode_per_row:.4} per fact of a decoded page"
+    );
+
+    // Recovery: the document-stream benchmark's last episode in small — half
+    // of a 648-document News corpus up front, 8 documents a round, a
+    // materialization and a checkpoint after round 16, 16 more rounds left
+    // in the WAL — then the directory reopened.
+    let dir = scratch_dir("recovery");
+    let system = KbcSystem::generate(SystemKind::News, 3.0, 11);
+    let program = stream_program(&system);
+    let (initial, later) = system.corpus.split_for_incremental(0.5);
+    let open = |database: Database| {
+        DeepDive::builder()
+            .program(program.clone())
+            .database(database)
+            .udfs(standard_udfs())
+            .config(cold_start_config())
+            .durability(DurabilityConfig::new(&dir).fsync(FsyncPolicy::Never))
+            .build()
+            .expect("durable engine builds")
+    };
+    let mut engine = open(initial.clone());
+    engine.initial_run().expect("initial run");
+    for (round, documents) in later.chunks(8).take(32).enumerate() {
+        let mut update = KbcUpdate::new();
+        for (relation, row) in documents.iter().flat_map(|d| &d.rows) {
+            update.insert(relation, row.clone());
+        }
+        engine
+            .run_update(&update, ExecutionMode::Incremental)
+            .expect("round applies");
+        if round + 1 == 16 {
+            engine.materialize().expect("materialize");
+            engine.checkpoint().expect("checkpoint");
+        }
+    }
+    let epoch = engine.snapshot().epoch();
+    drop(engine);
+    let recovery = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let engine = open(initial.clone());
+            let elapsed = start.elapsed().as_secs_f64();
+            assert_eq!(
+                engine.snapshot().epoch(),
+                epoch,
+                "recovery replays the tail"
+            );
+            elapsed
+        })
+        .fold(f64::INFINITY, f64::min);
+    let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "  recovery: {:.1} ms to reopen at epoch {epoch}",
+        recovery * 1e3
+    );
+
+    for (name, unit, value) in [
+        ("parse_ns_per_byte_64k", "ns/B", small),
+        ("parse_ns_per_byte_1m", "ns/B", large),
+        ("parse_scaling_x", "x", large / small),
+        (
+            "checkpoint_encode_allocs_per_row",
+            "allocs",
+            checkpoint_per_row,
+        ),
+        ("response_decode_allocs_per_row", "allocs", decode_per_row),
+        ("recovery_ms_n650", "ms", recovery * 1e3),
+    ] {
+        entries.push(Entry {
+            name: format!("codec/{name}"),
+            unit,
+            value,
+        });
+    }
+}
+
 fn main() {
     let mut smoke = false;
     let mut only: Option<String> = None;
@@ -944,6 +1125,9 @@ fn main() {
     }
     if runs("cold_start") {
         bench_cold_start(publish_reps, &mut entries);
+    }
+    if runs("codec") {
+        bench_codec(publish_reps, &mut entries);
     }
 
     let mut json = String::from("[\n");

@@ -11,9 +11,13 @@
 //! ≥ 4×, so an O(KB) "incremental" path cannot silently return) is missing or
 //! below it, or an exact allocation counter of the cold path
 //! (`dd_bench::sweeps::COUNT_CEILINGS`: `cold_start/allocs_per_binding`,
-//! `allocs_per_sample`, `allocs_per_mh_step`) is missing or not below its
+//! `allocs_per_sample`, `allocs_per_mh_step`) or of the codec
+//! (`codec/checkpoint_encode_allocs_per_row`,
+//! `codec/response_decode_allocs_per_row`) is missing or not below its
 //! ceiling — a count repeats exactly, so this gate holds on a box too noisy
-//! for a timing.
+//! for a timing — or the scanner's cost per byte grows with the document
+//! (`dd_bench::sweeps::RATIO_CEILINGS`: `codec/parse_scaling_x` < 2, a ratio
+//! of two timings of one run, where the quadratic scanner read 19.6).
 //!
 //! Usage: `cargo run --release -p dd-bench --bin check_sweeps [file.json]`
 //! (default `BENCH_sweeps.json`).  CI runs it against a fresh `--smoke` file:
@@ -25,7 +29,7 @@
 
 use dd_bench::sweeps::{
     ceiling_violations, coverage_violations, floor_violations, gate_violations,
-    parse_bench_entries, COUNT_CEILINGS,
+    parse_bench_entries, COUNT_CEILINGS, RATIO_CEILINGS,
 };
 use std::process::ExitCode;
 
@@ -61,8 +65,8 @@ fn main() -> ExitCode {
         println!("  {:<55} {:>9.3}{}", entry.name, entry.value, entry.unit);
     }
 
-    for (name, ceiling) in COUNT_CEILINGS {
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
+    for (name, ceiling) in COUNT_CEILINGS.iter().chain(&RATIO_CEILINGS) {
+        if let Some(entry) = entries.iter().find(|e| e.name == *name) {
             println!(
                 "  {:<55} {:>9.4} (ceiling {ceiling})",
                 entry.name, entry.value

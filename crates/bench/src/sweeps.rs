@@ -3,10 +3,11 @@
 //! `bench_sweeps` writes a flat `[{name, unit, value}]` array
 //! (github-action-benchmark style).  The `check_sweeps` binary re-reads that
 //! file in CI and fails the build when the file is malformed, any
-//! `*_speedup` metric has regressed below 1.0×, or an exact counter has
-//! risen past its ceiling — the cheapest mechanical guard that the perf
-//! trajectory (compiled flat graph, persistent pool dispatch, sharded O(Δ)
-//! publish, allocation-free cold path) never silently goes backwards.
+//! `*_speedup` metric has regressed below 1.0×, or an exact counter or a
+//! scaling ratio has risen past its ceiling — the cheapest mechanical guard
+//! that the perf trajectory (compiled flat graph, persistent pool dispatch,
+//! sharded O(Δ) publish, allocation-free cold path, linear tree-free codec)
+//! never silently goes backwards.
 //!
 //! The workspace is fully offline (vendored stand-in deps only), so parsing
 //! uses the workspace's hand-rolled JSON reader — [`dd_wire::json`], the same
@@ -131,18 +132,41 @@ pub fn floor_violations(entries: &[BenchEntry]) -> Vec<String> {
 /// would be +0.5.  `allocs_per_sample` and `allocs_per_mh_step` — what one
 /// more stored sample adds to `materialize`, one more step to the MH chain —
 /// measured 0 on the sample arena (3.0 each before it).
-pub const COUNT_CEILINGS: [(&str, f64); 3] = [
+/// `codec/checkpoint_encode_allocs_per_row` — one steady-state
+/// `DeepDive::checkpoint` of the 4 000-fact claims KB per stored base row —
+/// measured 1.436 once the payload is written straight into a reused buffer:
+/// all of it is the state export cloning tables and catalog, encoding adds
+/// nothing (through the `Json` tree it replaced the same call made 85.1 per
+/// row).
+/// `codec/response_decode_allocs_per_row` — `Response::decode` of a 400-fact
+/// `all_facts` page per fact — measured 3.02: the relation name, the tuple's
+/// values as they are read, the tuple itself (10.07 through the tree).
+pub const COUNT_CEILINGS: [(&str, f64); 5] = [
     ("cold_start/allocs_per_binding", 1.75),
     ("cold_start/allocs_per_sample", 0.01),
     ("cold_start/allocs_per_mh_step", 0.01),
+    ("codec/checkpoint_encode_allocs_per_row", 1.5),
+    ("codec/response_decode_allocs_per_row", 3.1),
 ];
 
-/// The named ceilings of [`COUNT_CEILINGS`]: each entry must be present and
-/// below its ceiling (at it counts as over: the ceilings sit just above the
-/// measured values).  Returns one violation message per failure.
+/// Ratios of two timings of one run held to a ceiling.  The timings are
+/// taken in the same process on the same data shape, so the box's speed
+/// cancels and what is left is how cost grows.  `codec/parse_scaling_x` —
+/// nanoseconds per byte of `json::parse` at 1 MB over the same at 64 KB — is
+/// about 1 for a scanner linear in the document (1.15 measured) and read 19.6
+/// for the one
+/// `JsonReader` replaced, which re-validated the rest of the document at
+/// every character of every string.
+pub const RATIO_CEILINGS: [(&str, f64); 1] = [("codec/parse_scaling_x", 2.0)];
+
+/// The named ceilings of [`COUNT_CEILINGS`] and [`RATIO_CEILINGS`]: each
+/// entry must be present and below its ceiling (at it counts as over: the
+/// ceilings sit just above the measured values).  Returns one violation
+/// message per failure.
 pub fn ceiling_violations(entries: &[BenchEntry]) -> Vec<String> {
     COUNT_CEILINGS
         .iter()
+        .chain(&RATIO_CEILINGS)
         .filter_map(
             |(name, ceiling)| match entries.iter().find(|e| e.name == *name) {
                 None => Some(format!("{name} is missing (ceiling {ceiling})")),
@@ -303,12 +327,13 @@ mod tests {
 
     #[test]
     fn named_ceilings_require_presence_and_value() {
+        // Every gated entry at its measured value, but for the first two.
         let entries = |binding: f64, sample: f64| -> Vec<BenchEntry> {
-            [binding, sample, 0.0]
+            [binding, sample, 0.0, 1.436, 3.0225, 1.15]
                 .into_iter()
-                .zip(COUNT_CEILINGS)
+                .zip(COUNT_CEILINGS.iter().chain(&RATIO_CEILINGS))
                 .map(|(value, (name, _))| BenchEntry {
-                    name: name.into(),
+                    name: name.to_string(),
                     unit: "allocs".into(),
                     value,
                 })
@@ -320,8 +345,14 @@ mod tests {
         assert_eq!(ceiling_violations(&entries(5.276, 3.001)).len(), 2);
         assert_eq!(ceiling_violations(&entries(2.209, 0.0)).len(), 1);
         assert_eq!(ceiling_violations(&entries(f64::NAN, 0.0)).len(), 1);
+        // The tree codec's allocations and the quadratic scanner's 19.6x.
+        let mut tree_codec = entries(1.709, 0.0);
+        for (entry, value) in tree_codec[3..].iter_mut().zip([85.12, 10.065, 19.6]) {
+            entry.value = value;
+        }
+        assert_eq!(ceiling_violations(&tree_codec).len(), 3);
         let missing = ceiling_violations(&[]);
-        assert_eq!(missing.len(), COUNT_CEILINGS.len());
+        assert_eq!(missing.len(), COUNT_CEILINGS.len() + RATIO_CEILINGS.len());
         assert!(missing[0].contains("missing"));
     }
 

@@ -198,12 +198,14 @@ impl DeepDiveBuilder {
             checkpoint_every_bytes: cfg.checkpoint_every_bytes.map(|n| n.max(1)),
             records_since_checkpoint: 0,
             bytes_since_checkpoint: 0,
+            checkpoint_buf: Vec::new(),
         };
 
         match latest {
             Some((covered, bytes)) => {
                 // Recovery: newest valid checkpoint + WAL tail beyond it.
                 let state = durability::decode_checkpoint(&bytes)?;
+                drop(bytes);
                 let mut engine = DeepDive::from_checkpoint(state, self.udfs, self.config)?;
                 // `Wal::open` guarantees the tail is contiguous; the one gap
                 // still possible is between the checkpoint and the tail's

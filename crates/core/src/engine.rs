@@ -881,11 +881,12 @@ impl DeepDive {
             return Err(dd_storage::StorageError::NotConfigured.into());
         }
         let state = self.export_checkpoint_state();
-        let bytes = durability::encode_checkpoint(&state);
         let d = self.durability.as_mut().expect("checked above");
+        durability::encode_checkpoint(&state, &mut d.checkpoint_buf);
+        drop(state);
         d.wal.sync()?;
         let covered = d.wal.last_seq();
-        d.checkpoints.write(covered, &bytes)?;
+        d.checkpoints.write(covered, &d.checkpoint_buf)?;
         d.wal.rotate()?;
         d.checkpoints.prune(d.keep_checkpoints)?;
         // Prune below the *oldest retained* checkpoint, not the one just

@@ -149,13 +149,27 @@ impl SampleSet {
     /// Returns `false`, storing nothing, unless there are exactly
     /// `num_vars.div_ceil(8)` bytes.
     pub fn push_bytes(&mut self, bytes: &[u8]) -> bool {
+        self.push_byte_iter(bytes.iter().copied())
+    }
+
+    /// [`SampleSet::push_bytes`] for bytes that are produced one at a time
+    /// (a decoder's output): they are packed straight into the new row.
+    pub fn push_byte_iter(&mut self, bytes: impl ExactSizeIterator<Item = u8>) -> bool {
         if bytes.len() != self.num_vars.div_ceil(8) {
             return false;
         }
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.words.push(u64::from_le_bytes(word));
+        let mut word = 0u64;
+        let mut filled = 0;
+        for byte in bytes {
+            word |= u64::from(byte) << (8 * filled);
+            filled += 1;
+            if filled == 8 {
+                self.words.push(word);
+                (word, filled) = (0, 0);
+            }
+        }
+        if filled != 0 {
+            self.words.push(word);
         }
         let tail = self.num_vars % 64;
         if tail != 0 {

@@ -267,28 +267,31 @@ impl Router {
             }
         }
 
-        // Scatter: one thread per consulted shard; each runs its sub-batch
-        // pinned to the first answer's epoch.
+        // Scatter: each consulted shard runs its sub-batch pinned to its
+        // first answer's epoch.  Real fan-out gets a thread per shard; a
+        // batch for one shard (every point read) runs on this thread, since
+        // a spawn and a join cost as much as the shard call they would wrap.
         let config = &self.config;
+        let consulted = plans.iter().filter(|plan| !plan.is_empty()).count();
+        let jobs = self.shards.iter_mut().zip(&plans);
         let outcomes: Vec<Option<Result<(u64, VecDeque<OpResult>), ShardFailure>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&plans)
-                    .map(|(slot, plan)| {
-                        if plan.is_empty() {
-                            None
-                        } else {
-                            Some(scope.spawn(move || run_shard(slot, plan, config)))
-                        }
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.map(|h| h.join().expect("shard workers do not panic")))
+            if consulted <= 1 {
+                jobs.map(|(slot, plan)| (!plan.is_empty()).then(|| run_shard(slot, plan, config)))
                     .collect()
-            });
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = jobs
+                        .map(|(slot, plan)| {
+                            (!plan.is_empty())
+                                .then(|| scope.spawn(move || run_shard(slot, plan, config)))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|handle| handle.map(|h| h.join().expect("shard workers do not panic")))
+                        .collect()
+                })
+            };
 
         // Gather: surface the first shard failure as a typed error, else
         // collect per-shard result queues and the epoch vector.

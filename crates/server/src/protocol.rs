@@ -50,7 +50,7 @@
 //! exactly up to ±2⁵³ (the JSON number mantissa); KBC ids are far below that.
 
 use dd_relstore::{Tuple, Value};
-use dd_wire::json::{self, Json};
+use dd_wire::json::{self, Decode, Encode, JsonReader, JsonWriter, Kind, ObjectReader};
 
 /// Hard cap on operations per batch; a request above it is a `bad_request`.
 pub const MAX_OPS_PER_BATCH: usize = 1024;
@@ -261,230 +261,260 @@ impl Response {
 // Value / tuple codec
 // ---------------------------------------------------------------------------
 
+/// The largest magnitude at which every integer is an exact `f64` (2⁵³).
+const MAX_EXACT_INT: f64 = 9.007_199_254_740_992e15;
+
 /// Encode one store value (see the module docs for the mapping).
-pub fn value_to_json(value: &Value) -> Json {
+pub fn encode_value(w: &mut JsonWriter<'_>, value: &Value) {
     match value {
-        Value::Int(i) => Json::Number(*i as f64),
-        Value::Text(s) => Json::String(s.to_string()),
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Float(f) => Json::Object(vec![("float".to_string(), Json::Number(*f))]),
-        Value::Null => Json::Null,
+        Value::Int(i) => w.number(*i as f64),
+        Value::Text(s) => w.string(s),
+        Value::Bool(b) => w.bool(*b),
+        Value::Float(f) => w.object(|w| w.field("float", f)),
+        Value::Null => w.null(),
     }
 }
 
 /// Decode one store value.
-pub fn value_from_json(json: &Json) -> Result<Value, String> {
-    match json {
-        Json::Null => Ok(Value::Null),
-        Json::Bool(b) => Ok(Value::Bool(*b)),
-        Json::String(s) => Ok(Value::text(s)),
-        Json::Number(n) => {
-            if n.fract() == 0.0 && n.abs() <= 9.007_199_254_740_992e15 {
-                Ok(Value::Int(*n as i64))
+pub fn decode_value(r: &mut JsonReader<'_>) -> Result<Value, String> {
+    match r.peek()? {
+        Kind::Null => r.null().map(|()| Value::Null),
+        Kind::Bool => r.bool().map(Value::Bool),
+        Kind::String => r.string().map(Value::text),
+        Kind::Number => r.number().map(|n| {
+            if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
+                Value::Int(n as i64)
             } else {
-                Ok(Value::Float(*n))
+                Value::Float(n)
+            }
+        }),
+        Kind::Object => {
+            let shape = "object values must be {\"float\": x}";
+            r.begin_object()?;
+            if r.next_key()?.as_deref() != Some("float") || r.peek()? != Kind::Number {
+                return Err(r.error(shape));
+            }
+            let float = r.number()?;
+            match r.next_key()? {
+                None => Ok(Value::Float(float)),
+                Some(_) => Err(r.error(shape)),
             }
         }
-        Json::Object(fields) => match fields.as_slice() {
-            [(key, Json::Number(f))] if key == "float" => Ok(Value::Float(*f)),
-            _ => Err("object values must be {\"float\": x}".to_string()),
-        },
-        Json::Array(_) => Err("arrays are tuples, not values".to_string()),
+        Kind::Array => Err(r.error("arrays are tuples, not values")),
     }
 }
 
 /// Encode a tuple as a JSON array of values.
-pub fn tuple_to_json(tuple: &Tuple) -> Json {
-    Json::Array(tuple.values().iter().map(value_to_json).collect())
+pub fn encode_tuple(w: &mut JsonWriter<'_>, tuple: &Tuple) {
+    w.array(tuple.values(), encode_value);
 }
 
 /// Decode a tuple from a JSON array of values.
-pub fn tuple_from_json(json: &Json) -> Result<Tuple, String> {
-    let items = json.as_array().ok_or("tuple must be an array")?;
-    let values = items
-        .iter()
-        .map(value_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Tuple::new(values))
+pub fn decode_tuple(r: &mut JsonReader<'_>) -> Result<Tuple, String> {
+    if r.peek()? != Kind::Array {
+        return Err(r.error("tuple must be an array"));
+    }
+    r.seq(decode_value).map(Tuple::new)
 }
 
 // ---------------------------------------------------------------------------
 // Request codec
 // ---------------------------------------------------------------------------
 
-fn string_field(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string \"{key}\""))
+fn string_field(o: &mut ObjectReader<'_, '_>, key: &str) -> Result<String, String> {
+    match o.opt_field_of(key, Kind::String)? {
+        Some(r) => Ok(r.string()?.into_owned()),
+        None => Err(o.error(format_args!("missing or non-string \"{key}\""))),
+    }
+}
+
+/// An optional number member that `accept` approves (`None` when absent or
+/// `null`); `wanted` words the refusal of any other value.
+fn number_field(
+    o: &mut ObjectReader<'_, '_>,
+    key: &str,
+    wanted: &str,
+    accept: impl Fn(f64) -> bool,
+) -> Result<Option<f64>, String> {
+    let Some(r) = o.opt_field(key)? else {
+        return Ok(None);
+    };
+    match r.peek()? {
+        Kind::Null => r.null().map(|()| None),
+        Kind::Number => match r.number()? {
+            n if accept(n) => Ok(Some(n)),
+            _ => Err(r.error(format_args!("\"{key}\" must be {wanted}"))),
+        },
+        _ => Err(r.error(format_args!("\"{key}\" must be {wanted}"))),
+    }
+}
+
+/// An optional non-negative integral field.
+fn optional_usize_field(o: &mut ObjectReader<'_, '_>, key: &str) -> Result<Option<usize>, String> {
+    let small = |n: f64| n.fract() == 0.0 && n >= 0.0 && n <= u32::MAX as f64;
+    let n = number_field(o, key, "a small non-negative integer", small)?;
+    Ok(n.map(|n| n as usize))
 }
 
 /// An optional non-negative integral field (`default` when absent).
-fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, String> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= u32::MAX as f64 => {
-            Ok(*n as usize)
-        }
-        Some(_) => Err(format!("\"{key}\" must be a small non-negative integer")),
-    }
+fn usize_field(o: &mut ObjectReader<'_, '_>, key: &str, default: usize) -> Result<usize, String> {
+    Ok(optional_usize_field(o, key)?.unwrap_or(default))
 }
 
-fn optional_usize_field(obj: &Json, key: &str) -> Result<Option<usize>, String> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(_) => usize_field(obj, key, 0).map(Some),
-    }
+/// A non-negative integer wide enough for epochs (exact up to 2⁵³, far
+/// beyond any update count).
+fn is_epoch(n: f64) -> bool {
+    n.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(&n)
 }
 
-/// An optional non-negative integral field wide enough for epochs (exact up
-/// to 2⁵³, far beyond any update count).
-fn optional_u64_field(obj: &Json, key: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Number(n))
-            if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.007_199_254_740_992e15 =>
-        {
-            Ok(Some(*n as u64))
-        }
-        Some(_) => Err(format!("\"{key}\" must be a non-negative integer")),
-    }
+fn f64_field(o: &mut ObjectReader<'_, '_>, key: &str, default: f64) -> Result<f64, String> {
+    let n = number_field(o, key, "a finite number", f64::is_finite)?;
+    Ok(n.unwrap_or(default))
 }
 
-fn f64_field(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Number(n)) if n.is_finite() => Ok(*n),
-        Some(_) => Err(format!("\"{key}\" must be a finite number")),
-    }
-}
-
-fn op_to_json(op: &Op) -> Json {
-    let mut fields = Vec::new();
-    let name = match op {
-        Op::Epoch => "epoch",
-        Op::Relations => "relations",
-        Op::Stats => "stats",
-        Op::ProbabilityOf { relation, tuple } => {
-            fields.push(("relation".to_string(), Json::String(relation.clone())));
-            fields.push(("tuple".to_string(), tuple_to_json(tuple)));
-            "probability_of"
-        }
-        Op::Query { relation, spec } => {
-            fields.push(("relation".to_string(), Json::String(relation.clone())));
-            fields.push((
-                "min_probability".to_string(),
-                Json::Number(spec.min_probability),
-            ));
-            if let Some(k) = spec.top_k {
-                fields.push(("top_k".to_string(), Json::Number(k as f64)));
+impl Encode for Op {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
+            Op::Epoch => w.field("op", "epoch"),
+            Op::Relations => w.field("op", "relations"),
+            Op::Stats => w.field("op", "stats"),
+            Op::ProbabilityOf { relation, tuple } => {
+                w.field("op", "probability_of");
+                w.field("relation", relation);
+                encode_tuple(w.key("tuple"), tuple);
             }
-            fields.push(("offset".to_string(), Json::Number(spec.offset as f64)));
-            if let Some(l) = spec.limit {
-                fields.push(("limit".to_string(), Json::Number(l as f64)));
+            Op::Query { relation, spec } => {
+                w.field("op", "query");
+                w.field("relation", relation);
+                w.field("min_probability", &spec.min_probability);
+                if let Some(k) = spec.top_k {
+                    w.key("top_k").number(k as f64);
+                }
+                w.key("offset").number(spec.offset as f64);
+                if let Some(l) = spec.limit {
+                    w.key("limit").number(l as f64);
+                }
             }
-            "query"
-        }
-        Op::AllFacts {
-            min_probability,
-            offset,
-            limit,
-        } => {
-            fields.push((
-                "min_probability".to_string(),
-                Json::Number(*min_probability),
-            ));
-            fields.push(("offset".to_string(), Json::Number(*offset as f64)));
-            fields.push(("limit".to_string(), Json::Number(*limit as f64)));
-            "all_facts"
-        }
-        Op::Sleep { millis } => {
-            fields.push(("millis".to_string(), Json::Number(*millis as f64)));
-            "sleep"
-        }
-    };
-    fields.insert(0, ("op".to_string(), Json::String(name.to_string())));
-    Json::Object(fields)
+            Op::AllFacts {
+                min_probability,
+                offset,
+                limit,
+            } => {
+                w.field("op", "all_facts");
+                w.field("min_probability", min_probability);
+                w.key("offset").number(*offset as f64);
+                w.key("limit").number(*limit as f64);
+            }
+            Op::Sleep { millis } => {
+                w.field("op", "sleep");
+                w.key("millis").number(*millis as f64);
+            }
+        });
+    }
 }
 
-fn op_from_json(json: &Json) -> Result<Op, String> {
-    let name = json
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("operation is missing a string \"op\" field")?;
-    match name {
-        "epoch" => Ok(Op::Epoch),
-        "relations" => Ok(Op::Relations),
-        "stats" => Ok(Op::Stats),
-        "probability_of" => Ok(Op::ProbabilityOf {
-            relation: string_field(json, "relation")?,
-            tuple: tuple_from_json(json.get("tuple").ok_or("missing \"tuple\"")?)?,
-        }),
-        "query" => Ok(Op::Query {
-            relation: string_field(json, "relation")?,
-            spec: FactQuerySpec {
-                min_probability: f64_field(json, "min_probability", 0.0)?,
-                top_k: optional_usize_field(json, "top_k")?,
-                offset: usize_field(json, "offset", 0)?,
-                limit: optional_usize_field(json, "limit")?,
-            },
-        }),
-        "all_facts" => Ok(Op::AllFacts {
-            min_probability: f64_field(json, "min_probability", 0.0)?,
-            offset: usize_field(json, "offset", 0)?,
-            limit: usize_field(json, "limit", u32::MAX as usize)?,
-        }),
-        "sleep" => Ok(Op::Sleep {
-            millis: usize_field(json, "millis", 0)? as u64,
-        }),
-        other => Err(format!("unknown op \"{other}\"")),
+impl Decode for Op {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        r.object(|o| {
+            let name = match o.opt_field_of("op", Kind::String)? {
+                Some(r) => r.string()?,
+                None => return Err(o.error("operation is missing a string \"op\" field")),
+            };
+            match &*name {
+                "epoch" => Ok(Op::Epoch),
+                "relations" => Ok(Op::Relations),
+                "stats" => Ok(Op::Stats),
+                "probability_of" => Ok(Op::ProbabilityOf {
+                    relation: string_field(o, "relation")?,
+                    tuple: match o.opt_field("tuple")? {
+                        Some(r) => decode_tuple(r)?,
+                        None => return Err(o.error("missing \"tuple\"")),
+                    },
+                }),
+                "query" => Ok(Op::Query {
+                    relation: string_field(o, "relation")?,
+                    spec: FactQuerySpec {
+                        min_probability: f64_field(o, "min_probability", 0.0)?,
+                        top_k: optional_usize_field(o, "top_k")?,
+                        offset: usize_field(o, "offset", 0)?,
+                        limit: optional_usize_field(o, "limit")?,
+                    },
+                }),
+                "all_facts" => Ok(Op::AllFacts {
+                    min_probability: f64_field(o, "min_probability", 0.0)?,
+                    offset: usize_field(o, "offset", 0)?,
+                    limit: usize_field(o, "limit", u32::MAX as usize)?,
+                }),
+                "sleep" => Ok(Op::Sleep {
+                    millis: usize_field(o, "millis", 0)? as u64,
+                }),
+                other => Err(o.error(format_args!("unknown op \"{other}\""))),
+            }
+        })
+    }
+}
+
+impl Encode for Request {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("ops", &self.ops);
+            if let Some(epoch) = self.at_epoch {
+                w.key("at_epoch").number(epoch as f64);
+            }
+        });
+    }
+}
+
+impl Decode for Request {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        let no_ops = "request must be an object with an \"ops\" array";
+        if r.peek()? != Kind::Object {
+            return Err(r.error(no_ops));
+        }
+        r.object(|o| {
+            let Some(r) = o.opt_field_of("ops", Kind::Array)? else {
+                return Err(o.error(no_ops));
+            };
+            let mut ops = Vec::new();
+            r.for_each(|r| {
+                if ops.len() == MAX_OPS_PER_BATCH {
+                    return Err(
+                        r.error(format_args!("batch exceeds the {MAX_OPS_PER_BATCH}-op cap"))
+                    );
+                }
+                ops.push(Op::decode(r)?);
+                Ok(())
+            })?;
+            let at_epoch = number_field(o, "at_epoch", "a non-negative integer", is_epoch)?;
+            Ok(Request {
+                ops,
+                at_epoch: at_epoch.map(|e| e as u64),
+            })
+        })
     }
 }
 
 impl Request {
     /// Encode to the frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut fields = vec![(
-            "ops".to_string(),
-            Json::Array(self.ops.iter().map(op_to_json).collect()),
-        )];
-        if let Some(epoch) = self.at_epoch {
-            fields.push(("at_epoch".to_string(), Json::Number(epoch as f64)));
-        }
-        Json::Object(fields).encode().into_bytes()
+        self.to_bytes()
     }
 
     /// Decode a frame payload, classifying failures into the wire taxonomy
     /// (see [`DecodeError`]).
     pub fn decode(payload: &[u8]) -> Result<Request, DecodeError> {
-        let malformed = |message: String| DecodeError {
+        // A payload that is not one JSON document is a malformed frame
+        // wherever in it the first problem of any kind sits, so that is
+        // settled before the request is read; whatever fails afterwards is a
+        // well-formed document that is not a request.
+        json::validate(payload).map_err(|message| DecodeError {
             kind: ErrorKind::MalformedFrame,
             message,
-        };
-        let bad_request = |message: String| DecodeError {
+        })?;
+        Request::from_bytes(payload).map_err(|message| DecodeError {
             kind: ErrorKind::BadRequest,
             message,
-        };
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| malformed("payload is not UTF-8".to_string()))?;
-        let doc = json::parse(text).map_err(malformed)?;
-        let ops_json = doc
-            .get("ops")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_request("request must be an object with an \"ops\" array".into()))?;
-        if ops_json.len() > MAX_OPS_PER_BATCH {
-            return Err(bad_request(format!(
-                "batch of {} ops exceeds the {MAX_OPS_PER_BATCH}-op cap",
-                ops_json.len()
-            )));
-        }
-        let ops = ops_json
-            .iter()
-            .map(op_from_json)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(bad_request)?;
-        let at_epoch = optional_u64_field(&doc, "at_epoch").map_err(bad_request)?;
-        Ok(Request { ops, at_epoch })
+        })
     }
 }
 
@@ -492,234 +522,219 @@ impl Request {
 // Response codec
 // ---------------------------------------------------------------------------
 
-fn fact_to_json(relation: Option<&str>, tuple: &Tuple, probability: f64) -> Json {
-    let mut fields = Vec::new();
-    if let Some(relation) = relation {
-        fields.push(("relation".to_string(), Json::String(relation.to_string())));
-    }
-    fields.push(("tuple".to_string(), tuple_to_json(tuple)));
-    fields.push(("probability".to_string(), Json::Number(probability)));
-    Json::Object(fields)
+fn encode_fact(w: &mut JsonWriter<'_>, relation: Option<&str>, tuple: &Tuple, probability: f64) {
+    w.object(|w| {
+        if let Some(relation) = relation {
+            w.field("relation", relation);
+        }
+        encode_tuple(w.key("tuple"), tuple);
+        w.field("probability", &probability);
+    });
 }
 
-fn result_to_json(result: &OpResult) -> Json {
-    match result {
-        OpResult::Empty => Json::Object(Vec::new()),
-        OpResult::Relations(names) => Json::Object(vec![(
-            "relations".to_string(),
-            Json::Array(names.iter().map(|n| Json::String(n.clone())).collect()),
-        )]),
-        OpResult::Stats {
-            num_variables,
-            num_factors,
-            num_weights,
-            num_catalogued,
-        } => Json::Object(vec![
-            (
-                "num_variables".to_string(),
-                Json::Number(*num_variables as f64),
-            ),
-            ("num_factors".to_string(), Json::Number(*num_factors as f64)),
-            ("num_weights".to_string(), Json::Number(*num_weights as f64)),
-            (
-                "num_catalogued".to_string(),
-                Json::Number(*num_catalogued as f64),
-            ),
-        ]),
-        OpResult::Probability(p) => Json::Object(vec![(
-            "probability".to_string(),
-            p.map_or(Json::Null, Json::Number),
-        )]),
-        OpResult::Facts(facts) => Json::Object(vec![(
-            "facts".to_string(),
-            Json::Array(
-                facts
-                    .iter()
-                    .map(|(tuple, p)| fact_to_json(None, tuple, *p))
-                    .collect(),
-            ),
-        )]),
-        // The `cross_relation` marker keeps the variant decodable even when
-        // the fact list is empty (per-fact `relation` keys can't tell then).
-        OpResult::AllFacts(facts) => Json::Object(vec![
-            ("cross_relation".to_string(), Json::Bool(true)),
-            (
-                "facts".to_string(),
-                Json::Array(
-                    facts
-                        .iter()
-                        .map(|(relation, tuple, p)| fact_to_json(Some(relation), tuple, *p))
-                        .collect(),
-                ),
-            ),
-        ]),
+/// The `tuple` and `probability` members every fact carries.
+fn decode_fact(o: &mut ObjectReader<'_, '_>) -> Result<(Tuple, f64), String> {
+    let tuple = match o.opt_field("tuple")? {
+        Some(r) => decode_tuple(r)?,
+        None => return Err(o.error("fact missing \"tuple\"")),
+    };
+    match o.opt_field_of("probability", Kind::Number)? {
+        Some(r) => Ok((tuple, r.number()?)),
+        None => Err(o.error("fact missing numeric \"probability\"")),
     }
 }
 
-/// Decode one result slot.  The shape keys the variant: results are
-/// self-describing, so a client does not need the request to interpret them
-/// (though slots do arrive in request order).
-fn result_from_json(json: &Json) -> Result<OpResult, String> {
-    let fields = json.as_object().ok_or("result must be an object")?;
-    if fields.is_empty() {
-        return Ok(OpResult::Empty);
-    }
-    if let Some(names) = json.get("relations") {
-        let names = names.as_array().ok_or("\"relations\" must be an array")?;
-        return Ok(OpResult::Relations(
-            names
-                .iter()
-                .map(|n| {
-                    n.as_str()
-                        .map(str::to_string)
-                        .ok_or("relation names must be strings".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        ));
-    }
-    if json.get("num_variables").is_some() {
-        return Ok(OpResult::Stats {
-            num_variables: usize_field(json, "num_variables", 0)?,
-            num_factors: usize_field(json, "num_factors", 0)?,
-            num_weights: usize_field(json, "num_weights", 0)?,
-            num_catalogued: usize_field(json, "num_catalogued", 0)?,
+impl Encode for OpResult {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
+            OpResult::Empty => {}
+            OpResult::Relations(names) => w.field("relations", names),
+            OpResult::Stats {
+                num_variables,
+                num_factors,
+                num_weights,
+                num_catalogued,
+            } => {
+                w.key("num_variables").number(*num_variables as f64);
+                w.key("num_factors").number(*num_factors as f64);
+                w.key("num_weights").number(*num_weights as f64);
+                w.key("num_catalogued").number(*num_catalogued as f64);
+            }
+            OpResult::Probability(p) => w.field("probability", p),
+            OpResult::Facts(facts) => {
+                w.key("facts")
+                    .array(facts, |w, (tuple, p)| encode_fact(w, None, tuple, *p));
+            }
+            // The `cross_relation` marker keeps the variant decodable even
+            // when the fact list is empty (per-fact `relation` keys can't
+            // tell then).
+            OpResult::AllFacts(facts) => {
+                w.field("cross_relation", &true);
+                w.key("facts").array(facts, |w, (relation, tuple, p)| {
+                    encode_fact(w, Some(relation), tuple, *p)
+                });
+            }
         });
     }
-    if let Some(p) = json.get("probability") {
-        return Ok(OpResult::Probability(match p {
-            Json::Null => None,
-            Json::Number(p) => Some(*p),
-            _ => return Err("\"probability\" must be a number or null".to_string()),
-        }));
-    }
-    if let Some(facts) = json.get("facts") {
-        let facts = facts.as_array().ok_or("\"facts\" must be an array")?;
-        let cross_relation = json.get("cross_relation").and_then(Json::as_bool) == Some(true);
-        if cross_relation {
-            let mut out = Vec::new();
-            for fact in facts {
-                let relation = fact
-                    .get("relation")
-                    .and_then(Json::as_str)
-                    .ok_or("cross-relation fact missing \"relation\"")?;
-                let tuple = tuple_from_json(fact.get("tuple").ok_or("fact missing \"tuple\"")?)?;
-                let p = fact
-                    .get("probability")
-                    .and_then(Json::as_f64)
-                    .ok_or("fact missing numeric \"probability\"")?;
-                out.push((relation.to_string(), tuple, p));
+}
+
+/// The shape keys the variant: results are self-describing, so a client does
+/// not need the request to interpret them (though slots do arrive in request
+/// order).  A fact list is looked for first — it is the one shape whose size
+/// is unbounded, and asking for other members first would scan past it.
+impl Decode for OpResult {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        r.object(|o| {
+            if o.is_empty()? {
+                return Ok(OpResult::Empty);
             }
-            return Ok(OpResult::AllFacts(out));
-        }
-        let mut out = Vec::new();
-        for fact in facts {
-            let tuple = tuple_from_json(fact.get("tuple").ok_or("fact missing \"tuple\"")?)?;
-            let p = fact
-                .get("probability")
-                .and_then(Json::as_f64)
-                .ok_or("fact missing numeric \"probability\"")?;
-            out.push((tuple, p));
-        }
-        return Ok(OpResult::Facts(out));
+            let cross_relation = match o.opt_field_of("cross_relation", Kind::Bool)? {
+                Some(r) => r.bool()?,
+                None => false,
+            };
+            if let Some(r) = o.opt_field("facts")? {
+                if r.peek()? != Kind::Array {
+                    return Err(r.error("\"facts\" must be an array"));
+                }
+                return if cross_relation {
+                    let fact = |r: &mut JsonReader<'_>| {
+                        r.object(|o| {
+                            let relation = match o.opt_field_of("relation", Kind::String)? {
+                                Some(r) => r.string()?.into_owned(),
+                                None => {
+                                    return Err(o.error("cross-relation fact missing \"relation\""))
+                                }
+                            };
+                            let (tuple, p) = decode_fact(o)?;
+                            Ok((relation, tuple, p))
+                        })
+                    };
+                    r.seq(fact).map(OpResult::AllFacts)
+                } else {
+                    r.seq(|r| r.object(decode_fact)).map(OpResult::Facts)
+                };
+            }
+            if let Some(r) = o.opt_field("relations")? {
+                if r.peek()? != Kind::Array {
+                    return Err(r.error("\"relations\" must be an array"));
+                }
+                let name = |r: &mut JsonReader<'_>| match r.peek()? {
+                    Kind::String => String::decode(r),
+                    _ => Err(r.error("relation names must be strings")),
+                };
+                return r.seq(name).map(OpResult::Relations);
+            }
+            if let Some(num_variables) = optional_usize_field(o, "num_variables")? {
+                return Ok(OpResult::Stats {
+                    num_variables,
+                    num_factors: usize_field(o, "num_factors", 0)?,
+                    num_weights: usize_field(o, "num_weights", 0)?,
+                    num_catalogued: usize_field(o, "num_catalogued", 0)?,
+                });
+            }
+            if let Some(r) = o.opt_field("probability")? {
+                return match r.peek()? {
+                    Kind::Null | Kind::Number => Option::decode(r).map(OpResult::Probability),
+                    _ => Err(r.error("\"probability\" must be a number or null")),
+                };
+            }
+            Err(o.error("unrecognized result shape"))
+        })
     }
-    Err("unrecognized result shape".to_string())
+}
+
+impl Encode for Response {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
+            Response::Batch(batch) => {
+                w.field("ok", &true);
+                w.key("epoch").number(batch.epoch as f64);
+                if let Some(epochs) = &batch.epochs {
+                    w.key("epochs").array(epochs, |w, e| match e {
+                        None => w.null(),
+                        Some(e) => w.number(*e as f64),
+                    });
+                }
+                w.field("results", &batch.results);
+            }
+            Response::Error { kind, message } => {
+                w.field("ok", &false);
+                w.key("error").object(|w| {
+                    w.field("kind", kind.wire_name());
+                    w.field("message", message);
+                });
+            }
+        });
+    }
+}
+
+impl Decode for Response {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        r.object(|o| {
+            let ok = match o.opt_field_of("ok", Kind::Bool)? {
+                Some(r) => r.bool()?,
+                None => return Err(o.error("response must carry a boolean \"ok\"")),
+            };
+            if !ok {
+                let Some(r) = o.opt_field("error")? else {
+                    return Err(o.error("missing \"error\" object"));
+                };
+                let unknown = "missing or unknown error \"kind\"";
+                return r.object(|o| {
+                    let kind = match o.opt_field_of("kind", Kind::String)? {
+                        Some(r) => ErrorKind::from_wire_name(&r.string()?),
+                        None => None,
+                    };
+                    let kind = kind.ok_or_else(|| o.error(unknown))?;
+                    let message = match o.opt_field_of("message", Kind::String)? {
+                        Some(r) => r.string()?.into_owned(),
+                        None => String::new(),
+                    };
+                    Ok(Response::Error { kind, message })
+                });
+            }
+            let epoch = match o.opt_field_of("epoch", Kind::Number)? {
+                Some(r) => Some(r.number()?).filter(|e| e.fract() == 0.0 && *e >= 0.0),
+                None => None,
+            };
+            let epoch = epoch.ok_or_else(|| o.error("missing integral \"epoch\""))? as u64;
+            // `results` before `epochs`, though it is written after: a
+            // direct server's response has no `epochs`, and looking for it
+            // first would scan past every result to learn that.
+            let results = match o.opt_field_of("results", Kind::Array)? {
+                Some(r) => Vec::decode(r)?,
+                None => return Err(o.error("missing \"results\" array")),
+            };
+            let epochs = match o.opt_field("epochs")? {
+                None => None,
+                Some(r) => match r.peek()? {
+                    Kind::Null => r.null().map(|()| None)?,
+                    Kind::Array => Some(r.seq(|r| match r.null_or(|r| r.number())? {
+                        None => Ok(None),
+                        Some(e) if e.fract() == 0.0 && e >= 0.0 => Ok(Some(e as u64)),
+                        Some(_) => Err(r.error("\"epochs\" entries must be integers or null")),
+                    })?),
+                    _ => return Err(r.error("\"epochs\" must be an array")),
+                },
+            };
+            Ok(Response::Batch(Batch {
+                epoch,
+                results,
+                epochs,
+            }))
+        })
+    }
 }
 
 impl Response {
     /// Encode to the frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let doc = match self {
-            Response::Batch(batch) => {
-                let mut fields = vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("epoch".to_string(), Json::Number(batch.epoch as f64)),
-                ];
-                if let Some(epochs) = &batch.epochs {
-                    fields.push((
-                        "epochs".to_string(),
-                        Json::Array(
-                            epochs
-                                .iter()
-                                .map(|e| e.map_or(Json::Null, |e| Json::Number(e as f64)))
-                                .collect(),
-                        ),
-                    ));
-                }
-                fields.push((
-                    "results".to_string(),
-                    Json::Array(batch.results.iter().map(result_to_json).collect()),
-                ));
-                Json::Object(fields)
-            }
-            Response::Error { kind, message } => Json::Object(vec![
-                ("ok".to_string(), Json::Bool(false)),
-                (
-                    "error".to_string(),
-                    Json::Object(vec![
-                        (
-                            "kind".to_string(),
-                            Json::String(kind.wire_name().to_string()),
-                        ),
-                        ("message".to_string(), Json::String(message.clone())),
-                    ]),
-                ),
-            ]),
-        };
-        doc.encode().into_bytes()
+        self.to_bytes()
     }
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let doc = json::parse(text)?;
-        match doc.get("ok").and_then(Json::as_bool) {
-            Some(true) => {
-                let epoch = doc
-                    .get("epoch")
-                    .and_then(Json::as_f64)
-                    .filter(|e| e.fract() == 0.0 && *e >= 0.0)
-                    .ok_or("missing integral \"epoch\"")? as u64;
-                let epochs = match doc.get("epochs") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Array(entries)) => Some(
-                        entries
-                            .iter()
-                            .map(|e| match e {
-                                Json::Null => Ok(None),
-                                Json::Number(n) if n.fract() == 0.0 && *n >= 0.0 => {
-                                    Ok(Some(*n as u64))
-                                }
-                                _ => Err("\"epochs\" entries must be integers or null"),
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                    Some(_) => return Err("\"epochs\" must be an array".to_string()),
-                };
-                let results = doc
-                    .get("results")
-                    .and_then(Json::as_array)
-                    .ok_or("missing \"results\" array")?
-                    .iter()
-                    .map(result_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::Batch(Batch {
-                    epoch,
-                    results,
-                    epochs,
-                }))
-            }
-            Some(false) => {
-                let error = doc.get("error").ok_or("missing \"error\" object")?;
-                let kind = error
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .and_then(ErrorKind::from_wire_name)
-                    .ok_or("missing or unknown error \"kind\"")?;
-                let message = string_field(error, "message").unwrap_or_default();
-                Ok(Response::Error { kind, message })
-            }
-            None => Err("response must carry a boolean \"ok\"".to_string()),
-        }
+        Response::from_bytes(payload)
     }
 }
 
@@ -740,8 +755,9 @@ mod tests {
             Value::Null,
         ];
         for value in &originals {
-            let json = value_to_json(value);
-            let back = value_from_json(&json::parse(&json.encode()).unwrap()).unwrap();
+            let mut text = Vec::new();
+            encode_value(&mut JsonWriter::new(&mut text), value);
+            let back = decode_value(&mut JsonReader::new(&text)).unwrap();
             assert_eq!(&back, value, "round-trip of {value:?}");
         }
     }

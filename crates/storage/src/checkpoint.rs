@@ -19,9 +19,10 @@
 //! damaged checkpoint degrades to the previous one instead of to data loss.
 
 use crate::error::StorageError;
-use dd_wire::record::{read_record, write_record, RecordError, MAX_PAYLOAD_BYTES};
+use dd_wire::record::{
+    split_record, write_record, RecordError, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES,
+};
 use std::fs::{self, File};
-use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 /// The checkpoint directory: atomic writes, validated reads, pruning.
@@ -127,22 +128,19 @@ impl CheckpointStore {
     /// or mislabeled) are skipped, newest first.
     pub fn latest_valid(&self) -> Result<Option<(u64, Vec<u8>)>, StorageError> {
         for (seq, path) in self.list()?.into_iter().rev() {
-            let bytes = fs::read(&path)
+            let mut bytes = fs::read(&path)
                 .map_err(|e| StorageError::io(format!("reading {}", path.display()), e))?;
-            let mut cursor = Cursor::new(&bytes);
-            // Cap the read at the file's own size: a checkpoint payload
-            // JSON-encodes the full database, graph, and sample bundles, and
-            // can legitimately dwarf the 16 MiB streaming cap.  A valid
-            // record never declares more bytes than the file holding it, so
-            // this accepts everything `write` accepted while a corrupt
-            // length prefix still fails typed with bounded allocation.
-            match read_record(&mut cursor, bytes.len()) {
-                // Valid only if the record agrees with its filename and the
-                // file holds exactly one record.
-                Ok((record_seq, payload))
-                    if record_seq == seq && cursor.position() == bytes.len() as u64 =>
-                {
-                    return Ok(Some((seq, payload)));
+            // A checkpoint payload JSON-encodes the full database, graph,
+            // and sample bundles, and can legitimately dwarf the 16 MiB
+            // streaming cap; the only bound here is the file itself, which a
+            // valid record never outruns — a corrupt length prefix reads as
+            // truncation.  Valid only if the record agrees with its filename
+            // and the file holds exactly one record.
+            match split_record(&bytes) {
+                Ok((record_seq, _, rest)) if record_seq == seq && rest.is_empty() => {
+                    // Hand the payload over in the buffer it was read into.
+                    bytes.drain(..RECORD_HEADER_BYTES);
+                    return Ok(Some((seq, bytes)));
                 }
                 _ => continue,
             }

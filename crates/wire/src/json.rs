@@ -8,6 +8,13 @@
 //! loudly instead of being half-read.  The encoder produces a canonical
 //! single-line form that the parser round-trips.
 //!
+//! The tree is for tooling and tests.  The codecs on the serving and
+//! durability paths never build one: they write through [`JsonWriter`] and
+//! read through [`JsonReader`], each implementing [`Encode`] / [`Decode`]
+//! for its own types.  [`parse`] reads through the same [`JsonReader`], and
+//! [`Json::encode`] is kept independent of [`JsonWriter`] as the oracle the
+//! writer is tested against byte for byte.
+//!
 //! ```
 //! use dd_wire::json::{parse, Json};
 //!
@@ -16,6 +23,12 @@
 //! assert_eq!(value.get("top_k").and_then(Json::as_f64), Some(3.0));
 //! assert_eq!(parse(&value.encode()).unwrap(), value);
 //! ```
+
+mod reader;
+mod writer;
+
+pub use reader::{hex_bytes, Decode, JsonReader, Kind, ObjectReader};
+pub use writer::{Encode, JsonWriter};
 
 /// A parsed JSON value.
 ///
@@ -136,48 +149,6 @@ impl Json {
     }
 }
 
-/// RFC 8259 number grammar: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
-/// `f64::parse` is more lenient (leading zeros, `1.`, `+1`, `inf`), so the
-/// syntax is checked separately to keep the parser strict.
-fn is_valid_number_syntax(text: &str) -> bool {
-    let mut rest = text.strip_prefix('-').unwrap_or(text).as_bytes();
-    // Integer part: one zero, or a nonzero digit followed by any digits.
-    match rest {
-        [b'0', tail @ ..] => rest = tail,
-        [b'1'..=b'9', tail @ ..] => {
-            rest = tail;
-            while let [b'0'..=b'9', tail @ ..] = rest {
-                rest = tail;
-            }
-        }
-        _ => return false,
-    }
-    // Optional fraction: '.' followed by at least one digit.
-    if let [b'.', tail @ ..] = rest {
-        rest = tail;
-        let [b'0'..=b'9', ..] = rest else {
-            return false;
-        };
-        while let [b'0'..=b'9', tail @ ..] = rest {
-            rest = tail;
-        }
-    }
-    // Optional exponent: e/E, optional sign, at least one digit.
-    if let [b'e' | b'E', tail @ ..] = rest {
-        rest = tail;
-        if let [b'+' | b'-', tail @ ..] = rest {
-            rest = tail;
-        }
-        let [b'0'..=b'9', ..] = rest else {
-            return false;
-        };
-        while let [b'0'..=b'9', tail @ ..] = rest {
-            rest = tail;
-        }
-    }
-    rest.is_empty()
-}
-
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -197,247 +168,41 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Maximum container nesting [`parse`] accepts.  The parser is recursive
-/// descent, so without a bound a few kilobytes of `[` characters would
-/// overflow the thread stack — an abort no `catch_unwind` can stop.  128
-/// levels is far beyond any document this workspace produces.
+/// Maximum container nesting [`parse`] and [`JsonReader`] accept.  Reading
+/// nested values recurses, so without a bound a few kilobytes of `[`
+/// characters would overflow the thread stack — an abort no `catch_unwind`
+/// can stop.  128 levels is far beyond any document this workspace produces.
 pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// Parse one JSON document.  Trailing non-whitespace content is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut parser = Parser::new(text);
-    let value = parser.value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing content after the top-level value"));
-    }
-    Ok(value)
+    Json::from_bytes(text.as_bytes())
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// Whether `bytes` is one JSON document, without building anything.
+pub fn validate(bytes: &[u8]) -> Result<(), String> {
+    let mut r = JsonReader::new(bytes);
+    r.skip_value()?;
+    r.finish()
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    fn enter(&mut self) -> Result<(), String> {
-        self.depth += 1;
-        if self.depth > MAX_NESTING_DEPTH {
-            return Err(self.error(&format!("nesting deeper than {MAX_NESTING_DEPTH} levels")));
-        }
-        Ok(())
-    }
-
-    fn error(&self, message: &str) -> String {
-        format!("invalid JSON at byte {}: {message}", self.pos)
-    }
-
-    fn skip_whitespace(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_whitespace();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.error(&format!("unexpected '{}'", other as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected '{text}'")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+impl Decode for Json {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, String> {
+        Ok(match r.peek()? {
+            Kind::Null => r.null().map(|()| Json::Null)?,
+            Kind::Bool => Json::Bool(r.bool()?),
+            Kind::Number => Json::Number(r.number()?),
+            Kind::String => Json::String(r.string()?.into_owned()),
+            Kind::Array => Json::Array(r.seq(Json::decode)?),
+            Kind::Object => {
+                let mut fields = Vec::new();
+                r.begin_object()?;
+                while let Some(key) = r.next_key()? {
+                    fields.push((key.into_owned(), Json::decode(r)?));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex_escape()?;
-                            // A high surrogate must be followed by an escaped
-                            // low surrogate; combine them into one scalar.
-                            let scalar = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes.get(self.pos + 1..self.pos + 3)
-                                    != Some(b"\\u".as_slice())
-                                {
-                                    return Err(self.error("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex_escape()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.error("bad low surrogate"));
-                                }
-                                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                code
-                            };
-                            out.push(
-                                char::from_u32(scalar)
-                                    .ok_or_else(|| self.error("bad \\u codepoint"))?,
-                            );
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences arrive as
-                    // raw bytes; re-decode from the remaining slice).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.error("unterminated string")),
+                Json::Object(fields)
             }
-        }
-    }
-
-    /// Read the four hex digits of a `\uXXXX` escape (cursor on the `u`),
-    /// leaving the cursor on the last digit.
-    fn hex_escape(&mut self) -> Result<u32, String> {
-        let hex = self
-            .bytes
-            .get(self.pos + 1..self.pos + 5)
-            .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.error("non-ascii \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if !is_valid_number_syntax(text) {
-            return Err(self.error(&format!("bad number '{text}'")));
-        }
-        match text.parse::<f64>() {
-            // Overflowing literals (1e999) parse to infinity, which has no
-            // JSON representation — accepting it would break the
-            // parse/encode round-trip, so refuse it up front.
-            Ok(n) if n.is_finite() => Ok(Json::Number(n)),
-            _ => Err(self.error(&format!("number '{text}' is out of range"))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.enter()?;
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.enter()?;
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
+        })
     }
 }
 

@@ -31,6 +31,6 @@ pub mod record;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use json::Json;
 pub use record::{
-    crc32, encode_record, read_record, write_record, RecordError, MAX_PAYLOAD_BYTES,
+    crc32, encode_record, read_record, split_record, write_record, RecordError, MAX_PAYLOAD_BYTES,
     MAX_RECORD_BYTES,
 };

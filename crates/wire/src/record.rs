@@ -85,11 +85,51 @@ const fn build_crc_table() -> [u32; 256] {
 
 /// CRC-32 (IEEE) of `bytes`.  Matches zlib's `crc32(0, …)`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+/// Feed `bytes` into a running (un-finalized) CRC-32 state.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The checksum a record stores: over the sequence number, then the payload.
+fn record_crc(seq_be: &[u8; 8], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(0xFFFF_FFFF, seq_be), payload)
+}
+
+/// The 16 header bytes of the record carrying `payload` under `seq`.
+fn record_header(seq: u64, payload: &[u8]) -> [u8; RECORD_HEADER_BYTES] {
+    let seq_be = seq.to_be_bytes();
+    let mut header = [0u8; RECORD_HEADER_BYTES];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..8].copy_from_slice(&record_crc(&seq_be, payload).to_be_bytes());
+    header[8..].copy_from_slice(&seq_be);
+    header
+}
+
+/// Split a header into `(declared payload length, stored checksum, sequence
+/// number as written)`.
+fn parse_header(header: &[u8; RECORD_HEADER_BYTES]) -> (usize, u32, [u8; 8]) {
+    let word = |at: usize| {
+        u32::from_be_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+    };
+    let mut seq_be = [0u8; 8];
+    seq_be.copy_from_slice(&header[8..]);
+    (word(0) as usize, word(4), seq_be)
+}
+
+/// The sequence number of a record whose payload matches its checksum.
+fn verified_seq(stored: u32, seq_be: [u8; 8], payload: &[u8]) -> Result<u64, RecordError> {
+    let computed = record_crc(&seq_be, payload);
+    if computed == stored {
+        Ok(u64::from_be_bytes(seq_be))
+    } else {
+        Err(RecordError::Corrupt { stored, computed })
+    }
 }
 
 /// Why a record could not be read.
@@ -168,15 +208,7 @@ impl RecordError {
 /// have failed to allocate.
 pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-    let len = payload.len() as u32;
-    let seq_be = seq.to_be_bytes();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in seq_be.iter().chain(payload.iter()) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.extend_from_slice(&(!crc).to_be_bytes());
-    buf.extend_from_slice(&seq_be);
+    buf.extend_from_slice(&record_header(seq, payload));
     buf.extend_from_slice(payload);
     buf
 }
@@ -184,7 +216,10 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
 /// Write one record: length, checksum, sequence, payload.
 ///
 /// Refuses payloads longer than [`MAX_PAYLOAD_BYTES`].  Does not flush or
-/// sync — the storage layer owns the fsync policy.
+/// sync — the storage layer owns the fsync policy.  The payload is written
+/// from where it lies (a checkpoint is not copied behind its header first),
+/// so an unbuffered writer sees two writes; an appender that needs a record
+/// to reach the file in one uses [`encode_record`].
 pub fn write_record(writer: &mut impl Write, seq: u64, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_PAYLOAD_BYTES {
         return Err(io::Error::new(
@@ -195,7 +230,8 @@ pub fn write_record(writer: &mut impl Write, seq: u64, payload: &[u8]) -> io::Re
             ),
         ));
     }
-    writer.write_all(&encode_record(seq, payload))
+    writer.write_all(&record_header(seq, payload))?;
+    writer.write_all(payload)
 }
 
 /// Read one record, allocating at most `max_payload` bytes, verifying the
@@ -209,7 +245,7 @@ pub fn read_record(
 ) -> Result<(u64, Vec<u8>), RecordError> {
     let mut header = [0u8; RECORD_HEADER_BYTES];
     read_exact_or(reader, &mut header[..4], true)?;
-    let declared = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let (declared, ..) = parse_header(&header);
     if declared > max_payload {
         return Err(RecordError::Oversized {
             declared,
@@ -217,21 +253,35 @@ pub fn read_record(
         });
     }
     read_exact_or(reader, &mut header[4..], false)?;
-    let stored = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-    let seq = u64::from_be_bytes([
-        header[8], header[9], header[10], header[11], header[12], header[13], header[14],
-        header[15],
-    ]);
+    let (_, stored, seq_be) = parse_header(&header);
     let mut payload = vec![0u8; declared];
     read_exact_or(reader, &mut payload, false)?;
-    let mut check = Vec::with_capacity(8 + payload.len());
-    check.extend_from_slice(&header[8..]);
-    check.extend_from_slice(&payload);
-    let computed = crc32(&check);
-    if computed != stored {
-        return Err(RecordError::Corrupt { stored, computed });
+    Ok((verified_seq(stored, seq_be, &payload)?, payload))
+}
+
+/// [`read_record`] for a record already in memory: the payload is returned
+/// as a slice of `bytes`, followed by whatever lies after the record.
+///
+/// The errors are those of a reader over `bytes` capped at `bytes.len()`:
+/// nothing at all is [`RecordError::Closed`], a record that runs past the
+/// end is [`RecordError::Truncated`].
+pub fn split_record(bytes: &[u8]) -> Result<(u64, &[u8], &[u8]), RecordError> {
+    if bytes.is_empty() {
+        return Err(RecordError::Closed);
     }
-    Ok((seq, payload))
+    let Some((header, rest)) = bytes.split_first_chunk::<RECORD_HEADER_BYTES>() else {
+        return Err(RecordError::Truncated {
+            missing: RECORD_HEADER_BYTES - bytes.len(),
+        });
+    };
+    let (declared, stored, seq_be) = parse_header(header);
+    if declared > rest.len() {
+        return Err(RecordError::Truncated {
+            missing: declared - rest.len(),
+        });
+    }
+    let (payload, rest) = rest.split_at(declared);
+    Ok((verified_seq(stored, seq_be, payload)?, payload, rest))
 }
 
 /// `read_exact` that maps end-of-stream to [`RecordError::Closed`] when no

@@ -188,3 +188,47 @@ fn oversized_prefixes_fail_before_allocation_under_fuzz() {
         ));
     }
 }
+
+/// The in-memory decoder must read a damaged stream exactly as the
+/// streaming one capped at the stream's length does: the same records, then
+/// the same kind of stop.
+#[test]
+fn split_record_reads_what_read_record_reads() {
+    use dd_wire::split_record;
+    let mut rng = SplitMix64(0x5711);
+    for round in 0..300 {
+        let mut bytes = valid_records(&mut rng);
+        match round % 3 {
+            0 => {}
+            1 => bytes.truncate(rng.below(bytes.len() + 1)),
+            _ => {
+                let pos = rng.below(bytes.len());
+                bytes[pos] ^= 1 << rng.below(8);
+            }
+        }
+        let mut stream = Cursor::new(bytes.clone());
+        let mut rest = bytes.as_slice();
+        loop {
+            let streamed = read_record(&mut stream, bytes.len());
+            match (streamed, split_record(rest)) {
+                (Ok((seq, payload)), Ok((split_seq, split_payload, after))) => {
+                    assert_eq!((seq, payload.as_slice()), (split_seq, split_payload));
+                    rest = after;
+                }
+                (Err(a), Err(b)) => {
+                    // Past the cap a stream says Oversized where a slice,
+                    // which cannot hold the bytes either, says Truncated.
+                    let kind = |e: &RecordError| match e {
+                        RecordError::Oversized { .. } => {
+                            std::mem::discriminant(&RecordError::Truncated { missing: 0 })
+                        }
+                        other => std::mem::discriminant(other),
+                    };
+                    assert_eq!(kind(&a), kind(&b), "round {round}: {a:?} vs {b:?}");
+                    break;
+                }
+                (a, b) => panic!("round {round}: {a:?} vs {b:?}"),
+            }
+        }
+    }
+}
