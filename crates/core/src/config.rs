@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use dd_inference::{GibbsOptions, LearnOptions, VariationalOptions};
-use serde::{Deserialize, Serialize};
 
 /// Query-variable count at which hogwild inference starts paying for its
 /// dispatch overhead (measured with `bench_sweeps`: the 65-variable fig9
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 
 /// Configuration of a [`crate::DeepDive`] engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Gibbs options for full (Rerun) inference.
     pub gibbs: GibbsOptions,

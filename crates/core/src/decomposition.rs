@@ -10,12 +10,11 @@
 //! boundary contains the other's.
 
 use dd_factorgraph::{FactorGraph, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One group of Algorithm 2's output: inactive variables plus the active
 /// variables conditioning on which they are independent of the rest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecompositionGroup {
     pub inactive: Vec<VarId>,
     pub active_boundary: Vec<VarId>,

@@ -51,6 +51,7 @@ use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{Column, DataType, Database, DeltaRelation, Schema, Table, Tuple, Value};
 use dd_storage::{CheckpointStore, StorageError, Wal};
 use dd_wire::json::{hex_bytes, Decode, Encode, JsonReader, JsonWriter, Kind};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Format version stamped into every checkpoint payload.  Bumped whenever the
@@ -73,17 +74,24 @@ type R<T> = Result<T, StorageError>;
 /// graph large enough to cross `EngineConfig::parallel_threshold` samples with
 /// hogwild threads, whose interleaving is not replayable (the checkpoint
 /// itself is always exact; see ARCHITECTURE.md).
+///
+/// The same value is what the engine executes, live and on replay: a live
+/// call borrows its caller's arguments (nothing is cloned to log or run an
+/// operation), a decoded record owns them.
 #[derive(Debug, Clone)]
-pub(crate) enum WalOp {
+pub(crate) enum WalOp<'a> {
     /// `DeepDive::initial_run`.
     InitialRun,
     /// `DeepDive::run_update` with the given mode.
     Update {
         mode: ExecutionMode,
-        update: KbcUpdate,
+        update: Cow<'a, KbcUpdate>,
     },
     /// `DeepDive::retract_supervision`.
-    RetractSupervision { relation: String, tuple: Tuple },
+    RetractSupervision {
+        relation: Cow<'a, str>,
+        tuple: Tuple,
+    },
     /// `DeepDive::refresh`.
     Refresh,
     /// `DeepDive::materialize`.
@@ -119,6 +127,56 @@ impl DurabilityHandle {
             || self
                 .checkpoint_every_bytes
                 .is_some_and(|n| self.bytes_since_checkpoint >= n)
+    }
+
+    /// Append one logical operation to the WAL.
+    pub fn append(&mut self, op: &WalOp<'_>) -> R<()> {
+        let payload = encode_wal_op(op);
+        self.wal.append(&payload)?;
+        self.records_since_checkpoint += 1;
+        self.bytes_since_checkpoint += payload.len() as u64;
+        Ok(())
+    }
+
+    /// Write `state` as a checkpoint covering everything logged so far, then
+    /// prune the WAL and the older checkpoints it supersedes.  Returns the
+    /// covered sequence number.
+    ///
+    /// Ordering is what makes this crash-safe at every byte boundary:
+    ///
+    /// 1. fsync the WAL — nothing the checkpoint covers may be volatile;
+    /// 2. write the checkpoint file atomically (temp file, fsync, rename,
+    ///    fsync the directory);
+    /// 3. rotate the WAL onto a fresh segment;
+    /// 4. prune older checkpoints and fully-covered WAL segments.
+    ///
+    /// A crash between any two steps leaves either the old checkpoint or the
+    /// new one fully intact, and the WAL always reaches from the newest valid
+    /// checkpoint to the last logged operation.
+    pub fn checkpoint(&mut self, state: CheckpointState) -> R<u64> {
+        encode_checkpoint(&state, &mut self.checkpoint_buf);
+        drop(state);
+        self.wal.sync()?;
+        let covered = self.wal.last_seq();
+        self.checkpoints.write(covered, &self.checkpoint_buf)?;
+        self.wal.rotate()?;
+        self.checkpoints.prune(self.keep_checkpoints)?;
+        // Prune below the *oldest retained* checkpoint, not the one just
+        // written: if the newest file is later damaged, recovery falls back
+        // to an older checkpoint and must still find every WAL record from
+        // that point forward.
+        let oldest = self
+            .checkpoints
+            .covered_seqs()?
+            .first()
+            .copied()
+            .unwrap_or(covered);
+        self.wal.prune_below(oldest + 1)?;
+        // The auto-checkpoint window restarts here for both policy counters
+        // (manual checkpoints count too: they bound replay just the same).
+        self.records_since_checkpoint = 0;
+        self.bytes_since_checkpoint = 0;
+        Ok(covered)
     }
 }
 
@@ -1183,7 +1241,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> R<Snapshot> {
 // WAL op + checkpoint payloads.
 // ---------------------------------------------------------------------------
 
-impl Encode for WalOp {
+impl Encode for WalOp<'_> {
     fn encode(&self, w: &mut JsonWriter<'_>) {
         w.object(|w| match self {
             WalOp::InitialRun => w.field("op", "initial_run"),
@@ -1209,14 +1267,14 @@ impl Encode for WalOp {
             }
             WalOp::RetractSupervision { relation, tuple } => {
                 w.field("op", "retract_supervision");
-                w.field("relation", relation);
+                w.field("relation", &**relation);
                 enc_tuple(w.key("tuple"), tuple);
             }
         });
     }
 }
 
-impl Decode for WalOp {
+impl Decode for WalOp<'static> {
     fn decode(r: &mut JsonReader<'_>) -> D<Self> {
         r.object(|o| match &*o.field("op")?.string()? {
             "initial_run" => Ok(WalOp::InitialRun),
@@ -1238,10 +1296,13 @@ impl Decode for WalOp {
                     dec_head(r, "retracted supervision is not a [relation, tuple] pair")
                 })?;
                 update.new_rules = o.field("new_rules")?.seq(dec_rule)?;
-                Ok(WalOp::Update { mode, update })
+                Ok(WalOp::Update {
+                    mode,
+                    update: Cow::Owned(update),
+                })
             }
             "retract_supervision" => Ok(WalOp::RetractSupervision {
-                relation: String::decode(o.field("relation")?)?,
+                relation: Cow::Owned(String::decode(o.field("relation")?)?),
                 tuple: dec_tuple(o.field("tuple")?)?,
             }),
             other => Err(o.error(format_args!("unknown WAL op `{other}`"))),
@@ -1249,11 +1310,11 @@ impl Decode for WalOp {
     }
 }
 
-pub(crate) fn encode_wal_op(op: &WalOp) -> Vec<u8> {
+pub(crate) fn encode_wal_op(op: &WalOp<'_>) -> Vec<u8> {
     op.to_bytes()
 }
 
-pub(crate) fn decode_wal_op(bytes: &[u8]) -> R<WalOp> {
+pub(crate) fn decode_wal_op(bytes: &[u8]) -> R<WalOp<'static>> {
     WalOp::from_bytes(bytes).map_err(|e| bad("decoding WAL operation", e))
 }
 
@@ -1530,11 +1591,11 @@ mod tests {
             WalOp::Materialize,
             WalOp::Update {
                 mode: ExecutionMode::Incremental,
-                update: update.clone(),
+                update: Cow::Borrowed(&update),
             },
             WalOp::Update {
                 mode: ExecutionMode::Rerun,
-                update,
+                update: Cow::Borrowed(&update),
             },
         ] {
             let bytes = encode_wal_op(&op);

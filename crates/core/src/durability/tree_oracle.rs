@@ -627,7 +627,7 @@ pub(super) fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
     snapshot_to_json(s).encode().into_bytes()
 }
 
-pub(super) fn encode_wal_op(op: &WalOp) -> Vec<u8> {
+pub(super) fn encode_wal_op(op: &WalOp<'_>) -> Vec<u8> {
     let json = match op {
         WalOp::InitialRun => obj(vec![("op", Json::String("initial_run".into()))]),
         WalOp::Refresh => obj(vec![("op", Json::String("refresh".into()))]),
@@ -671,7 +671,7 @@ pub(super) fn encode_wal_op(op: &WalOp) -> Vec<u8> {
         }
         WalOp::RetractSupervision { relation, tuple } => obj(vec![
             ("op", Json::String("retract_supervision".into())),
-            ("relation", Json::String(relation.clone())),
+            ("relation", Json::String(relation.to_string())),
             ("tuple", enc_tuple(tuple)),
         ]),
     };
@@ -758,7 +758,7 @@ fn assert_checkpoint_matches_tree(engine: &DeepDive, what: &str) {
     assert!(super::encode_snapshot(&decoded) == snapshot, "{what}");
 }
 
-fn assert_wal_op_matches_tree(op: &WalOp, what: &str) {
+fn assert_wal_op_matches_tree(op: &WalOp<'_>, what: &str) {
     let bytes = super::encode_wal_op(op);
     assert_eq!(
         String::from_utf8_lossy(&bytes),
@@ -788,7 +788,7 @@ fn news_development_loop_encodes_as_the_tree_encoder_did() {
         for (template, update) in system.development_updates() {
             let what = format!("seed {seed}, {}", template.name());
             for mode in [ExecutionMode::Incremental, ExecutionMode::Rerun] {
-                let update = update.clone();
+                let update = Cow::Borrowed(&update);
                 assert_wal_op_matches_tree(&WalOp::Update { mode, update }, &what);
             }
             engine
@@ -886,7 +886,7 @@ fn claims_kb_rounds_encode_as_the_tree_encoder_did() {
         assert_wal_op_matches_tree(
             &WalOp::Update {
                 mode,
-                update: update.clone(),
+                update: Cow::Borrowed(&update),
             },
             what,
         );
@@ -898,7 +898,7 @@ fn claims_kb_rounds_encode_as_the_tree_encoder_did() {
         WalOp::Refresh,
         WalOp::Materialize,
         WalOp::RetractSupervision {
-            relation: "Fact \"quoted\"\n".to_string(),
+            relation: Cow::Borrowed("Fact \"quoted\"\n"),
             tuple: Tuple::new(vec![
                 Value::Int(i64::MIN),
                 Value::text("é\u{1}🚀\\"),

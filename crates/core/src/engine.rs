@@ -18,30 +18,64 @@
 //! Grounding is incremental in both modes; the relational (DRed) speedup is
 //! measured separately by the `grounding_dred` benchmark, matching how the paper
 //! reports it separately from Figure 9.
+//!
+//! # One staged round
+//!
+//! Every state-changing entry point is one logical operation (`WalOp`) and
+//! goes through one wrapper, `DeepDive::execute`: append the operation to the
+//! WAL, run it, auto-checkpoint.  WAL replay hands a decoded operation to the
+//! same `DeepDive::run_op` the wrapper calls, so a replayed operation cannot
+//! run differently from a live one.  Every operation except `materialize` is a
+//! *round* (`DeepDive::run_round`) of five stages; ground, learn and infer are
+//! each timed once, for the round's report:
+//!
+//! 1. **ground** — the whole program (initial run), one Δ (an update, in
+//!    either mode), or nothing (refresh).  A Δ that retracts structure drops
+//!    the materialization here — or fails the round, in strict mode.
+//! 2. **describe + accumulate** — the round's [`DistributionChange`] decides
+//!    the §3.3 strategy and whether the model needs learning, and joins the
+//!    change accumulated since the materialization was taken.  This does not
+//!    depend on the mode, and happens only while a materialization exists:
+//!    the accumulated change is what the stored samples must be corrected
+//!    for, whoever changed the graph.
+//! 3. **learn** — cold (initial run, Rerun), warm for half the epochs
+//!    (Incremental, when the change calls for it), or not at all.  Weights
+//!    that learning moves join the accumulated change.
+//! 4. **infer** — full Gibbs, or the chosen §3.3 strategy; wherever the
+//!    materialization cannot serve, one fallback (`DeepDive::fallback`)
+//!    yields full Gibbs or, in strict mode, `StaleMaterialization`.
+//! 5. **publish** — commit the marginals as the next epoch's snapshot; the
+//!    round's one [`IterationReport`] is built from the stage results.
+//!
+//! **The grounder describes what it applied.**  Incremental grounding is the
+//! only application of a [`GraphDelta`] to the engine's graph, and it reports
+//! the ids it assigned and the roles it replaced
+//! ([`dd_grounding::IncrementalGrounding`]); the description is built from
+//! that report ([`DistributionChange::from_applied`]).  The engine never
+//! copies the graph and never applies a delta itself.
 
 use crate::builder::DeepDiveBuilder;
 use crate::config::EngineConfig;
-use crate::durability::{self, CheckpointState, DurabilityHandle, WalOp};
+use crate::durability::{CheckpointState, DurabilityHandle, WalOp};
 use crate::error::{EngineError, StaleKind};
-use crate::materialization::Materialization;
+use crate::materialization::{Materialization, Materialized};
 use crate::optimizer::{choose_strategy, StrategyChoice};
 use crate::quality::QualityReport;
 use crate::snapshot::{self, Snapshot, SnapshotReader};
-use dd_factorgraph::{FactorGraph, FlatGraph};
+use dd_factorgraph::{FactorGraph, FlatGraph, GraphDelta};
 use dd_grounding::{Grounder, KbcUpdate, Program, UdfRegistry};
 use dd_inference::{
     DistributionChange, GibbsOptions, GibbsSampler, LearnOptions, Learner, Marginals, ParallelGibbs,
 };
 use dd_relstore::{Database, Tuple};
 use rayon::ThreadPool;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 /// Whether an update is executed from scratch or incrementally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     Rerun,
     Incremental,
@@ -57,7 +91,7 @@ impl ExecutionMode {
 }
 
 /// Timing and bookkeeping for one executed iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IterationReport {
     pub mode: ExecutionMode,
     /// Strategy chosen by the optimizer (None for Rerun / the initial run).
@@ -152,19 +186,10 @@ pub struct DeepDive {
     /// on the same compilation.  Dropped whenever grounding is about to
     /// change the graph.
     compiled: Option<FlatGraph>,
-    materialization: Option<Materialization>,
-    /// Epoch at which [`DeepDive::materialize`] was last called.
-    materialized_epoch: Option<u64>,
-    /// `(num_variables, num_weights)` of the *full* graph when the
-    /// materialization was taken — the coverage the variational strategy can
-    /// serve.  (The approximate graph carries its own unary/pairwise weight
-    /// space, so its counts say nothing about the model's.)
-    materialized_coverage: Option<(usize, usize)>,
-    /// The distribution change accumulated since the materialization was taken:
-    /// successive incremental updates all reuse the same stored samples, so the
-    /// MH acceptance test must compare against the *materialized* distribution,
-    /// not just the previous iteration's.
-    cumulative_change: DistributionChange,
+    /// The materialization in service, with the change accumulated since it
+    /// was taken; `None` before [`DeepDive::materialize`] and after a
+    /// retraction dropped it.
+    materialized: Option<Materialized>,
     learned_weights: Vec<f64>,
     /// Number of completed runs; every publish bumps it by one.
     epoch: u64,
@@ -194,40 +219,39 @@ impl std::fmt::Debug for DeepDive {
         f.debug_struct("DeepDive")
             .field("epoch", &self.epoch)
             .field("config", &self.config)
-            .field("materialized_epoch", &self.materialized_epoch)
+            .field("materialized_epoch", &self.materialized_epoch())
             .field("graph", &self.grounder.graph().stats())
             .field("durable", &self.durability.is_some())
             .finish_non_exhaustive()
     }
 }
 
-/// Merge `next` into `acc`.  New evidence overwrites older values for the same
-/// variable; for changed weights the *oldest* recorded pre-change value wins
-/// (the acceptance test compares against the materialized distribution).
-fn merge_change(acc: &mut DistributionChange, next: &DistributionChange) {
-    acc.new_factors.extend(next.new_factors.iter().copied());
-    acc.new_variables.extend(next.new_variables.iter().copied());
-    let mut evidence_index: HashMap<usize, usize> = acc
-        .new_evidence
-        .iter()
-        .enumerate()
-        .map(|(i, &(v, _))| (v, i))
-        .collect();
-    for &(v, val) in &next.new_evidence {
-        match evidence_index.get(&v) {
-            Some(&i) => acc.new_evidence[i].1 = val,
-            None => {
-                evidence_index.insert(v, acc.new_evidence.len());
-                acc.new_evidence.push((v, val));
-            }
-        }
-    }
-    let mut seen_weights: HashSet<usize> = acc.changed_weights.iter().map(|&(w, _)| w).collect();
-    for &(w, old) in &next.changed_weights {
-        if seen_weights.insert(w) {
-            acc.changed_weights.push((w, old));
-        }
-    }
+/// What the ground stage of a round does.
+#[derive(Clone, Copy)]
+enum Ground<'a> {
+    /// Ground the whole program (the initial run).
+    Full,
+    /// Ground one update incrementally.
+    Delta(&'a KbcUpdate),
+    /// Leave the graph as it is (a refresh).
+    None,
+}
+
+/// What the ground stage leaves for the later stages of its round.
+#[derive(Default)]
+struct Grounded {
+    /// The delta the grounder applied (empty unless the round grounded a Δ);
+    /// the variational strategy replays it on its approximate graph.
+    delta: GraphDelta,
+    /// This round's own distribution change.
+    change: DistributionChange,
+    /// The Δ removed structure or withdrew supervision.
+    has_retraction: bool,
+    /// `(variables, weights)` of the graph before the stage ran.
+    pre_update: (usize, usize),
+    /// What the round reports as new.
+    new_variables: usize,
+    new_factors: usize,
 }
 
 impl DeepDive {
@@ -246,27 +270,30 @@ impl DeepDive {
         udfs: UdfRegistry,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
+        Ok(Self::fresh(Grounder::new(program, db, udfs)?, config))
+    }
+
+    /// An engine at epoch 0 around `grounder`: nothing learned, nothing
+    /// materialized, serving the empty snapshot.
+    fn fresh(grounder: Grounder, config: EngineConfig) -> Self {
         let pool = OnceLock::new();
         if let Some(n) = config.num_threads {
             let _ = pool.set(Arc::new(ThreadPool::new(n)));
         }
         let empty = Arc::new(Snapshot::empty(config.fact_threshold));
-        Ok(DeepDive {
-            grounder: Grounder::new(program, db, udfs)?,
+        DeepDive {
+            grounder,
             config,
             pool,
             compiled: None,
-            materialization: None,
-            materialized_epoch: None,
-            materialized_coverage: None,
-            cumulative_change: DistributionChange::default(),
+            materialized: None,
             learned_weights: Vec::new(),
             epoch: 0,
             catalog_cache: snapshot::CatalogShards::new(),
             current: Arc::new(RwLock::new(empty)),
             durability: None,
             replay_errors: Vec::new(),
-        })
+        }
     }
 
     /// Reconstruct an engine from a decoded checkpoint (recovery path of
@@ -279,31 +306,27 @@ impl DeepDive {
         udfs: UdfRegistry,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
-        let pool = OnceLock::new();
-        if let Some(n) = config.num_threads {
-            let _ = pool.set(Arc::new(ThreadPool::new(n)));
+        let mut engine = Self::fresh(Grounder::from_state(state.grounder, udfs)?, config);
+        if let (Some(materialization), Some(epoch), Some(coverage)) = (
+            state.materialization,
+            state.materialized_epoch,
+            state.materialized_coverage,
+        ) {
+            engine.materialized = Some(Materialized {
+                materialization,
+                epoch,
+                coverage,
+                change: state.cumulative_change,
+            });
         }
-        let grounder = Grounder::from_state(state.grounder, udfs)?;
+        engine.learned_weights = state.learned_weights;
+        engine.epoch = state.epoch;
         // The sharded publish cache is exactly the catalog the last published
         // snapshot carries; entries grounded after that publish are still
         // pending in the grounder's dirty-set and merge on the next commit.
-        let catalog_cache = state.snapshot.catalog().clone();
-        Ok(DeepDive {
-            grounder,
-            config,
-            pool,
-            compiled: None,
-            materialization: state.materialization,
-            materialized_epoch: state.materialized_epoch,
-            materialized_coverage: state.materialized_coverage,
-            cumulative_change: state.cumulative_change,
-            learned_weights: state.learned_weights,
-            epoch: state.epoch,
-            catalog_cache,
-            current: Arc::new(RwLock::new(Arc::new(state.snapshot))),
-            durability: None,
-            replay_errors: Vec::new(),
-        })
+        engine.catalog_cache = state.snapshot.catalog().clone();
+        engine.current = Arc::new(RwLock::new(Arc::new(state.snapshot)));
+        Ok(engine)
     }
 
     // ------------------------------------------------------------------ access
@@ -321,7 +344,11 @@ impl DeepDive {
     }
 
     pub fn materialization(&self) -> Option<&Materialization> {
-        self.materialization.as_ref()
+        self.materialized.as_ref().map(|m| &m.materialization)
+    }
+
+    fn materialized_epoch(&self) -> Option<u64> {
+        self.materialized.as_ref().map(|m| m.epoch)
     }
 
     pub fn learned_weights(&self) -> &[f64] {
@@ -447,53 +474,12 @@ impl DeepDive {
         Ok(resharded)
     }
 
-    // ------------------------------------------------------------ initial run
+    // ------------------------------------------------------------ operations
 
     /// Run the full pipeline once: grounding, learning, inference; publishes
     /// epoch 1's snapshot.
-    ///
-    /// Durable engines append the operation to the WAL *before* executing it
-    /// (redo logging): once the append returns, recovery will roll the
-    /// operation forward even if the process dies mid-inference.
     pub fn initial_run(&mut self) -> Result<IterationReport, EngineError> {
-        self.log_op(&WalOp::InitialRun)?;
-        let report = self.initial_run_inner()?;
-        self.maybe_auto_checkpoint()?;
-        Ok(report)
-    }
-
-    fn initial_run_inner(&mut self) -> Result<IterationReport, EngineError> {
-        let t0 = Instant::now();
-        self.compiled = None;
-        self.grounder.ground()?;
-        let grounding_secs = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let learn = LearnOptions {
-            seed: self.config.seed,
-            ..self.config.learn.clone()
-        };
-        self.learned_weights = self.run_learner(&learn).final_weights;
-        let learning_secs = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let marginals = self.full_gibbs();
-        let inference_secs = t2.elapsed().as_secs_f64();
-        let resharded_relations = self.commit_marginals(marginals)?;
-
-        let stats = self.grounder.graph().stats();
-        Ok(IterationReport {
-            mode: ExecutionMode::Rerun,
-            strategy: None,
-            grounding_secs,
-            learning_secs,
-            inference_secs,
-            acceptance_rate: None,
-            new_variables: stats.num_variables,
-            new_factors: stats.num_factors,
-            fell_back_to_variational: false,
-            resharded_relations,
-        })
+        self.execute_round(WalOp::InitialRun)
     }
 
     /// Build the combined materialization (sampling + variational + strawman).
@@ -501,22 +487,7 @@ impl DeepDive {
     /// Only fallible on durable engines (the WAL append); in-memory engines
     /// cannot fail here.
     pub fn materialize(&mut self) -> Result<(), EngineError> {
-        self.log_op(&WalOp::Materialize)?;
-        self.materialize_inner();
-        self.maybe_auto_checkpoint()?;
-        Ok(())
-    }
-
-    fn materialize_inner(&mut self) {
-        let graph = self.grounder.graph();
-        let flat = self.compiled.get_or_insert_with(|| graph.compile());
-        self.materialization = Some(Materialization::build_on(flat, graph, &self.config));
-        self.materialized_epoch = Some(self.epoch);
-        self.materialized_coverage = Some((
-            self.grounder.graph().num_variables(),
-            self.grounder.graph().num_weights(),
-        ));
-        self.cumulative_change = DistributionChange::default();
+        self.execute(WalOp::Materialize).map(drop)
     }
 
     /// Re-run full inference over the current graph and publish a fresh epoch
@@ -529,32 +500,8 @@ impl DeepDive {
     /// re-send the rejected update: its base-relation deltas have already
     /// been applied, and applying them again inflates derivation counts.
     pub fn refresh(&mut self) -> Result<IterationReport, EngineError> {
-        self.log_op(&WalOp::Refresh)?;
-        let report = self.refresh_inner()?;
-        self.maybe_auto_checkpoint()?;
-        Ok(report)
+        self.execute_round(WalOp::Refresh)
     }
-
-    fn refresh_inner(&mut self) -> Result<IterationReport, EngineError> {
-        let t = Instant::now();
-        let marginals = self.full_gibbs();
-        let inference_secs = t.elapsed().as_secs_f64();
-        let resharded_relations = self.commit_marginals(marginals)?;
-        Ok(IterationReport {
-            mode: ExecutionMode::Rerun,
-            strategy: None,
-            grounding_secs: 0.0,
-            learning_secs: 0.0,
-            inference_secs,
-            acceptance_rate: None,
-            new_variables: 0,
-            new_factors: 0,
-            fell_back_to_variational: false,
-            resharded_relations,
-        })
-    }
-
-    // --------------------------------------------------------------- updates
 
     /// Execute one KBC update in the given mode; on success the next epoch's
     /// snapshot is published and previously handed-out snapshots keep serving
@@ -564,16 +511,10 @@ impl DeepDive {
         update: &KbcUpdate,
         mode: ExecutionMode,
     ) -> Result<IterationReport, EngineError> {
-        if self.durability.is_some() {
-            let op = WalOp::Update {
-                mode,
-                update: update.clone(),
-            };
-            self.log_op(&op)?;
-        }
-        let report = self.run_update_inner(update, mode)?;
-        self.maybe_auto_checkpoint()?;
-        Ok(report)
+        self.execute_round(WalOp::Update {
+            mode,
+            update: Cow::Borrowed(update),
+        })
     }
 
     /// Un-pin a supervision label: the variable for `tuple` in `relation`
@@ -586,262 +527,263 @@ impl DeepDive {
         relation: &str,
         tuple: Tuple,
     ) -> Result<IterationReport, EngineError> {
-        if self.durability.is_some() {
-            let op = WalOp::RetractSupervision {
-                relation: relation.to_string(),
-                tuple: tuple.clone(),
-            };
-            self.log_op(&op)?;
-        }
-        let mut update = KbcUpdate::new();
-        update.retract_supervision(relation, tuple);
-        let report = self.run_update_inner(&update, ExecutionMode::Incremental)?;
+        self.execute_round(WalOp::RetractSupervision {
+            relation: Cow::Borrowed(relation),
+            tuple,
+        })
+    }
+
+    /// The one way in for a state-changing operation: log it (redo logging:
+    /// once the append returns, recovery rolls the operation forward even if
+    /// the process dies mid-inference), run it, and checkpoint if the policy
+    /// says the log has grown enough.
+    fn execute(&mut self, op: WalOp<'_>) -> Result<Option<IterationReport>, EngineError> {
+        self.log_op(&op)?;
+        let report = self.run_op(&op)?;
         self.maybe_auto_checkpoint()?;
         Ok(report)
     }
 
-    fn run_update_inner(
+    /// [`DeepDive::execute`] for the operations that are rounds.
+    fn execute_round(&mut self, op: WalOp<'_>) -> Result<IterationReport, EngineError> {
+        let report = self.execute(op)?;
+        Ok(report.expect("every operation but Materialize runs a round"))
+    }
+
+    /// Run one operation, live or replayed: a round and its report, or —
+    /// for `Materialize` — no round.
+    fn run_op(&mut self, op: &WalOp<'_>) -> Result<Option<IterationReport>, EngineError> {
+        // The update a supervision retraction stands for.
+        let mut retraction = KbcUpdate::new();
+        let (ground, mode) = match op {
+            WalOp::Materialize => {
+                self.build_materialization();
+                return Ok(None);
+            }
+            WalOp::InitialRun => (Ground::Full, ExecutionMode::Rerun),
+            WalOp::Refresh => (Ground::None, ExecutionMode::Rerun),
+            WalOp::Update { mode, update } => (Ground::Delta(update), *mode),
+            WalOp::RetractSupervision { relation, tuple } => {
+                retraction.retract_supervision(relation, tuple.clone());
+                (Ground::Delta(&retraction), ExecutionMode::Incremental)
+            }
+        };
+        self.run_round(ground, mode).map(Some)
+    }
+
+    fn build_materialization(&mut self) {
+        let graph = self.grounder.graph();
+        let flat = self.compiled.get_or_insert_with(|| graph.compile());
+        self.materialized = Some(Materialized {
+            materialization: Materialization::build_on(flat, graph, &self.config),
+            epoch: self.epoch,
+            coverage: (graph.num_variables(), graph.num_weights()),
+            change: DistributionChange::default(),
+        });
+    }
+
+    // ------------------------------------------------------------------ rounds
+
+    /// One round: ground → describe + accumulate → learn → infer → publish
+    /// (see the module docs).  Rounds that do not ground a Δ run as `Rerun`.
+    fn run_round(
         &mut self,
-        update: &KbcUpdate,
+        ground: Ground<'_>,
         mode: ExecutionMode,
     ) -> Result<IterationReport, EngineError> {
+        let incremental = matches!(ground, Ground::Delta(_)) && mode == ExecutionMode::Incremental;
+
+        let t = Instant::now();
+        let grounded = self.ground(ground, incremental)?;
+        let grounding_secs = t.elapsed().as_secs_f64();
+
+        // §3.3's rules read *this* round's change; MH reads the accumulated one.
+        let change = grounded.change;
+        let samples_remaining = self
+            .materialization()
+            .map_or(0, |m| m.sampling.num_samples());
+        let strategy = incremental.then(|| choose_strategy(&change, samples_remaining));
+        // Incremental learning is only needed when the model itself must
+        // change: new features, new evidence, or a retraction.
+        let model_changes = !change.new_factors.is_empty()
+            || !change.new_evidence.is_empty()
+            || grounded.has_retraction;
+        let learn = match ground {
+            Ground::None => None,
+            Ground::Delta(_) if incremental => model_changes.then(|| self.learn_options(true)),
+            Ground::Full | Ground::Delta(_) => Some(self.learn_options(false)),
+        };
+        if let Some(materialized) = &mut self.materialized {
+            materialized.change.absorb(change);
+        }
+
+        let t = Instant::now();
+        if let Some(options) = &learn {
+            self.learn(options);
+        }
+        let learning_secs = t.elapsed().as_secs_f64();
+
+        let t = Instant::now();
+        let (marginals, acceptance_rate, fell_back_to_variational) = match strategy {
+            Some(strategy) => {
+                self.infer_incremental(strategy, &grounded.delta, grounded.pre_update)?
+            }
+            None => (self.full_gibbs(), None, false),
+        };
+        let inference_secs = t.elapsed().as_secs_f64();
+
+        let resharded_relations = self.commit_marginals(marginals)?;
+        Ok(IterationReport {
+            mode,
+            strategy,
+            grounding_secs,
+            learning_secs,
+            inference_secs,
+            acceptance_rate,
+            new_variables: grounded.new_variables,
+            new_factors: grounded.new_factors,
+            fell_back_to_variational,
+            resharded_relations,
+        })
+    }
+
+    /// The ground stage.  `incremental` says the round is a Δ in
+    /// Incremental mode — the one kind a retraction can fail in strict mode.
+    fn ground(&mut self, ground: Ground<'_>, incremental: bool) -> Result<Grounded, EngineError> {
+        let update = match ground {
+            Ground::None => return Ok(Grounded::default()),
+            Ground::Full => {
+                self.compiled = None;
+                self.grounder.ground()?;
+                let stats = self.grounder.graph().stats();
+                return Ok(Grounded {
+                    new_variables: stats.num_variables,
+                    new_factors: stats.num_factors,
+                    ..Grounded::default()
+                });
+            }
+            Ground::Delta(update) => update,
+        };
         // Rules arriving mid-stream get the same UDF-resolution guarantee the
         // builder gives construction-time rules.  Checked before grounding,
         // so a rejected update leaves the engine untouched.
         crate::builder::check_tied_udfs(&update.new_rules, self.grounder.udfs())?;
 
-        // Grounding is incremental in both modes.
-        let pre_update_graph = self.grounder.graph().clone();
-        let (pre_update_vars, pre_update_weights) = (
-            pre_update_graph.num_variables(),
-            pre_update_graph.num_weights(),
-        );
-        let t0 = Instant::now();
+        let graph = self.grounder.graph();
+        let pre_update = (graph.num_variables(), graph.num_weights());
         self.compiled = None;
-        let incremental = self.grounder.ground_incremental(update)?;
-        let grounding_secs = t0.elapsed().as_secs_f64();
+        let grounding = self.grounder.ground_incremental(update)?;
+        let delta = grounding.delta;
 
         // Retraction compacts the factor graph in place (swap-remove), so any
         // stored materialization — samples and approximate factorization alike
         // — is keyed by variable/weight ids that no longer mean the same thing.
-        // Strict incremental surfaces that as a typed error; otherwise the
-        // materialization is dropped and the update (plus all later ones,
-        // until re-materialization) is served by full Gibbs.  This never
-        // re-grounds: the grounder's own state is already O(Δ)-updated.
-        let has_retraction =
-            incremental.delta.has_removals() || !update.retracted_supervision.is_empty();
-        if has_retraction && self.materialization.is_some() {
-            if self.config.strict_incremental && mode == ExecutionMode::Incremental {
-                return Err(EngineError::StaleMaterialization {
-                    kind: StaleKind::Retraction {
-                        removed_variables: incremental.delta.removed_variables.len(),
-                        removed_factors: incremental.delta.removed_factors.len(),
-                    },
-                    materialized_epoch: self.materialized_epoch,
-                    current_epoch: self.epoch,
-                });
+        // It is dropped, and rounds are served by full Gibbs until the next
+        // one is built; strict mode surfaces that as a typed error instead.
+        let has_retraction = delta.has_removals() || !update.retracted_supervision.is_empty();
+        if has_retraction && self.materialized.is_some() {
+            if self.config.strict_incremental && incremental {
+                return Err(self.stale(StaleKind::Retraction {
+                    removed_variables: delta.removed_variables.len(),
+                    removed_factors: delta.removed_factors.len(),
+                }));
             }
-            self.materialization = None;
-            self.materialized_epoch = None;
-            self.materialized_coverage = None;
-            self.cumulative_change = DistributionChange::default();
+            self.materialized = None;
         }
 
-        // Describe the distribution change against a clone of the pre-update
-        // graph (applying the same delta reproduces the grounder's ids).
-        let mut change_graph = pre_update_graph;
-        let mut change =
-            DistributionChange::apply_and_describe(&mut change_graph, &incremental.delta);
+        Ok(Grounded {
+            new_variables: delta.new_variables.len(),
+            new_factors: delta.new_factors.len(),
+            change: DistributionChange::from_applied(
+                &delta,
+                grounding.new_variable_ids,
+                grounding.new_factor_ids,
+                &grounding.previous_roles,
+            ),
+            delta,
+            has_retraction,
+            pre_update,
+        })
+    }
 
-        let new_variables = incremental.delta.new_variables.len();
-        let new_factors = incremental.delta.new_factors.len();
+    /// The learn stage.  While a materialization exists, the weights learning
+    /// moves are part of the distribution change its stored samples must be
+    /// corrected for, whichever mode moved them.
+    fn learn(&mut self, options: &LearnOptions) {
+        let before = self
+            .materialized
+            .is_some()
+            .then(|| self.grounder.graph().weight_values());
+        self.learned_weights = self.run_learner(options).final_weights;
+        if let (Some(before), Some(materialized)) = (before, &mut self.materialized) {
+            let moved = before
+                .iter()
+                .zip(&self.learned_weights)
+                .enumerate()
+                .filter(|(_, (old, new))| (*old - *new).abs() > 1e-12)
+                .map(|(w, (&old, _))| (w, old))
+                .collect();
+            materialized.change.record_changed_weights(moved);
+        }
+    }
 
-        match mode {
-            ExecutionMode::Rerun => {
-                // Learning from scratch over the whole updated graph.
-                let t1 = Instant::now();
-                let learn = LearnOptions {
-                    seed: self.config.seed,
-                    warmstart: None,
-                    ..self.config.learn.clone()
-                };
-                self.learned_weights = self.run_learner(&learn).final_weights;
-                let learning_secs = t1.elapsed().as_secs_f64();
-
-                // Full Gibbs over the whole updated graph.
-                let t2 = Instant::now();
-                let marginals = self.full_gibbs();
-                let inference_secs = t2.elapsed().as_secs_f64();
-                let resharded_relations = self.commit_marginals(marginals)?;
-
-                Ok(IterationReport {
-                    mode,
-                    strategy: None,
-                    grounding_secs,
-                    learning_secs,
-                    inference_secs,
-                    acceptance_rate: None,
-                    new_variables,
-                    new_factors,
-                    fell_back_to_variational: false,
-                    resharded_relations,
-                })
+    /// The infer stage of an Incremental Δ round: the chosen §3.3 strategy on
+    /// the materialization, as `(marginals, MH acceptance rate, fell back)`.
+    fn infer_incremental(
+        &self,
+        strategy: StrategyChoice,
+        delta: &GraphDelta,
+        pre_update: (usize, usize),
+    ) -> Result<(Marginals, Option<f64>, bool), EngineError> {
+        let Some(materialized) = &self.materialized else {
+            return Ok((self.fallback(StaleKind::NotMaterialized)?, None, false));
+        };
+        let mat = &materialized.materialization;
+        let variational = || {
+            if materialized.variational_serves(delta, pre_update) {
+                return Ok(mat.variational.infer(delta, &self.gibbs_options()));
             }
-            ExecutionMode::Incremental => {
-                // The variational strategy infers over (a clone of) the
-                // *materialized* approximate graph plus this update's delta,
-                // so it is only usable when that graph still covers every
-                // pre-update variable and weight — if an earlier update grew
-                // the graph past the materialization (e.g. it was served by
-                // sampling), a variational result would span the wrong id
-                // space and silently drop the newer facts from the snapshot.
-                // In that case fall back to full Gibbs (the sampling strategy
-                // is unaffected: it extends its stored proposals over new
-                // entities against the current full graph).
-                // Two conditions: the materialization must still cover the
-                // full pre-update graph (else the variational result spans
-                // the wrong id space and the newer facts vanish from the
-                // snapshot), and the delta's entity references must be
-                // in-bounds for the *approximate* graph it is applied to
-                // (whose unary/pairwise weight space is its own).
-                let variational_ok = match (&self.materialization, self.materialized_coverage) {
-                    (Some(mat), Some((vars, weights))) => {
-                        let approx = mat.variational.approx_graph();
-                        vars == pre_update_vars
-                            && weights == pre_update_weights
-                            && delta_compatible_with(
-                                &incremental.delta,
-                                approx.num_variables(),
-                                approx.num_weights(),
-                            )
-                    }
-                    _ => false,
-                };
-
-                // Incremental learning: only needed when the model itself must
-                // change (new features or new evidence); warmstarted from the
-                // previous weights.
-                let t1 = Instant::now();
-                let needs_learning = !change.new_factors.is_empty()
-                    || !change.new_evidence.is_empty()
-                    || has_retraction;
-                if needs_learning {
-                    let mut warm = self.learned_weights.clone();
-                    warm.resize(self.grounder.graph().num_weights(), 0.0);
-                    let learn = LearnOptions {
-                        epochs: (self.config.learn.epochs / 2).max(1),
-                        warmstart: Some(warm),
-                        seed: self.config.seed,
-                        ..self.config.learn.clone()
-                    };
-                    let pre_learn_weights = self.grounder.graph().weight_values();
-                    self.learned_weights = self.run_learner(&learn).final_weights;
-                    // Weight updates are part of the distribution change the
-                    // sampling strategy must account for.
-                    for (w, (&old, &new)) in pre_learn_weights
-                        .iter()
-                        .zip(self.grounder.graph().weight_values().iter())
-                        .enumerate()
-                    {
-                        if (old - new).abs() > 1e-12
-                            && !change.changed_weights.iter().any(|(id, _)| *id == w)
-                        {
-                            change.changed_weights.push((w, old));
-                        }
-                    }
+            let graph = self.grounder.graph();
+            self.fallback(StaleKind::UnknownEntities {
+                num_variables: graph.num_variables(),
+                num_weights: graph.num_weights(),
+            })
+        };
+        match strategy {
+            StrategyChoice::Sampling => {
+                let outcome = mat.sampling.infer(
+                    self.grounder.graph(),
+                    &materialized.change,
+                    self.config.inference_samples,
+                    self.config.seed,
+                );
+                let rate = Some(outcome.acceptance_rate);
+                if outcome.exhausted {
+                    // Rule 4: out of samples → variational.
+                    Ok((variational()?, rate, true))
+                } else {
+                    Ok((outcome.marginals, rate, false))
                 }
-                let learning_secs = t1.elapsed().as_secs_f64();
-
-                // Strategy selection follows §3.3's rules on *this* update's
-                // change; the MH acceptance test, however, must account for the
-                // change accumulated since materialization, because the stored
-                // samples are reused across iterations.
-                let samples_remaining = self
-                    .materialization
-                    .as_ref()
-                    .map(|m| m.sampling.num_samples())
-                    .unwrap_or(0);
-                let strategy = choose_strategy(&change, samples_remaining);
-                merge_change(&mut self.cumulative_change, &change);
-                let change = self.cumulative_change.clone();
-
-                // `strict_incremental` turns every would-be full-Gibbs
-                // fallback below into `StaleMaterialization` — exactly the
-                // spots the non-strict engine silently absorbs an unbounded
-                // latency spike.  Updates the materialization *can* serve
-                // (including sampling over entities it predates) pass through
-                // untouched.
-                let strict = self.config.strict_incremental;
-                let stale = |kind: StaleKind, s: &Self| EngineError::StaleMaterialization {
-                    kind,
-                    materialized_epoch: s.materialized_epoch,
-                    current_epoch: s.epoch,
-                };
-                let unknown_entities = |s: &Self| StaleKind::UnknownEntities {
-                    num_variables: s.grounder.graph().num_variables(),
-                    num_weights: s.grounder.graph().num_weights(),
-                };
-
-                let t2 = Instant::now();
-                let (marginals, acceptance_rate, fell_back) =
-                    match (&self.materialization, strategy) {
-                        (Some(mat), StrategyChoice::Sampling) => {
-                            let outcome = mat.sampling.infer(
-                                self.grounder.graph(),
-                                &change,
-                                self.config.inference_samples,
-                                self.config.seed,
-                            );
-                            if outcome.exhausted {
-                                // Rule 4: out of samples → variational.
-                                let m = if variational_ok {
-                                    mat.variational.infer(
-                                        &incremental.delta,
-                                        &self.incremental_gibbs_options(),
-                                    )
-                                } else if strict {
-                                    return Err(stale(unknown_entities(self), self));
-                                } else {
-                                    self.full_gibbs()
-                                };
-                                (m, Some(outcome.acceptance_rate), true)
-                            } else {
-                                (outcome.marginals, Some(outcome.acceptance_rate), false)
-                            }
-                        }
-                        (Some(mat), StrategyChoice::Variational) if variational_ok => {
-                            let m = mat
-                                .variational
-                                .infer(&incremental.delta, &self.incremental_gibbs_options());
-                            (m, None, false)
-                        }
-                        (Some(_), _) if strict => {
-                            return Err(stale(unknown_entities(self), self));
-                        }
-                        (None, _) if strict => {
-                            return Err(stale(StaleKind::NotMaterialized, self));
-                        }
-                        _ => {
-                            // Not materialized (or stale): fall back to full Gibbs.
-                            (self.full_gibbs(), None, false)
-                        }
-                    };
-                let inference_secs = t2.elapsed().as_secs_f64();
-                let resharded_relations = self.commit_marginals(marginals)?;
-
-                Ok(IterationReport {
-                    mode,
-                    strategy: Some(strategy),
-                    grounding_secs,
-                    learning_secs,
-                    inference_secs,
-                    acceptance_rate,
-                    new_variables,
-                    new_factors,
-                    fell_back_to_variational: fell_back,
-                    resharded_relations,
-                })
             }
+            StrategyChoice::Variational => Ok((variational()?, None, false)),
+        }
+    }
+
+    /// Where a round gives up on the materialization: full Gibbs over the
+    /// whole graph — or, under `strict_incremental`, `StaleMaterialization`
+    /// in place of that unbounded latency spike.
+    fn fallback(&self, kind: StaleKind) -> Result<Marginals, EngineError> {
+        if self.config.strict_incremental {
+            return Err(self.stale(kind));
+        }
+        Ok(self.full_gibbs())
+    }
+
+    fn stale(&self, kind: StaleKind) -> EngineError {
+        EngineError::StaleMaterialization {
+            kind,
+            materialized_epoch: self.materialized_epoch(),
+            current_epoch: self.epoch,
         }
     }
 
@@ -859,20 +801,9 @@ impl DeepDive {
     }
 
     /// Write a checkpoint covering everything logged so far, then prune the
-    /// WAL and older checkpoints it supersedes.  Returns the covered sequence
-    /// number.
-    ///
-    /// Ordering is what makes this crash-safe at every byte boundary:
-    ///
-    /// 1. fsync the WAL — nothing the checkpoint covers may be volatile;
-    /// 2. write the checkpoint file atomically (temp file, fsync, rename,
-    ///    fsync the directory);
-    /// 3. rotate the WAL onto a fresh segment;
-    /// 4. prune older checkpoints and fully-covered WAL segments.
-    ///
-    /// A crash between any two steps leaves either the old checkpoint or the
-    /// new one fully intact, and the WAL always reaches from the newest valid
-    /// checkpoint to the last logged operation.
+    /// WAL and older checkpoints it supersedes (crash-safe at every byte
+    /// boundary; the ordering is `DurabilityHandle::checkpoint`'s).  Returns
+    /// the covered sequence number.
     ///
     /// Errors with [`dd_storage::StorageError::NotConfigured`] when the engine
     /// was built without [`DeepDiveBuilder::durability`].
@@ -881,30 +812,8 @@ impl DeepDive {
             return Err(dd_storage::StorageError::NotConfigured.into());
         }
         let state = self.export_checkpoint_state();
-        let d = self.durability.as_mut().expect("checked above");
-        durability::encode_checkpoint(&state, &mut d.checkpoint_buf);
-        drop(state);
-        d.wal.sync()?;
-        let covered = d.wal.last_seq();
-        d.checkpoints.write(covered, &d.checkpoint_buf)?;
-        d.wal.rotate()?;
-        d.checkpoints.prune(d.keep_checkpoints)?;
-        // Prune below the *oldest retained* checkpoint, not the one just
-        // written: if the newest file is later damaged, recovery falls back
-        // to an older checkpoint and must still find every WAL record from
-        // that point forward.
-        let oldest = d
-            .checkpoints
-            .covered_seqs()?
-            .first()
-            .copied()
-            .unwrap_or(covered);
-        d.wal.prune_below(oldest + 1)?;
-        // The auto-checkpoint window restarts here for both policy counters
-        // (manual checkpoints count too: they bound replay just the same).
-        d.records_since_checkpoint = 0;
-        d.bytes_since_checkpoint = 0;
-        Ok(covered)
+        let handle = self.durability.as_mut().expect("checked above");
+        Ok(handle.checkpoint(state)?)
     }
 
     /// Trigger [`DeepDive::checkpoint`] when the configured auto-checkpoint
@@ -928,26 +837,28 @@ impl DeepDive {
     /// operation forward, and re-executing an operation that failed with an
     /// [`EngineError`] fails identically (the engine's side effects are
     /// deterministic), so replayed state matches original state either way.
-    fn log_op(&mut self, op: &WalOp) -> Result<(), EngineError> {
-        if let Some(d) = self.durability.as_mut() {
-            let payload = durability::encode_wal_op(op);
-            d.wal.append(&payload)?;
-            d.records_since_checkpoint += 1;
-            d.bytes_since_checkpoint += payload.len() as u64;
+    fn log_op(&mut self, op: &WalOp<'_>) -> Result<(), EngineError> {
+        match &mut self.durability {
+            Some(handle) => Ok(handle.append(op)?),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Snapshot the complete engine state for a checkpoint.  Everything a
     /// restored engine needs except the config and the UDF registry (function
     /// pointers — re-supplied by the builder at recovery).
     pub(crate) fn export_checkpoint_state(&self) -> CheckpointState {
+        let mut materialized = self.materialized.clone();
+        let cumulative_change = materialized
+            .as_mut()
+            .map(|m| std::mem::take(&mut m.change))
+            .unwrap_or_default();
         CheckpointState {
             grounder: self.grounder.export_state(),
-            materialization: self.materialization.clone(),
-            materialized_epoch: self.materialized_epoch,
-            materialized_coverage: self.materialized_coverage,
-            cumulative_change: self.cumulative_change.clone(),
+            materialization: materialized.map(|m| m.materialization),
+            materialized_epoch: self.materialized_epoch(),
+            materialized_coverage: self.materialized.as_ref().map(|m| m.coverage),
+            cumulative_change,
             learned_weights: self.learned_weights.clone(),
             epoch: self.epoch,
             snapshot: (*self.snapshot()).clone(),
@@ -964,26 +875,12 @@ impl DeepDive {
     /// the run that wrote the log, a failure marks genuine replay divergence —
     /// so the builder records every error into
     /// [`DeepDive::recovery_replay_errors`] instead of discarding them.
-    pub(crate) fn apply_wal_op(&mut self, op: WalOp) -> Result<(), EngineError> {
+    pub(crate) fn apply_wal_op(&mut self, op: WalOp<'static>) -> Result<(), EngineError> {
         debug_assert!(
             self.durability.is_none(),
             "WAL replay must happen before the durability handle is attached"
         );
-        match op {
-            WalOp::InitialRun => self.initial_run_inner().map(drop),
-            WalOp::Update { mode, update } => self.run_update_inner(&update, mode).map(drop),
-            WalOp::RetractSupervision { relation, tuple } => {
-                let mut update = KbcUpdate::new();
-                update.retract_supervision(&relation, tuple);
-                self.run_update_inner(&update, ExecutionMode::Incremental)
-                    .map(drop)
-            }
-            WalOp::Refresh => self.refresh_inner().map(drop),
-            WalOp::Materialize => {
-                self.materialize_inner();
-                Ok(())
-            }
-        }
+        self.run_op(&op).map(drop)
     }
 
     /// Note a failed replay during recovery (builder-only).
@@ -1071,10 +968,7 @@ impl DeepDive {
     /// graphs run the sequential sampler (faster mixing per wall-second and
     /// bit-deterministic per seed).
     fn full_gibbs(&self) -> Marginals {
-        let options = GibbsOptions {
-            seed: self.config.seed,
-            ..self.config.gibbs.clone()
-        };
+        let options = self.gibbs_options();
         let flat = match &self.compiled {
             Some(flat) => Cow::Borrowed(flat),
             None => Cow::Owned(self.grounder.graph().compile()),
@@ -1090,36 +984,35 @@ impl DeepDive {
         GibbsSampler::from_flat(&flat, self.config.seed).run(&options)
     }
 
-    fn incremental_gibbs_options(&self) -> GibbsOptions {
+    /// The configured Gibbs options on the engine's seed.
+    fn gibbs_options(&self) -> GibbsOptions {
         GibbsOptions {
             seed: self.config.seed,
             ..self.config.gibbs.clone()
         }
     }
-}
 
-/// True if every existing-entity reference of `delta` resolves inside a graph
-/// with `nv` variables and `nw` weights (i.e. the materialization the delta
-/// will be applied to is not stale).
-fn delta_compatible_with(delta: &dd_factorgraph::GraphDelta, nv: usize, nw: usize) -> bool {
-    let var_ok = |r: &dd_factorgraph::NewVarRef| match r {
-        dd_factorgraph::NewVarRef::Existing(v) => *v < nv,
-        dd_factorgraph::NewVarRef::New(_) => true,
-    };
-    delta.evidence_changes.iter().all(|e| e.var < nv)
-        && delta.weight_changes.iter().all(|w| w.weight_id < nw)
-        && delta.new_factors.iter().all(|f| {
-            f.var_refs.iter().all(var_ok)
-                && match f.weight {
-                    dd_factorgraph::NewWeightRef::Existing(w) => w < nw,
-                    dd_factorgraph::NewWeightRef::New(_) => true,
-                }
-        })
+    /// The configured learning options on the engine's seed — a cold start.
+    /// A `warm` one runs half the epochs from the previously learned model.
+    fn learn_options(&self, warm: bool) -> LearnOptions {
+        let mut options = LearnOptions {
+            seed: self.config.seed,
+            ..self.config.learn.clone()
+        };
+        if warm {
+            options.epochs = (options.epochs / 2).max(1);
+            let mut model = self.learned_weights.clone();
+            model.resize(self.grounder.graph().num_weights(), 0.0);
+            options.warmstart = Some(model);
+        }
+        options
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability;
     use dd_grounding::{parse_program, standard_udfs};
     use dd_relstore::{tuple, DataType, Schema};
 
@@ -1617,6 +1510,82 @@ mod tests {
             snap.probability_of("MarriedMentions", &tuple![20i64, 21i64]),
             Some(1.0)
         );
+    }
+
+    /// The change accumulated since materialization, as a checkpoint records it.
+    fn accumulated(dd: &DeepDive) -> DistributionChange {
+        dd.export_checkpoint_state().cumulative_change
+    }
+
+    fn franklin_document() -> KbcUpdate {
+        let mut update = KbcUpdate::new();
+        update
+            .insert(
+                "Sentence",
+                tuple![4i64, "Franklin and his wife Eleanor hosted the gala"],
+            )
+            .insert("PersonCandidate", tuple![4i64, 40i64, "Franklin"])
+            .insert("PersonCandidate", tuple![4i64, 41i64, "Eleanor"]);
+        update
+    }
+
+    #[test]
+    fn rerun_update_on_a_materialized_engine_stays_visible_to_sampling() {
+        // A Rerun round changes the graph under the stored samples exactly as
+        // an Incremental one does, so its new variables, factors and relearned
+        // weights must reach the accumulated change: the next sampling-served
+        // round would otherwise never sample the new pair and publish it at 0.
+        let mut dd = engine();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        dd.run_update(&franklin_document(), ExecutionMode::Rerun)
+            .unwrap();
+        let pair = tuple![40i64, 41i64];
+        let full_gibbs = dd.probability_of("MarriedMentions", &pair).unwrap();
+        assert!(full_gibbs > 0.5, "well-supported pair, got {full_gibbs}");
+        assert_eq!(accumulated(&dd).new_variables.len(), 1);
+        assert!(!accumulated(&dd).new_factors.is_empty());
+
+        let report = dd
+            .run_update(&KbcUpdate::new(), ExecutionMode::Incremental)
+            .unwrap();
+        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
+        assert!(!report.fell_back_to_variational);
+        let sampled = dd.probability_of("MarriedMentions", &pair).unwrap();
+        assert!(
+            (sampled - full_gibbs).abs() < 0.3,
+            "MH over the stored samples gives {sampled}, full Gibbs gave {full_gibbs}"
+        );
+    }
+
+    #[test]
+    fn change_accumulates_only_while_a_materialization_exists() {
+        let grow = |dd: &mut DeepDive, mention: i64| {
+            let mut update = KbcUpdate::new();
+            update.insert("PersonCandidate", tuple![3i64, mention, "Joe"]);
+            let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
+            assert!(report.new_variables > 0 && report.new_factors > 0);
+        };
+        // Never materialized: nothing to correct stored samples for.
+        let mut dd = engine();
+        dd.initial_run().unwrap();
+        for i in 0..20 {
+            grow(&mut dd, 32 + i);
+        }
+        assert!(accumulated(&dd).is_empty());
+
+        // Materialized: the change accumulates...
+        dd.materialize().unwrap();
+        grow(&mut dd, 60);
+        assert!(!accumulated(&dd).is_empty());
+        // ...until a retraction drops the materialization, and stays empty
+        // until the next one is built.
+        let mut delete = KbcUpdate::new();
+        delete.delete("PersonCandidate", tuple![3i64, 60i64, "Joe"]);
+        dd.run_update(&delete, ExecutionMode::Incremental).unwrap();
+        assert!(dd.materialization().is_none());
+        grow(&mut dd, 61);
+        assert!(accumulated(&dd).is_empty());
     }
 
     #[test]

@@ -9,11 +9,10 @@
 
 use dd_factorgraph::FactorGraph;
 use dd_inference::{LearnOptions, LearnStrategy, Learner, LearningTrace};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The loss trajectory of one learning strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearningComparison {
     pub strategy: String,
     pub trace: LearningTrace,

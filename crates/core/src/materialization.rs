@@ -9,16 +9,15 @@
 //! anchor of the tradeoff study.
 
 use crate::config::EngineConfig;
-use dd_factorgraph::{FactorGraph, FlatGraph};
+use dd_factorgraph::{FactorGraph, FlatGraph, GraphDelta};
 use dd_inference::{
-    GibbsSampler, SampleMaterialization, SampleSet, StrawmanMaterialization,
+    DistributionChange, GibbsSampler, SampleMaterialization, SampleSet, StrawmanMaterialization,
     VariationalMaterialization,
 };
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Everything stored by the materialization phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Materialization {
     pub sampling: SampleMaterialization,
     pub variational: VariationalMaterialization,
@@ -105,6 +104,45 @@ impl Materialization {
     /// Total storage used by the stored samples, in bytes.
     pub fn sample_storage_bytes(&self) -> usize {
         self.sampling.storage_bytes()
+    }
+}
+
+/// A [`Materialization`] in an engine's service: when it was taken, what it
+/// covers, and how far the graph has moved from it since.  The engine holds
+/// one of these or nothing, so the accumulated change cannot outlive (or
+/// grow without) the stored samples it is a correction for.
+#[derive(Debug, Clone)]
+pub(crate) struct Materialized {
+    pub materialization: Materialization,
+    /// Engine epoch at which it was taken.
+    pub epoch: u64,
+    /// `(num_variables, num_weights)` of the *full* graph when it was taken.
+    /// (The approximate graph carries its own unary/pairwise weight space, so
+    /// its counts say nothing about the model's.)
+    pub coverage: (usize, usize),
+    /// The distribution change accumulated since: successive rounds all reuse
+    /// the same stored samples, so the MH acceptance test must compare
+    /// against the *materialized* distribution, not just the previous
+    /// round's.
+    pub change: DistributionChange,
+}
+
+impl Materialized {
+    /// Whether the variational strategy can serve an update that took the
+    /// full graph from `pre_update` `(variables, weights)` through `delta`.
+    ///
+    /// It infers over (a clone of) the *materialized* approximate graph plus
+    /// the delta.  Two conditions: the materialization must still cover the
+    /// full pre-update graph (if an earlier update grew the graph past it —
+    /// e.g. one served by sampling — the result would span the wrong id space
+    /// and the newer facts would vanish from the snapshot), and the delta's
+    /// entity references must be in-bounds for the *approximate* graph it is
+    /// applied to.  The sampling strategy has no such limit: it extends its
+    /// stored proposals over new entities against the current full graph.
+    pub fn variational_serves(&self, delta: &GraphDelta, pre_update: (usize, usize)) -> bool {
+        let approx = self.materialization.variational.approx_graph();
+        self.coverage == pre_update
+            && delta.refers_within(approx.num_variables(), approx.num_weights())
     }
 }
 

@@ -10,10 +10,9 @@
 //! 4. if we run out of samples → variational.
 
 use dd_inference::DistributionChange;
-use serde::{Deserialize, Serialize};
 
 /// The materialization strategy selected for one update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyChoice {
     /// Reuse stored samples with the Metropolis–Hastings acceptance test.
     Sampling,
@@ -36,26 +35,14 @@ impl StrategyChoice {
 /// `samples_remaining` is the number of unused stored samples; when it is zero
 /// rule 4 fires regardless of the change.
 pub fn choose_strategy(change: &DistributionChange, samples_remaining: usize) -> StrategyChoice {
-    if samples_remaining == 0 {
+    // Rule 4 (no samples left) and rule 2 (evidence modified: the acceptance
+    // rate collapses) are the two ways to variational; rule 2 wins over new
+    // features arriving in the same update.
+    if samples_remaining == 0 || !change.new_evidence.is_empty() {
         return StrategyChoice::Variational;
     }
-    let changes_structure = !change.new_factors.is_empty() || !change.new_variables.is_empty();
-    let changes_evidence = !change.new_evidence.is_empty();
-    let new_features = !change.new_factors.is_empty();
-
-    // Rule 1: no structural change → sampling (highest acceptance rate).
-    if !changes_structure && !changes_evidence {
-        return StrategyChoice::Sampling;
-    }
-    // Rule 2: evidence modified → variational (acceptance collapses otherwise).
-    if changes_evidence {
-        return StrategyChoice::Variational;
-    }
-    // Rule 3: new features (new factors/weights) → sampling.
-    if new_features {
-        return StrategyChoice::Sampling;
-    }
-    // Default: sampling, falling back to variational on exhaustion at run time.
+    // Rules 1 and 3: the structure is unchanged (highest acceptance rate),
+    // or the change is new features.
     StrategyChoice::Sampling
 }
 

@@ -6,11 +6,10 @@
 //! workloads know their planted ground truth, so quality can be computed exactly.
 
 use dd_relstore::Tuple;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Precision / recall / F1 of one extraction run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     pub precision: f64,
     pub recall: f64,

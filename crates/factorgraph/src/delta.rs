@@ -23,24 +23,23 @@ use crate::factor::{Factor, FactorId};
 use crate::graph::FactorGraph;
 use crate::variable::{VarId, Variable, VariableRole};
 use crate::weight::{Weight, WeightId};
-use serde::{Deserialize, Serialize};
 
 /// A change to one weight value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightChange {
     pub weight_id: WeightId,
     pub new_value: f64,
 }
 
 /// A change to one variable's evidence status.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvidenceChange {
     pub var: VarId,
     pub new_role: VariableRole,
 }
 
 /// The set of modifications to a factor graph produced by one KBC update.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphDelta {
     /// Variables to add.  Their `id` fields are reassigned on application; the
     /// positions in this vector are referred to by [`GraphDelta::new_factors`]
@@ -65,7 +64,7 @@ pub struct GraphDelta {
 
 /// Reference to a variable that either already exists or is introduced by the
 /// same delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NewVarRef {
     Existing(VarId),
     /// Index into [`GraphDelta::new_variables`].
@@ -74,7 +73,7 @@ pub enum NewVarRef {
 
 /// Reference to a weight that either already exists or is introduced by the
 /// same delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NewWeightRef {
     Existing(WeightId),
     /// Index into [`GraphDelta::new_weights`].
@@ -82,7 +81,7 @@ pub enum NewWeightRef {
 }
 
 /// A factor whose variable/weight references may point at delta-local entities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaFactor {
     pub weight: NewWeightRef,
     /// A template factor whose variable ids index into `var_refs`.
@@ -140,6 +139,28 @@ impl GraphDelta {
     /// Number of modified factors |ΔF| (new + removed + weight-changed).
     pub fn num_modified_factors(&self) -> usize {
         self.new_factors.len() + self.removed_factors.len() + self.weight_changes.len()
+    }
+
+    /// True if every reference to an *existing* variable or weight resolves
+    /// inside a graph with `num_variables` variables and `num_weights`
+    /// weights — i.e. the delta can be applied to a graph of that size.
+    pub fn refers_within(&self, num_variables: usize, num_weights: usize) -> bool {
+        let var_ok = |r: &NewVarRef| match r {
+            NewVarRef::Existing(v) => *v < num_variables,
+            NewVarRef::New(_) => true,
+        };
+        self.evidence_changes.iter().all(|e| e.var < num_variables)
+            && self
+                .weight_changes
+                .iter()
+                .all(|w| w.weight_id < num_weights)
+            && self.new_factors.iter().all(|f| {
+                f.var_refs.iter().all(var_ok)
+                    && match f.weight {
+                        NewWeightRef::Existing(w) => w < num_weights,
+                        NewWeightRef::New(_) => true,
+                    }
+            })
     }
 
     /// Apply the delta to a graph, returning the ids assigned to the new

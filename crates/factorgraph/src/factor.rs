@@ -4,13 +4,12 @@ use crate::semantics::Semantics;
 use crate::variable::VarId;
 use crate::weight::WeightId;
 use crate::world::WorldView;
-use serde::{Deserialize, Serialize};
 
 /// Index of a factor in its [`crate::FactorGraph`].
 pub type FactorId = usize;
 
 /// A literal: a variable together with the polarity it is required to have.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Lit {
     pub var: VarId,
     /// `true` means the literal is satisfied when the variable is true.
@@ -50,7 +49,7 @@ impl Lit {
 /// * `Aggregate` implements Equation 1 exactly: a head literal, a set of body
 ///   groundings, and a [`Semantics`] `g`; its energy contribution is
 ///   `w · sign(head, I) · g(#satisfied groundings)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FactorKind {
     /// Satisfied (energy `w`) iff every literal holds.
     Conjunction(Vec<Lit>),
@@ -70,7 +69,7 @@ pub enum FactorKind {
 }
 
 /// A factor: a [`FactorKind`] plus a (possibly shared) weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Factor {
     pub weight_id: WeightId,
     pub kind: FactorKind,

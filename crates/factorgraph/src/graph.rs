@@ -5,11 +5,10 @@ use crate::factor::{Factor, FactorId, FactorKind};
 use crate::variable::{VarId, Variable, VariableRole};
 use crate::weight::{Weight, WeightId};
 use crate::world::{World, WorldView};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Summary statistics of a factor graph (used by Figure 7 and the optimizer).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphStats {
     pub num_variables: usize,
     pub num_query_variables: usize,
@@ -28,7 +27,7 @@ pub struct GraphStats {
 /// This is the *mutable build/delta* representation: grounding appends to it
 /// and learning rewrites its weights.  Samplers run on the compiled
 /// [`crate::FlatGraph`] produced by [`FactorGraph::compile`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FactorGraph {
     variables: Vec<Variable>,
     factors: Vec<Factor>,

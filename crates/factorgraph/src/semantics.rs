@@ -14,10 +14,8 @@
 //! both output probabilities and Gibbs-sampling mixing time; Figure 10(b) shows
 //! it changes end-to-end KBC quality by up to 10 % F1.
 
-use serde::{Deserialize, Serialize};
-
 /// The three rule semantics supported by DeepDive (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Semantics {
     /// `g(n) = n`
     Linear,

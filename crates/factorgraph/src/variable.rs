@@ -1,6 +1,5 @@
 //! Boolean random variables of the factor graph.
 
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// An interned relation name: cloning is a reference-count bump, comparing
@@ -24,7 +23,7 @@ pub type VarId = usize;
 /// Paper §2.4: "V has two parts: a set E of evidence variables (those fixed to a
 /// specific value) and a set Q of query variables whose value the system will
 /// infer", with evidence further split into positive and negative evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VariableRole {
     /// Value is inferred by sampling.
     Query,
@@ -57,7 +56,7 @@ impl VariableRole {
 /// carried along so marginal probabilities can be written back to the right
 /// tuples after inference, and so incremental grounding can find the variable for
 /// a changed tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Variable {
     pub id: VarId,
     pub role: VariableRole,

@@ -1,7 +1,5 @@
 //! Tied, learnable factor weights.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a weight in its [`crate::FactorGraph`].
 pub type WeightId = usize;
 
@@ -13,7 +11,7 @@ pub type WeightId = usize;
 /// `description` carries the tying key (e.g. `"FE1:and his wife"`) so learned
 /// weights can be inspected during error analysis and reused across program
 /// snapshots (warmstart, Appendix B.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Weight {
     pub id: WeightId,
     /// Current value (log-linear weight).

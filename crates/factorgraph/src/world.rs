@@ -1,7 +1,6 @@
 //! Possible worlds (assignments of truth values to variables).
 
 use crate::variable::VarId;
-use serde::{Deserialize, Serialize};
 
 /// Read-only view of a possible world.
 ///
@@ -27,7 +26,7 @@ pub trait WorldView {
 ///
 /// Invariant: bits at positions `>= len` are always zero, so derived equality
 /// and hashing over `words` are exact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct World {
     words: Vec<u64>,
     len: usize,

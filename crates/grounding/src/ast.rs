@@ -3,11 +3,10 @@
 use dd_factorgraph::Semantics;
 use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::ConjunctiveQuery;
-use serde::{Deserialize, Serialize};
 
 /// The four workload categories the paper's experiments group rules into
 /// (Figure 8: A1, FE1/FE2, S1/S2, I1), plus candidate mappings which feed them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleKind {
     /// SQL-like ETL producing candidate tuples of a derived relation (rule R1).
     CandidateMapping,
@@ -39,7 +38,7 @@ impl RuleKind {
 pub type RuleAtom = QueryAtom;
 
 /// How the weight of a rule's factors is determined.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WeightSpec {
     /// A fixed (non-learnable) weight, e.g. hard constraints.
     Fixed(f64),
@@ -56,7 +55,7 @@ pub enum WeightSpec {
 }
 
 /// A DeepDive rule: `head :- body [filters] weight = … (kind, semantics)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Rule name (e.g. "FE1"); used for weight descriptions and reporting.
     pub name: String,

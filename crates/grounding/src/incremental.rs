@@ -25,7 +25,10 @@
 //! 5. everything is packaged as a [`GraphDelta`] — removals first, then
 //!    additions, then evidence transitions — which replays id-exactly on a
 //!    clone of the pre-update graph, and the grounder's tuple→variable and
-//!    key→weight catalogs shrink or grow in lock-step.
+//!    key→weight catalogs shrink or grow in lock-step.  Nobody needs that
+//!    replay to learn what happened: the grounder is the one application of
+//!    the delta, so it also reports the ids its graph assigned and the role
+//!    each re-labelled variable held before (see [`IncrementalGrounding`]).
 //!
 //! A deletion is never silently dropped: retracting a grounding the grounder
 //! has no record of, or driving a binding's derivation support negative, is a
@@ -39,10 +42,10 @@ use crate::grounder::{
 };
 use dd_factorgraph::{
     DeltaFactor, EvidenceChange, FactorId, GraphDelta, Lit, NewVarRef, NewWeightRef, VarId,
-    Variable,
+    Variable, VariableRole,
 };
 use dd_relstore::{DeltaRelation, ExecStats, Tuple};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// One update to a KBC system: data changes, supervision retractions, and/or
@@ -110,6 +113,13 @@ pub struct IncrementalGrounding {
     /// Replaying it on a clone of the pre-update graph reproduces the
     /// post-update graph id-exactly, removals included.
     pub delta: GraphDelta,
+    /// The ids the grounder's graph gave `delta.new_variables`, in order.
+    pub new_variable_ids: Vec<VarId>,
+    /// The ids the grounder's graph gave `delta.new_factors`, in order.
+    pub new_factor_ids: Vec<FactorId>,
+    /// For each of `delta.evidence_changes`, in order, the role the variable
+    /// held in the pre-update graph (`Query` when this update created it).
+    pub previous_roles: Vec<VariableRole>,
     /// Derived-relation deltas produced by cascading through candidate rules.
     pub derived_deltas: HashMap<String, DeltaRelation>,
     /// Number of new groundings (factors or labels) produced.
@@ -359,12 +369,20 @@ impl Grounder {
         // are emitted by the final evidence pass, once every removal and
         // addition has settled the variable ids, so the replayed delta applies
         // them to the right (post-compaction) variables.
-        let mut forced_evidence: BTreeSet<VarKey> = BTreeSet::new();
+        // Each forced key remembers the role its variable held before the
+        // first un-pinning, for the report of previous roles.
+        let mut forced_evidence: BTreeMap<VarKey, VariableRole> = BTreeMap::new();
         for (relation, tuple) in &update.retracted_supervision {
-            self.apply_supervision_retraction(relation, tuple);
             let slot = self.catalog.intern(relation);
-            let handle = self.catalog.relation(slot).handle.clone();
-            forced_evidence.insert((handle, tuple.clone()));
+            let head = self.catalog.relation(slot);
+            let previous = match head.vars.get(tuple) {
+                Some(&var) => self.graph.variable(var).role,
+                None => VariableRole::Query,
+            };
+            forced_evidence
+                .entry((head.handle.clone(), tuple.clone()))
+                .or_insert(previous);
+            self.apply_supervision_retraction(relation, tuple);
         }
 
         // ---- 1. cascade through candidate-mapping rules (pre-update database).
@@ -676,13 +694,17 @@ impl Grounder {
         // Forced keys emit unconditionally — their in-place role was already
         // updated in phase 0, but a replayed delta still needs the transition.
         let mut evidence_changes = Vec::new();
-        for key in label_dirty.union(&forced_evidence) {
+        let mut previous_roles = Vec::new();
+        let dirty: BTreeSet<&VarKey> = label_dirty.iter().chain(forced_evidence.keys()).collect();
+        for key in dirty {
             let Some(var) = self.catalog.get_key(key) else {
                 continue;
             };
             let role = self.catalog.vars.usage[var].role();
-            if forced_evidence.contains(key) || self.graph.variable(var).role != role {
-                let v = self.graph.variable_mut(var);
+            let forced = forced_evidence.get(key);
+            let v = self.graph.variable_mut(var);
+            if forced.is_some() || v.role != role {
+                previous_roles.push(forced.copied().unwrap_or(v.role));
                 v.role = role;
                 v.initial_value = role.fixed_value().unwrap_or(false);
                 evidence_changes.push(EvidenceChange {
@@ -699,6 +721,9 @@ impl Grounder {
 
         Ok(IncrementalGrounding {
             delta,
+            new_variable_ids: new_var_ids,
+            new_factor_ids,
+            previous_roles,
             derived_deltas,
             new_groundings,
             retracted_groundings,

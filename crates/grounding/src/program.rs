@@ -3,11 +3,10 @@
 use crate::ast::{Rule, RuleKind};
 use crate::error::ProgramError;
 use dd_relstore::{Database, Schema};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// How a relation participates in the probabilistic model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelationRole {
     /// Loaded data (documents, sentences, existing KBs, entity linking, …).
     Base,
@@ -19,7 +18,7 @@ pub enum RelationRole {
 }
 
 /// Declaration of one relation: name, schema, role.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationDecl {
     pub name: String,
     pub schema: Schema,
@@ -37,7 +36,7 @@ impl RelationDecl {
 }
 
 /// A DeepDive program: declarations plus rules, in execution order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     pub relations: Vec<RelationDecl>,
     pub rules: Vec<Rule>,

@@ -14,12 +14,11 @@
 //! original-graph terms cancel), and the variational approach applies the raw
 //! delta to its approximate graph instead.
 
-use dd_factorgraph::{FactorGraph, FactorId, GraphDelta, VarId, WeightId, WorldView};
-use serde::{Deserialize, Serialize};
+use dd_factorgraph::{FactorGraph, FactorId, GraphDelta, VarId, VariableRole, WeightId, WorldView};
 use std::collections::{HashMap, HashSet};
 
 /// The changed part of a distribution, expressed against the *updated* graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DistributionChange {
     /// Factors that are new in the updated graph.
     pub new_factors: Vec<FactorId>,
@@ -34,8 +33,38 @@ pub struct DistributionChange {
 }
 
 impl DistributionChange {
+    /// Describe a delta from what its producer saw while applying it to its
+    /// own graph: the ids that graph gave `delta.new_variables` and
+    /// `delta.new_factors`, and, per entry of `delta.evidence_changes`, the
+    /// role the variable held before the update.  This is what an incremental
+    /// grounding run reports, so nobody has to replay the delta on a copy of
+    /// the pre-update graph to find out; the result is the one
+    /// [`DistributionChange::apply_and_describe`] would reach on such a copy.
+    ///
+    /// The producer must not have re-valued weights through the delta
+    /// (grounding never does; learning does, and its caller records those).
+    pub fn from_applied(
+        delta: &GraphDelta,
+        new_variables: Vec<VarId>,
+        new_factors: Vec<FactorId>,
+        previous_roles: &[VariableRole],
+    ) -> Self {
+        debug_assert!(
+            delta.weight_changes.is_empty(),
+            "old weight values are not reported"
+        );
+        debug_assert_eq!(previous_roles.len(), delta.evidence_changes.len());
+        DistributionChange {
+            new_factors,
+            changed_weights: Vec::new(),
+            new_evidence: new_evidence(delta, previous_roles.iter().map(|r| r.fixed_value())),
+            new_variables,
+        }
+    }
+
     /// Build a change description by applying `delta` to `graph` (mutating it
-    /// into the updated graph) and recording what changed.
+    /// into the updated graph) and recording what changed — for callers that
+    /// own the graph the delta is meant for.
     pub fn apply_and_describe(graph: &mut FactorGraph, delta: &GraphDelta) -> Self {
         let old_weight_values: Vec<(WeightId, f64)> = delta
             .weight_changes
@@ -44,21 +73,11 @@ impl DistributionChange {
             .collect();
         // Evidence changes refer to *post-apply* variable ids: a change may
         // target a variable created by this same delta (born `Query`, pinned
-        // by the change), and removals compact ids before the change applies.
-        // A forward reference has no old role; a compaction-moved id would
-        // misread here, so treat any removal-carrying delta's old roles as
-        // unknown (callers on the retraction path discard the description).
-        let old_roles: Vec<(VarId, Option<bool>)> = delta
+        // by the change), which has no old role.
+        let old_fixed: Vec<Option<bool>> = delta
             .evidence_changes
             .iter()
-            .map(|ec| {
-                let old = if delta.has_removals() || ec.var >= graph.num_variables() {
-                    None
-                } else {
-                    graph.variable(ec.var).fixed_value()
-                };
-                (ec.var, old)
-            })
+            .map(|ec| graph.variables().get(ec.var).and_then(|v| v.fixed_value()))
             .collect();
 
         let (new_vars, new_factors) = graph.apply_delta(delta);
@@ -67,24 +86,52 @@ impl DistributionChange {
             .into_iter()
             .filter(|&(w, old)| (graph.weight(w).value - old).abs() > 0.0)
             .collect();
-        let new_evidence = delta
-            .evidence_changes
-            .iter()
-            .zip(old_roles.iter())
-            .filter_map(|(ec, (var, old_fixed))| {
-                let new_fixed = ec.new_role.fixed_value();
-                match new_fixed {
-                    Some(v) if Some(v) != *old_fixed => Some((*var, v)),
-                    _ => None,
-                }
-            })
-            .collect();
 
         DistributionChange {
             new_factors,
             changed_weights,
-            new_evidence,
+            new_evidence: new_evidence(delta, old_fixed.into_iter()),
             new_variables: new_vars,
+        }
+    }
+
+    /// Fold a later change into this one, so that it describes everything
+    /// that happened since one original distribution — what the stored
+    /// samples of a materialization must be corrected for after several
+    /// updates.  New evidence overwrites older values for the same variable;
+    /// for changed weights the *oldest* recorded pre-change value wins.
+    pub fn absorb(&mut self, next: DistributionChange) {
+        self.new_factors.extend(next.new_factors);
+        self.new_variables.extend(next.new_variables);
+        let mut evidence_index: HashMap<VarId, usize> = self
+            .new_evidence
+            .iter()
+            .enumerate()
+            .map(|(i, &(v, _))| (v, i))
+            .collect();
+        for (v, val) in next.new_evidence {
+            match evidence_index.get(&v) {
+                Some(&i) => self.new_evidence[i].1 = val,
+                None => {
+                    evidence_index.insert(v, self.new_evidence.len());
+                    self.new_evidence.push((v, val));
+                }
+            }
+        }
+        self.record_changed_weights(next.changed_weights);
+    }
+
+    /// Add `(weight, value before the change)` entries, keeping the entry a
+    /// weight already has.
+    pub fn record_changed_weights(&mut self, changed: Vec<(WeightId, f64)>) {
+        if changed.is_empty() {
+            return;
+        }
+        let mut seen: HashSet<WeightId> = self.changed_weights.iter().map(|&(w, _)| w).collect();
+        for (w, old) in changed {
+            if seen.insert(w) {
+                self.changed_weights.push((w, old));
+            }
         }
     }
 
@@ -135,6 +182,34 @@ impl DistributionChange {
             reweighted,
         }
     }
+}
+
+/// The evidence assignments `delta` introduces, given each changed variable's
+/// fixed value before the update: a change counts when it pins the variable
+/// to a value it was not already pinned to.
+///
+/// Removals compact variable ids before the evidence changes apply, so a
+/// pre-update graph read at a post-update id may name a different variable.
+/// Any removal-carrying delta's old values are therefore treated as unknown,
+/// whoever supplies them, so that the two describers above always agree
+/// (callers on the retraction path discard their materialization anyway).
+fn new_evidence(
+    delta: &GraphDelta,
+    old_fixed: impl Iterator<Item = Option<bool>>,
+) -> Vec<(VarId, bool)> {
+    let unknown = delta.has_removals();
+    delta
+        .evidence_changes
+        .iter()
+        .zip(old_fixed)
+        .filter_map(|(ec, old)| {
+            let old = if unknown { None } else { old };
+            match ec.new_role.fixed_value() {
+                Some(v) if Some(v) != old => Some((ec.var, v)),
+                _ => None,
+            }
+        })
+        .collect()
 }
 
 /// A [`DistributionChange`] resolved against its updated graph (see

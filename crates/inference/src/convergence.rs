@@ -8,10 +8,9 @@
 
 use crate::gibbs::GibbsSampler;
 use dd_factorgraph::{FactorGraph, VarId, WorldView};
-use serde::{Deserialize, Serialize};
 
 /// The result of a convergence measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConvergenceReport {
     /// Number of sweeps after which the running marginal estimate stayed within
     /// `tolerance` of the target.

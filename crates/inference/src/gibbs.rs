@@ -14,7 +14,6 @@
 use crate::marginals::Marginals;
 use dd_factorgraph::{FactorGraph, FlatGraph, VarId, World, WorldView};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// The RNG driving sampler sweeps.  A type alias so the generator can be
@@ -23,7 +22,7 @@ use std::borrow::Cow;
 pub type SweepRng = rand::rngs::SmallRng;
 
 /// Options controlling a Gibbs run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GibbsOptions {
     /// Number of full sweeps used to estimate marginals.
     pub sweeps: usize,
@@ -63,7 +62,7 @@ impl GibbsOptions {
 /// positions `>= num_vars` are zero).  Storing a sample appends the
 /// sampler's words; reading one is a borrowed [`SampleRow`] — no sample is
 /// ever its own heap object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleSet {
     num_vars: usize,
     /// Number of stored samples (the arena is empty when `num_vars == 0`).

@@ -24,7 +24,6 @@ use crate::parallel::ParallelGibbs;
 use crate::rng::mix_seed;
 use dd_factorgraph::{FactorGraph, FlatGraph, World};
 use rayon::ThreadPool;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Stream-id offset separating the free chain's RNG streams from the clamped
@@ -32,7 +31,7 @@ use std::sync::Arc;
 const FREE_STREAM: u64 = 0x8000_0000;
 
 /// Which optimization strategy to use (Appendix B.3 / Figure 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LearnStrategy {
     /// Stochastic gradient descent: one (mini-batch) gradient estimate per epoch
     /// from short Gibbs chains.
@@ -43,7 +42,7 @@ pub enum LearnStrategy {
 }
 
 /// Options controlling a learning run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearnOptions {
     pub strategy: LearnStrategy,
     /// Number of epochs (gradient steps).
@@ -81,7 +80,7 @@ impl Default for LearnOptions {
 }
 
 /// The loss and weight trajectory of one learning run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LearningTrace {
     /// Loss after each epoch (negative pseudo-log-likelihood of the evidence,
     /// averaged per evidence variable).

@@ -1,14 +1,12 @@
 //! Marginal probability vectors, distances, and calibration.
 
-use serde::{Deserialize, Serialize};
-
 /// Marginal probabilities, one per variable of a factor graph.
 ///
 /// This is the output of inference: "the marginal probability of every tuple in
 /// the database" (paper §1).  The comparison helpers implement the fact-level
 /// similarity measures of §4.2 ("99 % of high-confidence facts also appear …
 /// at most 4 % of facts differ by more than 0.05 in probability").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Marginals {
     values: Vec<f64>,
 }
@@ -135,7 +133,7 @@ impl Marginals {
 }
 
 /// One calibration bucket: predicted-probability range vs empirical accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationBucket {
     pub low: f64,
     pub high: f64,

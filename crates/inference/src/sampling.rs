@@ -20,10 +20,9 @@ use crate::marginals::Marginals;
 use dd_factorgraph::{FactorGraph, FlatGraph, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Result of an incremental MH inference run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MhOutcome {
     /// Marginal estimates under the updated distribution.
     pub marginals: Marginals,
@@ -37,7 +36,7 @@ pub struct MhOutcome {
 }
 
 /// The sampling materialization: stored tuple bundles plus bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SampleMaterialization {
     samples: SampleSet,
     /// Number of variables of the original graph.

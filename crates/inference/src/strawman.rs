@@ -10,14 +10,13 @@
 use crate::change::DistributionChange;
 use crate::marginals::Marginals;
 use dd_factorgraph::{FactorGraph, VarId, World, WorldView};
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on the number of query variables the strawman will enumerate.
 pub const MAX_STRAWMAN_VARS: usize = 22;
 
 /// Complete materialization: the log-weight of every possible world over the
 /// query variables of the original graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrawmanMaterialization {
     /// Query variables enumerated, in bit order.
     query_vars: Vec<VarId>,

@@ -28,11 +28,10 @@
 use crate::gibbs::{GibbsOptions, GibbsSampler, SampleSet};
 use crate::marginals::Marginals;
 use dd_factorgraph::{Factor, FactorGraph, GraphDelta, VarId, Weight, WorldView};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Options for the variational materialization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VariationalOptions {
     /// Number of Gibbs samples used to estimate the covariance matrix (N).
     pub num_samples: usize,
@@ -63,7 +62,7 @@ impl Default for VariationalOptions {
 }
 
 /// The stored approximate factor graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VariationalMaterialization {
     approx_graph: FactorGraph,
     /// Number of pairwise factors retained (the quantity Figure 6 plots).

@@ -4,7 +4,6 @@ use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A database: a catalog of named [`Table`]s.
@@ -12,7 +11,7 @@ use std::collections::BTreeMap;
 /// In DeepDive, "all data … is stored in a relational database" (§2.2); the user
 /// schema, the evidence relations, the candidate/feature relations, and the delta
 /// relations used by incremental grounding all live side by side here.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
 }

@@ -8,19 +8,18 @@
 use crate::table::Table;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// The direction of a single change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaOp {
     Insert,
     Delete,
 }
 
 /// A counted set of changes against one relation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DeltaRelation {
     relation: String,
     /// tuple -> non-zero net count change (positive = insertions, negative =

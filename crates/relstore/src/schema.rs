@@ -2,10 +2,9 @@
 
 pub use crate::value::DataType;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A single column: a name plus a data type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     pub name: String,
     pub data_type: DataType,
@@ -25,7 +24,7 @@ impl Column {
 /// DeepDive user relations are small and wide-typed (mention ids, sentence ids,
 /// feature strings, boolean labels); schema checking catches the most common
 /// grounding-rule mistakes (arity mismatch, joining a text column against an id).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<Column>,
 }

@@ -5,7 +5,6 @@ use crate::index::HashIndex;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -31,7 +30,7 @@ use std::sync::{Arc, RwLock};
 /// table costs the rows it touches, not the rows the table holds.  Indexes
 /// are derived state: a clone starts without them and they are never part of
 /// a persisted table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,

@@ -1,7 +1,6 @@
 //! Tuples (rows) of values.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// share one allocation per row.  Equality, ordering and hashing are those of
 /// the value slice, which is what lets maps keyed by `Tuple` be probed with a
 /// borrowed `&[Value]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     values: Arc<[Value]>,
 }

@@ -1,11 +1,10 @@
 //! Typed scalar values stored in relations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// The data type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -24,7 +23,7 @@ pub enum DataType {
 ///
 /// Values are small and cheap to clone; strings are reference counted so the
 /// same mention/feature string shared across millions of tuples is stored once.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     Int(i64),
     Text(Arc<str>),

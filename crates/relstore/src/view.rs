@@ -25,11 +25,10 @@ use crate::plan::{ExecStats, QueryPlan};
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A term in a query atom: a variable name or a constant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Term {
     Var(String),
     Const(Value),
@@ -47,7 +46,7 @@ impl Term {
 }
 
 /// One atom of a rule body: `relation(term, term, …)`, possibly negated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryAtom {
     pub relation: String,
     pub terms: Vec<Term>,
@@ -83,7 +82,7 @@ impl QueryAtom {
 }
 
 /// Comparison filters applied to bound variables after the joins.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Filter {
     /// The two variables must bind to different values.
     Ne(String, String),
@@ -94,7 +93,7 @@ pub enum Filter {
 }
 
 /// A conjunctive query `name(head_vars) :- atoms, filters`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConjunctiveQuery {
     pub name: String,
     pub head_vars: Vec<String>,

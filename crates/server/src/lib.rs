@@ -6,7 +6,7 @@
 //! ([`dd_wire`]), with an acceptor, a **bounded** request queue, and a small
 //! persistent worker pool.  `crates.io` is unreachable in this workspace, so
 //! the stack is hand-rolled on `std::net` in the same spirit as the
-//! `vendor/` stand-ins — no tokio, no serde_json.
+//! `vendor/` stand-ins — no async runtime, no JSON crate.
 //!
 //! Three properties define the design (see [`server`] for the full
 //! lifecycle):

@@ -1,7 +1,7 @@
 //! The wire layer shared by `dd-server` and the bench tooling.
 //!
 //! The workspace is fully offline (vendored stand-in dependencies only), so
-//! everything that would normally come from `serde_json` + `tokio` codecs is
+//! everything that would normally come from a JSON crate and an async codec is
 //! hand-rolled here, in the same spirit as the `vendor/` stand-ins:
 //!
 //! * [`json`] — a small, strict JSON data model ([`json::Json`]), parser, and

@@ -13,11 +13,10 @@
 use dd_relstore::{DataType, Database, Schema, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Parameters of the synthetic corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// Number of documents (one sentence with one mention pair each).
     pub num_documents: usize,

@@ -11,11 +11,10 @@
 use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Parameters of the synthetic e-mail stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpamConfig {
     /// Number of e-mails (the paper's dataset has 9,324; default is scaled down).
     pub num_emails: usize,
@@ -45,14 +44,14 @@ impl Default for SpamConfig {
 }
 
 /// One e-mail: its features (token strings) and its label.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Email {
     pub features: Vec<String>,
     pub spam: bool,
 }
 
 /// The generated chronological stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpamStream {
     pub emails: Vec<Email>,
     pub config: SpamConfig,

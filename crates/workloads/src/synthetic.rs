@@ -8,10 +8,9 @@
 use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, GraphDelta, WeightChange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a synthetic pairwise graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticConfig {
     /// Number of variables.
     pub num_variables: usize,

@@ -13,11 +13,10 @@ use crate::corpus::{Corpus, CorpusConfig};
 use dd_factorgraph::Semantics;
 use dd_grounding::{parse_program, parse_rule, KbcUpdate, Program, Rule};
 use dd_relstore::Tuple;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The five KBC systems of Figure 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     Adversarial,
     News,
@@ -129,7 +128,7 @@ impl SystemKind {
 }
 
 /// Figure 7's per-system statistics for the real deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperStats {
     pub documents: usize,
     pub relations: usize,
@@ -151,7 +150,7 @@ impl PaperStats {
 }
 
 /// The six rule templates of Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleTemplate {
     /// Error analysis: read marginals, change nothing.
     A1,
