@@ -80,6 +80,20 @@
 //! 648-document News directory holding a checkpoint with a materialization
 //! and 16 update rounds logged after it.
 //!
+//! An eighth series, `materialize_cost/*`, prices drawing and digesting the
+//! materialization's sample store by how much of the graph is coupled, on
+//! two 4 000-variable graphs: `unary_n4000` (every variable has only a prior
+//! of its own — the logistic-regression shape of Example 2.6) and
+//! `mixed_n4000` (half of them chained pairwise).  `draw_ms_*` is
+//! `GibbsSampler::draw_samples` of 1 500 samples, which sweeps the coupled
+//! variables and fills the static ones' columns with bit-sliced i.i.d.
+//! draws; `draw_swept_ms_*` is the reference leg, the same sampler forced to
+//! sweep every query variable via `with_free_vars`; `draw_speedup_*` their
+//! ratio (`check_sweeps` holds the unary one to a 5× floor);
+//! `moments_ms_*` is `VariationalMaterialization::from_samples` over the
+//! drawn store, and `static_share_*` the fraction of query variables the
+//! compiler found static.
+//!
 //! Usage: `cargo run --release -p dd-bench --bin bench_sweeps [--smoke] [--only <series>] [output.json]`
 //!
 //! `--only cold_start` (any series name above) runs that series alone, for
@@ -92,11 +106,13 @@
 //! cheaper, noisier estimates.
 
 use dd_bench::secs;
-use dd_factorgraph::{FactorGraph, FlatGraph, GraphDelta, WeightChange};
+use dd_factorgraph::{
+    Factor, FactorGraph, FactorGraphBuilder, FlatGraph, GraphDelta, WeightChange,
+};
 use dd_grounding::{standard_udfs, KbcUpdate, Program};
 use dd_inference::{
     sigmoid, DistributionChange, GibbsSampler, Marginals, ParallelGibbs, SampleMaterialization,
-    SweepRng,
+    SweepRng, VariationalMaterialization, VariationalOptions,
 };
 use dd_relstore::{tuple, DataType, Database, Schema, Tuple};
 use dd_server::{Batch, OpResult, Response};
@@ -897,6 +913,96 @@ fn bench_cold_start(reps: usize, entries: &mut Vec<Entry>) {
     bench_cold_start_allocations(entries);
 }
 
+/// `num_vars` query variables with a prior each (16 tied weights spread
+/// over [-2, 2]); the first `num_coupled` of them are also chained pairwise.
+fn materialize_cost_graph(num_vars: usize, num_coupled: usize) -> FactorGraph {
+    let mut b = FactorGraphBuilder::new();
+    let vars = b.add_query_variables(num_vars);
+    let priors: Vec<_> = (0..16)
+        .map(|k| b.tied_weight(&format!("prior:{k}"), k as f64 * 0.25 - 2.0, false))
+        .collect();
+    for (i, &v) in vars.iter().enumerate() {
+        b.add_factor(Factor::is_true(priors[i % priors.len()], v));
+    }
+    let link = b.tied_weight("link", 0.4, false);
+    for pair in vars[..num_coupled].windows(2) {
+        b.add_factor(Factor::equal(link, pair[0], pair[1]));
+    }
+    b.build()
+}
+
+/// `materialize_cost/*` for one graph (see the module docs).
+fn bench_materialize_cost_of(
+    label: &str,
+    graph: &FactorGraph,
+    reps: usize,
+    entries: &mut Vec<Entry>,
+) {
+    const SAMPLES: usize = 1_500;
+    const BURN_IN: usize = 100;
+    let flat = graph.compile();
+    let best_ms = |work: &mut dyn FnMut()| {
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                work();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let draw_ms = best_ms(&mut || {
+        black_box(GibbsSampler::from_flat(&flat, 7).draw_samples(SAMPLES, BURN_IN));
+    });
+    let swept_ms = best_ms(&mut || {
+        let mut swept =
+            GibbsSampler::from_flat(&flat, 7).with_free_vars(flat.query_variables().to_vec());
+        black_box(swept.draw_samples(SAMPLES, BURN_IN));
+    });
+    let samples = GibbsSampler::from_flat(&flat, 7).draw_samples(SAMPLES, BURN_IN);
+    let options = VariationalOptions::default();
+    let moments_ms = best_ms(&mut || {
+        black_box(VariationalMaterialization::from_samples(
+            graph, &samples, &options,
+        ));
+    });
+    let static_share =
+        flat.static_query_variables().len() as f64 / flat.query_variables().len() as f64;
+    let speedup = swept_ms / draw_ms;
+    println!(
+        "  {label}: draw {draw_ms:.3} ms | swept {swept_ms:.3} ms ({speedup:.1}x) | \
+         moments {moments_ms:.3} ms | static share {static_share:.2}"
+    );
+    for (kind, unit, value) in [
+        ("draw_ms", "ms", draw_ms),
+        ("draw_swept_ms", "ms", swept_ms),
+        ("draw_speedup", "x", speedup),
+        ("moments_ms", "ms", moments_ms),
+        ("static_share", "ratio", static_share),
+    ] {
+        entries.push(Entry {
+            name: format!("materialize_cost/{kind}_{label}"),
+            unit,
+            value,
+        });
+    }
+}
+
+fn bench_materialize_cost(reps: usize, entries: &mut Vec<Entry>) {
+    println!("\nmaterialize_cost: 1 500 samples, bit-sliced static columns vs sweeping everything");
+    bench_materialize_cost_of(
+        "unary_n4000",
+        &materialize_cost_graph(4_000, 0),
+        reps,
+        entries,
+    );
+    bench_materialize_cost_of(
+        "mixed_n4000",
+        &materialize_cost_graph(4_000, 2_000),
+        reps,
+        entries,
+    );
+}
+
 /// A wire response holding one `all_facts` page of `rows` facts.
 fn all_facts_page(rows: usize) -> Response {
     let facts = (0..rows as i64)
@@ -1128,6 +1234,9 @@ fn main() {
     }
     if runs("codec") {
         bench_codec(publish_reps, &mut entries);
+    }
+    if runs("materialize_cost") {
+        bench_materialize_cost(publish_reps, &mut entries);
     }
 
     let mut json = String::from("[\n");

@@ -729,15 +729,45 @@ impl DeepDive {
 
     /// The infer stage of an Incremental Δ round: the chosen §3.3 strategy on
     /// the materialization, as `(marginals, MH acceptance rate, fell back)`.
+    ///
+    /// Static query variables are independent of everything the stored
+    /// samples describe: their exact marginal replaces the strategy's
+    /// estimate, and when the updated graph couples no query variable at all
+    /// the round is answered by (sweep-free) full Gibbs with the
+    /// materialization left untouched.
     fn infer_incremental(
-        &self,
+        &mut self,
         strategy: StrategyChoice,
         delta: &GraphDelta,
         pre_update: (usize, usize),
     ) -> Result<(Marginals, Option<f64>, bool), EngineError> {
+        if self.compiled.is_none() {
+            self.compiled = Some(self.grounder.graph().compile());
+        }
+        let flat = self.compiled.as_ref().expect("compiled just above");
         let Some(materialized) = &self.materialized else {
             return Ok((self.fallback(StaleKind::NotMaterialized)?, None, false));
         };
+        if flat.coupled_query_variables().is_empty() {
+            return Ok((self.full_gibbs(), None, false));
+        }
+        let (mut marginals, rate, fell_back) =
+            self.infer_from_materialization(materialized, strategy, delta, pre_update)?;
+        for &v in flat.static_query_variables() {
+            marginals.set(v, flat.static_p_true(v).expect("static variable"));
+        }
+        Ok((marginals, rate, fell_back))
+    }
+
+    /// [`DeepDive::infer_incremental`]'s strategy proper, over every
+    /// variable.
+    fn infer_from_materialization(
+        &self,
+        materialized: &Materialized,
+        strategy: StrategyChoice,
+        delta: &GraphDelta,
+        pre_update: (usize, usize),
+    ) -> Result<(Marginals, Option<f64>, bool), EngineError> {
         let mat = &materialized.materialization;
         let variational = || {
             if materialized.variational_serves(delta, pre_update) {
@@ -1107,6 +1137,26 @@ mod tests {
     fn engine() -> DeepDive {
         DeepDive::builder()
             .program(parse_program(PROGRAM).unwrap())
+            .database(database())
+            .udfs(standard_udfs())
+            .config(EngineConfig::fast())
+            .build()
+            .unwrap()
+    }
+
+    /// [`engine`] with the symmetry rule of Figure 8's I1 on top: every pair
+    /// is coupled to its mirror image, so rounds really sample.
+    fn coupled_engine() -> DeepDive {
+        let mut program = parse_program(PROGRAM).unwrap();
+        program.rules.push(
+            dd_grounding::parse_rule(
+                "rule I1 inference: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2) \
+                 weight = 1.5.",
+            )
+            .unwrap(),
+        );
+        DeepDive::builder()
+            .program(program)
             .database(database())
             .udfs(standard_udfs())
             .config(EngineConfig::fast())
@@ -1556,6 +1606,51 @@ mod tests {
             (sampled - full_gibbs).abs() < 0.3,
             "MH over the stored samples gives {sampled}, full Gibbs gave {full_gibbs}"
         );
+    }
+
+    #[test]
+    fn incremental_round_without_coupled_variables_skips_the_materialization() {
+        // The spouse program grounds prior-shaped factors only, so every
+        // query variable is static: the sampling strategy is chosen, but no
+        // stored proposal is consumed — there is no acceptance rate to report.
+        let mut dd = engine();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        let report = dd
+            .run_update(&franklin_document(), ExecutionMode::Incremental)
+            .unwrap();
+        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
+        assert_eq!(report.acceptance_rate, None, "no proposal was consumed");
+        assert!(!report.fell_back_to_variational);
+        // What was published is the closed form, for old and new pairs.
+        let published_exactly = |dd: &DeepDive| {
+            let flat = dd.graph().compile();
+            let snapshot = dd.snapshot();
+            for &v in flat.static_query_variables() {
+                assert_eq!(Some(snapshot.marginals().get(v)), flat.static_p_true(v));
+            }
+            flat
+        };
+        let flat = published_exactly(&dd);
+        assert!(flat.coupled_query_variables().is_empty());
+        assert_eq!(flat.static_query_variables().len(), 3);
+        let pair = tuple![40i64, 41i64];
+        assert!(dd.probability_of("MarriedMentions", &pair).unwrap() > 0.5);
+
+        // The same round on the coupled program does go to the store (the new
+        // pair has no mirror image yet, so it is the one static variable) —
+        // and static variables are still published exactly.
+        let mut dd = coupled_engine();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        let report = dd
+            .run_update(&franklin_document(), ExecutionMode::Incremental)
+            .unwrap();
+        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
+        assert!(report.acceptance_rate.is_some(), "served by MH");
+        let flat = published_exactly(&dd);
+        assert_eq!(flat.static_query_variables().len(), 1);
+        assert!(!flat.coupled_query_variables().is_empty());
     }
 
     #[test]

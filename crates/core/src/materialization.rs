@@ -43,8 +43,8 @@ impl Materialization {
     /// the same graph just before).
     pub fn build_on(flat: &FlatGraph, graph: &FactorGraph, config: &EngineConfig) -> Self {
         let start = Instant::now();
-        let mut sampler = Self::burnt_in_sampler(flat, config);
-        let samples = sampler.draw_samples(config.materialization_samples, 0);
+        let samples = GibbsSampler::from_flat(flat, config.seed)
+            .draw_samples(config.materialization_samples, burn_in(config));
         Self::from_sample_set(graph, samples, config, start)
     }
 
@@ -58,23 +58,11 @@ impl Materialization {
     ) -> Self {
         let start = Instant::now();
         let flat = graph.compile();
-        let mut sampler = Self::burnt_in_sampler(&flat, config);
-        let mut samples = SampleSet::new(graph.num_variables());
-        while start.elapsed().as_secs_f64() < budget_seconds {
-            sampler.sweep();
-            samples.push(sampler.world());
-        }
+        let samples = GibbsSampler::from_flat(&flat, config.seed)
+            .draw_samples_while(burn_in(config), |_| {
+                start.elapsed().as_secs_f64() < budget_seconds
+            });
         Self::from_sample_set(graph, samples, config, start)
-    }
-
-    /// The materialization chain, burnt in.  One Gibbs run feeds both
-    /// strategies, so it discards the longer of their two burn-ins.
-    fn burnt_in_sampler<'g>(flat: &'g FlatGraph, config: &EngineConfig) -> GibbsSampler<'g> {
-        let mut sampler = GibbsSampler::from_flat(flat, config.seed);
-        for _ in 0..config.gibbs.burn_in.max(config.variational.burn_in) {
-            sampler.sweep();
-        }
-        sampler
     }
 
     /// Both strategies (and the strawman, where affordable) from one drawn
@@ -105,6 +93,12 @@ impl Materialization {
     pub fn sample_storage_bytes(&self) -> usize {
         self.sampling.storage_bytes()
     }
+}
+
+/// Burn-in of the materialization chain.  One Gibbs run feeds both
+/// strategies, so it discards the longer of their two burn-ins.
+fn burn_in(config: &EngineConfig) -> usize {
+    config.gibbs.burn_in.max(config.variational.burn_in)
 }
 
 /// A [`Materialization`] in an engine's service: when it was taken, what it

@@ -23,6 +23,13 @@
 //!   needs only a `&World` (no temporary mutation), which is what the lock-free
 //!   parallel sweep requires.
 //!
+//! Compilation also splits the query variables into **static** ones — every
+//! incident factor mentions no other variable, so the conditional is a
+//! constant and the variable is independent of the rest of the graph — and
+//! **coupled** ones.  The split depends on structure only; samplers sweep
+//! the coupled variables and read the static ones' marginals off
+//! [`FlatGraph::static_p_true`].
+//!
 //! After applying a [`crate::GraphDelta`] recompile; after a learning step that
 //! only moved weight values, [`FlatGraph::refresh_weights`] updates the cached
 //! values in place without rebuilding the topology.
@@ -147,6 +154,10 @@ pub struct FlatGraph {
     /// logistic-regression-shaped variables (paper Example 2.6), and for them
     /// the sweep reduces to one cached-probability coin flip.
     static_p_true: Vec<f64>,
+    /// The query variables with a constant-folded conditional, in id order.
+    static_query: Vec<VarId>,
+    /// The other query variables, in id order.
+    coupled_query: Vec<VarId>,
 }
 
 impl FactorGraph {
@@ -250,6 +261,8 @@ impl FlatGraph {
             evidence: graph.variables().iter().map(|v| v.is_evidence()).collect(),
             initial: graph.initial_world(),
             static_p_true: Vec::new(),
+            static_query: Vec::new(),
+            coupled_query: Vec::new(),
         };
         flat.static_p_true = (0..num_vars)
             .map(|v| {
@@ -264,6 +277,11 @@ impl FlatGraph {
                 }
             })
             .collect();
+        (flat.static_query, flat.coupled_query) = flat
+            .query_vars
+            .iter()
+            .copied()
+            .partition(|&v| !flat.static_p_true[v].is_nan());
         flat
     }
 
@@ -307,6 +325,27 @@ impl FlatGraph {
     /// Query (non-evidence) variables in id order.
     pub fn query_variables(&self) -> &[VarId] {
         &self.query_vars
+    }
+
+    /// The query variables whose conditional depends on no other variable
+    /// (every incident factor mentions them alone), in id order.  Each is
+    /// independent of the rest of the graph, so its marginal is exactly
+    /// [`FlatGraph::static_p_true`] — nothing to sample.
+    pub fn static_query_variables(&self) -> &[VarId] {
+        &self.static_query
+    }
+
+    /// The query variables that share a factor with another variable, in id
+    /// order: the ones inference has to sample.
+    pub fn coupled_query_variables(&self) -> &[VarId] {
+        &self.coupled_query
+    }
+
+    /// `P(v = true)` when `v`'s conditional is world-independent (for a
+    /// query variable: its exact marginal), `None` when `v` is coupled.
+    pub fn static_p_true(&self, v: VarId) -> Option<f64> {
+        let p = self.static_p_true[v];
+        (!p.is_nan()).then_some(p)
     }
 
     /// True if `v` is an evidence variable.
@@ -724,6 +763,40 @@ mod tests {
         let p_with_true = flat.conditional_p_true(0, &world);
         assert!((p_with_false - sigmoid(-2.0)).abs() < 1e-15);
         assert!((p_with_true - sigmoid(2.0)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn query_variables_split_into_static_and_coupled() {
+        // q0: prior only; q1 -- q2 coupled; q3: no factor at all; q4 shares a
+        // factor with evidence (still coupled: the split is structural);
+        // e2 has only a prior of its own but is not a query variable.
+        let mut b = FactorGraphBuilder::new();
+        let q = b.add_query_variables(5);
+        let e = b.add_evidence_variable(true);
+        let e2 = b.add_evidence_variable(false);
+        let w = b.tied_weight("w", 0.9, false);
+        b.add_factor(Factor::is_true(w, q[0]));
+        b.add_factor(Factor::is_true(w, q[0]));
+        b.add_factor(Factor::equal(w, q[1], q[2]));
+        b.add_factor(Factor::imply(w, &[e], q[4]));
+        b.add_factor(Factor::is_true(w, e2));
+        let mut g = b.build();
+        let mut flat = g.compile();
+        assert_eq!(flat.static_query_variables(), &[q[0], q[3]]);
+        assert_eq!(flat.coupled_query_variables(), &[q[1], q[2], q[4]]);
+        assert_eq!(flat.static_p_true(q[0]), Some(sigmoid(1.8)));
+        assert_eq!(flat.static_p_true(q[3]), Some(0.5));
+        assert_eq!(flat.static_p_true(q[1]), None);
+        assert_eq!(flat.static_p_true(e), None);
+        assert_eq!(flat.static_p_true(e2), Some(sigmoid(0.9)));
+        for &v in flat.static_query_variables() {
+            assert!((flat.static_p_true(v).unwrap() - g.exact_marginal(v)).abs() < 1e-12);
+        }
+        // Weights move the probabilities, never the split.
+        g.set_weight_value(0, -0.4);
+        flat.refresh_weights(&g);
+        assert_eq!(flat.static_query_variables(), &[q[0], q[3]]);
+        assert_eq!(flat.static_p_true(q[0]), Some(sigmoid(-0.8)));
     }
 
     #[test]

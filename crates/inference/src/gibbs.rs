@@ -10,6 +10,20 @@
 //! The sweep runs on the compiled [`FlatGraph`] representation (CSR adjacency,
 //! pre-resolved weights, single-pass energy deltas — see `dd_factorgraph::flat`),
 //! not on the pointer-rich build-side [`FactorGraph`].
+//!
+//! # What is sampled and what is exact
+//!
+//! A query variable whose factors mention no other variable is independent
+//! of the rest of the graph; its marginal is the constant
+//! [`FlatGraph::static_p_true`].  KBC graphs are dominated by such variables
+//! (Example 2.6), so the two estimators act on the compiler's static/coupled
+//! split: [`GibbsSampler::run`] sweeps the coupled variables and reports the
+//! static ones exactly, and [`GibbsSampler::draw_samples`] sweeps the coupled
+//! variables and fills the static ones' columns of the [`SampleSet`] with
+//! i.i.d. Bernoulli bits, 64 samples per handful of random words.  A sampler
+//! given its variables explicitly ([`GibbsSampler::with_free_vars`]) sweeps
+//! all of them, and [`GibbsSampler::sweep`] always resamples every free
+//! variable — the learning gradient needs the whole world sampled.
 
 use crate::marginals::Marginals;
 use dd_factorgraph::{FactorGraph, FlatGraph, VarId, World, WorldView};
@@ -204,10 +218,30 @@ impl SampleSet {
     /// Empirical marginals of the stored samples, accumulated straight off the
     /// packed bits (no per-sample `World` is ever materialized).
     pub fn marginals(&self) -> Marginals {
+        let counts = self.true_counts(&vec![u64::MAX; self.stride()]);
+        let n = self.len.max(1) as f64;
+        Marginals::from_values(counts.into_iter().map(|c| c as f64 / n).collect())
+    }
+
+    /// In how many stored samples each variable is true, for the variables
+    /// whose bit is set in `mask` (one word per arena column, laid out like
+    /// a sample; the others read 0).  Word-level: the cost follows the set
+    /// bits under the mask, so a caller interested in the query variables
+    /// of a mostly-evidence graph does not pay for (or even read) the
+    /// evidence.
+    pub fn true_counts(&self, mask: &[u64]) -> Vec<usize> {
+        assert_eq!(mask.len(), self.stride(), "mask over the wrong graph");
         let mut counts = vec![0usize; self.num_vars];
+        // Arena columns with nothing selected are never read.
+        let selected: Vec<(usize, u64)> = mask
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, keep)| keep != 0)
+            .collect();
         for row in self.rows() {
-            for (word_index, &word) in row.words.iter().enumerate() {
-                let mut bits = word;
+            for &(word_index, keep) in &selected {
+                let mut bits = row.words[word_index] & keep;
                 while bits != 0 {
                     let bit = bits.trailing_zeros() as usize;
                     counts[word_index * 64 + bit] += 1;
@@ -215,9 +249,137 @@ impl SampleSet {
                 }
             }
         }
-        let n = self.len.max(1) as f64;
-        Marginals::from_values(counts.into_iter().map(|c| c as f64 / n).collect())
+        counts
     }
+
+    /// Variable `v` across the stored samples as a bitset: bit `i % 64` of
+    /// word `i / 64` is `v`'s value in sample `i` (bits past the last sample
+    /// are zero), so pair statistics are an AND and a popcount per 64
+    /// samples.
+    pub fn column(&self, v: VarId) -> Vec<u64> {
+        assert!(v < self.num_vars, "variable {v} out of bounds");
+        let stride = self.stride();
+        let (word, shift) = (v / 64, v % 64);
+        let mut column = vec![0u64; self.len.div_ceil(64)];
+        for i in 0..self.len {
+            column[i / 64] |= (self.words[i * stride + word] >> shift & 1) << (i % 64);
+        }
+        column
+    }
+
+    /// Overwrite the bits of `vars` (ascending ids) in the `count <= 64`
+    /// samples from `base` on with independent Bernoulli(`p_true(v)`) draws.
+    /// Every other bit of those rows is left as it is.
+    ///
+    /// Each variable's 64 draws come from one [`bernoulli_word`]; the words
+    /// of up to 64 variables sharing an arena column are transposed from
+    /// variable-major to sample-major as one 64×64 bit matrix, so the arena
+    /// is written a word — not a bit — at a time.
+    fn fill_bernoulli(
+        &mut self,
+        base: usize,
+        count: usize,
+        vars: &[VarId],
+        p_true: impl Fn(VarId) -> f64,
+        rng: &mut SweepRng,
+    ) {
+        assert!(count <= 64 && base + count <= self.len);
+        let stride = self.stride();
+        for group in vars.chunk_by(|a, b| a / 64 == b / 64) {
+            let mut block = [0u64; 64];
+            let mut mask = 0u64;
+            for &v in group {
+                block[v % 64] = bernoulli_word(p_true(v), rng);
+                mask |= 1 << (v % 64);
+            }
+            transpose64(&mut block);
+            let column = group[0] / 64;
+            for (i, bits) in block[..count].iter().enumerate() {
+                let word = &mut self.words[(base + i) * stride + column];
+                *word = *word & !mask | bits;
+            }
+        }
+    }
+}
+
+/// 64 independent Bernoulli(`p`) bits (bit `i` is draw `i`), exact to the
+/// 2⁻⁵³ resolution of a uniform `f64` draw: draw `i` is `U_i < p` for a
+/// 53-bit uniform `U_i`, and the 64 comparisons run bit-sliced, most
+/// significant bit first — one random word supplies bit `k` of all 64 `U_i`,
+/// and a draw is decided at the first bit where `U_i` and `p` differ.  Every
+/// word decides half of the draws still open, so 64 draws cost about 8
+/// random words instead of 64 (and none once the rest of `p` is zero).
+fn bernoulli_word(p: f64, rng: &mut SweepRng) -> u64 {
+    if p >= 1.0 {
+        return u64::MAX;
+    }
+    // ⌊p · 2⁵³⌋, left-aligned: the bits of `p` still to be compared.
+    let mut rest = ((p * (1u64 << 53) as f64) as u64) << 11;
+    let mut ones = 0u64;
+    let mut open = u64::MAX;
+    while open != 0 && rest != 0 {
+        let r: u64 = rng.gen();
+        if rest >> 63 == 1 {
+            // p has a 1 here: draws with a 0 are below p.
+            ones |= open & !r;
+            open &= r;
+        } else {
+            // p has a 0 here: draws with a 1 are above p.
+            open &= !r;
+        }
+        rest <<= 1;
+    }
+    ones
+}
+
+/// Transpose a 64×64 bit matrix in place: bit `j` of `m[i]` becomes bit `i`
+/// of `m[j]` (recursive block swaps, 6 × 32 word operations).
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_ffff_ffffu64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = (m[k] >> j ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
+/// Resample every variable of `vars` once, in order.
+pub(crate) fn sweep_over(flat: &FlatGraph, vars: &[VarId], world: &mut World, rng: &mut SweepRng) {
+    for &v in vars {
+        // Constant-folded conditional where possible; otherwise a single
+        // traversal of v's incident factors, with no world mutation.
+        let p_true = flat.conditional_p_true(v, world);
+        let value = rng.gen::<f64>() < p_true;
+        world.set(v, value);
+    }
+}
+
+/// Expected value (over `sweeps` sweeps of `vars`) of the total feature
+/// value of every weight — see [`GibbsSampler::expected_feature_counts`].
+pub(crate) fn expected_feature_counts_over(
+    flat: &FlatGraph,
+    vars: &[VarId],
+    world: &mut World,
+    rng: &mut SweepRng,
+    sweeps: usize,
+) -> Vec<f64> {
+    let mut totals = vec![0.0; flat.num_weights()];
+    let sweeps = sweeps.max(1);
+    for _ in 0..sweeps {
+        sweep_over(flat, vars, world, rng);
+        flat.accumulate_feature_counts(world, &mut totals);
+    }
+    for t in &mut totals {
+        *t /= sweeps as f64;
+    }
+    totals
 }
 
 /// A sequential Gibbs sampler bound to a compiled factor graph.
@@ -249,8 +411,10 @@ pub struct GibbsSampler<'g> {
     flat: Cow<'g, FlatGraph>,
     rng: SweepRng,
     world: World,
-    /// Query variables, the only ones resampled.
-    free_vars: Vec<VarId>,
+    /// The resampled variables when given explicitly; `None` is the graph's
+    /// query variables, which the estimators split into coupled (swept) and
+    /// static (exact) — see the module docs.
+    free_vars: Option<Vec<VarId>>,
 }
 
 impl<'g> GibbsSampler<'g> {
@@ -273,7 +437,7 @@ impl<'g> GibbsSampler<'g> {
         GibbsSampler {
             rng: SweepRng::seed_from_u64(seed),
             world: flat.initial_world(),
-            free_vars: flat.query_variables().to_vec(),
+            free_vars: None,
             flat: Cow::Borrowed(flat),
         }
     }
@@ -282,15 +446,18 @@ impl<'g> GibbsSampler<'g> {
         GibbsSampler {
             rng: SweepRng::seed_from_u64(seed),
             world: flat.initial_world(),
-            free_vars: flat.query_variables().to_vec(),
+            free_vars: None,
             flat: Cow::Owned(flat),
         }
     }
 
-    /// Restrict the resampled variables to an explicit subset (used by the
-    /// decomposition optimization, which samples one variable group at a time).
+    /// Resample exactly `free_vars` (the decomposition optimization samples
+    /// one variable group at a time; the free chain of learning resamples
+    /// evidence too).  Every one of them is swept, by the estimators as
+    /// well: an explicit list opts out of the closed-form treatment of
+    /// static variables.
     pub fn with_free_vars(mut self, free_vars: Vec<VarId>) -> Self {
-        self.free_vars = free_vars;
+        self.free_vars = Some(free_vars);
         self
     }
 
@@ -318,7 +485,7 @@ impl<'g> GibbsSampler<'g> {
 
     /// The set of variables this sampler resamples.
     pub fn free_vars(&self) -> &[VarId] {
-        &self.free_vars
+        free_vars_of(&self.free_vars, &self.flat)
     }
 
     /// The compiled graph this sampler runs on.
@@ -328,32 +495,30 @@ impl<'g> GibbsSampler<'g> {
 
     /// Perform one full sweep (resample every free variable once).
     pub fn sweep(&mut self) {
-        for &v in &self.free_vars {
-            // Constant-folded conditional where possible; otherwise a single
-            // traversal of v's incident factors, with no world mutation.
-            let p_true = self.flat.conditional_p_true(v, &self.world);
-            let value = self.rng.gen::<f64>() < p_true;
-            self.world.set(v, value);
-        }
+        let vars = free_vars_of(&self.free_vars, &self.flat);
+        sweep_over(&self.flat, vars, &mut self.world, &mut self.rng);
     }
 
     /// Run `options.sweeps` sweeps after `options.burn_in` and return the
     /// marginal estimate for every variable (evidence variables get 0/1).
+    ///
+    /// Only coupled variables are swept; static ones report their exact
+    /// marginal, so a graph without coupled variables is answered without
+    /// sampling anything (see the module docs).
     pub fn run(&mut self, options: &GibbsOptions) -> Marginals {
         self.rng = SweepRng::seed_from_u64(options.seed);
-        for _ in 0..options.burn_in {
-            self.sweep();
-        }
-        // Only free variables can change between sweeps, so only they are
-        // counted per sweep; everything else is filled in once at the end.
-        let mut counts = vec![0usize; self.free_vars.len()];
+        let (swept, exact) = estimation_split(&self.free_vars, &self.flat);
         let sweeps = options.sweeps.max(1);
+        // Only swept variables can change between sweeps, so only they are
+        // counted per sweep; everything else is filled in once at the end.
+        let mut counts = vec![0usize; swept.len()];
+        for _ in 0..options.burn_in {
+            sweep_over(&self.flat, swept, &mut self.world, &mut self.rng);
+        }
         for _ in 0..sweeps {
-            self.sweep();
-            for (i, &v) in self.free_vars.iter().enumerate() {
-                if self.world.value(v) {
-                    counts[i] += 1;
-                }
+            sweep_over(&self.flat, swept, &mut self.world, &mut self.rng);
+            for (count, &v) in counts.iter_mut().zip(swept) {
+                *count += usize::from(self.world.value(v));
             }
         }
         let mut values: Vec<f64> = self
@@ -361,42 +526,101 @@ impl<'g> GibbsSampler<'g> {
             .iter()
             .map(|b| if b { 1.0 } else { 0.0 })
             .collect();
-        for (i, &v) in self.free_vars.iter().enumerate() {
-            values[v] = counts[i] as f64 / sweeps as f64;
+        for (&count, &v) in counts.iter().zip(swept) {
+            values[v] = count as f64 / sweeps as f64;
+        }
+        for &v in exact {
+            values[v] = self.flat.static_p_true(v).expect("static variable");
         }
         Marginals::from_values(values)
     }
 
     /// Draw `n` samples (one per sweep, after burn-in) into a [`SampleSet`] —
     /// this is the materialization phase of the sampling approach.
+    ///
+    /// Coupled variables are one Gibbs chain, as ever.  Static variables are
+    /// drawn i.i.d. from their exact marginal, a column at a time (see the
+    /// module docs): exact, autocorrelation-free proposals, which is what
+    /// the independence sampler of §3.2.2 wants of its stored worlds.  The
+    /// sampler's own world keeps the chain's state; its static bits are not
+    /// the last row's.
     pub fn draw_samples(&mut self, n: usize, burn_in: usize) -> SampleSet {
+        self.draw(n, burn_in, |drawn| drawn < n)
+    }
+
+    /// [`GibbsSampler::draw_samples`] for as long as `more(samples drawn so
+    /// far)` holds (asked before every sample): the best-effort
+    /// materialization of §3.3 draws until a time budget is spent.
+    pub fn draw_samples_while(
+        &mut self,
+        burn_in: usize,
+        more: impl FnMut(usize) -> bool,
+    ) -> SampleSet {
+        self.draw(0, burn_in, more)
+    }
+
+    /// The drawing loop, into a set with room for `expected` samples.
+    fn draw(
+        &mut self,
+        expected: usize,
+        burn_in: usize,
+        mut more: impl FnMut(usize) -> bool,
+    ) -> SampleSet {
+        let (swept, exact) = estimation_split(&self.free_vars, &self.flat);
+        let flat = &*self.flat;
+        let p_true = |v| flat.static_p_true(v).expect("static variable");
+        let mut set = SampleSet::new(flat.num_variables());
+        set.reserve(expected);
         for _ in 0..burn_in {
-            self.sweep();
+            sweep_over(flat, swept, &mut self.world, &mut self.rng);
         }
-        let mut set = SampleSet::new(self.flat.num_variables());
-        set.reserve(n);
-        for _ in 0..n {
-            self.sweep();
-            set.push(&self.world);
+        // Blocks of 64 samples, the unit the static columns are drawn in.
+        loop {
+            let base = set.len();
+            while set.len() - base < 64 && more(set.len()) {
+                sweep_over(flat, swept, &mut self.world, &mut self.rng);
+                set.push(&self.world);
+            }
+            let count = set.len() - base;
+            set.fill_bernoulli(base, count, exact, p_true, &mut self.rng);
+            if count < 64 {
+                return set;
+            }
         }
-        set
     }
 
     /// Expected value (over `sweeps` Gibbs samples) of the total feature value of
     /// every weight: `E[Σ_{f: weight(f)=k} φ_f(I)]` for each weight `k`.  This is
     /// the sufficient statistic needed by the learning gradient.
     pub fn expected_feature_counts(&mut self, sweeps: usize) -> Vec<f64> {
-        let mut totals = vec![0.0; self.flat.num_weights()];
-        let sweeps = sweeps.max(1);
-        for _ in 0..sweeps {
-            self.sweep();
-            self.flat
-                .accumulate_feature_counts(&self.world, &mut totals);
-        }
-        for t in &mut totals {
-            *t /= sweeps as f64;
-        }
-        totals
+        let vars = free_vars_of(&self.free_vars, &self.flat);
+        expected_feature_counts_over(&self.flat, vars, &mut self.world, &mut self.rng, sweeps)
+    }
+}
+
+/// The variables a sampler resamples: the explicit list, or by default the
+/// graph's query variables.  (Functions of the two fields rather than
+/// methods, so a sweep can borrow the world and the RNG mutably beside them.)
+fn free_vars_of<'a>(explicit: &'a Option<Vec<VarId>>, flat: &'a FlatGraph) -> &'a [VarId] {
+    match explicit {
+        Some(explicit) => explicit,
+        None => flat.query_variables(),
+    }
+}
+
+/// `(swept, exact)`: the variables [`GibbsSampler::run`] and
+/// [`GibbsSampler::draw_samples`] sweep, and the ones they answer from
+/// [`FlatGraph::static_p_true`] instead.
+fn estimation_split<'a>(
+    explicit: &'a Option<Vec<VarId>>,
+    flat: &'a FlatGraph,
+) -> (&'a [VarId], &'a [VarId]) {
+    match explicit {
+        Some(explicit) => (explicit, &[]),
+        None => (
+            flat.coupled_query_variables(),
+            flat.static_query_variables(),
+        ),
     }
 }
 
@@ -542,6 +766,8 @@ mod tests {
         for (v, &c) in counts.iter().enumerate() {
             assert!((fast.get(v) - c as f64 / set.len() as f64).abs() < 1e-12);
         }
+        // Under a mask, only the selected variable is counted.
+        assert_eq!(set.true_counts(&[0b10]), vec![0, counts[1]]);
     }
 
     /// The per-sample `Vec<u8>` bundle store the arena replaced, kept as the
@@ -593,6 +819,91 @@ mod tests {
         assert!(set.push_bytes(&[0xff, 0xff]));
         assert_eq!(set.row(0).words(), &[0x0fff]);
         assert_eq!(set.row(0).bytes().collect::<Vec<u8>>(), vec![0xff, 0x0f]);
+    }
+
+    #[test]
+    fn transpose64_matches_the_bitwise_definition() {
+        let mut rng = SweepRng::seed_from_u64(5);
+        let original: [u64; 64] = std::array::from_fn(|_| rng.gen());
+        let mut m = original;
+        transpose64(&mut m);
+        for (i, row) in m.iter().enumerate() {
+            for (j, source) in original.iter().enumerate() {
+                assert_eq!(row >> j & 1, source >> i & 1, "bit ({i}, {j})");
+            }
+        }
+        transpose64(&mut m);
+        assert_eq!(m, original);
+    }
+
+    #[test]
+    fn bernoulli_word_is_exact_at_the_ends_and_unbiased_between() {
+        let mut rng = SweepRng::seed_from_u64(9);
+        assert_eq!(bernoulli_word(0.0, &mut rng), 0);
+        assert_eq!(bernoulli_word(1.0, &mut rng), u64::MAX);
+        // Below the 2^-53 resolution of a uniform draw: never true.
+        assert_eq!(bernoulli_word(1e-17, &mut rng), 0);
+        // p = 0.5 is one bit of p, so one random word; p = 0 is none.
+        let mut a = SweepRng::seed_from_u64(3);
+        let mut b = SweepRng::seed_from_u64(3);
+        bernoulli_word(0.0, &mut a);
+        bernoulli_word(0.5, &mut a);
+        let _: u64 = b.gen();
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        for p in [1e-9, 0.03, 0.25, 0.5, 0.731, 1.0 - 1e-9] {
+            let words = 4000;
+            let ones: u32 = (0..words)
+                .map(|_| bernoulli_word(p, &mut rng).count_ones())
+                .sum();
+            let n = f64::from(words * 64);
+            let sigma = (p * (1.0 - p) / n).sqrt();
+            assert!(
+                (f64::from(ones) / n - p).abs() <= 4.5 * sigma + 1e-12,
+                "p = {p}: {ones} ones in {n} draws"
+            );
+        }
+    }
+
+    #[test]
+    fn static_columns_overwrite_exactly_their_own_bits() {
+        // 130 variables, every third one "static": fill two blocks (64 + 6
+        // samples) over rows preset to all-ones / all-zeros and check that
+        // only static bits moved.
+        let num_vars = 130;
+        let statics: Vec<VarId> = (0..num_vars).filter(|v| v % 3 == 0).collect();
+        for preset in [false, true] {
+            let world = World::from_values(vec![preset; num_vars]);
+            let mut set = SampleSet::new(num_vars);
+            for _ in 0..70 {
+                set.push(&world);
+            }
+            let mut rng = SweepRng::seed_from_u64(1);
+            let p_true = |v: VarId| if v % 2 == 0 { 1.0 } else { 0.0 };
+            set.fill_bernoulli(0, 64, &statics, p_true, &mut rng);
+            set.fill_bernoulli(64, 6, &statics, p_true, &mut rng);
+            for row in set.rows() {
+                for v in 0..num_vars {
+                    let expected = if v % 3 == 0 { v % 2 == 0 } else { preset };
+                    assert_eq!(row.value(v), expected, "variable {v}");
+                }
+                // The tail of the last word stays clear.
+                assert_eq!(row.words()[2] >> 2, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn column_reads_a_variable_across_samples() {
+        let g = pair_graph(0.4, 0.2);
+        let set = GibbsSampler::new(&g, 21).draw_samples(150, 5);
+        for v in 0..2 {
+            let column = set.column(v);
+            assert_eq!(column.len(), 3);
+            for (i, row) in set.rows().enumerate() {
+                assert_eq!(column[i / 64] >> (i % 64) & 1 == 1, row.value(v));
+            }
+            assert_eq!(column[2] >> (150 - 128), 0);
+        }
     }
 
     #[test]

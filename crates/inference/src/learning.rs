@@ -19,10 +19,11 @@
 //! with warmstart.  [`LearnStrategy`] selects between them and
 //! [`Learner::learn`] records a [`LearningTrace`] so Figure 16 can be reproduced.
 
-use crate::gibbs::{sigmoid, GibbsSampler};
+use crate::gibbs::{expected_feature_counts_over, sigmoid, SweepRng};
 use crate::parallel::ParallelGibbs;
 use crate::rng::mix_seed;
-use dd_factorgraph::{FactorGraph, FlatGraph, World};
+use dd_factorgraph::{FactorGraph, FlatGraph};
+use rand::SeedableRng;
 use rayon::ThreadPool;
 use std::sync::Arc;
 
@@ -226,9 +227,15 @@ impl<'g> Learner<'g> {
             (clamped, free)
         });
 
-        // Sequential chain states, persisted across epochs (PCD warmstart).
-        let mut clamped_world: Option<World> = None;
-        let mut free_world: Option<World> = None;
+        // Sequential chain states, persisted across epochs (PCD warmstart):
+        // the clamped chain resamples the query variables, the free chain
+        // everything.  Each epoch continues both worlds on a fresh RNG
+        // stream; `flat` is only borrowed per estimate, so it stays free for
+        // `refresh_weights` in between.  Both chains sweep *every* one of
+        // their variables, static ones included — the gradient is a
+        // statistic of whole worlds.
+        let mut clamped_world = flat.initial_world();
+        let mut free_world = flat.initial_world();
 
         for epoch in 0..options.epochs {
             // Expectations with evidence clamped / free.
@@ -238,30 +245,24 @@ impl<'g> Learner<'g> {
                     free_chain.expected_feature_counts(free_sweeps),
                 ),
                 None => {
-                    let clamped = {
-                        let mut s =
-                            GibbsSampler::from_flat(flat, mix_seed(options.seed, epoch as u64));
-                        if let Some(w) = clamped_world.take() {
-                            s.set_world(w);
-                        }
-                        let counts = s.expected_feature_counts(clamped_sweeps);
-                        clamped_world = Some(s.world().clone());
-                        counts
+                    let estimate = |vars, world, stream, sweeps| {
+                        let mut rng = SweepRng::seed_from_u64(mix_seed(options.seed, stream));
+                        expected_feature_counts_over(flat, vars, world, &mut rng, sweeps)
                     };
-                    let free = {
-                        let mut s = GibbsSampler::from_flat(
-                            flat,
-                            mix_seed(options.seed, FREE_STREAM + epoch as u64),
-                        )
-                        .with_free_vars(all_vars.clone());
-                        if let Some(w) = free_world.take() {
-                            s.set_world(w);
-                        }
-                        let counts = s.expected_feature_counts(free_sweeps);
-                        free_world = Some(s.world().clone());
-                        counts
-                    };
-                    (clamped, free)
+                    (
+                        estimate(
+                            flat.query_variables(),
+                            &mut clamped_world,
+                            epoch as u64,
+                            clamped_sweeps,
+                        ),
+                        estimate(
+                            &all_vars,
+                            &mut free_world,
+                            FREE_STREAM + epoch as u64,
+                            free_sweeps,
+                        ),
+                    )
                 }
             };
 

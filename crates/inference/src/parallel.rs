@@ -33,6 +33,14 @@
 //!   equivalent to (and much cheaper than) a sequential end-of-sweep scan of
 //!   the shared world.
 //!
+//! Like the sequential sampler, [`ParallelGibbs::run`] sweeps only the
+//! *coupled* query variables and reports static ones from
+//! [`FlatGraph::static_p_true`] (exactly, and the same whatever the chunking
+//! or interleaving), unless the variables were given explicitly;
+//! [`ParallelGibbs::sweep`] resamples every free variable.  The chunk
+//! layout is a function of the list being swept and the chunk count, so both
+//! run on the same per-chunk RNG streams.
+//!
 //! The energy computation is the *same* single-pass
 //! [`FlatGraph::energy_delta`] the sequential sampler uses — it reads the
 //! shared world through [`WorldView`] and overrides the variable being
@@ -132,7 +140,9 @@ struct ChunkState {
 pub struct ParallelGibbs {
     flat: FlatGraph,
     world: AtomicWorld,
-    free_vars: Vec<VarId>,
+    /// The resampled variables when given explicitly; `None` is the graph's
+    /// query variables (of which `run` sweeps the coupled ones).
+    free_vars: Option<Vec<VarId>>,
     seed: u64,
     /// Requested chunk count; `None` follows the dispatch pool's size.
     chunks: Option<usize>,
@@ -144,8 +154,6 @@ pub struct ParallelGibbs {
     /// Benchmark baseline: spawn scoped threads per sweep instead of using
     /// the pool (see [`ParallelGibbs::with_spawn_dispatch`]).
     spawn_dispatch: bool,
-    /// Variables per chunk for the currently built `chunk_states`.
-    chunk_size: usize,
     /// One state per chunk (RNG stream + count buffer), kept across sweeps;
     /// empty until the first sweep after a (re)configuration.
     chunk_states: Vec<Mutex<ChunkState>>,
@@ -161,16 +169,14 @@ impl ParallelGibbs {
     /// Create a parallel sampler from an already-compiled graph.
     pub fn from_flat(flat: FlatGraph, seed: u64) -> Self {
         let world = AtomicWorld::from_world(&flat.initial_world());
-        let free_vars = flat.query_variables().to_vec();
         ParallelGibbs {
             flat,
             world,
-            free_vars,
+            free_vars: None,
             seed,
             chunks: None,
             pool: None,
             spawn_dispatch: false,
-            chunk_size: 1,
             chunk_states: Vec::new(),
         }
     }
@@ -202,11 +208,21 @@ impl ParallelGibbs {
     }
 
     /// Restrict (or extend) the set of resampled variables — e.g. the free
-    /// chain of weight learning resamples evidence variables too.
+    /// chain of weight learning resamples evidence variables too.  An
+    /// explicit list is swept in full by [`ParallelGibbs::run`] as well.
     pub fn with_free_vars(mut self, free_vars: Vec<VarId>) -> Self {
-        self.free_vars = free_vars;
-        self.chunk_states.clear();
+        self.free_vars = Some(free_vars);
         self
+    }
+
+    /// The variables a sweep resamples — of an estimation run (`estimate`)
+    /// only the coupled ones, unless the list was given explicitly.
+    fn swept(&self, estimate: bool) -> &[VarId] {
+        match &self.free_vars {
+            Some(explicit) => explicit,
+            None if estimate => self.flat.coupled_query_variables(),
+            None => self.flat.query_variables(),
+        }
     }
 
     /// Re-resolve weight values from `graph` after learning moved them,
@@ -225,10 +241,11 @@ impl ParallelGibbs {
     }
 
     /// Build per-chunk state if the configuration changed since the last
-    /// sweep: fix the chunk layout and seed one RNG stream per chunk
-    /// (splitmix-mixed from the run seed).
+    /// sweep: one RNG stream per configured chunk (splitmix-mixed from the
+    /// run seed).  Which variables a chunk owns is decided per sweep, from
+    /// the length of the list being swept.
     fn ensure_chunk_states(&mut self) {
-        if !self.chunk_states.is_empty() || self.free_vars.is_empty() {
+        if !self.chunk_states.is_empty() {
             return;
         }
         let chunks = match self.chunks {
@@ -245,9 +262,7 @@ impl ParallelGibbs {
             },
         }
         .max(1);
-        self.chunk_size = self.free_vars.len().div_ceil(chunks).max(1);
-        let num_chunks = self.free_vars.len().div_ceil(self.chunk_size);
-        self.chunk_states = (0..num_chunks)
+        self.chunk_states = (0..chunks)
             .map(|chunk| {
                 Mutex::new(ChunkState {
                     rng: SweepRng::seed_from_u64(mix_seed(self.seed, chunk as u64)),
@@ -260,24 +275,31 @@ impl ParallelGibbs {
     /// One hogwild sweep: every free variable is resampled exactly once, with
     /// the variable set partitioned across the pool's threads.
     pub fn sweep(&mut self) {
-        self.sweep_internal(false);
+        self.sweep_internal(false, false);
     }
 
-    fn sweep_internal(&mut self, count: bool) {
+    /// One sweep over [`ParallelGibbs::swept`]`(estimate)`; with `count`,
+    /// every chunk also counts its variables' `true` draws (into buffers
+    /// [`ParallelGibbs::run`] sized for this list).
+    fn sweep_internal(&mut self, estimate: bool, count: bool) {
+        if self.swept(estimate).is_empty() {
+            return;
+        }
         self.ensure_chunk_states();
         // The spawn baseline never touches the pool; resolve it only for the
         // pooled path so `with_spawn_dispatch` cannot instantiate workers.
         let pool = (!self.spawn_dispatch).then(|| self.pool());
-        let chunk_size = self.chunk_size;
         let flat = &self.flat;
         let world = &self.world;
-        let free_vars = &self.free_vars;
+        let vars = self.swept(estimate);
         let chunk_states = &self.chunk_states;
+        let chunk_size = chunk_size(vars.len(), chunk_states.len());
+        let num_chunks = vars.len().div_ceil(chunk_size);
         let run_chunk = |chunk: usize| {
-            let range = chunk_range(chunk, chunk_size, free_vars.len());
+            let range = chunk_range(chunk, chunk_size, vars.len());
             let mut state = lock_chunk(&chunk_states[chunk]);
             let state = &mut *state;
-            for (j, &v) in free_vars[range].iter().enumerate() {
+            for (j, &v) in vars[range].iter().enumerate() {
                 let p_true = flat.conditional_p_true(v, world);
                 let value = state.rng.gen::<f64>() < p_true;
                 world.set(v, value);
@@ -287,49 +309,65 @@ impl ParallelGibbs {
             }
         };
         match pool {
-            Some(pool) => pool.run_chunks(chunk_states.len(), &run_chunk),
+            Some(pool) => pool.run_chunks(num_chunks, &run_chunk),
             None => {
                 // Equal-thread-count baseline: mirror the explicit pool's
                 // parallelism, or one thread per chunk when unconfigured.
                 let threads = match &self.pool {
                     Some(pool) => pool.num_threads(),
-                    None => chunk_states.len(),
+                    None => num_chunks,
                 };
-                rayon::spawn_run_chunks(chunk_states.len(), threads, &run_chunk);
+                rayon::spawn_run_chunks(num_chunks, threads, &run_chunk);
             }
         }
     }
 
     /// Run burn-in plus `sweeps` counting sweeps, returning marginals.
+    ///
+    /// Only coupled variables are swept; static ones report their exact
+    /// marginal, and a graph without coupled variables is answered without
+    /// a sweep (or a pool).
     pub fn run(&mut self, sweeps: usize, burn_in: usize) -> Marginals {
-        self.ensure_chunk_states();
-        for _ in 0..burn_in {
-            self.sweep();
-        }
-        // Counting phase: chunks count their own variables locally during the
-        // sweep (see module docs); zero the buffers first.
-        let chunk_size = self.chunk_size;
-        for (chunk, state) in self.chunk_states.iter().enumerate() {
-            let range = chunk_range(chunk, chunk_size, self.free_vars.len());
-            lock_chunk(state).counts = vec![0; range.len()];
-        }
         let sweeps = sweeps.max(1);
-        for _ in 0..sweeps {
-            self.sweep_internal(true);
+        let num_swept = self.swept(true).len();
+        if num_swept > 0 {
+            for _ in 0..burn_in {
+                self.sweep_internal(true, false);
+            }
+            // Counting phase: chunks count their own variables locally
+            // during the sweep (see module docs); zero the buffers first.
+            self.ensure_chunk_states();
+            let chunk_size = chunk_size(num_swept, self.chunk_states.len());
+            for (chunk, state) in self.chunk_states.iter().enumerate() {
+                let range = chunk_range(chunk, chunk_size, num_swept);
+                lock_chunk(state).counts = vec![0; range.len()];
+            }
+            for _ in 0..sweeps {
+                self.sweep_internal(true, true);
+            }
         }
-        // Merge: clamped variables report their fixed value, free variables
-        // their empirical frequency.
+        // Merge: clamped variables report their fixed value, swept variables
+        // their empirical frequency, static ones their exact marginal.
         let mut values: Vec<f64> = self
             .world
             .to_world()
             .iter()
             .map(|b| if b { 1.0 } else { 0.0 })
             .collect();
-        for (chunk, state) in self.chunk_states.iter().enumerate() {
-            let lo = chunk_range(chunk, chunk_size, self.free_vars.len()).start;
-            let state = lock_chunk(state);
-            for (j, &c) in state.counts.iter().enumerate() {
-                values[self.free_vars[lo + j]] = c as f64 / sweeps as f64;
+        if num_swept > 0 {
+            let swept = self.swept(true);
+            let chunk_size = chunk_size(num_swept, self.chunk_states.len());
+            for (chunk, state) in self.chunk_states.iter().enumerate() {
+                let lo = chunk_range(chunk, chunk_size, num_swept).start;
+                let state = lock_chunk(state);
+                for (j, &c) in state.counts.iter().enumerate() {
+                    values[swept[lo + j]] = c as f64 / sweeps as f64;
+                }
+            }
+        }
+        if self.free_vars.is_none() {
+            for &v in self.flat.static_query_variables() {
+                values[v] = self.flat.static_p_true(v).expect("static variable");
             }
         }
         Marginals::from_values(values)
@@ -359,9 +397,15 @@ impl ParallelGibbs {
     }
 }
 
-/// The variable index range owned by `chunk` under a fixed chunk size.
+/// Variables per chunk when `num_vars` are split over at most `chunks`.
+fn chunk_size(num_vars: usize, chunks: usize) -> usize {
+    num_vars.div_ceil(chunks).max(1)
+}
+
+/// The variable index range owned by `chunk` under a fixed chunk size
+/// (empty for chunks past the end of the list).
 fn chunk_range(chunk: usize, chunk_size: usize, num_vars: usize) -> std::ops::Range<usize> {
-    let lo = chunk * chunk_size;
+    let lo = (chunk * chunk_size).min(num_vars);
     lo..(lo + chunk_size).min(num_vars)
 }
 

@@ -27,7 +27,7 @@
 
 use crate::gibbs::{GibbsOptions, GibbsSampler, SampleSet};
 use crate::marginals::Marginals;
-use dd_factorgraph::{Factor, FactorGraph, GraphDelta, VarId, Weight, WorldView};
+use dd_factorgraph::{Factor, FactorGraph, GraphDelta, VarId, Weight};
 use std::collections::{HashMap, HashSet};
 
 /// Options for the variational materialization.
@@ -92,8 +92,12 @@ impl VariationalMaterialization {
         options: &VariationalOptions,
     ) -> Self {
         let query: Vec<VarId> = graph.query_variables();
-        let index_of: HashMap<VarId, usize> =
-            query.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        // Dense query index by variable id (`NOT_QUERY` for evidence).
+        const NOT_QUERY: usize = usize::MAX;
+        let mut index_of = vec![NOT_QUERY; graph.num_variables()];
+        for (i, &v) in query.iter().enumerate() {
+            index_of[v] = i;
+        }
 
         // Line 2: NZ = pairs of query variables co-occurring in some factor
         // (none without query variables: the factors need not be walked).
@@ -107,7 +111,8 @@ impl VariationalMaterialization {
             let vars: Vec<usize> = f
                 .variables()
                 .into_iter()
-                .filter_map(|v| index_of.get(&v).copied())
+                .map(|v| index_of[v])
+                .filter(|&i| i != NOT_QUERY)
                 .collect();
             for i in 0..vars.len() {
                 for j in (i + 1)..vars.len() {
@@ -119,30 +124,36 @@ impl VariationalMaterialization {
             }
         }
 
-        // Line 3: estimate means and the covariance matrix restricted to NZ,
-        // straight off the stored rows.
+        // Line 3: means from the arena's word-level counts (of the query
+        // variables only: evidence bits are masked out), and the covariance
+        // matrix restricted to NZ from the two variables' sample
+        // columns: E[xa·xb] is the popcount of their AND.  Only variables in
+        // some NZ pair (coupled ones, by definition) have a column extracted.
         let n_samples = samples.len().max(1) as f64;
-        let mut means = vec![0.0f64; query.len()];
-        for row in samples.rows() {
-            for (qi, &v) in query.iter().enumerate() {
-                if row.value(v) {
-                    means[qi] += 1.0;
-                }
+        let mut query_mask = vec![0u64; samples.num_vars().div_ceil(64)];
+        for &v in &query {
+            query_mask[v / 64] |= 1 << (v % 64);
+        }
+        let counts = samples.true_counts(&query_mask);
+        let means: Vec<f64> = query
+            .iter()
+            .map(|&v| counts[v] as f64 / n_samples)
+            .collect();
+        let mut columns: Vec<Option<Vec<u64>>> = vec![None; query.len()];
+        for &(a, b) in &nz {
+            for q in [a, b] {
+                columns[q].get_or_insert_with(|| samples.column(query[q]));
             }
         }
-        for m in &mut means {
-            *m /= n_samples;
-        }
+        let column = |q: usize| columns[q].as_deref().expect("extracted above");
         let mut cov: HashMap<(usize, usize), f64> = HashMap::new();
         for &(a, b) in &nz {
-            let (va, vb) = (query[a], query[b]);
-            let mut c = 0.0;
-            for row in samples.rows() {
-                let xa = if row.value(va) { 1.0 } else { 0.0 };
-                let xb = if row.value(vb) { 1.0 } else { 0.0 };
-                c += (xa - means[a]) * (xb - means[b]);
-            }
-            cov.insert((a, b), c / n_samples);
+            let both: u32 = column(a)
+                .iter()
+                .zip(column(b))
+                .map(|(x, y)| (x & y).count_ones())
+                .sum();
+            cov.insert((a, b), f64::from(both) / n_samples - means[a] * means[b]);
         }
         let variances: Vec<f64> = means.iter().map(|&m| m * (1.0 - m)).collect();
 
@@ -185,7 +196,6 @@ impl VariationalMaterialization {
         }
     }
 
-    /// The approximate graph (for inspection and tests).
     /// Rebuild a materialization from its stored parts, exactly (checkpoint
     /// codec access — pairs with the accessors below).
     pub fn from_parts(
@@ -202,6 +212,7 @@ impl VariationalMaterialization {
         }
     }
 
+    /// The approximate graph (for inspection and tests).
     pub fn approx_graph(&self) -> &FactorGraph {
         &self.approx_graph
     }

@@ -3,10 +3,21 @@
 //! The engine's contract is that every sampler consumes the same RNG stream
 //! in the same order for a given seed, so marginals, MH acceptance rates and
 //! canonical snapshot bytes are a pure function of (corpus seed, config).
-//! These digests were recorded on the commit *before* the sample store and
-//! the relation catalog changed representation (arena-backed `SampleSet`,
-//! interned relation names); a representation change that moves any of them
-//! changed a chain, not just its cost.
+//! A change that moves a digest changed a chain, not just its cost.
+//!
+//! The digests were first recorded on the commit *before* the sample store
+//! and the relation catalog changed representation (arena-backed
+//! `SampleSet`, interned relation names) and held through it.  Every
+//! snapshot digest (`PINNED`, both columns, and `PINNED_CLAIMS`) was then
+//! re-recorded once, deliberately, by the change that made the samplers act
+//! on the static/coupled split of the query variables: a static variable's
+//! published marginal is now its exact value instead of a 300-sweep
+//! estimate, its column of the sample store is i.i.d. draws instead of a
+//! Gibbs chain's, the coupled variables' chain no longer shares its RNG
+//! stream with coin flips for static ones, and a round over a graph without
+//! coupled variables reports no MH acceptance rate.  Learning was not
+//! touched: `PINNED_WEIGHTS` was recorded on the parent of that change and
+//! holds across it bit for bit.
 
 use deepdive_repro::prelude::*;
 
@@ -75,6 +86,28 @@ fn development_digest(seed: u64, rematerialize: bool) -> u64 {
         if rematerialize {
             engine.materialize().expect("re-materialize");
         }
+    }
+    digest.0
+}
+
+/// The learned model through [`development_digest`]'s steps: `initial_run`
+/// learns cold, every development update warm.
+fn learned_weights_digest(seed: u64) -> u64 {
+    let (system, mut engine) = news(seed);
+    let mut digest = Fnv::new();
+    let mut absorb = |engine: &DeepDive| {
+        for w in engine.learned_weights() {
+            digest.write(&w.to_bits().to_le_bytes());
+        }
+    };
+    engine.initial_run().expect("initial run");
+    absorb(&engine);
+    engine.materialize().expect("materialize");
+    for (template, update) in system.development_updates() {
+        engine
+            .run_update(&update, ExecutionMode::Incremental)
+            .unwrap_or_else(|e| panic!("{}: {e}", template.name()));
+        absorb(&engine);
     }
     digest.0
 }
@@ -211,11 +244,11 @@ fn claims_digest(seed: u64) -> u64 {
 }
 
 /// `(corpus seed, digest materializing once, digest re-materializing after
-/// every update)`, recorded on the parent of the representation change.
+/// every update)`.
 const PINNED: [(u64, u64, u64); 3] = [
-    (3, 0x65da_0ace_13c1_4496, 0x8abd_f193_f6dd_568d),
-    (5, 0x8127_1369_cb4c_5a83, 0xbdf3_b76b_09f5_e9ef),
-    (11, 0xae69_9d8a_8fd1_d7e4, 0x9364_4be9_9dae_d684),
+    (3, 0xff94_d230_a2ec_a506, 0xc857_e680_64fb_4601),
+    (5, 0xbcde_4f80_0296_dd94, 0x6e07_c42d_9785_d75e),
+    (11, 0x6051_2c14_596b_fd6e, 0x99ab_d4c9_1797_6a27),
 ];
 
 #[test]
@@ -233,11 +266,64 @@ fn development_loop_digests_are_pinned_per_seed() {
     assert_eq!(got, PINNED, "got {got:#018x?}");
 }
 
-/// `(seed, digest)` of [`claims_digest`], recorded on the same parent commit.
+/// `(corpus seed, digest)` of [`learned_weights_digest`], recorded on the
+/// parent of the static/coupled split: `sweep` and the gradient chains keep
+/// sampling every free variable on the same RNG streams.
+const PINNED_WEIGHTS: [(u64, u64); 3] = [
+    (3, 0x8801_207d_2d70_5d60),
+    (5, 0xc2cd_9692_09e2_2ce0),
+    (11, 0xf0fd_fcde_d4be_479e),
+];
+
+#[test]
+fn learned_weights_are_bit_identical_to_the_parents() {
+    let got: Vec<(u64, u64)> = PINNED_WEIGHTS
+        .iter()
+        .map(|&(seed, _)| (seed, learned_weights_digest(seed)))
+        .collect();
+    assert_eq!(got, PINNED_WEIGHTS, "got {got:#018x?}");
+}
+
+/// The same seed twice: identical snapshot bytes after every step, and an
+/// identical sample store (static columns included — the bit-sliced draws
+/// come off the sampler's own seeded stream).
+#[test]
+fn same_seed_twice_gives_identical_snapshots_and_sample_store() {
+    let run = |seed: u64| {
+        let (system, mut engine) = news(seed);
+        let mut snapshots = Vec::new();
+        engine.initial_run().expect("initial run");
+        snapshots.push(encode_snapshot(&engine.snapshot()));
+        engine.materialize().expect("materialize");
+        for (_, update) in system.development_updates() {
+            engine
+                .run_update(&update, ExecutionMode::Incremental)
+                .expect("update applies");
+            snapshots.push(encode_snapshot(&engine.snapshot()));
+            engine.materialize().expect("re-materialize");
+        }
+        let store = engine
+            .materialization()
+            .expect("materialized")
+            .sampling
+            .samples()
+            .clone();
+        (snapshots, store)
+    };
+    let (snapshots_a, store_a) = run(5);
+    let (snapshots_b, store_b) = run(5);
+    assert!(snapshots_a == snapshots_b, "snapshot bytes differ");
+    assert!(!store_a.is_empty());
+    assert!(store_a == store_b, "sample stores differ");
+    let (snapshots_c, store_c) = run(6);
+    assert!(snapshots_a != snapshots_c && store_a != store_c);
+}
+
+/// `(seed, digest)` of [`claims_digest`].
 const PINNED_CLAIMS: [(u64, u64); 3] = [
-    (1, 0xadcb_79ed_d482_ee98),
-    (2, 0x5470_b11c_91d8_deb2),
-    (9, 0xdd34_f711_fb90_fa5e),
+    (1, 0x4181_f7f8_8dce_7cc3),
+    (2, 0x57ed_89fc_e43f_4551),
+    (9, 0xe80b_35ea_39f3_f095),
 ];
 
 #[test]
