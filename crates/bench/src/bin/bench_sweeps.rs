@@ -16,13 +16,9 @@
 //! * `parallel` — hogwild [`ParallelGibbs`] on the same flat path, dispatched
 //!   on the process-global persistent worker pool.
 //!
-//! On top of that, the parallel *runtime* is A/B'd across explicit thread
-//! counts: for each `t` a persistent `ThreadPool` of size `t`
-//! (`parallel_pooled_t{t}`) is raced against the retired spawn-scoped-threads
-//! -per-sweep dispatcher at the same thread count (`parallel_spawn_t{t}`),
-//! with identical chunking and identical per-chunk RNG streams — the measured
-//! gap (`pooled_vs_spawn_speedup_t{t}`) is purely the dispatch overhead the
-//! persistent pool removes.
+//! On top of that, the parallel runtime is timed at explicit thread counts:
+//! for each `t`, hogwild sweeps on a persistent `ThreadPool` of size `t`
+//! (`parallel_pooled_t{t}`).
 //!
 //! A third series, `publish_cost/*`, tracks the snapshot-publish path: the
 //! old full catalog rebuild (`CatalogShards::build` over every entry) raced
@@ -177,7 +173,7 @@ fn count_allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-/// Explicit thread counts for the pooled-vs-spawn dispatch comparison.
+/// Explicit thread counts of the `parallel_pooled_t{t}` legs.
 const THREAD_COUNTS: [usize; 2] = [2, 4];
 
 /// Relations the synthetic publish-cost catalog is spread over.
@@ -250,21 +246,11 @@ fn bench_parallel_pooled(
     time_sweeps(sampler, sweeps)
 }
 
-/// Time hogwild sweeps with the spawn-per-sweep baseline dispatcher at the
-/// same thread count and chunk layout as the pooled leg.
-fn bench_parallel_spawn(flat: &FlatGraph, sweeps: usize, seed: u64, pool: &Arc<ThreadPool>) -> f64 {
-    let sampler = ParallelGibbs::from_flat(flat.clone(), seed)
-        .with_pool(Arc::clone(pool))
-        .with_spawn_dispatch();
-    time_sweeps(sampler, sweeps)
-}
-
 fn time_sweeps(mut sampler: ParallelGibbs, sweeps: usize) -> f64 {
-    sampler.sweep(); // warm up (and fault in the pool) outside the timed region
-                     // Best of five reps: scheduler interference only ever slows a rep down,
-                     // so the max is the least-noisy throughput estimate (the dispatch gap
-                     // being measured is ~10% on the large workload, well under raw run
-                     // jitter on a busy box).
+    // Warm up (and fault in the pool) outside the timed region.
+    sampler.sweep();
+    // Best of five reps: scheduler interference only ever slows a rep down,
+    // so the max is the least-noisy throughput estimate.
     let mut best = 0.0f64;
     for _ in 0..5 {
         let start = Instant::now();
@@ -315,26 +301,12 @@ fn bench_workload(label: &str, graph: &FactorGraph, sweeps: usize, entries: &mut
     for &threads in &THREAD_COUNTS {
         let pool = Arc::new(ThreadPool::new(threads));
         let pooled = bench_parallel_pooled(&flat, sweeps, 7, &pool);
-        let spawned = bench_parallel_spawn(&flat, sweeps, 7, &pool);
-        let dispatch_speedup = pooled / spawned;
-        println!(
-            "  t={threads}: pooled {pooled:>12.1} sweeps/s | spawn-per-sweep {spawned:>12.1} sweeps/s  ({dispatch_speedup:.2}x)"
-        );
-        for (kind, value, unit) in [
-            (format!("parallel_pooled_t{threads}"), pooled, "sweeps/s"),
-            (format!("parallel_spawn_t{threads}"), spawned, "sweeps/s"),
-            (
-                format!("pooled_vs_spawn_speedup_t{threads}"),
-                dispatch_speedup,
-                "x",
-            ),
-        ] {
-            entries.push(Entry {
-                name: format!("{label}/{kind}"),
-                unit,
-                value,
-            });
-        }
+        println!("  t={threads}: pooled {pooled:>12.1} sweeps/s");
+        entries.push(Entry {
+            name: format!("{label}/parallel_pooled_t{threads}"),
+            unit: "sweeps/s",
+            value: pooled,
+        });
     }
 }
 
@@ -364,11 +336,8 @@ fn fig9_graph() -> FactorGraph {
     engine.graph().clone()
 }
 
-/// A fig5-style synthetic pairwise graph (the tradeoff-study shape).  The
-/// smoke profile shrinks it: the `pooled_vs_spawn` gap being gated is
-/// per-sweep dispatch overhead, and on a sweep big enough to hide that
-/// overhead the metric degenerates to noise around 1.0× — a small graph keeps
-/// the measured quantity the dispatch cost itself, so the CI floor is stable.
+/// A fig5-style synthetic pairwise graph (the tradeoff-study shape), a tenth
+/// of the size in the smoke profile.
 fn fig5_graph(smoke: bool) -> FactorGraph {
     pairwise_graph(&SyntheticConfig {
         num_variables: if smoke { 400 } else { 4000 },

@@ -1,10 +1,12 @@
-//! CI doc-rot gate: intra-repo links and `file:line` anchors in the
-//! top-level docs must resolve against the checkout.
+//! CI doc-rot gate: intra-repo links, `file:line` anchors and the cargo
+//! targets of documented commands must resolve against the checkout.
 //!
 //! Scans the audited docs (README, ARCHITECTURE, PERFORMANCE, BENCHMARKING,
-//! ROADMAP) for markdown links to repo paths and backticked `path.rs:123`
-//! anchors, and fails when a link target does not exist or an anchor points
-//! past the end of its file.  Usage:
+//! ROADMAP, the verify skill and the CI workflow) for markdown links to repo
+//! paths, backticked `path.rs:123` anchors and `--bin` / `--example` /
+//! `--test` / `-p` operands, and fails when a link target does not exist, an
+//! anchor points past the end of its file, or a command names a target or
+//! package that is not on disk.  Usage:
 //!
 //! ```sh
 //! cargo run --release -p dd-bench --bin check_docs [--root <repo-root>]
@@ -55,7 +57,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if violations.is_empty() {
-        println!("check_docs: {checked} docs audited, all links and anchors resolve");
+        println!("check_docs: {checked} docs audited, all links, anchors and targets resolve");
         ExitCode::SUCCESS
     } else {
         for violation in &violations {

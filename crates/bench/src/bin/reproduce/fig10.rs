@@ -4,23 +4,13 @@
 //! each of the five systems.  Also reports the §4.2 fact-agreement statistics
 //! (high-confidence overlap, fraction differing by more than 0.05).
 
+use crate::engine_for;
 use dd_bench::print_table;
 use dd_factorgraph::Semantics;
-use dd_grounding::standard_udfs;
 use dd_workloads::{KbcSystem, SystemKind};
-use deepdive::{DeepDive, EngineConfig, ExecutionMode};
+use deepdive::ExecutionMode;
 
-fn engine_for(system: &KbcSystem) -> DeepDive {
-    DeepDive::builder()
-        .program(system.program.clone())
-        .database(system.corpus.database.clone())
-        .udfs(standard_udfs())
-        .config(EngineConfig::fast())
-        .build()
-        .expect("engine builds")
-}
-
-fn main() {
+pub fn run() {
     println!("# Figure 10(a) — quality over time (News, six snapshots)");
     let system = KbcSystem::generate(SystemKind::News, 0.3, 51);
 

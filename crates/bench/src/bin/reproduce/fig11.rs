@@ -3,39 +3,20 @@
 //! NoRelaxation (variational disabled), and NoWorkloadInfo (use sampling until
 //! exhausted, then variational, ignoring the workload-based rules of §3.3).
 
+use crate::prepared;
 use dd_bench::{print_table, secs, timed};
-use dd_grounding::standard_udfs;
 use dd_inference::{DistributionChange, GibbsOptions};
 use dd_workloads::{KbcSystem, RuleTemplate, SystemKind};
-use deepdive::{choose_strategy, DeepDive, EngineConfig, ExecutionMode, StrategyChoice};
+use deepdive::{choose_strategy, ExecutionMode, StrategyChoice};
 
-fn main() {
+pub fn run() {
     println!("# Figure 11 — lesion study of the materialization strategies (News)");
     let system = KbcSystem::generate(SystemKind::News, 0.2, 71);
 
     let mut rows = Vec::new();
     for template in RuleTemplate::all() {
         // Prepare a trained, materialized engine just before this rule's iteration.
-        let mut engine = DeepDive::builder()
-            .program(system.program.clone())
-            .database(system.corpus.database.clone())
-            .udfs(standard_udfs())
-            .config(EngineConfig::fast())
-            .build()
-            .expect("engine builds");
-        engine
-            .run_update(
-                &system.template_update(RuleTemplate::FE1),
-                ExecutionMode::Rerun,
-            )
-            .expect("FE1 applies");
-        engine
-            .run_update(
-                &system.template_update(RuleTemplate::S1),
-                ExecutionMode::Rerun,
-            )
-            .expect("S1 applies");
-        engine.materialize().unwrap();
+        let engine = prepared(&system);
         let update = system.template_update(template);
 
         let mat = engine.materialization().expect("materialized").clone();

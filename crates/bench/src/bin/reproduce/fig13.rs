@@ -9,7 +9,7 @@ use dd_factorgraph::Semantics;
 use dd_inference::iterations_to_converge;
 use dd_workloads::voting_graph;
 
-fn main() {
+pub fn run() {
     println!("# Figures 12–13 — Voting-program convergence per semantics");
     let sizes = [10usize, 30, 100, 300, 1000];
     let mut rows = Vec::new();

@@ -10,7 +10,7 @@ use dd_inference::{GibbsOptions, GibbsSampler};
 use dd_workloads::{pairwise_graph, SyntheticConfig};
 use deepdive::decompose;
 
-fn main() {
+pub fn run() {
     println!("# Figure 14 — decomposition with inactive variables");
     // A blocky graph: 20 blocks of 20 variables, connected through one active
     // variable each, so conditioning on the active variables decomposes it.

@@ -2,36 +2,18 @@
 //! wall-clock budget (the paper uses 8 hours; here the budget is scaled down
 //! with everything else).
 
+use crate::trained;
 use dd_bench::print_table;
-use dd_grounding::standard_udfs;
-use dd_workloads::{KbcSystem, RuleTemplate, SystemKind};
-use deepdive::{DeepDive, EngineConfig, ExecutionMode, Materialization};
+use dd_workloads::{KbcSystem, SystemKind};
+use deepdive::Materialization;
 
-fn main() {
+pub fn run() {
     println!("# Figure 15 — samples materializable within a fixed budget");
     let budget_seconds = 2.0;
     let mut rows = Vec::new();
     for kind in SystemKind::all() {
         let system = KbcSystem::generate(kind, 0.15, 81);
-        let mut engine = DeepDive::builder()
-            .program(system.program.clone())
-            .database(system.corpus.database.clone())
-            .udfs(standard_udfs())
-            .config(EngineConfig::fast())
-            .build()
-            .expect("engine builds");
-        engine
-            .run_update(
-                &system.template_update(RuleTemplate::FE1),
-                ExecutionMode::Rerun,
-            )
-            .expect("FE1 applies");
-        engine
-            .run_update(
-                &system.template_update(RuleTemplate::S1),
-                ExecutionMode::Rerun,
-            )
-            .expect("S1 applies");
+        let engine = trained(&system);
         let mat =
             Materialization::build_with_budget(engine.graph(), engine.config(), budget_seconds);
         rows.push(vec![

@@ -3,34 +3,16 @@
 //! descent with warmstart — after an update (new features + new labels) to the
 //! News system.
 
+use crate::trained;
 use dd_bench::print_table;
-use dd_grounding::standard_udfs;
 use dd_workloads::{KbcSystem, RuleTemplate, SystemKind};
-use deepdive::{compare_learning_strategies, DeepDive, EngineConfig, ExecutionMode};
+use deepdive::{compare_learning_strategies, ExecutionMode};
 
-fn main() {
+pub fn run() {
     println!("# Figure 16 — incremental learning strategies (News, FE2 + S2 update)");
     let system = KbcSystem::generate(SystemKind::News, 0.25, 91);
-    let mut engine = DeepDive::builder()
-        .program(system.program.clone())
-        .database(system.corpus.database.clone())
-        .udfs(standard_udfs())
-        .config(EngineConfig::fast())
-        .build()
-        .expect("engine builds");
     // Learn the "previous" model on FE1 + S1.
-    engine
-        .run_update(
-            &system.template_update(RuleTemplate::FE1),
-            ExecutionMode::Rerun,
-        )
-        .expect("FE1 applies");
-    engine
-        .run_update(
-            &system.template_update(RuleTemplate::S1),
-            ExecutionMode::Rerun,
-        )
-        .expect("S1 applies");
+    let mut engine = trained(&system);
     let warm = engine.learned_weights().to_vec();
 
     // Apply the update that introduces new features and new labels (FE2 + S2),

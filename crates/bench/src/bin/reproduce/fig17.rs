@@ -9,7 +9,7 @@ use dd_bench::print_table;
 use dd_inference::{LearnOptions, Learner};
 use dd_workloads::{spam_stream, SpamConfig};
 
-fn main() {
+pub fn run() {
     println!("# Figure 17 — concept drift (synthetic e-mail stream)");
     let stream = spam_stream(SpamConfig::default());
     let p10 = stream.prefix(0.10);

@@ -23,7 +23,7 @@ fn variational_opts() -> VariationalOptions {
     }
 }
 
-fn main() {
+pub fn run() {
     println!("# Figure 5 — tradeoffs between materialization strategies");
 
     // ---------------------------------------------------------------- panel (a)

@@ -1,25 +1,19 @@
 //! Figure 6: quality (F1) and number of retained factors of the News system as
 //! the variational regularization parameter λ varies.
 
+use crate::engine_for;
 use dd_bench::print_table;
-use dd_grounding::standard_udfs;
 use dd_inference::{GibbsOptions, GibbsSampler, VariationalMaterialization, VariationalOptions};
 use dd_relstore::Tuple;
 use dd_workloads::{KbcSystem, RuleTemplate, SystemKind};
-use deepdive::{evaluate_quality, DeepDive, EngineConfig, ExecutionMode};
+use deepdive::{evaluate_quality, ExecutionMode};
 
-fn main() {
+pub fn run() {
     println!("# Figure 6 — variational regularization parameter λ (News)");
 
     // Build the News system with features + supervision so the graph is non-trivial.
     let system = KbcSystem::generate(SystemKind::News, 0.3, 21);
-    let mut engine = DeepDive::builder()
-        .program(system.program.clone())
-        .database(system.corpus.database.clone())
-        .udfs(standard_udfs())
-        .config(EngineConfig::fast())
-        .build()
-        .expect("engine builds");
+    let mut engine = engine_for(&system);
     for t in [
         RuleTemplate::FE1,
         RuleTemplate::FE2,

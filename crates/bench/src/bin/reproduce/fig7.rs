@@ -1,24 +1,18 @@
 //! Figure 7: statistics of the five KBC systems — the paper's deployment sizes
 //! next to the scaled-down synthetic equivalents this repository generates.
 
+use crate::engine_for;
 use dd_bench::print_table;
-use dd_grounding::standard_udfs;
 use dd_workloads::{KbcSystem, SystemKind};
-use deepdive::{DeepDive, EngineConfig, ExecutionMode};
+use deepdive::ExecutionMode;
 
-fn main() {
+pub fn run() {
     println!("# Figure 7 — statistics of the KBC systems");
     let mut rows = Vec::new();
     for kind in SystemKind::all() {
         let paper = kind.paper_stats();
         let system = KbcSystem::generate(kind, 0.2, 31);
-        let mut engine = DeepDive::builder()
-            .program(system.program.clone())
-            .database(system.corpus.database.clone())
-            .udfs(standard_udfs())
-            .config(EngineConfig::fast())
-            .build()
-            .expect("engine builds");
+        let mut engine = engine_for(&system);
         // Apply every rule template so the graph contains all rules (as Figure 7
         // counts "factor graphs that contain all rules").
         for (_, update) in system.development_updates() {

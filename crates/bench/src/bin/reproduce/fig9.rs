@@ -2,38 +2,12 @@
 //! incremental inference and learning (Rerun vs Incremental, per rule template,
 //! per system).
 
+use crate::prepared;
 use dd_bench::{print_table, secs, speedup, timed};
-use dd_grounding::standard_udfs;
 use dd_workloads::{KbcSystem, RuleTemplate, SystemKind};
-use deepdive::{DeepDive, EngineConfig, ExecutionMode};
+use deepdive::ExecutionMode;
 
-/// Build an engine that has already executed the FE1 + S1 iterations (so that
-/// every later rule template operates on a trained system), then materialize.
-fn prepared(system: &KbcSystem) -> DeepDive {
-    let mut engine = DeepDive::builder()
-        .program(system.program.clone())
-        .database(system.corpus.database.clone())
-        .udfs(standard_udfs())
-        .config(EngineConfig::fast())
-        .build()
-        .expect("engine builds");
-    engine
-        .run_update(
-            &system.template_update(RuleTemplate::FE1),
-            ExecutionMode::Rerun,
-        )
-        .expect("FE1 applies");
-    engine
-        .run_update(
-            &system.template_update(RuleTemplate::S1),
-            ExecutionMode::Rerun,
-        )
-        .expect("S1 applies");
-    engine.materialize().unwrap();
-    engine
-}
-
-fn main() {
+pub fn run() {
     println!("# Figure 8 — rule templates");
     let rows: Vec<Vec<String>> = RuleTemplate::all()
         .iter()

@@ -11,7 +11,7 @@ use dd_relstore::{
 };
 use std::collections::HashMap;
 
-fn main() {
+pub fn run() {
     println!("# Incremental grounding (DRed) vs full recomputation");
     let mut rows = Vec::new();
     for &docs in &[1_000usize, 5_000, 20_000] {

@@ -1,13 +1,16 @@
-//! Mechanical doc-rot detection: intra-repo links and `file:line` anchors.
+//! Mechanical doc-rot detection: intra-repo links, `file:line` anchors and
+//! the cargo targets that documented commands name.
 //!
-//! The top-level docs cite code as `path/to/file.rs:123` and link to each
-//! other with ordinary markdown links.  Both rot silently as the code moves;
-//! this module extracts every such reference and checks it against the
-//! repository on disk — links must resolve to existing files, and `file:line`
-//! anchors must point inside a file that is at least that long.  The
-//! `check_docs` binary runs it over every audited doc and the CI docs job
-//! gates on the result, so a refactor that breaks an anchor fails the build
-//! instead of shipping a stale citation.
+//! The top-level docs cite code as `path/to/file.rs:123`, link to each
+//! other with ordinary markdown links, and quote the commands that build and
+//! drive the repo.  All three rot silently as the code moves; this module
+//! extracts every such reference and checks it against the repository on
+//! disk — links must resolve to existing files, `file:line` anchors must
+//! point inside a file that is at least that long, and every `--bin`,
+//! `--example`, `--test` and `-p` operand must name a target or package that
+//! exists.  The `check_docs` binary runs it over every audited doc and the
+//! CI docs job gates on the result, so a refactor that breaks an anchor or
+//! retires a binary fails the build instead of shipping a stale citation.
 //!
 //! Line-existence is a necessary, not sufficient, check — it cannot prove
 //! the *named symbol* still lives at that line.  It is still the floor worth
@@ -15,15 +18,18 @@
 //! file had shrunk or the path had vanished, and those are exactly the cases
 //! this catches.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// The docs whose references are audited by `check_docs`.
-pub const AUDITED_DOCS: [&str; 5] = [
+/// The docs whose references are audited by `check_docs`: the top-level
+/// docs, and the two files that exist to be copied into a shell.
+pub const AUDITED_DOCS: [&str; 7] = [
     "README.md",
     "ARCHITECTURE.md",
     "PERFORMANCE.md",
     "BENCHMARKING.md",
     "ROADMAP.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
 ];
 
 /// One reference extracted from a doc.
@@ -34,14 +40,23 @@ pub enum DocRef {
     Link { target: String },
     /// A backticked `path:line` anchor.
     Anchor { path: String, line: usize },
+    /// The operand of a cargo target-selection flag: `--bin reproduce`,
+    /// `--example quickstart`, `--test router`, `-p dd-bench`.
+    Target { flag: &'static str, name: String },
 }
+
+/// The cargo flags whose operand [`extract_refs`] resolves.
+const TARGET_FLAGS: [&str; 4] = ["--bin", "--example", "--test", "-p"];
 
 /// Extract checkable references from markdown `text`.
 ///
 /// Links: every `](target)` occurrence, skipping `http://`, `https://`,
 /// `mailto:` and pure-fragment (`#...`) targets.  Anchors: every backtick
 /// span of the shape `path.ext:123` (optionally `path.ext:123-456`) where
-/// `ext` is a source-ish extension.
+/// `ext` is a source-ish extension.  Targets: the word after `--bin`,
+/// `--example`, `--test` or `-p` when it is a plain name (placeholders such
+/// as `<name>` are skipped); `-p` is only read on a line that mentions
+/// `cargo`, since `mkdir -p` is not naming a package.
 pub fn extract_refs(text: &str) -> Vec<DocRef> {
     let mut refs = Vec::new();
     // Markdown link targets.
@@ -74,6 +89,31 @@ pub fn extract_refs(text: &str) -> Vec<DocRef> {
             refs.push(DocRef::Anchor { path, line });
         }
     }
+    // Operands of cargo's target-selection flags.
+    for line in text.lines() {
+        let mut words = line
+            .split(|c: char| c.is_whitespace() || c == '`')
+            .filter(|word| !word.is_empty());
+        while let Some(word) = words.next() {
+            let Some(&flag) = TARGET_FLAGS.iter().find(|&&flag| flag == word) else {
+                continue;
+            };
+            if flag == "-p" && !line.contains("cargo") {
+                continue;
+            }
+            let Some(operand) = words.next() else {
+                break;
+            };
+            let name = operand.trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+            let plain = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-');
+            if !name.is_empty() && name.chars().all(plain) {
+                refs.push(DocRef::Target {
+                    flag,
+                    name: name.to_string(),
+                });
+            }
+        }
+    }
     refs
 }
 
@@ -96,10 +136,47 @@ fn parse_anchor(span: &str) -> Option<(String, usize)> {
     (line > 0).then(|| (path.to_string(), line))
 }
 
+/// The package directories of the workspace at `root`: the root package and
+/// every directory under `crates/` and `vendor/`.
+fn package_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs = vec![root.to_path_buf()];
+    for group in ["crates", "vendor"] {
+        let Ok(entries) = std::fs::read_dir(root.join(group)) else {
+            continue;
+        };
+        dirs.extend(entries.flatten().map(|entry| entry.path()));
+    }
+    dirs
+}
+
+/// Whether one of `packages` (see [`package_dirs`]) has what `flag name`
+/// selects: a package of that name for `-p`, otherwise an auto-discovered
+/// target (`<dir>/name.rs` or `<dir>/name/main.rs` under `src/bin`,
+/// `examples` or `tests`).
+fn target_exists(packages: &[PathBuf], flag: &str, name: &str) -> bool {
+    let target_dir = match flag {
+        "--bin" => "src/bin",
+        "--example" => "examples",
+        "--test" => "tests",
+        _ => {
+            let declares = format!("name = \"{name}\"");
+            return packages.iter().any(|package| {
+                std::fs::read_to_string(package.join("Cargo.toml"))
+                    .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == declares))
+            });
+        }
+    };
+    packages.iter().any(|package| {
+        let dir = package.join(target_dir);
+        dir.join(format!("{name}.rs")).is_file() || dir.join(name).join("main.rs").is_file()
+    })
+}
+
 /// Check every reference of one doc against the repo at `root`, returning a
-/// violation message per broken link or out-of-range anchor.
+/// violation message per broken link, out-of-range anchor or missing target.
 pub fn check_doc(root: &Path, doc: &str, text: &str) -> Vec<String> {
     let mut violations = Vec::new();
+    let packages = package_dirs(root);
     for reference in extract_refs(text) {
         match reference {
             DocRef::Link { target } => {
@@ -121,6 +198,11 @@ pub fn check_doc(root: &Path, doc: &str, text: &str) -> Vec<String> {
                             ));
                         }
                     }
+                }
+            }
+            DocRef::Target { flag, name } => {
+                if !target_exists(&packages, flag, &name) {
+                    violations.push(format!("{doc}: `{flag} {name}` names nothing on disk"));
                 }
             }
         }
@@ -187,5 +269,38 @@ mod tests {
         assert!(violations[0].contains("nope.md"));
         assert!(violations[1].contains("short.rs:99"));
         assert!(violations[2].contains("missing.rs:1"));
+    }
+
+    #[test]
+    fn check_doc_resolves_the_targets_commands_name() {
+        let dir = std::env::temp_dir().join(format!("dd-docs-targets-{}", std::process::id()));
+        for sub in ["crates/bench/src/bin/reproduce", "examples", "tests"] {
+            std::fs::create_dir_all(dir.join(sub)).unwrap();
+        }
+        let write = |path: &str, content: &str| std::fs::write(dir.join(path), content).unwrap();
+        write("Cargo.toml", "[package]\nname = \"umbrella\"\n");
+        write(
+            "crates/bench/Cargo.toml",
+            "[package]\nname = \"dd-bench\"\n",
+        );
+        write("crates/bench/src/bin/check_docs.rs", "");
+        write("crates/bench/src/bin/reproduce/main.rs", "");
+        write("examples/quickstart.rs", "");
+        write("tests/router.rs", "");
+        let text = "```sh\n\
+                    cargo run --release -p dd-bench --bin reproduce -- fig9\n\
+                    cargo run -p dd-bench --bin check_docs && cargo run --example quickstart\n\
+                    cargo test -p umbrella --test router\n\
+                    mkdir -p out\n\
+                    cargo run -p dd-bench --bin retired_harness -- --smoke\n\
+                    cargo test -p dd-gone --test <name>\n\
+                    ```\n\
+                    Prose too: `--example serving`, and `--test router`.";
+        let violations = check_doc(&dir, "DOC.md", text);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[0].contains("--bin retired_harness"));
+        assert!(violations[1].contains("-p dd-gone"));
+        assert!(violations[2].contains("--example serving"));
     }
 }

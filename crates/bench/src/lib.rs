@@ -1,20 +1,19 @@
-//! Shared helpers for the reproduction binaries and Criterion benchmarks.
+//! Shared helpers for the figure-reproduction binary and benchmark tooling.
 //!
-//! Each `reproduce_*` binary regenerates one table or figure of the paper's
-//! evaluation (`ARCHITECTURE.md` §4 has the full index); the Criterion benches
-//! under `benches/` measure the same code paths with statistical rigor at a
-//! smaller scale, and `bench_sweeps` tracks the sweep-throughput trajectory
-//! (including the pooled-vs-spawn dispatch comparison) in `BENCH_sweeps.json`.
-//! This library holds the pieces they share: timing, table printing, and the
-//! standard scaled-down experiment configurations.
+//! `reproduce <figure>` regenerates one table or figure of the paper's
+//! evaluation (`ARCHITECTURE.md` §4 has the full index), `bench_sweeps`
+//! tracks the per-layer cost trajectory in `BENCH_sweeps.json`, which
+//! `check_sweeps` gates, and `check_docs` keeps the docs' links, anchors and
+//! commands resolving.  This library holds what they share: timing, table
+//! printing, the `BENCH_sweeps.json` schema and the doc audit.
+//!
+//! End-to-end and serving numbers are not measured here: the repository
+//! benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`) is the one
+//! harness for those.
 
 use std::time::Instant;
 
 pub mod docs;
-pub mod history;
-pub mod latency;
-pub mod loadgen;
-pub mod serving;
 pub mod sweeps;
 
 /// Time a closure, returning (result, seconds).

@@ -5,9 +5,9 @@
 //! file in CI and fails the build when the file is malformed, any
 //! `*_speedup` metric has regressed below 1.0×, or an exact counter or a
 //! scaling ratio has risen past its ceiling — the cheapest mechanical guard
-//! that the perf trajectory (compiled flat graph, persistent pool dispatch,
-//! sharded O(Δ) publish, allocation-free cold path, linear tree-free codec)
-//! never silently goes backwards.
+//! that the perf trajectory (compiled flat graph, sharded O(Δ) publish,
+//! incremental retraction, indexed reads, allocation-free cold path, linear
+//! tree-free codec, bit-sliced static draws) never silently goes backwards.
 //!
 //! The workspace is fully offline (vendored stand-in deps only), so parsing
 //! uses the workspace's hand-rolled JSON reader — [`dd_wire::json`], the same
@@ -66,8 +66,9 @@ pub fn parse_bench_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
 }
 
 /// The benchmark series a `BENCH_sweeps.json` must cover: each of these
-/// prefixes has banked at least one `*speedup*` gate (flat-graph inference,
-/// pooled dispatch, sharded publish, incremental retraction, indexed reads),
+/// prefixes has banked at least one `*speedup*` gate (flat-graph inference
+/// on both sweep workloads, sharded publish, incremental retraction, indexed
+/// reads),
 /// and a file missing a whole series means a sweep silently stopped running —
 /// which the per-entry gate alone cannot see.
 pub const REQUIRED_SPEEDUP_SERIES: [&str; 5] = [

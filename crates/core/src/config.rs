@@ -30,11 +30,12 @@ pub struct EngineConfig {
     /// this engine a dedicated pool of parallelism `n` (`Some(1)` forces all
     /// inference sequential).
     pub num_threads: Option<usize>,
-    /// Minimum number of *query variables* before full Gibbs inference (and
-    /// learning-gradient estimation) switches from the sequential sampler to
-    /// hogwild sweeps on the worker pool.  Small graphs stay sequential: a
-    /// single chain mixes faster than an under-utilized parallel dispatch,
-    /// and sequential runs are bit-deterministic per seed.
+    /// Minimum number of variables a sampler sweeps — the *coupled* query
+    /// variables for full Gibbs inference, every query variable for
+    /// learning-gradient estimation — before it switches from the sequential
+    /// sampler to hogwild sweeps on the worker pool.  Small graphs stay
+    /// sequential: a single chain mixes faster than an under-utilized
+    /// parallel dispatch, and sequential runs are bit-deterministic per seed.
     pub parallel_threshold: usize,
     /// When true, an Incremental update that the stored materialization
     /// cannot serve — never materialized, samples exhausted with the

@@ -993,17 +993,18 @@ impl DeepDive {
     /// behind when there is one (the graph has not changed since), on a fresh
     /// one otherwise.
     ///
-    /// Graphs with at least [`EngineConfig::parallel_threshold`] query
-    /// variables run hogwild sweeps on the engine's persistent pool; smaller
-    /// graphs run the sequential sampler (faster mixing per wall-second and
-    /// bit-deterministic per seed).
+    /// Graphs with at least [`EngineConfig::parallel_threshold`] *coupled*
+    /// query variables — the ones a run sweeps; static ones are answered in
+    /// closed form — run hogwild sweeps on the engine's persistent pool;
+    /// smaller ones run the sequential sampler (faster mixing per
+    /// wall-second and bit-deterministic per seed).
     fn full_gibbs(&self) -> Marginals {
         let options = self.gibbs_options();
         let flat = match &self.compiled {
             Some(flat) => Cow::Borrowed(flat),
             None => Cow::Owned(self.grounder.graph().compile()),
         };
-        if flat.query_variables().len() >= self.config.parallel_threshold {
+        if flat.coupled_query_variables().len() >= self.config.parallel_threshold {
             let pool = self.pool();
             if pool.num_threads() > 1 {
                 return ParallelGibbs::from_flat(flat.into_owned(), options.seed)
@@ -1332,6 +1333,48 @@ mod tests {
             same_phrase > other,
             "same-phrase pair {same_phrase} should beat {other}"
         );
+    }
+
+    #[test]
+    fn hogwild_decision_counts_the_variables_full_gibbs_sweeps() {
+        // George's pair is coupled to its mirror image; Malia's pair has only
+        // its prior.  Three query variables, two of them swept: at a
+        // threshold of three, full Gibbs stays on the sequential sampler.
+        let grounded = |num_threads: Option<usize>| {
+            let mut program = parse_program(PROGRAM).unwrap();
+            program.rules.push(
+                dd_grounding::parse_rule(
+                    "rule I1 inference: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2), \
+                     PersonCandidate(s, m1, \"George\") weight = 1.5.",
+                )
+                .unwrap(),
+            );
+            let mut config = EngineConfig::fast();
+            config.num_threads = num_threads;
+            config.parallel_threshold = 3;
+            let mut dd = DeepDive::builder()
+                .program(program)
+                .database(database())
+                .udfs(standard_udfs())
+                .config(config)
+                .build()
+                .unwrap();
+            dd.ground(Ground::Full, false).unwrap();
+            dd
+        };
+        let shared = grounded(None);
+        let flat = shared.graph().compile();
+        assert_eq!(flat.query_variables().len(), 3);
+        assert_eq!(flat.coupled_query_variables().len(), 2);
+
+        let sequential = grounded(Some(1)).full_gibbs();
+        assert_eq!(shared.full_gibbs().values(), sequential.values());
+        assert!(
+            shared.pool.get().is_none(),
+            "the global pool was resolved for two swept variables"
+        );
+        // A dedicated pool exists from construction; it is not dispatched on.
+        assert_eq!(grounded(Some(2)).full_gibbs().values(), sequential.values());
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //! Every engine owns a persistent worker pool (shared process-global by
 //! default, dedicated via [`config::EngineConfig::num_threads`]); full-Gibbs
 //! inference and learning-gradient estimation switch from the sequential
-//! sampler to pooled hogwild sweeps once a graph reaches
-//! [`config::EngineConfig::parallel_threshold`] query variables.  See
+//! sampler to pooled hogwild sweeps once they sweep
+//! [`config::EngineConfig::parallel_threshold`] variables.  See
 //! `PERFORMANCE.md` at the repo root for the runtime design and measured
 //! numbers, and `ARCHITECTURE.md` for the paper-to-module map.
 

@@ -14,9 +14,7 @@
 //!   [`rayon::ThreadPool`] (the process-global one by default, or any pool
 //!   given to [`ParallelGibbs::with_pool`]); workers park between sweeps
 //!   instead of being respawned, so the per-sweep cost is an epoch-barrier
-//!   wake rather than thread creation.  The retired spawn-per-sweep
-//!   dispatcher is kept behind [`ParallelGibbs::with_spawn_dispatch`] as the
-//!   benchmark baseline.
+//!   wake rather than thread creation.
 //! * **Persistent RNG streams** — every chunk owns a [`SweepRng`] seeded once
 //!   via [`mix_seed`] (a splitmix64-style avalanche mixer)
 //!   and advanced across the whole run, instead of reseeding from weakly
@@ -151,9 +149,6 @@ pub struct ParallelGibbs {
     /// constructing a sampler (or immediately overriding with
     /// [`ParallelGibbs::with_pool`]) never instantiates it.
     pool: Option<Arc<ThreadPool>>,
-    /// Benchmark baseline: spawn scoped threads per sweep instead of using
-    /// the pool (see [`ParallelGibbs::with_spawn_dispatch`]).
-    spawn_dispatch: bool,
     /// One state per chunk (RNG stream + count buffer), kept across sweeps;
     /// empty until the first sweep after a (re)configuration.
     chunk_states: Vec<Mutex<ChunkState>>,
@@ -176,7 +171,6 @@ impl ParallelGibbs {
             seed,
             chunks: None,
             pool: None,
-            spawn_dispatch: false,
             chunk_states: Vec::new(),
         }
     }
@@ -195,15 +189,6 @@ impl ParallelGibbs {
     pub fn with_chunks(mut self, chunks: usize) -> Self {
         self.chunks = Some(chunks.max(1));
         self.chunk_states.clear();
-        self
-    }
-
-    /// Dispatch every sweep onto freshly spawned scoped threads (the
-    /// pre-pool runtime), preserving chunk count and RNG streams.  This is
-    /// the baseline leg of `bench_sweeps`' pooled-vs-spawn comparison; there
-    /// is no reason to use it otherwise.
-    pub fn with_spawn_dispatch(mut self) -> Self {
-        self.spawn_dispatch = true;
         self
     }
 
@@ -250,16 +235,7 @@ impl ParallelGibbs {
         }
         let chunks = match self.chunks {
             Some(c) => c,
-            // Follow the pool's size; the spawn baseline without an explicit
-            // pool falls back to the machine size rather than instantiating
-            // the global pool it exists to avoid.
-            None => match (&self.pool, self.spawn_dispatch) {
-                (Some(pool), _) => pool.num_threads(),
-                (None, false) => self.pool().num_threads(),
-                (None, true) => std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1),
-            },
+            None => self.pool().num_threads(),
         }
         .max(1);
         self.chunk_states = (0..chunks)
@@ -286,9 +262,7 @@ impl ParallelGibbs {
             return;
         }
         self.ensure_chunk_states();
-        // The spawn baseline never touches the pool; resolve it only for the
-        // pooled path so `with_spawn_dispatch` cannot instantiate workers.
-        let pool = (!self.spawn_dispatch).then(|| self.pool());
+        let pool = self.pool();
         let flat = &self.flat;
         let world = &self.world;
         let vars = self.swept(estimate);
@@ -308,18 +282,7 @@ impl ParallelGibbs {
                 }
             }
         };
-        match pool {
-            Some(pool) => pool.run_chunks(num_chunks, &run_chunk),
-            None => {
-                // Equal-thread-count baseline: mirror the explicit pool's
-                // parallelism, or one thread per chunk when unconfigured.
-                let threads = match &self.pool {
-                    Some(pool) => pool.num_threads(),
-                    None => num_chunks,
-                };
-                rayon::spawn_run_chunks(num_chunks, threads, &run_chunk);
-            }
-        }
+        pool.run_chunks(num_chunks, &run_chunk);
     }
 
     /// Run burn-in plus `sweeps` counting sweeps, returning marginals.
@@ -489,19 +452,6 @@ mod tests {
         let m1 = ParallelGibbs::new(&g, 41).with_chunks(1).run(200, 20);
         let m2 = ParallelGibbs::new(&g, 41).with_chunks(1).run(200, 20);
         assert_eq!(m1.values(), m2.values());
-    }
-
-    #[test]
-    fn spawn_dispatch_baseline_agrees_with_pool_on_one_chunk() {
-        // Same chunk layout + same persistent RNG streams => the dispatch
-        // runtime must not change the chain.
-        let g = chain_graph(32, 0.3, 0.4);
-        let pooled = ParallelGibbs::new(&g, 41).with_chunks(1).run(200, 20);
-        let spawned = ParallelGibbs::new(&g, 41)
-            .with_chunks(1)
-            .with_spawn_dispatch()
-            .run(200, 20);
-        assert_eq!(pooled.values(), spawned.values());
     }
 
     #[test]

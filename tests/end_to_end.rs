@@ -94,7 +94,7 @@ fn incremental_and_rerun_extract_similar_high_confidence_facts() {
     // this toy scale (tens of documents, hundreds of stored samples instead of
     // thousands) the agreement is looser than the paper's 99%, so the assertion
     // checks for substantial overlap rather than near-identity; the
-    // `reproduce_fig10` binary reports the full agreement statistics at the
+    // `reproduce fig10` figure reports the full agreement statistics at the
     // larger experiment scale.
     let overlap = inc.intersection(&rr).count();
     if !rr.is_empty() {
