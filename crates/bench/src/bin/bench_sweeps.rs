@@ -23,7 +23,7 @@
 //! A third series, `publish_cost/*`, tracks the snapshot-publish path: the
 //! old full catalog rebuild (`CatalogShards::build` over every entry) raced
 //! against the sharded Δ-merge publish the engine actually performs
-//! (`clone` + `merge_delta` on the one touched relation) at growing catalog
+//! (`clone` + `apply_delta` on the one touched relation) at growing catalog
 //! sizes.  `publish_speedup_n{N}` is the factor the sharding buys for a
 //! Δ-update against an N-entry catalog.
 //!
@@ -40,7 +40,9 @@
 //! same program: `full_ms_n{N}` is a from-scratch `Grounder::ground` of an
 //! N-claim corpus, `incremental_insert_ms_n{N}` is `ground_incremental` of
 //! one *fixed* 100-claim insertion into a live N-claim KB — flat in N when
-//! delta grounding is O(Δ).
+//! delta grounding is O(Δ) — and `incremental_allocs_per_binding` is that
+//! insertion's heap allocations per grounding it creates, an exact count
+//! `check_sweeps` holds to a ceiling like the cold path's.
 //!
 //! A fifth series, `query_cost/*`, prices the serving read path: the
 //! probability-ordered index every publish maintains (`FactQuery::run`)
@@ -378,8 +380,8 @@ fn bench_publish_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) {
                 .collect(),
         );
         base.refresh_ranked(&marginals, 1);
-        let delta: Vec<(Tuple, usize)> = (0..PUBLISH_DELTA)
-            .map(|i| (tuple![(n + i) as i64], n + i))
+        let delta: Vec<(Tuple, Option<usize>)> = (0..PUBLISH_DELTA)
+            .map(|i| (tuple![(n + i) as i64], Some(n + i)))
             .collect();
 
         // Baseline: the pre-sharding publish — re-index every relation from a
@@ -399,7 +401,7 @@ fn bench_publish_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) {
         for _ in 0..reps {
             let start = Instant::now();
             let mut next = base.clone();
-            next.merge_delta("Rel00", delta.clone(), 2, &marginals);
+            next.apply_delta("Rel00", delta.clone(), 2, &marginals);
             sharded_secs = sharded_secs.min(start.elapsed().as_secs_f64());
             assert_eq!(next.num_entries(), n + PUBLISH_DELTA);
         }
@@ -617,7 +619,8 @@ const GROUNDING_DELTA: usize = 100;
 
 /// Time a from-scratch grounding of an N-claim corpus and the incremental
 /// grounding of one fixed-size insertion into it.  Emits
-/// `grounding_cost/{full_ms, incremental_insert_ms}_n{N}`.
+/// `grounding_cost/{full_ms, incremental_insert_ms}_n{N}` and the insert's
+/// `grounding_cost/incremental_allocs_per_binding`.
 fn bench_grounding_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) {
     println!("\ngrounding_cost: full grounding vs one {GROUNDING_DELTA}-claim insert, by KB size");
     let program = dd_grounding::parse_program(RETRACTION_PROGRAM).expect("program parses");
@@ -630,6 +633,7 @@ fn bench_grounding_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) 
             }
         }
         let (mut full_secs, mut insert_secs) = (f64::INFINITY, f64::INFINITY);
+        let mut allocs_per_binding = 0.0;
         for _ in 0..reps {
             let db = retraction_database(n, &[]);
             let start = Instant::now();
@@ -639,12 +643,15 @@ fn bench_grounding_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) 
             full_secs = full_secs.min(start.elapsed().as_secs_f64());
 
             let start = Instant::now();
-            let grounding = grounder
-                .ground_incremental(&update)
-                .expect("incremental insert batch");
+            let (grounding, allocations) = count_allocations(|| {
+                grounder
+                    .ground_incremental(&update)
+                    .expect("incremental insert batch")
+            });
             insert_secs = insert_secs.min(start.elapsed().as_secs_f64());
             assert_eq!(grounding.delta.new_variables.len(), GROUNDING_DELTA);
             assert_eq!(grounder.num_catalogued_variables(), n + GROUNDING_DELTA);
+            allocs_per_binding = allocations as f64 / grounding.new_groundings as f64;
         }
         println!(
             "  n={n:>6}: full {:>10} | +{GROUNDING_DELTA} claims {:>10}",
@@ -659,6 +666,16 @@ fn bench_grounding_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) 
                 name: format!("grounding_cost/{kind}_n{n}"),
                 unit: "ms",
                 value: value * 1e3,
+            });
+        }
+        // Every rep counts the same insert into a fresh grounder; the
+        // smallest KB runs in both profiles.
+        if n == sizes[0] {
+            println!("  allocations: {allocs_per_binding:.3} per new grounding at n={n}");
+            entries.push(Entry {
+                name: "grounding_cost/incremental_allocs_per_binding".to_string(),
+                unit: "allocs",
+                value: allocs_per_binding,
             });
         }
     }

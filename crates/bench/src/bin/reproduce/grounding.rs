@@ -55,7 +55,7 @@ pub fn run() {
         deltas.insert("PersonCandidate".to_string(), delta);
 
         let (_, t_full) = timed(|| query.evaluate(&db).unwrap());
-        let (_, t_inc) = timed(|| view.refresh_incremental(&db, &deltas).unwrap());
+        let (_, t_inc) = timed(|| view.refresh_dred(&db, &deltas).unwrap());
         rows.push(vec![
             docs.to_string(),
             secs(t_full),

@@ -1629,9 +1629,9 @@ mod tests {
     #[test]
     fn snapshot_codec_round_trips_synthetic_snapshots() {
         let mut shards = CatalogShards::new();
-        shards.merge_delta(
+        shards.apply_delta(
             "HasSpouse",
-            vec![(tuple![1i64, 2i64], 0), (tuple![3i64, 4i64], 1)],
+            vec![(tuple![1i64, 2i64], Some(0)), (tuple![3i64, 4i64], Some(1))],
             7,
             &Marginals::from_values(vec![0.25, 0.75]),
         );

@@ -47,12 +47,14 @@
 //! 5. **publish** — commit the marginals as the next epoch's snapshot; the
 //!    round's one [`IterationReport`] is built from the stage results.
 //!
-//! **The grounder describes what it applied.**  Incremental grounding is the
-//! only application of a [`GraphDelta`] to the engine's graph, and it reports
-//! the ids it assigned and the roles it replaced
+//! **The grounder describes what it did.**  Incremental grounding changes
+//! the engine's graph in place, through the binding path full grounding
+//! uses, and reports the change as a [`GraphDelta`] read off what it did
+//! (removals as they ran, additions off the graph's tail) together with the
+//! ids it assigned and the roles it replaced
 //! ([`dd_grounding::IncrementalGrounding`]); the description is built from
 //! that report ([`DistributionChange::from_applied`]).  The engine never
-//! copies the graph and never applies a delta itself.
+//! copies its graph, and no delta is ever applied to it.
 
 use crate::builder::DeepDiveBuilder;
 use crate::config::EngineConfig;
@@ -240,7 +242,7 @@ enum Ground<'a> {
 /// What the ground stage leaves for the later stages of its round.
 #[derive(Default)]
 struct Grounded {
-    /// The delta the grounder applied (empty unless the round grounded a Δ);
+    /// The delta the grounder reported (empty unless the round grounded a Δ);
     /// the variational strategy replays it on its approximate graph.
     delta: GraphDelta,
     /// This round's own distribution change.

@@ -35,10 +35,10 @@
 //! from an ordered *prefix* of this view (a `partition_point` cut) instead of
 //! scanning the relation's full marginal set per request; pure-pagination
 //! queries keep using the tuple-sorted index.  The ranked view is
-//! Δ-maintained during the publish ([`CatalogShards::merge_delta`] /
-//! [`CatalogShards::apply_delta`] merge the delta into both views without a
-//! full re-sort) and then revalidated bitwise against the new marginal
-//! vector ([`CatalogShards::refresh_ranked`]): a shard whose catalog *and*
+//! Δ-maintained during the publish ([`CatalogShards::apply_delta`] merges
+//! the delta into both views without a full re-sort) and then revalidated
+//! bitwise against the new marginal vector
+//! ([`CatalogShards::refresh_ranked`]): a shard whose catalog *and*
 //! marginals are unchanged keeps both views `Arc`-shared with the previous
 //! epoch, while a shard whose marginals moved is re-ranked with one sort.
 //! The revalidation is an O(catalog) bitwise compare piggybacking on the
@@ -113,69 +113,24 @@ impl RelationIndex {
         RelationIndex { sorted: entries }
     }
 
-    /// A new index with `delta` merged in: a single O(existing + Δ log Δ)
-    /// sorted merge, the incremental re-index path of a sharded publish.
-    /// Entries in `delta` for a tuple already present replace the old mapping.
-    pub(crate) fn merged_with(&self, mut delta: Vec<(Tuple, usize)>) -> Self {
-        delta.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut merged = Vec::with_capacity(self.sorted.len() + delta.len());
-        let mut old = self.sorted.iter().peekable();
-        let mut new = delta.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some((ot, _)), Some((nt, _))) => match ot.cmp(nt) {
-                    std::cmp::Ordering::Less => merged.push(old.next().unwrap().clone()),
-                    std::cmp::Ordering::Greater => merged.push(new.next().unwrap()),
-                    std::cmp::Ordering::Equal => {
-                        old.next();
-                        merged.push(new.next().unwrap());
-                    }
-                },
-                (Some(_), None) => merged.push(old.next().unwrap().clone()),
-                (None, Some(_)) => merged.push(new.next().unwrap()),
-                (None, None) => break,
-            }
-        }
-        RelationIndex { sorted: merged }
-    }
-
     /// A new index with a signed delta merged in: `Some(var)` upserts the
-    /// tuple's mapping, `None` removes it (retraction).  Same single sorted
-    /// merge as [`RelationIndex::merged_with`], so a retraction-bearing
-    /// publish still costs O(existing + Δ log Δ) for the touched shard only.
+    /// tuple's mapping (replacing one already present), `None` removes it
+    /// (retraction).  A single O(existing + Δ log Δ) sorted merge — the
+    /// incremental re-index path of a sharded publish, which touches only
+    /// the changed shard.
     pub(crate) fn merged_with_changes(&self, mut delta: Vec<(Tuple, Option<usize>)>) -> Self {
         delta.sort_by(|a, b| a.0.cmp(&b.0));
         let mut merged = Vec::with_capacity(self.sorted.len() + delta.len());
         let mut old = self.sorted.iter().peekable();
-        let mut new = delta.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some((ot, _)), Some((nt, _))) => match ot.cmp(nt) {
-                    std::cmp::Ordering::Less => merged.push(old.next().unwrap().clone()),
-                    std::cmp::Ordering::Greater => {
-                        let (t, change) = new.next().unwrap();
-                        if let Some(var) = change {
-                            merged.push((t, var));
-                        }
-                    }
-                    std::cmp::Ordering::Equal => {
-                        old.next();
-                        let (t, change) = new.next().unwrap();
-                        if let Some(var) = change {
-                            merged.push((t, var));
-                        }
-                    }
-                },
-                (Some(_), None) => merged.push(old.next().unwrap().clone()),
-                (None, Some(_)) => {
-                    let (t, change) = new.next().unwrap();
-                    if let Some(var) = change {
-                        merged.push((t, var));
-                    }
-                }
-                (None, None) => break,
+        for (tuple, change) in delta {
+            while let Some(kept) = old.next_if(|(t, _)| *t < tuple) {
+                merged.push(kept.clone());
             }
+            // The old mapping of a changed tuple is replaced or dropped.
+            old.next_if(|(t, _)| *t == tuple);
+            merged.extend(change.map(|var| (tuple, var)));
         }
+        merged.extend(old.cloned());
         RelationIndex { sorted: merged }
     }
 
@@ -488,67 +443,13 @@ impl CatalogShards {
         }
     }
 
-    /// Merge Δ catalog entries for one relation, replacing that shard's
-    /// tuple-sorted and ranked views with freshly merged ones stamped
-    /// `generation` (`marginals` ranks the upserts; see
-    /// `RankedIndex::apply_changes`).  Every other shard is untouched (and
-    /// stays `Arc`-shared with previously published epochs).  Cost:
-    /// O(|shard| + |Δ| log |Δ|) for the touched shard only.
-    pub fn merge_delta(
-        &mut self,
-        relation: &str,
-        entries: Vec<(Tuple, usize)>,
-        generation: u64,
-        marginals: &Marginals,
-    ) {
-        if entries.is_empty() {
-            return;
-        }
-        let changes = entries
-            .iter()
-            .map(|(tuple, var)| (tuple.clone(), Some(*var)))
-            .collect::<Vec<_>>();
-        match self
-            .shards
-            .binary_search_by(|s| s.relation.as_str().cmp(relation))
-        {
-            Ok(i) => {
-                let shard = &mut self.shards[i];
-                let index = shard.index.merged_with(entries);
-                shard.ranked = Arc::new(ranked_after_delta(
-                    &shard.ranked,
-                    &changes,
-                    &index,
-                    marginals,
-                ));
-                shard.index = Arc::new(index);
-                shard.generation = generation;
-                shard.ranked_generation = generation;
-            }
-            Err(i) => {
-                let index = RelationIndex::from_entries(entries);
-                let ranked = RankedIndex::build(index.entries(), marginals);
-                self.shards.insert(
-                    i,
-                    CatalogShard {
-                        relation: relation.to_string(),
-                        generation,
-                        index: Arc::new(index),
-                        ranked: Arc::new(ranked),
-                        ranked_generation: generation,
-                    },
-                );
-            }
-        }
-    }
-
     /// Apply a signed catalog delta for one relation: `Some(var)` upserts a
-    /// tuple's mapping, `None` removes it.  Like
-    /// [`CatalogShards::merge_delta`], both of the touched shard's views are
-    /// Δ-merged and stamped `generation` — retractions shrink the ranked view
-    /// in the same pass — while every other shard stays `Arc`-shared with
-    /// previously published epochs, so a retraction-bearing publish is still
-    /// O(Δ) in the number of touched relations.
+    /// tuple's mapping, `None` removes it.  Both of the touched shard's views
+    /// are replaced by Δ-merged ones stamped `generation` (`marginals` ranks
+    /// the upserts; see `RankedIndex::apply_changes`) — retractions shrink
+    /// the ranked view in the same pass — while every other shard stays
+    /// `Arc`-shared with previously published epochs.  Cost:
+    /// O(|shard| + |Δ| log |Δ|) for the touched shard only.
     pub fn apply_delta(
         &mut self,
         relation: &str,
@@ -1156,12 +1057,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_delta_reindexes_only_the_touched_shard() {
+    fn apply_delta_reindexes_only_the_touched_shard() {
         let marginals = Marginals::from_values(vec![1.0, 0.7, 0.2, 0.5, 0.6]);
         let mut base = CatalogShards::build(catalog_entries().iter(), 1);
         base.refresh_ranked(&marginals, 1);
         let mut next = base.clone();
-        next.merge_delta("Fact", vec![(tuple![4i64], 4)], 2, &marginals);
+        next.apply_delta("Fact", vec![(tuple![4i64], Some(4))], 2, &marginals);
 
         // The touched shard was re-indexed (new Arcs, new generations)...
         assert!(!Arc::ptr_eq(
@@ -1196,10 +1097,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_delta_creates_missing_shards_in_sorted_position() {
+    fn apply_delta_creates_missing_shards_in_sorted_position() {
         let marginals = Marginals::from_values(vec![1.0; 10]);
         let mut shards = CatalogShards::build(catalog_entries().iter(), 1);
-        shards.merge_delta("Alpha", vec![(tuple![7i64], 9)], 2, &marginals);
+        shards.apply_delta("Alpha", vec![(tuple![7i64], Some(9))], 2, &marginals);
         let names: Vec<&str> = shards.relation_names().collect();
         assert_eq!(names, vec!["Alpha", "Fact", "Other"]);
         assert_eq!(
@@ -1207,8 +1108,10 @@ mod tests {
             Some(9)
         );
         assert_eq!(shards.shard("Alpha").unwrap().ranked().len(), 1);
-        // An empty delta is a no-op (no shard created, no generation bump).
-        shards.merge_delta("Beta", Vec::new(), 3, &marginals);
+        // An empty delta, or one that only retracts from a missing shard, is
+        // a no-op (no shard created, no generation bump).
+        shards.apply_delta("Beta", Vec::new(), 3, &marginals);
+        shards.apply_delta("Beta", vec![(tuple![7i64], None)], 3, &marginals);
         assert!(shards.shard("Beta").is_none());
     }
 
@@ -1319,14 +1222,24 @@ mod tests {
     }
 
     #[test]
-    fn merged_index_interleaves_and_replaces() {
-        let base = RelationIndex::from_entries(vec![(tuple![1i64], 0), (tuple![3i64], 1)]);
-        let merged = base.merged_with(vec![(tuple![2i64], 2), (tuple![3i64], 9)]);
+    fn merged_index_interleaves_replaces_and_removes() {
+        let base = RelationIndex::from_entries(vec![
+            (tuple![1i64], 0),
+            (tuple![3i64], 1),
+            (tuple![4i64], 3),
+        ]);
+        let merged = base.merged_with_changes(vec![
+            (tuple![2i64], Some(2)),
+            (tuple![3i64], Some(9)),
+            (tuple![4i64], None),
+            (tuple![5i64], None),
+        ]);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.get(&tuple![1i64]), Some(0));
         assert_eq!(merged.get(&tuple![2i64]), Some(2));
-        // Same-tuple delta entries replace the old mapping.
+        // Same-tuple upserts replace the old mapping; removals drop it.
         assert_eq!(merged.get(&tuple![3i64]), Some(9));
+        assert_eq!(merged.get(&tuple![4i64]), None);
         // Result stays tuple-sorted.
         let tuples: Vec<&Tuple> = merged.entries().iter().map(|(t, _)| t).collect();
         assert!(tuples.windows(2).all(|w| w[0] < w[1]));

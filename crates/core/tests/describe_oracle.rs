@@ -136,6 +136,7 @@ fn check_update(grounder: &mut Grounder, update: &KbcUpdate, cover: &mut Coverag
     for (a, b) in replayed.variables().iter().zip(live.variables()) {
         assert_eq!(a.role, b.role, "{what}: role of variable {}", a.id);
     }
+    assert_eq!(&replayed, live, "{what}");
 
     cover.updates += 1;
     cover.with_removals += usize::from(delta.has_removals());

@@ -163,6 +163,49 @@ impl GraphDelta {
             })
     }
 
+    /// Describe what `graph` appended past `since` — its
+    /// `(variables, weights, factors)` counts at some earlier point — as the
+    /// additions of a delta: the tail variables and weights as the graph
+    /// holds them, and each tail factor over [`NewVarRef`]s and a
+    /// [`NewWeightRef`] that are `Existing` below the mark and `New` past it.
+    /// Applied to a graph of `since`'s sizes, the delta appends exactly that
+    /// tail again, ids included.
+    pub fn describe_tail(graph: &FactorGraph, since: (usize, usize, usize)) -> Self {
+        let (variables, weights, factors) = since;
+        let var_ref = |v: VarId| match v.checked_sub(variables) {
+            Some(i) => NewVarRef::New(i),
+            None => NewVarRef::Existing(v),
+        };
+        let new_factors = graph.factors()[factors..]
+            .iter()
+            .map(|factor| {
+                // Template slot `i` is the factor's `i`-th distinct variable.
+                let mut vars = factor.variables();
+                vars.sort_unstable();
+                vars.dedup();
+                let mut template = factor.clone();
+                template.weight_id = 0;
+                remap_factor_vars(&mut template, &|v| {
+                    vars.binary_search(&v).expect("a variable of the factor")
+                });
+                DeltaFactor {
+                    weight: match factor.weight_id.checked_sub(weights) {
+                        Some(i) => NewWeightRef::New(i),
+                        None => NewWeightRef::Existing(factor.weight_id),
+                    },
+                    template,
+                    var_refs: vars.into_iter().map(var_ref).collect(),
+                }
+            })
+            .collect();
+        GraphDelta {
+            new_variables: graph.variables()[variables..].to_vec(),
+            new_weights: graph.weights()[weights..].to_vec(),
+            new_factors,
+            ..GraphDelta::default()
+        }
+    }
+
     /// Apply the delta to a graph, returning the ids assigned to the new
     /// variables and factors.
     ///
@@ -403,6 +446,43 @@ mod tests {
         for f in 0..live.num_factors() {
             assert_eq!(replayed.factor(f).variables(), live.factor(f).variables());
         }
+    }
+
+    #[test]
+    fn a_described_tail_replays_to_the_same_graph() {
+        let before = base_graph();
+        let mut grown = before.clone();
+        let v = grown.add_variable(Variable::query(0).with_origin("R", 9));
+        let w = grown.add_weight(Weight::learnable(0, 0.3, "new"));
+        grown.add_factor(Factor::new(
+            w,
+            FactorKind::Aggregate {
+                head: Lit::pos(v),
+                semantics: Semantics::Ratio,
+                groundings: vec![vec![Lit::neg(1), Lit::pos(v)]],
+            },
+        ));
+        grown.add_factor(Factor::imply(0, &[0], v));
+        let since = (
+            before.num_variables(),
+            before.num_weights(),
+            before.num_factors(),
+        );
+        let delta = GraphDelta::describe_tail(&grown, since);
+        assert_eq!(delta.new_variables.len(), 1);
+        assert_eq!(delta.new_weights.len(), 1);
+        assert_eq!(delta.new_factors[0].weight, NewWeightRef::New(0));
+        assert_eq!(delta.new_factors[1].weight, NewWeightRef::Existing(0));
+        assert_eq!(
+            delta.new_factors[0].var_refs,
+            vec![NewVarRef::Existing(1), NewVarRef::New(0)]
+        );
+        assert!(delta.refers_within(before.num_variables(), before.num_weights()));
+        let mut replayed = before;
+        replayed.apply_delta(&delta);
+        assert_eq!(replayed, grown);
+        // Nothing appended describes an empty delta.
+        assert!(GraphDelta::describe_tail(&grown, (3, 2, 3)).is_empty());
     }
 
     #[test]

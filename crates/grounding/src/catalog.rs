@@ -57,17 +57,12 @@ impl RelationCatalog {
         vars.next_key += 1;
         let id =
             graph.add_variable(Variable::query(0).with_origin(self.handle.clone(), origin_key));
-        self.register(tuple.clone(), id, vars);
-        id
-    }
-
-    /// Enter a variable the graph just appended.
-    pub fn register(&mut self, tuple: Tuple, id: VarId, vars: &mut VarTable) {
         debug_assert_eq!(id, vars.keys.len(), "variables are appended densely");
         self.fresh.push(CatalogOp::Upsert(tuple.clone(), id));
         vars.keys.push((self.handle.clone(), tuple.clone()));
         vars.usage.push(VarUse::default());
-        self.vars.insert(tuple, id);
+        self.vars.insert(tuple.clone(), id);
+        id
     }
 }
 
@@ -232,14 +227,9 @@ impl VariableCatalog {
 
     /// Remove one unreferenced variable from the graph, the catalog and its
     /// inverse, patching the entry of the variable `swap_remove` moved into
-    /// the freed id and recording both catalog ops.  Returns the removed id
-    /// and the slots of the relations whose catalog changed; `None` if the
-    /// key is not catalogued.
-    pub fn remove(
-        &mut self,
-        key: &VarKey,
-        graph: &mut FactorGraph,
-    ) -> Option<(VarId, RelSlot, Option<RelSlot>)> {
+    /// the freed id and recording both catalog ops.  Returns the removed id;
+    /// `None` if the key is not catalogued.
+    pub fn remove(&mut self, key: &VarKey, graph: &mut FactorGraph) -> Option<VarId> {
         let slot = self.slot(&key.0)?;
         let relation = &mut self.relations[slot];
         let vid = relation.vars.remove(&key.1)?;
@@ -247,28 +237,18 @@ impl VariableCatalog {
         let moved = graph.remove_variable(vid);
         self.vars.keys.swap_remove(vid);
         self.vars.usage.swap_remove(vid);
-        let moved_slot = moved.map(|_| {
+        if moved.is_some() {
             // The variable formerly last now lives at `vid`.
             let (moved_relation, moved_tuple) = &self.vars.keys[vid];
-            let moved_slot = self.slots[&**moved_relation];
-            let relation = &mut self.relations[moved_slot];
+            let relation = &mut self.relations[self.slots[&**moved_relation]];
             if let Some(id) = relation.vars.get_mut(moved_tuple) {
                 *id = vid;
             }
             relation
                 .fresh
                 .push(CatalogOp::Upsert(moved_tuple.clone(), vid));
-            moved_slot
-        });
-        Some((vid, slot, moved_slot))
-    }
-
-    /// The relation names of a set of slots, sorted.
-    pub fn names_of(&self, slots: impl IntoIterator<Item = RelSlot>) -> BTreeSet<String> {
-        slots
-            .into_iter()
-            .map(|slot| self.relations[slot].name.clone())
-            .collect()
+        }
+        Some(vid)
     }
 }
 
@@ -323,8 +303,7 @@ mod tests {
 
         // Removing A(0) (id 0) moves B(1) (id 3, the last) into id 0.
         let a0: VarKey = (catalog.by_name("A").unwrap().handle.clone(), tuple![0i64]);
-        let (a, b) = (catalog.slot("A").unwrap(), catalog.slot("B").unwrap());
-        assert_eq!(catalog.remove(&a0, &mut graph), Some((0, a, Some(b))));
+        assert_eq!(catalog.remove(&a0, &mut graph), Some(0));
         assert_eq!(catalog.get("A", &tuple![0i64]), None);
         assert_eq!(catalog.get("B", &tuple![1i64]), Some(0));
         assert_eq!(graph.variable(0).id, 0);
@@ -337,16 +316,16 @@ mod tests {
         let delta = catalog.take_delta();
         assert_eq!(delta["A"], vec![CatalogOp::Remove(tuple![0i64])]);
         assert_eq!(delta["B"], vec![CatalogOp::Upsert(tuple![1i64], 0)]);
-        assert_eq!(catalog.names_of([a, b]).len(), 2);
 
         // Removing the last variable moves nothing; an unknown key is a no-op.
         let a1: VarKey = (a0.0.clone(), tuple![1i64]);
-        assert_eq!(catalog.remove(&a1, &mut graph), Some((2, a, None)));
+        assert_eq!(catalog.remove(&a1, &mut graph), Some(2));
+        assert_eq!(catalog.take_delta().len(), 1);
         assert_eq!(catalog.remove(&a1, &mut graph), None);
         assert_eq!(catalog.len(), 2);
         assert_eq!(graph.num_variables(), 2);
         // Origin keys are never reused after a removal.
-        let (relation, vars) = catalog.relation_and_vars(a);
+        let (relation, vars) = catalog.relation_and_vars(catalog.slot("A").unwrap());
         let again = relation.var_for(&tuple![0i64], vars, &mut graph);
         assert_eq!(graph.variable(again).key, 4);
     }

@@ -14,7 +14,7 @@ use crate::program::{Program, RelationRole};
 use crate::udf::UdfRegistry;
 use dd_factorgraph::{
     EvidenceChange, Factor, FactorGraph, FactorId, FactorKind, Lit, RelName, Semantics, VarId,
-    VariableRole, Weight, WeightId,
+    Variable, VariableRole, Weight, WeightId,
 };
 use dd_relstore::view::Term;
 use dd_relstore::{
@@ -83,17 +83,23 @@ pub(crate) struct VarUse {
 }
 
 impl VarUse {
-    /// The role the label counts imply: negative evidence dominates positive
-    /// (a deliberate, order-independent policy — last-writer-wins would make
+    /// Give `var` the role these label counts imply, returning the role it
+    /// held when that changes it.  Negative evidence dominates positive (a
+    /// deliberate, order-independent policy — last-writer-wins would make
     /// incremental and from-scratch grounding diverge on conflicting labels).
-    pub fn role(&self) -> VariableRole {
-        if self.neg_labels > 0 {
+    pub(crate) fn apply_role(&self, var: &mut Variable) -> Option<VariableRole> {
+        let role = if self.neg_labels > 0 {
             VariableRole::NegativeEvidence
         } else if self.pos_labels > 0 {
             VariableRole::PositiveEvidence
         } else {
             VariableRole::Query
+        };
+        if var.role == role {
+            return None;
         }
+        var.initial_value = role.fixed_value().unwrap_or(false);
+        Some(std::mem::replace(&mut var.role, role))
     }
 
     pub(crate) fn add_label(&mut self, polarity: bool, by: i64) {
@@ -315,15 +321,6 @@ impl RuleTemplate {
     }
 }
 
-/// A weight as first created for a descriptor.
-pub(crate) fn new_weight(description: &str, initial: f64, fixed: bool) -> Weight {
-    if fixed {
-        Weight::fixed(0, initial, description)
-    } else {
-        Weight::learnable(0, initial, description)
-    }
-}
-
 /// The grounding engine.
 pub struct Grounder {
     pub(crate) program: Program,
@@ -367,29 +364,13 @@ struct GraphSide<'a> {
     udfs: &'a UdfRegistry,
 }
 
-/// Record the owner of a factor the graph just appended and count the factor
-/// against its weight.
-pub(crate) fn own_factor(
-    factor_owners: &mut Vec<(usize, Tuple)>,
-    weight_use: &mut Vec<i64>,
-    fid: FactorId,
-    weight_id: WeightId,
-    rule: usize,
-    binding: Tuple,
-) {
-    debug_assert_eq!(fid, factor_owners.len(), "factors are appended densely");
-    factor_owners.push((rule, binding));
-    if weight_use.len() <= weight_id {
-        weight_use.resize(weight_id + 1, 0);
-    }
-    weight_use[weight_id] += 1;
-}
-
 impl GraphSide<'_> {
     /// Ground one not-yet-grounded body-query binding of a weighted or
     /// supervision rule with the given derivation count, which becomes the
     /// retraction support of the record returned for it (with the head
-    /// tuple, for the caller to insert into the head relation).
+    /// tuple, for the caller to insert into the head relation, and the head
+    /// variable).  A label is only counted: the caller settles the head's
+    /// role ([`VarUse::apply_role`]).
     /// `shared_weight` caches the rule's weight id across the bindings of
     /// one loop when every grounding shares it.
     fn ground_binding(
@@ -398,7 +379,7 @@ impl GraphSide<'_> {
         binding: &Tuple,
         count: i64,
         shared_weight: &mut Option<WeightId>,
-    ) -> (GroundingRecord, Tuple) {
+    ) -> (GroundingRecord, Tuple, VarId) {
         // Resolve the head tuple and its variable.
         let head_tuple = template.head.instantiate(binding);
         let (head_relation, vars) = self.catalog.relation_and_vars(template.head.slot);
@@ -416,10 +397,6 @@ impl GraphSide<'_> {
                 if !head_relation.suppressed.contains(&head_tuple) {
                     record.label = Some(polarity);
                     usage.add_label(polarity, 1);
-                    let role = usage.role();
-                    let var = self.graph.variable_mut(head_var);
-                    var.role = role;
-                    var.initial_value = role.fixed_value().unwrap_or(false);
                 }
                 usage.refs += 1;
             }
@@ -452,18 +429,20 @@ impl GraphSide<'_> {
                     Grounder::make_factor(weight_id, body_lits, head_var, template.semantics);
                 let fid = self.graph.add_factor(factor);
                 record.factor = Some(fid);
-                own_factor(
-                    self.factor_owners,
-                    self.weight_use,
+                debug_assert_eq!(
                     fid,
-                    weight_id,
-                    template.index,
-                    binding.clone(),
+                    self.factor_owners.len(),
+                    "factors are appended densely"
                 );
+                self.factor_owners.push((template.index, binding.clone()));
+                if self.weight_use.len() <= weight_id {
+                    self.weight_use.resize(weight_id + 1, 0);
+                }
+                self.weight_use[weight_id] += 1;
             }
         }
         self.catalog.vars.usage[head_var].head_refs += 1;
-        (record, head_tuple)
+        (record, head_tuple, head_var)
     }
 
     /// Resolve the weight for one grounding of a rule, creating it on first use.
@@ -483,9 +462,12 @@ impl GraphSide<'_> {
         let id = match self.weight_catalog.get(description.as_ref()) {
             Some(&w) => w,
             None => {
-                let id = self
-                    .graph
-                    .add_weight(new_weight(&description, initial, fixed));
+                let weight = if fixed {
+                    Weight::fixed(0, initial, description.as_ref())
+                } else {
+                    Weight::learnable(0, initial, description.as_ref())
+                };
+                let id = self.graph.add_weight(weight);
                 self.weight_catalog.insert(description.into_owned(), id);
                 id
             }
@@ -643,20 +625,36 @@ impl Grounder {
 
         // Phase 2: weighted and supervision rules.
         for template in self.grounding_templates() {
-            self.ground_rule(&template, &mut ExecStats::default())?;
+            self.ground_rule(&template, &mut ExecStats::default(), None)?;
         }
 
         Ok(self.result())
     }
 
     /// Ground one weighted or supervision rule over the current database,
-    /// skipping bindings already grounded.
-    fn ground_rule(
+    /// skipping bindings already grounded (see [`Grounder::ground_bindings`]).
+    pub(crate) fn ground_rule(
         &mut self,
         template: &RuleTemplate,
         stats: &mut ExecStats,
+        labelled: Option<&mut Vec<VarId>>,
     ) -> Result<usize, RelError> {
         let bindings = template.plan.bindings(&self.db, stats)?;
+        Ok(self.ground_bindings(template, bindings, labelled))
+    }
+
+    /// Ground the not-yet-grounded ones of `bindings` — body-query bindings
+    /// of one weighted or supervision rule in tuple order, each with its
+    /// derivation count — into the graph, the catalogs, the rule's records
+    /// and its head relation, returning how many were grounded.  A labelled
+    /// head's role is settled at once, or, given `labelled`, left to the
+    /// caller: the head's id is pushed there instead.
+    pub(crate) fn ground_bindings(
+        &mut self,
+        template: &RuleTemplate,
+        bindings: Vec<(Tuple, i64)>,
+        mut labelled: Option<&mut Vec<VarId>>,
+    ) -> usize {
         // Everything a binding needs is resolved once per rule: the rule's
         // records leave the grounder for the loop, the head relation's table
         // is held across it, and the catalogs are reached through the
@@ -682,8 +680,16 @@ impl Grounder {
             if records.contains_key(&binding) {
                 continue;
             }
-            let (record, head_tuple) =
+            let (record, head_tuple, head) =
                 side.ground_binding(template, &binding, count, &mut shared_weight);
+            if record.label.is_some() {
+                match labelled.as_deref_mut() {
+                    Some(labelled) => labelled.push(head),
+                    None => {
+                        side.catalog.vars.usage[head].apply_role(side.graph.variable_mut(head));
+                    }
+                }
+            }
             // Make sure the head tuple exists in its relation so
             // error-analysis queries can see it (unless it does not fit the
             // declared schema).
@@ -700,7 +706,7 @@ impl Grounder {
         }
         self.grounded_bindings
             .insert(template.name.clone(), records);
-        Ok(new_groundings)
+        new_groundings
     }
 
     /// Evaluate one candidate-mapping rule, inserting the (distinct) head tuples
@@ -869,17 +875,14 @@ impl Grounder {
         let usage = &mut vars.usage[var];
         usage.pos_labels -= pos_cleared;
         usage.neg_labels -= neg_cleared;
-        let role = usage.role();
         let v = self.graph.variable_mut(var);
-        if v.role == role {
-            return Vec::new();
+        match usage.apply_role(v) {
+            Some(_) => vec![EvidenceChange {
+                var,
+                new_role: v.role,
+            }],
+            None => Vec::new(),
         }
-        v.role = role;
-        v.initial_value = role.fixed_value().unwrap_or(false);
-        vec![EvidenceChange {
-            var,
-            new_role: role,
-        }]
     }
 
     // ------------------------------------------------------------- persistence

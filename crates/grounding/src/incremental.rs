@@ -21,31 +21,36 @@
 //!    factor is removed from the graph (`swap_remove` compaction), its label
 //!    contribution is withdrawn, and variables left without any referencing
 //!    grounding are removed along with their catalog entries;
-//! 4. brand-new rules are grounded in full against the post-update database;
-//! 5. everything is packaged as a [`GraphDelta`] — removals first, then
-//!    additions, then evidence transitions — which replays id-exactly on a
-//!    clone of the pre-update graph, and the grounder's tuple→variable and
-//!    key→weight catalogs shrink or grow in lock-step.  Nobody needs that
-//!    replay to learn what happened: the grounder is the one application of
-//!    the delta, so it also reports the ids its graph assigned and the role
-//!    each re-labelled variable held before (see [`IncrementalGrounding`]).
+//! 4. new bindings are grounded in place by the one path full grounding
+//!    uses (`Grounder::ground_bindings`): the positive bindings of existing
+//!    rules first, then brand-new rules in full against the post-update
+//!    database — so a new rule reading a variable relation sees the heads
+//!    this update grounded, as a from-scratch grounding would;
+//! 5. the grounder *describes* what it did as a [`GraphDelta`]: the removals
+//!    as it ran them, the additions read off the graph's tail past the
+//!    post-removal mark ([`GraphDelta::describe_tail`]), then the evidence
+//!    transitions of every variable whose label counts changed.  Replayed on
+//!    a clone of the pre-update graph the delta reproduces the post-update
+//!    graph id-exactly, but nobody needs that replay to learn what happened:
+//!    the report carries the ids the graph assigned and the role each
+//!    re-labelled variable held before (see [`IncrementalGrounding`]).
 //!
 //! A deletion is never silently dropped: retracting a grounding the grounder
 //! has no record of, or driving a binding's derivation support negative, is a
 //! typed [`GroundingError::Retraction`].
+//!
+//! What this does not yet match: an *existing* rule whose body reads a
+//! variable relation is differentiated against the pre-update database with
+//! only base and derived deltas, so it does not see the heads the same
+//! update grounds, where a from-scratch grounding (in program order) would.
 
 use crate::ast::{Rule, RuleKind};
-use crate::catalog::{RelSlot, VarKey};
+use crate::catalog::VarKey;
 use crate::error::{GroundingError, ProgramError};
-use crate::grounder::{
-    new_weight, own_factor, AtomTemplate, Grounder, GroundingRecord, RuleTemplate,
-};
-use dd_factorgraph::{
-    DeltaFactor, EvidenceChange, FactorId, GraphDelta, Lit, NewVarRef, NewWeightRef, VarId,
-    Variable, VariableRole,
-};
+use crate::grounder::{Grounder, RuleTemplate};
+use dd_factorgraph::{EvidenceChange, FactorId, GraphDelta, VarId, VariableRole};
 use dd_relstore::{DeltaRelation, ExecStats, Tuple};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// One update to a KBC system: data changes, supervision retractions, and/or
@@ -109,9 +114,9 @@ impl KbcUpdate {
 /// Outcome of one incremental grounding run.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalGrounding {
-    /// The factor-graph delta (already applied to the grounder's graph).
-    /// Replaying it on a clone of the pre-update graph reproduces the
-    /// post-update graph id-exactly, removals included.
+    /// What the run did to the grounder's graph, as a delta.  Replaying it
+    /// on a clone of the pre-update graph reproduces the post-update graph
+    /// id-exactly, removals included.
     pub delta: GraphDelta,
     /// The ids the grounder's graph gave `delta.new_variables`, in order.
     pub new_variable_ids: Vec<VarId>,
@@ -120,18 +125,11 @@ pub struct IncrementalGrounding {
     /// For each of `delta.evidence_changes`, in order, the role the variable
     /// held in the pre-update graph (`Query` when this update created it).
     pub previous_roles: Vec<VariableRole>,
-    /// Derived-relation deltas produced by cascading through candidate rules.
-    pub derived_deltas: HashMap<String, DeltaRelation>,
     /// Number of new groundings (factors or labels) produced.
     pub new_groundings: usize,
     /// Number of groundings whose support reached zero and whose artifacts
     /// (factor, label, orphaned variables) were removed from the graph.
     pub retracted_groundings: usize,
-    /// Variable relations whose catalog changed in this run — gained entries,
-    /// lost entries, or had entries re-pointed by compaction.  This is the
-    /// publish dirty-set: only these relations' snapshot shards need
-    /// re-indexing, every other shard can be shared with the previous epoch.
-    pub touched_relations: BTreeSet<String>,
     /// Deterministic work counter of the relational side of this run: Δ rows
     /// the delta rules were seeded from plus index entries and rows the joins
     /// visited (see [`ExecStats::rows_probed`]).  For a fixed Δ it does not
@@ -139,170 +137,15 @@ pub struct IncrementalGrounding {
     pub rows_probed: u64,
 }
 
-/// One new grounding staged by the [`DeltaBuilder`], resolved to graph ids
-/// after the delta is applied.
-struct NewBinding {
-    template: Arc<RuleTemplate>,
-    binding: Tuple,
-    support: i64,
-    label: Option<bool>,
-    /// The head tuple, to insert into the head relation once the update lands.
-    head_tuple: Tuple,
-    /// The grounding's head, then the body literals of its factor.
-    referenced: Vec<NewVarRef>,
-    /// Index into `delta.new_factors`, for weighted rules.
-    factor_slot: Option<usize>,
-}
-
-/// Accumulates graph additions in delta form before they are applied.
-/// Removals and evidence transitions are handled by the retraction sweep and
-/// the final evidence pass in [`Grounder::ground_incremental`]; the builder
-/// only ever grows the graph.
+/// The removals of one retraction sweep, in the order they ran.
 #[derive(Default)]
-struct DeltaBuilder {
-    delta: GraphDelta,
-    /// Origin-key base for pending variables: the grounder's `next_var_key`
-    /// at builder creation (pending var `i` gets origin key `base + i`).
-    base_var_key: u64,
-    /// Pending new variables by catalog slot and tuple.
-    pending_vars: HashMap<(RelSlot, Tuple), usize>,
-    pending_var_keys: Vec<(RelSlot, Tuple)>,
-    pending_weights: HashMap<String, usize>,
-    pending_weight_keys: Vec<String>,
-    new_bindings: Vec<NewBinding>,
-    /// `(rule index, binding)` pairs staged so far.
-    seen_bindings: HashSet<(usize, Tuple)>,
-}
-
-impl DeltaBuilder {
-    fn new(base_var_key: u64) -> Self {
-        DeltaBuilder {
-            base_var_key,
-            ..DeltaBuilder::default()
-        }
-    }
-
-    /// Resolve an atom's tuple to an existing variable or a pending new one.
-    fn var_ref(&mut self, grounder: &Grounder, atom: &AtomTemplate, tuple: &Tuple) -> NewVarRef {
-        if let Some(&v) = grounder.catalog.relation(atom.slot).vars.get(tuple) {
-            return NewVarRef::Existing(v);
-        }
-        let key = (atom.slot, tuple.clone());
-        if let Some(&i) = self.pending_vars.get(&key) {
-            return NewVarRef::New(i);
-        }
-        let i = self.delta.new_variables.len();
-        self.delta.new_variables.push(
-            Variable::query(0).with_origin(atom.relation.clone(), self.base_var_key + i as u64),
-        );
-        self.pending_vars.insert(key.clone(), i);
-        self.pending_var_keys.push(key);
-        NewVarRef::New(i)
-    }
-
-    /// Resolve the weight of one grounding to an existing or pending new weight.
-    fn weight_ref(
-        &mut self,
-        grounder: &Grounder,
-        template: &RuleTemplate,
-        binding: &Tuple,
-    ) -> NewWeightRef {
-        let (description, initial, fixed) = template.weight_descriptor(grounder.udfs(), binding);
-        if let Some(w) = grounder.weight_for(&description) {
-            return NewWeightRef::Existing(w);
-        }
-        if let Some(&i) = self.pending_weights.get(description.as_ref()) {
-            return NewWeightRef::New(i);
-        }
-        let i = self.delta.new_weights.len();
-        self.delta
-            .new_weights
-            .push(new_weight(&description, initial, fixed));
-        let description = description.into_owned();
-        self.pending_weights.insert(description.clone(), i);
-        self.pending_weight_keys.push(description);
-        NewWeightRef::New(i)
-    }
-
-    /// Ground one binding of a weighted or supervision rule, in delta form,
-    /// with an explicit derivation count (its retraction support).  Label roles
-    /// are *not* assigned here — the final evidence pass derives every role
-    /// from the usage counters, so incremental and from-scratch grounding agree
-    /// on conflicting labels.
-    fn ground_binding(
-        &mut self,
-        grounder: &Grounder,
-        template: &Arc<RuleTemplate>,
-        binding: &Tuple,
-        count: i64,
-    ) -> bool {
-        if grounder.grounded_binding_exists(&template.name, binding)
-            || !self.seen_bindings.insert((template.index, binding.clone()))
-        {
-            return false;
-        }
-
-        let head_tuple = template.head.instantiate(binding);
-        let head_ref = self.var_ref(grounder, &template.head, &head_tuple);
-        let mut referenced = vec![head_ref];
-
-        let mut label = None;
-        let mut factor_slot = None;
-        match template.label {
-            Some(polarity) => {
-                let head_relation = grounder.catalog.relation(template.head.slot);
-                if !head_relation.suppressed.contains(&head_tuple) {
-                    label = Some(polarity);
-                }
-            }
-            None => {
-                let weight = self.weight_ref(grounder, template, binding);
-                // `var_refs` slots: the body literals in order, then the head.
-                let mut body_lits = Vec::with_capacity(template.body_vars.len());
-                for atom in &template.body_vars {
-                    let r = self.var_ref(grounder, atom, &atom.instantiate(binding));
-                    body_lits.push(Lit {
-                        var: referenced.len() - 1,
-                        positive: atom.positive,
-                    });
-                    referenced.push(r);
-                }
-                // The factor is built over `var_refs` slots with weight 0; the
-                // delta resolves both when it is applied.
-                let head_slot = body_lits.len();
-                let factor = Grounder::make_factor(0, body_lits, head_slot, template.semantics);
-                let mut var_refs = referenced[1..].to_vec();
-                var_refs.push(head_ref);
-                factor_slot = Some(self.delta.new_factors.len());
-                self.delta.new_factors.push(DeltaFactor {
-                    weight,
-                    template: factor,
-                    var_refs,
-                });
-            }
-        }
-        self.new_bindings.push(NewBinding {
-            template: Arc::clone(template),
-            binding: binding.clone(),
-            support: count.max(1),
-            label,
-            head_tuple,
-            referenced,
-            factor_slot,
-        });
-        true
-    }
+struct Retracted {
+    factors: Vec<FactorId>,
+    variables: Vec<VarId>,
+    groundings: usize,
 }
 
 impl Grounder {
-    /// True if a binding of `rule` has already produced a factor/label.
-    pub(crate) fn grounded_binding_exists(&self, rule: &str, binding: &Tuple) -> bool {
-        self.grounded_bindings
-            .get(rule)
-            .map(|s| s.contains_key(binding))
-            .unwrap_or(false)
-    }
-
     /// Remove one factor from the graph, keeping ownership bookkeeping and
     /// weight refcounts current across the `swap_remove` move, and record the
     /// removal op for replay.
@@ -335,8 +178,175 @@ impl Grounder {
         }
     }
 
+    /// Cascade the base deltas in `accumulated` through the candidate-mapping
+    /// rules (pre-update database), adding each rule's distinct head delta.
+    fn cascade_candidates(
+        &mut self,
+        accumulated: &mut HashMap<String, DeltaRelation>,
+        stats: &mut ExecStats,
+    ) -> Result<(), GroundingError> {
+        let ordered: Vec<Rule> = self
+            .program
+            .stratified_candidate_rules()
+            .ok_or(ProgramError::CyclicCandidateRules)?
+            .into_iter()
+            .cloned()
+            .collect();
+        // Candidate rules that have never been evaluated (e.g. the program was
+        // created and updates were applied without an explicit initial run, or
+        // the rule was added in an earlier update without data) are grounded
+        // now, against the pre-update state, so their derived tuples are
+        // visible to the weighted rules below.
+        for rule in &ordered {
+            if !self.candidate_views.contains_key(&rule.name) {
+                self.evaluate_candidate_rule(rule)?;
+            }
+        }
+        for rule in &ordered {
+            let touches_change = rule
+                .body_relations()
+                .iter()
+                .any(|r| accumulated.contains_key(*r));
+            if !touches_change {
+                continue;
+            }
+            let head_rel = &rule.head.relation;
+
+            // DRed distinct refresh of this rule's view: ±1 presence
+            // transitions within the view, over-deletions already cancelled
+            // against the view's own remaining derivations.
+            let view = self
+                .candidate_views
+                .get_mut(&rule.name)
+                .expect("every candidate rule was materialized above");
+            let probed_before = view.rows_probed();
+            let view_delta = view.refresh_dred(&self.db, accumulated)?;
+            stats.rows_probed += view.rows_probed() - probed_before;
+
+            // Cross-rule re-derivation and dedup: a tuple deleted from this
+            // view survives if a sibling rule with the same head still derives
+            // it; a tuple added by this view is only new if the head relation
+            // did not already carry it (base table + deltas accumulated so far).
+            let mut distinct_delta = DeltaRelation::new(head_rel.clone());
+            for (tuple, transition) in view_delta.iter() {
+                let head_count = self.db.table(head_rel).map(|t| t.count(tuple)).unwrap_or(0);
+                let pending = accumulated
+                    .get(head_rel)
+                    .map(|d| d.count(tuple))
+                    .unwrap_or(0);
+                let present_before = head_count + pending > 0;
+                if transition > 0 {
+                    if !present_before {
+                        distinct_delta.insert(tuple.clone());
+                    }
+                } else if present_before {
+                    let rederived = self.candidate_views.iter().any(|(name, sibling)| {
+                        name != &rule.name
+                            && sibling.query().name == *head_rel
+                            && sibling.result().contains(tuple)
+                    });
+                    if !rederived {
+                        distinct_delta.delete(tuple.clone());
+                    }
+                }
+            }
+            if !distinct_delta.is_empty() {
+                accumulated
+                    .entry(head_rel.clone())
+                    .or_insert_with(|| DeltaRelation::new(head_rel.clone()))
+                    .merge(&distinct_delta);
+            }
+        }
+        Ok(())
+    }
+
+    /// The retraction sweep: negative binding counts lower support; support
+    /// hitting zero retracts the grounding (factor out, label withdrawn,
+    /// refcounts down), and variables left unreferenced are removed
+    /// afterwards in sorted key order.  Variables whose label counts changed
+    /// join `label_dirty`.
+    fn retract_groundings(
+        &mut self,
+        rule_deltas: &[(Arc<RuleTemplate>, DeltaRelation)],
+        label_dirty: &mut BTreeSet<VarKey>,
+    ) -> Result<Retracted, GroundingError> {
+        let mut retracted = Retracted::default();
+        let mut dead_var_keys: BTreeSet<VarKey> = BTreeSet::new();
+        for (template, delta) in rule_deltas {
+            for (binding, count) in delta.deletions() {
+                let records = self.grounded_bindings.get_mut(&template.name);
+                let Some(record) = records.and_then(|m| m.get_mut(binding)) else {
+                    return Err(GroundingError::Retraction {
+                        rule: template.name.clone(),
+                        detail: format!(
+                            "no grounding recorded for binding {binding:?} (delta -{count})"
+                        ),
+                    });
+                };
+                if record.support < count {
+                    return Err(GroundingError::Retraction {
+                        rule: template.name.clone(),
+                        detail: format!(
+                            "binding {binding:?} has support {} but delta -{count} \
+                             (more deletions than derivations)",
+                            record.support
+                        ),
+                    });
+                }
+                record.support -= count;
+                if record.support > 0 {
+                    continue;
+                }
+                let record = self
+                    .grounded_bindings
+                    .get_mut(&template.name)
+                    .expect("checked above")
+                    .remove(binding)
+                    .expect("checked above");
+                retracted.groundings += 1;
+
+                let (head, referenced) = self.record_vars(template, binding);
+                if let Some(fid) = record.factor {
+                    self.retract_factor(fid, &mut retracted.factors);
+                }
+                let vars = &mut self.catalog.vars;
+                for var in referenced {
+                    let usage = &mut vars.usage[var];
+                    usage.refs -= 1;
+                    if usage.refs <= 0 {
+                        dead_var_keys.insert(vars.keys[var].clone());
+                    }
+                }
+                let Some(head) = head else {
+                    continue;
+                };
+                let usage = &mut vars.usage[head];
+                if let Some(label) = record.label {
+                    usage.add_label(label, -1);
+                    label_dirty.insert(vars.keys[head].clone());
+                }
+                usage.head_refs -= 1;
+                if usage.head_refs <= 0 {
+                    // Withdraw the derivation this grounding inserted into
+                    // the head's variable relation.
+                    if let Ok(table) = self.db.table_mut(&template.head.relation) {
+                        table.delete(&vars.keys[head].1);
+                    }
+                }
+            }
+        }
+        // The catalog patches the entry of the variable `swap_remove` moved
+        // into the freed id and records both catalog ops.
+        retracted.variables = dead_var_keys
+            .iter()
+            .filter_map(|key| self.catalog.remove(key, &mut self.graph))
+            .collect();
+        Ok(retracted)
+    }
+
     /// Incrementally ground an update, mutating the database, the catalogs, and
-    /// the factor graph, and returning the applied [`GraphDelta`] plus statistics.
+    /// the factor graph, and returning the [`GraphDelta`] that describes the
+    /// change plus statistics.
     pub fn ground_incremental(
         &mut self,
         update: &KbcUpdate,
@@ -347,9 +357,6 @@ impl Grounder {
             .filter(|(_, d)| !d.is_empty())
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        let mut derived_deltas: HashMap<String, DeltaRelation> = HashMap::new();
-        // Catalog slots of the relations whose catalog changes in this run.
-        let mut touched_slots: BTreeSet<RelSlot> = BTreeSet::new();
         let mut stats = ExecStats::default();
 
         // New rules are compiled before anything is touched, so a malformed
@@ -386,82 +393,7 @@ impl Grounder {
         }
 
         // ---- 1. cascade through candidate-mapping rules (pre-update database).
-        let ordered: Vec<Rule> = self
-            .program
-            .stratified_candidate_rules()
-            .ok_or(ProgramError::CyclicCandidateRules)?
-            .into_iter()
-            .cloned()
-            .collect();
-        // Candidate rules that have never been evaluated (e.g. the program was
-        // created and updates were applied without an explicit initial run, or
-        // the rule was added in an earlier update without data) are grounded
-        // now, against the pre-update state, so their derived tuples are
-        // visible to the weighted rules below.
-        for rule in &ordered {
-            if !self.candidate_views.contains_key(&rule.name) {
-                self.evaluate_candidate_rule(rule)?;
-            }
-        }
-        for rule in &ordered {
-            let touches_change = rule
-                .body_relations()
-                .iter()
-                .any(|r| accumulated.contains_key(*r));
-            if !touches_change {
-                continue;
-            }
-            let head_rel = &rule.head.relation;
-
-            // DRed distinct refresh of this rule's view: ±1 presence
-            // transitions within the view, over-deletions already cancelled
-            // against the view's own remaining derivations.
-            let view = self
-                .candidate_views
-                .get_mut(&rule.name)
-                .expect("every candidate rule was materialized above");
-            let probed_before = view.rows_probed();
-            let view_delta = view.refresh_dred(&self.db, &accumulated)?;
-            stats.rows_probed += view.rows_probed() - probed_before;
-
-            // Cross-rule re-derivation and dedup: a tuple deleted from this
-            // view survives if a sibling rule with the same head still derives
-            // it; a tuple added by this view is only new if the head relation
-            // did not already carry it (base table + deltas accumulated so far).
-            let mut distinct_delta = DeltaRelation::new(head_rel.clone());
-            for (tuple, transition) in view_delta.iter() {
-                let head_count = self.db.table(head_rel).map(|t| t.count(tuple)).unwrap_or(0);
-                let pending = accumulated
-                    .get(head_rel)
-                    .map(|d| d.count(tuple))
-                    .unwrap_or(0);
-                let present_before = head_count + pending > 0;
-                if transition > 0 {
-                    if !present_before {
-                        distinct_delta.insert(tuple.clone());
-                    }
-                } else if present_before {
-                    let rederived = self.candidate_views.iter().any(|(name, sibling)| {
-                        name != &rule.name
-                            && sibling.query().name == *head_rel
-                            && sibling.result().contains(tuple)
-                    });
-                    if !rederived {
-                        distinct_delta.delete(tuple.clone());
-                    }
-                }
-            }
-            if !distinct_delta.is_empty() {
-                derived_deltas
-                    .entry(head_rel.clone())
-                    .or_insert_with(|| DeltaRelation::new(head_rel.clone()))
-                    .merge(&distinct_delta);
-                accumulated
-                    .entry(head_rel.clone())
-                    .or_insert_with(|| DeltaRelation::new(head_rel.clone()))
-                    .merge(&distinct_delta);
-            }
-        }
+        self.cascade_candidates(&mut accumulated, &mut stats)?;
 
         // ---- 2. differentiate the weighted and supervision rules (pre-update db).
         let mut rule_deltas: Vec<(Arc<RuleTemplate>, DeltaRelation)> = Vec::new();
@@ -483,90 +415,9 @@ impl Grounder {
             }
         }
 
-        // ---- 2b. retraction sweep: negative binding counts lower support;
-        // support hitting zero retracts the grounding (factor out, label
-        // withdrawn, refcounts down), and variables left unreferenced are
-        // removed afterwards in sorted key order.
-        let mut removed_factor_ops: Vec<FactorId> = Vec::new();
-        let mut removed_var_ops: Vec<VarId> = Vec::new();
+        // ---- 2b. retraction sweep.
         let mut label_dirty: BTreeSet<VarKey> = BTreeSet::new();
-        let mut dead_var_keys: BTreeSet<VarKey> = BTreeSet::new();
-        let mut retracted_groundings = 0usize;
-        for (template, delta) in &rule_deltas {
-            for (binding, count) in delta.iter() {
-                if count >= 0 {
-                    continue;
-                }
-                let records = self.grounded_bindings.get_mut(&template.name);
-                let Some(record) = records.and_then(|m| m.get_mut(binding)) else {
-                    return Err(GroundingError::Retraction {
-                        rule: template.name.clone(),
-                        detail: format!(
-                            "no grounding recorded for binding {binding:?} (delta {count})"
-                        ),
-                    });
-                };
-                if record.support + count < 0 {
-                    return Err(GroundingError::Retraction {
-                        rule: template.name.clone(),
-                        detail: format!(
-                            "binding {binding:?} has support {} but delta {count} \
-                             (more deletions than derivations)",
-                            record.support
-                        ),
-                    });
-                }
-                record.support += count;
-                if record.support > 0 {
-                    continue;
-                }
-                let record = self
-                    .grounded_bindings
-                    .get_mut(&template.name)
-                    .expect("checked above")
-                    .remove(binding)
-                    .expect("checked above");
-                retracted_groundings += 1;
-
-                let (head, referenced) = self.record_vars(template, binding);
-                if let Some(fid) = record.factor {
-                    self.retract_factor(fid, &mut removed_factor_ops);
-                }
-                let vars = &mut self.catalog.vars;
-                for var in referenced {
-                    let usage = &mut vars.usage[var];
-                    usage.refs -= 1;
-                    if usage.refs <= 0 {
-                        dead_var_keys.insert(vars.keys[var].clone());
-                    }
-                }
-                let Some(head) = head else {
-                    continue;
-                };
-                let usage = &mut vars.usage[head];
-                if let Some(label) = record.label {
-                    usage.add_label(label, -1);
-                    label_dirty.insert(vars.keys[head].clone());
-                }
-                usage.head_refs -= 1;
-                if usage.head_refs <= 0 {
-                    // Withdraw the derivation this grounding inserted into
-                    // the head's variable relation.
-                    if let Ok(table) = self.db.table_mut(&template.head.relation) {
-                        table.delete(&vars.keys[head].1);
-                    }
-                }
-            }
-        }
-        for key in &dead_var_keys {
-            // The catalog patches the entry of the variable `swap_remove`
-            // moved into the freed id and records both catalog ops.
-            if let Some((vid, slot, moved_slot)) = self.catalog.remove(key, &mut self.graph) {
-                removed_var_ops.push(vid);
-                touched_slots.insert(slot);
-                touched_slots.extend(moved_slot);
-            }
-        }
+        let retracted = self.retract_groundings(&rule_deltas, &mut label_dirty)?;
 
         // ---- 3. apply the relational deltas to the database.
         for (relation, delta) in accumulated.iter() {
@@ -575,26 +426,28 @@ impl Grounder {
             }
         }
 
-        // ---- 4. additions: positive binding counts, resolved against the
-        // post-removal graph, plus brand-new rules grounded in full against
-        // the post-update database.
-        let mut builder = DeltaBuilder::new(self.catalog.vars.next_key);
+        // ---- 4. additions, in place: positive binding counts against the
+        // post-removal graph, then brand-new rules in full against the
+        // post-update database.  Labelled heads are collected for the
+        // evidence pass; the graph keeps them `Query` until then.
+        let since = (
+            self.graph.num_variables(),
+            self.graph.num_weights(),
+            self.graph.num_factors(),
+        );
+        let mut labelled: Vec<VarId> = Vec::new();
+        let mut new_groundings = 0;
         for (template, delta) in &rule_deltas {
-            for (binding, count) in delta.iter() {
-                if count <= 0 {
-                    continue;
-                }
-                if let Some(record) = self
-                    .grounded_bindings
-                    .get_mut(&template.name)
-                    .and_then(|m| m.get_mut(binding))
-                {
+            let mut records = self.grounded_bindings.get_mut(&template.name);
+            let mut fresh = Vec::new();
+            for (binding, count) in delta.insertions() {
+                match records.as_deref_mut().and_then(|m| m.get_mut(binding)) {
                     // Already grounded: the new derivations only raise support.
-                    record.support += count;
-                } else {
-                    builder.ground_binding(self, template, binding, count);
+                    Some(record) => record.support += count,
+                    None => fresh.push((binding.clone(), count)),
                 }
             }
+            new_groundings += self.ground_bindings(template, fresh, Some(&mut labelled));
         }
         for (rule, template) in update.new_rules.iter().zip(new_templates) {
             self.program.rules.push(rule.clone());
@@ -606,128 +459,44 @@ impl Grounder {
                 self.evaluate_candidate_rule(rule)?;
             }
             if let Some(template) = template {
-                let bindings = template.plan.evaluate(&self.db, &mut stats)?;
-                for (binding, count) in bindings.iter_counted() {
-                    builder.ground_binding(self, &template, binding, count);
-                }
+                new_groundings += self.ground_rule(&template, &mut stats, Some(&mut labelled))?;
             }
         }
 
-        // ---- 5. apply the additions, update the catalogs and usage counters,
-        // then derive every dirty variable's evidence role from the counters.
-        let additions = std::mem::take(&mut builder.delta);
-        let base_weight_count = self.graph.num_weights();
-        let (new_var_ids, new_factor_ids) = self.graph.apply_delta(&additions);
-        self.catalog.vars.next_key += builder.pending_var_keys.len() as u64;
-        for ((slot, tuple), id) in builder.pending_var_keys.into_iter().zip(&new_var_ids) {
-            touched_slots.insert(slot);
-            let (relation, vars) = self.catalog.relation_and_vars(slot);
-            relation.register(tuple, *id, vars);
-        }
-        for (i, key) in builder.pending_weight_keys.into_iter().enumerate() {
-            self.weight_catalog.insert(key, base_weight_count + i);
-        }
-        let new_groundings = builder.new_bindings.len();
-        // Staged bindings arrive grouped by rule; the rule's record map and
-        // its head relation's table are looked up once per group.
-        let mut staged_bindings = builder.new_bindings.into_iter().peekable();
-        while let Some(first) = staged_bindings.peek() {
-            let template = Arc::clone(&first.template);
-            let records = self
-                .grounded_bindings
-                .entry(template.name.clone())
-                .or_default();
-            let mut head_table = self.db.table_mut(&template.head.relation).ok();
-            while let Some(staged) =
-                staged_bindings.next_if(|s| Arc::ptr_eq(&s.template, &template))
-            {
-                let factor = staged.factor_slot.map(|slot| new_factor_ids[slot]);
-                if let Some(fid) = factor {
-                    own_factor(
-                        &mut self.factor_owners,
-                        &mut self.weight_use,
-                        fid,
-                        self.graph.factor(fid).weight_id,
-                        template.index,
-                        staged.binding.clone(),
-                    );
-                }
-                let mut referenced: Vec<VarId> = staged
-                    .referenced
-                    .iter()
-                    .map(|r| match r {
-                        NewVarRef::Existing(v) => *v,
-                        NewVarRef::New(i) => new_var_ids[*i],
-                    })
-                    .collect();
-                let head = referenced[0];
-                referenced.sort_unstable();
-                referenced.dedup();
-                let vars = &mut self.catalog.vars;
-                for var in referenced {
-                    vars.usage[var].refs += 1;
-                }
-                let usage = &mut vars.usage[head];
-                usage.head_refs += 1;
-                if let Some(label) = staged.label {
-                    usage.add_label(label, 1);
-                    label_dirty.insert(vars.keys[head].clone());
-                }
-                records.insert(
-                    staged.binding,
-                    GroundingRecord {
-                        support: staged.support,
-                        factor,
-                        label: staged.label,
-                    },
-                );
-                // The head tuple enters its relation unless it is already
-                // there (or does not fit the declared schema).
-                if let Some(table) = head_table.as_deref_mut() {
-                    let _ = table.insert_if_absent(staged.head_tuple);
-                }
-            }
-        }
-
-        // Evidence pass: every variable whose label counts changed (or whose
-        // supervision was forcibly retracted) gets the role its counters imply.
-        // Forced keys emit unconditionally — their in-place role was already
-        // updated in phase 0, but a replayed delta still needs the transition.
-        let mut evidence_changes = Vec::new();
+        // ---- 5. describe: the removals as they ran, the additions off the
+        // graph's tail (new variables still `Query`), then the evidence pass —
+        // every variable whose label counts changed (or whose supervision was
+        // forcibly retracted) gets the role its counters imply.  Forced keys
+        // emit unconditionally: their in-place role was already updated in
+        // phase 0, but a replayed delta still needs the transition.
+        let mut delta = GraphDelta::describe_tail(&self.graph, since);
+        delta.removed_factors = retracted.factors;
+        delta.removed_variables = retracted.variables;
+        let keys = &self.catalog.vars.keys;
+        label_dirty.extend(labelled.into_iter().map(|var| keys[var].clone()));
         let mut previous_roles = Vec::new();
         let dirty: BTreeSet<&VarKey> = label_dirty.iter().chain(forced_evidence.keys()).collect();
         for key in dirty {
             let Some(var) = self.catalog.get_key(key) else {
                 continue;
             };
-            let role = self.catalog.vars.usage[var].role();
-            let forced = forced_evidence.get(key);
-            let v = self.graph.variable_mut(var);
-            if forced.is_some() || v.role != role {
-                previous_roles.push(forced.copied().unwrap_or(v.role));
-                v.role = role;
-                v.initial_value = role.fixed_value().unwrap_or(false);
-                evidence_changes.push(EvidenceChange {
+            let changed = self.catalog.vars.usage[var].apply_role(self.graph.variable_mut(var));
+            if let Some(previous) = forced_evidence.get(key).copied().or(changed) {
+                previous_roles.push(previous);
+                delta.evidence_changes.push(EvidenceChange {
                     var,
-                    new_role: role,
+                    new_role: self.graph.variable(var).role,
                 });
             }
         }
 
-        let mut delta = additions;
-        delta.removed_factors = removed_factor_ops;
-        delta.removed_variables = removed_var_ops;
-        delta.evidence_changes = evidence_changes;
-
         Ok(IncrementalGrounding {
             delta,
-            new_variable_ids: new_var_ids,
-            new_factor_ids,
+            new_variable_ids: (since.0..self.graph.num_variables()).collect(),
+            new_factor_ids: (since.2..self.graph.num_factors()).collect(),
             previous_roles,
-            derived_deltas,
             new_groundings,
-            retracted_groundings,
-            touched_relations: self.catalog.names_of(touched_slots),
+            retracted_groundings: retracted.groundings,
             rows_probed: stats.rows_probed,
         })
     }
@@ -911,7 +680,6 @@ mod tests {
 
         // The candidate pair (20, 21) is derived and the MarriedMentions variable
         // plus its FE1 factor are created.
-        assert!(inc.derived_deltas.contains_key("MarriedCandidate"));
         assert_eq!(inc.new_groundings, 1);
         assert_eq!(g.graph().num_variables(), vars_before + 1);
         assert_eq!(g.graph().num_factors(), factors_before + 1);
@@ -926,12 +694,11 @@ mod tests {
         // The "and his wife" weight is shared with the original grounding.
         assert!(inc.delta.new_weights.is_empty());
 
-        // The publish dirty-set reports exactly the grown relation, and the
-        // drainable catalog delta carries its new entry (on top of the
+        // The drainable catalog delta — the publish dirty-set — names exactly
+        // the grown relation and carries its new entry (on top of the
         // entries still pending from the initial full grounding).
-        assert!(inc.touched_relations.contains("MarriedMentions"));
-        assert_eq!(inc.touched_relations.len(), 1);
         let fresh = g.take_catalog_delta();
+        assert_eq!(fresh.len(), 1);
         assert!(fresh["MarriedMentions"]
             .iter()
             .any(|op| matches!(op, CatalogOp::Upsert(t, _) if *t == tuple![20i64, 21i64])));
@@ -1050,7 +817,6 @@ mod tests {
         assert!(g
             .variable_for("MarriedMentions", &tuple![10i64, 11i64])
             .is_none());
-        assert!(inc.touched_relations.contains("MarriedMentions"));
         // Base table, derived candidate, and head variable relation all shrank.
         assert!(!g
             .database()
@@ -1289,5 +1055,79 @@ mod tests {
         // 2 `Rel` and 1 `Pair` variables.
         assert_eq!(small.graph().num_variables(), 500 * 9);
         assert_eq!(large.graph().num_variables(), 5_000 * 9);
+    }
+
+    /// A grounding's content whatever ids it assigned: variables by
+    /// `(relation, tuple)` with their roles, each factor as its weight over
+    /// its variables' keys, and the weights — each list sorted.
+    fn content(g: &Grounder) -> [Vec<String>; 3] {
+        let graph = g.graph();
+        let mut keys = vec![String::new(); graph.num_variables()];
+        for ((relation, tuple), &var) in g.variable_catalog() {
+            keys[var] = format!("{relation}{tuple}");
+        }
+        let mut variables: Vec<String> = graph
+            .variables()
+            .iter()
+            .map(|v| format!("{} {:?}", keys[v.id], v.role))
+            .collect();
+        let mut factors: Vec<String> = graph
+            .factors()
+            .iter()
+            .map(|f| {
+                let vars: Vec<&str> = f.variables().iter().map(|&v| keys[v].as_str()).collect();
+                format!("{} {vars:?}", graph.weight(f.weight_id).description)
+            })
+            .collect();
+        let mut weights: Vec<String> = graph
+            .weights()
+            .iter()
+            .map(|w| format!("{} {}", w.description, w.value))
+            .collect();
+        for list in [&mut variables, &mut factors, &mut weights] {
+            list.sort();
+        }
+        [variables, factors, weights]
+    }
+
+    #[test]
+    fn a_rule_added_with_new_data_sees_the_heads_that_data_grounds() {
+        let i1 = || {
+            Rule::new(
+                "I1",
+                RuleKind::Inference,
+                atom("MarriedMentions", &["m2", "m1"]),
+                vec![atom("MarriedMentions", &["m1", "m2"])],
+                WeightSpec::Fixed(3.0),
+            )
+        };
+        let document = [
+            (
+                "Sentence",
+                tuple![2i64, "George and his wife Laura were married"],
+            ),
+            ("PersonCandidate", tuple![2i64, 20i64, "George"]),
+            ("PersonCandidate", tuple![2i64, 21i64, "Laura"]),
+        ];
+        let mut g = grounded();
+        let mut update = KbcUpdate::new();
+        for (relation, row) in &document {
+            update.insert(relation, row.clone());
+        }
+        update.add_rule(i1());
+        g.ground_incremental(&update).unwrap();
+
+        // From scratch: FE1 puts MarriedMentions(20, 21) in its table
+        // before I1 reads it, so I1 grounds its mirror image too.
+        let mut db = base_db();
+        for (relation, row) in document {
+            db.insert(relation, row).unwrap();
+        }
+        let mut scratch = Grounder::new(program().rule(i1()), db, standard_udfs()).unwrap();
+        scratch.ground().unwrap();
+        assert!(g
+            .variable_for("MarriedMentions", &tuple![21i64, 20i64])
+            .is_some());
+        assert_eq!(content(&g), content(&scratch));
     }
 }

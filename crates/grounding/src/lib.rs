@@ -17,9 +17,11 @@
 //! * [`udf`] — the user-defined-function registry used for feature extraction
 //!   and weight tying (`weight = phrase(m1, m2, sent)`);
 //! * [`parser`] — a small text syntax for writing programs in examples/tests;
-//! * [`grounder`] — full grounding: rules + database → factor graph;
+//! * [`grounder`] — full grounding: rules + database → factor graph, one
+//!   binding at a time through the one path every grounding takes;
 //! * [`incremental`] — incremental grounding: base-relation deltas and/or new
-//!   rules → cascaded view deltas (DRed, §3.1) → a factor-graph
+//!   rules → cascaded view deltas (DRed, §3.1) → retractions and new
+//!   bindings applied in place, described as a factor-graph
 //!   [`dd_factorgraph::GraphDelta`].
 
 pub mod ast;

@@ -33,8 +33,8 @@ pub struct DistributionChange {
 }
 
 impl DistributionChange {
-    /// Describe a delta from what its producer saw while applying it to its
-    /// own graph: the ids that graph gave `delta.new_variables` and
+    /// Describe a delta from what its producer saw while making that change
+    /// on its own graph: the ids that graph gave `delta.new_variables` and
     /// `delta.new_factors`, and, per entry of `delta.evidence_changes`, the
     /// role the variable held before the update.  This is what an incremental
     /// grounding run reports, so nobody has to replay the delta on a copy of

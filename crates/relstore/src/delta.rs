@@ -176,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_deltas() {
+    fn merging_adds_counts() {
         let mut a = DeltaRelation::new("R");
         a.insert(tuple![1i64]);
         let mut b = DeltaRelation::new("R");

@@ -7,9 +7,10 @@
 //!   atom binds variables against a relation and may be negated;
 //! * evaluation and delta evaluation, both run by the compiled
 //!   [`crate::plan::QueryPlan`] executor;
-//! * [`MaterializedView`] — a stored result that can be refreshed from scratch or
-//!   maintained incrementally from [`DeltaRelation`]s with the classic counting /
-//!   DRed delta-rule evaluation the paper adopts from Gupta–Mumick–Subrahmanian.
+//! * [`MaterializedView`] — a stored result maintained incrementally from
+//!   [`DeltaRelation`]s ([`MaterializedView::refresh_dred`]) with the classic
+//!   counting / DRed delta-rule evaluation the paper adopts from
+//!   Gupta–Mumick–Subrahmanian.
 //!
 //! The delta rule implemented here is the textbook one: for an update touching
 //! relations `R_{i1}, …`, the view delta is the sum over changed atoms `i` of the
@@ -180,8 +181,6 @@ pub struct MaterializedView {
     /// The defining query, compiled once.
     plan: QueryPlan,
     result: Table,
-    /// Number of incremental refreshes applied since the last full refresh.
-    incremental_refreshes: usize,
     /// Work done by every evaluation and refresh so far.
     stats: ExecStats,
 }
@@ -195,7 +194,6 @@ impl MaterializedView {
         Ok(MaterializedView {
             plan,
             result,
-            incremental_refreshes: 0,
             stats,
         })
     }
@@ -210,40 +208,15 @@ impl MaterializedView {
         self.plan.query()
     }
 
-    /// Number of incremental refreshes applied since materialization.
-    pub fn incremental_refreshes(&self) -> usize {
-        self.incremental_refreshes
-    }
-
     /// Rows visited by every evaluation and refresh of this view so far
     /// (see [`ExecStats::rows_probed`]).
     pub fn rows_probed(&self) -> u64 {
         self.stats.rows_probed
     }
 
-    /// Fully re-evaluate the view (the "Rerun" path).
-    pub fn refresh_full(&mut self, db: &Database) -> RelResult<()> {
-        self.result = self.plan.evaluate(db, &mut self.stats)?;
-        self.incremental_refreshes = 0;
-        Ok(())
-    }
-
-    /// Incrementally maintain the view given base-relation deltas, with `db` in
-    /// its **pre-update** state.  Returns the view delta that was applied, so the
-    /// caller can propagate it further (e.g. into factor-graph deltas).
-    pub fn refresh_incremental(
-        &mut self,
-        db: &Database,
-        deltas: &HashMap<String, DeltaRelation>,
-    ) -> RelResult<DeltaRelation> {
-        let view_delta = self.plan.delta_evaluate(db, deltas, &mut self.stats)?;
-        view_delta.apply_to(&mut self.result);
-        self.incremental_refreshes += 1;
-        Ok(view_delta)
-    }
-
     /// DRed-style maintenance returning the **distinct presence delta**, with
-    /// `db` in its **pre-update** state.
+    /// `db` in its **pre-update** state: the stored counted result takes the
+    /// view's full counted delta, the caller gets the presence transitions.
     ///
     /// Gupta–Mumick–Subrahmanian DRed proceeds in two phases: *over-delete*
     /// every derivation a deleted tuple participated in, then *re-derive*
@@ -279,7 +252,6 @@ impl MaterializedView {
             }
         }
         view_delta.apply_to(&mut self.result);
-        self.incremental_refreshes += 1;
         Ok(distinct)
     }
 }
@@ -449,48 +421,36 @@ mod tests {
     }
 
     #[test]
-    fn incremental_insert_matches_full_recompute() {
-        let mut db = example_db();
-        let q = married_candidate_query();
-        let mut view = MaterializedView::materialize(q.clone(), &db).unwrap();
-
-        // Insert a new person candidate into sentence 2, creating a new pair.
-        let mut delta = DeltaRelation::new("PersonCandidate");
-        delta.insert(tuple![2i64, 21i64]);
-        let mut deltas = HashMap::new();
-        deltas.insert("PersonCandidate".to_string(), delta.clone());
-
-        let view_delta = view.refresh_incremental(&db, &deltas).unwrap();
-        assert!(!view_delta.is_empty());
-
-        // Apply the base delta and compare with full recomputation.
-        delta.apply_to(db.table_mut("PersonCandidate").unwrap());
-        let full = q.evaluate(&db).unwrap();
-        assert_eq!(view.result().sorted_tuples(), full.sorted_tuples());
-        assert!(view.result().contains(&tuple![20i64, 21i64]));
-    }
-
-    #[test]
-    fn incremental_delete_matches_full_recompute() {
+    fn dred_insert_then_delete_matches_full_recompute() {
         let mut db = example_db();
         let q = married_candidate_query();
         let mut view = MaterializedView::materialize(q.clone(), &db).unwrap();
         assert_eq!(view.result().len(), 1);
 
-        let mut delta = DeltaRelation::new("PersonCandidate");
-        delta.delete(tuple![1i64, 11i64]);
-        let mut deltas = HashMap::new();
-        deltas.insert("PersonCandidate".to_string(), delta.clone());
+        // A new person candidate in sentence 2 creates the pair (20, 21);
+        // deleting one of sentence 1's retracts the pair (10, 11).
+        for (row, count, pair) in [
+            (tuple![2i64, 21i64], 1, tuple![20i64, 21i64]),
+            (tuple![1i64, 11i64], -1, tuple![10i64, 11i64]),
+        ] {
+            let mut delta = DeltaRelation::new("PersonCandidate");
+            delta.change(row, count);
+            let mut deltas = HashMap::new();
+            deltas.insert("PersonCandidate".to_string(), delta.clone());
+            let distinct = view.refresh_dred(&db, &deltas).unwrap();
+            assert_eq!(distinct.len(), 1);
+            assert_eq!(distinct.count(&pair), count);
 
-        view.refresh_incremental(&db, &deltas).unwrap();
-        delta.apply_to(db.table_mut("PersonCandidate").unwrap());
-        let full = q.evaluate(&db).unwrap();
-        assert_eq!(view.result().sorted_tuples(), full.sorted_tuples());
-        assert!(view.result().is_empty());
+            // Apply the base delta and compare with full recomputation.
+            delta.apply_to(db.table_mut("PersonCandidate").unwrap());
+            let full = q.evaluate(&db).unwrap();
+            assert_eq!(view.result().sorted_tuples(), full.sorted_tuples());
+        }
+        assert_eq!(view.result().sorted_tuples(), vec![tuple![20i64, 21i64]]);
     }
 
     #[test]
-    fn incremental_update_of_two_relations() {
+    fn dred_update_of_two_relations() {
         // EL join: MarriedMentions_Ev(m1, m2) :- MarriedCandidate-like join over EL.
         let mut db = example_db();
         let q = ConjunctiveQuery::new(
@@ -513,13 +473,14 @@ mod tests {
         deltas.insert("PersonCandidate".to_string(), d_pc.clone());
         deltas.insert("EL".to_string(), d_el.clone());
 
-        view.refresh_incremental(&db, &deltas).unwrap();
+        let distinct = view.refresh_dred(&db, &deltas).unwrap();
+        assert_eq!(distinct.count(&tuple![21i64, "New_Person_1"]), 1);
+        assert_eq!(distinct.count(&tuple![11i64, "Michelle_Obama_1"]), -1);
 
         d_pc.apply_to(db.table_mut("PersonCandidate").unwrap());
         d_el.apply_to(db.table_mut("EL").unwrap());
         let full = q.evaluate(&db).unwrap();
         assert_eq!(view.result().sorted_tuples(), full.sorted_tuples());
-        assert_eq!(view.incremental_refreshes(), 1);
     }
 
     #[test]
@@ -598,22 +559,5 @@ mod tests {
         let full2 = q.evaluate(&db2).unwrap();
         assert_ne!(full.sorted_tuples(), full2.sorted_tuples());
         assert_eq!(view.result().sorted_tuples(), full2.sorted_tuples());
-    }
-
-    #[test]
-    fn full_refresh_resets_counter() {
-        let db = example_db();
-        let q = married_candidate_query();
-        let mut view = MaterializedView::materialize(q, &db).unwrap();
-        let mut deltas = HashMap::new();
-        deltas.insert("PersonCandidate".to_string(), {
-            let mut d = DeltaRelation::new("PersonCandidate");
-            d.insert(tuple![3i64, 30i64]);
-            d
-        });
-        view.refresh_incremental(&db, &deltas).unwrap();
-        assert_eq!(view.incremental_refreshes(), 1);
-        view.refresh_full(&db).unwrap();
-        assert_eq!(view.incremental_refreshes(), 0);
     }
 }

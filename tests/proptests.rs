@@ -99,7 +99,7 @@ fn incremental_view_matches_full_recompute() {
         }
         let mut deltas = HashMap::new();
         deltas.insert("PersonCandidate".to_string(), delta.clone());
-        view.refresh_incremental(&db, &deltas).unwrap();
+        view.refresh_dred(&db, &deltas).unwrap();
 
         delta.apply_to(db.table_mut("PersonCandidate").unwrap());
         let full = query.evaluate(&db).unwrap();
