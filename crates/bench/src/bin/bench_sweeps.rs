@@ -52,9 +52,12 @@
 //! the ranked index buys over rescanning at an N-fact relation.
 //!
 //! A sixth series, `cold_start/*`, prices the path a fresh engine pays once:
-//! ground → learn + infer → publish → materialize, in milliseconds per phase
-//! at 4 000 and 16 000 facts on a claims-shaped KB (every fact pinned by
-//! supervision: the serving benchmark's shape) and at two News corpus scales.
+//! loading the input rows in order (`load_ms_claims_n4000`) and, for a
+//! routed cluster, partitioning them over 4 shards
+//! (`partition_ms_claims_n4000`); then ground → learn + infer → publish →
+//! materialize, in milliseconds per phase at 4 000 and 16 000 facts on a
+//! claims-shaped KB (every fact pinned by supervision: the serving
+//! benchmark's shape) and at two News corpus scales.
 //! Beside the timings it reports counts that repeat exactly, taken with a
 //! counting global allocator: `allocs_per_binding` (heap allocations of one
 //! `Grounder::ground` per grounded binding), `allocs_per_sample` (the
@@ -116,7 +119,8 @@ use dd_relstore::{tuple, DataType, Database, Schema, Tuple};
 use dd_server::{Batch, OpResult, Response};
 use dd_workloads::{pairwise_graph, KbcSystem, RuleTemplate, SyntheticConfig, SystemKind};
 use deepdive::{
-    CatalogShards, DeepDive, DurabilityConfig, EngineConfig, ExecutionMode, FsyncPolicy, Snapshot,
+    CatalogShards, DeepDive, DurabilityConfig, EngineConfig, ExecutionMode, FsyncPolicy,
+    ShardAssignment, Snapshot,
 };
 use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
@@ -883,8 +887,51 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
     }
 }
 
+/// Milliseconds of the fastest of `reps` runs of `work`.
+fn best_ms(reps: usize, work: &mut dyn FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            work();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// What a cold start pays before grounding, on the 4 000-fact claims KB:
+/// loading its rows in order through `Database::insert`, and splitting the
+/// loaded database over 4 shards as a routed cluster does.  Best of `reps`.
+fn bench_cold_start_loading(reps: usize, entries: &mut Vec<Entry>) {
+    const FACTS: usize = 4_000;
+    let load_ms = best_ms(reps, &mut || {
+        black_box(claims_database(FACTS));
+    });
+    let database = claims_database(FACTS);
+    let assignment = ShardAssignment::HashKey { column: 0 };
+    let partition_ms = best_ms(reps, &mut || {
+        black_box(
+            assignment
+                .partition_database(&database, 4)
+                .expect("claims rows carry the key column"),
+        );
+    });
+    println!(
+        "  {:>12} ({} rows): load {load_ms:.3} ms | partition into 4 shards {partition_ms:.3} ms",
+        format!("claims_n{FACTS}"),
+        database.total_tuples()
+    );
+    for (phase, value) in [("load", load_ms), ("partition", partition_ms)] {
+        entries.push(Entry {
+            name: format!("cold_start/{phase}_ms_claims_n{FACTS}"),
+            unit: "ms",
+            value,
+        });
+    }
+}
+
 fn bench_cold_start(reps: usize, entries: &mut Vec<Entry>) {
     println!("\ncold_start: ground / learn+infer / publish / materialize of a fresh engine");
+    bench_cold_start_loading(4 * reps, entries);
     let claims = dd_grounding::parse_program(CLAIMS_PROGRAM).expect("program parses");
     for facts in [4_000usize, 16_000] {
         let label = format!("claims_n{facts}");
@@ -927,26 +974,17 @@ fn bench_materialize_cost_of(
     const SAMPLES: usize = 1_500;
     const BURN_IN: usize = 100;
     let flat = graph.compile();
-    let best_ms = |work: &mut dyn FnMut()| {
-        (0..reps)
-            .map(|_| {
-                let start = Instant::now();
-                work();
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let draw_ms = best_ms(&mut || {
+    let draw_ms = best_ms(reps, &mut || {
         black_box(GibbsSampler::from_flat(&flat, 7).draw_samples(SAMPLES, BURN_IN));
     });
-    let swept_ms = best_ms(&mut || {
+    let swept_ms = best_ms(reps, &mut || {
         let mut swept =
             GibbsSampler::from_flat(&flat, 7).with_free_vars(flat.query_variables().to_vec());
         black_box(swept.draw_samples(SAMPLES, BURN_IN));
     });
     let samples = GibbsSampler::from_flat(&flat, 7).draw_samples(SAMPLES, BURN_IN);
     let options = VariationalOptions::default();
-    let moments_ms = best_ms(&mut || {
+    let moments_ms = best_ms(reps, &mut || {
         black_box(VariationalMaterialization::from_samples(
             graph, &samples, &options,
         ));

@@ -72,7 +72,7 @@ use dd_inference::{
 use dd_relstore::{Database, Tuple};
 use rayon::ThreadPool;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -412,27 +412,16 @@ impl DeepDive {
         // Drain the grounder's catalog op-log and re-index only the relations
         // that appear in it.  Ops are recorded chronologically; netting them
         // per tuple (last op wins) collapses remove-then-re-add churn within
-        // one publish into a single signed change per tuple.  Ops from a
-        // rejected earlier commit stay pending until the next successful
-        // publish, so the cache never misses growth or shrinkage.
+        // one publish into a single signed change per tuple, in tuple order.
+        // Ops from a rejected earlier commit stay pending until the next
+        // successful publish, so the cache never misses growth or shrinkage.
         self.epoch += 1;
         let fresh = self.grounder.take_catalog_delta();
         let mut resharded = Vec::with_capacity(fresh.len());
         for (relation, ops) in fresh {
-            let mut net: HashMap<Tuple, Option<usize>> = HashMap::new();
-            for op in ops {
-                match op {
-                    dd_grounding::CatalogOp::Upsert(tuple, var) => {
-                        net.insert(tuple, Some(var));
-                    }
-                    dd_grounding::CatalogOp::Remove(tuple) => {
-                        net.insert(tuple, None);
-                    }
-                }
-            }
             self.catalog_cache.apply_delta(
                 &relation,
-                net.into_iter().collect(),
+                dd_grounding::CatalogOp::net(ops),
                 self.epoch,
                 &marginals,
             );

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dd_grounding::KbcUpdate;
-use dd_relstore::{Database, DeltaRelation, Tuple, Value};
+use dd_relstore::{Database, DeltaRelation, Table, Tuple, Value};
 
 /// How tuples are assigned to shards.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,6 +167,12 @@ impl ShardAssignment {
     /// Shard index (`0..num_shards`) owning `tuple`.
     pub fn shard_of(&self, tuple: &Tuple, num_shards: usize) -> Result<usize, ShardingError> {
         self.validate(num_shards)?;
+        self.owner(tuple, num_shards)
+    }
+
+    /// [`ShardAssignment::shard_of`] under an assignment already validated
+    /// for `num_shards`.
+    fn owner(&self, tuple: &Tuple, num_shards: usize) -> Result<usize, ShardingError> {
         let column = self.column();
         let key = tuple.get(column).ok_or(ShardingError::ColumnOutOfBounds {
             column,
@@ -193,7 +199,8 @@ impl ShardAssignment {
 
     /// Split `db` into `num_shards` databases.  Every shard gets every
     /// table (with its schema); each row lands on its owning shard with its
-    /// multiplicity preserved.
+    /// multiplicity preserved.  Rows are read in tuple order, so each
+    /// shard's slice of a table is written as one sorted run.
     pub fn partition_database(
         &self,
         db: &Database,
@@ -202,15 +209,16 @@ impl ShardAssignment {
         self.validate(num_shards)?;
         let mut parts: Vec<Database> = (0..num_shards).map(|_| Database::new()).collect();
         for table in db.tables() {
-            for part in &mut parts {
-                part.create_table(table.name(), table.schema().clone())
-                    .expect("fresh database cannot already hold this table");
-            }
+            let mut slices: Vec<&mut Table> = parts
+                .iter_mut()
+                .map(|part| {
+                    part.create_table(table.name(), table.schema().clone())
+                        .expect("fresh database cannot already hold this table");
+                    part.table_mut(table.name()).expect("table created above")
+                })
+                .collect();
             for (tuple, count) in table.iter_net_counted() {
-                let shard = self.shard_of(tuple, num_shards)?;
-                parts[shard]
-                    .table_mut(table.name())
-                    .expect("table created above")
+                slices[self.owner(tuple, num_shards)?]
                     .insert_with_count(tuple.clone(), count)
                     .expect("row schema-checked by the source table");
             }
@@ -232,7 +240,7 @@ impl ShardAssignment {
         let mut parts: Vec<KbcUpdate> = (0..num_shards).map(|_| KbcUpdate::new()).collect();
         for (relation, delta) in &update.base_deltas {
             for (tuple, count) in delta.iter() {
-                let shard = self.shard_of(tuple, num_shards)?;
+                let shard = self.owner(tuple, num_shards)?;
                 parts[shard]
                     .base_deltas
                     .entry(relation.clone())
@@ -241,7 +249,7 @@ impl ShardAssignment {
             }
         }
         for (relation, tuple) in &update.retracted_supervision {
-            let shard = self.shard_of(tuple, num_shards)?;
+            let shard = self.owner(tuple, num_shards)?;
             parts[shard]
                 .retracted_supervision
                 .push((relation.clone(), tuple.clone()));
@@ -262,7 +270,7 @@ impl ShardAssignment {
         let mut hist = vec![0usize; num_shards];
         for table in db.tables() {
             for (tuple, _) in table.iter_net_counted() {
-                hist[self.shard_of(tuple, num_shards)?] += 1;
+                hist[self.owner(tuple, num_shards)?] += 1;
             }
         }
         Ok(hist)

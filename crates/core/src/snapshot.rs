@@ -113,22 +113,22 @@ impl RelationIndex {
         RelationIndex { sorted: entries }
     }
 
-    /// A new index with a signed delta merged in: `Some(var)` upserts the
-    /// tuple's mapping (replacing one already present), `None` removes it
-    /// (retraction).  A single O(existing + Δ log Δ) sorted merge — the
-    /// incremental re-index path of a sharded publish, which touches only
-    /// the changed shard.
-    pub(crate) fn merged_with_changes(&self, mut delta: Vec<(Tuple, Option<usize>)>) -> Self {
-        delta.sort_by(|a, b| a.0.cmp(&b.0));
+    /// A new index with a signed delta — tuple-sorted, one change per
+    /// tuple — merged in: `Some(var)` upserts the tuple's mapping
+    /// (replacing one already present), `None` removes it (retraction).  A
+    /// single O(existing + Δ) merge of two sorted runs — the incremental
+    /// re-index path of a sharded publish, which touches only the changed
+    /// shard.
+    pub(crate) fn merged_with_changes(&self, delta: &[(Tuple, Option<usize>)]) -> Self {
         let mut merged = Vec::with_capacity(self.sorted.len() + delta.len());
         let mut old = self.sorted.iter().peekable();
         for (tuple, change) in delta {
-            while let Some(kept) = old.next_if(|(t, _)| *t < tuple) {
+            while let Some(kept) = old.next_if(|(t, _)| t < tuple) {
                 merged.push(kept.clone());
             }
             // The old mapping of a changed tuple is replaced or dropped.
-            old.next_if(|(t, _)| *t == tuple);
-            merged.extend(change.map(|var| (tuple, var)));
+            old.next_if(|(t, _)| t == tuple);
+            merged.extend(change.map(|var| (tuple.clone(), var)));
         }
         merged.extend(old.cloned());
         RelationIndex { sorted: merged }
@@ -162,9 +162,21 @@ impl RelationIndex {
 /// `FactQuery::top_k` has always served, so a prefix of a [`RankedIndex`] is
 /// exactly what the scan path would have sorted out.
 fn rank_order(a: &(f64, Tuple, usize), b: &(f64, Tuple, usize)) -> std::cmp::Ordering {
-    b.0.partial_cmp(&a.0)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then_with(|| a.1.cmp(&b.1))
+    by_probability(a, b).then_with(|| a.1.cmp(&b.1))
+}
+
+/// Probability descending, ties equal.
+fn by_probability(a: &(f64, Tuple, usize), b: &(f64, Tuple, usize)) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// Put *tuple-sorted* entries in [`rank_order`]: a stable sort on the
+/// probability alone leaves equal probabilities in tuple order, so no tuple
+/// is compared.
+fn rank(mut entries: Vec<(f64, Tuple, usize)>) -> Vec<(f64, Tuple, usize)> {
+    debug_assert!(entries.windows(2).all(|w| w[0].1 < w[1].1));
+    entries.sort_by(by_probability);
+    entries
 }
 
 /// One relation's probability-ordered serving view: the shard's `(tuple,
@@ -186,22 +198,24 @@ pub struct RankedIndex {
 }
 
 impl RankedIndex {
-    /// Rank a relation's entries against a marginal vector: one O(m log m)
-    /// sort.  The full-rebuild leg; publishes prefer
-    /// [`RankedIndex::apply_changes`].
+    /// Rank a relation's tuple-sorted entries against a marginal vector: one
+    /// O(m log m) sort on the probability.  The full-rebuild leg; publishes
+    /// prefer [`RankedIndex::apply_changes`].
     pub(crate) fn build(entries: &[(Tuple, usize)], marginals: &Marginals) -> Self {
-        let mut sorted: Vec<(f64, Tuple, usize)> = entries
+        let entries = entries
             .iter()
             .filter(|(_, var)| *var < marginals.len())
             .map(|(tuple, var)| (marginals.get(*var), tuple.clone(), *var))
             .collect();
-        sorted.sort_by(rank_order);
-        RankedIndex { sorted }
+        RankedIndex {
+            sorted: rank(entries),
+        }
     }
 
     /// Δ-maintain the ranked view through one publish: drop entries for
-    /// tuples the delta touched, rank the delta's upserts, and merge the two
-    /// ordered runs — O(m + Δ log Δ), no full re-sort.
+    /// tuples the delta (tuple-sorted, one change per tuple) touched, rank
+    /// the delta's upserts, and merge the two ordered runs —
+    /// O(m log Δ + Δ log Δ), no full re-sort.
     ///
     /// Every *retained* entry's baked probability is revalidated bitwise
     /// against the new marginal vector in the same pass.  A mismatch means
@@ -213,21 +227,18 @@ impl RankedIndex {
         changes: &[(Tuple, Option<usize>)],
         marginals: &Marginals,
     ) -> Option<RankedIndex> {
-        let mut touched: Vec<&Tuple> = changes.iter().map(|(tuple, _)| tuple).collect();
-        touched.sort_unstable();
-        let mut delta: Vec<(f64, Tuple, usize)> = changes
+        let delta = changes
             .iter()
             .filter_map(|(tuple, change)| {
                 let var = (*change)?;
                 (var < marginals.len()).then(|| (marginals.get(var), tuple.clone(), var))
             })
             .collect();
-        delta.sort_by(rank_order);
-        let mut merged = Vec::with_capacity(self.sorted.len() + delta.len());
-        let mut delta = delta.into_iter().peekable();
+        let mut merged = Vec::with_capacity(self.sorted.len() + changes.len());
+        let mut delta = rank(delta).into_iter().peekable();
         for entry in &self.sorted {
             let (p, tuple, var) = entry;
-            if touched.binary_search(&tuple).is_ok() {
+            if changes.binary_search_by(|(t, _)| t.cmp(tuple)).is_ok() {
                 continue; // upserted (re-ranked via the delta run) or retracted
             }
             if *var >= marginals.len() || marginals.get(*var).to_bits() != p.to_bits() {
@@ -444,12 +455,15 @@ impl CatalogShards {
     }
 
     /// Apply a signed catalog delta for one relation: `Some(var)` upserts a
-    /// tuple's mapping, `None` removes it.  Both of the touched shard's views
+    /// tuple's mapping, `None` removes it.  `changes` is tuple-sorted with
+    /// one change per tuple — an op-log netted by
+    /// [`dd_grounding::CatalogOp::net`].  Both of the touched shard's views
     /// are replaced by Δ-merged ones stamped `generation` (`marginals` ranks
     /// the upserts; see `RankedIndex::apply_changes`) — retractions shrink
     /// the ranked view in the same pass — while every other shard stays
     /// `Arc`-shared with previously published epochs.  Cost:
-    /// O(|shard| + |Δ| log |Δ|) for the touched shard only.
+    /// O(|shard| + |Δ| log |Δ|) for the touched shard only; a new shard's
+    /// tuple-sorted index is the delta itself, not sorted again.
     pub fn apply_delta(
         &mut self,
         relation: &str,
@@ -457,6 +471,10 @@ impl CatalogShards {
         generation: u64,
         marginals: &Marginals,
     ) {
+        debug_assert!(
+            changes.windows(2).all(|w| w[0].0 < w[1].0),
+            "catalog changes must be tuple-sorted and distinct"
+        );
         if changes.is_empty() {
             return;
         }
@@ -466,7 +484,7 @@ impl CatalogShards {
         {
             Ok(i) => {
                 let shard = &mut self.shards[i];
-                let index = shard.index.merged_with_changes(changes.clone());
+                let index = shard.index.merged_with_changes(&changes);
                 shard.ranked = Arc::new(ranked_after_delta(
                     &shard.ranked,
                     &changes,
@@ -478,14 +496,14 @@ impl CatalogShards {
                 shard.ranked_generation = generation;
             }
             Err(i) => {
-                let entries: Vec<(Tuple, usize)> = changes
+                let sorted: Vec<(Tuple, usize)> = changes
                     .into_iter()
                     .filter_map(|(t, change)| change.map(|var| (t, var)))
                     .collect();
-                if entries.is_empty() {
+                if sorted.is_empty() {
                     return;
                 }
-                let index = RelationIndex::from_entries(entries);
+                let index = RelationIndex { sorted };
                 let ranked = RankedIndex::build(index.entries(), marginals);
                 self.shards.insert(
                     i,
@@ -1141,8 +1159,8 @@ mod tests {
             .apply_changes(
                 &[
                     (tuple![2i64], None),
-                    (tuple![4i64], Some(4)),
                     (tuple![3i64], Some(3)),
+                    (tuple![4i64], Some(4)),
                 ],
                 &marginals,
             )
@@ -1228,7 +1246,7 @@ mod tests {
             (tuple![3i64], 1),
             (tuple![4i64], 3),
         ]);
-        let merged = base.merged_with_changes(vec![
+        let merged = base.merged_with_changes(&[
             (tuple![2i64], Some(2)),
             (tuple![3i64], Some(9)),
             (tuple![4i64], None),

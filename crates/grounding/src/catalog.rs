@@ -11,8 +11,10 @@
 
 use crate::grounder::{CatalogOp, VarUse};
 use dd_factorgraph::{FactorGraph, RelName, VarId, Variable};
+use dd_relstore::hash::RowMap;
 use dd_relstore::Tuple;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Position of a variable relation in the catalog (dense, never reused).
 pub(crate) type RelSlot = usize;
@@ -29,8 +31,8 @@ pub(crate) struct RelationCatalog {
     name: String,
     /// The interned handle new variables and [`VarKey`]s share.
     pub handle: RelName,
-    /// Tuple → variable id.
-    pub vars: HashMap<Tuple, VarId>,
+    /// Tuple → variable id, under the row hash.
+    pub vars: RowMap<Tuple, VarId>,
     /// Catalog ops recorded since the last [`VariableCatalog::take_delta`]
     /// drain — the dirty-set a sharded snapshot publish consumes to re-index
     /// only the relations that actually changed.
@@ -43,16 +45,17 @@ pub(crate) struct RelationCatalog {
 impl RelationCatalog {
     /// Get or create the random variable for `tuple`, entering a new one
     /// into the graph, the map, its inverse, the usage counters and the
-    /// publish dirty-set.
+    /// publish dirty-set.  The tuple is hashed once either way.
     pub fn var_for(
         &mut self,
         tuple: &Tuple,
         vars: &mut VarTable,
         graph: &mut FactorGraph,
     ) -> VarId {
-        if let Some(&v) = self.vars.get(tuple) {
-            return v;
-        }
+        let slot = match self.vars.entry(tuple.clone()) {
+            Entry::Occupied(known) => return *known.get(),
+            Entry::Vacant(slot) => slot,
+        };
         let origin_key = vars.next_key;
         vars.next_key += 1;
         let id =
@@ -61,7 +64,7 @@ impl RelationCatalog {
         self.fresh.push(CatalogOp::Upsert(tuple.clone(), id));
         vars.keys.push((self.handle.clone(), tuple.clone()));
         vars.usage.push(VarUse::default());
-        self.vars.insert(tuple.clone(), id);
+        slot.insert(id);
         id
     }
 }
@@ -85,7 +88,7 @@ pub(crate) struct VarTable {
 pub(crate) struct VariableCatalog {
     relations: Vec<RelationCatalog>,
     /// Name → slot, probed by `&str`.
-    slots: HashMap<RelName, RelSlot>,
+    slots: RowMap<RelName, RelSlot>,
     pub vars: VarTable,
 }
 
@@ -143,7 +146,7 @@ impl VariableCatalog {
         self.relations.push(RelationCatalog {
             name: relation.to_string(),
             handle: handle.clone(),
-            vars: HashMap::new(),
+            vars: RowMap::default(),
             fresh: Vec::new(),
             suppressed: BTreeSet::new(),
         });

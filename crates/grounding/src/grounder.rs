@@ -16,6 +16,7 @@ use dd_factorgraph::{
     EvidenceChange, Factor, FactorGraph, FactorId, FactorKind, Lit, RelName, Semantics, VarId,
     Variable, VariableRole, Weight, WeightId,
 };
+use dd_relstore::hash::RowMap;
 use dd_relstore::view::Term;
 use dd_relstore::{
     Column, DataType, Database, ExecStats, MaterializedView, QueryPlan, RelError, Schema, Table,
@@ -47,6 +48,32 @@ pub enum CatalogOp {
     Upsert(Tuple, VarId),
     /// The tuple's variable was retracted.
     Remove(Tuple),
+}
+
+impl CatalogOp {
+    /// Net one relation's chronological op-log to one change per tuple —
+    /// the last op wins: `Some(var)` for an upsert, `None` for a removal —
+    /// in tuple order.  One stable sort keeps each tuple's ops in log order;
+    /// a cold start's log is tuple-ordered already, which the sort detects
+    /// in one pass.
+    pub fn net(ops: Vec<CatalogOp>) -> Vec<(Tuple, Option<VarId>)> {
+        let mut changes: Vec<(Tuple, Option<VarId>)> = ops
+            .into_iter()
+            .map(|op| match op {
+                CatalogOp::Upsert(tuple, var) => (tuple, Some(var)),
+                CatalogOp::Remove(tuple) => (tuple, None),
+            })
+            .collect();
+        changes.sort_by(|a, b| a.0.cmp(&b.0));
+        changes.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        changes
+    }
 }
 
 /// Book-keeping for one grounded binding of a weighted or supervision rule.
@@ -337,10 +364,10 @@ pub struct Grounder {
     /// weight description → weight id, covering only weights with at least one
     /// referencing factor.  Orphaned weight slots stay in the graph (learned
     /// weight vectors are indexed by `WeightId`) but leave the catalog.
-    pub(crate) weight_catalog: HashMap<String, WeightId>,
+    pub(crate) weight_catalog: RowMap<String, WeightId>,
     /// rule name → grounded body-query bindings with their support records.
     /// `BTreeMap` so retraction sweeps are deterministic per seed.
-    pub(crate) grounded_bindings: HashMap<String, BTreeMap<Tuple, GroundingRecord>>,
+    pub(crate) grounded_bindings: RowMap<String, BTreeMap<Tuple, GroundingRecord>>,
     /// factor id → (rule index, binding) that owns it: the inverse of
     /// `GroundingRecord::factor`, parallel to the graph's factors and
     /// compacted with the same `swap_remove` moves.
@@ -358,7 +385,7 @@ pub struct Grounder {
 struct GraphSide<'a> {
     graph: &'a mut FactorGraph,
     catalog: &'a mut VariableCatalog,
-    weight_catalog: &'a mut HashMap<String, WeightId>,
+    weight_catalog: &'a mut RowMap<String, WeightId>,
     factor_owners: &'a mut Vec<(usize, Tuple)>,
     weight_use: &'a mut Vec<i64>,
     udfs: &'a UdfRegistry,
@@ -496,8 +523,8 @@ impl Grounder {
             graph: FactorGraph::new(),
             templates: Vec::new(),
             catalog: VariableCatalog::default(),
-            weight_catalog: HashMap::new(),
-            grounded_bindings: HashMap::new(),
+            weight_catalog: RowMap::default(),
+            grounded_bindings: RowMap::default(),
             factor_owners: Vec::new(),
             weight_use: Vec::new(),
             candidate_views: HashMap::new(),
@@ -671,11 +698,13 @@ impl Grounder {
             weight_use: &mut self.weight_use,
             udfs: &self.udfs,
         };
-        let mut head_table = self.db.table_mut(&template.head.relation).ok();
         let mut shared_weight = None;
         // Bindings arrive in tuple order, so the new records are collected
-        // and enter the map in one ordered pass.
+        // and enter the map in one ordered pass; the head tuples too enter
+        // their relation in one ordered pass after the loop, which reads no
+        // table.
         let mut grounded: Vec<(Tuple, GroundingRecord)> = Vec::new();
+        let mut heads: Vec<Tuple> = Vec::with_capacity(bindings.len());
         for (binding, count) in bindings {
             if records.contains_key(&binding) {
                 continue;
@@ -690,13 +719,20 @@ impl Grounder {
                     }
                 }
             }
-            // Make sure the head tuple exists in its relation so
-            // error-analysis queries can see it (unless it does not fit the
-            // declared schema).
-            if let Some(table) = head_table.as_deref_mut() {
-                let _ = table.insert_if_absent(head_tuple);
-            }
+            heads.push(head_tuple);
             grounded.push((binding, record));
+        }
+        // Make sure every head tuple exists in its relation so
+        // error-analysis queries can see it (unless it does not fit the
+        // declared schema).  A head that is the binding itself arrives
+        // sorted already, and sorted tuples past the table's last row are
+        // appended.
+        if let Ok(table) = self.db.table_mut(&template.head.relation) {
+            heads.sort_unstable();
+            heads.dedup();
+            for head in heads {
+                let _ = table.insert_if_absent(head);
+            }
         }
         let new_groundings = grounded.len();
         if records.is_empty() {
@@ -949,7 +985,7 @@ impl Grounder {
         for factor in state.graph.factors() {
             weight_use[factor.weight_id] += 1;
         }
-        let weight_catalog: HashMap<String, WeightId> = state
+        let weight_catalog: RowMap<String, WeightId> = state
             .graph
             .weights()
             .iter()

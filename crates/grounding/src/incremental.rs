@@ -50,6 +50,7 @@ use crate::error::{GroundingError, ProgramError};
 use crate::grounder::{Grounder, RuleTemplate};
 use dd_factorgraph::{EvidenceChange, FactorId, GraphDelta, VarId, VariableRole};
 use dd_relstore::{DeltaRelation, ExecStats, Tuple};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -274,8 +275,11 @@ impl Grounder {
         let mut dead_var_keys: BTreeSet<VarKey> = BTreeSet::new();
         for (template, delta) in rule_deltas {
             for (binding, count) in delta.deletions() {
+                // One descent of the rule's record map finds, lowers and —
+                // at zero support — removes the record.
                 let records = self.grounded_bindings.get_mut(&template.name);
-                let Some(record) = records.and_then(|m| m.get_mut(binding)) else {
+                let Some(Entry::Occupied(mut entry)) = records.map(|m| m.entry(binding.clone()))
+                else {
                     return Err(GroundingError::Retraction {
                         rule: template.name.clone(),
                         detail: format!(
@@ -283,6 +287,7 @@ impl Grounder {
                         ),
                     });
                 };
+                let record = entry.get_mut();
                 if record.support < count {
                     return Err(GroundingError::Retraction {
                         rule: template.name.clone(),
@@ -297,12 +302,7 @@ impl Grounder {
                 if record.support > 0 {
                     continue;
                 }
-                let record = self
-                    .grounded_bindings
-                    .get_mut(&template.name)
-                    .expect("checked above")
-                    .remove(binding)
-                    .expect("checked above");
+                let record = entry.remove();
                 retracted.groundings += 1;
 
                 let (head, referenced) = self.record_vars(template, binding);

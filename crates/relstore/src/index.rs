@@ -9,15 +9,15 @@
 //! Indexes are derived state: they are never persisted, a cloned table
 //! starts without them, and the first probe on a column set builds it.
 
+use crate::hash::RowMap;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// Row handles grouped by the values at `cols`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct HashIndex {
     cols: Vec<usize>,
-    buckets: HashMap<Vec<Value>, Vec<Tuple>>,
+    buckets: RowMap<Vec<Value>, Vec<Tuple>>,
 }
 
 impl HashIndex {
@@ -25,7 +25,7 @@ impl HashIndex {
     pub(crate) fn build<'a>(cols: &[usize], rows: impl Iterator<Item = &'a Tuple>) -> Self {
         let mut index = HashIndex {
             cols: cols.to_vec(),
-            buckets: HashMap::new(),
+            buckets: RowMap::default(),
         };
         for row in rows {
             index.insert(row);

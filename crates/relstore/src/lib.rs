@@ -7,8 +7,12 @@
 //! engine with
 //!
 //! * a catalog of named, schema-checked [`Table`]s collected in a [`Database`],
+//!   each one sorted run of rows plus a small ordered overlay, so rows that
+//!   arrive in order are appended,
 //! * one slot-compiled, index-backed executor for rule-shaped (conjunctive)
 //!   queries ([`plan`]) over persistent secondary hash indexes,
+//! * one keyed row hash ([`hash`]) under those indexes and the grounder's
+//!   tuple- and name-keyed catalogs,
 //! * *counted* relations — every tuple carries a derivation count, which is the
 //!   representation required by counting-based incremental view maintenance and
 //!   by the DRed algorithm of Gupta, Mumick & Subrahmanian that DeepDive uses for
@@ -23,6 +27,7 @@
 pub mod database;
 pub mod delta;
 pub mod error;
+pub mod hash;
 mod index;
 pub mod plan;
 pub mod schema;

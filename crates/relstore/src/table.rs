@@ -5,8 +5,10 @@ use crate::index::HashIndex;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::btree_map::Entry;
+use std::cmp::Ordering;
+use std::collections::btree_map::{self, Entry};
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 use std::sync::{Arc, RwLock};
 
 /// An in-memory relation.
@@ -18,9 +20,10 @@ use std::sync::{Arc, RwLock};
 /// Base tables normally hold count 1 per tuple; materialized views hold the number
 /// of alternative derivations, so deleting one derivation does not delete the
 /// tuple while another derivation survives.
-/// Rows are kept in a `BTreeMap` so iteration order is the tuple order —
-/// every downstream consumer (view maintenance, grounding, variable/weight id
-/// assignment) is then deterministic per seed, which the samplers' "runs are
+/// Rows are kept in tuple order — one sorted run plus a small ordered
+/// overlay — so iteration order is the tuple order and every
+/// downstream consumer (view maintenance, grounding, variable/weight id
+/// assignment) is deterministic per seed, which the samplers' "runs are
 /// reproducible" guarantee depends on.  A `HashMap` here made grounding order
 /// — and therefore learned models — vary per *process*.
 ///
@@ -34,12 +37,193 @@ use std::sync::{Arc, RwLock};
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: BTreeMap<Tuple, i64>,
+    rows: Rows,
     /// Number of rows with a positive count.
     present: usize,
     /// Sum of the positive counts.
     present_total: i64,
     indexes: Indexes,
+}
+
+/// The overlay is merged into the run once it holds more than
+/// `1 / OVERLAY_FRACTION` of the run's rows …
+const OVERLAY_FRACTION: usize = 8;
+/// … or once more than `1 / TOMBSTONE_FRACTION` of the run is tombstones,
+/// which the same merge compacts away.
+const TOMBSTONE_FRACTION: usize = 4;
+/// Below this many pending rows (overlay or tombstones) nothing is merged:
+/// a small table's overlay costs less than rewriting its run.
+const MIN_PENDING: usize = 32;
+
+/// A table's stored rows: every `(tuple, net count)` with a non-zero count,
+/// in tuple order, split over two ordered parts.
+///
+/// * `run` — a tuple-sorted vector.  A tuple greater than the run's last is
+///   pushed: rows that arrive in order (bulk loads, query results, a
+///   partition's slice, a checkpoint's tables) cost one comparison each.  A
+///   count that drops to zero stays in place as a *tombstone* (count 0), so
+///   deleting and re-inserting a row moves nothing.
+/// * `overlay` — the tuples that arrived below the run's last one.  Every
+///   overlay key sorts before the run's last tuple, and no key is in both.
+///
+/// Once the overlay or the tombstones pass a fixed fraction of the run, one
+/// linear merge folds the overlay in and drops the tombstones.  Each row
+/// that ever entered the overlay is thereby copied a bounded number of
+/// times, amortised, and a point lookup is one binary search of the run
+/// plus, only for tuples not in it, one probe of the small overlay.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    run: Vec<RunEntry>,
+    overlay: BTreeMap<Tuple, i64>,
+    /// Number of count-0 entries in `run`.
+    tombstones: usize,
+}
+
+/// One row of the run.
+#[derive(Debug, Clone)]
+struct RunEntry {
+    /// [`abbreviate`]`(row)`, compared before the row itself: a binary
+    /// search reads the row's values only among the few rows whose first
+    /// values abbreviate alike.
+    key: u64,
+    row: Tuple,
+    count: i64,
+}
+
+impl RunEntry {
+    fn new(row: Tuple, count: i64) -> Self {
+        RunEntry {
+            key: abbreviate(row.values()),
+            row,
+            count,
+        }
+    }
+}
+
+/// An order-preserving 64-bit abbreviation of a row — Postgres's
+/// "abbreviated keys": `a < b` implies `abbreviate(a) <= abbreviate(b)`, so
+/// unequal abbreviations order two rows without reading either.  The top
+/// three bits carry the first value's type in [`Value`]'s cross-type order
+/// (0 for the empty row), the rest a monotone digest of its payload: an
+/// integer exactly when it is below 2⁶⁰ in magnitude (clamped beyond), a
+/// string's first 7 bytes, a boolean.  Floats abbreviate alike and fall
+/// through to the full comparison.
+fn abbreviate(values: &[Value]) -> u64 {
+    const INT_SPAN: i64 = 1 << 60;
+    let (rank, payload) = match values.first() {
+        None => (0, 0),
+        Some(Value::Null) => (1, 0),
+        Some(Value::Bool(b)) => (2, u64::from(*b)),
+        Some(Value::Int(i)) => (3, ((*i).clamp(-INT_SPAN, INT_SPAN - 1) + INT_SPAN) as u64),
+        Some(Value::Float(_)) => (4, 0),
+        Some(Value::Text(s)) => {
+            let mut head = [0u8; 8];
+            let n = s.len().min(7);
+            head[..n].copy_from_slice(&s.as_bytes()[..n]);
+            (5, u64::from_be_bytes(head) >> 8)
+        }
+    };
+    (rank << 61) | payload
+}
+
+/// Where a tuple is, or would go.
+enum Slot {
+    /// Position in the run (possibly a tombstone).
+    Run(usize),
+    /// Below the run's last tuple but not in the run: in the overlay or
+    /// absent.
+    Overlay,
+    /// Past the run's last tuple (or the table is empty): absent, and
+    /// appended when it arrives.
+    Append,
+}
+
+impl Rows {
+    fn locate(&self, values: &[Value]) -> Slot {
+        let key = abbreviate(values);
+        let order = |entry: &RunEntry| {
+            entry
+                .key
+                .cmp(&key)
+                .then_with(|| entry.row.values().cmp(values))
+        };
+        match self.run.last() {
+            Some(last) if order(last) != Ordering::Less => match self.run.binary_search_by(order) {
+                Ok(at) => Slot::Run(at),
+                Err(_) => Slot::Overlay,
+            },
+            _ => Slot::Append,
+        }
+    }
+
+    fn count_of(&self, values: &[Value]) -> i64 {
+        match self.locate(values) {
+            Slot::Run(at) => self.run[at].count,
+            Slot::Overlay => self.overlay.get(values).copied().unwrap_or(0),
+            Slot::Append => 0,
+        }
+    }
+
+    fn needs_merge(&self) -> bool {
+        let pending = |fraction: usize| MIN_PENDING.max(self.run.len() / fraction);
+        self.overlay.len() > pending(OVERLAY_FRACTION)
+            || self.tombstones > pending(TOMBSTONE_FRACTION)
+    }
+
+    /// Fold the overlay into the run and drop the tombstones: one linear
+    /// merge of two ordered sequences.
+    fn merge(&mut self) {
+        let run = std::mem::take(&mut self.run);
+        let mut overlay = std::mem::take(&mut self.overlay).into_iter().peekable();
+        let mut merged = Vec::with_capacity(run.len() - self.tombstones + overlay.len());
+        for entry in run.into_iter().filter(|entry| entry.count != 0) {
+            while let Some((row, count)) = overlay.next_if(|(t, _)| *t < entry.row) {
+                merged.push(RunEntry::new(row, count));
+            }
+            merged.push(entry);
+        }
+        merged.extend(overlay.map(|(row, count)| RunEntry::new(row, count)));
+        self.run = merged;
+        self.tombstones = 0;
+    }
+
+    fn clear(&mut self) {
+        *self = Rows::default();
+    }
+
+    fn iter(&self) -> RowsIter<'_> {
+        RowsIter {
+            run: self.run.iter(),
+            overlay: self.overlay.iter().peekable(),
+        }
+    }
+}
+
+/// The stored rows of a [`Table`] in tuple order: the run and the overlay
+/// merged on the fly, tombstones skipped.
+struct RowsIter<'a> {
+    run: std::slice::Iter<'a, RunEntry>,
+    overlay: Peekable<btree_map::Iter<'a, Tuple, i64>>,
+}
+
+impl<'a> Iterator for RowsIter<'a> {
+    type Item = (&'a Tuple, i64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let next_run = self.run.as_slice().first();
+            let (row, count) = match self.overlay.peek() {
+                Some(&(earlier, &count)) if next_run.is_none_or(|e| *earlier < e.row) => {
+                    self.overlay.next();
+                    (earlier, count)
+                }
+                _ => self.run.next().map(|e| (&e.row, e.count))?,
+            };
+            if count != 0 {
+                return Some((row, count));
+            }
+        }
+    }
 }
 
 /// The table's secondary indexes.  Behind a lock because they are created
@@ -60,6 +244,20 @@ impl Indexes {
         // held; the list itself is valid after every step of every update.
         self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Register a row the table just started storing.
+    fn insert(&mut self, row: &Tuple) {
+        for index in self.get_mut() {
+            Arc::make_mut(index).insert(row);
+        }
+    }
+
+    /// Forget a row the table stopped storing.
+    fn remove(&mut self, row: &Tuple) {
+        for index in self.get_mut() {
+            Arc::make_mut(index).remove(row);
+        }
+    }
 }
 
 impl Table {
@@ -68,7 +266,7 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            rows: BTreeMap::new(),
+            rows: Rows::default(),
             present: 0,
             present_total: 0,
             indexes: Indexes::default(),
@@ -76,7 +274,7 @@ impl Table {
     }
 
     /// A table over rows already in tuple order, distinct, with positive
-    /// counts (a query result): the map is built in one pass.
+    /// counts (a query result): they become the run as they are.
     pub(crate) fn from_sorted_rows(
         name: impl Into<String>,
         schema: Schema,
@@ -87,7 +285,13 @@ impl Table {
         Table {
             present: rows.len(),
             present_total: rows.iter().map(|(_, count)| count).sum(),
-            rows: rows.into_iter().collect(),
+            rows: Rows {
+                run: rows
+                    .into_iter()
+                    .map(|(row, count)| RunEntry::new(row, count))
+                    .collect(),
+                ..Rows::default()
+            },
             ..Table::new(name, schema)
         }
     }
@@ -153,35 +357,59 @@ impl Table {
         self.merge_with(tuple, |_| count);
     }
 
-    /// Add `change(current count)` to a tuple's count in one map descent and
-    /// return the change.  Every mutation of `rows` goes through here, which
-    /// is what keeps the presence counters and the indexes in step.
+    /// Add `change(current count)` to a tuple's count and return the change.
+    /// Every mutation of the rows goes through here, which is what keeps
+    /// the presence counters, the tombstone count and the indexes in step.
     fn merge_with(&mut self, tuple: Tuple, change: impl FnOnce(i64) -> i64) -> i64 {
-        let (before, after) = match self.rows.entry(tuple) {
-            Entry::Occupied(mut e) => {
-                let before = *e.get();
-                let after = before + change(before);
-                if after == 0 {
-                    let (row, _) = e.remove_entry();
-                    for index in self.indexes.get_mut() {
-                        Arc::make_mut(index).remove(&row);
-                    }
-                } else {
-                    *e.get_mut() = after;
-                }
-                (before, after)
-            }
-            Entry::Vacant(e) => {
+        let rows = &mut self.rows;
+        let (before, after) = match rows.locate(tuple.values()) {
+            Slot::Append => {
                 let after = change(0);
                 if after != 0 {
-                    for index in self.indexes.get_mut() {
-                        Arc::make_mut(index).insert(e.key());
-                    }
-                    e.insert(after);
+                    self.indexes.insert(&tuple);
+                    rows.run.push(RunEntry::new(tuple, after));
                 }
                 (0, after)
             }
+            Slot::Run(at) => {
+                let entry = &mut rows.run[at];
+                let before = entry.count;
+                let after = before + change(before);
+                entry.count = after;
+                if before == 0 && after != 0 {
+                    rows.tombstones -= 1;
+                    self.indexes.insert(&entry.row);
+                } else if before != 0 && after == 0 {
+                    rows.tombstones += 1;
+                    self.indexes.remove(&entry.row);
+                }
+                (before, after)
+            }
+            Slot::Overlay => match rows.overlay.entry(tuple) {
+                Entry::Occupied(mut e) => {
+                    let before = *e.get();
+                    let after = before + change(before);
+                    if after == 0 {
+                        let (row, _) = e.remove_entry();
+                        self.indexes.remove(&row);
+                    } else {
+                        *e.get_mut() = after;
+                    }
+                    (before, after)
+                }
+                Entry::Vacant(e) => {
+                    let after = change(0);
+                    if after != 0 {
+                        self.indexes.insert(e.key());
+                        e.insert(after);
+                    }
+                    (0, after)
+                }
+            },
         };
+        if rows.needs_merge() {
+            rows.merge();
+        }
         if before > 0 {
             self.present -= 1;
             self.present_total -= before;
@@ -210,7 +438,7 @@ impl Table {
 
     /// [`Table::count`] for a row given as a value slice (no tuple is built).
     pub(crate) fn count_of(&self, values: &[Value]) -> i64 {
-        self.rows.get(values).copied().unwrap_or(0)
+        self.rows.count_of(values)
     }
 
     /// True if the tuple is present with positive multiplicity.
@@ -220,26 +448,24 @@ impl Table {
 
     /// Iterate over present tuples (count > 0).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter().filter(|(_, &c)| c > 0).map(|(t, _)| t)
+        self.iter_counted().map(|(t, _)| t)
     }
 
     /// Iterate over every stored `(tuple, net count)` pair, *including*
     /// negative (over-deleted) counts — exact-state access for persistence.
-    /// Zero counts are never stored, so every yielded count is non-zero.
+    /// Zero counts (tombstones) are skipped, so every yielded count is
+    /// non-zero.
     pub fn iter_net_counted(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.rows.iter().map(|(t, &c)| (t, c))
+        self.rows.iter()
     }
 
     /// Iterate over `(tuple, count)` pairs with positive count.
     pub fn iter_counted(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.rows
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(t, &c)| (t, c))
+        self.rows.iter().filter(|(_, c)| *c > 0)
     }
 
     /// Collect all present tuples into a vector (sorted, which is also the
-    /// natural iteration order of the underlying map).
+    /// natural iteration order of the stored rows).
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
         self.iter().cloned().collect()
     }
@@ -264,7 +490,7 @@ impl Table {
         if let Some(index) = find(&list) {
             return index;
         }
-        let index = Arc::new(HashIndex::build(cols, self.rows.keys()));
+        let index = Arc::new(HashIndex::build(cols, self.stored_rows()));
         list.push(Arc::clone(&index));
         index
     }
@@ -275,12 +501,17 @@ impl Table {
     pub fn verify_indexes(&self) -> Result<usize, Vec<usize>> {
         let list = self.indexes.0.read().unwrap_or_else(|e| e.into_inner());
         for index in list.iter() {
-            let rebuilt = HashIndex::build(index.cols(), self.rows.keys());
+            let rebuilt = HashIndex::build(index.cols(), self.stored_rows());
             if index.canonical() != rebuilt.canonical() {
                 return Err(index.cols().to_vec());
             }
         }
         Ok(list.len())
+    }
+
+    /// Every stored row (non-zero count): what the indexes mirror.
+    fn stored_rows(&self) -> impl Iterator<Item = &Tuple> {
+        self.rows.iter().map(|(t, _)| t)
     }
 
     /// Bulk-load tuples with count 1 (schema-checked, stops at the first error).
@@ -437,5 +668,360 @@ mod tests {
         t.insert(tuple![2i64, 2i64]).unwrap();
         t.clear();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn in_order_rows_append_and_stragglers_wait_in_the_overlay() {
+        let mut t = people();
+        for i in 0..100i64 {
+            t.insert(tuple![i, 0i64]).unwrap();
+        }
+        assert_eq!((t.rows.run.len(), t.rows.overlay.len()), (100, 0));
+        // Below the run's last tuple: the overlay, until it passes its share.
+        for i in 0..MIN_PENDING as i64 {
+            t.insert(tuple![i, 1i64]).unwrap();
+        }
+        assert_eq!((t.rows.run.len(), t.rows.overlay.len()), (100, MIN_PENDING));
+        t.insert(tuple![50i64, 2i64]).unwrap();
+        assert_eq!((t.rows.run.len(), t.rows.overlay.len()), (133, 0));
+        // A deleted row stays as a tombstone and is revived in place.
+        assert!(t.delete(&tuple![7i64, 0i64]));
+        assert_eq!((t.rows.run.len(), t.rows.tombstones), (133, 1));
+        t.insert(tuple![7i64, 0i64]).unwrap();
+        assert_eq!((t.rows.run.len(), t.rows.tombstones), (133, 0));
+        assert_eq!(t.len(), 133);
+        assert!(t.sorted_tuples().windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn abbreviations_never_contradict_the_row_order() {
+        let big = 1i64 << 60;
+        let firsts = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Int(-big - 1),
+            Value::Int(-big),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(8),
+            Value::Int(big - 1),
+            Value::Int(big),
+            Value::Int(i64::MAX),
+            Value::Float(-2.5),
+            Value::Float(0.5),
+            Value::text(""),
+            Value::text("a"),
+            Value::text("ab\u{0}"),
+            Value::text("abcdefg"),
+            Value::text("abcdefgh"),
+            Value::text("abcdefgz"),
+            Value::text("b"),
+        ];
+        let mut rows: Vec<Tuple> = vec![Tuple::new(Vec::new())];
+        for first in &firsts {
+            rows.push(Tuple::new(vec![first.clone()]));
+            rows.push(Tuple::new(vec![first.clone(), Value::Int(-3)]));
+            rows.push(Tuple::new(vec![first.clone(), Value::text("x")]));
+        }
+        for a in &rows {
+            for b in &rows {
+                if a < b {
+                    assert!(
+                        abbreviate(a.values()) <= abbreviate(b.values()),
+                        "{a} < {b} but their abbreviations disagree"
+                    );
+                }
+            }
+        }
+        // Every row is found again, whatever order it arrived in.
+        let mut t = Table::new("Mixed", Schema::new(Vec::new()));
+        for (i, row) in rows.iter().enumerate().rev() {
+            t.merge_unchecked(row.clone(), i as i64 + 1);
+        }
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(t.count(row), i as i64 + 1, "{row}");
+        }
+        let mut sorted = rows.clone();
+        sorted.sort();
+        assert_eq!(t.sorted_tuples(), sorted);
+    }
+
+    /// Differential oracle for the run + overlay storage: seeded op
+    /// sequences against a `BTreeMap<Tuple, i64>` — the storage the table
+    /// used to be — with every observable compared after every op.
+    mod storage_oracle {
+        use super::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Random tuples draw both columns from `0..DOMAIN`; in-order
+        /// appends use first columns from `DOMAIN` up, past all of them.
+        const DOMAIN: i64 = 48;
+
+        /// What the sequences exercised, asserted over a whole run.
+        #[derive(Debug, Default)]
+        struct Coverage {
+            appends: usize,
+            overlay_merges: usize,
+            compactions: usize,
+            revivals: usize,
+            over_deletes: usize,
+            clears: usize,
+            indexes: usize,
+        }
+
+        /// Apply `change` to the model the way `merge_with` applies it to
+        /// the table, returning the change.
+        fn apply(
+            model: &mut BTreeMap<Tuple, i64>,
+            t: &Tuple,
+            change: impl FnOnce(i64) -> i64,
+        ) -> i64 {
+            let before = model.get(t).copied().unwrap_or(0);
+            let after = before + change(before);
+            if after == 0 {
+                model.remove(t);
+            } else {
+                model.insert(t.clone(), after);
+            }
+            after - before
+        }
+
+        /// The storage's own invariants.
+        fn check_invariants(rows: &Rows) {
+            assert!(
+                rows.run.windows(2).all(|w| w[0].row < w[1].row),
+                "run out of order"
+            );
+            assert!(
+                rows.run.iter().all(|e| e.key == abbreviate(e.row.values())),
+                "stale abbreviation"
+            );
+            let zeros = rows.run.iter().filter(|e| e.count == 0).count();
+            assert_eq!(zeros, rows.tombstones, "tombstone count");
+            assert!(rows.overlay.values().all(|c| *c != 0), "zero in overlay");
+            if let Some(last) = rows.run.last() {
+                assert!(
+                    rows.overlay.keys().all(|k| *k < last.row),
+                    "overlay past the run"
+                );
+            } else {
+                assert!(rows.overlay.is_empty(), "overlay without a run");
+            }
+            for key in rows.overlay.keys() {
+                assert!(rows.run.binary_search_by(|e| e.row.cmp(key)).is_err());
+            }
+        }
+
+        fn assert_matches(
+            table: &Table,
+            model: &BTreeMap<Tuple, i64>,
+            probes: &[&Tuple],
+            indexes: usize,
+            at: &str,
+        ) {
+            check_invariants(&table.rows);
+            assert!(
+                table
+                    .iter_net_counted()
+                    .eq(model.iter().map(|(t, c)| (t, *c))),
+                "iter_net_counted {at}"
+            );
+            let present: Vec<(&Tuple, i64)> = model
+                .iter()
+                .filter(|(_, c)| **c > 0)
+                .map(|(t, c)| (t, *c))
+                .collect();
+            assert!(
+                table.iter_counted().eq(present.iter().copied()),
+                "iter_counted {at}"
+            );
+            assert!(
+                table.iter().eq(present.iter().map(|(t, _)| *t)),
+                "iter {at}"
+            );
+            assert_eq!(table.len(), present.len(), "len {at}");
+            let total: i64 = present.iter().map(|(_, c)| c).sum();
+            assert_eq!(table.total_count(), total, "total_count {at}");
+            for t in probes {
+                let expected = model.get(*t).copied().unwrap_or(0);
+                assert_eq!(table.count(t), expected, "count of {t} {at}");
+            }
+            assert_eq!(table.verify_indexes(), Ok(indexes), "indexes {at}");
+        }
+
+        fn run_sequence(seed: u64, ops: usize, cov: &mut Coverage) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut table = people();
+            let mut model: BTreeMap<Tuple, i64> = BTreeMap::new();
+            let mut next_append = DOMAIN;
+            let mut removed: Vec<Tuple> = Vec::new();
+            let mut indexed: Vec<Vec<usize>> = Vec::new();
+            for step in 0..ops {
+                let at = format!("(seed {seed}, step {step})");
+                let (overlay_before, tombstones_before) =
+                    (table.rows.overlay.len(), table.rows.tombstones);
+                let random = tuple![rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN)];
+                let stored = match model.len() {
+                    0 => random.clone(),
+                    n => model
+                        .keys()
+                        .nth(rng.gen_range(0..n))
+                        .cloned()
+                        .expect("in range"),
+                };
+                // Growth and shrinking phases alternate, so sequences cross
+                // both the overlay-merge and the tombstone threshold.
+                let shrinking = (step / 200) % 2 == 1;
+                let roll = rng.gen_range(0..1000) + if shrinking { 400 } else { 0 };
+                let count = rng.gen_range(1..3i64);
+                let touched = match roll {
+                    0..=2 => {
+                        table.clear();
+                        model.clear();
+                        removed.clear();
+                        indexed.clear();
+                        cov.clears += 1;
+                        random
+                    }
+                    3..=299 => {
+                        let t = tuple![next_append, rng.gen_range(0..DOMAIN)];
+                        next_append += 1;
+                        cov.appends += 1;
+                        table.insert_with_count(t.clone(), count).unwrap();
+                        apply(&mut model, &t, |_| count);
+                        t
+                    }
+                    300..=549 => {
+                        table.insert_with_count(random.clone(), count).unwrap();
+                        apply(&mut model, &random, |_| count);
+                        random
+                    }
+                    550..=649 => {
+                        let inserted = table.insert_if_absent(random.clone()).unwrap();
+                        let change = apply(&mut model, &random, |c| i64::from(c <= 0));
+                        assert_eq!(inserted, change != 0, "insert_if_absent {at}");
+                        random
+                    }
+                    650..=699 => {
+                        let t = match removed.len() {
+                            0 => random,
+                            n => removed[rng.gen_range(0..n)].clone(),
+                        };
+                        if matches!(table.rows.locate(t.values()), Slot::Run(i) if table.rows.run[i].count == 0)
+                        {
+                            cov.revivals += 1;
+                        }
+                        table.insert(t.clone()).unwrap();
+                        apply(&mut model, &t, |_| 1);
+                        t
+                    }
+                    700..=759 => {
+                        let cols = if rng.gen_bool(0.5) { vec![0] } else { vec![1] };
+                        table.index(&cols);
+                        if !indexed.contains(&cols) {
+                            indexed.push(cols);
+                            cov.indexes += 1;
+                        }
+                        stored
+                    }
+                    760..=899 => {
+                        let previous = table.remove_all(&stored);
+                        assert_eq!(
+                            previous,
+                            -apply(&mut model, &stored, |c| -c),
+                            "remove_all {at}"
+                        );
+                        removed.push(stored.clone());
+                        stored
+                    }
+                    900..=1099 => {
+                        let deleted = table.delete(&stored);
+                        let change = apply(&mut model, &stored, |c| -i64::from(c > 0));
+                        assert_eq!(deleted, change != 0, "delete {at}");
+                        if !model.contains_key(&stored) {
+                            removed.push(stored.clone());
+                        }
+                        stored
+                    }
+                    _ => {
+                        // An over-delete: a negative count, stored but not present.
+                        let t = if rng.gen_bool(0.5) { stored } else { random };
+                        table.insert_with_count(t.clone(), -count).unwrap();
+                        apply(&mut model, &t, |_| -count);
+                        if model.get(&t).is_some_and(|c| *c < 0) {
+                            cov.over_deletes += 1;
+                        }
+                        t
+                    }
+                };
+                // One op moves the overlay or the tombstones by at most one,
+                // so both emptying at once from two or more is a merge.
+                let rows = &table.rows;
+                if rows.overlay.is_empty()
+                    && rows.tombstones == 0
+                    && overlay_before + tombstones_before >= 2
+                    && roll > 2
+                {
+                    cov.overlay_merges += usize::from(overlay_before > MIN_PENDING);
+                    cov.compactions += usize::from(tombstones_before > MIN_PENDING);
+                }
+                // A full count check every 64 ops, the touched and a
+                // random tuple after every op.
+                let probe_all: Vec<&Tuple> = if step % 64 == 0 {
+                    model.keys().chain(&removed).collect()
+                } else {
+                    Vec::new()
+                };
+                let probe = random_probe(&mut rng);
+                let probes: Vec<&Tuple> = [&touched, &probe].into_iter().chain(probe_all).collect();
+                assert_matches(&table, &model, &probes, indexed.len(), &at);
+            }
+        }
+
+        fn random_probe(rng: &mut StdRng) -> Tuple {
+            tuple![rng.gen_range(0..DOMAIN + 8), rng.gen_range(0..DOMAIN)]
+        }
+
+        fn run_seeds(seeds: std::ops::Range<u64>, ops: usize) {
+            let mut cov = Coverage::default();
+            for seed in seeds {
+                run_sequence(seed, ops, &mut cov);
+            }
+            let Coverage {
+                appends,
+                overlay_merges,
+                compactions,
+                revivals,
+                over_deletes,
+                clears,
+                indexes,
+            } = cov;
+            for (what, n) in [
+                ("appends", appends),
+                ("overlay merges", overlay_merges),
+                ("tombstone compactions", compactions),
+                ("revivals", revivals),
+                ("over-deletes", over_deletes),
+                ("clears", clears),
+                ("indexes", indexes),
+            ] {
+                assert!(n > 0, "no {what} exercised: {cov:?}");
+            }
+        }
+
+        #[test]
+        fn storage_matches_the_ordered_map_model() {
+            run_seeds(0..16, 1_200);
+        }
+
+        #[test]
+        #[ignore = "soak: cargo test --release -p dd-relstore -- --ignored"]
+        fn storage_matches_the_ordered_map_model_soak() {
+            run_seeds(16..216, 3_000);
+        }
     }
 }

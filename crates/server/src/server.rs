@@ -345,7 +345,16 @@ impl Server {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // The flag is raised under the queue lock: a worker in `pop` checks
+        // it and starts waiting under that lock too, so it either sees the
+        // flag or is already waiting when `notify_all` runs.  Raised outside
+        // the lock, the store and the notification could both land between
+        // a worker's check and its wait, and that worker — and the join
+        // below — would sleep forever.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.work_ready.notify_all();
         // Unblock the acceptor's blocking `accept` with a throwaway
         // connection; it checks the stop flag before serving anything.  A
