@@ -6,19 +6,13 @@
 //! `BENCH_sweeps.json` in the `[{name, unit, value}]` schema
 //! (github-action-benchmark style) so future PRs can track the trajectory.
 //!
-//! Three implementations are timed per workload:
+//! Two implementations are timed per workload:
 //!
-//! * `legacy`   — the pre-compilation hot path: jagged adjacency on
+//! * `legacy` — the pre-compilation hot path: jagged adjacency on
 //!   [`FactorGraph`], two `local_energy` passes per resample, weight-table
 //!   indirection (kept in-tree as the build/delta representation);
-//! * `flat`     — [`GibbsSampler`] on the compiled [`FlatGraph`] (CSR,
-//!   literal arenas, pre-resolved weights, single-pass energy deltas);
-//! * `parallel` — hogwild [`ParallelGibbs`] on the same flat path, dispatched
-//!   on the process-global persistent worker pool.
-//!
-//! On top of that, the parallel runtime is timed at explicit thread counts:
-//! for each `t`, hogwild sweeps on a persistent `ThreadPool` of size `t`
-//! (`parallel_pooled_t{t}`).
+//! * `flat`   — [`GibbsSampler`] on the compiled [`FlatGraph`] (CSR,
+//!   literal arenas, pre-resolved weights, single-pass energy deltas).
 //!
 //! A third series, `publish_cost/*`, tracks the snapshot-publish path: the
 //! old full catalog rebuild (`CatalogShards::build` over every entry) raced
@@ -112,8 +106,8 @@ use dd_factorgraph::{
 };
 use dd_grounding::{standard_udfs, KbcUpdate, Program};
 use dd_inference::{
-    sigmoid, DistributionChange, GibbsSampler, Marginals, ParallelGibbs, SampleMaterialization,
-    SweepRng, VariationalMaterialization, VariationalOptions,
+    sigmoid, DistributionChange, GibbsSampler, Marginals, SampleMaterialization, SweepRng,
+    VariationalMaterialization, VariationalOptions,
 };
 use dd_relstore::{tuple, DataType, Database, Schema, Tuple};
 use dd_server::{Batch, OpResult, Response};
@@ -123,13 +117,11 @@ use deepdive::{
     ShardAssignment, Snapshot,
 };
 use rand::{Rng, SeedableRng};
-use rayon::ThreadPool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The system allocator, counting calls that obtain memory (`alloc`,
@@ -178,9 +170,6 @@ fn count_allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let out = work();
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
-
-/// Explicit thread counts of the `parallel_pooled_t{t}` legs.
-const THREAD_COUNTS: [usize; 2] = [2, 4];
 
 /// Relations the synthetic publish-cost catalog is spread over.
 const PUBLISH_RELATIONS: usize = 16;
@@ -235,39 +224,6 @@ fn bench_flat(flat: &FlatGraph, sweeps: usize, seed: u64) -> f64 {
     sweeps as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Time `sweeps` hogwild sweeps on the global pool, returning sweeps/second.
-fn bench_parallel(flat: &FlatGraph, sweeps: usize, seed: u64) -> f64 {
-    let sampler = ParallelGibbs::from_flat(flat.clone(), seed);
-    time_sweeps(sampler, sweeps)
-}
-
-/// Time hogwild sweeps on an explicit persistent pool of size `threads`.
-fn bench_parallel_pooled(
-    flat: &FlatGraph,
-    sweeps: usize,
-    seed: u64,
-    pool: &Arc<ThreadPool>,
-) -> f64 {
-    let sampler = ParallelGibbs::from_flat(flat.clone(), seed).with_pool(Arc::clone(pool));
-    time_sweeps(sampler, sweeps)
-}
-
-fn time_sweeps(mut sampler: ParallelGibbs, sweeps: usize) -> f64 {
-    // Warm up (and fault in the pool) outside the timed region.
-    sampler.sweep();
-    // Best of five reps: scheduler interference only ever slows a rep down,
-    // so the max is the least-noisy throughput estimate.
-    let mut best = 0.0f64;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..sweeps {
-            sampler.sweep();
-        }
-        best = best.max(sweeps as f64 / start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn bench_workload(label: &str, graph: &FactorGraph, sweeps: usize, entries: &mut Vec<Entry>) {
     let stats = graph.stats();
     println!(
@@ -281,19 +237,15 @@ fn bench_workload(label: &str, graph: &FactorGraph, sweeps: usize, entries: &mut
 
     let legacy = bench_legacy(graph, sweeps, 7);
     let flat_rate = bench_flat(&flat, sweeps, 7);
-    let parallel = bench_parallel(&flat, sweeps, 7);
     let speedup = flat_rate / legacy;
-    let parallel_speedup = parallel / legacy;
 
-    println!("  compile:  {}", secs(compile_secs));
-    println!("  legacy:   {legacy:>12.1} sweeps/s");
-    println!("  flat:     {flat_rate:>12.1} sweeps/s  ({speedup:.2}x legacy)");
-    println!("  parallel: {parallel:>12.1} sweeps/s  ({parallel_speedup:.2}x legacy)");
+    println!("  compile: {}", secs(compile_secs));
+    println!("  legacy:  {legacy:>12.1} sweeps/s");
+    println!("  flat:    {flat_rate:>12.1} sweeps/s  ({speedup:.2}x legacy)");
 
     for (kind, value, unit) in [
         ("legacy_sequential", legacy, "sweeps/s"),
         ("flat_sequential", flat_rate, "sweeps/s"),
-        ("flat_parallel", parallel, "sweeps/s"),
         ("flat_vs_legacy_speedup", speedup, "x"),
         ("compile_seconds", compile_secs, "s"),
     ] {
@@ -301,17 +253,6 @@ fn bench_workload(label: &str, graph: &FactorGraph, sweeps: usize, entries: &mut
             name: format!("{label}/{kind}"),
             unit,
             value,
-        });
-    }
-
-    for &threads in &THREAD_COUNTS {
-        let pool = Arc::new(ThreadPool::new(threads));
-        let pooled = bench_parallel_pooled(&flat, sweeps, 7, &pool);
-        println!("  t={threads}: pooled {pooled:>12.1} sweeps/s");
-        entries.push(Entry {
-            name: format!("{label}/parallel_pooled_t{threads}"),
-            unit: "sweeps/s",
-            value: pooled,
         });
     }
 }
@@ -749,13 +690,6 @@ fn stream_program(system: &KbcSystem) -> Program {
     program
 }
 
-fn cold_start_config() -> EngineConfig {
-    EngineConfig {
-        num_threads: Some(1),
-        ..EngineConfig::default()
-    }
-}
-
 /// Time the phases of a cold start (best of `reps` fresh engines) and emit
 /// `cold_start/{ground,learn_infer,publish,materialize}_ms_{label}`.
 fn bench_cold_start_phases(
@@ -772,7 +706,7 @@ fn bench_cold_start_phases(
             .program(program.clone())
             .database(db.clone())
             .udfs(standard_udfs())
-            .config(cold_start_config())
+            .config(EngineConfig::default())
             .build()
             .expect("engine builds");
         let start = Instant::now();
@@ -835,7 +769,7 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
             .database(claims_database(4_000))
             .config(EngineConfig {
                 materialization_samples: samples,
-                ..cold_start_config()
+                ..EngineConfig::default()
             })
             .build()
             .expect("engine builds");
@@ -1089,7 +1023,7 @@ fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
     let mut engine = DeepDive::builder()
         .program_text(CLAIMS_PROGRAM)
         .database(database)
-        .config(cold_start_config())
+        .config(EngineConfig::default())
         .durability(DurabilityConfig::new(&dir).fsync(FsyncPolicy::Never))
         .build()
         .expect("durable engine builds");
@@ -1124,7 +1058,7 @@ fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
             .program(program.clone())
             .database(database)
             .udfs(standard_udfs())
-            .config(cold_start_config())
+            .config(EngineConfig::default())
             .durability(DurabilityConfig::new(&dir).fsync(FsyncPolicy::Never))
             .build()
             .expect("durable engine builds")

@@ -2,8 +2,8 @@
 //!
 //! Exits non-zero when the file is unreadable, malformed, empty, holds a
 //! non-finite value, any `*_speedup` metric sits below 1.0× — i.e. when an
-//! optimization this repo has already banked (compiled flat graph, persistent
-//! pool dispatch, sharded O(Δ) publish, incremental retraction) has regressed
+//! optimization this repo has already banked (compiled flat graph, sharded
+//! O(Δ) publish, incremental retraction, static-variable draws) has regressed
 //! behind its baseline — a whole required series stopped emitting speedup
 //! entries (the coverage floor: a sweep that silently stops running is a
 //! regression too), or a speedup with a floor of its own

@@ -289,14 +289,14 @@ mod tests {
                 value: 2.0,
             },
             BenchEntry {
-                name: "w/pooled_vs_spawn_speedup_t2".into(),
+                name: "w/draw_speedup_mixed_n4000".into(),
                 unit: "x".into(),
                 value: 0.93,
             },
         ];
         let violations = gate_violations(&entries, 1.0);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("pooled_vs_spawn_speedup_t2"));
+        assert!(violations[0].contains("draw_speedup_mixed_n4000"));
     }
 
     #[test]

@@ -2,11 +2,6 @@
 
 use dd_inference::{GibbsOptions, LearnOptions, VariationalOptions};
 
-/// Query-variable count at which hogwild inference starts paying for its
-/// dispatch overhead (measured with `bench_sweeps`: the 65-variable fig9
-/// graph loses, the 4000-variable fig5 graph wins).
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
-
 /// Configuration of a [`crate::DeepDive`] engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -25,18 +20,10 @@ pub struct EngineConfig {
     pub fact_threshold: f64,
     /// Random seed shared by the engine's samplers.
     pub seed: u64,
-    /// Size of the engine's persistent worker pool.  `None` (the default)
-    /// shares the process-global pool, sized to the machine; `Some(n)` gives
-    /// this engine a dedicated pool of parallelism `n` (`Some(1)` forces all
-    /// inference sequential).
+    /// Has no effect: every engine samples on its calling thread.  The field
+    /// is kept so existing configurations still compile; a change that may
+    /// edit the benchmark harness (which sets it) removes it.
     pub num_threads: Option<usize>,
-    /// Minimum number of variables a sampler sweeps — the *coupled* query
-    /// variables for full Gibbs inference, every query variable for
-    /// learning-gradient estimation — before it switches from the sequential
-    /// sampler to hogwild sweeps on the worker pool.  Small graphs stay
-    /// sequential: a single chain mixes faster than an under-utilized
-    /// parallel dispatch, and sequential runs are bit-deterministic per seed.
-    pub parallel_threshold: usize,
     /// When true, an Incremental update that the stored materialization
     /// cannot serve — never materialized, samples exhausted with the
     /// variational fallback stale, or the variational strategy chosen while
@@ -64,7 +51,6 @@ impl Default for EngineConfig {
             fact_threshold: 0.9,
             seed: 7,
             num_threads: None,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             strict_incremental: false,
         }
     }
@@ -92,7 +78,6 @@ impl EngineConfig {
             fact_threshold: 0.9,
             seed: 7,
             num_threads: None,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             strict_incremental: false,
         }
     }

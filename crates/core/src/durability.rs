@@ -68,12 +68,10 @@ type R<T> = Result<T, StorageError>;
 /// One logical operation appended to the WAL *before* it executes.
 ///
 /// Replay re-executes the operation against the recovered state.  All four
-/// operations are deterministic given the engine state and config (Gibbs
-/// sampling is seeded), so replaying the tail after the last checkpoint
-/// reproduces the exact pre-crash state — with one documented exception: a
-/// graph large enough to cross `EngineConfig::parallel_threshold` samples with
-/// hogwild threads, whose interleaving is not replayable (the checkpoint
-/// itself is always exact; see ARCHITECTURE.md).
+/// operations are deterministic given the engine state and config (every
+/// sampler is sequential and seeded), so replaying the tail after the last
+/// checkpoint reproduces the exact pre-crash state, bit for bit, at any
+/// graph size.
 ///
 /// The same value is what the engine executes, live and on replay: a live
 /// call borrows its caller's arguments (nothing is cloned to log or run an

@@ -67,13 +67,12 @@ use crate::snapshot::{self, Snapshot, SnapshotReader};
 use dd_factorgraph::{FactorGraph, FlatGraph, GraphDelta};
 use dd_grounding::{Grounder, KbcUpdate, Program, UdfRegistry};
 use dd_inference::{
-    DistributionChange, GibbsOptions, GibbsSampler, LearnOptions, Learner, Marginals, ParallelGibbs,
+    DistributionChange, GibbsOptions, GibbsSampler, LearnOptions, Learner, Marginals,
 };
 use dd_relstore::{Database, Tuple};
-use rayon::ThreadPool;
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// Whether an update is executed from scratch or incrementally.
@@ -174,14 +173,6 @@ impl IterationReport {
 pub struct DeepDive {
     grounder: Grounder,
     config: EngineConfig,
-    /// The persistent worker pool serving this engine end to end: full-Gibbs
-    /// hogwild inference and learning-gradient estimation all dispatch here
-    /// (above [`EngineConfig::parallel_threshold`]), so workers are spawned
-    /// once per engine — or once per process, when the config shares the
-    /// global pool — rather than per sweep.  Filled eagerly for a dedicated
-    /// `num_threads` pool, lazily (first above-threshold use) for the shared
-    /// global pool, so small-graph engines never spawn workers at all.
-    pool: OnceLock<Arc<ThreadPool>>,
     /// The compilation of the grounder's current graph, when one is at hand:
     /// the learner compiles (and keeps current with the weights it moves),
     /// the full-Gibbs inference and the materialization that follow sample
@@ -278,15 +269,10 @@ impl DeepDive {
     /// An engine at epoch 0 around `grounder`: nothing learned, nothing
     /// materialized, serving the empty snapshot.
     fn fresh(grounder: Grounder, config: EngineConfig) -> Self {
-        let pool = OnceLock::new();
-        if let Some(n) = config.num_threads {
-            let _ = pool.set(Arc::new(ThreadPool::new(n)));
-        }
         let empty = Arc::new(Snapshot::empty(config.fact_threshold));
         DeepDive {
             grounder,
             config,
-            pool,
             compiled: None,
             materialized: None,
             learned_weights: Vec::new(),
@@ -954,28 +940,13 @@ impl DeepDive {
 
     // ---------------------------------------------------------------- helpers
 
-    /// The engine's dispatch pool, resolving to the process-global one on
-    /// first use when no dedicated size was configured.
-    fn pool(&self) -> &Arc<ThreadPool> {
-        self.pool.get_or_init(|| Arc::clone(rayon::global_pool()))
-    }
-
-    /// Run weight learning over the current graph on the engine's pool (the
-    /// learner goes hogwild above the configured query-variable threshold),
-    /// returning the trace.  The pool is only resolved when the threshold is
-    /// actually met, so small-graph engines stay pool-free.
+    /// Run weight learning over the current graph, returning the trace.
     fn run_learner(&mut self, learn: &LearnOptions) -> dd_inference::LearningTrace {
-        let threshold = self.config.parallel_threshold;
         let mut flat = match self.compiled.take() {
             Some(flat) => flat,
             None => self.grounder.graph().compile(),
         };
-        let pool = (flat.query_variables().len() >= threshold).then(|| Arc::clone(self.pool()));
-        let mut learner = Learner::new(self.grounder.graph_mut());
-        if let Some(pool) = pool {
-            learner = learner.with_pool(pool, threshold);
-        }
-        let trace = learner.learn_on(&mut flat, learn);
+        let trace = Learner::new(self.grounder.graph_mut()).learn_on(&mut flat, learn);
         self.compiled = Some(flat);
         trace
     }
@@ -983,26 +954,12 @@ impl DeepDive {
     /// Full Gibbs over the current graph, on the compilation the learner left
     /// behind when there is one (the graph has not changed since), on a fresh
     /// one otherwise.
-    ///
-    /// Graphs with at least [`EngineConfig::parallel_threshold`] *coupled*
-    /// query variables — the ones a run sweeps; static ones are answered in
-    /// closed form — run hogwild sweeps on the engine's persistent pool;
-    /// smaller ones run the sequential sampler (faster mixing per
-    /// wall-second and bit-deterministic per seed).
     fn full_gibbs(&self) -> Marginals {
         let options = self.gibbs_options();
         let flat = match &self.compiled {
             Some(flat) => Cow::Borrowed(flat),
             None => Cow::Owned(self.grounder.graph().compile()),
         };
-        if flat.coupled_query_variables().len() >= self.config.parallel_threshold {
-            let pool = self.pool();
-            if pool.num_threads() > 1 {
-                return ParallelGibbs::from_flat(flat.into_owned(), options.seed)
-                    .with_pool(Arc::clone(pool))
-                    .run(options.sweeps, options.burn_in);
-            }
-        }
         GibbsSampler::from_flat(&flat, self.config.seed).run(&options)
     }
 
@@ -1293,79 +1250,6 @@ mod tests {
         assert!(high.iter().all(|(_, p)| *p >= 0.99));
         // unknown relation -> empty
         assert!(dd.extract_facts("Nothing", 0.0).is_empty());
-    }
-
-    #[test]
-    fn hogwild_engine_agrees_on_pinned_facts() {
-        // Force every sampler onto the pooled hogwild path (threshold 1,
-        // dedicated 2-thread pool) and check the pipeline still lands the
-        // supervised fact at probability 1 and separates the phrase pairs.
-        let mut config = EngineConfig::fast();
-        config.num_threads = Some(2);
-        config.parallel_threshold = 1;
-        let mut dd = DeepDive::builder()
-            .program(parse_program(PROGRAM).unwrap())
-            .database(database())
-            .config(config)
-            .build()
-            .unwrap();
-        dd.initial_run().unwrap();
-        let supervised = dd
-            .probability_of("MarriedMentions", &tuple![10i64, 11i64])
-            .unwrap();
-        assert_eq!(supervised, 1.0);
-        let same_phrase = dd
-            .probability_of("MarriedMentions", &tuple![20i64, 21i64])
-            .unwrap();
-        let other = dd
-            .probability_of("MarriedMentions", &tuple![30i64, 31i64])
-            .unwrap();
-        assert!(
-            same_phrase > other,
-            "same-phrase pair {same_phrase} should beat {other}"
-        );
-    }
-
-    #[test]
-    fn hogwild_decision_counts_the_variables_full_gibbs_sweeps() {
-        // George's pair is coupled to its mirror image; Malia's pair has only
-        // its prior.  Three query variables, two of them swept: at a
-        // threshold of three, full Gibbs stays on the sequential sampler.
-        let grounded = |num_threads: Option<usize>| {
-            let mut program = parse_program(PROGRAM).unwrap();
-            program.rules.push(
-                dd_grounding::parse_rule(
-                    "rule I1 inference: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2), \
-                     PersonCandidate(s, m1, \"George\") weight = 1.5.",
-                )
-                .unwrap(),
-            );
-            let mut config = EngineConfig::fast();
-            config.num_threads = num_threads;
-            config.parallel_threshold = 3;
-            let mut dd = DeepDive::builder()
-                .program(program)
-                .database(database())
-                .udfs(standard_udfs())
-                .config(config)
-                .build()
-                .unwrap();
-            dd.ground(Ground::Full, false).unwrap();
-            dd
-        };
-        let shared = grounded(None);
-        let flat = shared.graph().compile();
-        assert_eq!(flat.query_variables().len(), 3);
-        assert_eq!(flat.coupled_query_variables().len(), 2);
-
-        let sequential = grounded(Some(1)).full_gibbs();
-        assert_eq!(shared.full_gibbs().values(), sequential.values());
-        assert!(
-            shared.pool.get().is_none(),
-            "the global pool was resolved for two swept variables"
-        );
-        // A dedicated pool exists from construction; it is not dispatched on.
-        assert_eq!(grounded(Some(2)).full_gibbs().values(), sequential.values());
     }
 
     #[test]

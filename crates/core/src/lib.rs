@@ -43,11 +43,10 @@
 //! * [`sharding`] — shard-assignment helpers (hash / range partition keys)
 //!   used by the `dd-router` cluster layer to split a KB across engines.
 //!
-//! Every engine owns a persistent worker pool (shared process-global by
-//! default, dedicated via [`config::EngineConfig::num_threads`]); full-Gibbs
-//! inference and learning-gradient estimation switch from the sequential
-//! sampler to pooled hogwild sweeps once they sweep
-//! [`config::EngineConfig::parallel_threshold`] variables.  See
+//! Every engine samples on its calling thread: full-Gibbs inference, both
+//! learning chains and the materialization run the one sequential sampler,
+//! so a run — and a WAL replay of it — is bit-deterministic per seed at any
+//! graph size.  See
 //! `PERFORMANCE.md` at the repo root for the runtime design and measured
 //! numbers, and `ARCHITECTURE.md` for the paper-to-module map.
 

@@ -20,12 +20,9 @@
 //! [`Learner::learn`] records a [`LearningTrace`] so Figure 16 can be reproduced.
 
 use crate::gibbs::{expected_feature_counts_over, sigmoid, SweepRng};
-use crate::parallel::ParallelGibbs;
 use crate::rng::mix_seed;
 use dd_factorgraph::{FactorGraph, FlatGraph};
 use rand::SeedableRng;
-use rayon::ThreadPool;
-use std::sync::Arc;
 
 /// Stream-id offset separating the free chain's RNG streams from the clamped
 /// chain's in [`mix_seed`]'s stream space.
@@ -112,35 +109,14 @@ impl LearningTrace {
 /// the Gibbs chain *states* across epochs: the clamped and free chains warm-
 /// start each epoch from where the previous epoch left them (persistent
 /// contrastive divergence), instead of re-burning a cold chain per gradient
-/// step.  With [`Learner::with_pool`], expectation estimation for large
-/// graphs runs on the persistent hogwild sampler instead of the sequential
-/// one.
+/// step.
 pub struct Learner<'g> {
     graph: &'g mut FactorGraph,
-    pool: Option<Arc<ThreadPool>>,
-    /// Minimum number of *query* variables before expectation estimation
-    /// switches to the parallel sampler (hogwild pays off only on large
-    /// graphs) — the same metric as `EngineConfig::parallel_threshold`.
-    parallel_threshold: usize,
 }
 
 impl<'g> Learner<'g> {
     pub fn new(graph: &'g mut FactorGraph) -> Self {
-        Learner {
-            graph,
-            pool: None,
-            parallel_threshold: usize::MAX,
-        }
-    }
-
-    /// Estimate gradient expectations on `pool` (hogwild) for graphs with at
-    /// least `threshold` *query* variables; smaller graphs stay on the
-    /// sequential sampler, whose single chain mixes faster than an
-    /// under-utilized parallel dispatch.
-    pub fn with_pool(mut self, pool: Arc<ThreadPool>, threshold: usize) -> Self {
-        self.pool = Some(pool);
-        self.parallel_threshold = threshold;
-        self
+        Learner { graph }
     }
 
     /// Negative pseudo-log-likelihood of the evidence under the current weights:
@@ -210,24 +186,7 @@ impl<'g> Learner<'g> {
         }
         let all_vars: Vec<usize> = (0..self.graph.num_variables()).collect();
 
-        // Large graph + pool => estimate expectations with persistent hogwild
-        // samplers that live for the whole learning run.  The threshold counts
-        // query variables, the same metric the engine's full-Gibbs routing
-        // uses (clamped chains resample exactly those).
-        let use_parallel = self.pool.as_ref().is_some_and(|pool| {
-            pool.num_threads() > 1 && self.graph.query_variables().len() >= self.parallel_threshold
-        });
-        let mut hogwild = use_parallel.then(|| {
-            let pool = self.pool.as_ref().expect("use_parallel implies pool");
-            let clamped =
-                ParallelGibbs::from_flat(flat.clone(), options.seed).with_pool(Arc::clone(pool));
-            let free = ParallelGibbs::from_flat(flat.clone(), mix_seed(options.seed, FREE_STREAM))
-                .with_pool(Arc::clone(pool))
-                .with_free_vars(all_vars.clone());
-            (clamped, free)
-        });
-
-        // Sequential chain states, persisted across epochs (PCD warmstart):
+        // Chain states, persisted across epochs (PCD warmstart):
         // the clamped chain resamples the query variables, the free chain
         // everything.  Each epoch continues both worlds on a fresh RNG
         // stream; `flat` is only borrowed per estimate, so it stays free for
@@ -239,32 +198,22 @@ impl<'g> Learner<'g> {
 
         for epoch in 0..options.epochs {
             // Expectations with evidence clamped / free.
-            let (clamped, free) = match &mut hogwild {
-                Some((clamped_chain, free_chain)) => (
-                    clamped_chain.expected_feature_counts(clamped_sweeps),
-                    free_chain.expected_feature_counts(free_sweeps),
-                ),
-                None => {
-                    let estimate = |vars, world, stream, sweeps| {
-                        let mut rng = SweepRng::seed_from_u64(mix_seed(options.seed, stream));
-                        expected_feature_counts_over(flat, vars, world, &mut rng, sweeps)
-                    };
-                    (
-                        estimate(
-                            flat.query_variables(),
-                            &mut clamped_world,
-                            epoch as u64,
-                            clamped_sweeps,
-                        ),
-                        estimate(
-                            &all_vars,
-                            &mut free_world,
-                            FREE_STREAM + epoch as u64,
-                            free_sweeps,
-                        ),
-                    )
-                }
+            let estimate = |vars, world, stream, sweeps| {
+                let mut rng = SweepRng::seed_from_u64(mix_seed(options.seed, stream));
+                expected_feature_counts_over(flat, vars, world, &mut rng, sweeps)
             };
+            let clamped = estimate(
+                flat.query_variables(),
+                &mut clamped_world,
+                epoch as u64,
+                clamped_sweeps,
+            );
+            let free = estimate(
+                &all_vars,
+                &mut free_world,
+                FREE_STREAM + epoch as u64,
+                free_sweeps,
+            );
 
             // Gradient ascent on the log-likelihood (descent on the loss).
             for k in 0..self.graph.num_weights() {
@@ -278,10 +227,6 @@ impl<'g> Learner<'g> {
             lr *= options.decay;
             trace.sweeps += clamped_sweeps + free_sweeps;
             flat.refresh_weights(self.graph);
-            if let Some((clamped_chain, free_chain)) = &mut hogwild {
-                clamped_chain.refresh_weights(self.graph);
-                free_chain.refresh_weights(self.graph);
-            }
             trace.losses.push(self.evidence_loss_on(flat));
         }
         trace.final_weights = self.graph.weight_values();
@@ -326,25 +271,6 @@ mod tests {
         assert!(trace.best_loss() < initial_loss);
         assert_eq!(trace.losses.len(), 40);
         assert_eq!(trace.final_weights.len(), 2);
-    }
-
-    #[test]
-    fn pooled_learner_separates_features_too() {
-        // Same learning problem, but with gradient expectations estimated by
-        // the persistent hogwild chains (threshold 1 forces the parallel path).
-        let mut g = classifier_graph(40);
-        let pool = Arc::new(ThreadPool::new(2));
-        let trace = Learner::new(&mut g)
-            .with_pool(pool, 1)
-            .learn(&LearnOptions {
-                epochs: 40,
-                learning_rate: 0.3,
-                sweeps_per_epoch: 3,
-                ..Default::default()
-            });
-        assert!(g.weight(0).value > 0.5, "w(A) = {}", g.weight(0).value);
-        assert!(g.weight(1).value < -0.5, "w(B) = {}", g.weight(1).value);
-        assert_eq!(trace.losses.len(), 40);
     }
 
     #[test]

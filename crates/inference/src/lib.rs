@@ -5,13 +5,12 @@
 //! incremental-inference machinery (§3.2):
 //!
 //! * [`gibbs`] — sequential Gibbs sampling over a [`dd_factorgraph::FactorGraph`],
-//!   producing marginal probabilities for every query variable;
-//! * [`parallel`] — a lock-free, multi-threaded (hogwild-style) Gibbs sweep, the
-//!   way DimmWitted actually runs on many cores, dispatched onto a persistent
-//!   worker pool ([`rayon::ThreadPool`]) with per-chunk RNG streams and
-//!   worker-local marginal counting;
+//!   producing marginal probabilities for every query variable.  It is the
+//!   one sampler: full inference, both learning chains and the sampling
+//!   materialization all sweep on the calling thread, so every run is
+//!   bit-deterministic per seed;
 //! * [`rng`] — splitmix-style seed mixing that fans one run seed out into
-//!   decorrelated per-chunk RNG streams;
+//!   decorrelated per-epoch RNG streams;
 //! * [`marginals`] — marginal vectors, distances between them, and probability
 //!   calibration;
 //! * [`learning`] — weight learning by contrastive stochastic gradient descent
@@ -28,7 +27,6 @@ pub mod convergence;
 pub mod gibbs;
 pub mod learning;
 pub mod marginals;
-pub mod parallel;
 pub mod rng;
 pub mod sampling;
 pub mod strawman;
@@ -39,7 +37,6 @@ pub use convergence::{iterations_to_converge, ConvergenceReport};
 pub use gibbs::{sigmoid, GibbsOptions, GibbsSampler, SampleRow, SampleSet, SweepRng};
 pub use learning::{LearnOptions, LearnStrategy, Learner, LearningTrace};
 pub use marginals::{calibration_buckets, CalibrationBucket, Marginals};
-pub use parallel::ParallelGibbs;
 pub use rng::mix_seed;
 pub use sampling::{MhOutcome, SampleMaterialization};
 pub use strawman::StrawmanMaterialization;

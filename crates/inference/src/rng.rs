@@ -1,10 +1,10 @@
-//! Seed derivation for parallel RNG streams.
+//! Seed derivation for decorrelated RNG streams.
 //!
-//! Hogwild sweeps give every variable chunk its own RNG stream.  Deriving
-//! those stream seeds by XOR-ing small integers into the run seed (the
-//! original `seed ^ (sweep << 20) ^ chunk` scheme) is dangerously weak: XOR
-//! of nearby counters flips only a handful of low bits, so streams for
-//! adjacent chunks/sweeps start close together in seed space and can collide
+//! The learner continues its clamped and free chains on a fresh RNG stream
+//! every epoch.  Deriving those stream seeds by XOR-ing small integers into
+//! the run seed (a `seed ^ (epoch << 20) ^ chain` scheme) is dangerously
+//! weak: XOR of nearby counters flips only a handful of low bits, so
+//! adjacent streams start close together in seed space and can collide
 //! outright (`seed ^ a ^ b == seed ^ b ^ a`).  [`mix_seed`] instead pushes the
 //! `(seed, stream)` pair through the splitmix64 finalizer, whose avalanche
 //! property flips every output bit with probability ≈ ½ for any single input

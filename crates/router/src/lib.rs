@@ -3,7 +3,7 @@
 //! A single [`deepdive::DeepDive`] engine holds the whole knowledge base in
 //! one process.  This crate scales that out: the KB is partitioned across N
 //! independent engines under a [`deepdive::ShardAssignment`], each shard runs
-//! its own worker pool, WAL/checkpoint directory, and snapshot stream, and a
+//! its own WAL/checkpoint directory and snapshot stream, and a
 //! router presents the cluster as one logical KB over the existing dd-wire
 //! protocol.
 //!

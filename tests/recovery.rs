@@ -22,9 +22,11 @@
 //! is put behind a real `dd-server` socket to prove it serves the exact
 //! pre-crash answers, pinned supervised facts included.
 //!
-//! Everything runs the sequential Gibbs path (tiny graphs stay far below
-//! `parallel_threshold`), which is bit-deterministic per seed — the property
-//! the byte-identical assertions lean on.
+//! Every engine samples with the one sequential Gibbs sampler, so a run and
+//! its WAL replay are bit-exact per seed at any graph size — the property
+//! the byte-identical assertions lean on.  The small program below keeps the
+//! fault sweeps fast; the "replay at any graph size" test holds the same
+//! rule on a graph with over 2 000 coupled variables.
 
 use deepdive_repro::prelude::*;
 use std::fs;
@@ -586,6 +588,147 @@ fn damaged_newest_checkpoint_falls_back_without_losing_operations() {
     // Fallback lands on the baseline checkpoint and replays ops 1..=3 from
     // the (un-pruned) WAL: nothing is lost.
     assert_eq!(recovered_state(&dir), reference_state(3));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ------------------------------------------------ replay at any graph size
+
+/// `pairs` two-mention sentences (mentions `2s` and `2s + 1` of sentence
+/// `s`, over four phrasings) with every hundredth pair supervised, and the
+/// symmetry rule I1 coupling each candidate pair to its mirror image: about
+/// `2 * pairs` coupled query variables.
+fn coupled_inputs(pairs: i64) -> (String, Database) {
+    const PHRASES: [&str; 4] = ["and his wife", "met with", "and the widow of", "sued"];
+    let program = format!(
+        "{PROGRAM}\n    rule I1 inference: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2) \
+         weight = 1.5.\n"
+    );
+    let mut db = database();
+    for s in 100..100 + pairs {
+        let (m1, m2) = (2 * s, 2 * s + 1);
+        let (a, b) = (format!("A{s}"), format!("B{s}"));
+        let phrase = PHRASES[(s % 4) as usize];
+        db.insert_all(
+            "Sentence",
+            [Tuple::from_iter([
+                Value::Int(s),
+                Value::text(format!("{a} {phrase} {b} yesterday")),
+            ])],
+        )
+        .unwrap();
+        db.insert_all(
+            "PersonCandidate",
+            [
+                Tuple::from_iter([Value::Int(s), Value::Int(m1), Value::text(a.clone())]),
+                Tuple::from_iter([Value::Int(s), Value::Int(m2), Value::text(b.clone())]),
+            ],
+        )
+        .unwrap();
+        if s % 100 == 0 {
+            db.insert_all(
+                "EL",
+                [
+                    Tuple::from_iter([Value::Int(m1), Value::text(format!("e{m1}"))]),
+                    Tuple::from_iter([Value::Int(m2), Value::text(format!("e{m2}"))]),
+                ],
+            )
+            .unwrap();
+            db.insert_all(
+                "Married",
+                [Tuple::from_iter([
+                    Value::text(format!("e{m1}")),
+                    Value::text(format!("e{m2}")),
+                ])],
+            )
+            .unwrap();
+        }
+    }
+    (program, db)
+}
+
+/// Ten new documents, the first of them a supervised married pair.
+fn coupled_update() -> KbcUpdate {
+    let mut update = KbcUpdate::new();
+    for s in 5000..5010i64 {
+        let (m1, m2) = (2 * s, 2 * s + 1);
+        let (a, b) = (format!("A{s}"), format!("B{s}"));
+        update
+            .insert(
+                "Sentence",
+                Tuple::from_iter([Value::Int(s), Value::text(format!("{a} and his wife {b}"))]),
+            )
+            .insert(
+                "PersonCandidate",
+                Tuple::from_iter([Value::Int(s), Value::Int(m1), Value::text(a)]),
+            )
+            .insert(
+                "PersonCandidate",
+                Tuple::from_iter([Value::Int(s), Value::Int(m2), Value::text(b)]),
+            );
+    }
+    update
+        .insert(
+            "EL",
+            Tuple::from_iter([Value::Int(10000), Value::text("e10000")]),
+        )
+        .insert(
+            "EL",
+            Tuple::from_iter([Value::Int(10001), Value::text("e10001")]),
+        )
+        .insert(
+            "Married",
+            Tuple::from_iter([Value::text("e10000"), Value::text("e10001")]),
+        );
+    update
+}
+
+/// WAL replay re-runs learning and full Gibbs on the recovered engine, so it
+/// is only exact if every sweep is a function of the seed alone.  This graph
+/// has more coupled query variables than the 2 048 at which full Gibbs and
+/// the learner once switched to multi-threaded sampling; replay must still
+/// land on the live state bit for bit, and so must a second engine built
+/// from the same inputs.
+#[test]
+fn replay_is_exact_on_a_graph_with_thousands_of_coupled_variables() {
+    let dir = temp_dir("coupled");
+    let (program, db) = coupled_inputs(1100);
+    let build = |durability: Option<&Path>| {
+        let mut builder = DeepDive::builder()
+            .program_text(program.clone())
+            .database(db.clone())
+            .config(EngineConfig::fast());
+        if let Some(dir) = durability {
+            builder = builder.durability(DurabilityConfig::new(dir));
+        }
+        builder.build().expect("engine builds")
+    };
+    let run = |dd: &mut DeepDive| {
+        dd.initial_run().unwrap();
+        dd.run_update(&coupled_update(), ExecutionMode::Incremental)
+            .unwrap();
+        (dd.epoch(), encode_snapshot(&dd.snapshot()))
+    };
+
+    // The live engine: both operations land in the WAL only (the builder's
+    // baseline checkpoint predates them), and the engine is dropped without
+    // a checkpoint, so recovery replays both.
+    let live = {
+        let mut dd = build(Some(&dir));
+        let live = run(&mut dd);
+        let coupled = dd.graph().compile().coupled_query_variables().len();
+        assert!(coupled > 2048, "only {coupled} coupled query variables");
+        live
+    };
+    let recovered = build(Some(&dir));
+    assert!(recovered.recovery_replay_errors().is_empty());
+    assert_eq!(recovered.epoch(), live.0);
+    assert!(
+        encode_snapshot(&recovered.snapshot()) == live.1,
+        "the replayed snapshot differs from the live one"
+    );
+
+    let twin = run(&mut build(None));
+    assert!(twin == live, "a second engine on the same inputs differs");
     let _ = fs::remove_dir_all(&dir);
 }
 
