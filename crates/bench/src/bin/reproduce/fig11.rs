@@ -50,21 +50,21 @@ pub fn run() {
                 StrategyChoice::Sampling => {
                     let out = mat.sampling.infer(&updated_graph, &change, 400, 3);
                     if out.exhausted {
-                        let _ = mat.variational.infer(&Default::default(), &gibbs);
+                        let _ = mat.variational.infer(&updated_graph, &change, &gibbs);
                     }
                 }
                 StrategyChoice::Variational => {
-                    let _ = mat.variational.infer(&Default::default(), &gibbs);
+                    let _ = mat.variational.infer(&updated_graph, &change, &gibbs);
                 }
             },
         );
-        let (_, t_no_sampling) = timed(|| mat.variational.infer(&Default::default(), &gibbs));
+        let (_, t_no_sampling) = timed(|| mat.variational.infer(&updated_graph, &change, &gibbs));
         let (out_sampling, t_no_relax) =
             timed(|| mat.sampling.infer(&updated_graph, &change, 400, 3));
         let (_, t_no_workload) = timed(|| {
             let out = mat.sampling.infer(&updated_graph, &change, 400, 3);
             if out.exhausted || out.acceptance_rate < 0.05 {
-                let _ = mat.variational.infer(&Default::default(), &gibbs);
+                let _ = mat.variational.infer(&updated_graph, &change, &gibbs);
             }
         });
 

@@ -19,7 +19,7 @@ pub fn run() {
         rows.push(vec![
             kind.name().to_string(),
             engine.graph().num_variables().to_string(),
-            mat.num_samples.to_string(),
+            mat.sampling.num_samples().to_string(),
             format!("{} bytes", mat.sample_storage_bytes()),
         ]);
     }

@@ -66,7 +66,8 @@ pub fn run() {
         let mut updated = g.clone();
         let change = DistributionChange::apply_and_describe(&mut updated, &delta);
         let (outcome, t_samp) = timed(|| sampling.infer(&updated, &change, 1000, 3));
-        let (_, t_var) = timed(|| variational.infer(&delta, &GibbsOptions::new(150, 30, 3)));
+        let (_, t_var) =
+            timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30, 3)));
         rows.push(vec![
             format!("{magnitude:.2}"),
             format!("{:.2}", outcome.acceptance_rate),
@@ -108,7 +109,8 @@ pub fn run() {
         let mut updated = g.clone();
         let change = DistributionChange::apply_and_describe(&mut updated, &delta);
         let (_, t_samp) = timed(|| sampling.infer(&updated, &change, 600, 3));
-        let (_, t_var) = timed(|| variational.infer(&delta, &GibbsOptions::new(150, 30, 3)));
+        let (_, t_var) =
+            timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30, 3)));
         rows.push(vec![
             format!("{sparsity:.1}"),
             variational.num_pairwise_factors().to_string(),

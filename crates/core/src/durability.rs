@@ -44,8 +44,7 @@ use dd_grounding::{
     WeightSpec,
 };
 use dd_inference::{
-    DistributionChange, Marginals, SampleMaterialization, SampleSet, StrawmanMaterialization,
-    VariationalMaterialization,
+    DistributionChange, Marginals, SampleMaterialization, SampleSet, VariationalMaterialization,
 };
 use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{Column, DataType, Database, DeltaRelation, Schema, Table, Tuple, Value};
@@ -57,7 +56,13 @@ use std::collections::HashSet;
 /// Format version stamped into every checkpoint payload.  Bumped whenever the
 /// encoding changes incompatibly; recovery refuses versions it does not know
 /// instead of misreading them.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 2;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 3;
+
+/// The oldest format recovery still reads.  A format-2 payload is a format-3
+/// one plus members decoding passes over: each variable's active flag, the
+/// materialization's strawman, model weights, wall-clock seconds and two
+/// sample counts, and the engine's coverage pair.
+const OLDEST_READABLE_FORMAT: u64 = 2;
 
 type R<T> = Result<T, StorageError>;
 
@@ -185,7 +190,6 @@ pub(crate) struct CheckpointState {
     pub grounder: GrounderState,
     pub materialization: Option<Materialization>,
     pub materialized_epoch: Option<u64>,
-    pub materialized_coverage: Option<(usize, usize)>,
     pub cumulative_change: DistributionChange,
     pub learned_weights: Vec<f64>,
     pub epoch: u64,
@@ -656,7 +660,6 @@ fn enc_variable(w: &mut JsonWriter<'_>, v: &Variable) {
             },
         );
         w.field("initial_value", &v.initial_value);
-        w.field("active", &v.active);
         w.field("relation", &*v.relation);
         w.key("key").u64_string(v.key);
     });
@@ -675,7 +678,6 @@ fn dec_variable(r: &mut JsonReader<'_>, relations: &mut HashSet<RelName>) -> D<V
             _ => None,
         })?;
         var.initial_value = o.field("initial_value")?.bool()?;
-        var.active = o.field("active")?.bool()?;
         let relation = o.field("relation")?.string()?;
         var.relation = match relations.get(&*relation) {
             Some(handle) => handle.clone(),
@@ -870,7 +872,6 @@ fn enc_materialization(w: &mut JsonWriter<'_>, m: &Materialization) {
     w.object(|w| {
         w.key("sampling").object(|w| {
             enc_sample_set(w.key("samples"), m.sampling.samples());
-            enc_usize(w.key("num_original_vars"), m.sampling.num_original_vars());
         });
         w.key("variational").object(|w| {
             enc_graph(w.key("approx_graph"), m.variational.approx_graph());
@@ -884,32 +885,15 @@ fn enc_materialization(w: &mut JsonWriter<'_>, m: &Materialization) {
             );
             enc_f64(w.key("lambda"), m.variational.lambda());
         });
-        match &m.strawman {
-            None => w.key("strawman").null(),
-            Some(s) => w.key("strawman").object(|w| {
-                enc_usizes(w.key("query_vars"), s.query_vars());
-                enc_usize(w.key("num_vars"), s.num_vars());
-                w.field("base_world", s.base_world());
-                enc_f64s(w.key("log_weights"), s.log_weights());
-            }),
-        }
-        enc_f64s(w.key("weights"), &m.weights);
-        // Wall-clock: recorded as 0 so the bytes depend on the inputs only.
-        // The field stays (and is decoded) for directories written before.
-        enc_f64(w.key("seconds"), 0.0);
-        enc_usize(w.key("num_samples"), m.num_samples);
     });
 }
 
 fn dec_materialization(r: &mut JsonReader<'_>) -> D<Materialization> {
     r.object(|o| {
         let sampling = o.field("sampling")?.object(|s| {
-            let samples = dec_sample_set(s.field("samples")?)?;
-            let num_original_vars = dec_usize(s.field("num_original_vars")?)?;
-            Ok(SampleMaterialization::from_samples(
-                samples,
-                num_original_vars,
-            ))
+            Ok(SampleMaterialization::from_samples(dec_sample_set(
+                s.field("samples")?,
+            )?))
         })?;
         let variational = o.field("variational")?.object(|v| {
             Ok(VariationalMaterialization::from_parts(
@@ -919,23 +903,9 @@ fn dec_materialization(r: &mut JsonReader<'_>) -> D<Materialization> {
                 dec_f64(v.field("lambda")?)?,
             ))
         })?;
-        let strawman = o.field("strawman")?.null_or(|r| {
-            r.object(|s| {
-                Ok(StrawmanMaterialization::from_parts(
-                    s.field("query_vars")?.seq(dec_usize)?,
-                    dec_usize(s.field("num_vars")?)?,
-                    s.field("base_world")?.seq(|r| r.bool())?,
-                    dec_f64s(s.field("log_weights")?)?,
-                ))
-            })
-        })?;
         Ok(Materialization {
             sampling,
             variational,
-            strawman,
-            weights: dec_f64s(o.field("weights")?)?,
-            seconds: dec_f64(o.field("seconds")?)?,
-            num_samples: dec_usize(o.field("num_samples")?)?,
         })
     })
 }
@@ -1329,12 +1299,6 @@ impl Encode for CheckpointState {
                 None => w.key("materialized_epoch").null(),
                 Some(e) => w.key("materialized_epoch").u64_string(e),
             }
-            match self.materialized_coverage {
-                None => w.key("materialized_coverage").null(),
-                Some((vars, weights)) => {
-                    enc_usizes(w.key("materialized_coverage"), &[vars, weights])
-                }
-            }
             enc_distribution_change(w.key("cumulative_change"), &self.cumulative_change);
             enc_f64s(w.key("learned_weights"), &self.learned_weights);
             w.key("epoch").u64_string(self.epoch);
@@ -1347,18 +1311,15 @@ impl Decode for CheckpointState {
     fn decode(r: &mut JsonReader<'_>) -> D<Self> {
         r.object(|o| {
             let format = dec_u64(o.field("format")?)?;
-            if format != CHECKPOINT_FORMAT_VERSION {
+            if !(OLDEST_READABLE_FORMAT..=CHECKPOINT_FORMAT_VERSION).contains(&format) {
                 return Err(format!(
-                    "unsupported checkpoint format {format} (this build reads {CHECKPOINT_FORMAT_VERSION})"
+                    "unsupported checkpoint format {format} (this build reads {OLDEST_READABLE_FORMAT} to {CHECKPOINT_FORMAT_VERSION})"
                 ));
             }
             Ok(CheckpointState {
                 grounder: dec_grounder_state(o.field("grounder")?)?,
                 materialization: o.field("materialization")?.null_or(dec_materialization)?,
                 materialized_epoch: o.field("materialized_epoch")?.null_or(dec_u64)?,
-                materialized_coverage: o.field("materialized_coverage")?.null_or(|r| {
-                    r.pair("coverage is not a [vars, weights] pair", dec_usize, dec_usize)
-                })?,
                 cumulative_change: dec_distribution_change(o.field("cumulative_change")?)?,
                 learned_weights: dec_f64s(o.field("learned_weights")?)?,
                 epoch: dec_u64(o.field("epoch")?)?,
@@ -1683,11 +1644,13 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_unknown_format_versions() {
-        let doc = format!("{{\"format\":\"{}\"}}", CHECKPOINT_FORMAT_VERSION + 1);
-        let err = match decode_checkpoint(doc.as_bytes()) {
-            Err(e) => e,
-            Ok(_) => panic!("future-format checkpoint was accepted"),
-        };
-        assert!(err.to_string().contains("unsupported checkpoint format"));
+        for format in [OLDEST_READABLE_FORMAT - 1, CHECKPOINT_FORMAT_VERSION + 1] {
+            let doc = format!("{{\"format\":\"{format}\"}}");
+            let err = match decode_checkpoint(doc.as_bytes()) {
+                Err(e) => e,
+                Ok(_) => panic!("format-{format} checkpoint was accepted"),
+            };
+            assert!(err.to_string().contains("unsupported checkpoint format"));
+        }
     }
 }

@@ -5,6 +5,8 @@
 //! corpora through the six development updates, the claims KB through
 //! insert / delete / retraction rounds).  A checkpoint file, a WAL record or
 //! a snapshot must not change by one byte because of how it is produced.
+//! The oracle encodes the format the encoder writes: when checkpoint format 3
+//! retired members of format 2, they were dropped here too.
 
 use super::*;
 use dd_wire::json::Json;
@@ -274,7 +276,6 @@ fn enc_variable(v: &Variable) -> Json {
             ),
         ),
         ("initial_value", Json::Bool(v.initial_value)),
-        ("active", Json::Bool(v.active)),
         ("relation", Json::String(v.relation.to_string())),
         ("key", enc_u64(v.key)),
     ])
@@ -378,31 +379,10 @@ fn enc_sample_set(s: &SampleSet) -> Json {
 }
 
 fn enc_materialization(m: &Materialization) -> Json {
-    let strawman = match &m.strawman {
-        None => Json::Null,
-        Some(s) => obj(vec![
-            (
-                "query_vars",
-                Json::Array(s.query_vars().iter().map(|&v| enc_usize(v)).collect()),
-            ),
-            ("num_vars", enc_usize(s.num_vars())),
-            (
-                "base_world",
-                Json::Array(s.base_world().iter().map(|&b| Json::Bool(b)).collect()),
-            ),
-            ("log_weights", enc_f64s(s.log_weights())),
-        ]),
-    };
     obj(vec![
         (
             "sampling",
-            obj(vec![
-                ("samples", enc_sample_set(m.sampling.samples())),
-                (
-                    "num_original_vars",
-                    enc_usize(m.sampling.num_original_vars()),
-                ),
-            ]),
+            obj(vec![("samples", enc_sample_set(m.sampling.samples()))]),
         ),
         (
             "variational",
@@ -419,12 +399,6 @@ fn enc_materialization(m: &Materialization) -> Json {
                 ("lambda", enc_f64(m.variational.lambda())),
             ]),
         ),
-        ("strawman", strawman),
-        ("weights", enc_f64s(&m.weights)),
-        // Wall-clock: recorded as 0 so the bytes depend on the inputs only.
-        // The field stays (and is decoded) for directories written before.
-        ("seconds", enc_f64(0.0)),
-        ("num_samples", enc_usize(m.num_samples)),
     ])
 }
 
@@ -679,10 +653,6 @@ pub(super) fn encode_wal_op(op: &WalOp<'_>) -> Vec<u8> {
 }
 
 pub(super) fn encode_checkpoint(state: &CheckpointState) -> Vec<u8> {
-    let coverage = match state.materialized_coverage {
-        None => Json::Null,
-        Some((vars, weights)) => Json::Array(vec![enc_usize(vars), enc_usize(weights)]),
-    };
     obj(vec![
         ("format", enc_u64(CHECKPOINT_FORMAT_VERSION)),
         ("grounder", enc_grounder_state(&state.grounder)),
@@ -700,7 +670,6 @@ pub(super) fn encode_checkpoint(state: &CheckpointState) -> Vec<u8> {
                 Some(e) => enc_u64(e),
             },
         ),
-        ("materialized_coverage", coverage),
         (
             "cumulative_change",
             enc_distribution_change(&state.cumulative_change),

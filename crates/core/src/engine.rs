@@ -41,17 +41,18 @@
 //! 3. **learn** — cold (initial run, Rerun), warm for half the epochs
 //!    (Incremental, when the change calls for it), or not at all.  Weights
 //!    that learning moves join the accumulated change.
-//! 4. **infer** — full Gibbs, or the chosen §3.3 strategy; wherever the
-//!    materialization cannot serve, one fallback (`DeepDive::fallback`)
-//!    yields full Gibbs or, in strict mode, `StaleMaterialization`.
+//! 4. **infer** — full Gibbs, or the chosen §3.3 strategy, which reads the
+//!    current graph and the accumulated change whichever it is; only when
+//!    nothing is materialized does the round fall back, to full Gibbs or, in
+//!    strict mode, `StaleMaterialization`.
 //! 5. **publish** — commit the marginals as the next epoch's snapshot; the
 //!    round's one [`IterationReport`] is built from the stage results.
 //!
 //! **The grounder describes what it did.**  Incremental grounding changes
 //! the engine's graph in place, through the binding path full grounding
-//! uses, and reports the change as a [`GraphDelta`] read off what it did
-//! (removals as they ran, additions off the graph's tail) together with the
-//! ids it assigned and the roles it replaced
+//! uses, and reports the change as a [`dd_factorgraph::GraphDelta`] read
+//! off what it did (removals as they ran, additions off the graph's tail)
+//! together with the ids it assigned and the roles it replaced
 //! ([`dd_grounding::IncrementalGrounding`]); the description is built from
 //! that report ([`DistributionChange::from_applied`]).  The engine never
 //! copies its graph, and no delta is ever applied to it.
@@ -64,7 +65,7 @@ use crate::materialization::{Materialization, Materialized};
 use crate::optimizer::{choose_strategy, StrategyChoice};
 use crate::quality::QualityReport;
 use crate::snapshot::{self, Snapshot, SnapshotReader};
-use dd_factorgraph::{FactorGraph, FlatGraph, GraphDelta};
+use dd_factorgraph::{FactorGraph, FlatGraph};
 use dd_grounding::{Grounder, KbcUpdate, Program, UdfRegistry};
 use dd_inference::{
     DistributionChange, GibbsOptions, GibbsSampler, LearnOptions, Learner, Marginals,
@@ -233,15 +234,10 @@ enum Ground<'a> {
 /// What the ground stage leaves for the later stages of its round.
 #[derive(Default)]
 struct Grounded {
-    /// The delta the grounder reported (empty unless the round grounded a Δ);
-    /// the variational strategy replays it on its approximate graph.
-    delta: GraphDelta,
     /// This round's own distribution change.
     change: DistributionChange,
     /// The Δ removed structure or withdrew supervision.
     has_retraction: bool,
-    /// `(variables, weights)` of the graph before the stage ran.
-    pre_update: (usize, usize),
     /// What the round reports as new.
     new_variables: usize,
     new_factors: usize,
@@ -295,15 +291,12 @@ impl DeepDive {
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
         let mut engine = Self::fresh(Grounder::from_state(state.grounder, udfs)?, config);
-        if let (Some(materialization), Some(epoch), Some(coverage)) = (
-            state.materialization,
-            state.materialized_epoch,
-            state.materialized_coverage,
-        ) {
+        if let (Some(materialization), Some(epoch)) =
+            (state.materialization, state.materialized_epoch)
+        {
             engine.materialized = Some(Materialized {
                 materialization,
                 epoch,
-                coverage,
                 change: state.cumulative_change,
             });
         }
@@ -459,7 +452,7 @@ impl DeepDive {
         self.execute_round(WalOp::InitialRun)
     }
 
-    /// Build the combined materialization (sampling + variational + strawman).
+    /// Build the combined materialization (sampling + variational).
     ///
     /// Only fallible on durable engines (the WAL append); in-memory engines
     /// cannot fail here.
@@ -554,7 +547,6 @@ impl DeepDive {
         self.materialized = Some(Materialized {
             materialization: Materialization::build_on(flat, graph, &self.config),
             epoch: self.epoch,
-            coverage: (graph.num_variables(), graph.num_weights()),
             change: DistributionChange::default(),
         });
     }
@@ -602,9 +594,7 @@ impl DeepDive {
 
         let t = Instant::now();
         let (marginals, acceptance_rate, fell_back_to_variational) = match strategy {
-            Some(strategy) => {
-                self.infer_incremental(strategy, &grounded.delta, grounded.pre_update)?
-            }
+            Some(strategy) => self.infer_incremental(strategy)?,
             None => (self.full_gibbs(), None, false),
         };
         let inference_secs = t.elapsed().as_secs_f64();
@@ -646,8 +636,6 @@ impl DeepDive {
         // so a rejected update leaves the engine untouched.
         crate::builder::check_tied_udfs(&update.new_rules, self.grounder.udfs())?;
 
-        let graph = self.grounder.graph();
-        let pre_update = (graph.num_variables(), graph.num_weights());
         self.compiled = None;
         let grounding = self.grounder.ground_incremental(update)?;
         let delta = grounding.delta;
@@ -677,9 +665,7 @@ impl DeepDive {
                 grounding.new_factor_ids,
                 &grounding.previous_roles,
             ),
-            delta,
             has_retraction,
-            pre_update,
         })
     }
 
@@ -706,6 +692,9 @@ impl DeepDive {
 
     /// The infer stage of an Incremental Δ round: the chosen §3.3 strategy on
     /// the materialization, as `(marginals, MH acceptance rate, fell back)`.
+    /// Without a materialization the round runs full Gibbs — or, under
+    /// `strict_incremental`, fails with `StaleMaterialization` in place of
+    /// that unbounded latency spike.
     ///
     /// Static query variables are independent of everything the stored
     /// samples describe: their exact marginal replaces the strategy's
@@ -715,21 +704,22 @@ impl DeepDive {
     fn infer_incremental(
         &mut self,
         strategy: StrategyChoice,
-        delta: &GraphDelta,
-        pre_update: (usize, usize),
     ) -> Result<(Marginals, Option<f64>, bool), EngineError> {
         if self.compiled.is_none() {
             self.compiled = Some(self.grounder.graph().compile());
         }
         let flat = self.compiled.as_ref().expect("compiled just above");
         let Some(materialized) = &self.materialized else {
-            return Ok((self.fallback(StaleKind::NotMaterialized)?, None, false));
+            if self.config.strict_incremental {
+                return Err(self.stale(StaleKind::NotMaterialized));
+            }
+            return Ok((self.full_gibbs(), None, false));
         };
         if flat.coupled_query_variables().is_empty() {
             return Ok((self.full_gibbs(), None, false));
         }
         let (mut marginals, rate, fell_back) =
-            self.infer_from_materialization(materialized, strategy, delta, pre_update)?;
+            self.infer_from_materialization(materialized, strategy);
         for &v in flat.static_query_variables() {
             marginals.set(v, flat.static_p_true(v).expect("static variable"));
         }
@@ -737,53 +727,37 @@ impl DeepDive {
     }
 
     /// [`DeepDive::infer_incremental`]'s strategy proper, over every
-    /// variable.
+    /// variable.  Both strategies read the current graph and the change
+    /// accumulated since the materialization was taken.
     fn infer_from_materialization(
         &self,
         materialized: &Materialized,
         strategy: StrategyChoice,
-        delta: &GraphDelta,
-        pre_update: (usize, usize),
-    ) -> Result<(Marginals, Option<f64>, bool), EngineError> {
-        let mat = &materialized.materialization;
-        let variational = || {
-            if materialized.variational_serves(delta, pre_update) {
-                return Ok(mat.variational.infer(delta, &self.gibbs_options()));
-            }
-            let graph = self.grounder.graph();
-            self.fallback(StaleKind::UnknownEntities {
-                num_variables: graph.num_variables(),
-                num_weights: graph.num_weights(),
-            })
-        };
+    ) -> (Marginals, Option<f64>, bool) {
+        let (mat, graph, change) = (
+            &materialized.materialization,
+            self.grounder.graph(),
+            &materialized.change,
+        );
+        let variational = || mat.variational.infer(graph, change, &self.gibbs_options());
         match strategy {
             StrategyChoice::Sampling => {
                 let outcome = mat.sampling.infer(
-                    self.grounder.graph(),
-                    &materialized.change,
+                    graph,
+                    change,
                     self.config.inference_samples,
                     self.config.seed,
                 );
                 let rate = Some(outcome.acceptance_rate);
                 if outcome.exhausted {
                     // Rule 4: out of samples → variational.
-                    Ok((variational()?, rate, true))
+                    (variational(), rate, true)
                 } else {
-                    Ok((outcome.marginals, rate, false))
+                    (outcome.marginals, rate, false)
                 }
             }
-            StrategyChoice::Variational => Ok((variational()?, None, false)),
+            StrategyChoice::Variational => (variational(), None, false),
         }
-    }
-
-    /// Where a round gives up on the materialization: full Gibbs over the
-    /// whole graph — or, under `strict_incremental`, `StaleMaterialization`
-    /// in place of that unbounded latency spike.
-    fn fallback(&self, kind: StaleKind) -> Result<Marginals, EngineError> {
-        if self.config.strict_incremental {
-            return Err(self.stale(kind));
-        }
-        Ok(self.full_gibbs())
     }
 
     fn stale(&self, kind: StaleKind) -> EngineError {
@@ -864,7 +838,6 @@ impl DeepDive {
             grounder: self.grounder.export_state(),
             materialization: materialized.map(|m| m.materialization),
             materialized_epoch: self.materialized_epoch(),
-            materialized_coverage: self.materialized.as_ref().map(|m| m.coverage),
             cumulative_change,
             learned_weights: self.learned_weights.clone(),
             epoch: self.epoch,
@@ -1408,9 +1381,7 @@ mod tests {
     fn strict_mode_serves_variational_updates_on_a_fresh_materialization() {
         // A supervision-only update right after materialize() routes to the
         // variational strategy and must be *served*, not rejected: strict
-        // mode distinguishes a usable materialization (full-graph coverage
-        // recorded at materialize time) from the approximate graph's own
-        // unary/pairwise weight space, whose counts never match the model's.
+        // mode fails a round only when nothing is materialized.
         let mut config = EngineConfig::fast();
         config.strict_incremental = true;
         let mut dd = DeepDive::builder()
@@ -1442,9 +1413,9 @@ mod tests {
         // materialize() at N variables; a document update grows the graph
         // (served by sampling); a later supervision-only update routes to the
         // variational strategy, whose materialized approx graph predates the
-        // growth.  The engine must notice the stale coverage and fall back,
-        // publishing marginals over the *full* graph — the grown fact stays
-        // visible in every later epoch.
+        // growth.  It samples over the current graph's variables plus every
+        // factor added since, so it publishes marginals over the *full*
+        // graph — the grown fact stays visible in every later epoch.
         let mut dd = engine();
         dd.initial_run().unwrap();
         dd.materialize().unwrap();
@@ -1483,6 +1454,71 @@ mod tests {
     /// The change accumulated since materialization, as a checkpoint records it.
     fn accumulated(dd: &DeepDive) -> DistributionChange {
         dd.export_checkpoint_state().cumulative_change
+    }
+
+    /// `update` plus distant supervision labelling the mention pair `(m1, m2)`.
+    fn with_label(mut update: KbcUpdate, m1: i64, m2: i64) -> KbcUpdate {
+        let (e1, e2) = (format!("E{m1}"), format!("E{m2}"));
+        update
+            .insert("EL", tuple![m1, e1.as_str()])
+            .insert("EL", tuple![m2, e2.as_str()])
+            .insert("Married", tuple![e1.as_str(), e2.as_str()]);
+        update
+    }
+
+    #[test]
+    fn variational_rounds_keep_every_change_since_materialization() {
+        // Two supervision rounds after one materialize(), both served by the
+        // variational strategy: the second round's approximation must still
+        // carry the first round's label, not just its own.
+        let mut dd = coupled_engine();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        for (m1, m2) in [(20, 21), (30, 31)] {
+            let report = dd
+                .run_update(
+                    &with_label(KbcUpdate::new(), m1, m2),
+                    ExecutionMode::Incremental,
+                )
+                .unwrap();
+            assert_eq!(report.strategy, Some(StrategyChoice::Variational));
+        }
+        for pair in [tuple![20i64, 21i64], tuple![30i64, 31i64]] {
+            assert_eq!(dd.probability_of("MarriedMentions", &pair), Some(1.0));
+        }
+    }
+
+    #[test]
+    fn a_variational_round_over_new_and_relabelled_variables_is_served() {
+        // One update creates the candidate pair (40, 41) and labels it: the
+        // evidence change names a variable the same update creates.  The
+        // round is served by the approximation over the current graph and
+        // the accumulated change, not by full Gibbs.
+        let mut dd = coupled_engine();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        let update = with_label(franklin_document(), 40, 41);
+        let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
+        assert_eq!(report.strategy, Some(StrategyChoice::Variational));
+        assert!(report.new_variables > 0);
+        let pair = tuple![40i64, 41i64];
+        assert_eq!(dd.probability_of("MarriedMentions", &pair), Some(1.0));
+
+        let expected = dd.materialization().unwrap().variational.infer(
+            dd.graph(),
+            &accumulated(&dd),
+            &dd.gibbs_options(),
+        );
+        let flat = dd.graph().compile();
+        assert!(!flat.coupled_query_variables().is_empty());
+        let published = dd.snapshot();
+        for &v in flat.coupled_query_variables() {
+            assert_eq!(
+                published.marginals().get(v).to_bits(),
+                expected.get(v).to_bits(),
+                "variable {v}"
+            );
+        }
     }
 
     fn franklin_document() -> KbcUpdate {

@@ -20,15 +20,6 @@ use std::fmt;
 pub enum StaleKind {
     /// [`crate::DeepDive::materialize`] was never called.
     NotMaterialized,
-    /// The update references variables or weights created after the
-    /// materialization was taken, so the stored samples and approximate
-    /// factorization cannot interpret the delta.
-    UnknownEntities {
-        /// Variables in the graph now.
-        num_variables: usize,
-        /// Weights in the graph now.
-        num_weights: usize,
-    },
     /// The update retracted facts, compacting the factor graph in place.
     /// Stored samples and the approximate factorization are keyed by
     /// pre-compaction variable ids, so the materialization cannot interpret
@@ -124,14 +115,6 @@ impl fmt::Display for EngineError {
                         f,
                         "strict incremental update at epoch {current_epoch} but the engine was never materialized"
                     )?,
-                    StaleKind::UnknownEntities {
-                        num_variables,
-                        num_weights,
-                    } => write!(
-                        f,
-                        "materialization taken at epoch {} is stale at epoch {current_epoch}: the graph has grown to {num_variables} variables / {num_weights} weights",
-                        materialized_epoch.unwrap_or(0)
-                    )?,
                     StaleKind::Retraction {
                         removed_variables,
                         removed_factors,
@@ -211,9 +194,9 @@ mod tests {
         assert!(msg.contains("FE1") && msg.contains("phrse") && msg.contains("phrase"));
 
         let e = EngineError::StaleMaterialization {
-            kind: StaleKind::UnknownEntities {
-                num_variables: 12,
-                num_weights: 4,
+            kind: StaleKind::Retraction {
+                removed_variables: 12,
+                removed_factors: 4,
             },
             materialized_epoch: Some(3),
             current_epoch: 5,

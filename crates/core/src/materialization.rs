@@ -4,15 +4,13 @@
 //! and the variational approach, and defer the decision to the inference phase."
 //! Both strategies need Gibbs samples from the original distribution — "this is
 //! the dominant cost during materialization" — so the engine draws one sample set
-//! and feeds it to both.  The strawman (complete enumeration) is also retained
-//! for graphs small enough to afford it, mirroring its role as the exactness
-//! anchor of the tradeoff study.
+//! and feeds it to both.  While it is in service, both read one description of
+//! what changed since: `Materialized::change`.
 
 use crate::config::EngineConfig;
-use dd_factorgraph::{FactorGraph, FlatGraph, GraphDelta};
+use dd_factorgraph::{FactorGraph, FlatGraph};
 use dd_inference::{
-    DistributionChange, GibbsSampler, SampleMaterialization, SampleSet, StrawmanMaterialization,
-    VariationalMaterialization,
+    DistributionChange, GibbsSampler, SampleMaterialization, SampleSet, VariationalMaterialization,
 };
 use std::time::Instant;
 
@@ -21,15 +19,6 @@ use std::time::Instant;
 pub struct Materialization {
     pub sampling: SampleMaterialization,
     pub variational: VariationalMaterialization,
-    /// Present only when the graph has few enough query variables to enumerate.
-    pub strawman: Option<StrawmanMaterialization>,
-    /// Weight values at materialization time (the warmstart model).
-    pub weights: Vec<f64>,
-    /// Wall-clock seconds spent materializing.  In-memory only: checkpoints
-    /// record `0`, so their bytes are a pure function of the engine's inputs.
-    pub seconds: f64,
-    /// Number of samples drawn.
-    pub num_samples: usize,
 }
 
 impl Materialization {
@@ -42,10 +31,9 @@ impl Materialization {
     /// already holds (the engine's learner and full-Gibbs inference compile
     /// the same graph just before).
     pub fn build_on(flat: &FlatGraph, graph: &FactorGraph, config: &EngineConfig) -> Self {
-        let start = Instant::now();
         let samples = GibbsSampler::from_flat(flat, config.seed)
             .draw_samples(config.materialization_samples, burn_in(config));
-        Self::from_sample_set(graph, samples, config, start)
+        Self::from_sample_set(graph, samples, config)
     }
 
     /// Materialize as many samples as possible within a wall-clock budget — the
@@ -62,30 +50,18 @@ impl Materialization {
             .draw_samples_while(burn_in(config), |_| {
                 start.elapsed().as_secs_f64() < budget_seconds
             });
-        Self::from_sample_set(graph, samples, config, start)
+        Self::from_sample_set(graph, samples, config)
     }
 
-    /// Both strategies (and the strawman, where affordable) from one drawn
-    /// sample set: the variational approximation reads the rows in place,
-    /// then the sampling strategy takes the set over as its proposal store.
-    fn from_sample_set(
-        graph: &FactorGraph,
-        samples: SampleSet,
-        config: &EngineConfig,
-        start: Instant,
-    ) -> Self {
-        let num_samples = samples.len();
+    /// Both strategies from one drawn sample set: the variational
+    /// approximation reads the rows in place, then the sampling strategy
+    /// takes the set over as its proposal store.
+    fn from_sample_set(graph: &FactorGraph, samples: SampleSet, config: &EngineConfig) -> Self {
         let variational =
             VariationalMaterialization::from_samples(graph, &samples, &config.variational);
-        let sampling = SampleMaterialization::from_samples(samples, graph.num_variables());
-        let strawman = StrawmanMaterialization::materialize(graph);
         Materialization {
-            sampling,
+            sampling: SampleMaterialization::from_samples(samples),
             variational,
-            strawman,
-            weights: graph.weight_values(),
-            seconds: start.elapsed().as_secs_f64(),
-            num_samples,
         }
     }
 
@@ -101,43 +77,21 @@ fn burn_in(config: &EngineConfig) -> usize {
     config.gibbs.burn_in.max(config.variational.burn_in)
 }
 
-/// A [`Materialization`] in an engine's service: when it was taken, what it
-/// covers, and how far the graph has moved from it since.  The engine holds
-/// one of these or nothing, so the accumulated change cannot outlive (or
-/// grow without) the stored samples it is a correction for.
+/// A [`Materialization`] in an engine's service: when it was taken and how
+/// far the graph has moved from it since.  The engine holds one of these or
+/// nothing, so the accumulated change cannot outlive (or grow without) the
+/// stored samples and approximation it is a correction for.
 #[derive(Debug, Clone)]
 pub(crate) struct Materialized {
     pub materialization: Materialization,
     /// Engine epoch at which it was taken.
     pub epoch: u64,
-    /// `(num_variables, num_weights)` of the *full* graph when it was taken.
-    /// (The approximate graph carries its own unary/pairwise weight space, so
-    /// its counts say nothing about the model's.)
-    pub coverage: (usize, usize),
-    /// The distribution change accumulated since: successive rounds all reuse
-    /// the same stored samples, so the MH acceptance test must compare
-    /// against the *materialized* distribution, not just the previous
-    /// round's.
+    /// The distribution change accumulated since, against the current graph:
+    /// successive rounds all reuse the same materialization, so both
+    /// strategies must correct for everything since it was taken, not just
+    /// the last round.  The graph only grows meanwhile (a retraction drops
+    /// the materialization), so its ids keep their meaning.
     pub change: DistributionChange,
-}
-
-impl Materialized {
-    /// Whether the variational strategy can serve an update that took the
-    /// full graph from `pre_update` `(variables, weights)` through `delta`.
-    ///
-    /// It infers over (a clone of) the *materialized* approximate graph plus
-    /// the delta.  Two conditions: the materialization must still cover the
-    /// full pre-update graph (if an earlier update grew the graph past it —
-    /// e.g. one served by sampling — the result would span the wrong id space
-    /// and the newer facts would vanish from the snapshot), and the delta's
-    /// entity references must be in-bounds for the *approximate* graph it is
-    /// applied to.  The sampling strategy has no such limit: it extends its
-    /// stored proposals over new entities against the current full graph.
-    pub fn variational_serves(&self, delta: &GraphDelta, pre_update: (usize, usize)) -> bool {
-        let approx = self.materialization.variational.approx_graph();
-        self.coverage == pre_update
-            && delta.refers_within(approx.num_variables(), approx.num_weights())
-    }
 }
 
 #[cfg(test)]
@@ -162,16 +116,6 @@ mod tests {
         let m = Materialization::build(&g, &config);
         assert_eq!(m.sampling.num_samples(), config.materialization_samples);
         assert_eq!(m.variational.approx_graph().num_variables(), 6);
-        assert!(m.strawman.is_some());
-        assert_eq!(m.weights.len(), 1);
-        assert!(m.seconds >= 0.0);
-    }
-
-    #[test]
-    fn strawman_absent_for_large_graphs() {
-        let g = graph(40);
-        let m = Materialization::build(&g, &EngineConfig::fast());
-        assert!(m.strawman.is_none());
     }
 
     #[test]
@@ -186,7 +130,7 @@ mod tests {
             config.variational.burn_in = variational_burn_in;
             let counted = Materialization::build(&g, &config);
             let budgeted = Materialization::build_with_budget(&g, &config, 0.02);
-            assert!(budgeted.num_samples >= 1);
+            assert!(budgeted.sampling.num_samples() >= 1);
             assert_eq!(
                 counted.sampling.samples().row(0),
                 budgeted.sampling.samples().row(0)
@@ -210,8 +154,8 @@ mod tests {
         let config = EngineConfig::fast();
         let small = Materialization::build_with_budget(&g, &config, 0.02);
         let large = Materialization::build_with_budget(&g, &config, 0.1);
-        assert!(small.num_samples >= 1);
-        assert!(large.num_samples >= small.num_samples);
+        assert!(small.sampling.num_samples() >= 1);
+        assert!(large.sampling.num_samples() >= small.sampling.num_samples());
         assert!(large.sample_storage_bytes() >= small.sample_storage_bytes());
     }
 }

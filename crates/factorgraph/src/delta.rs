@@ -141,28 +141,6 @@ impl GraphDelta {
         self.new_factors.len() + self.removed_factors.len() + self.weight_changes.len()
     }
 
-    /// True if every reference to an *existing* variable or weight resolves
-    /// inside a graph with `num_variables` variables and `num_weights`
-    /// weights — i.e. the delta can be applied to a graph of that size.
-    pub fn refers_within(&self, num_variables: usize, num_weights: usize) -> bool {
-        let var_ok = |r: &NewVarRef| match r {
-            NewVarRef::Existing(v) => *v < num_variables,
-            NewVarRef::New(_) => true,
-        };
-        self.evidence_changes.iter().all(|e| e.var < num_variables)
-            && self
-                .weight_changes
-                .iter()
-                .all(|w| w.weight_id < num_weights)
-            && self.new_factors.iter().all(|f| {
-                f.var_refs.iter().all(var_ok)
-                    && match f.weight {
-                        NewWeightRef::Existing(w) => w < num_weights,
-                        NewWeightRef::New(_) => true,
-                    }
-            })
-    }
-
     /// Describe what `graph` appended past `since` — its
     /// `(variables, weights, factors)` counts at some earlier point — as the
     /// additions of a delta: the tail variables and weights as the graph
@@ -477,7 +455,6 @@ mod tests {
             delta.new_factors[0].var_refs,
             vec![NewVarRef::Existing(1), NewVarRef::New(0)]
         );
-        assert!(delta.refers_within(before.num_variables(), before.num_weights()));
         let mut replayed = before;
         replayed.apply_delta(&delta);
         assert_eq!(replayed, grown);

@@ -6,9 +6,7 @@
 //! variables it mentions (paper §2.4–2.5).  This crate holds that data structure
 //! and everything the samplers need from it:
 //!
-//! * [`Variable`]s, which are query variables or (positive/negative) evidence,
-//!   and may be flagged *inactive* for the decomposition optimization of
-//!   Appendix B.1;
+//! * [`Variable`]s, which are query variables or (positive/negative) evidence;
 //! * [`Weight`]s, shared ("tied") across factors as in rule `FE1` of the paper;
 //! * [`Factor`]s of several kinds — conjunctions, implications, equality, and the
 //!   per-rule *aggregate* factor that implements Equation 1 with the

@@ -62,10 +62,6 @@ pub struct Variable {
     pub role: VariableRole,
     /// Initial value used when a sampler needs a starting world.
     pub initial_value: bool,
-    /// Whether the variable is *active* for the next development iteration
-    /// (Appendix B.1).  Inactive variables may be grouped and marginalized during
-    /// materialization.
-    pub active: bool,
     /// Name of the user relation this variable's tuple belongs to (may be empty
     /// for synthetic graphs).
     pub relation: RelName,
@@ -80,7 +76,6 @@ impl Variable {
             id,
             role: VariableRole::Query,
             initial_value: false,
-            active: true,
             relation: no_relation(),
             key: id as u64,
         }
@@ -96,7 +91,6 @@ impl Variable {
                 VariableRole::NegativeEvidence
             },
             initial_value: value,
-            active: true,
             relation: no_relation(),
             key: id as u64,
         }
@@ -107,12 +101,6 @@ impl Variable {
     pub fn with_origin(mut self, relation: impl Into<RelName>, key: u64) -> Self {
         self.relation = relation.into();
         self.key = key;
-        self
-    }
-
-    /// Mark the variable inactive (builder style).
-    pub fn inactive(mut self) -> Self {
-        self.active = false;
         self
     }
 
@@ -145,7 +133,6 @@ mod tests {
         let q = Variable::query(3);
         assert_eq!(q.id, 3);
         assert!(!q.is_evidence());
-        assert!(q.active);
 
         let e = Variable::evidence(4, true);
         assert!(e.is_evidence());
@@ -158,11 +145,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let v = Variable::query(0)
-            .with_origin("MarriedMentions", 42)
-            .inactive();
+        let v = Variable::query(0).with_origin("MarriedMentions", 42);
         assert_eq!(&*v.relation, "MarriedMentions");
         assert_eq!(v.key, 42);
-        assert!(!v.active);
     }
 }

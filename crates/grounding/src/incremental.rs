@@ -888,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn retraction_delta_replays_id_exact_on_the_pre_update_graph() {
+    fn retraction_delta_replays_id_exact_on_the_graph_before_the_update() {
         let mut g = grounded();
         let mut grow = KbcUpdate::new();
         grow.insert(

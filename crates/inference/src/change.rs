@@ -9,10 +9,12 @@
 //! * factors whose (tied) weight value changed, counted at the weight difference,
 //! * evidence changes, which make inconsistent worlds impossible (−∞).
 //!
-//! The strawman looks this quantity up per enumerated world, the sampling
+//! The strawman looks this quantity up per enumerated world and the sampling
 //! approach uses it in the Metropolis–Hastings acceptance test (where the
-//! original-graph terms cancel), and the variational approach applies the raw
-//! delta to its approximate graph instead.
+//! original-graph terms cancel).  The variational approach reads the same
+//! description differently: it samples its approximate graph over the updated
+//! graph's variables and roles plus the new factors, so new evidence and ΔF
+//! reach it and changed weights only through the factors that are new.
 
 use dd_factorgraph::{FactorGraph, FactorId, GraphDelta, VarId, VariableRole, WeightId, WorldView};
 use std::collections::{HashMap, HashSet};

@@ -35,32 +35,23 @@ pub struct MhOutcome {
     pub exhausted: bool,
 }
 
-/// The sampling materialization: stored tuple bundles plus bookkeeping.
+/// The sampling materialization: stored tuple bundles.
 #[derive(Debug, Clone)]
 pub struct SampleMaterialization {
     samples: SampleSet,
-    /// Number of variables of the original graph.
-    num_original_vars: usize,
 }
 
 impl SampleMaterialization {
     /// Materialize `num_samples` worlds from the original graph.
     pub fn materialize(graph: &FactorGraph, num_samples: usize, burn_in: usize, seed: u64) -> Self {
         let mut sampler = GibbsSampler::new(graph, seed);
-        let samples = sampler.draw_samples(num_samples, burn_in);
-        SampleMaterialization {
-            samples,
-            num_original_vars: graph.num_variables(),
-        }
+        Self::from_samples(sampler.draw_samples(num_samples, burn_in))
     }
 
     /// Build directly from an existing sample set (used when the engine shares
     /// one Gibbs run between the sampling and variational materializations).
-    pub fn from_samples(samples: SampleSet, num_original_vars: usize) -> Self {
-        SampleMaterialization {
-            samples,
-            num_original_vars,
-        }
+    pub fn from_samples(samples: SampleSet) -> Self {
+        SampleMaterialization { samples }
     }
 
     /// Number of stored samples.
@@ -71,11 +62,6 @@ impl SampleMaterialization {
     /// The stored tuple bundles (checkpoint codec access).
     pub fn samples(&self) -> &SampleSet {
         &self.samples
-    }
-
-    /// Number of variables of the original graph (checkpoint codec access).
-    pub fn num_original_vars(&self) -> usize {
-        self.num_original_vars
     }
 
     /// Approximate storage size in bytes (1 bit per variable per sample).

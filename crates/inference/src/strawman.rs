@@ -54,44 +54,6 @@ impl StrawmanMaterialization {
         })
     }
 
-    /// Rebuild a materialization from its stored parts, exactly (checkpoint
-    /// codec access — pairs with the accessors below).
-    pub fn from_parts(
-        query_vars: Vec<VarId>,
-        num_vars: usize,
-        base_world: Vec<bool>,
-        log_weights: Vec<f64>,
-    ) -> Self {
-        StrawmanMaterialization {
-            query_vars,
-            num_vars,
-            base_world,
-            log_weights,
-        }
-    }
-
-    /// Query variables enumerated, in bit order (checkpoint codec access).
-    pub fn query_vars(&self) -> &[VarId] {
-        &self.query_vars
-    }
-
-    /// Total number of variables of the original graph (checkpoint codec
-    /// access).
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Evidence/initial values for non-query variables (checkpoint codec
-    /// access).
-    pub fn base_world(&self) -> &[bool] {
-        &self.base_world
-    }
-
-    /// Stored per-world log-weights (checkpoint codec access).
-    pub fn log_weights(&self) -> &[f64] {
-        &self.log_weights
-    }
-
     /// Number of stored worlds (2^|Q|).
     pub fn num_worlds(&self) -> usize {
         self.log_weights.len()

@@ -25,9 +25,10 @@
 //! derived from the sample means, so single-variable marginals of the original
 //! distribution are preserved before any update is applied.
 
+use crate::change::DistributionChange;
 use crate::gibbs::{GibbsOptions, GibbsSampler, SampleSet};
 use crate::marginals::Marginals;
-use dd_factorgraph::{Factor, FactorGraph, GraphDelta, VarId, Weight};
+use dd_factorgraph::{Factor, FactorGraph, VarId, Weight};
 use std::collections::{HashMap, HashSet};
 
 /// Options for the variational materialization.
@@ -246,25 +247,41 @@ impl VariationalMaterialization {
         GibbsSampler::new(&self.approx_graph, options.seed).run(options)
     }
 
-    /// Incremental inference: apply the update to the approximate graph and run
-    /// Gibbs sampling on the result.
-    pub fn infer(&self, delta: &GraphDelta, options: &GibbsOptions) -> Marginals {
-        let mut g = self.approx_graph.clone();
-        g.apply_delta(delta);
-        GibbsSampler::new(&g, options.seed).run(options)
-    }
-
-    /// Like [`Self::infer`] but also returns the updated approximate graph (used
-    /// by the engine to report factor counts).
-    pub fn infer_with_graph(
+    /// Incremental inference (§3.2.3): apply the update to the approximate
+    /// graph and run Gibbs sampling on the result.
+    ///
+    /// `updated` is the model's graph now and `change` what changed since
+    /// this approximation was taken — the same pair
+    /// [`crate::SampleMaterialization::infer`] reads.  The graph sampled is
+    /// `updated`'s variables (current roles, every variable added since),
+    /// the approximation's weights and factors, then the model's weights and
+    /// each of the change's new factors tied to its model weight.  The ids
+    /// line up as long as `updated` only grew since materialization.  A
+    /// model weight that changed is not an edit of the approximation's
+    /// weights: it reaches the result only through the new factors.
+    pub fn infer(
         &self,
-        delta: &GraphDelta,
+        updated: &FactorGraph,
+        change: &DistributionChange,
         options: &GibbsOptions,
-    ) -> (Marginals, FactorGraph) {
-        let mut g = self.approx_graph.clone();
-        g.apply_delta(delta);
-        let m = GibbsSampler::new(&g, options.seed).run(options);
-        (m, g)
+    ) -> Marginals {
+        let mut g = updated.variables_only();
+        for w in self.approx_graph.weights() {
+            g.add_weight(w.clone());
+        }
+        for f in self.approx_graph.factors() {
+            g.add_factor(f.clone());
+        }
+        let model_weights = g.num_weights();
+        for w in updated.weights() {
+            g.add_weight(w.clone());
+        }
+        for &f in &change.new_factors {
+            let mut factor = updated.factor(f).clone();
+            factor.weight_id += model_weights;
+            g.add_factor(factor);
+        }
+        GibbsSampler::new(&g, options.seed).run(options)
     }
 }
 
@@ -437,7 +454,9 @@ fn invert_spd(m: &[f64], n: usize) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_factorgraph::{Factor, FactorGraphBuilder, WeightChange};
+    use dd_factorgraph::{
+        DeltaFactor, Factor, FactorGraphBuilder, GraphDelta, NewVarRef, NewWeightRef, Variable,
+    };
 
     fn chain(n: usize, coupling: f64) -> FactorGraph {
         let mut b = FactorGraphBuilder::new();
@@ -536,46 +555,32 @@ mod tests {
     }
 
     #[test]
-    fn inference_applies_delta_to_approx_graph() {
-        let g = chain(5, 0.6);
-        let mat = VariationalMaterialization::materialize(
-            &g,
-            &VariationalOptions {
-                num_samples: 500,
-                lambda: 0.01,
-                ..Default::default()
-            },
-        );
-        // The delta references weight ids of the approximate graph; use a fresh
-        // weight + factor pinning variable 0 strongly true.
-        let delta = GraphDelta {
-            new_weights: vec![dd_factorgraph::Weight::fixed(0, 4.0, "pin")],
-            new_factors: vec![dd_factorgraph::DeltaFactor {
-                weight: dd_factorgraph::NewWeightRef::New(0),
-                template: Factor::is_true(0, 0),
-                var_refs: vec![dd_factorgraph::NewVarRef::Existing(0)],
-            }],
-            ..Default::default()
-        };
-        let m = mat.infer(&delta, &GibbsOptions::new(1500, 200, 9));
-        assert!(m.get(0) > 0.9);
-    }
-
-    #[test]
-    fn weight_change_delta_on_approx_graph() {
-        let g = chain(4, 0.6);
+    fn a_new_factor_reads_its_model_weight() {
+        // A factor grounded since materialization, tied to an existing model
+        // weight of +5 over a new variable: the sampled graph must price it
+        // with that model weight, not with the approximation's weight of the
+        // same id.
+        let mut g = chain(5, 0.6);
+        let strong = g.add_weight(Weight::fixed(0, 5.0, "strong"));
         let mat = VariationalMaterialization::materialize(&g, &VariationalOptions::default());
-        // Changing an existing (unary) weight of the approximate graph.
+        assert!(
+            strong < mat.approx_graph().num_weights(),
+            "the model's id also names an approximation weight"
+        );
+        let mut updated = g.clone();
         let delta = GraphDelta {
-            weight_changes: vec![WeightChange {
-                weight_id: 0,
-                new_value: 3.0,
+            new_variables: vec![Variable::query(0)],
+            new_factors: vec![DeltaFactor {
+                weight: NewWeightRef::Existing(strong),
+                template: Factor::is_true(0, 0),
+                var_refs: vec![NewVarRef::New(0)],
             }],
             ..Default::default()
         };
-        let (m, updated) = mat.infer_with_graph(&delta, &GibbsOptions::new(800, 100, 3));
-        assert_eq!(updated.weight(0).value, 3.0);
-        assert!(m.get(0) > 0.7);
+        let change = DistributionChange::apply_and_describe(&mut updated, &delta);
+        let m = mat.infer(&updated, &change, &GibbsOptions::new(1500, 200, 9));
+        assert_eq!(m.len(), 6);
+        assert!(m.get(5) >= 0.95, "new variable at {}", m.get(5));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! Run with `cargo run --release --example incremental_development`.
 
 use deepdive_repro::prelude::*;
+use std::time::Instant;
 
 fn main() -> Result<(), EngineError> {
     let system = KbcSystem::generate(SystemKind::News, 0.25, 7);
@@ -22,11 +23,12 @@ fn main() -> Result<(), EngineError> {
             .build()?;
         engine.initial_run()?;
         if mode == ExecutionMode::Incremental {
+            let started = Instant::now();
             engine.materialize().unwrap();
             println!(
                 "materialized {} samples in {:.2}s",
-                engine.materialization().unwrap().num_samples,
-                engine.materialization().unwrap().seconds
+                engine.materialization().unwrap().sampling.num_samples(),
+                started.elapsed().as_secs_f64()
             );
         }
         let mut cumulative = 0.0;

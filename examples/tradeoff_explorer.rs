@@ -57,7 +57,7 @@ fn main() {
 
         let choice = choose_strategy(&change, sampling.num_samples());
         let mh = sampling.infer(&updated, &change, 1000, 3);
-        let var = variational.infer(&delta, &GibbsOptions::new(300, 50, 3));
+        let var = variational.infer(&updated, &change, &GibbsOptions::new(300, 50, 3));
         let rerun = GibbsSampler::new(&updated, 4).run(&GibbsOptions::new(300, 50, 4));
 
         println!(

@@ -18,6 +18,16 @@
 //! coupled variables reports no MH acceptance rate.  Learning was not
 //! touched: `PINNED_WEIGHTS` was recorded on the parent of that change and
 //! holds across it bit for bit.
+//!
+//! `PINNED_CLAIMS` alone was re-recorded once more, by the change that had
+//! the variational strategy read the current graph plus the change
+//! accumulated since materialization.  Before it, that strategy replayed the
+//! round's own delta on its approximate graph, and a bounds check in the
+//! wrong id space rejected every delta that labels a variable it also
+//! creates — so each of the claims KB's Variational rounds had been answered
+//! by full Gibbs.  They are now answered by the approximation.  `PINNED`
+//! (every Variational round of the News loop couples no query variable and
+//! is answered in closed form) and `PINNED_WEIGHTS` held across it.
 
 use deepdive_repro::prelude::*;
 
@@ -321,9 +331,9 @@ fn same_seed_twice_gives_identical_snapshots_and_sample_store() {
 
 /// `(seed, digest)` of [`claims_digest`].
 const PINNED_CLAIMS: [(u64, u64); 3] = [
-    (1, 0x4181_f7f8_8dce_7cc3),
-    (2, 0x57ed_89fc_e43f_4551),
-    (9, 0xe80b_35ea_39f3_f095),
+    (1, 0xfc36_d956_5148_d9c0),
+    (2, 0x1cb1_263d_cc6b_7749),
+    (9, 0x4d4f_f188_08a2_f7e4),
 ];
 
 #[test]
@@ -414,11 +424,13 @@ fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
 }
 
 /// `tests/fixtures/parent_datadir` is the data directory
-/// [`durable_claims_run`] left behind on the commit before the sample store
-/// became an arena (per-sample `Vec<u8>` bundles, wall-clock `seconds` in
-/// the materialization).  It must keep recovering: same snapshot as an
-/// engine that never stopped, and — since the decoded sample store feeds the
-/// next MH chain — the same snapshot after one more incremental update.
+/// [`durable_claims_run`] left behind on commit a1ef59d, the last to write
+/// checkpoint format 2 (each variable's active flag, the whole-graph
+/// strawman, the materialization's model weights, seconds and sample
+/// counts, the engine's coverage pair).  It must keep recovering: same
+/// snapshot as an engine that never stopped, and — since the decoded sample
+/// store and approximation feed the next round — the same snapshot after one
+/// more incremental update.
 #[test]
 fn parent_written_data_directory_still_recovers() {
     let fixture =
