@@ -54,7 +54,9 @@
 //! benchmark's shape) and at two News corpus scales.
 //! Beside the timings it reports counts that repeat exactly, taken with a
 //! counting global allocator: `allocs_per_binding` (heap allocations of one
-//! `Grounder::ground` per grounded binding), `allocs_per_sample` (the
+//! `Grounder::ground` per grounded binding), `rows_probed_per_binding` (the
+//! same grounding's `GroundingResult::rows_probed` per binding, not an
+//! allocation count but as exact), `allocs_per_sample` (the
 //! allocations one more stored sample adds to `materialize`) and
 //! `allocs_per_mh_step` (the allocations one more chain step adds to
 //! `SampleMaterialization::infer`).  `check_sweeps` holds them to ceilings,
@@ -760,6 +762,7 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
     let (result, allocations) = count_allocations(|| grounder.ground().expect("full grounding"));
     let bindings: usize = result.groundings_per_rule.values().sum();
     let per_binding = allocations as f64 / bindings as f64;
+    let probed_per_binding = result.rows_probed as f64 / bindings as f64;
 
     // Per sample: what doubling the sample count adds to `materialize`.
     const SAMPLES: usize = 1_000;
@@ -808,14 +811,19 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
         "  allocations: {per_binding:.3} per binding ({allocations} over {bindings} bindings) | \
          {per_sample:.4} per sample | {per_step:.4} per MH step"
     );
-    for (name, value) in [
-        ("allocs_per_binding", per_binding),
-        ("allocs_per_sample", per_sample),
-        ("allocs_per_mh_step", per_step),
+    println!(
+        "  rows probed: {probed_per_binding:.3} per binding ({} over {bindings} bindings)",
+        result.rows_probed
+    );
+    for (name, unit, value) in [
+        ("allocs_per_binding", "allocs", per_binding),
+        ("rows_probed_per_binding", "rows", probed_per_binding),
+        ("allocs_per_sample", "allocs", per_sample),
+        ("allocs_per_mh_step", "allocs", per_step),
     ] {
         entries.push(Entry {
             name: format!("cold_start/{name}"),
-            unit: "allocs",
+            unit,
             value,
         });
     }

@@ -9,9 +9,10 @@
 //! regression too), or a speedup with a floor of its own
 //! (`dd_bench::sweeps::SPEEDUP_FLOORS`: `retraction_cost/delete_speedup_n8000`
 //! ≥ 4×, so an O(KB) "incremental" path cannot silently return) is missing or
-//! below it, or an exact allocation counter of the cold path
+//! below it, or an exact counter of the cold path
 //! (`dd_bench::sweeps::COUNT_CEILINGS`: `cold_start/allocs_per_binding`,
-//! `allocs_per_sample`, `allocs_per_mh_step`), of incremental grounding
+//! `rows_probed_per_binding`, `allocs_per_sample`, `allocs_per_mh_step`),
+//! of incremental grounding
 //! (`grounding_cost/incremental_allocs_per_binding`) or of the codec
 //! (`codec/checkpoint_encode_allocs_per_row`,
 //! `codec/response_decode_allocs_per_row`) is missing or not below its

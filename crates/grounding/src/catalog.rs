@@ -40,6 +40,14 @@ pub(crate) struct RelationCatalog {
     /// Heads whose supervision labels are suppressed (sticky): existing
     /// labels were un-pinned and future labels are recorded but not applied.
     pub suppressed: BTreeSet<Tuple>,
+    /// Every tuple whose variable is some grounding's head (`head_refs >
+    /// 0`) is present in the relation's table, so grounding one more
+    /// binding onto such a head need not insert it again.  Holds while
+    /// only grounding removes the table's rows (at the last head
+    /// reference); cleared for good once anything else may have — an
+    /// update's deletions, direct database access, a restore from state —
+    /// after which every grounding inserts its head if absent.
+    pub heads_in_table: bool,
 }
 
 impl RelationCatalog {
@@ -149,6 +157,7 @@ impl VariableCatalog {
             vars: RowMap::default(),
             fresh: Vec::new(),
             suppressed: BTreeSet::new(),
+            heads_in_table: true,
         });
         self.slots.insert(handle, slot);
         slot
@@ -162,6 +171,24 @@ impl VariableCatalog {
     /// new variable has to enter too.
     pub fn relation_and_vars(&mut self, slot: RelSlot) -> (&mut RelationCatalog, &mut VarTable) {
         (&mut self.relations[slot], &mut self.vars)
+    }
+
+    /// Clear [`RelationCatalog::heads_in_table`] of `relation`, or of every
+    /// relation when `None`: rows may have left its table behind
+    /// grounding's back.
+    pub fn heads_maybe_removed(&mut self, relation: Option<&str>) {
+        match relation {
+            Some(name) => {
+                if let Some(slot) = self.slot(name) {
+                    self.relations[slot].heads_in_table = false;
+                }
+            }
+            None => {
+                for relation in &mut self.relations {
+                    relation.heads_in_table = false;
+                }
+            }
+        }
     }
 
     /// The catalog of `relation`, if any variable relation has that name.

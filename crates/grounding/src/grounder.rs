@@ -35,6 +35,10 @@ pub struct GroundingResult {
     pub num_evidence: usize,
     /// Per-rule number of groundings produced.
     pub groundings_per_rule: HashMap<String, usize>,
+    /// Rows the run's queries probed — candidate-mapping views and body
+    /// queries together (see [`ExecStats::rows_probed`]); 0 in
+    /// [`Grounder::result`], which describes state, not a run.
+    pub rows_probed: u64,
 }
 
 /// One operation against a relation's published catalog shard.  The grounder
@@ -570,7 +574,10 @@ impl Grounder {
     }
 
     /// Mutable database access (used to load base data before grounding).
+    /// Whatever it removes, grounding re-inserts the heads of later
+    /// groundings as needed.
     pub fn database_mut(&mut self) -> &mut Database {
+        self.catalog.heads_maybe_removed(None);
         &mut self.db
     }
 
@@ -646,16 +653,21 @@ impl Grounder {
             .into_iter()
             .cloned()
             .collect();
+        let mut stats = ExecStats::default();
         for rule in &ordered {
             self.evaluate_candidate_rule(rule)?;
+            stats.rows_probed += self.candidate_views[&rule.name].rows_probed();
         }
 
         // Phase 2: weighted and supervision rules.
         for template in self.grounding_templates() {
-            self.ground_rule(&template, &mut ExecStats::default(), None)?;
+            self.ground_rule(&template, &mut stats, None)?;
         }
 
-        Ok(self.result())
+        Ok(GroundingResult {
+            rows_probed: stats.rows_probed,
+            ..self.result()
+        })
     }
 
     /// Ground one weighted or supervision rule over the current database,
@@ -699,10 +711,13 @@ impl Grounder {
             udfs: &self.udfs,
         };
         let mut shared_weight = None;
+        let heads_in_table = side.catalog.relation(template.head.slot).heads_in_table;
         // Bindings arrive in tuple order, so the new records are collected
         // and enter the map in one ordered pass; the head tuples too enter
         // their relation in one ordered pass after the loop, which reads no
-        // table.
+        // table.  A head some earlier grounding already references is in
+        // the table while `heads_in_table` holds: only a head's first
+        // reference inserts it.
         let mut grounded: Vec<(Tuple, GroundingRecord)> = Vec::new();
         let mut heads: Vec<Tuple> = Vec::with_capacity(bindings.len());
         for (binding, count) in bindings {
@@ -711,6 +726,9 @@ impl Grounder {
             }
             let (record, head_tuple, head) =
                 side.ground_binding(template, &binding, count, &mut shared_weight);
+            if !heads_in_table || side.catalog.vars.usage[head].head_refs == 1 {
+                heads.push(head_tuple);
+            }
             if record.label.is_some() {
                 match labelled.as_deref_mut() {
                     Some(labelled) => labelled.push(head),
@@ -719,7 +737,6 @@ impl Grounder {
                     }
                 }
             }
-            heads.push(head_tuple);
             grounded.push((binding, record));
         }
         // Make sure every head tuple exists in its relation so
@@ -837,6 +854,7 @@ impl Grounder {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.len()))
                 .collect(),
+            rows_probed: 0,
         }
     }
 
@@ -1052,6 +1070,9 @@ impl Grounder {
                 }
             }
         }
+        // Nothing says the restored tables hold every head: later
+        // groundings insert theirs if absent.
+        grounder.catalog.heads_maybe_removed(None);
 
         for rule_name in state.view_rules {
             let rule = grounder

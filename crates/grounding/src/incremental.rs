@@ -265,14 +265,14 @@ impl Grounder {
     /// hitting zero retracts the grounding (factor out, label withdrawn,
     /// refcounts down), and variables left unreferenced are removed
     /// afterwards in sorted key order.  Variables whose label counts changed
-    /// join `label_dirty`.
+    /// are pushed onto `label_dirty` (its reader deduplicates it).
     fn retract_groundings(
         &mut self,
         rule_deltas: &[(Arc<RuleTemplate>, DeltaRelation)],
-        label_dirty: &mut BTreeSet<VarKey>,
+        label_dirty: &mut Vec<VarKey>,
     ) -> Result<Retracted, GroundingError> {
         let mut retracted = Retracted::default();
-        let mut dead_var_keys: BTreeSet<VarKey> = BTreeSet::new();
+        let mut dead_vars: Vec<VarId> = Vec::new();
         for (template, delta) in rule_deltas {
             for (binding, count) in delta.deletions() {
                 // One descent of the rule's record map finds, lowers and —
@@ -314,7 +314,7 @@ impl Grounder {
                     let usage = &mut vars.usage[var];
                     usage.refs -= 1;
                     if usage.refs <= 0 {
-                        dead_var_keys.insert(vars.keys[var].clone());
+                        dead_vars.push(var);
                     }
                 }
                 let Some(head) = head else {
@@ -323,7 +323,7 @@ impl Grounder {
                 let usage = &mut vars.usage[head];
                 if let Some(label) = record.label {
                     usage.add_label(label, -1);
-                    label_dirty.insert(vars.keys[head].clone());
+                    label_dirty.push(vars.keys[head].clone());
                 }
                 usage.head_refs -= 1;
                 if usage.head_refs <= 0 {
@@ -335,8 +335,13 @@ impl Grounder {
                 }
             }
         }
-        // The catalog patches the entry of the variable `swap_remove` moved
-        // into the freed id and records both catalog ops.
+        // Dead variables go in key order.  The catalog patches the entry of
+        // the variable `swap_remove` moved into the freed id and records
+        // both catalog ops.
+        let keys = &self.catalog.vars.keys;
+        dead_vars.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
+        dead_vars.dedup();
+        let dead_var_keys: Vec<VarKey> = dead_vars.iter().map(|&var| keys[var].clone()).collect();
         retracted.variables = dead_var_keys
             .iter()
             .filter_map(|key| self.catalog.remove(key, &mut self.graph))
@@ -416,13 +421,17 @@ impl Grounder {
         }
 
         // ---- 2b. retraction sweep.
-        let mut label_dirty: BTreeSet<VarKey> = BTreeSet::new();
+        let mut label_dirty: Vec<VarKey> = Vec::new();
         let retracted = self.retract_groundings(&rule_deltas, &mut label_dirty)?;
 
-        // ---- 3. apply the relational deltas to the database.
+        // ---- 3. apply the relational deltas to the database.  A deletion
+        // may take a row some grounding still has as its head.
         for (relation, delta) in accumulated.iter() {
             if let Ok(table) = self.db.table_mut(relation) {
                 delta.apply_to(table);
+            }
+            if delta.deletions().next().is_some() {
+                self.catalog.heads_maybe_removed(Some(relation));
             }
         }
 
@@ -1088,6 +1097,72 @@ mod tests {
             list.sort();
         }
         [variables, factors, weights]
+    }
+
+    /// `relation`'s stored rows with their counts, in tuple order.
+    fn rows_of(g: &Grounder, relation: &str) -> Vec<(Tuple, i64)> {
+        let table = g.database().table(relation).unwrap();
+        table
+            .iter_net_counted()
+            .map(|(t, c)| (t.clone(), c))
+            .collect()
+    }
+
+    #[test]
+    fn a_head_regrounded_after_its_last_reference_went_is_inserted_again() {
+        let i1 = Rule::new(
+            "I1",
+            RuleKind::Inference,
+            atom("MarriedMentions", &["m2", "m1"]),
+            vec![atom("MarriedMentions", &["m1", "m2"])],
+            WeightSpec::Fixed(3.0),
+        );
+        let mut g = Grounder::new(program().rule(i1.clone()), base_db(), standard_udfs()).unwrap();
+        g.ground().unwrap();
+        let head = tuple![10i64, 11i64];
+        let michelle = tuple![1i64, 11i64, "Michelle"];
+
+        // FE1's only grounding onto MarriedMentions(10, 11) goes: the head
+        // leaves its table, while I1's factor keeps the variable alive as a
+        // body literal.
+        let mut delete = KbcUpdate::new();
+        delete.delete("PersonCandidate", michelle.clone());
+        g.ground_incremental(&delete).unwrap();
+        assert!(g.variable_for("MarriedMentions", &head).is_some());
+        assert!(!g
+            .database()
+            .table("MarriedMentions")
+            .unwrap()
+            .contains(&head));
+
+        // Derived again: the head's first reference puts it back.
+        let mut insert = KbcUpdate::new();
+        insert.insert("PersonCandidate", michelle);
+        g.ground_incremental(&insert).unwrap();
+        let mut scratch = Grounder::new(program().rule(i1), base_db(), standard_udfs()).unwrap();
+        scratch.ground().unwrap();
+        assert_eq!(
+            rows_of(&g, "MarriedMentions"),
+            rows_of(&scratch, "MarriedMentions")
+        );
+    }
+
+    #[test]
+    fn a_head_deleted_by_an_update_is_inserted_by_its_next_grounding() {
+        let mut g = claims_grounder(2);
+        // Fact(0, 0) is F's and SN's head; the update deletes it from the
+        // variable relation directly and labels it positive too.
+        let mut update = KbcUpdate::new();
+        update
+            .delete("Fact", tuple![0i64, 0i64])
+            .insert("Pos", tuple![0i64, 0i64]);
+        let grounded = g.ground_incremental(&update).unwrap();
+        assert_eq!(grounded.new_groundings, 2, "SP and LP");
+        assert!(g
+            .database()
+            .table("Fact")
+            .unwrap()
+            .contains(&tuple![0i64, 0i64]));
     }
 
     #[test]

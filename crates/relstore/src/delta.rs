@@ -38,6 +38,16 @@ impl DeltaRelation {
         }
     }
 
+    /// A delta from changes in tuple order, distinct (zero counts are
+    /// dropped): the map is built in one pass.
+    pub(crate) fn from_sorted(relation: impl Into<String>, changes: Vec<(Tuple, i64)>) -> Self {
+        debug_assert!(changes.windows(2).all(|w| w[0].0 < w[1].0));
+        DeltaRelation {
+            relation: relation.into(),
+            changes: changes.into_iter().filter(|(_, c)| *c != 0).collect(),
+        }
+    }
+
     /// Name of the relation this delta applies to.
     pub fn relation(&self) -> &str {
         &self.relation

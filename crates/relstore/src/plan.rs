@@ -14,7 +14,19 @@
 //! with a full key is a point lookup, a step with a partial key probes the
 //! table's persistent hash index on exactly those columns, and only a
 //! step with no key at all scans.  Nothing is materialized between steps:
-//! the register file is overwritten in place.
+//! the register file is overwritten in place.  Each step keeps a table
+//! cursor, so its lookups — which follow the outer steps' rows, mostly in
+//! tuple order — gallop forward from the last one instead of searching the
+//! whole table again; that includes reading the count of each row an
+//! index probe yields.  A binding whose head tuple is exactly one step's
+//! row shares that row instead of allocating a tuple.
+//!
+//! Full evaluation runs the written order, unless that order scans its
+//! first atom and point-looks-up every other: such an order costs one
+//! probe per step per row of the first atom, and so does the seeded order
+//! of any other atom that only looks up, per row of *that* atom.  Full
+//! evaluation then starts from the smallest of those atoms — same bindings
+//! and counts (they are sorted and summed at the end), fewer probes.
 //!
 //! Delta evaluation is the counting delta rule
 //! `ΔQ = Σ_i body[..i](new) ⋈ Δatom_i ⋈ body[i+1..](old)`: for each changed
@@ -28,7 +40,7 @@ use crate::database::Database;
 use crate::delta::DeltaRelation;
 use crate::error::{RelError, RelResult};
 use crate::index::HashIndex;
-use crate::table::Table;
+use crate::table::{Cursor, Table};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::view::{ConjunctiveQuery, Filter, QueryAtom, Term};
@@ -77,6 +89,9 @@ struct Step {
     check: Vec<(usize, usize)>,
     /// Filters whose two slots are both bound once this step has matched.
     filters: Vec<(Cmp, usize, usize)>,
+    /// The matched row is the head tuple: the step binds every head slot,
+    /// column by column in head order, and its atom has no other column.
+    binds_head: bool,
 }
 
 /// A compiled [`ConjunctiveQuery`].
@@ -90,6 +105,10 @@ pub struct QueryPlan {
     full: Vec<Step>,
     /// `seeded[i]`: the order with atom `i` first (positive atoms only).
     seeded: Vec<Option<Vec<Step>>>,
+    /// When the written order scans its first atom and point-looks-up every
+    /// other: the atoms whose seeded order does the same, which full
+    /// evaluation may start from instead (see [`QueryPlan::bindings`]).
+    lookup_seeds: Vec<usize>,
     /// A filter names a variable no positive atom binds: nothing qualifies.
     unsatisfiable: bool,
 }
@@ -149,21 +168,35 @@ impl QueryPlan {
 
         let n = query.atoms.len();
         let written: Vec<usize> = (0..n).collect();
-        let full = compile_order(&query.atoms, &slots, &filters, &written);
-        let seeded = (0..n)
+        let full = compile_order(&query.atoms, &slots, &filters, &head, &written);
+        let seeded: Vec<Option<Vec<Step>>> = (0..n)
             .map(|i| {
                 (!query.atoms[i].negated).then(|| {
                     let order = seeded_order(&query.atoms, i);
-                    compile_order(&query.atoms, &slots, &filters, &order)
+                    compile_order(&query.atoms, &slots, &filters, &head, &order)
                 })
             })
             .collect();
+        let lookup_only = |steps: &[Step]| {
+            steps.first().is_some_and(|seed| seed.key_cols.is_empty())
+                && steps[1..]
+                    .iter()
+                    .all(|step| step.key_cols.len() == query.atoms[step.atom].terms.len())
+        };
+        let lookup_seeds = if lookup_only(&full) {
+            (0..n)
+                .filter(|&i| seeded[i].as_deref().is_some_and(lookup_only))
+                .collect()
+        } else {
+            Vec::new()
+        };
         Ok(QueryPlan {
             query: query.clone(),
             num_slots: slots.len(),
             head,
             full,
             seeded,
+            lookup_seeds,
             unsatisfiable,
         })
     }
@@ -185,35 +218,39 @@ impl QueryPlan {
 
     /// The rows of [`QueryPlan::evaluate`] — distinct head tuples in tuple
     /// order, each with its derivation count — without the table around them.
+    /// Starts from the smallest atom among the lookup-only orders (the
+    /// written one on ties; see the module documentation).
     pub fn bindings(&self, db: &Database, stats: &mut ExecStats) -> RelResult<Vec<(Tuple, i64)>> {
         let tables = self.resolve_tables(db)?;
         let mut rows: Vec<(Tuple, i64)> = Vec::new();
         if self.unsatisfiable {
             return Ok(rows);
         }
-        let sources: Vec<Source> = self
-            .full
+        let first = |steps: &[Step]| tables[steps[0].atom].len();
+        let steps = self
+            .lookup_seeds
+            .iter()
+            .filter_map(|&i| self.seeded[i].as_deref())
+            .fold(self.full.as_slice(), |best, seeded| {
+                if first(seeded) < first(best) {
+                    seeded
+                } else {
+                    best
+                }
+            });
+        let sources: Vec<Source> = steps
             .iter()
             .map(|step| Source::new(step, tables[step.atom], None))
             .collect();
         let run = Run {
-            steps: &self.full,
+            steps,
             sources: &sources,
         };
-        let mut state = State::new(self.num_slots, stats);
-        run.descend(0, 1, &mut state, &mut |regs, count| {
-            rows.push((self.project(regs), count));
+        let mut state = State::new(self.num_slots, steps.len(), stats);
+        run.descend(0, 1, None, &mut state, &mut |regs, row, count| {
+            rows.push((self.project(regs, row), count));
         });
-        // Joins over ordered tables mostly emit in order already, which the
-        // sort detects; equal tuples are alternative derivations.
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        rows.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 += next.1;
-            }
-            same
-        });
+        sort_and_sum(&mut rows);
         Ok(rows)
     }
 
@@ -244,14 +281,16 @@ impl QueryPlan {
                 )));
             }
         }
-        let mut result = DeltaRelation::new(self.query.name.clone());
+        let mut rows: Vec<(Tuple, i64)> = Vec::new();
         if self.unsatisfiable {
-            return Ok(result);
+            return Ok(DeltaRelation::new(self.query.name.clone()));
         }
         // Small indexes over the Δ rows, shared by every seed position.
         let mut delta_indexes: Vec<(usize, Arc<HashIndex>)> = Vec::new();
-        let mut state = State::new(self.num_slots, stats);
-        let mut emit = |regs: &[Value], count: i64| result.change(self.project(regs), count);
+        let mut state = State::new(self.num_slots, self.query.atoms.len(), stats);
+        let mut emit = |regs: &[Value], row: Option<&Tuple>, count: i64| {
+            rows.push((self.project(regs, row), count))
+        };
         for (i, steps) in self.seeded.iter().enumerate() {
             let (Some(steps), Some(seed_delta)) = (steps, atom_delta[i]) else {
                 continue;
@@ -275,19 +314,30 @@ impl QueryPlan {
                 steps: rest,
                 sources: &sources,
             };
+            state.cursors.fill(Cursor::default());
             for (row, count) in seed_delta.iter() {
                 state.stats.rows_probed += 1;
                 if seed.key_matches(row, &state.regs) && seed.bind_row(row, &mut state.regs) {
-                    run.descend(0, count, &mut state, &mut emit);
+                    let head_row = seed.binds_head.then_some(row);
+                    run.descend(0, count, head_row, &mut state, &mut emit);
                 }
             }
         }
-        Ok(result)
+        sort_and_sum(&mut rows);
+        Ok(DeltaRelation::from_sorted(self.query.name.clone(), rows))
     }
 
-    fn project(&self, regs: &[Value]) -> Tuple {
-        // One allocation: the slice iterator's exact length sizes the `Arc`.
-        Tuple::from_iter(self.head.iter().map(|&s| regs[s].clone()))
+    /// The head tuple of a binding: `row` itself when a step's row is
+    /// exactly the head ([`Step::binds_head`]), which shares its
+    /// allocation; otherwise one allocation, the slice iterator's exact
+    /// length sizing the `Arc`.
+    fn project(&self, regs: &[Value], row: Option<&Tuple>) -> Tuple {
+        match row {
+            // A Δ row is not schema-checked: only one of the head's arity
+            // is the tuple the registers spell.
+            Some(row) if row.arity() == self.head.len() => row.clone(),
+            _ => Tuple::from_iter(self.head.iter().map(|&s| regs[s].clone())),
+        }
     }
 
     /// The table behind every atom, arity-checked against the atom.
@@ -361,6 +411,7 @@ fn compile_order(
     atoms: &[QueryAtom],
     slots: &HashMap<&str, usize>,
     filters: &[(Cmp, usize, usize)],
+    head: &[usize],
     order: &[usize],
 ) -> Vec<Step> {
     let mut bound = vec![false; slots.len()];
@@ -377,6 +428,7 @@ fn compile_order(
                 bind: Vec::new(),
                 check: Vec::new(),
                 filters: Vec::new(),
+                binds_head: false,
             };
             let mut bound_here: Vec<usize> = Vec::new();
             for (col, term) in atom.terms.iter().enumerate() {
@@ -399,6 +451,12 @@ fn compile_order(
                     }
                 }
             }
+            step.binds_head = step.bind.len() == atom.terms.len()
+                && step
+                    .bind
+                    .iter()
+                    .map(|&(_, slot)| slot)
+                    .eq(head.iter().copied());
             for slot in bound_here {
                 bound[slot] = true;
             }
@@ -484,10 +542,25 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// Net count of a row in the state this source stands for.
-    fn count_of(&self, values: &[Value]) -> i64 {
-        self.table.count_of(values) + self.overlay.map_or(0, |d| d.count_of(values))
+    /// Net count of a row in the state this source stands for, the table
+    /// searched from `cursor` on.
+    fn count_at(&self, values: &[Value], cursor: &mut Cursor) -> i64 {
+        self.table.count_at(values, cursor) + self.overlay.map_or(0, |d| d.count_of(values))
     }
+}
+
+/// Sort emitted rows by tuple and fold the counts of equal tuples — each
+/// an alternative derivation — into one.  Joins over ordered tables mostly
+/// emit in order already, which the sort detects.
+fn sort_and_sum(rows: &mut Vec<(Tuple, i64)>) {
+    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    rows.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
 }
 
 /// The index over `delta`'s rows on `step`'s key columns, built once per
@@ -511,23 +584,33 @@ fn delta_index(
     index
 }
 
-/// Mutable execution state: the register file, a scratch probe key, and the
-/// work counters.
+/// Mutable execution state: the register file, a scratch probe key, one
+/// table cursor per step, and the work counters.
 struct State<'s> {
     regs: Vec<Value>,
     key: Vec<Value>,
+    /// `cursors[depth]`: where the step at `depth` last found a row.  A
+    /// step's lookups follow its outer steps' rows, which a scan and a
+    /// point lookup visit in tuple order, so they mostly arrive in tuple
+    /// order too.
+    cursors: Vec<Cursor>,
     stats: &'s mut ExecStats,
 }
 
 impl<'s> State<'s> {
-    fn new(num_slots: usize, stats: &'s mut ExecStats) -> Self {
+    fn new(num_slots: usize, num_steps: usize, stats: &'s mut ExecStats) -> Self {
         State {
             regs: vec![Value::Null; num_slots],
             key: Vec::new(),
+            cursors: vec![Cursor::default(); num_steps],
             stats,
         }
     }
 }
+
+/// Called per full binding with the registers, the row that is the head
+/// tuple if a step matched one, and the binding's derivation count.
+type Emit<'e> = dyn FnMut(&[Value], Option<&Tuple>, i64) + 'e;
 
 /// One join order bound to the sources its steps read.
 struct Run<'a> {
@@ -537,16 +620,18 @@ struct Run<'a> {
 
 impl Run<'_> {
     /// Extend the partial binding in `state.regs` (carrying `count`
-    /// derivations) through steps `depth..`, calling `emit` per full binding.
+    /// derivations, and `head_row` if an earlier step's row is the head
+    /// tuple) through steps `depth..`, calling `emit` per full binding.
     fn descend(
         &self,
         depth: usize,
         count: i64,
+        head_row: Option<&Tuple>,
         state: &mut State,
-        emit: &mut dyn FnMut(&[Value], i64),
+        emit: &mut Emit,
     ) {
         let Some(step) = self.steps.get(depth) else {
-            emit(&state.regs, count);
+            emit(&state.regs, head_row, count);
             return;
         };
         let source = &self.sources[depth];
@@ -556,13 +641,13 @@ impl Run<'_> {
             // Every column is determined: a point lookup.
             step.fill_key(&state.regs, &mut state.key);
             state.stats.rows_probed += 1;
-            let present = source.count_of(&state.key);
+            let present = source.count_at(&state.key, &mut state.cursors[depth]);
             if step.negated {
                 if present <= 0 {
-                    self.descend(depth + 1, count, state, emit);
+                    self.descend(depth + 1, count, head_row, state, emit);
                 }
             } else if present > 0 && step.filters_hold(&state.regs) {
-                self.descend(depth + 1, count * present, state, emit);
+                self.descend(depth + 1, count * present, head_row, state, emit);
             }
             return;
         }
@@ -570,14 +655,16 @@ impl Run<'_> {
         let mut visit = |row: &Tuple, present: i64, state: &mut State| {
             state.stats.rows_probed += 1;
             if present > 0 && step.bind_row(row, &mut state.regs) {
-                self.descend(depth + 1, count * present, state, emit);
+                let head_row = if step.binds_head { Some(row) } else { head_row };
+                self.descend(depth + 1, count * present, head_row, state, emit);
             }
         };
         match &source.index {
             Some(index) => {
                 step.fill_key(&state.regs, &mut state.key);
                 for row in index.get(&state.key) {
-                    visit(row, source.count_of(row.values()), state);
+                    let present = source.count_at(row.values(), &mut state.cursors[depth]);
+                    visit(row, present, state);
                 }
                 if let (Some(delta), Some(delta_index)) = (source.overlay, &source.delta_index) {
                     // Rows only the overlay knows; the rest came out of the

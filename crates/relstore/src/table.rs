@@ -27,6 +27,12 @@ use std::sync::{Arc, RwLock};
 /// reproducible" guarantee depends on.  A `HashMap` here made grounding order
 /// — and therefore learned models — vary per *process*.
 ///
+/// A point lookup ([`Table::count`]) or a write costs a binary search of
+/// the run's keys — a dense array of one `u64` per row — that reads one
+/// row, the one it lands on (see `Rows`); query execution streams its
+/// lookups through a cursor, so lookups that arrive in tuple order cost a
+/// few comparisons each.
+///
 /// Query execution probes the table through secondary hash indexes keyed by
 /// column set.  An index is built on the first probe that needs it and
 /// from then on maintained by every mutation, so a join against an unchanged
@@ -69,10 +75,20 @@ const MIN_PENDING: usize = 32;
 /// Once the overlay or the tombstones pass a fixed fraction of the run, one
 /// linear merge folds the overlay in and drops the tombstones.  Each row
 /// that ever entered the overlay is thereby copied a bounded number of
-/// times, amortised, and a point lookup is one binary search of the run
-/// plus, only for tuples not in it, one probe of the small overlay.
+/// times, amortised.  A point lookup is one search of the run plus, only
+/// for tuples not in it, one probe of the small overlay.  The search
+/// compares each entry's 64-bit [`abbreviate`] key first and reads row
+/// values only where keys tie, which for rows led by an integer below 2³¹
+/// takes equal first *and* second values; it is a binary search for a
+/// lookup of its own, and a gallop of a few entries from the last hit for
+/// a stream of lookups in tuple order ([`Cursor`]).  The keys live in an
+/// array of their own, eight to a cache line, so a search reads one run
+/// entry — the one it lands on — and otherwise stays in a quarter of the
+/// run's memory.
 #[derive(Debug, Clone, Default)]
 struct Rows {
+    /// [`abbreviate`]`(row)` of each run entry, in run order.
+    keys: Vec<u64>,
     run: Vec<RunEntry>,
     overlay: BTreeMap<Tuple, i64>,
     /// Number of count-0 entries in `run`.
@@ -82,48 +98,76 @@ struct Rows {
 /// One row of the run.
 #[derive(Debug, Clone)]
 struct RunEntry {
-    /// [`abbreviate`]`(row)`, compared before the row itself: a binary
-    /// search reads the row's values only among the few rows whose first
-    /// values abbreviate alike.
-    key: u64,
     row: Tuple,
     count: i64,
 }
 
-impl RunEntry {
-    fn new(row: Tuple, count: i64) -> Self {
-        RunEntry {
-            key: abbreviate(row.values()),
-            row,
-            count,
-        }
-    }
-}
+/// First values in `-SMALL_INT..SMALL_INT` leave room in the key for the
+/// row's second value.
+const SMALL_INT: i64 = 1 << 31;
+/// First values beyond ±2⁶⁰ abbreviate alike.
+const INT_SPAN: i64 = 1 << 60;
+/// Where each kind of first value starts in the key space, in [`Value`]'s
+/// cross-type order: 0 is the empty row, 1 `Null`, 2 and 3 the booleans.
+const KEY_INT_BELOW: u64 = 4;
+const KEY_SMALL_INT: u64 = KEY_INT_BELOW + (INT_SPAN - SMALL_INT) as u64;
+const KEY_INT_ABOVE: u64 = KEY_SMALL_INT + (1 << 63);
+const KEY_FLOAT: u64 = KEY_INT_ABOVE + (INT_SPAN - SMALL_INT) as u64;
+const KEY_TEXT: u64 = KEY_FLOAT + 1;
 
 /// An order-preserving 64-bit abbreviation of a row — Postgres's
 /// "abbreviated keys": `a < b` implies `abbreviate(a) <= abbreviate(b)`, so
-/// unequal abbreviations order two rows without reading either.  The top
-/// three bits carry the first value's type in [`Value`]'s cross-type order
-/// (0 for the empty row), the rest a monotone digest of its payload: an
-/// integer exactly when it is below 2⁶⁰ in magnitude (clamped beyond), a
-/// string's first 7 bytes, a boolean.  Floats abbreviate alike and fall
-/// through to the full comparison.
+/// unequal abbreviations order two rows without reading either.  The key
+/// space is cut into consecutive ranges, one per kind of first value in
+/// [`Value`]'s cross-type order: the empty row, `Null`, a boolean, an
+/// integer — exact when below 2⁶⁰ in magnitude, clamped beyond — a float
+/// (all alike), a string's first 7 bytes.  An integer in `i32`'s range
+/// owns 2³¹ consecutive keys, told apart by [`abbreviate_second`] of the
+/// row's second value, so rows led by ids that repeat (a document, a
+/// sentence) still abbreviate apart.
 fn abbreviate(values: &[Value]) -> u64 {
-    const INT_SPAN: i64 = 1 << 60;
-    let (rank, payload) = match values.first() {
+    match values.first() {
+        None => 0,
+        Some(Value::Null) => 1,
+        Some(Value::Bool(b)) => 2 + u64::from(*b),
+        Some(Value::Int(i)) if *i < -SMALL_INT => {
+            KEY_INT_BELOW + ((*i).max(-INT_SPAN) + INT_SPAN) as u64
+        }
+        Some(Value::Int(i)) if *i < SMALL_INT => {
+            KEY_SMALL_INT + ((((i + SMALL_INT) as u64) << 31) | abbreviate_second(values.get(1)))
+        }
+        Some(Value::Int(i)) => KEY_INT_ABOVE + ((*i).min(INT_SPAN - 1) - SMALL_INT) as u64,
+        Some(Value::Float(_)) => KEY_FLOAT,
+        Some(Value::Text(s)) => KEY_TEXT + text_prefix::<7>(s),
+    }
+}
+
+/// A row's second value (`None` for a one-value row) abbreviated to 31
+/// bits, order-preserving the same way: three bits of type rank — a
+/// missing value first, as a shorter row sorts first — and 28 of payload:
+/// an integer exact below 2²⁷ in magnitude, a string's first 3 bytes, a
+/// boolean; floats alike.
+fn abbreviate_second(value: Option<&Value>) -> u64 {
+    const SPAN: i64 = 1 << 27;
+    let (rank, payload) = match value {
         None => (0, 0),
         Some(Value::Null) => (1, 0),
         Some(Value::Bool(b)) => (2, u64::from(*b)),
-        Some(Value::Int(i)) => (3, ((*i).clamp(-INT_SPAN, INT_SPAN - 1) + INT_SPAN) as u64),
+        Some(Value::Int(i)) => (3, ((*i).clamp(-SPAN, SPAN - 1) + SPAN) as u64),
         Some(Value::Float(_)) => (4, 0),
-        Some(Value::Text(s)) => {
-            let mut head = [0u8; 8];
-            let n = s.len().min(7);
-            head[..n].copy_from_slice(&s.as_bytes()[..n]);
-            (5, u64::from_be_bytes(head) >> 8)
-        }
+        Some(Value::Text(s)) => (5, text_prefix::<3>(s)),
     };
-    (rank << 61) | payload
+    (rank << 28) | payload
+}
+
+/// The first `N` (at most 8) bytes of `s` as a big-endian number,
+/// zero-padded: shorter strings and smaller bytes come first, as in
+/// `str`'s order.
+fn text_prefix<const N: usize>(s: &str) -> u64 {
+    let mut head = [0u8; 8];
+    let n = s.len().min(N);
+    head[..n].copy_from_slice(&s.as_bytes()[..n]);
+    u64::from_be_bytes(head) >> (64 - 8 * N)
 }
 
 /// Where a tuple is, or would go.
@@ -134,33 +178,68 @@ enum Slot {
     /// absent.
     Overlay,
     /// Past the run's last tuple (or the table is empty): absent, and
-    /// appended when it arrives.
-    Append,
+    /// appended, with this [`abbreviate`] key, when it arrives.
+    Append(u64),
+}
+
+/// A stream of point lookups into one table: remembers where the last one
+/// landed in the run, so a lookup ahead of it gallops forward from there —
+/// a few comparisons for a stream that arrives in tuple order — instead of
+/// binary-searching the whole run.  A lookup behind it searches only what
+/// precedes it.  Any position gives the right answer, so one cursor may
+/// follow a table through mutations, or even move to another table; it
+/// only stops saving work.  A new cursor starts at the front.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cursor(usize);
+
+impl Cursor {
+    /// A lookup of its own: a probe past the run's last entry costs one
+    /// comparison, any other a binary search of the run.
+    fn one_off() -> Self {
+        Cursor(usize::MAX)
+    }
 }
 
 impl Rows {
-    fn locate(&self, values: &[Value]) -> Slot {
+    /// Find `values`, searching from `cursor` on if the probe is past the
+    /// entry before it and among the entries before it otherwise, and
+    /// leave the cursor where the probe landed: every entry before it
+    /// orders below the probe.
+    fn locate(&self, values: &[Value], cursor: &mut Cursor) -> Slot {
         let key = abbreviate(values);
-        let order = |entry: &RunEntry| {
-            entry
-                .key
+        let (keys, run) = (&self.keys, &self.run);
+        let order = |at: usize| {
+            keys[at]
                 .cmp(&key)
-                .then_with(|| entry.row.values().cmp(values))
+                .then_with(|| run[at].row.values().cmp(values))
         };
-        match self.run.last() {
-            Some(last) if order(last) != Ordering::Less => match self.run.binary_search_by(order) {
-                Ok(at) => Slot::Run(at),
-                Err(_) => Slot::Overlay,
-            },
-            _ => Slot::Append,
+        let from = cursor.0.min(run.len());
+        let found = if from == 0 || order(from - 1) == Ordering::Less {
+            gallop(from, run.len(), order)
+        } else {
+            search(0, from, order)
+        };
+        match found {
+            Ok(at) => {
+                cursor.0 = at;
+                Slot::Run(at)
+            }
+            Err(at) => {
+                cursor.0 = at;
+                if at == run.len() {
+                    Slot::Append(key)
+                } else {
+                    Slot::Overlay
+                }
+            }
         }
     }
 
-    fn count_of(&self, values: &[Value]) -> i64 {
-        match self.locate(values) {
+    fn count_of(&self, values: &[Value], cursor: &mut Cursor) -> i64 {
+        match self.locate(values, cursor) {
             Slot::Run(at) => self.run[at].count,
             Slot::Overlay => self.overlay.get(values).copied().unwrap_or(0),
-            Slot::Append => 0,
+            Slot::Append(_) => 0,
         }
     }
 
@@ -173,18 +252,29 @@ impl Rows {
     /// Fold the overlay into the run and drop the tombstones: one linear
     /// merge of two ordered sequences.
     fn merge(&mut self) {
+        let keys = std::mem::take(&mut self.keys);
         let run = std::mem::take(&mut self.run);
         let mut overlay = std::mem::take(&mut self.overlay).into_iter().peekable();
-        let mut merged = Vec::with_capacity(run.len() - self.tombstones + overlay.len());
-        for entry in run.into_iter().filter(|entry| entry.count != 0) {
+        let capacity = run.len() - self.tombstones + overlay.len();
+        self.keys.reserve_exact(capacity);
+        self.run.reserve_exact(capacity);
+        for (key, entry) in keys.into_iter().zip(run).filter(|(_, e)| e.count != 0) {
             while let Some((row, count)) = overlay.next_if(|(t, _)| *t < entry.row) {
-                merged.push(RunEntry::new(row, count));
+                self.push(row, count);
             }
-            merged.push(entry);
+            self.keys.push(key);
+            self.run.push(entry);
         }
-        merged.extend(overlay.map(|(row, count)| RunEntry::new(row, count)));
-        self.run = merged;
+        for (row, count) in overlay {
+            self.push(row, count);
+        }
         self.tombstones = 0;
+    }
+
+    /// Append a row past the run's last.
+    fn push(&mut self, row: Tuple, count: i64) {
+        self.keys.push(abbreviate(row.values()));
+        self.run.push(RunEntry { row, count });
     }
 
     fn clear(&mut self) {
@@ -197,6 +287,42 @@ impl Rows {
             overlay: self.overlay.iter().peekable(),
         }
     }
+}
+
+/// Binary search of the entries `lo..hi`, `order(at)` comparing entry
+/// `at` with the probe: `Ok` where it is equal, `Err` where it would go —
+/// `slice::binary_search_by` over positions instead of elements.
+fn search(lo: usize, hi: usize, order: impl Fn(usize) -> Ordering) -> Result<usize, usize> {
+    let (mut base, mut size) = (lo, hi - lo);
+    if size == 0 {
+        return Err(lo);
+    }
+    while size > 1 {
+        let half = size / 2;
+        if order(base + half) != Ordering::Greater {
+            base += half;
+        }
+        size -= half;
+    }
+    match order(base) {
+        Ordering::Equal => Ok(base),
+        Ordering::Less => Err(base + 1),
+        Ordering::Greater => Err(base),
+    }
+}
+
+/// Exponential search of the entries `from..len`, all before `from`
+/// ordering below the probe: probe `from`, `from + 1`, `from + 3`,
+/// `from + 7`, … until an entry does not order below, then binary-search
+/// the last stride.  `O(log d)` comparisons for an answer `d` entries on.
+fn gallop(from: usize, len: usize, order: impl Fn(usize) -> Ordering) -> Result<usize, usize> {
+    let (mut lo, mut hi, mut stride) = (from, from, 1);
+    while hi < len && order(hi) == Ordering::Less {
+        lo = hi + 1;
+        hi += stride;
+        stride *= 2;
+    }
+    search(lo, len.min(hi + 1), order)
 }
 
 /// The stored rows of a [`Table`] in tuple order: the run and the overlay
@@ -286,9 +412,13 @@ impl Table {
             present: rows.len(),
             present_total: rows.iter().map(|(_, count)| count).sum(),
             rows: Rows {
+                keys: rows
+                    .iter()
+                    .map(|(row, _)| abbreviate(row.values()))
+                    .collect(),
                 run: rows
                     .into_iter()
-                    .map(|(row, count)| RunEntry::new(row, count))
+                    .map(|(row, count)| RunEntry { row, count })
                     .collect(),
                 ..Rows::default()
             },
@@ -362,12 +492,16 @@ impl Table {
     /// the presence counters, the tombstone count and the indexes in step.
     fn merge_with(&mut self, tuple: Tuple, change: impl FnOnce(i64) -> i64) -> i64 {
         let rows = &mut self.rows;
-        let (before, after) = match rows.locate(tuple.values()) {
-            Slot::Append => {
+        let (before, after) = match rows.locate(tuple.values(), &mut Cursor::one_off()) {
+            Slot::Append(key) => {
                 let after = change(0);
                 if after != 0 {
                     self.indexes.insert(&tuple);
-                    rows.run.push(RunEntry::new(tuple, after));
+                    rows.keys.push(key);
+                    rows.run.push(RunEntry {
+                        row: tuple,
+                        count: after,
+                    });
                 }
                 (0, after)
             }
@@ -438,7 +572,13 @@ impl Table {
 
     /// [`Table::count`] for a row given as a value slice (no tuple is built).
     pub(crate) fn count_of(&self, values: &[Value]) -> i64 {
-        self.rows.count_of(values)
+        self.rows.count_of(values, &mut Cursor::one_off())
+    }
+
+    /// [`Table::count_of`] as one of a stream of lookups, searching from
+    /// where `cursor` left the previous one (see [`Cursor`]).
+    pub(crate) fn count_at(&self, values: &[Value], cursor: &mut Cursor) -> i64 {
+        self.rows.count_of(values, cursor)
     }
 
     /// True if the tuple is present with positive multiplicity.
@@ -694,59 +834,151 @@ mod tests {
     }
 
     #[test]
-    fn abbreviations_never_contradict_the_row_order() {
-        let big = 1i64 << 60;
-        let firsts = [
-            Value::Null,
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::Int(i64::MIN),
-            Value::Int(-big - 1),
-            Value::Int(-big),
-            Value::Int(-1),
-            Value::Int(0),
-            Value::Int(7),
-            Value::Int(8),
-            Value::Int(big - 1),
-            Value::Int(big),
-            Value::Int(i64::MAX),
-            Value::Float(-2.5),
-            Value::Float(0.5),
-            Value::text(""),
-            Value::text("a"),
-            Value::text("ab\u{0}"),
-            Value::text("abcdefg"),
-            Value::text("abcdefgh"),
-            Value::text("abcdefgz"),
-            Value::text("b"),
-        ];
+    fn floats_are_ordered_as_their_bits_are_compared() {
+        let mut t = Table::new("Floats", Schema::of(&[("x", DataType::Float)]));
+        let row = |x: f64| Tuple::new(vec![Value::Float(x)]);
+        // -0.0 and 0.0 are unequal tuples, so they are two rows ...
+        t.insert(row(0.0)).unwrap();
+        t.insert(row(-0.0)).unwrap();
+        assert_eq!(
+            (t.len(), t.count(&row(0.0)), t.count(&row(-0.0))),
+            (2, 1, 1)
+        );
+        // ... and a NaN is not merged into the row before it.
+        t.insert(row(1.0)).unwrap();
+        t.insert(row(f64::NAN)).unwrap();
+        assert_eq!((t.count(&row(1.0)), t.count(&row(f64::NAN))), (1, 1));
+        assert_eq!(t.len(), 4);
+        let bits: Vec<u64> = t
+            .iter()
+            .map(|r| r.values()[0].as_float().expect("a float").to_bits())
+            .collect();
+        let expected = [-0.0, 0.0, 1.0, f64::NAN].map(f64::to_bits);
+        assert_eq!(bits, expected);
+    }
+
+    /// The first-value abbreviation the run's keys refine: a key may tell
+    /// more rows apart than this, never fewer.
+    fn first_value_key(values: &[Value]) -> u64 {
+        let (rank, payload) = match values.first() {
+            None => (0, 0),
+            Some(Value::Null) => (1, 0),
+            Some(Value::Bool(b)) => (2, u64::from(*b)),
+            Some(Value::Int(i)) => (3, ((*i).clamp(-INT_SPAN, INT_SPAN - 1) + INT_SPAN) as u64),
+            Some(Value::Float(_)) => (4, 0),
+            Some(Value::Text(s)) => (5, text_prefix::<7>(s)),
+        };
+        (rank << 61) | payload
+    }
+
+    /// Rows over every kind of first and second value, at and across the
+    /// edges of the key's ranges.
+    fn edge_rows() -> Vec<Tuple> {
+        let (big, small, span2) = (INT_SPAN, SMALL_INT, 1i64 << 27);
+        let ints = |edges: &[i64]| -> Vec<Value> {
+            let mut out: Vec<Value> = edges
+                .iter()
+                .flat_map(|&e| [e.saturating_sub(1), e, e.saturating_add(1)])
+                .map(Value::Int)
+                .collect();
+            out.extend([i64::MIN, i64::MAX, 0, 7].map(Value::Int));
+            out
+        };
+        let floats = [-2.5, -0.0, 0.0, 0.5, f64::NAN].map(Value::Float);
+        let texts = [
+            "", "a", "ab\u{0}", "abc", "abd", "abcdefg", "abcdefgh", "abcdefgz", "b",
+        ]
+        .map(Value::text);
+        let others = [Value::Null, Value::Bool(false), Value::Bool(true)];
+        let firsts: Vec<Value> = others
+            .iter()
+            .cloned()
+            .chain(ints(&[-big, -small, small, big]))
+            .chain(floats.iter().cloned())
+            .chain(texts.iter().cloned())
+            .collect();
+        let seconds: Vec<Value> = others
+            .iter()
+            .cloned()
+            .chain(ints(&[-span2, span2]))
+            .chain(floats.iter().cloned())
+            .chain(texts.iter().cloned())
+            .collect();
         let mut rows: Vec<Tuple> = vec![Tuple::new(Vec::new())];
         for first in &firsts {
             rows.push(Tuple::new(vec![first.clone()]));
-            rows.push(Tuple::new(vec![first.clone(), Value::Int(-3)]));
-            rows.push(Tuple::new(vec![first.clone(), Value::text("x")]));
+            for second in &seconds {
+                rows.push(Tuple::new(vec![first.clone(), second.clone()]));
+            }
+            rows.push(Tuple::new(vec![
+                first.clone(),
+                Value::Int(1),
+                Value::Int(-3),
+            ]));
+            rows.push(Tuple::new(vec![
+                first.clone(),
+                Value::Int(1),
+                Value::text("x"),
+            ]));
         }
-        for a in &rows {
-            for b in &rows {
-                if a < b {
+        rows
+    }
+
+    #[test]
+    fn abbreviations_never_contradict_the_row_order() {
+        let mut rows = edge_rows();
+        rows.sort();
+        rows.dedup();
+        let keys: Vec<(u64, u64)> = rows
+            .iter()
+            .map(|r| (abbreviate(r.values()), first_value_key(r.values())))
+            .collect();
+        // Sorted rows: every later row is greater, so its key must not be
+        // smaller, and wherever the first-value key already tells two rows
+        // apart the key does too.
+        for (i, (a, (key_a, first_a))) in rows.iter().zip(&keys).enumerate() {
+            for (b, (key_b, first_b)) in rows[i + 1..].iter().zip(&keys[i + 1..]) {
+                assert!(key_a <= key_b, "{a} < {b} but their abbreviations disagree");
+                if first_a < first_b {
                     assert!(
-                        abbreviate(a.values()) <= abbreviate(b.values()),
-                        "{a} < {b} but their abbreviations disagree"
+                        key_a < key_b,
+                        "{a} and {b} abbreviate alike, which they did not"
                     );
                 }
             }
         }
-        // Every row is found again, whatever order it arrived in.
+        // Rows led by a small integer abbreviate apart by their second
+        // value as well.
+        let led_by = |first: i64, second: Value| abbreviate(&[Value::Int(first), second]);
+        for first in [-SMALL_INT, -1, 0, 499, SMALL_INT - 1] {
+            assert!(led_by(first, Value::Int(0)) < led_by(first, Value::Int(1)));
+            assert!(led_by(first, Value::Bool(true)) < led_by(first, Value::Int(-1)));
+            assert!(led_by(first, Value::text("ab")) < led_by(first, Value::text("b")));
+        }
+        // Every row is found again, whatever order it arrived in, by
+        // one-off lookups and by cursor streams in and against tuple order.
         let mut t = Table::new("Mixed", Schema::new(Vec::new()));
         for (i, row) in rows.iter().enumerate().rev() {
             t.merge_unchecked(row.clone(), i as i64 + 1);
         }
+        let mut ascending = Cursor::default();
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(t.count(row), i as i64 + 1, "{row}");
+            assert_eq!(
+                t.count_at(row.values(), &mut ascending),
+                i as i64 + 1,
+                "{row}"
+            );
         }
-        let mut sorted = rows.clone();
-        sorted.sort();
-        assert_eq!(t.sorted_tuples(), sorted);
+        let mut descending = Cursor::default();
+        for (i, row) in rows.iter().enumerate().rev() {
+            assert_eq!(
+                t.count_at(row.values(), &mut descending),
+                i as i64 + 1,
+                "{row}"
+            );
+        }
+        assert_eq!(t.sorted_tuples(), rows);
     }
 
     /// Differential oracle for the run + overlay storage: seeded op
@@ -797,7 +1029,12 @@ mod tests {
                 "run out of order"
             );
             assert!(
-                rows.run.iter().all(|e| e.key == abbreviate(e.row.values())),
+                rows.keys.len() == rows.run.len()
+                    && rows
+                        .keys
+                        .iter()
+                        .zip(&rows.run)
+                        .all(|(&key, e)| key == abbreviate(e.row.values())),
                 "stale abbreviation"
             );
             let zeros = rows.run.iter().filter(|e| e.count == 0).count();
@@ -850,6 +1087,24 @@ mod tests {
                 let expected = model.get(*t).copied().unwrap_or(0);
                 assert_eq!(table.count(t), expected, "count of {t} {at}");
             }
+            // The same probes as cursor streams: in tuple order (the cursor
+            // gallops ahead), against it (it searches behind itself), and
+            // as given (both).
+            let mut ascending = probes.to_vec();
+            ascending.sort();
+            let descending: Vec<&Tuple> = ascending.iter().rev().copied().collect();
+            for (order, stream) in [
+                ("ascending", &ascending),
+                ("descending", &descending),
+                ("as given", &probes.to_vec()),
+            ] {
+                let mut cursor = Cursor::default();
+                for t in stream {
+                    let expected = model.get(*t).copied().unwrap_or(0);
+                    let found = table.count_at(t.values(), &mut cursor);
+                    assert_eq!(found, expected, "{order} cursor count of {t} {at}");
+                }
+            }
             assert_eq!(table.verify_indexes(), Ok(indexes), "indexes {at}");
         }
 
@@ -860,6 +1115,7 @@ mod tests {
             let mut next_append = DOMAIN;
             let mut removed: Vec<Tuple> = Vec::new();
             let mut indexed: Vec<Vec<usize>> = Vec::new();
+            let mut carried = Cursor::default();
             for step in 0..ops {
                 let at = format!("(seed {seed}, step {step})");
                 let (overlay_before, tombstones_before) =
@@ -911,7 +1167,7 @@ mod tests {
                             0 => random,
                             n => removed[rng.gen_range(0..n)].clone(),
                         };
-                        if matches!(table.rows.locate(t.values()), Slot::Run(i) if table.rows.run[i].count == 0)
+                        if matches!(table.rows.locate(t.values(), &mut Cursor::one_off()), Slot::Run(i) if table.rows.run[i].count == 0)
                         {
                             cov.revivals += 1;
                         }
@@ -977,6 +1233,10 @@ mod tests {
                     Vec::new()
                 };
                 let probe = random_probe(&mut rng);
+                // A cursor carried across mutations stays a valid hint.
+                let expected = model.get(&probe).copied().unwrap_or(0);
+                let found = table.count_at(probe.values(), &mut carried);
+                assert_eq!(found, expected, "carried cursor count of {probe} {at}");
                 let probes: Vec<&Tuple> = [&touched, &probe].into_iter().chain(probe_all).collect();
                 assert_matches(&table, &model, &probes, indexed.len(), &at);
             }

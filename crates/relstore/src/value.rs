@@ -13,7 +13,8 @@ pub enum DataType {
     /// Boolean.
     Bool,
     /// 64-bit float.  Only used for probabilities and weights; never used as a
-    /// join key, so the lack of `Eq` on `f64` is handled by bit-level equality.
+    /// join key, so the lack of `Eq` on `f64` is handled by bit-level
+    /// equality and the lack of `Ord` by IEEE 754's total order.
     Float,
     /// Null / missing.
     Null,
@@ -152,7 +153,10 @@ impl Ord for Value {
             (Int(a), Int(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
+            // `total_cmp` is Equal exactly when the bits match, as `Eq`
+            // and `Hash` decide: -0.0 and 0.0 are two rows, and so are two
+            // NaNs with different payloads.
+            (Float(a), Float(b)) => a.total_cmp(b),
             (Null, Null) => Ordering::Equal,
             (a, b) => rank(a).cmp(&rank(b)),
         }

@@ -10,8 +10,8 @@
 
 use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{
-    ConjunctiveQuery, DataType, Database, DeltaRelation, MaterializedView, RelError, Schema, Table,
-    Tuple, Value,
+    ConjunctiveQuery, DataType, Database, DeltaRelation, ExecStats, MaterializedView, QueryPlan,
+    RelError, Schema, Table, Tuple, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -350,6 +350,9 @@ struct Coverage {
     cancelled_changes: usize,
     over_deletions: usize,
     indexes_verified: usize,
+    /// Full evaluations that probed fewer rows than the written order's
+    /// first table stores: they started from a smaller atom.
+    smaller_seeds: usize,
 }
 
 struct Case {
@@ -451,6 +454,56 @@ fn random_case(rng: &mut StdRng, cov: &mut Coverage) -> Case {
         db,
         query,
         frozen,
+    }
+}
+
+/// A case whose written order scans a large relation and point-looks-up a
+/// smaller one of the same arity over the same variables: full evaluation
+/// may start from the smaller one instead.
+fn smaller_seed_case(rng: &mut StdRng, cov: &mut Coverage) -> Case {
+    let large = rng.gen_range(0..RELATIONS);
+    let small = (large + rng.gen_range(1..RELATIONS)) % RELATIONS;
+    let mut arities: Vec<usize> = (0..RELATIONS).map(|_| rng.gen_range(1..=3)).collect();
+    arities[small] = arities[large];
+    let mut db = Database::new();
+    for (i, &arity) in arities.iter().enumerate() {
+        let cols: Vec<(String, DataType)> = (0..arity)
+            .map(|c| (format!("c{c}"), DataType::Int))
+            .collect();
+        let cols: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        db.create_table(&rel(i), Schema::of(&cols)).unwrap();
+        let rows = match i {
+            i if i == large => rng.gen_range(10..24),
+            i if i == small => rng.gen_range(1..5),
+            _ => rng.gen_range(0..14),
+        };
+        for _ in 0..rows {
+            db.insert(&rel(i), random_row(rng, arity)).unwrap();
+        }
+    }
+    // The same distinct variables, in the same or the reverse order.
+    let mut vars: Vec<&str> = VARS[..arities[large]].to_vec();
+    let terms = |vars: &[&str]| vars.iter().map(|v| Term::var(*v)).collect();
+    let scanned = QueryAtom::new(rel(large), terms(&vars));
+    if rng.gen_bool(0.5) {
+        vars.reverse();
+    }
+    let probed = QueryAtom::new(rel(small), terms(&vars));
+    let head_vars: Vec<String> = vars
+        .iter()
+        .filter(|_| rng.gen_bool(0.6))
+        .map(|v| v.to_string())
+        .collect();
+    let mut filters = Vec::new();
+    if vars.len() >= 2 && rng.gen_bool(0.5) {
+        cov.filters[2] += 1;
+        filters.push(Filter::Lt(vars[0].to_string(), vars[1].to_string()));
+    }
+    Case {
+        arities,
+        db,
+        query: ConjunctiveQuery::new("Q", head_vars, vec![scanned, probed]).with_filters(filters),
+        frozen: Vec::new(),
     }
 }
 
@@ -591,6 +644,31 @@ fn executor_matches_the_reference_evaluator_on_random_cases() {
         }
     }
 
+    // Full evaluation of conjunctions it may start from their smaller
+    // atom, before and after signed deltas (over-deletions included) land
+    // in the tables.
+    const SMALLER_SEED_CASES: u64 = 100;
+    for seed in 0..SMALLER_SEED_CASES {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0000 + seed);
+        let mut case = smaller_seed_case(&mut rng, &mut cov);
+        for round in 0..=ROUNDS {
+            let ctx = format!("smaller-seed {seed} round {round}: {:?}", case.query);
+            let expected = reference::evaluate(&case.query, &case.db).unwrap();
+            let plan = QueryPlan::compile(&case.query).unwrap();
+            let mut stats = ExecStats::default();
+            let got = plan.evaluate(&case.db, &mut stats).unwrap();
+            assert_eq!(counted(&got), counted(&expected), "{ctx}");
+            // The written order visits every stored row of its first table.
+            let first = case.db.table(&case.query.atoms[0].relation).unwrap();
+            if stats.rows_probed < first.iter_net_counted().count() as u64 {
+                cov.smaller_seeds += 1;
+            }
+            for (name, delta) in random_deltas(&mut rng, &case, &mut cov) {
+                delta.apply_to(case.db.table_mut(&name).unwrap());
+            }
+        }
+    }
+
     // The generator really covers what the oracle is meant to pin.
     assert!(cov.self_joins >= 50, "self-joins: {}", cov.self_joins);
     assert!(cov.constants >= 50, "constants: {}", cov.constants);
@@ -624,5 +702,10 @@ fn executor_matches_the_reference_evaluator_on_random_cases() {
         cov.indexes_verified >= 200,
         "maintained indexes verified: {}",
         cov.indexes_verified
+    );
+    assert!(
+        cov.smaller_seeds >= 150,
+        "full evaluations started from an atom smaller than the written first: {}",
+        cov.smaller_seeds
     );
 }
