@@ -14,30 +14,12 @@
 //! non-finite values), on single-point corruptions of their encodings, and on
 //! a table of hand-written malformed documents.
 
+mod common;
+
+use common::SplitMix64;
 use dd_wire::json::{
     parse, validate, Decode, Json, JsonReader, JsonWriter, Kind, MAX_NESTING_DEPTH,
 };
-
-/// SplitMix64 — the same tiny deterministic PRNG the other suites use.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len())]
-    }
-}
 
 /// The scanner `JsonReader` replaced, verbatim but for its name: the oracle
 /// for what is and is not a document.

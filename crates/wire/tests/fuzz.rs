@@ -7,26 +7,12 @@
 //! test is "hostile bytes can never panic or hang the decoder, and truncation
 //! is always reported as truncation".
 
+mod common;
+
+use common::SplitMix64;
 use dd_wire::record::RecordError;
 use dd_wire::{read_frame, read_record, write_frame, write_record, FrameError};
 use std::io::Cursor;
-
-/// SplitMix64 — the same tiny deterministic PRNG the server tests use.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
 
 /// A stream of a few valid frames with mixed payload sizes.
 fn valid_frames(rng: &mut SplitMix64) -> Vec<u8> {

@@ -29,7 +29,10 @@
 //! (every Variational round of the News loop couples no query variable and
 //! is answered in closed form) and `PINNED_WEIGHTS` held across it.
 
+mod support;
+
 use deepdive_repro::prelude::*;
+use support::scratch_dir;
 
 /// FNV-1a, 64 bit.
 #[derive(Clone, Copy)]
@@ -346,13 +349,6 @@ fn claims_kb_digests_are_pinned_per_seed() {
 }
 
 // ------------------------------------------------------------ checkpoints
-
-/// A scratch directory unique to one test of this process.
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dd-determinism-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The durable scenario behind the checkpoint tests and the committed
 /// fixture: 6 documents (48 variables — not a multiple of 64, so sample

@@ -1,284 +1,91 @@
-//! Differential oracle for the probability-ordered read indexes.
+//! Differential oracle for the probability-ordered read indexes, on a KB of
+//! two variable relations.
 //!
 //! Every op sequence (inserts, deletes, delete+insert flips, supervision
 //! retractions) is applied **incrementally** through [`DeepDive::run_update`],
 //! so the published snapshot's catalog — both the tuple-sorted index and the
 //! ranked view — is the product of many O(Δ) `apply_delta` merges.  After
-//! every single op, every `FactQuery` shape (the cross product of
-//! `min_probability` × `top_k` × `offset` × `limit`, thresholds including the
-//! exact marginals sitting at partition-point boundaries) is executed three
-//! ways and the results compared bitwise (`f64::to_bits`, so even a -0.0/+0.0
-//! swap would fail):
-//!
-//! 1. the indexed path ([`FactQuery::run`]) on the live snapshot,
-//! 2. the scan path ([`FactQuery::run_scan`]) on the *same* snapshot — pins
-//!    indexed ≡ scan over the Δ-maintained catalog, and
-//! 3. the scan path on a **from-scratch snapshot** (`CatalogShards::build`
-//!    over the grounder's full catalog + the same marginal vector) — pins the
-//!    Δ-maintained catalog ≡ a full rebuild, so no merge/retraction drift can
-//!    hide behind a matching pair of stale views.
+//! every single op, every `FactQuery` shape (thresholds including the exact
+//! marginals sitting at partition-point boundaries) must answer bitwise the
+//! same indexed, scanned, and scanned on a from-scratch snapshot, and the
+//! grounder must match a from-scratch rebuild; each sequence ends by
+//! recovering its durable engine (`support::oracle` has the loop and the
+//! checks).
 //!
 //! A separate deterministic test pins the structural-sharing contract:
 //! relations untouched by an update keep **both** index views `Arc`-shared
 //! across epochs (their supervision-pinned marginals are bit-stable, so the
 //! publish-time revalidation keeps the old Arcs instead of re-ranking).
 
+mod support;
+
 use deepdive_repro::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Two variable relations so the sharded catalog has multiple shards to get
-/// wrong: `FactA` is driven by mixed pinned/unpinned claims (diverse, tied,
-/// and exact-0/1 marginals), `FactB` by its own claim table.
-const PROGRAM: &str = r#"
-    relation ClaimA(id: int) base.
-    relation ClaimB(id: int) base.
-    relation PosA(id: int) base.
-    relation NegA(id: int) base.
-    relation PosB(id: int) base.
-    relation FactA(id: int) variable.
-    relation FactB(id: int) variable.
-
-    rule FA feature: FactA(id) :- ClaimA(id) weight = 1.5.
-    rule SAP supervision+: FactA(id) :- ClaimA(id), PosA(id).
-    rule SAN supervision-: FactA(id) :- ClaimA(id), NegA(id).
-    rule FB feature: FactB(id) :- ClaimB(id) weight = 0.5.
-    rule SBP supervision+: FactB(id) :- ClaimB(id), PosB(id).
-"#;
+use support::oracle::{check_queries, run_seeds, split_program, Fact, OpKind, Spec};
 
 fn id(i: i64) -> Tuple {
     Tuple::from_iter([Value::Int(i)])
 }
 
-fn base_schemas() -> Vec<&'static str> {
-    vec!["ClaimA", "ClaimB", "PosA", "NegA", "PosB"]
-}
+/// Two variable relations so the sharded catalog has multiple shards to get
+/// wrong: `FactA` is driven by mixed pinned/unpinned claims (diverse, tied,
+/// and exact-0/1 marginals), `FactB` by its own claim table.
+fn spec() -> Spec {
+    let ids: Vec<Tuple> = (0..8).map(id).collect();
+    let (program, late_rules) = split_program(
+        r#"
+            relation ClaimA(id: int) base.
+            relation ClaimB(id: int) base.
+            relation PosA(id: int) base.
+            relation NegA(id: int) base.
+            relation PosB(id: int) base.
+            relation FactA(id: int) variable.
+            relation FactB(id: int) variable.
 
-/// Deterministic splitmix-style generator: no external crates, same sequence
-/// on every platform.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Net base-fact counts, so deletes only target facts that are present.
-#[derive(Default)]
-struct Model {
-    counts: BTreeMap<(&'static str, i64), i64>,
-}
-
-impl Model {
-    fn insert(&mut self, rel: &'static str, i: i64) {
-        *self.counts.entry((rel, i)).or_insert(0) += 1;
-    }
-
-    fn present(&self) -> Vec<(&'static str, i64)> {
-        self.counts
-            .iter()
-            .filter(|(_, &n)| n > 0)
-            .map(|(&(r, i), _)| (r, i))
-            .collect()
-    }
-}
-
-/// Even smaller than `EngineConfig::fast()`: the oracle runs thousands of
-/// full query cross-products and marginal quality is irrelevant here.
-fn fast_config() -> EngineConfig {
-    let mut config = EngineConfig::fast();
-    config.gibbs = GibbsOptions::new(40, 8, 7);
-    config.learn = LearnOptions {
-        epochs: 2,
-        sweeps_per_epoch: 2,
-        ..config.learn
-    };
-    config
-}
-
-fn build_engine(initial: &[(&'static str, i64)], model: &mut Model) -> DeepDive {
-    let mut db = Database::new();
-    for rel in base_schemas() {
-        db.create_table(rel, Schema::of(&[("id", DataType::Int)]))
-            .unwrap();
-    }
-    for &(rel, i) in initial {
-        db.insert(rel, id(i)).unwrap();
-        model.insert(rel, i);
-    }
-    DeepDive::builder()
-        .program_text(PROGRAM)
-        .database(db)
-        .udfs(standard_udfs())
-        .config(fast_config())
-        .build()
-        .expect("engine builds")
-}
-
-fn run_query(
-    snapshot: &Snapshot,
-    relation: &str,
-    min_p: f64,
-    top_k: Option<usize>,
-    offset: usize,
-    limit: Option<usize>,
-    indexed: bool,
-) -> Vec<(Tuple, f64)> {
-    let mut q = snapshot
-        .facts(relation)
-        .min_probability(min_p)
-        .offset(offset);
-    if let Some(k) = top_k {
-        q = q.top_k(k);
-    }
-    if let Some(l) = limit {
-        q = q.limit(l);
-    }
-    if indexed {
-        q.run()
-    } else {
-        q.run_scan()
-    }
-}
-
-/// Bitwise equality: tuples must match exactly and probabilities must be the
-/// same f64 bit pattern (`==` would let -0.0/+0.0 or a NaN slip through).
-fn assert_bits_eq(got: &[(Tuple, f64)], want: &[(Tuple, f64)], context: &str) {
-    let same = got.len() == want.len()
-        && got
-            .iter()
-            .zip(want)
-            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-    assert!(
-        same,
-        "{context}:\n  indexed: {got:?}\n  reference: {want:?}"
+            rule FA feature: FactA(id) :- ClaimA(id) weight = 1.5.
+            rule SAP supervision+: FactA(id) :- ClaimA(id), PosA(id).
+            rule SAN supervision-: FactA(id) :- ClaimA(id), NegA(id).
+            rule FB feature: FactB(id) :- ClaimB(id) weight = 0.5.
+            rule SBP supervision+: FactB(id) :- ClaimB(id), PosB(id).
+        "#,
+        &[],
     );
-}
-
-/// After every op: the full query-shape cross product, three ways (see the
-/// module docs), over both real relations and a missing one.
-fn check_queries(dd: &DeepDive, context: &str) {
-    let snap = dd.snapshot();
-    // From-scratch reference: full catalog rebuild + the same marginal
-    // vector.  `Snapshot::synthetic` re-ranks it from nothing, so none of the
-    // live snapshot's Δ-merged state leaks into the reference.
-    let reference = Snapshot::synthetic(
-        snap.epoch(),
-        snap.marginals().values().to_vec(),
-        CatalogShards::build(dd.grounder().variable_catalog(), snap.epoch()),
-    );
-    for relation in ["FactA", "FactB", "Missing"] {
-        // Fixed probes plus live marginals: the exact values sitting at
-        // partition-point boundaries, where an off-by-one cut would hide.
-        let mut probes = vec![0.0, 0.3, 0.5, 0.8, 1.0];
-        if let Some(shard) = snap.catalog().shard(relation) {
-            probes.extend(shard.ranked().entries().iter().take(2).map(|(p, _, _)| *p));
-        }
-        for &min_p in &probes {
-            for top_k in [None, Some(0), Some(1), Some(3), Some(100)] {
-                for offset in [0usize, 1, 5] {
-                    for limit in [None, Some(0), Some(2)] {
-                        let shape = format!(
-                            "{context}: {relation} min_p={min_p} top_k={top_k:?} \
-                             offset={offset} limit={limit:?}"
-                        );
-                        let indexed = run_query(&snap, relation, min_p, top_k, offset, limit, true);
-                        let scan = run_query(&snap, relation, min_p, top_k, offset, limit, false);
-                        assert_bits_eq(&indexed, &scan, &format!("{shape} [vs live scan]"));
-                        let fresh =
-                            run_query(&reference, relation, min_p, top_k, offset, limit, false);
-                        assert_bits_eq(&indexed, &fresh, &format!("{shape} [vs from-scratch]"));
-                    }
+    Spec {
+        name: "indexes",
+        program,
+        late_rules,
+        universes: ["ClaimA", "ClaimB", "PosA", "NegA", "PosB"]
+            .map(|rel| (rel, ids.clone()))
+            .to_vec(),
+        heads: &["FactA", "FactB"],
+        salt: 0xC0FF_EE00,
+        ops: &[
+            (4, OpKind::Insert),
+            (3, OpKind::Delete),
+            (1, OpKind::Flip(&[])),
+            (2, OpKind::Retract(None)),
+        ],
+        fallback: None,
+        // A few claims per relation, labels on a subset (so each relation
+        // serves a mix of pinned and Gibbs marginals).
+        corpus: |_, rng| {
+            let mut corpus = Vec::new();
+            for i in 0..(3 + rng.below(3) as i64) {
+                corpus.push(("ClaimA", id(i)));
+                match rng.below(3) {
+                    0 => corpus.push(("PosA", id(i))),
+                    1 => corpus.push(("NegA", id(i))),
+                    _ => {}
                 }
             }
-        }
-    }
-}
-
-/// One seeded random op sequence, incrementally applied and query-checked
-/// after every op.
-fn run_sequence(seed: u64, ops: usize) {
-    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0FF_EE00);
-    let mut model = Model::default();
-
-    // Seed-dependent initial corpus: a few claims per relation, labels on a
-    // subset (so each relation serves a mix of pinned and Gibbs marginals).
-    let mut initial = Vec::new();
-    for i in 0..(3 + rng.below(3) as i64) {
-        initial.push(("ClaimA", i));
-        match rng.below(3) {
-            0 => initial.push(("PosA", i)),
-            1 => initial.push(("NegA", i)),
-            _ => {}
-        }
-    }
-    for i in 0..(2 + rng.below(2) as i64) {
-        initial.push(("ClaimB", i));
-        if rng.below(2) == 0 {
-            initial.push(("PosB", i));
-        }
-    }
-    let mut dd = build_engine(&initial, &mut model);
-    dd.initial_run().expect("initial run");
-    check_queries(&dd, &format!("seed {seed} initial"));
-
-    const RELS: [&str; 5] = ["ClaimA", "ClaimB", "PosA", "NegA", "PosB"];
-    for step in 0..ops {
-        let mut update = KbcUpdate::new();
-        let present = model.present();
-        let describe;
-        match rng.below(10) {
-            // Insert a random base fact (duplicates allowed: counted rows).
-            0..=3 => {
-                let rel = RELS[rng.below(RELS.len())];
-                let i = rng.below(8) as i64;
-                update.insert(rel, id(i));
-                model.insert(rel, i);
-                describe = format!("insert {rel}({i})");
-            }
-            // Delete one currently-present base fact.
-            4..=6 => {
-                if present.is_empty() {
-                    continue;
+            for i in 0..(2 + rng.below(2) as i64) {
+                corpus.push(("ClaimB", id(i)));
+                if rng.below(2) == 0 {
+                    corpus.push(("PosB", id(i)));
                 }
-                let (rel, i) = present[rng.below(present.len())];
-                update.delete(rel, id(i));
-                *model.counts.get_mut(&(rel, i)).unwrap() -= 1;
-                describe = format!("delete {rel}({i})");
             }
-            // Flip: delete one present fact and insert another in one update.
-            7 => {
-                if present.is_empty() {
-                    continue;
-                }
-                let (rel, i) = present[rng.below(present.len())];
-                update.delete(rel, id(i));
-                *model.counts.get_mut(&(rel, i)).unwrap() -= 1;
-                let j = rng.below(8) as i64;
-                update.insert("ClaimA", id(j));
-                model.insert("ClaimA", j);
-                describe = format!("flip -{rel}({i}) +ClaimA({j})");
-            }
-            // Retract supervision for a random head (sticky suppression).
-            _ => {
-                let i = rng.below(8) as i64;
-                let rel = if rng.below(2) == 0 { "FactA" } else { "FactB" };
-                update.retract_supervision(rel, id(i));
-                describe = format!("retract-supervision {rel}({i})");
-            }
-        }
-        dd.run_update(&update, ExecutionMode::Incremental)
-            .unwrap_or_else(|e| panic!("seed {seed} step {step} ({describe}): {e}"));
-        check_queries(&dd, &format!("seed {seed} step {step} ({describe})"));
+            corpus
+        },
     }
 }
 
@@ -288,30 +95,22 @@ fn run_sequence(seed: u64, ops: usize) {
 /// harness runs them on separate threads.
 #[test]
 fn indexed_query_oracle_seeds_0_to_49() {
-    for seed in 0..50 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&spec(), 0..50, 6);
 }
 
 #[test]
 fn indexed_query_oracle_seeds_50_to_99() {
-    for seed in 50..100 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&spec(), 50..100, 6);
 }
 
 #[test]
 fn indexed_query_oracle_seeds_100_to_149() {
-    for seed in 100..150 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&spec(), 100..150, 6);
 }
 
 #[test]
 fn indexed_query_oracle_seeds_150_to_199() {
-    for seed in 150..200 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&spec(), 150..200, 6);
 }
 
 /// Longer soak: more seeds, deeper sequences.  Run with
@@ -319,9 +118,7 @@ fn indexed_query_oracle_seeds_150_to_199() {
 #[test]
 #[ignore = "soak: ~10x the default oracle run"]
 fn indexed_query_oracle_soak() {
-    for seed in 200..600 {
-        run_sequence(seed, 16);
-    }
+    run_seeds(&spec(), 200..600, 16);
 }
 
 /// The structural-sharing contract: an update that only touches `FactA`'s
@@ -331,12 +128,11 @@ fn indexed_query_oracle_soak() {
 /// publish-time revalidation must keep the old Arcs instead of re-ranking.
 #[test]
 fn untouched_relations_share_both_views_across_epochs() {
-    let mut model = Model::default();
-    let initial: Vec<(&'static str, i64)> = (0..4)
-        .flat_map(|i| [("ClaimB", i), ("PosB", i)])
-        .chain((0..3).map(|i| ("ClaimA", i)))
+    let initial: Vec<Fact> = (0..4)
+        .flat_map(|i| [("ClaimB", id(i)), ("PosB", id(i))])
+        .chain((0..3).map(|i| ("ClaimA", id(i))))
         .collect();
-    let mut dd = build_engine(&initial, &mut model);
+    let mut dd = spec().engine(&initial, None);
     dd.initial_run().expect("initial run");
 
     let mut previous = dd.snapshot();

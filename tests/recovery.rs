@@ -28,34 +28,14 @@
 //! fault sweeps fast; the "replay at any graph size" test holds the same
 //! rule on a graph with over 2 000 coupled variables.
 
+mod support;
+
 use deepdive_repro::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-const PROGRAM: &str = r#"
-    relation Sentence(s: int, content: text) base.
-    relation PersonCandidate(s: int, m: int, t: text) base.
-    relation EL(m: int, e: text) base.
-    relation Married(e1: text, e2: text) base.
-    relation MarriedCandidate(m1: int, m2: int) derived.
-    relation MarriedMentions(m1: int, m2: int) variable.
-
-    rule R1 candidate:
-      MarriedCandidate(m1, m2) :-
-        PersonCandidate(s, m1, t1), PersonCandidate(s, m2, t2), m1 < m2.
-
-    rule FE1 feature:
-      MarriedMentions(m1, m2) :-
-        MarriedCandidate(m1, m2),
-        PersonCandidate(s, m1, t1), PersonCandidate(s, m2, t2),
-        Sentence(s, content)
-      weight = phrase(t1, t2, content).
-
-    rule S1 supervision+:
-      MarriedMentions(m1, m2) :-
-        MarriedCandidate(m1, m2), EL(m1, e1), EL(m2, e2), Married(e1, e2).
-"#;
+use support::scratch_dir;
+use support::spouses::PROGRAM;
 
 fn database() -> Database {
     let mut db = Database::new();
@@ -130,18 +110,6 @@ fn database() -> Database {
     )
     .unwrap();
     db
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "dd-recovery-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
 }
 
 /// A durable engine over `dir` — opens a pristine directory or recovers an
@@ -315,7 +283,7 @@ fn spawn_crashing_child(dir: &Path, crash_after: u64, checkpoint_after: Option<u
 #[test]
 fn killed_at_every_op_boundary_recovers_the_exact_pre_crash_state() {
     for crash_after in 1..=NUM_OPS {
-        let dir = temp_dir(&format!("kill{crash_after}"));
+        let dir = scratch_dir(&format!("kill{crash_after}"));
         spawn_crashing_child(&dir, crash_after, None);
         let (epoch, bytes) = recovered_state(&dir);
         let (want_epoch, want_bytes) = reference_state(crash_after);
@@ -332,7 +300,7 @@ fn killed_at_every_op_boundary_recovers_the_exact_pre_crash_state() {
 fn killed_after_a_mid_stream_checkpoint_recovers_identically() {
     // Checkpoint after op 3: recovery loads that checkpoint and replays only
     // op 4's WAL record — and must land on the same bytes as a full rerun.
-    let dir = temp_dir("killckpt");
+    let dir = scratch_dir("killckpt");
     spawn_crashing_child(&dir, 4, Some(3));
     let (epoch, bytes) = recovered_state(&dir);
     let (want_epoch, want_bytes) = reference_state(4);
@@ -343,7 +311,7 @@ fn killed_after_a_mid_stream_checkpoint_recovers_identically() {
 
 #[test]
 fn recovered_engine_serves_exact_answers_through_the_server() {
-    let dir = temp_dir("serve");
+    let dir = scratch_dir("serve");
     spawn_crashing_child(&dir, 3, Some(2));
     let recovered = durable(&dir);
     let (want_epoch, _) = reference_state(3);
@@ -406,7 +374,7 @@ fn only_wal_segment(dir: &Path) -> PathBuf {
 
 #[test]
 fn wal_tail_truncated_at_every_byte_boundary_recovers_cleanly() {
-    let dir = temp_dir("truncate");
+    let dir = scratch_dir("truncate");
     {
         let mut dd = durable(&dir);
         for op in 1..=4 {
@@ -438,7 +406,7 @@ fn wal_tail_truncated_at_every_byte_boundary_recovers_cleanly() {
 
 #[test]
 fn wal_tail_bit_flips_are_detected_and_truncated() {
-    let dir = temp_dir("bitflip");
+    let dir = scratch_dir("bitflip");
     {
         let mut dd = durable(&dir);
         for op in 1..=4 {
@@ -474,7 +442,7 @@ fn mid_log_damage_truncates_everything_after_it() {
     // Damage in the *middle* of the log is still tail damage — everything
     // from the damaged record on is unreachable and gets truncated.  Here the
     // materialize record (op 2) is hit, so only op 1 survives.
-    let dir = temp_dir("midlog");
+    let dir = scratch_dir("midlog");
     {
         let mut dd = durable(&dir);
         for op in 1..=4 {
@@ -495,7 +463,7 @@ fn mid_log_damage_truncates_everything_after_it() {
 fn retraction_wal_records_survive_tail_truncation_and_bit_flips() {
     // Run the full sequence so the final two records are the retraction ops:
     // record 6 is the deletion `Update`, record 7 the `RetractSupervision`.
-    let dir = temp_dir("retracttail");
+    let dir = scratch_dir("retracttail");
     {
         let mut dd = durable(&dir);
         for op in 1..=NUM_OPS {
@@ -550,7 +518,7 @@ fn checkpoint_after_retractions_recovers_byte_exactly() {
     // The checkpoint is written *after* both retraction ops, so the v2
     // grounder codec must round-trip the shrunken graph, the grounding
     // records, and the sticky suppression set byte-exactly.
-    let dir = temp_dir("retractckpt");
+    let dir = scratch_dir("retractckpt");
     spawn_crashing_child(&dir, NUM_OPS, Some(NUM_OPS));
     let (epoch, bytes) = recovered_state(&dir);
     let (want_epoch, want_bytes) = reference_state(NUM_OPS);
@@ -566,7 +534,7 @@ fn checkpoint_after_retractions_recovers_byte_exactly() {
 
 #[test]
 fn damaged_newest_checkpoint_falls_back_without_losing_operations() {
-    let dir = temp_dir("ckptdmg");
+    let dir = scratch_dir("ckptdmg");
     {
         let mut dd = durable(&dir);
         apply_op(&mut dd, 1);
@@ -690,7 +658,7 @@ fn coupled_update() -> KbcUpdate {
 /// from the same inputs.
 #[test]
 fn replay_is_exact_on_a_graph_with_thousands_of_coupled_variables() {
-    let dir = temp_dir("coupled");
+    let dir = scratch_dir("coupled");
     let (program, db) = coupled_inputs(1100);
     let build = |durability: Option<&Path>| {
         let mut builder = DeepDive::builder()
@@ -756,7 +724,7 @@ fn dir_fingerprint(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn recovering_the_same_directory_twice_is_byte_identical() {
-    let dir = temp_dir("idem");
+    let dir = scratch_dir("idem");
     {
         let mut dd = durable(&dir);
         apply_op(&mut dd, 1);
@@ -782,7 +750,7 @@ fn recovering_the_same_directory_twice_is_byte_identical() {
 fn recovery_is_idempotent_across_a_crashed_checkpoint_rotation() {
     // Simulate dying mid-checkpoint: `.tmp` debris in the checkpoint dir and
     // a torn final WAL record, at the same time.
-    let dir = temp_dir("idemtmp");
+    let dir = scratch_dir("idemtmp");
     {
         let mut dd = durable(&dir);
         for op in 1..=3 {
@@ -825,7 +793,7 @@ fn replay_divergence_from_a_changed_udf_registry_is_surfaced() {
         relation Fact(id: int) variable.
         rule F feature: Fact(id) :- Claim(id, text) weight = 1.0.
     "#;
-    let dir = temp_dir("divergence");
+    let dir = scratch_dir("divergence");
     let build = |udfs: UdfRegistry| {
         let mut db = Database::new();
         db.create_table(
@@ -910,7 +878,7 @@ fn newest_covered_seq(dir: &Path) -> u64 {
 /// exists.
 #[test]
 fn manual_only_engines_never_checkpoint_automatically() {
-    let dir = temp_dir("manual-only");
+    let dir = scratch_dir("manual-only");
     {
         let mut dd = durable(&dir);
         for op in 1..=NUM_OPS {
@@ -926,7 +894,7 @@ fn manual_only_engines_never_checkpoint_automatically() {
 /// byte-identical to a never-crashed reference engine.
 #[test]
 fn records_policy_checkpoints_automatically_and_recovers_exactly() {
-    let dir = temp_dir("auto-records");
+    let dir = scratch_dir("auto-records");
     {
         let mut dd = DeepDive::builder()
             .program_text(PROGRAM)
@@ -961,7 +929,7 @@ fn records_policy_checkpoints_automatically_and_recovers_exactly() {
 /// state-changing call ends in a checkpoint, so the WAL never needs replay.
 #[test]
 fn bytes_policy_checkpoints_after_every_operation() {
-    let dir = temp_dir("auto-bytes");
+    let dir = scratch_dir("auto-bytes");
     {
         let mut dd = DeepDive::builder()
             .program_text(PROGRAM)
@@ -992,7 +960,7 @@ fn bytes_policy_checkpoints_after_every_operation() {
 /// the manual call, so the next auto-trigger lands `n` records later.
 #[test]
 fn manual_checkpoints_restart_the_policy_window() {
-    let dir = temp_dir("auto-restart");
+    let dir = scratch_dir("auto-restart");
     {
         let mut dd = DeepDive::builder()
             .program_text(PROGRAM)
@@ -1038,7 +1006,7 @@ fn manual_checkpoints_restart_the_policy_window() {
 fn recovery_timing() {
     use std::time::Instant;
 
-    let dir = temp_dir("timing");
+    let dir = scratch_dir("timing");
     {
         let mut dd = durable(&dir);
         for op in 1..=NUM_OPS {
@@ -1058,7 +1026,7 @@ fn recovery_timing() {
     drop(dd);
     let _ = fs::remove_dir_all(&dir);
 
-    let dir = temp_dir("timing-replay");
+    let dir = scratch_dir("timing-replay");
     let wal_bytes;
     {
         let mut dd = durable(&dir);
@@ -1092,7 +1060,7 @@ fn kill_loop_soak_recovers_every_time() {
         for crash_after in 1..=NUM_OPS {
             // Round 0: no checkpoint.  Later rounds: checkpoint mid-stream.
             let checkpoint_after = (round > 0).then(|| round.min(crash_after));
-            let dir = temp_dir(&format!("soak{round}-{crash_after}"));
+            let dir = scratch_dir(&format!("soak{round}-{crash_after}"));
             spawn_crashing_child(&dir, crash_after, checkpoint_after);
             let (epoch, bytes) = recovered_state(&dir);
             let (want_epoch, want_bytes) = reference_state(crash_after);

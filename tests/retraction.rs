@@ -1,386 +1,20 @@
-//! Differential oracle for retraction-capable incremental grounding.
+//! Differential oracle for retraction-capable incremental grounding, on the
+//! retraction spec (`support::oracle::retraction_spec`).
 //!
 //! Every op sequence (inserts, deletes, delete+insert flips, supervision
 //! retractions, rule additions) is applied **incrementally** through
 //! [`DeepDive::run_update`] and, after every single op, the engine's grounder
-//! state is compared against a **from-scratch rebuild** over the net database:
-//! same variables (by `(relation, tuple)` identity and role), same factors (by
-//! weight description and literal structure), same derived tables, and the
-//! published snapshot's fact set must equal the variable catalog exactly.
-//!
-//! The incremental path and the oracle share no grounding code path for
-//! deletions: the engine runs DRed + Z-set deltas + swap-remove compaction,
-//! the oracle grounds the final database from an empty graph.  Any divergence
-//! — a leaked factor, a variable the sweep missed, a catalog entry the O(Δ)
-//! publish failed to drop — shows up as a signature diff naming the exact
-//! variable or factor.
+//! state is compared against a **from-scratch rebuild** over the net database
+//! — same variables (by `(relation, tuple)` identity and role), same factors
+//! (by weight description and literal structure), same rows in every table —
+//! the published snapshot's fact set must equal the variable catalog, and
+//! every query shape must answer the same indexed as scanned.  Each sequence
+//! ends by recovering its durable engine; `support::oracle` has the loop.
 
-use deepdive_repro::factorgraph::{FactorKind, Lit};
-use deepdive_repro::grounding::{Grounder, Rule};
+mod support;
+
 use deepdive_repro::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Base program: one candidate mapping, one feature rule, one positive
-/// supervision rule.  `FE2`/`S2` (below) arrive mid-sequence via `add_rule`.
-const BASE_PROGRAM: &str = r#"
-    relation Link(a: int, b: int) base.
-    relation Feat(a: int, f: text) base.
-    relation Truth(a: int, b: int) base.
-    relation Wrong(a: int, b: int) base.
-    relation Cand(a: int, b: int) derived.
-    relation Fact(a: int, b: int) variable.
-
-    rule C1 candidate: Cand(a, b) :- Link(a, b).
-    rule FE1 feature: Fact(a, b) :- Cand(a, b), Feat(a, f) weight = identity(f).
-    rule S1 supervision+: Fact(a, b) :- Cand(a, b), Truth(a, b).
-"#;
-
-/// Rules addable mid-sequence (parsed once from the extended program).
-const POOL_PROGRAM: &str = r#"
-    relation Link(a: int, b: int) base.
-    relation Feat(a: int, f: text) base.
-    relation Truth(a: int, b: int) base.
-    relation Wrong(a: int, b: int) base.
-    relation Cand(a: int, b: int) derived.
-    relation Fact(a: int, b: int) variable.
-
-    rule C1 candidate: Cand(a, b) :- Link(a, b).
-    rule FE1 feature: Fact(a, b) :- Cand(a, b), Feat(a, f) weight = identity(f).
-    rule S1 supervision+: Fact(a, b) :- Cand(a, b), Truth(a, b).
-    rule FE2 feature: Fact(a, b) :- Cand(a, b), Feat(b, f) weight = identity(f).
-    rule S2 supervision-: Fact(a, b) :- Cand(a, b), Wrong(a, b).
-"#;
-
-fn pair(a: i64, b: i64) -> Tuple {
-    Tuple::from_iter([Value::Int(a), Value::Int(b)])
-}
-
-fn feat(a: i64, f: &str) -> Tuple {
-    Tuple::from_iter([Value::Int(a), Value::text(f)])
-}
-
-fn base_schemas() -> Vec<(&'static str, Schema)> {
-    let ii = || Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
-    vec![
-        ("Link", ii()),
-        (
-            "Feat",
-            Schema::of(&[("a", DataType::Int), ("f", DataType::Text)]),
-        ),
-        ("Truth", ii()),
-        ("Wrong", ii()),
-    ]
-}
-
-/// Deterministic splitmix-style generator: no external crates, same sequence
-/// on every platform.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// The logical state the oracle rebuilds from: net base-fact counts, rules
-/// added so far, and heads whose supervision has been retracted (sticky).
-#[derive(Default)]
-struct Model {
-    counts: BTreeMap<(&'static str, Tuple), i64>,
-    added_rules: Vec<Rule>,
-    suppressed: BTreeSet<(&'static str, Tuple)>,
-}
-
-impl Model {
-    fn insert(&mut self, rel: &'static str, t: Tuple) {
-        *self.counts.entry((rel, t)).or_insert(0) += 1;
-    }
-
-    fn present(&self) -> Vec<(&'static str, Tuple)> {
-        self.counts
-            .iter()
-            .filter(|(_, &n)| n > 0)
-            .map(|((r, t), _)| (*r, t.clone()))
-            .collect()
-    }
-}
-
-/// From-scratch rebuild: fresh grounder over the net database with all rules,
-/// then the sticky supervision suppressions applied in place.
-fn oracle(model: &Model) -> Grounder {
-    let mut program = parse_program(BASE_PROGRAM).expect("base program parses");
-    for rule in &model.added_rules {
-        program = program.rule(rule.clone());
-    }
-    let mut db = Database::new();
-    for (rel, schema) in base_schemas() {
-        db.create_table(rel, schema).unwrap();
-    }
-    for ((rel, t), &n) in &model.counts {
-        if n > 0 {
-            db.table_mut(rel)
-                .unwrap()
-                .insert_with_count(t.clone(), n)
-                .unwrap();
-        }
-    }
-    let mut g = Grounder::new(program, db, standard_udfs()).expect("oracle grounder builds");
-    g.ground().expect("oracle grounds");
-    for (rel, t) in &model.suppressed {
-        g.apply_supervision_retraction(rel, t);
-    }
-    g
-}
-
-/// Canonical, id-free description of a grounder's state: every line names a
-/// variable (with role), a factor (weight description + literal structure,
-/// with multiplicity), or a derived-table row (with count).  Two grounders
-/// are equivalent iff their signatures are equal, regardless of the variable
-/// and factor ids their histories assigned.
-fn signature(g: &Grounder) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut rev: HashMap<usize, String> = HashMap::new();
-    for ((rel, tuple), &v) in g.variable_catalog() {
-        rev.insert(v, format!("{rel}({tuple})"));
-        out.insert(format!(
-            "var {rel}({tuple}) role={:?}",
-            g.graph().variable(v).role
-        ));
-    }
-    assert_eq!(
-        rev.len(),
-        g.graph().num_variables(),
-        "every graph variable must be catalogued"
-    );
-
-    let lit = |l: &Lit| format!("{}{}", if l.positive { '+' } else { '-' }, rev[&l.var]);
-    let lits = |ls: &[Lit]| {
-        let mut v: Vec<String> = ls.iter().map(lit).collect();
-        v.sort();
-        v.join(",")
-    };
-    let mut factors: BTreeMap<String, usize> = BTreeMap::new();
-    for f in g.graph().factors() {
-        let w = g.graph().weight(f.weight_id);
-        let kind = match &f.kind {
-            FactorKind::Conjunction(ls) => format!("conj[{}]", lits(ls)),
-            FactorKind::Imply { body, head } => {
-                format!("imply[{} => {}]", lits(body), lit(head))
-            }
-            FactorKind::Equal(a, b) => {
-                let (mut x, mut y) = (rev[a].clone(), rev[b].clone());
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                format!("equal[{x},{y}]")
-            }
-            FactorKind::IsTrue(v) => format!("istrue[{}]", rev[v]),
-            FactorKind::Aggregate {
-                head,
-                semantics,
-                groundings,
-            } => {
-                let mut gs: Vec<String> = groundings.iter().map(|g| lits(g)).collect();
-                gs.sort();
-                format!("agg[{} {:?} {}]", lit(head), semantics, gs.join(";"))
-            }
-        };
-        *factors
-            .entry(format!(
-                "factor `{}` fixed={} {kind}",
-                w.description, w.fixed
-            ))
-            .or_insert(0) += 1;
-    }
-    out.extend(factors.into_iter().map(|(line, n)| format!("{line} x{n}")));
-
-    for rel in ["Link", "Feat", "Truth", "Wrong", "Cand", "Fact"] {
-        if let Ok(table) = g.database().table(rel) {
-            for (tuple, n) in table.iter_counted() {
-                if n != 0 {
-                    out.insert(format!("row {rel}({tuple}) x{n}"));
-                }
-            }
-        }
-    }
-    out
-}
-
-fn build_engine(initial: &[(&'static str, Tuple)], model: &mut Model) -> DeepDive {
-    let mut db = Database::new();
-    for (rel, schema) in base_schemas() {
-        db.create_table(rel, schema).unwrap();
-    }
-    for (rel, t) in initial {
-        db.insert(rel, t.clone()).unwrap();
-        model.insert(rel, t.clone());
-    }
-    DeepDive::builder()
-        .program_text(BASE_PROGRAM)
-        .database(db)
-        .udfs(standard_udfs())
-        .config(fast_config())
-        .build()
-        .expect("engine builds")
-}
-
-/// Even smaller than `EngineConfig::fast()`: the oracle comparison runs
-/// thousands of full-Gibbs updates, and marginal quality is irrelevant here.
-fn fast_config() -> EngineConfig {
-    let mut config = EngineConfig::fast();
-    config.gibbs = GibbsOptions::new(40, 8, 7);
-    config.learn = LearnOptions {
-        epochs: 2,
-        sweeps_per_epoch: 2,
-        ..config.learn
-    };
-    config
-}
-
-/// After every op: grounder state matches the from-scratch oracle, and the
-/// published snapshot's fact set matches the variable catalog (the O(Δ)
-/// sharded publish dropped exactly the retracted entries).
-fn check_equivalence(dd: &DeepDive, model: &Model, context: &str) {
-    let live = signature(dd.grounder());
-    let want = signature(&oracle(model));
-    if live != want {
-        let missing: Vec<&String> = want.difference(&live).collect();
-        let extra: Vec<&String> = live.difference(&want).collect();
-        panic!(
-            "{context}: incremental state diverged from from-scratch oracle\n  missing: {missing:#?}\n  extra: {extra:#?}"
-        );
-    }
-
-    let snap = dd.snapshot();
-    let catalog: BTreeSet<(String, Tuple)> = dd
-        .grounder()
-        .variable_catalog()
-        .map(|((r, t), _)| (r.clone(), t.clone()))
-        .collect();
-    let served: BTreeSet<(String, Tuple)> = snap
-        .all_facts(0.0, 0, usize::MAX)
-        .into_iter()
-        .map(|(r, t, _)| (r.to_string(), t))
-        .collect();
-    assert_eq!(
-        served, catalog,
-        "{context}: published snapshot diverged from the variable catalog"
-    );
-    assert_eq!(snap.num_catalogued_variables(), catalog.len());
-}
-
-fn pool_rules() -> Vec<Rule> {
-    let pool = parse_program(POOL_PROGRAM).expect("pool program parses");
-    pool.rules
-        .into_iter()
-        .filter(|r| r.name == "FE2" || r.name == "S2")
-        .collect()
-}
-
-/// One seeded random op sequence, incrementally applied and oracle-checked
-/// after every op.
-fn run_sequence(seed: u64, ops: usize) {
-    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDEAD_BEEF);
-    let mut model = Model::default();
-
-    // Universes the ops draw from.
-    let pairs: Vec<Tuple> = (0..4)
-        .flat_map(|a| (a + 1..4).map(move |b| pair(a, b)))
-        .collect();
-    let feats: Vec<Tuple> = (0..4)
-        .flat_map(|a| ["fA", "fB"].map(|f| feat(a, f)))
-        .collect();
-    let mut pool = pool_rules();
-
-    // Seed-dependent initial corpus.
-    let mut initial = vec![
-        ("Link", pairs[rng.below(pairs.len())].clone()),
-        ("Link", pairs[rng.below(pairs.len())].clone()),
-        ("Feat", feats[rng.below(feats.len())].clone()),
-        ("Truth", pairs[rng.below(pairs.len())].clone()),
-    ];
-    if rng.below(2) == 0 {
-        initial.push(("Wrong", pairs[rng.below(pairs.len())].clone()));
-    }
-    let mut dd = build_engine(&initial, &mut model);
-    dd.initial_run().expect("initial run");
-    check_equivalence(&dd, &model, &format!("seed {seed} initial"));
-
-    for step in 0..ops {
-        let mut update = KbcUpdate::new();
-        let present = model.present();
-        let describe;
-        match rng.below(10) {
-            // Insert a random base fact (duplicates allowed: counted rows).
-            0..=3 => {
-                let (rel, t) = match rng.below(4) {
-                    0 => ("Link", pairs[rng.below(pairs.len())].clone()),
-                    1 => ("Feat", feats[rng.below(feats.len())].clone()),
-                    2 => ("Truth", pairs[rng.below(pairs.len())].clone()),
-                    _ => ("Wrong", pairs[rng.below(pairs.len())].clone()),
-                };
-                update.insert(rel, t.clone());
-                model.insert(rel, t.clone());
-                describe = format!("insert {rel}({t})");
-            }
-            // Delete one currently-present base fact.
-            4..=6 => {
-                if present.is_empty() {
-                    continue;
-                }
-                let (rel, t) = present[rng.below(present.len())].clone();
-                update.delete(rel, t.clone());
-                *model.counts.get_mut(&(rel, t.clone())).unwrap() -= 1;
-                describe = format!("delete {rel}({t})");
-            }
-            // Flip: delete one present fact and insert another in one update.
-            7 => {
-                if present.is_empty() {
-                    continue;
-                }
-                let (rel, t) = present[rng.below(present.len())].clone();
-                update.delete(rel, t.clone());
-                *model.counts.get_mut(&(rel, t.clone())).unwrap() -= 1;
-                let t2 = pairs[rng.below(pairs.len())].clone();
-                update.insert("Link", t2.clone());
-                model.insert("Link", t2.clone());
-                describe = format!("flip -{rel}({t}) +Link({t2})");
-            }
-            // Retract supervision for a random head (sticky suppression).
-            8 => {
-                let t = pairs[rng.below(pairs.len())].clone();
-                update.retract_supervision("Fact", t.clone());
-                model.suppressed.insert(("Fact", t.clone()));
-                describe = format!("retract-supervision Fact({t})");
-            }
-            // Add a rule from the pool.
-            _ => {
-                if pool.is_empty() {
-                    continue;
-                }
-                let rule = pool.remove(0);
-                describe = format!("add-rule {}", rule.name);
-                update.add_rule(rule.clone());
-                model.added_rules.push(rule);
-            }
-        }
-        dd.run_update(&update, ExecutionMode::Incremental)
-            .unwrap_or_else(|e| panic!("seed {seed} step {step} ({describe}): {e}"));
-        check_equivalence(
-            &dd,
-            &model,
-            &format!("seed {seed} step {step} ({describe})"),
-        );
-    }
-}
+use support::oracle::{feat, pair, retraction_spec, run_seeds, signature, Fact, Model};
 
 /// The headline proof: 200 seeded random insert/delete/flip/retract/add-rule
 /// sequences, each op applied through `run_update` and checked against the
@@ -388,30 +22,22 @@ fn run_sequence(seed: u64, ops: usize) {
 /// separate threads.
 #[test]
 fn differential_oracle_seeds_0_to_49() {
-    for seed in 0..50 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&retraction_spec(), 0..50, 6);
 }
 
 #[test]
 fn differential_oracle_seeds_50_to_99() {
-    for seed in 50..100 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&retraction_spec(), 50..100, 6);
 }
 
 #[test]
 fn differential_oracle_seeds_100_to_149() {
-    for seed in 100..150 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&retraction_spec(), 100..150, 6);
 }
 
 #[test]
 fn differential_oracle_seeds_150_to_199() {
-    for seed in 150..200 {
-        run_sequence(seed, 6);
-    }
+    run_seeds(&retraction_spec(), 150..200, 6);
 }
 
 /// Longer soak: more seeds, deeper sequences.  Run with
@@ -419,9 +45,14 @@ fn differential_oracle_seeds_150_to_199() {
 #[test]
 #[ignore = "soak: ~10x the default oracle run"]
 fn differential_oracle_soak() {
-    for seed in 200..600 {
-        run_sequence(seed, 16);
-    }
+    run_seeds(&retraction_spec(), 200..600, 16);
+}
+
+/// An in-memory engine over `corpus` and the model of it.
+fn engine(corpus: &[Fact]) -> (DeepDive, Model) {
+    let mut dd = retraction_spec().engine(corpus, None);
+    dd.initial_run().expect("initial run");
+    (dd, Model::new(corpus))
 }
 
 /// Deleting a base fact that was never inserted is a *typed* grounding error
@@ -429,16 +60,11 @@ fn differential_oracle_soak() {
 /// silent skip: there is no `skipped_deletions` counter to quietly absorb it.
 #[test]
 fn nonapplicable_deletion_is_a_typed_error() {
-    let mut model = Model::default();
-    let mut dd = build_engine(
-        &[
-            ("Link", pair(0, 1)),
-            ("Feat", feat(0, "fA")),
-            ("Truth", pair(0, 1)),
-        ],
-        &mut model,
-    );
-    dd.initial_run().expect("initial run");
+    let (mut dd, _) = engine(&[
+        ("Link", pair(0, 1)),
+        ("Feat", feat(0, "fA")),
+        ("Truth", pair(0, 1)),
+    ]);
 
     // Truth(0,1) exists once; deleting it twice in one update retracts more
     // derivations of S1's grounding than exist.
@@ -464,16 +90,11 @@ fn nonapplicable_deletion_is_a_typed_error() {
 /// evidence variable in the published snapshot and suppresses future labels.
 #[test]
 fn engine_retract_supervision_unpins_the_variable() {
-    let mut model = Model::default();
-    let mut dd = build_engine(
-        &[
-            ("Link", pair(0, 1)),
-            ("Feat", feat(0, "fA")),
-            ("Truth", pair(0, 1)),
-        ],
-        &mut model,
-    );
-    dd.initial_run().expect("initial run");
+    let (mut dd, mut model) = engine(&[
+        ("Link", pair(0, 1)),
+        ("Feat", feat(0, "fA")),
+        ("Truth", pair(0, 1)),
+    ]);
     let var = dd.grounder().variable_for("Fact", &pair(0, 1)).unwrap();
     assert!(dd.graph().variable(var).is_evidence());
     let before = dd.snapshot();
@@ -481,7 +102,7 @@ fn engine_retract_supervision_unpins_the_variable() {
     dd.retract_supervision("Fact", pair(0, 1))
         .expect("retraction applies");
     model.suppressed.insert(("Fact", pair(0, 1)));
-    check_equivalence(&dd, &model, "engine retract_supervision");
+    retraction_spec().check(&dd, &model, "engine retract_supervision");
 
     let var = dd.grounder().variable_for("Fact", &pair(0, 1)).unwrap();
     assert!(
@@ -493,7 +114,6 @@ fn engine_retract_supervision_unpins_the_variable() {
     // Re-deriving the same supervision must stay suppressed (sticky).
     let mut update = KbcUpdate::new();
     update.insert("Truth", pair(0, 1));
-    model.insert("Truth", pair(0, 1));
     dd.run_update(&update, ExecutionMode::Incremental)
         .expect("update applies");
     let var = dd.grounder().variable_for("Fact", &pair(0, 1)).unwrap();
@@ -511,9 +131,7 @@ fn engine_retract_supervision_unpins_the_variable() {
 /// state: same catalog, same fact set, no orphaned factors.
 #[test]
 fn engine_insert_delete_round_trip() {
-    let mut model = Model::default();
-    let mut dd = build_engine(&[("Link", pair(0, 1)), ("Feat", feat(0, "fA"))], &mut model);
-    dd.initial_run().expect("initial run");
+    let (mut dd, model) = engine(&[("Link", pair(0, 1)), ("Feat", feat(0, "fA"))]);
     let baseline = signature(dd.grounder());
 
     let mut grow = KbcUpdate::new();
@@ -533,5 +151,5 @@ fn engine_insert_delete_round_trip() {
         baseline,
         "insert-then-delete must round-trip to the original state"
     );
-    check_equivalence(&dd, &model, "round trip");
+    retraction_spec().check(&dd, &model, "round trip");
 }
