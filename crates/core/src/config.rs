@@ -24,16 +24,6 @@ pub struct EngineConfig {
     /// is kept so existing configurations still compile; a change that may
     /// edit the benchmark harness (which sets it) removes it.
     pub num_threads: Option<usize>,
-    /// When true, an Incremental update that the stored materialization
-    /// cannot serve — never materialized, samples exhausted with the
-    /// variational fallback stale, or the variational strategy chosen while
-    /// stale — returns [`crate::EngineError::StaleMaterialization`] exactly
-    /// where the non-strict engine would silently fall back to full Gibbs
-    /// sampling.  A serving deployment usually wants to re-materialize on its
-    /// own schedule ([`crate::DeepDive::materialize`] +
-    /// [`crate::DeepDive::refresh`]) rather than absorb an unbounded latency
-    /// spike mid-update.  Defaults to false (paper behavior).
-    pub strict_incremental: bool,
 }
 
 impl Default for EngineConfig {
@@ -51,7 +41,6 @@ impl Default for EngineConfig {
             fact_threshold: 0.9,
             seed: 7,
             num_threads: None,
-            strict_incremental: false,
         }
     }
 }
@@ -78,7 +67,6 @@ impl EngineConfig {
             fact_threshold: 0.9,
             seed: 7,
             num_threads: None,
-            strict_incremental: false,
         }
     }
 }

@@ -1592,7 +1592,6 @@ mod tests {
             "HasSpouse",
             vec![(tuple![1i64, 2i64], Some(0)), (tuple![3i64, 4i64], Some(1))],
             7,
-            &Marginals::from_values(vec![0.25, 0.75]),
         );
         let snapshot = Snapshot::synthetic(42, vec![0.25, 0.75], shards)
             .with_weights(vec![1.5, -0.5])

@@ -31,7 +31,7 @@
 //!
 //! 1. **ground** — the whole program (initial run), one Δ (an update, in
 //!    either mode), or nothing (refresh).  A Δ that retracts structure drops
-//!    the materialization here — or fails the round, in strict mode.
+//!    the materialization here.
 //! 2. **describe + accumulate** — the round's [`DistributionChange`] decides
 //!    the §3.3 strategy and whether the model needs learning, and joins the
 //!    change accumulated since the materialization was taken.  This does not
@@ -43,10 +43,14 @@
 //!    that learning moves join the accumulated change.
 //! 4. **infer** — full Gibbs, or the chosen §3.3 strategy, which reads the
 //!    current graph and the accumulated change whichever it is; only when
-//!    nothing is materialized does the round fall back, to full Gibbs or, in
-//!    strict mode, `StaleMaterialization`.
+//!    nothing is materialized does the round fall back, to full Gibbs, as
+//!    §3.3 does when its samples run out.  No round is refused for want of
+//!    a materialization.
 //! 5. **publish** — commit the marginals as the next epoch's snapshot; the
 //!    round's one [`IterationReport`] is built from the stage results.
+//!
+//! A round that grounds therefore publishes: the only errors after the
+//! ground stage are the publish's own invariant checks.
 //!
 //! **The grounder describes what it did.**  Incremental grounding changes
 //! the engine's graph in place, through the binding path full grounding
@@ -60,11 +64,11 @@
 use crate::builder::DeepDiveBuilder;
 use crate::config::EngineConfig;
 use crate::durability::{CheckpointState, DurabilityHandle, WalOp};
-use crate::error::{EngineError, StaleKind};
+use crate::error::EngineError;
 use crate::materialization::{Materialization, Materialized};
 use crate::optimizer::{choose_strategy, StrategyChoice};
 use crate::quality::QualityReport;
-use crate::snapshot::{self, Snapshot, SnapshotReader};
+use crate::snapshot::{CatalogShards, Snapshot, SnapshotReader};
 use dd_factorgraph::{FactorGraph, FlatGraph};
 use dd_grounding::{Grounder, KbcUpdate, Program, UdfRegistry};
 use dd_inference::{
@@ -187,13 +191,6 @@ pub struct DeepDive {
     learned_weights: Vec<f64>,
     /// Number of completed runs; every publish bumps it by one.
     epoch: u64,
-    /// The sharded per-relation variable catalog shared into every published
-    /// snapshot.  Publish cost is O(Δ): only shards whose relations gained
-    /// variables since the last publish (the grounder's dirty-set) are
-    /// re-indexed — a sorted merge of the Δ entries — while every other shard
-    /// is handed to the new snapshot as the same `Arc` the previous epoch
-    /// holds.
-    catalog_cache: snapshot::CatalogShards,
     /// The currently served snapshot.  Readers clone the inner `Arc` under a
     /// briefly-held read lock; the publish step swaps the pointer under the
     /// write lock — held only for the swap, never across inference.
@@ -273,7 +270,6 @@ impl DeepDive {
             materialized: None,
             learned_weights: Vec::new(),
             epoch: 0,
-            catalog_cache: snapshot::CatalogShards::new(),
             current: Arc::new(RwLock::new(empty)),
             durability: None,
             replay_errors: Vec::new(),
@@ -302,10 +298,9 @@ impl DeepDive {
         }
         engine.learned_weights = state.learned_weights;
         engine.epoch = state.epoch;
-        // The sharded publish cache is exactly the catalog the last published
-        // snapshot carries; entries grounded after that publish are still
-        // pending in the grounder's dirty-set and merge on the next commit.
-        engine.catalog_cache = state.snapshot.catalog().clone();
+        // The next publish starts from this snapshot's catalog; entries
+        // grounded after it was published are still pending in the
+        // grounder's dirty-set and merge on that commit.
         engine.current = Arc::new(RwLock::new(Arc::new(state.snapshot)));
         Ok(engine)
     }
@@ -362,14 +357,15 @@ impl DeepDive {
     /// the `<relation>_marginal` tables of §2.5 are built on demand by
     /// [`Grounder::marginal_table`].
     ///
-    /// The publish is O(Δ) in *catalog* work: the grounder's drained dirty-set
+    /// The publish starts from the served snapshot's catalog (an `Arc`-shared
+    /// clone) and is O(Δ) in *catalog* work: the grounder's drained dirty-set
     /// names exactly the relations whose variables changed since the last
     /// publish, and only those shards are re-indexed (sorted Δ-merge); all
     /// other shards go into the new snapshot as `Arc` clones shared with the
     /// previous epoch.  What stays O(variables) per epoch is the marginal
-    /// vector itself (validated here, owned by the snapshot) and the ranked
-    /// shards' revalidation against it.  Returns the re-indexed relation
-    /// names (sorted).
+    /// vector itself (validated here, owned by the snapshot) and
+    /// [`Snapshot::publish`]'s ranking check against it.  Returns the
+    /// re-indexed relation names (sorted).
     fn commit_marginals(&mut self, marginals: Marginals) -> Result<Vec<String>, EngineError> {
         let num_variables = self.grounder.graph().num_variables();
         if marginals.len() != num_variables {
@@ -393,17 +389,13 @@ impl DeepDive {
         // per tuple (last op wins) collapses remove-then-re-add churn within
         // one publish into a single signed change per tuple, in tuple order.
         // Ops from a rejected earlier commit stay pending until the next
-        // successful publish, so the cache never misses growth or shrinkage.
+        // successful publish, so the catalog never misses growth or shrinkage.
         self.epoch += 1;
+        let mut catalog = self.snapshot().catalog().clone();
         let fresh = self.grounder.take_catalog_delta();
         let mut resharded = Vec::with_capacity(fresh.len());
         for (relation, ops) in fresh {
-            self.catalog_cache.apply_delta(
-                &relation,
-                dd_grounding::CatalogOp::net(ops),
-                self.epoch,
-                &marginals,
-            );
+            catalog.apply_delta(&relation, dd_grounding::CatalogOp::net(ops), self.epoch);
             resharded.push(relation);
         }
         // Self-healing backstop: every grounder-side catalog change is
@@ -411,28 +403,16 @@ impl DeepDive {
         // the dirty-set.  Fall back to the O(n) full rebuild rather than serve
         // a snapshot that silently lacks (or over-reports) variables.  The
         // count itself is O(#relations).
-        if self.catalog_cache.num_entries() != self.grounder.num_catalogued_variables() {
+        if catalog.num_entries() != self.grounder.num_catalogued_variables() {
             debug_assert!(false, "catalog dirty-set missed entries; full rebuild");
-            self.catalog_cache =
-                snapshot::CatalogShards::build(self.grounder.variable_catalog(), self.epoch);
-            resharded = self
-                .catalog_cache
-                .relation_names()
-                .map(String::from)
-                .collect();
+            catalog = CatalogShards::build(self.grounder.variable_catalog(), self.epoch);
+            resharded = catalog.relation_names().map(String::from).collect();
         }
-        // Re-rank the engine-owned cache against this epoch's marginals so
-        // the cache's Arcs — not per-publish rebuilds inside the snapshot —
-        // are what consecutive epochs share.  Shards the loop above already
-        // Δ-merged, and shards whose marginals are bit-stable, validate and
-        // keep their Arcs; the clone handed to `Snapshot::publish` then
-        // revalidates without rebuilding anything.
-        self.catalog_cache.refresh_ranked(&marginals, self.epoch);
         let snapshot = Snapshot::publish(
             self.epoch,
             marginals,
             self.learned_weights.clone(),
-            self.catalog_cache.clone(),
+            catalog,
             self.grounder.graph().stats(),
             self.config.fact_threshold,
         );
@@ -461,14 +441,9 @@ impl DeepDive {
     }
 
     /// Re-run full inference over the current graph and publish a fresh epoch
-    /// without applying any update.
-    ///
-    /// This is the recovery path after [`EngineError::StaleMaterialization`]:
-    /// the rejected update's grounding (and model refresh) are already
-    /// applied, so `refresh()` — typically after [`DeepDive::materialize`] —
-    /// brings the served snapshot back in sync with the graph.  Do *not*
-    /// re-send the rejected update: its base-relation deltas have already
-    /// been applied, and applying them again inflates derivation counts.
+    /// without applying any update: no grounding, no learning, full Gibbs
+    /// over the graph as it stands.  Useful to re-sample the served
+    /// marginals, e.g. after [`DeepDive::materialize`].
     pub fn refresh(&mut self) -> Result<IterationReport, EngineError> {
         self.execute_round(WalOp::Refresh)
     }
@@ -563,7 +538,7 @@ impl DeepDive {
         let incremental = matches!(ground, Ground::Delta(_)) && mode == ExecutionMode::Incremental;
 
         let t = Instant::now();
-        let grounded = self.ground(ground, incremental)?;
+        let grounded = self.ground(ground)?;
         let grounding_secs = t.elapsed().as_secs_f64();
 
         // §3.3's rules read *this* round's change; MH reads the accumulated one.
@@ -594,7 +569,7 @@ impl DeepDive {
 
         let t = Instant::now();
         let (marginals, acceptance_rate, fell_back_to_variational) = match strategy {
-            Some(strategy) => self.infer_incremental(strategy)?,
+            Some(strategy) => self.infer_incremental(strategy),
             None => (self.full_gibbs(), None, false),
         };
         let inference_secs = t.elapsed().as_secs_f64();
@@ -614,9 +589,8 @@ impl DeepDive {
         })
     }
 
-    /// The ground stage.  `incremental` says the round is a Δ in
-    /// Incremental mode — the one kind a retraction can fail in strict mode.
-    fn ground(&mut self, ground: Ground<'_>, incremental: bool) -> Result<Grounded, EngineError> {
+    /// The ground stage.
+    fn ground(&mut self, ground: Ground<'_>) -> Result<Grounded, EngineError> {
         let update = match ground {
             Ground::None => return Ok(Grounded::default()),
             Ground::Full => {
@@ -644,15 +618,9 @@ impl DeepDive {
         // stored materialization — samples and approximate factorization alike
         // — is keyed by variable/weight ids that no longer mean the same thing.
         // It is dropped, and rounds are served by full Gibbs until the next
-        // one is built; strict mode surfaces that as a typed error instead.
+        // one is built.
         let has_retraction = delta.has_removals() || !update.retracted_supervision.is_empty();
-        if has_retraction && self.materialized.is_some() {
-            if self.config.strict_incremental && incremental {
-                return Err(self.stale(StaleKind::Retraction {
-                    removed_variables: delta.removed_variables.len(),
-                    removed_factors: delta.removed_factors.len(),
-                }));
-            }
+        if has_retraction {
             self.materialized = None;
         }
 
@@ -692,38 +660,30 @@ impl DeepDive {
 
     /// The infer stage of an Incremental Δ round: the chosen §3.3 strategy on
     /// the materialization, as `(marginals, MH acceptance rate, fell back)`.
-    /// Without a materialization the round runs full Gibbs — or, under
-    /// `strict_incremental`, fails with `StaleMaterialization` in place of
-    /// that unbounded latency spike.
+    /// Without a materialization the round runs full Gibbs.
     ///
     /// Static query variables are independent of everything the stored
     /// samples describe: their exact marginal replaces the strategy's
     /// estimate, and when the updated graph couples no query variable at all
     /// the round is answered by (sweep-free) full Gibbs with the
     /// materialization left untouched.
-    fn infer_incremental(
-        &mut self,
-        strategy: StrategyChoice,
-    ) -> Result<(Marginals, Option<f64>, bool), EngineError> {
+    fn infer_incremental(&mut self, strategy: StrategyChoice) -> (Marginals, Option<f64>, bool) {
         if self.compiled.is_none() {
             self.compiled = Some(self.grounder.graph().compile());
         }
         let flat = self.compiled.as_ref().expect("compiled just above");
         let Some(materialized) = &self.materialized else {
-            if self.config.strict_incremental {
-                return Err(self.stale(StaleKind::NotMaterialized));
-            }
-            return Ok((self.full_gibbs(), None, false));
+            return (self.full_gibbs(), None, false);
         };
         if flat.coupled_query_variables().is_empty() {
-            return Ok((self.full_gibbs(), None, false));
+            return (self.full_gibbs(), None, false);
         }
         let (mut marginals, rate, fell_back) =
             self.infer_from_materialization(materialized, strategy);
         for &v in flat.static_query_variables() {
             marginals.set(v, flat.static_p_true(v).expect("static variable"));
         }
-        Ok((marginals, rate, fell_back))
+        (marginals, rate, fell_back)
     }
 
     /// [`DeepDive::infer_incremental`]'s strategy proper, over every
@@ -757,14 +717,6 @@ impl DeepDive {
                 }
             }
             StrategyChoice::Variational => (variational(), None, false),
-        }
-    }
-
-    fn stale(&self, kind: StaleKind) -> EngineError {
-        EngineError::StaleMaterialization {
-            kind,
-            materialized_epoch: self.materialized_epoch(),
-            current_epoch: self.epoch,
         }
     }
 
@@ -849,12 +801,13 @@ impl DeepDive {
     /// the durability handle is attached so replay does not re-append.
     ///
     /// An error here is usually not new information: an operation that failed
-    /// when first executed (e.g. a strict-mode [`EngineError::StaleMaterialization`])
-    /// fails the same way on replay and leaves the same partial state.  But if
-    /// the engine was rebuilt with a *different* UDF registry or config than
-    /// the run that wrote the log, a failure marks genuine replay divergence —
-    /// so the builder records every error into
-    /// [`DeepDive::recovery_replay_errors`] instead of discarding them.
+    /// when first executed (e.g. an update whose rule ties its weight to an
+    /// unregistered UDF, [`EngineError::Udf`]) fails the same way on replay
+    /// and leaves the same state.  But if the engine was rebuilt with a
+    /// *different* UDF registry or config than the run that wrote the log, a
+    /// failure marks genuine replay divergence — so the builder records every
+    /// error into [`DeepDive::recovery_replay_errors`] instead of discarding
+    /// them.
     pub(crate) fn apply_wal_op(&mut self, op: WalOp<'static>) -> Result<(), EngineError> {
         debug_assert!(
             self.durability.is_none(),
@@ -863,7 +816,10 @@ impl DeepDive {
         self.run_op(&op).map(drop)
     }
 
-    /// Note a failed replay during recovery (builder-only).
+    /// Note a failed replay during recovery (builder-only).  Every round
+    /// that grounds publishes, so a recorded error was raised before
+    /// grounding, by it, or by the publish's invariant checks; see
+    /// [`DeepDive::recovery_replay_errors`] for when it means divergence.
     pub(crate) fn record_replay_error(&mut self, seq: u64, err: &EngineError) {
         self.replay_errors
             .push(format!("replaying WAL record {seq}: {err}"));
@@ -1232,71 +1188,25 @@ mod tests {
         let mut update = KbcUpdate::new();
         update.insert("PersonCandidate", tuple![3i64, 32i64, "Joe"]);
         let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
+        // The optimizer still chooses, but with nothing materialized the
+        // round runs full Gibbs (no MH chain) and publishes regardless.
         assert!(report.strategy.is_some());
+        assert_eq!(report.acceptance_rate, None);
         assert!(report.inference_secs >= 0.0);
-    }
-
-    #[test]
-    fn strict_incremental_reports_missing_materialization() {
-        let mut config = EngineConfig::fast();
-        config.strict_incremental = true;
-        let mut dd = DeepDive::builder()
-            .program(parse_program(PROGRAM).unwrap())
-            .database(database())
-            .config(config)
-            .build()
-            .unwrap();
-        dd.initial_run().unwrap();
-        let mut update = KbcUpdate::new();
-        update.insert("PersonCandidate", tuple![3i64, 32i64, "Joe"]);
-        let err = dd
-            .run_update(&update, ExecutionMode::Incremental)
-            .unwrap_err();
-        match err {
-            crate::error::EngineError::StaleMaterialization {
-                kind: StaleKind::NotMaterialized,
-                materialized_epoch: None,
-                current_epoch: 1,
-            } => {}
-            other => panic!("expected NotMaterialized at epoch 1, got {other:?}"),
-        }
-        // Recovery: materialize + refresh publishes a fresh epoch from the
-        // already-applied grounding, and the next update is served.
+        assert_eq!(dd.epoch(), 2);
+        let snapshot = dd.snapshot();
+        assert_eq!(snapshot.epoch(), 2);
+        assert!(snapshot
+            .probability_of("MarriedMentions", &tuple![30i64, 32i64])
+            .is_some());
+        // Materializing and refreshing publishes, and the next update too.
         dd.materialize().unwrap();
         dd.refresh().unwrap();
-        assert_eq!(dd.epoch(), 2);
+        assert_eq!(dd.epoch(), 3);
         let mut update = KbcUpdate::new();
         update.insert("PersonCandidate", tuple![3i64, 33i64, "Jill"]);
         dd.run_update(&update, ExecutionMode::Incremental).unwrap();
-        assert_eq!(dd.epoch(), 3);
-    }
-
-    #[test]
-    fn strict_incremental_serves_sampling_compatible_updates() {
-        // Growth the sampling strategy can serve does not trip strict mode:
-        // a new document adds variables the materialization predates, but the
-        // stored proposals extend over them (§3.2.2).
-        let mut config = EngineConfig::fast();
-        config.strict_incremental = true;
-        let mut dd = DeepDive::builder()
-            .program(parse_program(PROGRAM).unwrap())
-            .database(database())
-            .config(config)
-            .build()
-            .unwrap();
-        dd.initial_run().unwrap();
-        dd.materialize().unwrap();
-        let mut update = KbcUpdate::new();
-        update
-            .insert(
-                "Sentence",
-                tuple![4i64, "Franklin and his wife Eleanor hosted the gala"],
-            )
-            .insert("PersonCandidate", tuple![4i64, 40i64, "Franklin"])
-            .insert("PersonCandidate", tuple![4i64, 41i64, "Eleanor"]);
-        let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
-        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
-        assert!(!report.fell_back_to_variational);
+        assert_eq!(dd.epoch(), 4);
     }
 
     #[test]
@@ -1375,37 +1285,6 @@ mod tests {
         assert!(epoch2
             .probability_of("MarriedMentions", &tuple![40i64, 41i64])
             .is_some());
-    }
-
-    #[test]
-    fn strict_mode_serves_variational_updates_on_a_fresh_materialization() {
-        // A supervision-only update right after materialize() routes to the
-        // variational strategy and must be *served*, not rejected: strict
-        // mode fails a round only when nothing is materialized.
-        let mut config = EngineConfig::fast();
-        config.strict_incremental = true;
-        let mut dd = DeepDive::builder()
-            .program(parse_program(PROGRAM).unwrap())
-            .database(database())
-            .config(config)
-            .build()
-            .unwrap();
-        dd.initial_run().unwrap();
-        dd.materialize().unwrap();
-
-        let mut update = KbcUpdate::new();
-        update
-            .insert("EL", tuple![20i64, "George_Bush_1"])
-            .insert("EL", tuple![21i64, "Laura_Bush_1"])
-            .insert("Married", tuple!["George_Bush_1", "Laura_Bush_1"]);
-        let report = dd
-            .run_update(&update, ExecutionMode::Incremental)
-            .expect("fresh materialization must serve the variational update");
-        assert_eq!(report.strategy, Some(StrategyChoice::Variational));
-        assert_eq!(
-            dd.probability_of("MarriedMentions", &tuple![20i64, 21i64]),
-            Some(1.0)
-        );
     }
 
     #[test]

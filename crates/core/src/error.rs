@@ -3,34 +3,15 @@
 //! Every fallible public API of the `deepdive` crate returns [`EngineError`].
 //! Each variant carries the source payload of the layer that failed, so a
 //! serving deployment can branch on the failure class — reject a bad program at
-//! build time, surface a schema conflict to the data loader, or trigger
-//! re-materialization on [`EngineError::StaleMaterialization`] — without ever
-//! parsing an error string.
+//! build time, surface a schema conflict to the data loader, or report a failed
+//! WAL append — without ever parsing an error string.  An incremental round
+//! the stored materialization cannot serve is not an error: it falls back to
+//! full Gibbs sampling and publishes (§3.3).
 
 use dd_grounding::{GroundingError, ParseError};
 use dd_relstore::RelError;
 use dd_storage::StorageError;
 use std::fmt;
-
-/// Why an incremental update could not be served from the stored
-/// materialization (only raised when
-/// [`crate::EngineConfig::strict_incremental`] is set; the default behavior is
-/// to fall back to full Gibbs sampling).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StaleKind {
-    /// [`crate::DeepDive::materialize`] was never called.
-    NotMaterialized,
-    /// The update retracted facts, compacting the factor graph in place.
-    /// Stored samples and the approximate factorization are keyed by
-    /// pre-compaction variable ids, so the materialization cannot interpret
-    /// the shrunken graph.
-    Retraction {
-        /// Variables removed (and compacted over) by the update.
-        removed_variables: usize,
-        /// Factors removed by the update.
-        removed_factors: usize,
-    },
-}
 
 /// Any failure raised by the DeepDive engine.
 #[derive(Debug)]
@@ -57,22 +38,6 @@ pub enum EngineError {
         /// The pipeline stage that failed.
         stage: &'static str,
         detail: String,
-    },
-    /// A strict-mode incremental update could not be served from the stored
-    /// materialization — raised exactly where the non-strict engine would
-    /// silently fall back to full Gibbs sampling.  The update's grounding and
-    /// model refresh are already applied (and, on the samples-exhausted path,
-    /// a sampling pass has already run and been discarded), but no result was
-    /// published: readers keep serving the previous epoch.  Recover with
-    /// [`crate::DeepDive::materialize`] followed by
-    /// [`crate::DeepDive::refresh`]; do *not* re-send the same update (its
-    /// base-relation deltas are already applied).
-    StaleMaterialization {
-        kind: StaleKind,
-        /// Engine epoch at which the materialization was taken, if any.
-        materialized_epoch: Option<u64>,
-        /// Engine epoch when the update was attempted.
-        current_epoch: u64,
     },
     /// The durability layer failed: WAL append, checkpoint write, recovery
     /// scan, or state (de)serialization.  Carries the typed
@@ -104,27 +69,6 @@ impl fmt::Display for EngineError {
             ),
             EngineError::Inference { stage, detail } => {
                 write!(f, "inference invariant violated during {stage}: {detail}")
-            }
-            EngineError::StaleMaterialization {
-                kind,
-                materialized_epoch,
-                current_epoch,
-            } => {
-                match kind {
-                    StaleKind::NotMaterialized => write!(
-                        f,
-                        "strict incremental update at epoch {current_epoch} but the engine was never materialized"
-                    )?,
-                    StaleKind::Retraction {
-                        removed_variables,
-                        removed_factors,
-                    } => write!(
-                        f,
-                        "materialization taken at epoch {} is invalidated at epoch {current_epoch}: the update retracted {removed_variables} variables / {removed_factors} factors, compacting the id space the stored samples are keyed by",
-                        materialized_epoch.unwrap_or(0)
-                    )?,
-                }
-                write!(f, "; call materialize() then refresh()")
             }
             EngineError::Storage(e) => write!(f, "durability failed: {e}"),
         }
@@ -192,18 +136,5 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("FE1") && msg.contains("phrse") && msg.contains("phrase"));
-
-        let e = EngineError::StaleMaterialization {
-            kind: StaleKind::Retraction {
-                removed_variables: 12,
-                removed_factors: 4,
-            },
-            materialized_epoch: Some(3),
-            current_epoch: 5,
-        };
-        let msg = e.to_string();
-        assert!(
-            msg.contains("epoch 3") && msg.contains("epoch 5") && msg.contains("materialize()")
-        );
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! * [`config`]   — engine configuration (sampler, learner, materialization).
 //! * [`builder`]  — [`builder::DeepDiveBuilder`], the validated constructor.
-//! * [`error`]    — [`error::EngineError`] and its payload types.
+//! * [`error`]    — [`error::EngineError`].
 //! * [`engine`]   — the [`DeepDive`] engine: initial run, materialization,
 //!   Rerun vs Incremental update execution, snapshot publication.
 //! * [`snapshot`] — [`snapshot::Snapshot`], [`snapshot::FactQuery`], and the
@@ -68,7 +68,7 @@ pub use config::EngineConfig;
 pub use decomposition::{decompose, DecompositionGroup};
 pub use durability::{decode_snapshot, encode_snapshot, CHECKPOINT_FORMAT_VERSION};
 pub use engine::{DeepDive, ExecutionMode, IterationReport};
-pub use error::{EngineError, StaleKind};
+pub use error::EngineError;
 pub use incremental_learning::{compare_learning_strategies, LearningComparison};
 pub use materialization::Materialization;
 pub use optimizer::{choose_strategy, StrategyChoice};

@@ -34,16 +34,20 @@
 //! for `top_k`.  Threshold (`min_probability`) and `top_k` queries answer
 //! from an ordered *prefix* of this view (a `partition_point` cut) instead of
 //! scanning the relation's full marginal set per request; pure-pagination
-//! queries keep using the tuple-sorted index.  The ranked view is
-//! Δ-maintained during the publish ([`CatalogShards::apply_delta`] merges
-//! the delta into both views without a full re-sort) and then revalidated
-//! bitwise against the new marginal vector
-//! ([`CatalogShards::refresh_ranked`]): a shard whose catalog *and*
-//! marginals are unchanged keeps both views `Arc`-shared with the previous
-//! epoch, while a shard whose marginals moved is re-ranked with one sort.
-//! The revalidation is an O(catalog) bitwise compare piggybacking on the
-//! publish's existing O(#variables) marginal passes; the structural catalog
-//! work stays O(Δ).  The indexed path is byte-identical to the scan path
+//! queries keep using the tuple-sorted index.
+//!
+//! The ranked view is derived state with one maintainer, `Snapshot::publish`
+//! ([`CatalogShards::refresh_ranked`]).  [`CatalogShards::apply_delta`]
+//! Δ-merges only a touched shard's tuple-sorted index and resets its ranked
+//! view to empty; the publish then keeps a ranked `Arc` only where the
+//! shard's index is unchanged and every baked probability is bit-equal to
+//! the new marginal, and re-ranks every other shard with one sort.  So a
+//! shard untouched in catalog *and* marginals shares both views with the
+//! previous epoch, while a Δ-touched shard, one whose marginals moved, or
+//! one decoded from a checkpoint is ranked afresh.  The check is an
+//! O(catalog) bitwise compare piggybacking on the publish's existing
+//! O(#variables) marginal passes; the tuple-sorted catalog work stays O(Δ).
+//! The indexed path is byte-identical to the scan path
 //! ([`FactQuery::run_scan`]) — proven per-op by the `tests/indexes.rs`
 //! differential oracle.
 //!
@@ -158,27 +162,6 @@ impl RelationIndex {
     }
 }
 
-/// The `(probability desc, tuple asc)` comparator — byte-for-byte the order
-/// `FactQuery::top_k` has always served, so a prefix of a [`RankedIndex`] is
-/// exactly what the scan path would have sorted out.
-fn rank_order(a: &(f64, Tuple, usize), b: &(f64, Tuple, usize)) -> std::cmp::Ordering {
-    by_probability(a, b).then_with(|| a.1.cmp(&b.1))
-}
-
-/// Probability descending, ties equal.
-fn by_probability(a: &(f64, Tuple, usize), b: &(f64, Tuple, usize)) -> std::cmp::Ordering {
-    b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
-}
-
-/// Put *tuple-sorted* entries in [`rank_order`]: a stable sort on the
-/// probability alone leaves equal probabilities in tuple order, so no tuple
-/// is compared.
-fn rank(mut entries: Vec<(f64, Tuple, usize)>) -> Vec<(f64, Tuple, usize)> {
-    debug_assert!(entries.windows(2).all(|w| w[0].1 < w[1].1));
-    entries.sort_by(by_probability);
-    entries
-}
-
 /// One relation's probability-ordered serving view: the shard's `(tuple,
 /// variable)` entries with the publish-time marginal baked in, sorted by
 /// `(probability desc, tuple asc)`.  Threshold and top-k queries answer from
@@ -188,78 +171,44 @@ fn rank(mut entries: Vec<(f64, Tuple, usize)>) -> Vec<(f64, Tuple, usize)> {
 /// Entries whose variable id is out of range for the marginal vector are
 /// excluded — the scan path skips them too, so the two paths agree on every
 /// query shape.  Like [`RelationIndex`], instances are immutable and shared
-/// by `Arc` across epochs; a publish Δ-merges a *new* ranked view
-/// (`RankedIndex::apply_changes`) or, when the relation's marginals moved,
-/// rebuilds it with one sort ([`CatalogShards::refresh_ranked`]).
+/// by `Arc` across epochs; a publish whose shard changed in catalog or in
+/// marginals builds a *new* one ([`CatalogShards::refresh_ranked`]).
 #[derive(Debug, Default)]
 pub struct RankedIndex {
-    /// `(probability, tuple, variable)` sorted by [`rank_order`].
+    /// `(probability, tuple, variable)`, probability descending, ties by
+    /// tuple ascending.
     sorted: Vec<(f64, Tuple, usize)>,
 }
 
 impl RankedIndex {
     /// Rank a relation's tuple-sorted entries against a marginal vector: one
-    /// O(m log m) sort on the probability.  The full-rebuild leg; publishes
-    /// prefer [`RankedIndex::apply_changes`].
-    pub(crate) fn build(entries: &[(Tuple, usize)], marginals: &Marginals) -> Self {
-        let entries = entries
+    /// O(m log m) sort into `(probability desc, tuple asc)` order —
+    /// byte-for-byte the order `FactQuery::top_k` has always served, so a
+    /// prefix is exactly what the scan path would have sorted out.  The sort
+    /// is stable and on the probability alone, so equal probabilities keep
+    /// their tuple order and no tuple is compared.
+    fn build(entries: &[(Tuple, usize)], marginals: &Marginals) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut sorted: Vec<(f64, Tuple, usize)> = entries
             .iter()
             .filter(|(_, var)| *var < marginals.len())
             .map(|(tuple, var)| (marginals.get(*var), tuple.clone(), *var))
             .collect();
-        RankedIndex {
-            sorted: rank(entries),
-        }
+        sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        RankedIndex { sorted }
     }
 
-    /// Δ-maintain the ranked view through one publish: drop entries for
-    /// tuples the delta (tuple-sorted, one change per tuple) touched, rank
-    /// the delta's upserts, and merge the two ordered runs —
-    /// O(m log Δ + Δ log Δ), no full re-sort.
+    /// True when this ranked view, built from `index` at an earlier
+    /// publish, is still the ranking of `index` under `marginals`: same
+    /// in-range entry count and every baked probability bitwise equal to
+    /// the variable's current marginal.  O(m), no sort — the check
+    /// [`CatalogShards::refresh_ranked`] runs per publish.
     ///
-    /// Every *retained* entry's baked probability is revalidated bitwise
-    /// against the new marginal vector in the same pass.  A mismatch means
-    /// this publish moved the relation's marginals (inference re-ran over
-    /// it), so the retained order itself is stale: returns `None` and the
-    /// caller falls back to a full [`RankedIndex::build`].
-    pub(crate) fn apply_changes(
-        &self,
-        changes: &[(Tuple, Option<usize>)],
-        marginals: &Marginals,
-    ) -> Option<RankedIndex> {
-        let delta = changes
-            .iter()
-            .filter_map(|(tuple, change)| {
-                let var = (*change)?;
-                (var < marginals.len()).then(|| (marginals.get(var), tuple.clone(), var))
-            })
-            .collect();
-        let mut merged = Vec::with_capacity(self.sorted.len() + changes.len());
-        let mut delta = rank(delta).into_iter().peekable();
-        for entry in &self.sorted {
-            let (p, tuple, var) = entry;
-            if changes.binary_search_by(|(t, _)| t.cmp(tuple)).is_ok() {
-                continue; // upserted (re-ranked via the delta run) or retracted
-            }
-            if *var >= marginals.len() || marginals.get(*var).to_bits() != p.to_bits() {
-                return None; // marginal drift: the retained order is stale
-            }
-            while delta
-                .peek()
-                .is_some_and(|d| rank_order(d, entry) == std::cmp::Ordering::Less)
-            {
-                merged.push(delta.next().unwrap());
-            }
-            merged.push(entry.clone());
-        }
-        merged.extend(delta);
-        Some(RankedIndex { sorted: merged })
-    }
-
-    /// True when this ranked view is exactly the ranking of `index` under
-    /// `marginals`: same in-range entry count and every baked probability
-    /// bitwise equal to the variable's current marginal.  O(m), no sort —
-    /// the validation [`CatalogShards::refresh_ranked`] runs per publish.
+    /// It reads the variable ids baked into the entries, not `index`'s
+    /// current mapping, so it is only sound for a view of the *same* index:
+    /// a same-length delete + insert with equal probabilities would pass.
+    /// That is why [`CatalogShards::apply_delta`] resets a touched shard's
+    /// view to empty, which fails the count unless the shard ranks nothing.
     fn is_consistent(&self, index: &RelationIndex, marginals: &Marginals) -> bool {
         let in_range = index
             .entries()
@@ -297,18 +246,17 @@ impl RankedIndex {
     }
 }
 
-/// One relation's shard of the catalog: its tuple-sorted serving index, its
-/// probability-ordered [`RankedIndex`], and the epochs that last rebuilt
-/// each.  Both views are behind `Arc`s, so consecutive epochs whose updates
-/// touched neither this relation's catalog nor its marginals share them
-/// pointer-identically.
+/// One relation's shard of the catalog: its tuple-sorted serving index, the
+/// epoch that last re-indexed it, and its probability-ordered
+/// [`RankedIndex`].  Both views are behind `Arc`s, so consecutive epochs
+/// whose updates touched neither this relation's catalog nor its marginals
+/// share them pointer-identically.
 #[derive(Debug, Clone)]
 pub struct CatalogShard {
     relation: String,
     generation: u64,
     index: Arc<RelationIndex>,
     ranked: Arc<RankedIndex>,
-    ranked_generation: u64,
 }
 
 impl CatalogShard {
@@ -335,16 +283,10 @@ impl CatalogShard {
         &self.ranked
     }
 
-    /// Epoch whose publish last re-ranked this shard (Δ-merge or rebuild).
-    /// Stays put across epochs whose marginals left this relation bit-stable.
-    pub fn ranked_generation(&self) -> u64 {
-        self.ranked_generation
-    }
-
     /// Rebuild a shard from its persisted parts (checkpoint codec access).
     /// Only the tuple-sorted entries are persisted; the ranked view is
-    /// derived, so it starts empty here and [`CatalogShards::refresh_ranked`]
-    /// rebuilds it when the decoded snapshot is published.
+    /// derived, so it starts empty here and [`Snapshot::publish`] ranks it
+    /// when the decoded snapshot is published.
     pub(crate) fn from_parts(
         relation: String,
         generation: u64,
@@ -354,32 +296,9 @@ impl CatalogShard {
             relation,
             generation,
             index: Arc::new(RelationIndex::from_entries(entries)),
-            ranked: Arc::new(RankedIndex::default()),
-            ranked_generation: 0,
+            ranked: Arc::default(),
         }
     }
-}
-
-/// The ranked view a publish leaves on a Δ-touched shard: the O(m + Δ log Δ)
-/// merge when the old ranked view was complete, a full O(m log m) rebuild
-/// when it was stale (marginal drift mid-delta) or was never built (the
-/// entry-count check — [`RankedIndex::apply_changes`] validates retained
-/// entries but cannot see *missing* ones, e.g. on a catalog fresh from
-/// [`CatalogShards::build`] that skipped `refresh_ranked`).
-fn ranked_after_delta(
-    old: &RankedIndex,
-    changes: &[(Tuple, Option<usize>)],
-    merged: &RelationIndex,
-    marginals: &Marginals,
-) -> RankedIndex {
-    let in_range = merged
-        .entries()
-        .iter()
-        .filter(|(_, var)| *var < marginals.len())
-        .count();
-    old.apply_changes(changes, marginals)
-        .filter(|ranked| ranked.len() == in_range)
-        .unwrap_or_else(|| RankedIndex::build(merged.entries(), marginals))
 }
 
 /// The epoch-versioned, per-relation sharded variable catalog.
@@ -446,8 +365,7 @@ impl CatalogShards {
                         relation: relation.to_string(),
                         generation,
                         index: Arc::new(index),
-                        ranked: Arc::new(RankedIndex::default()),
-                        ranked_generation: 0,
+                        ranked: Arc::default(),
                     }
                 })
                 .collect(),
@@ -457,19 +375,20 @@ impl CatalogShards {
     /// Apply a signed catalog delta for one relation: `Some(var)` upserts a
     /// tuple's mapping, `None` removes it.  `changes` is tuple-sorted with
     /// one change per tuple — an op-log netted by
-    /// [`dd_grounding::CatalogOp::net`].  Both of the touched shard's views
-    /// are replaced by Δ-merged ones stamped `generation` (`marginals` ranks
-    /// the upserts; see `RankedIndex::apply_changes`) — retractions shrink
-    /// the ranked view in the same pass — while every other shard stays
-    /// `Arc`-shared with previously published epochs.  Cost:
-    /// O(|shard| + |Δ| log |Δ|) for the touched shard only; a new shard's
-    /// tuple-sorted index is the delta itself, not sorted again.
+    /// [`dd_grounding::CatalogOp::net`].  The touched shard's tuple-sorted
+    /// index is replaced by a Δ-merged one stamped `generation` and its
+    /// ranked view is reset to empty, for the next publish to rank: the
+    /// publish-time check reads the variable ids baked into a ranked view,
+    /// so a kept view could pass a same-length swap with bit-equal
+    /// probabilities and keep serving the deleted tuple.  Every other shard
+    /// stays `Arc`-shared with previously published epochs.  Cost:
+    /// O(|shard| + |Δ|) for the touched shard only; a new shard's index is
+    /// the delta itself, not sorted again.
     pub fn apply_delta(
         &mut self,
         relation: &str,
         changes: Vec<(Tuple, Option<usize>)>,
         generation: u64,
-        marginals: &Marginals,
     ) {
         debug_assert!(
             changes.windows(2).all(|w| w[0].0 < w[1].0),
@@ -484,16 +403,9 @@ impl CatalogShards {
         {
             Ok(i) => {
                 let shard = &mut self.shards[i];
-                let index = shard.index.merged_with_changes(&changes);
-                shard.ranked = Arc::new(ranked_after_delta(
-                    &shard.ranked,
-                    &changes,
-                    &index,
-                    marginals,
-                ));
-                shard.index = Arc::new(index);
+                shard.index = Arc::new(shard.index.merged_with_changes(&changes));
+                shard.ranked = Arc::default();
                 shard.generation = generation;
-                shard.ranked_generation = generation;
             }
             Err(i) => {
                 let sorted: Vec<(Tuple, usize)> = changes
@@ -503,45 +415,35 @@ impl CatalogShards {
                 if sorted.is_empty() {
                     return;
                 }
-                let index = RelationIndex { sorted };
-                let ranked = RankedIndex::build(index.entries(), marginals);
                 self.shards.insert(
                     i,
                     CatalogShard {
                         relation: relation.to_string(),
                         generation,
-                        index: Arc::new(index),
-                        ranked: Arc::new(ranked),
-                        ranked_generation: generation,
+                        index: Arc::new(RelationIndex { sorted }),
+                        ranked: Arc::default(),
                     },
                 );
             }
         }
     }
 
-    /// Bring every shard's ranked view in line with `marginals`, stamping
-    /// rebuilt shards `generation`; returns the relations that had to be
-    /// re-ranked.
+    /// Bring every shard's ranked view in line with `marginals`.
     ///
-    /// Each shard gets an O(m) bitwise validation (no sort): a shard this
-    /// publish already Δ-merged passes by construction, as does any shard
-    /// whose marginals are bit-stable since its last ranking — those keep
-    /// their `Arc`s, preserving cross-epoch sharing.  Only genuine drift
-    /// (inference re-ran over the relation, or a decoded checkpoint whose
-    /// ranked views start empty) pays the O(m log m) rebuild.  Called from
-    /// every [`Snapshot`] constructor that takes a catalog, so a published
-    /// snapshot's ranked views are consistent by construction.
-    pub fn refresh_ranked(&mut self, marginals: &Marginals, generation: u64) -> Vec<String> {
-        let mut reranked = Vec::new();
+    /// Each shard gets an O(m) bitwise check (`RankedIndex::is_consistent`,
+    /// no sort): a shard whose index is unchanged and whose marginals are
+    /// bit-stable since its last ranking keeps its `Arc`, preserving
+    /// cross-epoch sharing.  Every other shard — Δ-touched (its view was
+    /// reset), marginals moved, or decoded from a checkpoint — is re-ranked
+    /// with one O(m log m) sort.  `Snapshot::publish` calls this once per
+    /// publish, so a published snapshot's ranked views are consistent by
+    /// construction.
+    pub fn refresh_ranked(&mut self, marginals: &Marginals) {
         for shard in &mut self.shards {
-            if shard.ranked.is_consistent(&shard.index, marginals) {
-                continue;
+            if !shard.ranked.is_consistent(&shard.index, marginals) {
+                shard.ranked = Arc::new(RankedIndex::build(shard.index.entries(), marginals));
             }
-            shard.ranked = Arc::new(RankedIndex::build(shard.index.entries(), marginals));
-            shard.ranked_generation = generation;
-            reranked.push(shard.relation.clone());
         }
-        reranked
     }
 
     /// The shard of `relation`, if any (binary search by name).
@@ -626,20 +528,17 @@ impl Snapshot {
     /// ([`crate::durability::encode_snapshot`] /
     /// [`crate::durability::decode_snapshot`]), so storage tests can run
     /// without a full engine.
-    pub fn synthetic(epoch: u64, marginals: Vec<f64>, mut catalog: CatalogShards) -> Self {
-        let num_variables = marginals.len();
+    pub fn synthetic(epoch: u64, marginals: Vec<f64>, catalog: CatalogShards) -> Self {
         let mut stats = Snapshot::empty(0.9).stats;
-        stats.num_variables = num_variables;
-        let marginals = Marginals::from_values(marginals);
-        catalog.refresh_ranked(&marginals, epoch);
-        Snapshot {
+        stats.num_variables = marginals.len();
+        Snapshot::publish(
             epoch,
-            marginals,
-            weights: Vec::new(),
+            Marginals::from_values(marginals),
+            Vec::new(),
             catalog,
             stats,
-            fact_threshold: 0.9,
-        }
+            0.9,
+        )
     }
 
     /// Replace the learned-weight vector (builder-style, for synthetic
@@ -661,6 +560,9 @@ impl Snapshot {
         self.fact_threshold
     }
 
+    /// Assemble one epoch's snapshot — the engine's publish, a decoded
+    /// checkpoint, and [`Snapshot::synthetic`] all come through here, and
+    /// this is the only place ranked views are built.
     pub(crate) fn publish(
         epoch: u64,
         marginals: Marginals,
@@ -669,10 +571,10 @@ impl Snapshot {
         stats: GraphStats,
         fact_threshold: f64,
     ) -> Self {
-        // Ranked views the publish already Δ-merged validate and keep their
-        // Arcs; anything stale (marginal drift, decoded checkpoints) is
-        // re-ranked here, so consistency is an invariant of every snapshot.
-        catalog.refresh_ranked(&marginals, epoch);
+        // The one place ranked views are built: shards unchanged in index and
+        // marginals keep their Arcs, the rest (Δ-touched, drifted, decoded)
+        // are re-ranked, so consistency is an invariant of every snapshot.
+        catalog.refresh_ranked(&marginals);
         Snapshot {
             epoch,
             marginals,
@@ -1078,27 +980,25 @@ mod tests {
     fn apply_delta_reindexes_only_the_touched_shard() {
         let marginals = Marginals::from_values(vec![1.0, 0.7, 0.2, 0.5, 0.6]);
         let mut base = CatalogShards::build(catalog_entries().iter(), 1);
-        base.refresh_ranked(&marginals, 1);
+        base.refresh_ranked(&marginals);
         let mut next = base.clone();
-        next.apply_delta("Fact", vec![(tuple![4i64], Some(4))], 2, &marginals);
+        next.apply_delta("Fact", vec![(tuple![4i64], Some(4))], 2);
 
-        // The touched shard was re-indexed (new Arcs, new generations)...
+        // The touched shard was re-indexed and its ranked view reset...
         assert!(!Arc::ptr_eq(
             base.shard("Fact").unwrap().index(),
             next.shard("Fact").unwrap().index()
         ));
-        assert!(!Arc::ptr_eq(
-            base.shard("Fact").unwrap().ranked(),
-            next.shard("Fact").unwrap().ranked()
-        ));
         assert_eq!(next.shard("Fact").unwrap().generation(), 2);
-        assert_eq!(next.shard("Fact").unwrap().ranked_generation(), 2);
         assert_eq!(next.shard("Fact").unwrap().index().len(), 4);
-        assert_eq!(next.shard("Fact").unwrap().ranked().len(), 4);
+        assert!(next.shard("Fact").unwrap().ranked().is_empty());
         assert_eq!(
             next.shard("Fact").unwrap().index().get(&tuple![4i64]),
             Some(4)
         );
+        // ...which the publish-time refresh ranks afresh...
+        next.refresh_ranked(&marginals);
+        assert_eq!(next.shard("Fact").unwrap().ranked().len(), 4);
         // ...while the untouched shard shares both views pointer-identically.
         assert!(Arc::ptr_eq(
             base.shard("Other").unwrap().index(),
@@ -1116,20 +1016,20 @@ mod tests {
 
     #[test]
     fn apply_delta_creates_missing_shards_in_sorted_position() {
-        let marginals = Marginals::from_values(vec![1.0; 10]);
         let mut shards = CatalogShards::build(catalog_entries().iter(), 1);
-        shards.apply_delta("Alpha", vec![(tuple![7i64], Some(9))], 2, &marginals);
+        shards.apply_delta("Alpha", vec![(tuple![7i64], Some(9))], 2);
         let names: Vec<&str> = shards.relation_names().collect();
         assert_eq!(names, vec!["Alpha", "Fact", "Other"]);
         assert_eq!(
             shards.shard("Alpha").unwrap().index().get(&tuple![7i64]),
             Some(9)
         );
+        shards.refresh_ranked(&Marginals::from_values(vec![1.0; 10]));
         assert_eq!(shards.shard("Alpha").unwrap().ranked().len(), 1);
         // An empty delta, or one that only retracts from a missing shard, is
         // a no-op (no shard created, no generation bump).
-        shards.apply_delta("Beta", Vec::new(), 3, &marginals);
-        shards.apply_delta("Beta", vec![(tuple![7i64], None)], 3, &marginals);
+        shards.apply_delta("Beta", Vec::new(), 3);
+        shards.apply_delta("Beta", vec![(tuple![7i64], None)], 3);
         assert!(shards.shard("Beta").is_none());
     }
 
@@ -1146,66 +1046,62 @@ mod tests {
     }
 
     #[test]
-    fn ranked_apply_changes_merges_upserts_and_retractions() {
-        let marginals = Marginals::from_values(vec![1.0, 0.7, 0.2, 0.5, 0.9]);
-        let index = RelationIndex::from_entries(vec![
-            (tuple![1i64], 0),
-            (tuple![2i64], 1),
-            (tuple![3i64], 2),
-        ]);
-        let ranked = RankedIndex::build(index.entries(), &marginals);
-        // Retract tuple 2, upsert tuple 4 at p=0.9, remap tuple 3 to var 3.
-        let next = ranked
-            .apply_changes(
-                &[
-                    (tuple![2i64], None),
-                    (tuple![3i64], Some(3)),
-                    (tuple![4i64], Some(4)),
-                ],
-                &marginals,
-            )
-            .expect("bit-stable marginals merge cleanly");
-        let got: Vec<(f64, Tuple)> = next
-            .entries()
-            .iter()
-            .map(|(p, t, _)| (*p, t.clone()))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                (1.0, tuple![1i64]),
-                (0.9, tuple![4i64]),
-                (0.5, tuple![3i64]),
-            ]
-        );
-        // Marginal drift on a retained entry signals a full re-rank.
-        let drifted = Marginals::from_values(vec![0.4, 0.7, 0.2, 0.5, 0.9]);
-        assert!(ranked
-            .apply_changes(&[(tuple![2i64], None)], &drifted)
-            .is_none());
-    }
-
-    #[test]
     fn refresh_ranked_rebuilds_only_on_marginal_drift() {
         let marginals = Marginals::from_values(vec![1.0, 0.7, 0.2, 0.5]);
         let mut shards = CatalogShards::build(catalog_entries().iter(), 1);
-        assert_eq!(
-            shards.refresh_ranked(&marginals, 1),
-            vec!["Fact".to_string(), "Other".to_string()]
-        );
-        let before = Arc::clone(shards.shard("Fact").unwrap().ranked());
-        // Bit-stable marginals: validation keeps the Arc.
-        assert!(shards.refresh_ranked(&marginals, 2).is_empty());
-        assert!(Arc::ptr_eq(&before, shards.shard("Fact").unwrap().ranked()));
-        assert_eq!(shards.shard("Fact").unwrap().ranked_generation(), 1);
+        shards.refresh_ranked(&marginals);
+        let fact = Arc::clone(shards.shard("Fact").unwrap().ranked());
+        let other = Arc::clone(shards.shard("Other").unwrap().ranked());
+        assert_eq!((fact.len(), other.len()), (3, 1));
+        // Bit-stable marginals: the check keeps both Arcs.
+        shards.refresh_ranked(&marginals);
+        assert!(Arc::ptr_eq(&fact, shards.shard("Fact").unwrap().ranked()));
+        assert!(Arc::ptr_eq(&other, shards.shard("Other").unwrap().ranked()));
         // Drift in one relation's marginal re-ranks only that shard.
         let drifted = Marginals::from_values(vec![1.0, 0.7, 0.2, 0.8]);
-        assert_eq!(
-            shards.refresh_ranked(&drifted, 3),
-            vec!["Other".to_string()]
+        shards.refresh_ranked(&drifted);
+        assert!(Arc::ptr_eq(&fact, shards.shard("Fact").unwrap().ranked()));
+        assert!(!Arc::ptr_eq(
+            &other,
+            shards.shard("Other").unwrap().ranked()
+        ));
+        assert_eq!(shards.shard("Other").unwrap().ranked().entries()[0].0, 0.8);
+    }
+
+    /// One publish deletes tuple D and inserts tuple N in the same shard:
+    /// N takes over D's variable id (as retraction's swap-remove compaction
+    /// hands ids on), so the shard keeps its length and every marginal is
+    /// bit-identical.  The previous epoch's ranked view would pass the
+    /// publish-time check, which reads the ids baked into it; only the reset
+    /// in `apply_delta` makes the publish rank N.
+    #[test]
+    fn publish_ranks_a_same_length_swap_with_equal_probabilities() {
+        let marginals = vec![1.0, 0.7, 0.2, 0.5];
+        let catalog = CatalogShards::build(catalog_entries().iter(), 1);
+        let before = Snapshot::synthetic(1, marginals.clone(), catalog);
+        let (deleted, inserted) = (tuple![2i64], tuple![5i64]);
+        let mut catalog = before.catalog().clone();
+        catalog.apply_delta(
+            "Fact",
+            vec![(deleted.clone(), None), (inserted.clone(), Some(1))],
+            2,
         );
-        assert!(Arc::ptr_eq(&before, shards.shard("Fact").unwrap().ranked()));
-        assert_eq!(shards.shard("Other").unwrap().ranked_generation(), 3);
+        let after = Snapshot::synthetic(2, marginals, catalog);
+        assert_eq!(after.catalog().shard("Fact").unwrap().index().len(), 3);
+
+        for (min_p, top_k) in [(0.0, Some(3)), (0.5, Some(2)), (0.5, None), (0.7, None)] {
+            let query = || {
+                let q = after.facts("Fact").min_probability(min_p);
+                match top_k {
+                    Some(k) => q.top_k(k),
+                    None => q,
+                }
+            };
+            let got = query().run();
+            assert_eq!(got, query().run_scan(), "min_p={min_p} top_k={top_k:?}");
+            assert!(got.contains(&(inserted.clone(), 0.7)), "{got:?}");
+            assert!(got.iter().all(|(t, _)| *t != deleted), "{got:?}");
+        }
     }
 
     #[test]
