@@ -30,6 +30,11 @@
 //! graph (what the engine actually pays).  `delete_speedup_n{N}` is the
 //! O(n)-vs-O(Δ) factor incrementality buys at an N-claim KB, and
 //! `deletes_per_sec_n{N}` tracks absolute retraction throughput.
+//! `fixed_delete_ms_n{N}` times one *fixed* 100-claim deletion batch on a
+//! live N-claim KB, and `delete_scaling_x` is that time at the largest KB
+//! over the smallest: about 1 when a retraction costs what it deletes, the
+//! ratio of the KB sizes when it re-reads the whole KB — the ratio
+//! `check_sweeps` holds to a ceiling.
 //!
 //! Beside it, `grounding_cost/*` prices grounding itself by KB size on the
 //! same program: `full_ms_n{N}` is a from-scratch `Grounder::ground` of an
@@ -74,7 +79,12 @@
 //! `DeepDive::checkpoint` per stored base row: state export, encoding, file
 //! write) and `response_decode_allocs_per_row` (`Response::decode` of a
 //! 400-fact `all_facts` page, per fact) are exact counts under ceilings like
-//! the cold path's, and `recovery_ms_n650` is the reopening of a durable
+//! the cold path's, and so are two byte counts the allocator's live-heap
+//! tally gives: `checkpoint_peak_heap_per_payload_byte` (the most extra live
+//! heap at any moment of that checkpoint, per payload byte written) and
+//! `checkpoint_retained_heap_bytes` (the live heap a checkpoint leaves
+//! behind: after − before the first checkpoint of the full state).
+//! `recovery_ms_n650` is the reopening of a durable
 //! 648-document News directory holding a checkpoint with a materialization
 //! and 16 update rounds logged after it.
 //!
@@ -124,39 +134,67 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// The system allocator, counting calls that obtain memory (`alloc`,
-/// `alloc_zeroed`, `realloc`).  The count is a statistic only: it publishes
-/// no other data, hence `Relaxed`.
+/// `alloc_zeroed`, `realloc`) and tallying the bytes live on the heap with
+/// their high-water mark.  The counters are statistics only: they publish no
+/// other data, hence `Relaxed`.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn heap_grew(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn heap_shrank(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            heap_grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            heap_grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`; the caller guarantees `new_size` is valid for it.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            match new_size.checked_sub(layout.size()) {
+                Some(grown) => heap_grew(grown),
+                None => heap_shrank(layout.size() - new_size),
+            }
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        heap_shrank(layout.size());
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -172,6 +210,28 @@ fn count_allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = work();
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// What a piece of work did to the live heap, in bytes.
+struct HeapUse {
+    /// The most live heap beyond what was live before, at any moment.
+    peak_extra: usize,
+    /// Live heap after minus before: what the work left allocated.
+    retained: i64,
+}
+
+/// Run `work` and return its result with what it did to the live heap (the
+/// bench is single-threaded wherever this is used).
+fn measure_heap<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(before, Ordering::Relaxed);
+    let out = work();
+    let after = LIVE_BYTES.load(Ordering::Relaxed);
+    let heap = HeapUse {
+        peak_extra: PEAK_BYTES.load(Ordering::Relaxed) - before,
+        retained: after as i64 - before as i64,
+    };
+    (out, heap)
 }
 
 /// Relations the synthetic publish-cost catalog is spread over.
@@ -485,22 +545,74 @@ fn retraction_database(n: usize, skip: &[usize]) -> Database {
     db
 }
 
+/// Claims deleted by the `retraction_cost` fixed batch, whatever the KB size.
+const RETRACTION_BATCH: usize = 100;
+
+/// Best-of count of the fixed batch in both profiles: its timing at 2 000
+/// claims (~0.15 ms) is the denominator of a gated ratio.
+const RETRACTION_BATCH_REPS: usize = 7;
+
+/// The incremental grounding of `update` on a live, fully grounded N-claim
+/// KB (preparation untimed), best of `reps`: the seconds, the groundings
+/// it retracted and the KB's catalogued variables after it.
+fn time_incremental_delete(
+    program: &Program,
+    n: usize,
+    update: &KbcUpdate,
+    reps: usize,
+) -> (f64, usize, usize) {
+    let mut best = f64::INFINITY;
+    let (mut retracted, mut left) = (0, 0);
+    for _ in 0..reps {
+        let mut grounder = dd_grounding::Grounder::new(
+            program.clone(),
+            retraction_database(n, &[]),
+            standard_udfs(),
+        )
+        .expect("grounder builds");
+        grounder.ground().expect("initial ground");
+        let start = Instant::now();
+        let grounding = grounder
+            .ground_incremental(update)
+            .expect("incremental delete batch");
+        best = best.min(start.elapsed().as_secs_f64());
+        retracted = grounding.retracted_groundings;
+        left = grounder.num_catalogued_variables();
+    }
+    (best, retracted, left)
+}
+
+/// Groundings deleting `victims` retracts: every victim loses its feature
+/// grounding, labelled victims their supervision grounding too.
+fn retracted_by(victims: &[usize]) -> usize {
+    victims.len() + victims.iter().filter(|id| *id % 3 == 0).count()
+}
+
+/// Deleting `victims` (claim ids) and their labels.
+fn delete_claims(victims: &[usize]) -> KbcUpdate {
+    let mut update = KbcUpdate::new();
+    for &id in victims {
+        update.delete("Claim", tuple![id as i64]);
+        if id % 3 == 0 {
+            update.delete("Label", tuple![id as i64]);
+        }
+    }
+    update
+}
+
 /// Time the same deletion batch grounded from scratch vs through the DRed
-/// retraction sweep.  Emits `retraction_cost/{rerun_delete_ms,
-/// incremental_delete_ms, delete_speedup, deletes_per_sec}_n{N}`.
+/// retraction sweep, and one fixed batch through the sweep at every KB size.
+/// Emits `retraction_cost/{rerun_delete_ms, incremental_delete_ms,
+/// delete_speedup, deletes_per_sec, fixed_delete_ms}_n{N}` and
+/// `retraction_cost/delete_scaling_x`.
 fn bench_retraction_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) {
     println!("\nretraction_cost: from-scratch re-ground vs incremental DRed deletes");
     let program = dd_grounding::parse_program(RETRACTION_PROGRAM).expect("program parses");
+    let mut fixed_ms = Vec::new();
     for &n in sizes {
         let deletes = (n / 20).max(1);
         let victims: Vec<usize> = (0..deletes).map(|i| i * 20).collect();
-        let mut update = KbcUpdate::new();
-        for &id in &victims {
-            update.delete("Claim", tuple![id as i64]);
-            if id % 3 == 0 {
-                update.delete("Label", tuple![id as i64]);
-            }
-        }
+        let update = delete_claims(&victims);
 
         // Baseline: what a rerun pays for the deletion — re-grounding the
         // whole post-delete corpus into a fresh graph.
@@ -516,27 +628,20 @@ fn bench_retraction_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>)
         }
 
         // Incremental: the DRed retraction sweep on a live, fully-grounded
-        // graph (preparation untimed).
-        let mut incremental_secs = f64::INFINITY;
-        for _ in 0..reps {
-            let mut grounder = dd_grounding::Grounder::new(
-                program.clone(),
-                retraction_database(n, &[]),
-                standard_udfs(),
-            )
-            .expect("grounder builds");
-            grounder.ground().expect("initial ground");
-            let start = Instant::now();
-            let grounding = grounder
-                .ground_incremental(&update)
-                .expect("incremental delete batch");
-            incremental_secs = incremental_secs.min(start.elapsed().as_secs_f64());
-            // Every victim loses its feature grounding; labelled victims
-            // lose their supervision grounding too.
-            let labelled = victims.iter().filter(|id| *id % 3 == 0).count();
-            assert_eq!(grounding.retracted_groundings, deletes + labelled);
-            assert_eq!(grounder.num_catalogued_variables(), n - deletes);
-        }
+        // graph.
+        let (incremental_secs, retracted, left) =
+            time_incremental_delete(&program, n, &update, reps);
+        assert_eq!((retracted, left), (retracted_by(&victims), n - deletes));
+        // The fixed batch, spread over the KB.
+        let stride = n / RETRACTION_BATCH;
+        let batch: Vec<usize> = (0..RETRACTION_BATCH).map(|i| i * stride).collect();
+        let (fixed_secs, retracted, left) =
+            time_incremental_delete(&program, n, &delete_claims(&batch), RETRACTION_BATCH_REPS);
+        assert_eq!(
+            (retracted, left),
+            (retracted_by(&batch), n - RETRACTION_BATCH)
+        );
+        fixed_ms.push(fixed_secs * 1e3);
 
         let speedup = rerun_secs / incremental_secs;
         let throughput = deletes as f64 / incremental_secs;
@@ -555,6 +660,7 @@ fn bench_retraction_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>)
             ),
             (format!("delete_speedup_n{n}"), speedup, "x"),
             (format!("deletes_per_sec_n{n}"), throughput, "deletes/s"),
+            (format!("fixed_delete_ms_n{n}"), fixed_secs * 1e3, "ms"),
         ] {
             entries.push(Entry {
                 name: format!("retraction_cost/{kind}"),
@@ -563,6 +669,19 @@ fn bench_retraction_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>)
             });
         }
     }
+    let scaling = fixed_ms[fixed_ms.len() - 1] / fixed_ms[0];
+    println!(
+        "  {RETRACTION_BATCH} deletes: {} at n={} | {} at n={} ({scaling:.2}x)",
+        secs(fixed_ms[0] / 1e3),
+        sizes[0],
+        secs(fixed_ms[fixed_ms.len() - 1] / 1e3),
+        sizes[sizes.len() - 1]
+    );
+    entries.push(Entry {
+        name: "retraction_cost/delete_scaling_x".to_string(),
+        unit: "x",
+        value: scaling,
+    });
 }
 
 /// Claims inserted by the `grounding_cost` delta, whatever the KB size.
@@ -1027,8 +1146,9 @@ fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
         large / small
     );
 
-    // Allocations of a steady-state checkpoint (the second one: the first
-    // sizes the output buffer) per stored base row, on the claims KB.
+    // The heap the first checkpoint of the full state leaves behind, then
+    // the allocations and the peak extra heap of a steady-state checkpoint
+    // (the second one), on the claims KB.
     let dir = scratch_dir("checkpoint");
     let database = claims_database(4_000);
     let rows = database.total_tuples();
@@ -1040,11 +1160,25 @@ fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
         .build()
         .expect("durable engine builds");
     engine.initial_run().expect("initial run");
-    engine.checkpoint().expect("first checkpoint");
-    let (_, allocations) = count_allocations(|| engine.checkpoint().expect("checkpoint"));
+    let (_, first) = measure_heap(|| engine.checkpoint().expect("first checkpoint"));
+    let ((covered, allocations), steady) =
+        measure_heap(|| count_allocations(|| engine.checkpoint().expect("checkpoint")));
     let checkpoint_per_row = allocations as f64 / rows as f64;
+    let file = dir
+        .join("checkpoints")
+        .join(format!("ckpt-{covered:020}.ckpt"));
+    let payload = std::fs::metadata(&file).expect("checkpoint file").len()
+        - dd_wire::record::RECORD_HEADER_BYTES as u64;
+    let peak_per_byte = steady.peak_extra as f64 / payload as f64;
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "  checkpoint heap: {} KB payload | peak {} KB extra ({peak_per_byte:.4} per payload \
+         byte) | {} bytes retained by the first one",
+        payload / 1024,
+        steady.peak_extra / 1024,
+        first.retained
+    );
 
     // Allocations of decoding one 400-fact page, per fact.
     const PAGE: usize = 400;
@@ -1120,6 +1254,12 @@ fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
             "allocs",
             checkpoint_per_row,
         ),
+        (
+            "checkpoint_peak_heap_per_payload_byte",
+            "B/B",
+            peak_per_byte,
+        ),
+        ("checkpoint_retained_heap_bytes", "B", first.retained as f64),
         ("response_decode_allocs_per_row", "allocs", decode_per_row),
         ("recovery_ms_n650", "ms", recovery * 1e3),
     ] {
@@ -1162,13 +1302,10 @@ fn main() {
         &[10_000, 100_000, 1_000_000]
     };
     let publish_reps = if smoke { 3 } else { 5 };
-    // n = 8 000 runs in both profiles: `check_sweeps` holds its
-    // `delete_speedup` to a floor of its own.
-    let retraction_sizes: &[usize] = if smoke {
-        &[2_000, 8_000]
-    } else {
-        &[2_000, 8_000, 32_000]
-    };
+    // One range in both profiles: `check_sweeps` holds
+    // `retraction_cost/delete_scaling_x`, the 32 000-claim end over the
+    // 2 000-claim end, to a ceiling.
+    let retraction_sizes: &[usize] = &[2_000, 8_000, 32_000];
 
     let mut entries = Vec::new();
     if runs("fig9_news_end_to_end") {

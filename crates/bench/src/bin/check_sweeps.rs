@@ -7,19 +7,22 @@
 //! behind its baseline — a whole required series stopped emitting speedup
 //! entries (the coverage floor: a sweep that silently stops running is a
 //! regression too), or a speedup with a floor of its own
-//! (`dd_bench::sweeps::SPEEDUP_FLOORS`: `retraction_cost/delete_speedup_n8000`
-//! ≥ 4×, so an O(KB) "incremental" path cannot silently return) is missing or
+//! (`dd_bench::sweeps::SPEEDUP_FLOORS`:
+//! `materialize_cost/draw_speedup_unary_n4000` ≥ 5×) is missing or
 //! below it, or an exact counter of the cold path
 //! (`dd_bench::sweeps::COUNT_CEILINGS`: `cold_start/allocs_per_binding`,
 //! `rows_probed_per_binding`, `allocs_per_sample`, `allocs_per_mh_step`),
 //! of incremental grounding
 //! (`grounding_cost/incremental_allocs_per_binding`) or of the codec
 //! (`codec/checkpoint_encode_allocs_per_row`,
-//! `codec/response_decode_allocs_per_row`) is missing or not below its
-//! ceiling — a count repeats exactly, so this gate holds on a box too noisy
-//! for a timing — or the scanner's cost per byte grows with the document
-//! (`dd_bench::sweeps::RATIO_CEILINGS`: `codec/parse_scaling_x` < 2, a ratio
-//! of two timings of one run, where the quadratic scanner read 19.6).
+//! `checkpoint_peak_heap_per_payload_byte`,
+//! `checkpoint_retained_heap_bytes`, `response_decode_allocs_per_row`) is
+//! missing or not below its ceiling — a count repeats exactly, so this gate
+//! holds on a box too noisy for a timing — or a cost grows with its input
+//! (`dd_bench::sweeps::RATIO_CEILINGS`, ratios of two timings of one run:
+//! `codec/parse_scaling_x` < 2, where the quadratic scanner read 19.6, and
+//! `retraction_cost/delete_scaling_x` < 8, a fixed deletion batch on a 16×
+//! larger KB, so an O(KB) "incremental" retraction cannot silently return).
 //!
 //! Usage: `cargo run --release -p dd-bench --bin check_sweeps [file.json]`
 //! (default `BENCH_sweeps.json`).  CI runs it against a fresh `--smoke` file:

@@ -198,7 +198,6 @@ impl DeepDiveBuilder {
             checkpoint_every_bytes: cfg.checkpoint_every_bytes.map(|n| n.max(1)),
             records_since_checkpoint: 0,
             bytes_since_checkpoint: 0,
-            checkpoint_buf: Vec::new(),
         };
 
         match latest {

@@ -8,11 +8,20 @@
 //! the single-line JSON of [`dd_wire::json`], framed and CRC-protected by
 //! [`dd_storage`]'s record layer.
 //!
+//! A checkpoint is encoded from the live engine: `CheckpointView` borrows
+//! the engine's parts (the grounder's through
+//! [`dd_grounding::Grounder::export_state`]), the orderings the format needs
+//! are vectors of references, and the encoding streams through one chunk of
+//! [`dd_wire::json::CHUNK_BYTES`] into the checkpoint file
+//! ([`dd_storage::CheckpointStore::write_with`]).  No copy of the engine and
+//! no payload buffer is made.  Decoding produces the owned
+//! `CheckpointState` recovery rebuilds the engine from.
+//!
 //! Encoding conventions, chosen so that `encode(decode(bytes)) == bytes` for
 //! every valid payload (the recovery-idempotency guarantee):
 //!
-//! * Objects are emitted with a fixed field order, straight into the output
-//!   buffer through [`dd_wire::json::JsonWriter`]; decoding pulls members by
+//! * Objects are emitted with a fixed field order through
+//!   [`dd_wire::json::JsonWriter`]; decoding pulls members by
 //!   name through [`dd_wire::json::JsonReader`] without building a tree, and
 //!   asks for them in that same order, so a payload is read exactly once.
 //!   The engine's own types implement [`Encode`] / [`Decode`]; the types of
@@ -40,8 +49,8 @@ use dd_factorgraph::{
 };
 use dd_grounding::grounder::GroundingRecord;
 use dd_grounding::{
-    CatalogOp, GrounderState, KbcUpdate, Program, RelationDecl, RelationRole, Rule, RuleKind,
-    WeightSpec,
+    CatalogOp, GrounderState, GrounderStateRef, KbcUpdate, Program, RelationDecl, RelationRole,
+    Rule, RuleKind, WeightSpec,
 };
 use dd_inference::{
     DistributionChange, Marginals, SampleMaterialization, SampleSet, VariationalMaterialization,
@@ -117,9 +126,6 @@ pub(crate) struct DurabilityHandle {
     pub records_since_checkpoint: u64,
     /// Encoded WAL bytes appended since the last checkpoint.
     pub bytes_since_checkpoint: u64,
-    /// The last checkpoint payload; every checkpoint encodes into this one
-    /// buffer, so after the first none allocates its output again.
-    pub checkpoint_buf: Vec<u8>,
 }
 
 impl DurabilityHandle {
@@ -148,20 +154,21 @@ impl DurabilityHandle {
     /// Ordering is what makes this crash-safe at every byte boundary:
     ///
     /// 1. fsync the WAL — nothing the checkpoint covers may be volatile;
-    /// 2. write the checkpoint file atomically (temp file, fsync, rename,
-    ///    fsync the directory);
-    /// 3. rotate the WAL onto a fresh segment;
+    /// 2. write the checkpoint file atomically: `state` is encoded straight
+    ///    into a temp file, whose header is written last, then fsync,
+    ///    rename, fsync the directory;
+    /// 3. rotate the WAL onto a fresh segment (unless the current one holds
+    ///    no record yet);
     /// 4. prune older checkpoints and fully-covered WAL segments.
     ///
     /// A crash between any two steps leaves either the old checkpoint or the
     /// new one fully intact, and the WAL always reaches from the newest valid
     /// checkpoint to the last logged operation.
-    pub fn checkpoint(&mut self, state: CheckpointState) -> R<u64> {
-        encode_checkpoint(&state, &mut self.checkpoint_buf);
-        drop(state);
+    pub fn checkpoint(&mut self, state: &impl Encode) -> R<u64> {
         self.wal.sync()?;
         let covered = self.wal.last_seq();
-        self.checkpoints.write(covered, &self.checkpoint_buf)?;
+        self.checkpoints
+            .write_with(covered, |sink| state.write_to(sink))?;
         self.wal.rotate()?;
         self.checkpoints.prune(self.keep_checkpoints)?;
         // Prune below the *oldest retained* checkpoint, not the one just
@@ -183,9 +190,24 @@ impl DurabilityHandle {
     }
 }
 
+/// A checkpoint of a live engine, borrowed from its parts: what
+/// [`DurabilityHandle::checkpoint`] encodes into the checkpoint file.
+pub(crate) struct CheckpointView<'a> {
+    pub grounder: GrounderStateRef<'a>,
+    pub materialization: Option<&'a Materialization>,
+    pub materialized_epoch: Option<u64>,
+    /// The change accumulated since materialization (`None`: nothing is
+    /// materialized, and the empty change is written).
+    pub cumulative_change: Option<&'a DistributionChange>,
+    pub learned_weights: &'a [f64],
+    pub epoch: u64,
+    pub snapshot: &'a Snapshot,
+}
+
 /// Everything needed to reconstruct a `DeepDive` engine at a point in time
 /// (minus the config and UDF registry, which the builder re-supplies — UDFs
-/// are function pointers and cannot be serialized).
+/// are function pointers and cannot be serialized), as a checkpoint decodes.
+/// The fields are those of [`CheckpointView`], owned.
 pub(crate) struct CheckpointState {
     pub grounder: GrounderState,
     pub materialization: Option<Materialization>,
@@ -431,7 +453,7 @@ fn dec_delta_relation(r: &mut JsonReader<'_>) -> D<DeltaRelation> {
 }
 
 /// `[relation, tuple]` — a supervision head.
-fn enc_head(w: &mut JsonWriter<'_>, (relation, tuple): &(String, Tuple)) {
+fn enc_head(w: &mut JsonWriter<'_>, relation: &str, tuple: &Tuple) {
     w.tuple(|w| {
         w.string(relation);
         enc_tuple(w, tuple);
@@ -956,27 +978,28 @@ fn dec_distribution_change(r: &mut JsonReader<'_>) -> D<DistributionChange> {
 // Grounder state.
 // ---------------------------------------------------------------------------
 
-fn enc_grounder_state(w: &mut JsonWriter<'_>, s: &GrounderState) {
+fn enc_grounder_state(w: &mut JsonWriter<'_>, s: &GrounderStateRef<'_>) {
     w.object(|w| {
-        enc_program(w.key("program"), &s.program);
-        enc_database(w.key("db"), &s.db);
-        enc_graph(w.key("graph"), &s.graph);
+        enc_program(w.key("program"), s.program);
+        enc_database(w.key("db"), s.db);
+        enc_graph(w.key("graph"), s.graph);
         w.key("var_catalog")
-            .array(&s.var_catalog, |w, (rel, tuple, var)| {
+            .array(&s.var_catalog, |w, &(rel, tuple, var)| {
                 w.tuple(|w| {
                     w.string(rel);
                     enc_tuple(w, tuple);
-                    enc_usize(w, *var);
+                    enc_usize(w, var);
                 })
             });
-        w.key("catalog_ops").array(&s.catalog_ops, |w, (rel, ops)| {
-            w.tuple(|w| {
-                w.string(rel);
-                w.array(ops, enc_catalog_op);
-            })
-        });
+        w.key("catalog_ops")
+            .array(&s.catalog_ops, |w, &(rel, ops)| {
+                w.tuple(|w| {
+                    w.string(rel);
+                    w.array(ops, enc_catalog_op);
+                })
+            });
         w.key("grounded_bindings")
-            .array(&s.grounded_bindings, |w, (rule, bindings)| {
+            .array(&s.grounded_bindings, |w, &(rule, bindings)| {
                 w.tuple(|w| {
                     w.string(rule);
                     w.array(bindings, |w, (t, rec)| {
@@ -987,9 +1010,12 @@ fn enc_grounder_state(w: &mut JsonWriter<'_>, s: &GrounderState) {
                     });
                 })
             });
-        w.field("view_rules", &s.view_rules);
+        w.key("view_rules")
+            .array(&s.view_rules, |w, rule| w.string(rule));
         w.key("suppressed_labels")
-            .array(&s.suppressed_labels, enc_head);
+            .array(&s.suppressed_labels, |w, &(rel, tuple)| {
+                enc_head(w, rel, tuple)
+            });
         w.key("next_var_key").u64_string(s.next_var_key);
     });
 }
@@ -1230,7 +1256,9 @@ impl Encode for WalOp<'_> {
                 w.key("base_deltas")
                     .array(deltas, |w, (_, d)| enc_delta_relation(w, d));
                 w.key("retracted_supervision")
-                    .array(&update.retracted_supervision, enc_head);
+                    .array(&update.retracted_supervision, |w, (rel, tuple)| {
+                        enc_head(w, rel, tuple)
+                    });
                 w.key("new_rules").array(&update.new_rules, enc_rule);
             }
             WalOp::RetractSupervision { relation, tuple } => {
@@ -1286,12 +1314,12 @@ pub(crate) fn decode_wal_op(bytes: &[u8]) -> R<WalOp<'static>> {
     WalOp::from_bytes(bytes).map_err(|e| bad("decoding WAL operation", e))
 }
 
-impl Encode for CheckpointState {
+impl Encode for CheckpointView<'_> {
     fn encode(&self, w: &mut JsonWriter<'_>) {
         w.object(|w| {
             w.key("format").u64_string(CHECKPOINT_FORMAT_VERSION);
             enc_grounder_state(w.key("grounder"), &self.grounder);
-            match &self.materialization {
+            match self.materialization {
                 None => w.key("materialization").null(),
                 Some(m) => enc_materialization(w.key("materialization"), m),
             }
@@ -1299,10 +1327,14 @@ impl Encode for CheckpointState {
                 None => w.key("materialized_epoch").null(),
                 Some(e) => w.key("materialized_epoch").u64_string(e),
             }
-            enc_distribution_change(w.key("cumulative_change"), &self.cumulative_change);
-            enc_f64s(w.key("learned_weights"), &self.learned_weights);
+            let change = w.key("cumulative_change");
+            match self.cumulative_change {
+                None => enc_distribution_change(change, &DistributionChange::default()),
+                Some(c) => enc_distribution_change(change, c),
+            }
+            enc_f64s(w.key("learned_weights"), self.learned_weights);
             w.key("epoch").u64_string(self.epoch);
-            w.field("snapshot", &self.snapshot);
+            w.field("snapshot", self.snapshot);
         });
     }
 }
@@ -1329,19 +1361,12 @@ impl Decode for CheckpointState {
     }
 }
 
-/// Encode `state` into `out`, replacing what it held and keeping its
-/// capacity — a checkpoint is one large sequential write from one buffer.
-pub(crate) fn encode_checkpoint(state: &CheckpointState, out: &mut Vec<u8>) {
-    out.clear();
-    state.encode_into(out);
-}
-
 pub(crate) fn decode_checkpoint(bytes: &[u8]) -> R<CheckpointState> {
     CheckpointState::from_bytes(bytes).map_err(|e| bad("decoding checkpoint", e))
 }
 
 #[cfg(test)]
-mod tree_oracle;
+mod golden;
 
 #[cfg(test)]
 mod tests {
@@ -1639,6 +1664,152 @@ mod tests {
                 Err(StorageError::Codec { .. })
             ));
         }
+    }
+
+    fn temp_data_dir(tag: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "deepdive-durability-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `(wal, checkpoint store)` fsync counts of a durable engine.
+    fn fsyncs(engine: &mut crate::DeepDive) -> (u64, u64) {
+        let handle = engine.durability_handle().expect("durable");
+        (handle.wal.fsyncs(), handle.checkpoints.fsyncs())
+    }
+
+    #[test]
+    fn a_pristine_directory_syncs_in_a_pinned_sequence() {
+        use dd_storage::{DurabilityConfig, FsyncPolicy};
+        // The stores as the builder opens them, step by step.
+        let dir = temp_data_dir("fsyncs");
+        let checkpoints = CheckpointStore::open(dir.join("checkpoints")).unwrap();
+        // The parents of the data directory and of `checkpoints/`.
+        assert_eq!(checkpoints.fsyncs(), 2);
+        let (wal, _) = Wal::open(dir.join("wal"), FsyncPolicy::Always).unwrap();
+        // The parent of `wal/`, then the first segment and its directory.
+        assert_eq!(wal.fsyncs(), 3);
+        let mut handle = DurabilityHandle {
+            wal,
+            checkpoints,
+            keep_checkpoints: 2,
+            checkpoint_every_records: None,
+            checkpoint_every_bytes: None,
+            records_since_checkpoint: 0,
+            bytes_since_checkpoint: 0,
+        };
+        // The baseline checkpoint: the WAL, the temp file, the checkpoint
+        // directory — and no rotation of the segment that holds no record.
+        assert_eq!(handle.checkpoint(&String::from("baseline")).unwrap(), 0);
+        assert_eq!((handle.wal.fsyncs(), handle.checkpoints.fsyncs()), (4, 4));
+        assert_eq!(handle.wal.segment_paths().unwrap().len(), 1);
+        handle.append(&WalOp::Refresh).unwrap();
+        assert_eq!((handle.wal.fsyncs(), handle.checkpoints.fsyncs()), (5, 4));
+        drop(handle);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The builder takes the same steps.
+        let dir = temp_data_dir("fsyncs-engine");
+        let mut engine = crate::DeepDive::builder()
+            .program_text(golden::CLAIMS_PROGRAM)
+            .database(golden::claims_database(0..2))
+            .config(golden::config())
+            .durability(DurabilityConfig::new(&dir).fsync(FsyncPolicy::Always))
+            .build()
+            .unwrap();
+        assert_eq!(fsyncs(&mut engine), (4, 4));
+        engine.refresh().unwrap();
+        assert_eq!(fsyncs(&mut engine), (5, 4));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_cut_anywhere_leaves_debris_and_recovery_replays_the_tail() {
+        use dd_storage::DurabilityConfig;
+        use dd_wire::json::CHUNK_BYTES;
+        use dd_wire::record::RECORD_HEADER_BYTES;
+        let dir = temp_data_dir("cut");
+        let open = || {
+            crate::DeepDive::builder()
+                .program_text(golden::CLAIMS_PROGRAM)
+                .database(golden::claims_database(0..40))
+                .config(golden::config())
+                .durability(DurabilityConfig::new(&dir))
+                .build()
+                .unwrap()
+        };
+        let state_bytes = |engine: &crate::DeepDive| {
+            let snapshot = engine.snapshot();
+            engine.checkpoint_view(&snapshot).to_bytes()
+        };
+        let files = || {
+            let mut names: Vec<String> = std::fs::read_dir(dir.join("checkpoints"))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let mut engine = open();
+        engine.initial_run().unwrap();
+        engine.materialize().unwrap();
+        engine.checkpoint().unwrap();
+        let good = files();
+        // The WAL tail the recovery has to replay.
+        for update in [
+            golden::docs_update(40..44, true),
+            golden::docs_update(3..5, false),
+        ] {
+            engine
+                .run_update(&update, ExecutionMode::Incremental)
+                .unwrap();
+        }
+        let reference = state_bytes(&engine);
+        let (header, len) = (RECORD_HEADER_BYTES as u64, reference.len() as u64);
+        assert!(len > 3 * CHUNK_BYTES as u64, "{len} bytes: too few chunks");
+        // Inside the placeholder header, at every chunk boundary and a byte
+        // either side, and inside the header written back at the end.
+        let mut cuts = vec![0, header - 1];
+        for k in 0..=len / CHUNK_BYTES as u64 {
+            let boundary = header + k * CHUNK_BYTES as u64;
+            cuts.extend([boundary - 1, boundary, boundary + 1]);
+        }
+        cuts.extend([
+            header + len - 1,
+            header + len,
+            header + len + 8,
+            2 * header + len - 1,
+        ]);
+        for cut in cuts {
+            let handle = engine.durability_handle().unwrap();
+            handle.checkpoints.fail_next_write_after(cut);
+            assert!(engine.checkpoint().is_err(), "cut at {cut}");
+            let (tmp, kept): (Vec<String>, Vec<String>) =
+                files().into_iter().partition(|f| f.ends_with(".tmp"));
+            assert_eq!((tmp.len(), &kept), (1, &good), "cut at {cut}");
+            drop(engine);
+            engine = open();
+            assert_eq!(files(), good, "cut at {cut}: debris swept");
+            assert!(
+                state_bytes(&engine) == reference,
+                "cut at {cut}: recovered state differs"
+            );
+        }
+        // Unbroken, the checkpoint lands and recovery starts from it.
+        let covered = engine.checkpoint().unwrap();
+        drop(engine);
+        let engine = open();
+        assert_eq!(files().last(), Some(&format!("ckpt-{covered:020}.ckpt")));
+        assert!(state_bytes(&engine) == reference);
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -63,7 +63,7 @@
 
 use crate::builder::DeepDiveBuilder;
 use crate::config::EngineConfig;
-use crate::durability::{CheckpointState, DurabilityHandle, WalOp};
+use crate::durability::{CheckpointState, CheckpointView, DurabilityHandle, WalOp};
 use crate::error::EngineError;
 use crate::materialization::{Materialization, Materialized};
 use crate::optimizer::{choose_strategy, StrategyChoice};
@@ -741,12 +741,14 @@ impl DeepDive {
     /// Errors with [`dd_storage::StorageError::NotConfigured`] when the engine
     /// was built without [`DeepDiveBuilder::durability`].
     pub fn checkpoint(&mut self) -> Result<u64, EngineError> {
-        if self.durability.is_none() {
-            return Err(dd_storage::StorageError::NotConfigured.into());
-        }
-        let state = self.export_checkpoint_state();
-        let handle = self.durability.as_mut().expect("checked above");
-        Ok(handle.checkpoint(state)?)
+        let mut handle = self
+            .durability
+            .take()
+            .ok_or(dd_storage::StorageError::NotConfigured)?;
+        let snapshot = self.snapshot();
+        let covered = handle.checkpoint(&self.checkpoint_view(&snapshot));
+        self.durability = Some(handle);
+        Ok(covered?)
     }
 
     /// Trigger [`DeepDive::checkpoint`] when the configured auto-checkpoint
@@ -777,23 +779,19 @@ impl DeepDive {
         }
     }
 
-    /// Snapshot the complete engine state for a checkpoint.  Everything a
-    /// restored engine needs except the config and the UDF registry (function
-    /// pointers — re-supplied by the builder at recovery).
-    pub(crate) fn export_checkpoint_state(&self) -> CheckpointState {
-        let mut materialized = self.materialized.clone();
-        let cumulative_change = materialized
-            .as_mut()
-            .map(|m| std::mem::take(&mut m.change))
-            .unwrap_or_default();
-        CheckpointState {
+    /// The complete engine state as a checkpoint carries it, borrowed:
+    /// everything a restored engine needs except the config and the UDF
+    /// registry (function pointers — re-supplied by the builder at
+    /// recovery).  `snapshot` is the served one.
+    pub(crate) fn checkpoint_view<'a>(&'a self, snapshot: &'a Snapshot) -> CheckpointView<'a> {
+        CheckpointView {
             grounder: self.grounder.export_state(),
-            materialization: materialized.map(|m| m.materialization),
+            materialization: self.materialization(),
             materialized_epoch: self.materialized_epoch(),
-            cumulative_change,
-            learned_weights: self.learned_weights.clone(),
+            cumulative_change: self.materialized.as_ref().map(|m| &m.change),
+            learned_weights: &self.learned_weights,
             epoch: self.epoch,
-            snapshot: (*self.snapshot()).clone(),
+            snapshot,
         }
     }
 
@@ -837,6 +835,13 @@ impl DeepDive {
     /// not match the pre-crash state.
     pub fn recovery_replay_errors(&self) -> &[String] {
         &self.replay_errors
+    }
+
+    /// The open WAL + checkpoint stores, for tests that count or break
+    /// their writes.
+    #[cfg(test)]
+    pub(crate) fn durability_handle(&mut self) -> Option<&mut DurabilityHandle> {
+        self.durability.as_mut()
     }
 
     /// Hand the engine its open WAL + checkpoint stores.  Called by the
@@ -1332,7 +1337,10 @@ mod tests {
 
     /// The change accumulated since materialization, as a checkpoint records it.
     fn accumulated(dd: &DeepDive) -> DistributionChange {
-        dd.export_checkpoint_state().cumulative_change
+        dd.materialized
+            .as_ref()
+            .map(|m| m.change.clone())
+            .unwrap_or_default()
     }
 
     /// `update` plus distant supervision labelling the mention pair `(m1, m2)`.

@@ -227,23 +227,27 @@ impl VariableCatalog {
     }
 
     /// Suppressed heads as sorted `(relation, tuple)` pairs.
-    pub fn suppressed(&self) -> Vec<(String, Tuple)> {
-        let mut out: Vec<(String, Tuple)> = self
+    pub fn suppressed(&self) -> Vec<(&str, &Tuple)> {
+        let mut out: Vec<(&str, &Tuple)> = self
             .relations
             .iter()
-            .flat_map(|r| r.suppressed.iter().map(|t| (r.name.clone(), t.clone())))
+            .flat_map(|r| r.suppressed.iter().map(|t| (r.name.as_str(), t)))
             .collect();
-        out.sort();
+        out.sort_unstable();
         out
     }
 
-    /// Pending catalog ops per relation, without draining them.
-    pub fn pending_ops(&self) -> BTreeMap<String, Vec<CatalogOp>> {
-        self.relations
+    /// Pending catalog ops per relation, sorted by relation, without
+    /// draining them.
+    pub fn pending_ops(&self) -> Vec<(&str, &[CatalogOp])> {
+        let mut out: Vec<(&str, &[CatalogOp])> = self
+            .relations
             .iter()
             .filter(|r| !r.fresh.is_empty())
-            .map(|r| (r.name.clone(), r.fresh.clone()))
-            .collect()
+            .map(|r| (r.name.as_str(), r.fresh.as_slice()))
+            .collect();
+        out.sort_unstable_by_key(|&(relation, _)| relation);
+        out
     }
 
     /// Drain the pending catalog ops, grouped by relation in sorted order.
@@ -374,9 +378,9 @@ mod tests {
         assert_eq!(
             catalog.suppressed(),
             vec![
-                ("A".to_string(), tuple![9i64]),
-                ("B".to_string(), tuple![1i64]),
-                ("B".to_string(), tuple![5i64]),
+                ("A", &tuple![9i64]),
+                ("B", &tuple![1i64]),
+                ("B", &tuple![5i64]),
             ]
         );
     }
@@ -394,8 +398,16 @@ mod tests {
         entries.sort();
         let restored = VariableCatalog::restore(
             entries.clone(),
-            catalog.pending_ops().into_iter().collect(),
-            catalog.suppressed(),
+            catalog
+                .pending_ops()
+                .into_iter()
+                .map(|(r, ops)| (r.to_string(), ops.to_vec()))
+                .collect(),
+            catalog
+                .suppressed()
+                .into_iter()
+                .map(|(r, t)| (r.to_string(), t.clone()))
+                .collect(),
             catalog.vars.next_key,
             graph.num_variables(),
         );

@@ -941,8 +941,9 @@ impl Grounder {
 
     // ------------------------------------------------------------- persistence
 
-    /// Export every piece of grounder state a checkpoint must carry, in
-    /// deterministic (sorted) order.
+    /// Every piece of grounder state a checkpoint must carry, borrowed, in
+    /// deterministic (sorted) order.  Nothing is copied: the orderings the
+    /// checkpoint format needs are vectors of references.
     ///
     /// The UDF registry is deliberately absent: it holds function pointers
     /// and cannot be serialized — [`Grounder::from_state`] takes it back as
@@ -950,35 +951,28 @@ impl Grounder {
     /// only; restore re-materializes them from the restored database, which
     /// reproduces the maintained view exactly (view maintenance is
     /// deterministic in the database contents).
-    pub fn export_state(&self) -> GrounderState {
-        let mut var_catalog: Vec<(String, Tuple, VarId)> = self
-            .catalog
-            .iter()
-            .map(|((rel, tuple), &var)| (rel.clone(), tuple.clone(), var))
-            .collect();
-        var_catalog.sort();
-        let mut grounded_bindings: Vec<(String, Vec<(Tuple, GroundingRecord)>)> = self
+    pub fn export_state(&self) -> GrounderStateRef<'_> {
+        let mut var_catalog: Vec<(&str, &Tuple, VarId)> = Vec::with_capacity(self.catalog.len());
+        var_catalog.extend(
+            self.catalog
+                .iter()
+                .map(|((rel, tuple), &var)| (rel.as_str(), tuple, var)),
+        );
+        var_catalog.sort_unstable();
+        let mut grounded_bindings: Vec<(&str, &BTreeMap<Tuple, GroundingRecord>)> = self
             .grounded_bindings
             .iter()
-            .map(|(rule, records)| {
-                (
-                    rule.clone(),
-                    records
-                        .iter()
-                        .map(|(t, r)| (t.clone(), r.clone()))
-                        .collect(),
-                )
-            })
+            .map(|(rule, records)| (rule.as_str(), records))
             .collect();
-        grounded_bindings.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut view_rules: Vec<String> = self.candidate_views.keys().cloned().collect();
-        view_rules.sort();
-        GrounderState {
-            program: self.program.clone(),
-            db: self.db.clone(),
-            graph: self.graph.clone(),
+        grounded_bindings.sort_unstable_by_key(|&(rule, _)| rule);
+        let mut view_rules: Vec<&str> = self.candidate_views.keys().map(String::as_str).collect();
+        view_rules.sort_unstable();
+        GrounderStateRef {
+            program: &self.program,
+            db: &self.db,
+            graph: &self.graph,
             var_catalog,
-            catalog_ops: self.catalog.pending_ops().into_iter().collect(),
+            catalog_ops: self.catalog.pending_ops(),
             grounded_bindings,
             view_rules,
             suppressed_labels: self.catalog.suppressed(),
@@ -1090,10 +1084,9 @@ impl Grounder {
     }
 }
 
-/// Serializable snapshot of a [`Grounder`], produced by
-/// [`Grounder::export_state`] and consumed by [`Grounder::from_state`].
-/// All collections are sorted so that encoding the same state twice yields
-/// identical bytes.
+/// The state of a [`Grounder`] as a checkpoint carries it, owned: what a
+/// decoded checkpoint hands [`Grounder::from_state`].  The fields and their
+/// orders are those of [`GrounderStateRef`].
 #[derive(Debug, Clone)]
 pub struct GrounderState {
     pub program: Program,
@@ -1110,6 +1103,29 @@ pub struct GrounderState {
     pub view_rules: Vec<String>,
     /// Heads with suppressed supervision, sorted.
     pub suppressed_labels: Vec<(String, Tuple)>,
+    /// Monotonic origin-key counter for new variables.
+    pub next_var_key: u64,
+}
+
+/// The state of a live [`Grounder`] as a checkpoint carries it, borrowed
+/// from the grounder by [`Grounder::export_state`].  All collections are
+/// sorted so that encoding the same state twice yields identical bytes.
+pub struct GrounderStateRef<'a> {
+    pub program: &'a Program,
+    pub db: &'a Database,
+    pub graph: &'a FactorGraph,
+    /// `(relation, tuple, variable id)`, sorted.
+    pub var_catalog: Vec<(&'a str, &'a Tuple, VarId)>,
+    /// Undrained catalog ops, per relation (sorted by relation, chronological
+    /// within a relation).
+    pub catalog_ops: Vec<(&'a str, &'a [CatalogOp])>,
+    /// Rule name → bindings already grounded, with support records; sorted
+    /// by rule, each map in tuple order.
+    pub grounded_bindings: Vec<(&'a str, &'a BTreeMap<Tuple, GroundingRecord>)>,
+    /// Names of candidate-mapping rules with a materialized view, sorted.
+    pub view_rules: Vec<&'a str>,
+    /// Heads with suppressed supervision, sorted.
+    pub suppressed_labels: Vec<(&'a str, &'a Tuple)>,
     /// Monotonic origin-key counter for new variables.
     pub next_var_key: u64,
 }

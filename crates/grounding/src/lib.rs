@@ -35,7 +35,7 @@ pub mod udf;
 
 pub use ast::{Rule, RuleAtom, RuleKind, WeightSpec};
 pub use error::{GroundingError, ProgramError};
-pub use grounder::{CatalogOp, Grounder, GrounderState, GroundingResult};
+pub use grounder::{CatalogOp, Grounder, GrounderState, GrounderStateRef, GroundingResult};
 pub use incremental::{IncrementalGrounding, KbcUpdate};
 pub use parser::{parse_program, parse_rule, ParseError};
 pub use program::{Program, RelationDecl, RelationRole};

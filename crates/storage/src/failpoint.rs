@@ -8,12 +8,13 @@
 //!
 //! ```
 //! use dd_storage::FailpointWriter;
-//! use dd_wire::record::{encode_record, write_record};
+//! use dd_wire::record::encode_record;
+//! use std::io::Write;
 //!
 //! let full = encode_record(1, b"payload");
 //! for budget in 0..full.len() {
 //!     let mut w = FailpointWriter::new(budget);
-//!     assert!(write_record(&mut w, 1, b"payload").is_err());
+//!     assert!(w.write_all(&full).is_err());
 //!     assert_eq!(w.written(), &full[..budget]);
 //! }
 //! ```

@@ -26,6 +26,7 @@
 
 pub mod checkpoint;
 pub mod config;
+mod dir;
 pub mod error;
 pub mod failpoint;
 pub mod wal;

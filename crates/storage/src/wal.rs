@@ -29,9 +29,13 @@
 //!
 //! [`FsyncPolicy`] governs per-append syncs.  Rotation always syncs the old
 //! segment, creates the new one, and fsyncs the directory so the new name is
-//! durable — the barrier that makes "checkpoint then prune" safe.
+//! durable — the barrier that makes "checkpoint then prune" safe.  A segment
+//! that holds no record yet is not rotated: it already starts at the next
+//! sequence.  [`Wal::open`] makes the directory it creates durable by
+//! fsyncing its parent, and [`Wal::fsyncs`] counts every sync the log issues.
 
 use crate::config::FsyncPolicy;
+use crate::dir::{create_dir_durably, sync_dir};
 use crate::error::StorageError;
 use dd_wire::record::{encode_record, read_record, RecordError, MAX_PAYLOAD_BYTES};
 use std::fs::{self, File, OpenOptions};
@@ -44,8 +48,12 @@ pub struct Wal {
     fsync: FsyncPolicy,
     file: File,
     current_path: PathBuf,
+    /// Sequence of the first record of the current segment.
+    segment_start: u64,
     next_seq: u64,
     unsynced: u64,
+    /// Fsyncs issued so far, the ones `open` made included.
+    fsyncs: u64,
 }
 
 impl std::fmt::Debug for Wal {
@@ -88,13 +96,6 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
     Ok(segments)
 }
 
-/// Fsync a directory so renames/creates/unlinks inside it are durable.
-fn sync_dir(dir: &Path) -> Result<(), StorageError> {
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| StorageError::io(format!("fsyncing dir {}", dir.display()), e))
-}
-
 impl Wal {
     /// Open (or create) the log in `dir`, repair any torn tail, and return
     /// the WAL positioned for appending plus every valid `(seq, payload)`
@@ -104,20 +105,22 @@ impl Wal {
         fsync: FsyncPolicy,
     ) -> Result<(Wal, Vec<(u64, Vec<u8>)>), StorageError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)
-            .map_err(|e| StorageError::io(format!("creating WAL dir {}", dir.display()), e))?;
+        let mut fsyncs = 0;
+        create_dir_durably(&dir, "WAL", &mut fsyncs)?;
         let segments = list_segments(&dir)?;
 
         if segments.is_empty() {
-            let (file, path) = Wal::create_segment(&dir, 1)?;
+            let (file, path) = Wal::create_segment(&dir, 1, &mut fsyncs)?;
             return Ok((
                 Wal {
                     dir,
                     fsync,
                     file,
                     current_path: path,
+                    segment_start: 1,
                     next_seq: 1,
                     unsynced: 0,
+                    fsyncs,
                 },
                 Vec::new(),
             ));
@@ -138,7 +141,7 @@ impl Wal {
                         StorageError::io(format!("removing stale segment {}", stale.display()), e)
                     })?;
                 }
-                sync_dir(&dir)?;
+                sync_dir(&dir, &mut fsyncs)?;
                 break 'segments;
             }
             keep_through = idx;
@@ -161,12 +164,12 @@ impl Wal {
                     // Wrong sequence number: a tear that left stale bytes
                     // behind, or cross-segment inconsistency.  Same repair.
                     Ok(_) => {
-                        Wal::repair_tail(&dir, &segments, idx, path, valid_end)?;
+                        Wal::repair_tail(&dir, &segments, idx, path, valid_end, &mut fsyncs)?;
                         break 'segments;
                     }
                     Err(RecordError::Closed) => break,
                     Err(err) if err.is_tail_damage() => {
-                        Wal::repair_tail(&dir, &segments, idx, path, valid_end)?;
+                        Wal::repair_tail(&dir, &segments, idx, path, valid_end, &mut fsyncs)?;
                         break 'segments;
                     }
                     Err(RecordError::Io(e)) => {
@@ -185,7 +188,7 @@ impl Wal {
             }
         }
 
-        let current_path = segments[keep_through].1.clone();
+        let (segment_start, current_path) = segments[keep_through].clone();
         let file = OpenOptions::new()
             .append(true)
             .open(&current_path)
@@ -198,8 +201,10 @@ impl Wal {
                 fsync,
                 file,
                 current_path,
+                segment_start,
                 next_seq: expected,
                 unsynced: 0,
+                fsyncs,
             },
             records,
         ))
@@ -212,6 +217,7 @@ impl Wal {
         idx: usize,
         path: &Path,
         valid_end: u64,
+        fsyncs: &mut u64,
     ) -> Result<(), StorageError> {
         let file = OpenOptions::new()
             .write(true)
@@ -221,15 +227,20 @@ impl Wal {
             .map_err(|e| StorageError::io(format!("truncating {}", path.display()), e))?;
         file.sync_all()
             .map_err(|e| StorageError::io(format!("syncing {}", path.display()), e))?;
+        *fsyncs += 1;
         for (_, stale) in &segments[idx + 1..] {
             fs::remove_file(stale).map_err(|e| {
                 StorageError::io(format!("removing stale segment {}", stale.display()), e)
             })?;
         }
-        sync_dir(dir)
+        sync_dir(dir, fsyncs)
     }
 
-    fn create_segment(dir: &Path, start_seq: u64) -> Result<(File, PathBuf), StorageError> {
+    fn create_segment(
+        dir: &Path,
+        start_seq: u64,
+        fsyncs: &mut u64,
+    ) -> Result<(File, PathBuf), StorageError> {
         let path = dir.join(segment_name(start_seq));
         let file = OpenOptions::new()
             .create(true)
@@ -238,7 +249,8 @@ impl Wal {
             .map_err(|e| StorageError::io(format!("creating segment {}", path.display()), e))?;
         file.sync_all()
             .map_err(|e| StorageError::io(format!("syncing new segment {}", path.display()), e))?;
-        sync_dir(dir)?;
+        *fsyncs += 1;
+        sync_dir(dir, fsyncs)?;
         Ok((file, path))
     }
 
@@ -285,6 +297,7 @@ impl Wal {
         self.file
             .sync_data()
             .map_err(|e| StorageError::io("syncing WAL segment", e))?;
+        self.fsyncs += 1;
         self.unsynced = 0;
         Ok(())
     }
@@ -292,12 +305,17 @@ impl Wal {
     /// Seal the current segment and start a new one at the next sequence.
     ///
     /// Syncs the sealed segment and the directory before returning, so the
-    /// rotation itself is durable.
+    /// rotation itself is durable.  A no-op while the current segment holds
+    /// no record: it already starts at the next sequence.
     pub fn rotate(&mut self) -> Result<(), StorageError> {
+        if self.next_seq == self.segment_start {
+            return Ok(());
+        }
         self.sync()?;
-        let (file, path) = Wal::create_segment(&self.dir, self.next_seq)?;
+        let (file, path) = Wal::create_segment(&self.dir, self.next_seq, &mut self.fsyncs)?;
         self.file = file;
         self.current_path = path;
+        self.segment_start = self.next_seq;
         Ok(())
     }
 
@@ -318,7 +336,7 @@ impl Wal {
             }
         }
         if removed {
-            sync_dir(&self.dir)?;
+            sync_dir(&self.dir, &mut self.fsyncs)?;
         }
         Ok(())
     }
@@ -332,6 +350,12 @@ impl Wal {
     /// Sequence number the next append will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Fsyncs this log has issued since it was opened, the ones `open` made
+    /// included.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
     }
 
     /// Paths of all segment files, sorted by starting sequence (test/tooling
@@ -469,6 +493,35 @@ mod tests {
         assert_eq!(recovered, vec![(3, b"c".to_vec())]);
         assert_eq!(wal.next_seq(), 4);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotating_a_segment_without_records_is_a_no_op() {
+        let root = temp_dir("empty-rotate");
+        let dir = root.join("wal");
+        let (mut wal, _) = Wal::open(&dir, FsyncPolicy::Always).unwrap();
+        // The parents of `root` and `wal`, the new segment and its directory.
+        assert_eq!(wal.fsyncs(), 4);
+        wal.rotate().unwrap();
+        assert_eq!(wal.fsyncs(), 4);
+        assert_eq!(wal.segment_paths().unwrap().len(), 1);
+        wal.append(b"a").unwrap();
+        assert_eq!(wal.fsyncs(), 5);
+        // A segment with a record rotates: the sealed segment, the new one
+        // and the directory.
+        wal.rotate().unwrap();
+        assert_eq!(wal.fsyncs(), 8);
+        wal.rotate().unwrap();
+        assert_eq!(wal.fsyncs(), 8);
+        assert_eq!(wal.segment_paths().unwrap().len(), 2);
+        drop(wal);
+        // Reopened on its empty last segment, it does not rotate either.
+        let (mut wal, recovered) = Wal::open(&dir, FsyncPolicy::Always).unwrap();
+        assert_eq!(recovered, vec![(1, b"a".to_vec())]);
+        assert_eq!(wal.fsyncs(), 0);
+        wal.rotate().unwrap();
+        assert_eq!(wal.fsyncs(), 0);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

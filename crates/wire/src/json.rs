@@ -28,7 +28,7 @@ mod reader;
 mod writer;
 
 pub use reader::{hex_bytes, Decode, JsonReader, Kind, ObjectReader};
-pub use writer::{Encode, JsonWriter};
+pub use writer::{Encode, JsonWriter, CHUNK_BYTES};
 
 /// A parsed JSON value.
 ///

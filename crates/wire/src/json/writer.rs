@@ -4,11 +4,19 @@
 //! prints for the equivalent tree — same number spelling, same escapes, no
 //! whitespace — without building the tree: integers and floats are formatted
 //! in place, strings are copied in unescaped runs, hex goes out a nibble at a
-//! time.  The tree encoder stays as the byte-for-byte oracle the tests compare
-//! against.
+//! time.
+//!
+//! A writer either appends to a buffer that grows ([`JsonWriter::new`]) or
+//! streams ([`Encode::write_to`]): its bytes then pass through one chunk of
+//! at most [`CHUNK_BYTES`], handed to a sink each time it fills, so a
+//! document of any size costs one chunk of memory.  Both produce the same
+//! bytes.
 
 use std::fmt::{self, Write as _};
-use std::io::Write as _;
+use std::io;
+
+/// The most bytes a streaming writer holds before handing them to its sink.
+pub const CHUNK_BYTES: usize = 64 * 1024;
 
 /// A type with one canonical JSON spelling.
 pub trait Encode {
@@ -25,6 +33,26 @@ pub trait Encode {
         let mut out = Vec::new();
         self.encode_into(&mut out);
         out
+    }
+
+    /// Stream the encoding of `self` into `sink` through one chunk of at
+    /// most [`CHUNK_BYTES`]: `sink` sees full chunks and then the rest.
+    /// The first error `sink` returns ends the writes to it and is returned
+    /// once the encoding is done.
+    fn write_to(&self, sink: &mut dyn io::Write) -> io::Result<()> {
+        let mut chunk = Vec::with_capacity(CHUNK_BYTES);
+        let mut w = JsonWriter {
+            out: Out {
+                buf: &mut chunk,
+                limit: CHUNK_BYTES,
+                sink: Some(sink),
+                error: None,
+            },
+            comma: false,
+        };
+        self.encode(&mut w);
+        w.out.spill();
+        w.out.error.map_or(Ok(()), Err)
     }
 }
 
@@ -74,24 +102,116 @@ impl<T: Encode> Encode for Vec<T> {
     }
 }
 
-/// Appends JSON text to a byte buffer, inserting the commas itself.
+/// Where a writer's bytes go: a buffer that grows, or one chunk that is
+/// handed to the sink and emptied whenever the next bytes would not fit.
+struct Out<'a> {
+    buf: &'a mut Vec<u8>,
+    /// The most bytes `buf` holds: [`CHUNK_BYTES`] when streaming,
+    /// `usize::MAX` (never reached) when growing.
+    limit: usize,
+    sink: Option<&'a mut dyn io::Write>,
+    /// The first error the sink returned; what follows it is dropped.
+    error: Option<io::Error>,
+}
+
+impl Out<'_> {
+    #[inline]
+    fn push(&mut self, b: u8) {
+        if self.buf.len() == self.limit {
+            self.spill();
+        }
+        self.buf.push(b);
+    }
+
+    #[inline]
+    fn extend(&mut self, bytes: &[u8]) {
+        if bytes.len() <= self.limit - self.buf.len() {
+            self.buf.extend_from_slice(bytes);
+        } else {
+            self.extend_through_chunks(bytes);
+        }
+    }
+
+    /// Room for `n` more bytes without a spill in between, `n` at most
+    /// [`CHUNK_BYTES`].
+    #[inline]
+    fn room(&mut self, n: usize) {
+        if n > self.limit - self.buf.len() {
+            self.spill();
+        }
+    }
+
+    /// Capacity for `n` more bytes of a growing buffer; a chunk never grows.
+    #[inline]
+    fn reserve(&mut self, n: usize) {
+        if self.sink.is_none() {
+            self.buf.reserve(n);
+        }
+    }
+
+    #[cold]
+    fn extend_through_chunks(&mut self, mut bytes: &[u8]) {
+        loop {
+            let room = self.limit - self.buf.len();
+            if bytes.len() <= room {
+                self.buf.extend_from_slice(bytes);
+                return;
+            }
+            let (head, rest) = bytes.split_at(room);
+            self.buf.extend_from_slice(head);
+            self.spill();
+            bytes = rest;
+        }
+    }
+
+    /// Hand the chunk to the sink and empty it.
+    #[cold]
+    fn spill(&mut self) {
+        if let (Some(sink), None) = (&mut self.sink, &self.error) {
+            if let Err(err) = sink.write_all(self.buf) {
+                self.error = Some(err);
+            }
+        }
+        self.buf.clear();
+    }
+}
+
+impl fmt::Write for Out<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.extend(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Writes JSON text, inserting the commas itself.
 ///
 /// Containers are written through closures ([`JsonWriter::object`],
 /// [`JsonWriter::array`], [`JsonWriter::tuple`]), so brackets always pair
 /// up; that an object's members alternate [`JsonWriter::key`] and a value is
 /// left to the caller.
 pub struct JsonWriter<'a> {
-    out: &'a mut Vec<u8>,
+    out: Out<'a>,
     /// The next value or key needs a `,` before it.
     comma: bool,
 }
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
+/// Input bytes of a hex string written per [`Out::room`] check.
+const HEX_RUN: usize = 256;
+
 impl<'a> JsonWriter<'a> {
     /// A writer appending to `out`.
     pub fn new(out: &'a mut Vec<u8>) -> Self {
-        JsonWriter { out, comma: false }
+        JsonWriter {
+            out: Out {
+                buf: out,
+                limit: usize::MAX,
+                sink: None,
+                error: None,
+            },
+            comma: false,
+        }
     }
 
     fn value_start(&mut self) {
@@ -103,13 +223,12 @@ impl<'a> JsonWriter<'a> {
 
     pub fn null(&mut self) {
         self.value_start();
-        self.out.extend_from_slice(b"null");
+        self.out.extend(b"null");
     }
 
     pub fn bool(&mut self, b: bool) {
         self.value_start();
-        self.out
-            .extend_from_slice(if b { b"true" } else { b"false" });
+        self.out.extend(if b { b"true" } else { b"false" });
     }
 
     /// A JSON number: integral values below 1e15 print without a fraction,
@@ -118,18 +237,18 @@ impl<'a> JsonWriter<'a> {
     pub fn number(&mut self, n: f64) {
         self.value_start();
         if !n.is_finite() {
-            self.out.extend_from_slice(b"null");
+            self.out.extend(b"null");
         } else if n.fract() == 0.0 && n.abs() < 1e15 {
-            push_i64(self.out, n as i64);
+            push_i64(&mut self.out, n as i64);
         } else {
-            write!(self.out, "{n:?}").expect("writing to a Vec cannot fail");
+            write!(self.out, "{n:?}").expect("writing to a buffer cannot fail");
         }
     }
 
     pub fn string(&mut self, s: &str) {
         self.value_start();
         self.out.push(b'"');
-        push_escaped(self.out, s);
+        push_escaped(&mut self.out, s);
         self.out.push(b'"');
     }
 
@@ -137,7 +256,7 @@ impl<'a> JsonWriter<'a> {
     pub fn display(&mut self, value: impl fmt::Display) {
         self.value_start();
         self.out.push(b'"');
-        write!(Escaping(self.out), "{value}").expect("writing to a Vec cannot fail");
+        write!(Escaping(&mut self.out), "{value}").expect("writing to a buffer cannot fail");
         self.out.push(b'"');
     }
 
@@ -146,7 +265,7 @@ impl<'a> JsonWriter<'a> {
     pub fn u64_string(&mut self, n: u64) {
         self.value_start();
         self.out.push(b'"');
-        push_u64(self.out, n);
+        push_u64(&mut self.out, n);
         self.out.push(b'"');
     }
 
@@ -154,19 +273,27 @@ impl<'a> JsonWriter<'a> {
     pub fn i64_string(&mut self, n: i64) {
         self.value_start();
         self.out.push(b'"');
-        push_i64(self.out, n);
+        push_i64(&mut self.out, n);
         self.out.push(b'"');
     }
 
     /// `bytes` in lower-case hex as a JSON string.
     pub fn hex(&mut self, bytes: impl IntoIterator<Item = u8>) {
-        let bytes = bytes.into_iter();
+        let mut bytes = bytes.into_iter();
         self.value_start();
         self.out.reserve(2 * bytes.size_hint().0 + 2);
         self.out.push(b'"');
-        for b in bytes {
-            self.out.push(HEX_DIGITS[usize::from(b >> 4)]);
-            self.out.push(HEX_DIGITS[usize::from(b & 0xf)]);
+        loop {
+            self.out.room(2 * HEX_RUN);
+            let mut run = 0;
+            for b in bytes.by_ref().take(HEX_RUN) {
+                self.out.buf.push(HEX_DIGITS[usize::from(b >> 4)]);
+                self.out.buf.push(HEX_DIGITS[usize::from(b & 0xf)]);
+                run += 1;
+            }
+            if run < HEX_RUN {
+                break;
+            }
         }
         self.out.push(b'"');
     }
@@ -235,9 +362,9 @@ impl<'a> JsonWriter<'a> {
 }
 
 /// Routes formatted text through the string escaper.
-struct Escaping<'a>(&'a mut Vec<u8>);
+struct Escaping<'o, 'a>(&'o mut Out<'a>);
 
-impl fmt::Write for Escaping<'_> {
+impl fmt::Write for Escaping<'_, '_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         push_escaped(self.0, s);
         Ok(())
@@ -248,7 +375,7 @@ impl fmt::Write for Escaping<'_> {
 /// escaped, everything else (non-ASCII included) copied as it is.  The
 /// bytes that need escaping are all ASCII, so a byte scan never splits a
 /// multi-byte character.
-fn push_escaped(out: &mut Vec<u8>, s: &str) {
+fn push_escaped(out: &mut Out<'_>, s: &str) {
     let bytes = s.as_bytes();
     let mut run_start = 0;
     for (i, &b) in bytes.iter().enumerate() {
@@ -263,20 +390,22 @@ fn push_escaped(out: &mut Vec<u8>, s: &str) {
             0x00..=0x1f => b"",
             _ => continue,
         };
-        out.extend_from_slice(&bytes[run_start..i]);
+        out.extend(&bytes[run_start..i]);
         run_start = i + 1;
         if escape.is_empty() {
-            out.extend_from_slice(b"\\u00");
-            out.push(HEX_DIGITS[usize::from(b >> 4)]);
-            out.push(HEX_DIGITS[usize::from(b & 0xf)]);
+            out.extend(b"\\u00");
+            out.extend(&[
+                HEX_DIGITS[usize::from(b >> 4)],
+                HEX_DIGITS[usize::from(b & 0xf)],
+            ]);
         } else {
-            out.extend_from_slice(escape);
+            out.extend(escape);
         }
     }
-    out.extend_from_slice(&bytes[run_start..]);
+    out.extend(&bytes[run_start..]);
 }
 
-fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+fn push_u64(out: &mut Out<'_>, mut n: u64) {
     // u64::MAX has 20 decimal digits.
     let mut digits = [0u8; 20];
     let mut at = digits.len();
@@ -288,10 +417,10 @@ fn push_u64(out: &mut Vec<u8>, mut n: u64) {
             break;
         }
     }
-    out.extend_from_slice(&digits[at..]);
+    out.extend(&digits[at..]);
 }
 
-fn push_i64(out: &mut Vec<u8>, n: i64) {
+fn push_i64(out: &mut Out<'_>, n: i64) {
     if n < 0 {
         out.push(b'-');
     }
@@ -358,5 +487,84 @@ mod tests {
             written(|w| w.string("é\"\u{1}🚀\\\n\u{7f}z")),
             "\"é\\\"\\u0001🚀\\\\\\n\u{7f}z\""
         );
+    }
+
+    /// A document of many chunks: strings, hex and numbers straddle every
+    /// chunk boundary somewhere.
+    struct Big;
+
+    impl Encode for Big {
+        fn encode(&self, w: &mut JsonWriter<'_>) {
+            w.array(0..3_000u32, |w, i| {
+                w.object(|w| {
+                    w.field("s", &"é\"\u{1}🚀".repeat(i as usize % 7));
+                    w.key("h").hex((0..i % 300).map(|b| b as u8));
+                    w.key("n").number(f64::from(i) / 7.0);
+                    w.key("u").u64_string(u64::MAX - u64::from(i));
+                    w.key("d").display(format_args!("bits:{i:016x}"));
+                })
+            });
+        }
+    }
+
+    /// Records each write it is handed.
+    #[derive(Default)]
+    struct Sink {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl io::Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streaming_writes_the_same_bytes_a_chunk_at_a_time() {
+        let whole = Big.to_bytes();
+        assert!(whole.len() > 8 * CHUNK_BYTES, "{} bytes", whole.len());
+        let mut sink = Sink::default();
+        Big.write_to(&mut sink).unwrap();
+        assert!(sink.bytes == whole);
+        let (last, full) = sink.writes.split_last().unwrap();
+        // Hex runs spill a chunk that lacks room for a whole run.
+        let nearly_full = CHUNK_BYTES - 2 * HEX_RUN..=CHUNK_BYTES;
+        assert!(
+            full.iter().all(|n| nearly_full.contains(n)),
+            "{:?}",
+            sink.writes
+        );
+        assert!(*last <= CHUNK_BYTES);
+        // A string longer than a chunk passes through it too.
+        let long = "x\n".repeat(CHUNK_BYTES);
+        let mut sink = Sink::default();
+        long.write_to(&mut sink).unwrap();
+        assert!(sink.bytes == long.to_bytes());
+        assert!(sink.writes.iter().all(|&n| n <= CHUNK_BYTES));
+    }
+
+    #[test]
+    fn a_failing_sink_is_written_to_once_and_its_error_returned() {
+        struct Broken(usize);
+        impl io::Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Broken(0);
+        let err = Big.write_to(&mut sink).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(sink.0, 1);
     }
 }

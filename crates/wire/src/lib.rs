@@ -18,7 +18,9 @@
 //! * [`record`] — the frame layout extended with a CRC-32 checksum and a
 //!   monotone sequence number, for `dd-storage`'s write-ahead log and
 //!   checkpoint files: torn tails and bit flips decode to typed errors,
-//!   never to panics or silently-corrupt payloads.
+//!   never to panics or silently-corrupt payloads.  A payload can also be
+//!   streamed into its record ([`record::RecordStream`]), the header written
+//!   once the checksum and length are known.
 //!
 //! Nothing in this crate knows about snapshots or engines; it is pure bytes
 //! and values, which is what lets `dd-bench` depend on it without pulling in
@@ -31,6 +33,6 @@ pub mod record;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use json::Json;
 pub use record::{
-    crc32, encode_record, read_record, split_record, write_record, RecordError, MAX_PAYLOAD_BYTES,
+    crc32, encode_record, read_record, split_record, RecordError, RecordStream, MAX_PAYLOAD_BYTES,
     MAX_RECORD_BYTES,
 };

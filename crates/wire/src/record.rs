@@ -31,12 +31,10 @@
 //! layer only guarantees the number read is the number written.
 //!
 //! ```
-//! use dd_wire::record::{read_record, write_record, RecordError};
+//! use dd_wire::record::{encode_record, read_record, RecordError};
 //! use std::io::Cursor;
 //!
-//! let mut buf = Vec::new();
-//! write_record(&mut buf, 7, b"payload").unwrap();
-//! let mut stream = Cursor::new(buf);
+//! let mut stream = Cursor::new(encode_record(7, b"payload"));
 //! assert_eq!(read_record(&mut stream, 1024).unwrap(), (7, b"payload".to_vec()));
 //! assert!(matches!(read_record(&mut stream, 1024), Err(RecordError::Closed)));
 //! ```
@@ -50,7 +48,7 @@ use std::io::{self, ErrorKind, Read, Write};
 pub const MAX_RECORD_BYTES: usize = crate::frame::MAX_FRAME_BYTES;
 
 /// Hard ceiling on a single payload: the most the u32 length prefix can
-/// carry.  Writers enforce it ([`write_record`], and the storage layer's
+/// carry.  Writers enforce it ([`RecordStream`], and the storage layer's
 /// append/write paths with a typed error), which guarantees that any record a
 /// writer accepted can be read back by a reader whose cap is at least the
 /// containing file's size.
@@ -134,14 +132,19 @@ fn record_crc(seq_be: &[u8; 8], payload: &[u8]) -> u32 {
     !crc32_update(crc32_update(0xFFFF_FFFF, seq_be), payload)
 }
 
+/// The 16 header bytes of a record: payload length, checksum, sequence.
+fn header_bytes(len: usize, crc: u32, seq_be: [u8; 8]) -> [u8; RECORD_HEADER_BYTES] {
+    let mut header = [0u8; RECORD_HEADER_BYTES];
+    header[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    header[4..8].copy_from_slice(&crc.to_be_bytes());
+    header[8..].copy_from_slice(&seq_be);
+    header
+}
+
 /// The 16 header bytes of the record carrying `payload` under `seq`.
 fn record_header(seq: u64, payload: &[u8]) -> [u8; RECORD_HEADER_BYTES] {
     let seq_be = seq.to_be_bytes();
-    let mut header = [0u8; RECORD_HEADER_BYTES];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    header[4..8].copy_from_slice(&record_crc(&seq_be, payload).to_be_bytes());
-    header[8..].copy_from_slice(&seq_be);
-    header
+    header_bytes(payload.len(), record_crc(&seq_be, payload), seq_be)
 }
 
 /// Split a header into `(declared payload length, stored checksum, sequence
@@ -236,9 +239,8 @@ impl RecordError {
 
 /// Encode one record to a buffer: header then payload.
 ///
-/// Panics never; payloads longer than `u32::MAX` are refused by
-/// [`write_record`], and in-memory encoding of such a payload would already
-/// have failed to allocate.
+/// Callers refuse payloads longer than [`MAX_PAYLOAD_BYTES`] before they
+/// get here (the WAL's append does, with a typed error).
 pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
     buf.extend_from_slice(&record_header(seq, payload));
@@ -246,25 +248,87 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// Write one record: length, checksum, sequence, payload.
+/// The payload of one record, written as it is produced: the checksum and
+/// the length accumulate as the bytes pass through to `inner`, and
+/// [`RecordStream::header`] then gives the header the record needs in front
+/// — for a writer that wrote a placeholder there and patches it afterwards.
 ///
-/// Refuses payloads longer than [`MAX_PAYLOAD_BYTES`].  Does not flush or
-/// sync — the storage layer owns the fsync policy.  The payload is written
-/// from where it lies (a checkpoint is not copied behind its header first),
-/// so an unbuffered writer sees two writes; an appender that needs a record
-/// to reach the file in one uses [`encode_record`].
-pub fn write_record(writer: &mut impl Write, seq: u64, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_PAYLOAD_BYTES {
-        return Err(io::Error::new(
-            ErrorKind::InvalidInput,
-            format!(
-                "payload of {} bytes exceeds the u32 record prefix",
-                payload.len()
-            ),
-        ));
+/// A payload longer than its cap (at most [`MAX_PAYLOAD_BYTES`]) is
+/// refused: the write that would pass the cap fails before any of its bytes
+/// reach `inner`, and [`RecordStream::header`] reports
+/// [`RecordError::Oversized`].
+///
+/// ```
+/// use dd_wire::record::{encode_record, RecordStream, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES};
+/// use std::io::Write;
+///
+/// let mut file = vec![0u8; RECORD_HEADER_BYTES];
+/// let mut stream = RecordStream::new(&mut file, 7, MAX_PAYLOAD_BYTES);
+/// stream.write_all(b"pay").unwrap();
+/// stream.write_all(b"load").unwrap();
+/// let header = stream.header().unwrap();
+/// file[..RECORD_HEADER_BYTES].copy_from_slice(&header);
+/// assert_eq!(file, encode_record(7, b"payload"));
+/// ```
+#[derive(Debug)]
+pub struct RecordStream<W> {
+    inner: W,
+    seq_be: [u8; 8],
+    /// Running (un-finalized) CRC-32 over the sequence, then the payload.
+    crc: u32,
+    /// Payload bytes written, plus those of a refused write.
+    len: usize,
+    cap: usize,
+}
+
+impl<W: Write> RecordStream<W> {
+    /// The payload of the record `seq`, streamed into `inner`, refusing
+    /// payloads past `cap` bytes (at most [`MAX_PAYLOAD_BYTES`]).
+    pub fn new(inner: W, seq: u64, cap: usize) -> Self {
+        let seq_be = seq.to_be_bytes();
+        RecordStream {
+            inner,
+            seq_be,
+            crc: crc32_update(0xFFFF_FFFF, &seq_be),
+            len: 0,
+            cap: cap.min(MAX_PAYLOAD_BYTES),
+        }
     }
-    writer.write_all(&record_header(seq, payload))?;
-    writer.write_all(payload)
+
+    /// The header of the record the written payload makes, or
+    /// [`RecordError::Oversized`] if a write was refused.
+    pub fn header(&self) -> Result<[u8; RECORD_HEADER_BYTES], RecordError> {
+        if self.len > self.cap {
+            return Err(RecordError::Oversized {
+                declared: self.len,
+                max: self.cap,
+            });
+        }
+        Ok(header_bytes(self.len, !self.crc, self.seq_be))
+    }
+}
+
+impl<W: Write> Write for RecordStream<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if buf.len() > self.cap - self.len.min(self.cap) {
+            self.len = self.len.saturating_add(buf.len());
+            return Err(io::Error::new(
+                ErrorKind::InvalidInput,
+                format!(
+                    "payload of more than {} bytes exceeds the record cap",
+                    self.cap
+                ),
+            ));
+        }
+        let n = self.inner.write(buf)?;
+        self.crc = crc32_update(self.crc, &buf[..n]);
+        self.len += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Read one record, allocating at most `max_payload` bytes, verifying the
@@ -392,10 +456,9 @@ mod tests {
 
     #[test]
     fn records_round_trip_back_to_back() {
-        let mut buf = Vec::new();
-        write_record(&mut buf, 1, b"first").unwrap();
-        write_record(&mut buf, 2, b"").unwrap();
-        write_record(&mut buf, u64::MAX, "🚀 third".as_bytes()).unwrap();
+        let mut buf = encode_record(1, b"first");
+        buf.extend(encode_record(2, b""));
+        buf.extend(encode_record(u64::MAX, "🚀 third".as_bytes()));
         let mut stream = Cursor::new(buf);
         assert_eq!(
             read_record(&mut stream, 1024).unwrap(),
@@ -410,10 +473,32 @@ mod tests {
     }
 
     #[test]
-    fn encode_and_write_agree() {
-        let mut buf = Vec::new();
-        write_record(&mut buf, 42, b"same bytes").unwrap();
-        assert_eq!(buf, encode_record(42, b"same bytes"));
+    fn a_streamed_payload_makes_the_record_encode_record_makes() {
+        let payload: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut streamed = Vec::new();
+        let mut stream = RecordStream::new(&mut streamed, u64::MAX - 3, MAX_PAYLOAD_BYTES);
+        for piece in payload.chunks(333) {
+            stream.write_all(piece).unwrap();
+        }
+        let header = stream.header().unwrap();
+        streamed.splice(0..0, header);
+        assert_eq!(streamed, encode_record(u64::MAX - 3, &payload));
+    }
+
+    #[test]
+    fn a_stream_past_its_cap_is_refused_before_the_bytes_go_out() {
+        let mut out = Vec::new();
+        let mut stream = RecordStream::new(&mut out, 1, 10);
+        stream.write_all(b"0123456").unwrap();
+        assert!(stream.write_all(b"789a").is_err());
+        assert!(matches!(
+            stream.header(),
+            Err(RecordError::Oversized {
+                declared: 11,
+                max: 10
+            })
+        ));
+        assert_eq!(out, b"0123456");
     }
 
     #[test]

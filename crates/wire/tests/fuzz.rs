@@ -11,7 +11,7 @@ mod common;
 
 use common::SplitMix64;
 use dd_wire::record::RecordError;
-use dd_wire::{read_frame, read_record, write_frame, write_record, FrameError};
+use dd_wire::{encode_record, read_frame, read_record, write_frame, FrameError};
 use std::io::Cursor;
 
 /// A stream of a few valid frames with mixed payload sizes.
@@ -31,7 +31,7 @@ fn valid_records(rng: &mut SplitMix64) -> Vec<u8> {
     for seq in 1..=4u64 {
         let len = rng.below(200);
         let payload: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
-        write_record(&mut buf, seq, &payload).unwrap();
+        buf.extend(encode_record(seq, &payload));
     }
     buf
 }
@@ -108,10 +108,9 @@ fn truncation_at_every_length_yields_typed_errors() {
 
 #[test]
 fn mid_record_truncation_is_reported_as_truncated_not_closed() {
-    let mut buf = Vec::new();
-    write_record(&mut buf, 1, b"intact").unwrap();
+    let mut buf = encode_record(1, b"intact");
     let mark = buf.len();
-    write_record(&mut buf, 2, b"this one gets torn").unwrap();
+    buf.extend(encode_record(2, b"this one gets torn"));
     // Cut strictly inside the second record, at every possible boundary.
     for cut in mark + 1..buf.len() {
         let mut stream = Cursor::new(buf[..cut].to_vec());
@@ -130,13 +129,7 @@ fn mid_record_truncation_is_reported_as_truncated_not_closed() {
 #[test]
 fn single_bit_flips_in_record_payload_are_always_caught() {
     let mut rng = SplitMix64(0xBEEF);
-    let mut buf = Vec::new();
-    write_record(
-        &mut buf,
-        1,
-        b"the checksum window covers sequence and payload",
-    )
-    .unwrap();
+    let buf = encode_record(1, b"the checksum window covers sequence and payload");
     for _ in 0..500 {
         let mut damaged = buf.clone();
         let pos = rng.below(damaged.len());
