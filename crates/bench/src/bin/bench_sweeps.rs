@@ -114,9 +114,7 @@
 //! cheaper, noisier estimates.
 
 use dd_bench::secs;
-use dd_factorgraph::{
-    Factor, FactorGraph, FactorGraphBuilder, FlatGraph, GraphDelta, WeightChange,
-};
+use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, FlatGraph};
 use dd_grounding::{standard_udfs, KbcUpdate, Program};
 use dd_inference::{
     sigmoid, DistributionChange, GibbsSampler, Marginals, SampleMaterialization, SweepRng,
@@ -719,7 +717,7 @@ fn bench_grounding_cost(sizes: &[usize], reps: usize, entries: &mut Vec<Entry>) 
                     .expect("incremental insert batch")
             });
             insert_secs = insert_secs.min(start.elapsed().as_secs_f64());
-            assert_eq!(grounding.delta.new_variables.len(), GROUNDING_DELTA);
+            assert_eq!(grounding.new_variables.len(), GROUNDING_DELTA);
             assert_eq!(grounder.num_catalogued_variables(), n + GROUNDING_DELTA);
             allocs_per_binding = allocations as f64 / grounding.new_groundings as f64;
         }
@@ -913,14 +911,12 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
     let graph = fig5_graph(true);
     let materialization = SampleMaterialization::materialize(&graph, 4 * SAMPLES, 20, 7);
     let mut updated = graph.clone();
-    let delta = GraphDelta {
-        weight_changes: vec![WeightChange {
-            weight_id: 0,
-            new_value: updated.weight(0).value + 0.3,
-        }],
+    let old = updated.weight(0).value;
+    updated.set_weight_value(0, old + 0.3);
+    let change = DistributionChange {
+        changed_weights: vec![(0, old)],
         ..Default::default()
     };
-    let change = DistributionChange::apply_and_describe(&mut updated, &delta);
     let infer_allocations = |steps: usize| {
         let (outcome, allocations) =
             count_allocations(|| materialization.infer(&updated, &change, steps, 7));

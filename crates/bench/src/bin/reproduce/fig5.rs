@@ -6,7 +6,6 @@
 //!   (c) inference time vs sparsity of correlations.
 
 use dd_bench::{print_table, secs, timed};
-use dd_factorgraph::GraphDelta;
 use dd_inference::{
     DistributionChange, GibbsOptions, SampleMaterialization, StrawmanMaterialization,
     VariationalMaterialization, VariationalOptions,
@@ -62,9 +61,11 @@ pub fn run() {
     let variational = VariationalMaterialization::materialize(&g, &variational_opts());
     let mut rows = Vec::new();
     for &magnitude in &[0.0f64, 0.05, 0.3, 1.0, 3.0] {
-        let delta: GraphDelta = weight_perturbation(&g, 0.5, magnitude, 11);
         let mut updated = g.clone();
-        let change = DistributionChange::apply_and_describe(&mut updated, &delta);
+        let change = DistributionChange {
+            changed_weights: weight_perturbation(&mut updated, 0.5, magnitude, 11),
+            ..Default::default()
+        };
         let (outcome, t_samp) = timed(|| sampling.infer(&updated, &change, 1000, 3));
         let (_, t_var) =
             timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30, 3)));
@@ -105,9 +106,11 @@ pub fn run() {
         let sampling = SampleMaterialization::materialize(&g, 800, 60, 2);
         let variational = VariationalMaterialization::materialize(&g, &variational_opts());
         // a moderate change so the sampling approach actually works
-        let delta = weight_perturbation(&g, 0.5, 0.4, 17);
         let mut updated = g.clone();
-        let change = DistributionChange::apply_and_describe(&mut updated, &delta);
+        let change = DistributionChange {
+            changed_weights: weight_perturbation(&mut updated, 0.5, 0.4, 17),
+            ..Default::default()
+        };
         let (_, t_samp) = timed(|| sampling.infer(&updated, &change, 600, 3));
         let (_, t_var) =
             timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30, 3)));

@@ -5,20 +5,29 @@ use dd_inference::{GibbsOptions, LearnOptions, VariationalOptions};
 /// Configuration of a [`crate::DeepDive`] engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Gibbs options for full (Rerun) inference.
+    /// Gibbs options for full (Rerun) inference and for the materialization
+    /// chain.  The engine overwrites `gibbs.seed` with [`EngineConfig::seed`].
     pub gibbs: GibbsOptions,
-    /// Learning options for the initial run and for Rerun (cold start).
+    /// Learning options for the initial run and for Rerun (cold start).  The
+    /// engine overwrites `learn.seed` with [`EngineConfig::seed`].
     pub learn: LearnOptions,
     /// Number of samples stored by the sampling materialization (`S_M`).
     pub materialization_samples: usize,
     /// Number of chain steps requested at incremental-inference time (`S_I`).
     pub inference_samples: usize,
-    /// Options for the variational materialization (Algorithm 1).
+    /// Options for the variational materialization (Algorithm 1).  The
+    /// engine reads `burn_in`, `lambda`, `exact_solver_max_vars` and
+    /// `solver_iterations`; it never reads `seed` or `num_samples`: the
+    /// approximation is estimated from the one materialization chain's
+    /// `materialization_samples` rows, drawn on [`EngineConfig::seed`].  The
+    /// unread fields stay because the standalone
+    /// [`dd_inference::VariationalMaterialization::materialize`] reads them.
     pub variational: VariationalOptions,
     /// Probability threshold above which a fact is emitted into the output KB
     /// (the paper uses `p > 0.9` / `p > 0.95` in different places).
     pub fact_threshold: f64,
-    /// Random seed shared by the engine's samplers.
+    /// Random seed shared by the engine's samplers and its learner: it
+    /// replaces `gibbs.seed` and `learn.seed`.
     pub seed: u64,
     /// Has no effect: every engine samples on its calling thread.  The field
     /// is kept so existing configurations still compile; a change that may
@@ -60,7 +69,6 @@ impl EngineConfig {
             materialization_samples: 400,
             inference_samples: 300,
             variational: VariationalOptions {
-                num_samples: 200,
                 burn_in: 40,
                 ..Default::default()
             },

@@ -86,22 +86,10 @@ pub fn decompose(graph: &FactorGraph, active: &[bool]) -> Vec<DecompositionGroup
     groups
 }
 
-/// Convenience: mark all variables of the given relations as active and
-/// decompose.  This mirrors how the "interest area" is declared by relation
-/// name in DeepDive.
-pub fn decompose_by_relations(graph: &FactorGraph, relations: &[&str]) -> Vec<DecompositionGroup> {
-    let active: Vec<bool> = graph
-        .variables()
-        .iter()
-        .map(|v| relations.contains(&&*v.relation))
-        .collect();
-    decompose(graph, &active)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_factorgraph::{Factor, FactorGraphBuilder, Variable};
+    use dd_factorgraph::{Factor, FactorGraphBuilder};
 
     /// Chain v0 - v1 - v2 - v3 - v4 with v2 active: removing v2 splits the
     /// inactive variables into {v0, v1} and {v3, v4}, both with boundary {v2}.
@@ -158,23 +146,5 @@ mod tests {
         assert_eq!(groups.len(), 1);
         assert!(groups[0].active_boundary.is_empty());
         assert_eq!(groups[0].inactive.len(), 5);
-    }
-
-    #[test]
-    fn decompose_by_relation_names() {
-        let mut b = FactorGraphBuilder::new();
-        let w = b.tied_weight("w", 1.0, false);
-        let g = {
-            let mut g = b.graph().clone();
-            drop(b);
-            let a = g.add_variable(Variable::query(0).with_origin("HasSpouse", 0));
-            let x = g.add_variable(Variable::query(0).with_origin("MemberOf", 1));
-            g.add_factor(Factor::equal(w, a, x));
-            g
-        };
-        let groups = decompose_by_relations(&g, &["HasSpouse"]);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].inactive, vec![1]);
-        assert_eq!(groups[0].active_boundary, vec![0]);
     }
 }

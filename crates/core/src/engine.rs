@@ -30,8 +30,9 @@
 //! each timed once, for the round's report:
 //!
 //! 1. **ground** — the whole program (initial run), one Δ (an update, in
-//!    either mode), or nothing (refresh).  A Δ that retracts structure drops
-//!    the materialization here.
+//!    either mode), or nothing (refresh).  A Δ that retracts anything —
+//!    removes structure or un-pins evidence — drops the materialization
+//!    here.
 //! 2. **describe + accumulate** — the round's [`DistributionChange`] decides
 //!    the §3.3 strategy and whether the model needs learning, and joins the
 //!    change accumulated since the materialization was taken.  This does not
@@ -52,14 +53,13 @@
 //! A round that grounds therefore publishes: the only errors after the
 //! ground stage are the publish's own invariant checks.
 //!
-//! **The grounder describes what it did.**  Incremental grounding changes
+//! **The grounder reports what it did.**  Incremental grounding changes
 //! the engine's graph in place, through the binding path full grounding
-//! uses, and reports the change as a [`dd_factorgraph::GraphDelta`] read
-//! off what it did (removals as they ran, additions off the graph's tail)
-//! together with the ids it assigned and the roles it replaced
-//! ([`dd_grounding::IncrementalGrounding`]); the description is built from
-//! that report ([`DistributionChange::from_applied`]).  The engine never
-//! copies its graph, and no delta is ever applied to it.
+//! uses, and reports the change it applied
+//! ([`dd_grounding::IncrementalGrounding`]): the id ranges it appended, the
+//! evidence it newly pinned, and whether it retracted anything.  The round's
+//! [`DistributionChange`] is written from that report; the engine never
+//! copies its graph.
 
 use crate::builder::DeepDiveBuilder;
 use crate::config::EngineConfig;
@@ -233,7 +233,7 @@ enum Ground<'a> {
 struct Grounded {
     /// This round's own distribution change.
     change: DistributionChange,
-    /// The Δ removed structure or withdrew supervision.
+    /// The Δ removed structure, un-pinned evidence or withdrew supervision.
     has_retraction: bool,
     /// What the round reports as new.
     new_variables: usize,
@@ -612,27 +612,29 @@ impl DeepDive {
 
         self.compiled = None;
         let grounding = self.grounder.ground_incremental(update)?;
-        let delta = grounding.delta;
 
         // Retraction compacts the factor graph in place (swap-remove), so any
         // stored materialization — samples and approximate factorization alike
-        // — is keyed by variable/weight ids that no longer mean the same thing.
-        // It is dropped, and rounds are served by full Gibbs until the next
-        // one is built.
-        let has_retraction = delta.has_removals() || !update.retracted_supervision.is_empty();
+        // — is keyed by variable/weight ids that no longer mean the same thing;
+        // an un-pinned variable has stored samples drawn while it was pinned,
+        // which no `DistributionChange` can correct.  Either way the
+        // materialization is dropped, and rounds are served by full Gibbs
+        // until the next one is built.  A supervision retraction counts even
+        // when it un-pinned nothing.
+        let has_retraction = grounding.retracted || !update.retracted_supervision.is_empty();
         if has_retraction {
             self.materialized = None;
         }
 
         Ok(Grounded {
-            new_variables: delta.new_variables.len(),
-            new_factors: delta.new_factors.len(),
-            change: DistributionChange::from_applied(
-                &delta,
-                grounding.new_variable_ids,
-                grounding.new_factor_ids,
-                &grounding.previous_roles,
-            ),
+            new_variables: grounding.new_variables.len(),
+            new_factors: grounding.new_factors.len(),
+            change: DistributionChange {
+                new_factors: grounding.new_factors.collect(),
+                changed_weights: Vec::new(),
+                new_evidence: grounding.new_evidence,
+                new_variables: grounding.new_variables.collect(),
+            },
             has_retraction,
         })
     }
@@ -1492,6 +1494,61 @@ mod tests {
         let flat = published_exactly(&dd);
         assert_eq!(flat.static_query_variables().len(), 1);
         assert!(!flat.coupled_query_variables().is_empty());
+    }
+
+    #[test]
+    fn a_round_that_only_unpins_drops_the_materialization() {
+        // Deleting the row a label came from un-pins its head without
+        // removing a factor or a variable.  No `DistributionChange` can
+        // describe an un-pin, so MH over samples drawn while the variable was
+        // pinned would keep publishing it at 1.0: the round must drop the
+        // materialization and run full Gibbs instead.
+        let program = parse_program(
+            "relation Claim(doc: int, id: int) base.\n\
+             relation Pos(doc: int, id: int) base.\n\
+             relation Link(doc: int, a: int, b: int) base.\n\
+             relation Fact(doc: int, id: int) variable.\n\
+             relation Rel(doc: int, a: int, b: int) variable.\n\
+             rule F feature: Fact(doc, id) :- Claim(doc, id) weight = 0.3.\n\
+             rule SP supervision+: Fact(doc, id) :- Claim(doc, id), Pos(doc, id).\n\
+             rule C inference: Rel(doc, a, b) :- Link(doc, a, b), Fact(doc, a) weight = 2.0.\n",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        program.create_schema(&mut db);
+        for doc in 0..20i64 {
+            for id in 0..3i64 {
+                db.insert("Claim", tuple![doc, id]).unwrap();
+                db.insert("Link", tuple![doc, id, (id + 1) % 3]).unwrap();
+            }
+            db.insert("Pos", tuple![doc, 0i64]).unwrap();
+        }
+        let mut dd = DeepDive::builder()
+            .program(program)
+            .database(db)
+            .udfs(standard_udfs())
+            .config(EngineConfig::fast())
+            .build()
+            .unwrap();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        let fact = tuple![5i64, 0i64];
+        assert_eq!(dd.probability_of("Fact", &fact), Some(1.0));
+
+        let mut update = KbcUpdate::new();
+        update.delete("Pos", fact.clone());
+        let before = dd.graph().stats();
+        let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
+        let after = dd.graph().stats();
+        assert_eq!(
+            (after.num_variables, after.num_factors),
+            (before.num_variables, before.num_factors),
+            "nothing was removed"
+        );
+        assert_eq!(report.acceptance_rate, None, "served by full Gibbs");
+        assert!(dd.materialization().is_none());
+        let p = dd.probability_of("Fact", &fact).unwrap();
+        assert!(p < 0.95, "the un-pinned variable is published at {p}");
     }
 
     #[test]

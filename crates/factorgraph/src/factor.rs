@@ -133,6 +133,32 @@ impl Factor {
         }
     }
 
+    /// Point every reference to variable `from` at `to` instead.
+    pub(crate) fn rename_variable(&mut self, from: VarId, to: VarId) {
+        let rename = |v: &mut VarId| {
+            if *v == from {
+                *v = to;
+            }
+        };
+        match &mut self.kind {
+            FactorKind::Conjunction(lits) => lits.iter_mut().for_each(|l| rename(&mut l.var)),
+            FactorKind::Imply { body, head } => body
+                .iter_mut()
+                .chain(std::iter::once(head))
+                .for_each(|l| rename(&mut l.var)),
+            FactorKind::Equal(a, b) => {
+                rename(a);
+                rename(b);
+            }
+            FactorKind::IsTrue(v) => rename(v),
+            FactorKind::Aggregate {
+                head, groundings, ..
+            } => std::iter::once(head)
+                .chain(groundings.iter_mut().flatten())
+                .for_each(|l| rename(&mut l.var)),
+        }
+    }
+
     /// Number of variable slots (arity) of the factor.
     pub fn arity(&self) -> usize {
         self.variables().len()

@@ -1,8 +1,8 @@
 //! The compiled, flat inference representation of a factor graph.
 //!
-//! [`crate::FactorGraph`] is the *mutable build/delta* representation: grounding
-//! appends to it, [`crate::GraphDelta`] mutates it, learning rewrites its
-//! weights.  Its layout is pointer-rich (jagged adjacency, per-factor
+//! [`crate::FactorGraph`] is the *mutable* representation: grounding appends
+//! to it, incremental grounding also removes from it and re-pins its
+//! variables, learning rewrites its weights.  Its layout is pointer-rich (jagged adjacency, per-factor
 //! `Vec<Lit>`, `factor → weight_id → weights[w].value` double indirection),
 //! which is exactly what a Gibbs sweep — the hot loop behind every figure of
 //! the paper — should not be chasing.
@@ -30,9 +30,10 @@
 //! the coupled variables and read the static ones' marginals off
 //! [`FlatGraph::static_p_true`].
 //!
-//! After applying a [`crate::GraphDelta`] recompile; after a learning step that
-//! only moved weight values, [`FlatGraph::refresh_weights`] updates the cached
-//! values in place without rebuilding the topology.
+//! After a change to the graph's structure or roles recompile; after a
+//! learning step that only moved weight values,
+//! [`FlatGraph::refresh_weights`] updates the cached values in place without
+//! rebuilding the topology.
 
 use crate::factor::{FactorId, FactorKind, Lit};
 use crate::graph::FactorGraph;

@@ -1,8 +1,7 @@
 //! The factor graph: variables, weights, factors, and adjacency.
 
-use crate::delta::GraphDelta;
 use crate::factor::{Factor, FactorId, FactorKind};
-use crate::variable::{VarId, Variable, VariableRole};
+use crate::variable::{VarId, Variable};
 use crate::weight::{Weight, WeightId};
 use crate::world::{World, WorldView};
 use std::collections::HashMap;
@@ -154,11 +153,6 @@ impl FactorGraph {
 
     pub fn weights(&self) -> &[Weight] {
         &self.weights
-    }
-
-    /// Current value of the weight attached to a factor.
-    pub fn factor_weight_value(&self, f: FactorId) -> f64 {
-        self.weights[self.factors[f].weight_id].value
     }
 
     /// Set a weight's value (used by learning).
@@ -332,7 +326,7 @@ impl FactorGraph {
     /// adjacency entry pointing at its old id is patched (lists stay sorted).
     /// Returns the *previous* id of the moved factor (`Some(old_last)`), or
     /// `None` if the removed factor was itself last — callers that track
-    /// factors by id (the grounder, delta replay) use this to follow the move.
+    /// factors by id (the grounder) use this to follow the move.
     pub fn remove_factor(&mut self, f: FactorId) -> Option<FactorId> {
         assert!(f < self.factors.len(), "remove_factor: unknown factor {f}");
         let mut vars = self.factors[f].variables();
@@ -387,23 +381,10 @@ impl FactorGraph {
         }
         // The variable formerly at `last` now lives at `v`.
         self.variables[v].id = v;
-        let adj: Vec<FactorId> = self.adjacency[v].clone();
-        for f in adj {
-            crate::delta::remap_factor_vars(&mut self.factors[f], &|slot| {
-                if slot == last {
-                    v
-                } else {
-                    slot
-                }
-            });
+        for &f in &self.adjacency[v] {
+            self.factors[f].rename_variable(last, v);
         }
         Some(last)
-    }
-
-    /// Apply a [`GraphDelta`], returning the ids of the newly created variables
-    /// and factors.  See [`GraphDelta::apply`] for the semantics of each change.
-    pub fn apply_delta(&mut self, delta: &GraphDelta) -> (Vec<VarId>, Vec<FactorId>) {
-        delta.apply(self)
     }
 
     /// Marginal-style helper: exact probability that variable `v` is true,
@@ -477,15 +458,6 @@ impl FactorGraphBuilder {
     /// Add a factor.
     pub fn add_factor(&mut self, factor: Factor) -> FactorId {
         self.graph.add_factor(factor)
-    }
-
-    /// Change a variable's role (e.g. turn a query variable into evidence).
-    pub fn set_role(&mut self, v: VarId, role: VariableRole) {
-        let var = self.graph.variable_mut(v);
-        var.role = role;
-        if let Some(val) = role.fixed_value() {
-            var.initial_value = val;
-        }
     }
 
     /// Finish building.

@@ -16,11 +16,8 @@
 //!   and graph statistics;
 //! * [`FlatGraph`] — the compiled, read-only representation the samplers run
 //!   on: CSR adjacency, flat literal arenas, pre-resolved weight values, and
-//!   single-pass energy deltas (see the [`flat`] module docs);
-//! * [`GraphDelta`] — the (ΔV, ΔF) object produced by incremental grounding and
-//!   consumed by incremental inference (paper §3.2).
+//!   single-pass energy deltas (see the [`flat`] module docs).
 
-pub mod delta;
 pub mod factor;
 pub mod flat;
 pub mod graph;
@@ -29,7 +26,6 @@ pub mod variable;
 pub mod weight;
 pub mod world;
 
-pub use delta::{DeltaFactor, EvidenceChange, GraphDelta, NewVarRef, NewWeightRef, WeightChange};
 pub use factor::{Factor, FactorId, FactorKind, Lit};
 pub use flat::FlatGraph;
 pub use graph::{FactorGraph, FactorGraphBuilder, GraphStats};

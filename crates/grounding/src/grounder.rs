@@ -13,8 +13,8 @@ use crate::error::{GroundingError, ProgramError};
 use crate::program::{Program, RelationRole};
 use crate::udf::UdfRegistry;
 use dd_factorgraph::{
-    EvidenceChange, Factor, FactorGraph, FactorId, FactorKind, Lit, RelName, Semantics, VarId,
-    Variable, VariableRole, Weight, WeightId,
+    Factor, FactorGraph, FactorId, FactorKind, Lit, RelName, Semantics, VarId, Variable,
+    VariableRole, Weight, WeightId,
 };
 use dd_relstore::hash::RowMap;
 use dd_relstore::view::Term;
@@ -623,14 +623,6 @@ impl Grounder {
         self.weight_catalog.get(description).copied()
     }
 
-    /// Number of distinct bindings grounded for a rule so far.
-    pub fn groundings_of(&self, rule: &str) -> usize {
-        self.grounded_bindings
-            .get(rule)
-            .map(|s| s.len())
-            .unwrap_or(0)
-    }
-
     /// The support record of one grounded binding, if any.
     pub fn grounding_record(&self, rule: &str, binding: &Tuple) -> Option<&GroundingRecord> {
         self.grounded_bindings.get(rule)?.get(binding)
@@ -889,15 +881,9 @@ impl Grounder {
     /// labels from supervision-rule groundings that arrive later (including a
     /// from-scratch rebuild replaying the same updates) are recorded with
     /// `label: None` and never pin the variable.  Existing label-carrying
-    /// records have their label taken and the usage counters decremented; if
-    /// the variable's implied role changes, it is updated in place and the
-    /// corresponding [`EvidenceChange`] is returned so callers can replay the
-    /// transition through a [`dd_factorgraph::GraphDelta`].
-    pub fn apply_supervision_retraction(
-        &mut self,
-        relation: &str,
-        tuple: &Tuple,
-    ) -> Vec<EvidenceChange> {
+    /// records have their label taken and the usage counters decremented,
+    /// and the variable takes the role its remaining labels imply, in place.
+    pub fn apply_supervision_retraction(&mut self, relation: &str, tuple: &Tuple) {
         let slot = self.catalog.intern(relation);
         let (head_relation, vars) = self.catalog.relation_and_vars(slot);
         head_relation.suppressed.insert(tuple.clone());
@@ -924,19 +910,12 @@ impl Grounder {
         }
 
         let Some(&var) = head_relation.vars.get(tuple) else {
-            return Vec::new();
+            return;
         };
         let usage = &mut vars.usage[var];
         usage.pos_labels -= pos_cleared;
         usage.neg_labels -= neg_cleared;
-        let v = self.graph.variable_mut(var);
-        match usage.apply_role(v) {
-            Some(_) => vec![EvidenceChange {
-                var,
-                new_role: v.role,
-            }],
-            None => Vec::new(),
-        }
+        usage.apply_role(self.graph.variable_mut(var));
     }
 
     // ------------------------------------------------------------- persistence

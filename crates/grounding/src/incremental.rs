@@ -7,8 +7,7 @@
 //! inference consumes:
 //!
 //! 1. supervision retractions are applied first: the head joins the grounder's
-//!    sticky suppression set, existing labels are un-pinned, and the evidence
-//!    transition is recorded in the delta;
+//!    sticky suppression set and existing labels are un-pinned;
 //! 2. base-relation deltas are cascaded through the candidate-mapping rules as
 //!    signed multiplicities (Z-sets).  Each rule's materialized view runs a
 //!    DRed-style distinct refresh ([`dd_relstore::MaterializedView::refresh_dred`]); a
@@ -26,14 +25,11 @@
 //!    rules first, then brand-new rules in full against the post-update
 //!    database — so a new rule reading a variable relation sees the heads
 //!    this update grounded, as a from-scratch grounding would;
-//! 5. the grounder *describes* what it did as a [`GraphDelta`]: the removals
-//!    as it ran them, the additions read off the graph's tail past the
-//!    post-removal mark ([`GraphDelta::describe_tail`]), then the evidence
-//!    transitions of every variable whose label counts changed.  Replayed on
-//!    a clone of the pre-update graph the delta reproduces the post-update
-//!    graph id-exactly, but nobody needs that replay to learn what happened:
-//!    the report carries the ids the graph assigned and the role each
-//!    re-labelled variable held before (see [`IncrementalGrounding`]).
+//! 5. every variable whose label counts changed gets the role its counters
+//!    imply, and the grounder *reports* what it did
+//!    ([`IncrementalGrounding`]): the id ranges it appended past the
+//!    post-removal mark, the evidence it newly pinned, and whether it
+//!    retracted anything — exactly what §3.2's inference reads.
 //!
 //! A deletion is never silently dropped: retracting a grounding the grounder
 //! has no record of, or driving a binding's derivation support negative, is a
@@ -48,10 +44,11 @@ use crate::ast::{Rule, RuleKind};
 use crate::catalog::VarKey;
 use crate::error::{GroundingError, ProgramError};
 use crate::grounder::{Grounder, RuleTemplate};
-use dd_factorgraph::{EvidenceChange, FactorId, GraphDelta, VarId, VariableRole};
+use dd_factorgraph::{FactorId, VarId, VariableRole};
 use dd_relstore::{DeltaRelation, ExecStats, Tuple};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One update to a KBC system: data changes, supervision retractions, and/or
@@ -112,20 +109,21 @@ impl KbcUpdate {
     }
 }
 
-/// Outcome of one incremental grounding run.
+/// Outcome of one incremental grounding run: the change it applied to the
+/// grounder's graph, (ΔV, ΔF) in the terms §3.2's inference reads.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalGrounding {
-    /// What the run did to the grounder's graph, as a delta.  Replaying it
-    /// on a clone of the pre-update graph reproduces the post-update graph
-    /// id-exactly, removals included.
-    pub delta: GraphDelta,
-    /// The ids the grounder's graph gave `delta.new_variables`, in order.
-    pub new_variable_ids: Vec<VarId>,
-    /// The ids the grounder's graph gave `delta.new_factors`, in order.
-    pub new_factor_ids: Vec<FactorId>,
-    /// For each of `delta.evidence_changes`, in order, the role the variable
-    /// held in the pre-update graph (`Query` when this update created it).
-    pub previous_roles: Vec<VariableRole>,
+    /// The variables the run appended (after its removals), as an id range.
+    pub new_variables: Range<VarId>,
+    /// The factors the run appended (after its removals), as an id range.
+    pub new_factors: Range<FactorId>,
+    /// `(variable, value)` for every variable the run pinned to a value its
+    /// `(relation, tuple)` was not pinned to before — a variable the run
+    /// created counts as not pinned before — in `(relation, tuple)` order.
+    pub new_evidence: Vec<(VarId, bool)>,
+    /// True if the run retracted anything: it removed a factor or a
+    /// variable, or returned an evidence variable to `Query`.
+    pub retracted: bool,
     /// Number of new groundings (factors or labels) produced.
     pub new_groundings: usize,
     /// Number of groundings whose support reached zero and whose artifacts
@@ -138,23 +136,21 @@ pub struct IncrementalGrounding {
     pub rows_probed: u64,
 }
 
-/// The removals of one retraction sweep, in the order they ran.
+/// What one retraction sweep removed.
 #[derive(Default)]
 struct Retracted {
-    factors: Vec<FactorId>,
-    variables: Vec<VarId>,
+    factors: usize,
+    variables: usize,
     groundings: usize,
 }
 
 impl Grounder {
     /// Remove one factor from the graph, keeping ownership bookkeeping and
-    /// weight refcounts current across the `swap_remove` move, and record the
-    /// removal op for replay.
-    fn retract_factor(&mut self, fid: FactorId, ops: &mut Vec<FactorId>) {
+    /// weight refcounts current across the `swap_remove` move.
+    fn retract_factor(&mut self, fid: FactorId) {
         let weight_id = self.graph.factor(fid).weight_id;
         let moved = self.graph.remove_factor(fid);
         self.factor_owners.swap_remove(fid);
-        ops.push(fid);
         if moved.is_some() {
             // The factor formerly last now lives at `fid`: re-point its record.
             let (rule, binding) = &self.factor_owners[fid];
@@ -307,7 +303,8 @@ impl Grounder {
 
                 let (head, referenced) = self.record_vars(template, binding);
                 if let Some(fid) = record.factor {
-                    self.retract_factor(fid, &mut retracted.factors);
+                    self.retract_factor(fid);
+                    retracted.factors += 1;
                 }
                 let vars = &mut self.catalog.vars;
                 for var in referenced {
@@ -342,16 +339,15 @@ impl Grounder {
         dead_vars.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
         dead_vars.dedup();
         let dead_var_keys: Vec<VarKey> = dead_vars.iter().map(|&var| keys[var].clone()).collect();
-        retracted.variables = dead_var_keys
-            .iter()
-            .filter_map(|key| self.catalog.remove(key, &mut self.graph))
-            .collect();
+        for key in &dead_var_keys {
+            retracted.variables += usize::from(self.catalog.remove(key, &mut self.graph).is_some());
+        }
         Ok(retracted)
     }
 
     /// Incrementally ground an update, mutating the database, the catalogs, and
-    /// the factor graph, and returning the [`GraphDelta`] that describes the
-    /// change plus statistics.
+    /// the factor graph, and reporting the change applied to the graph plus
+    /// statistics.
     pub fn ground_incremental(
         &mut self,
         update: &KbcUpdate,
@@ -377,12 +373,10 @@ impl Grounder {
             .collect::<Result<Vec<_>, _>>()?;
 
         // ---- 0. supervision retractions (sticky suppression + un-pinning).
-        // The graph is mutated in place; the evidence transitions themselves
-        // are emitted by the final evidence pass, once every removal and
-        // addition has settled the variable ids, so the replayed delta applies
-        // them to the right (post-compaction) variables.
-        // Each forced key remembers the role its variable held before the
-        // first un-pinning, for the report of previous roles.
+        // The graph is mutated in place; the evidence pass reports the
+        // transitions once every removal and addition has settled the
+        // variable ids.  Each forced key remembers the role its variable held
+        // before the first un-pinning.
         let mut forced_evidence: BTreeMap<VarKey, VariableRole> = BTreeMap::new();
         for (relation, tuple) in &update.retracted_supervision {
             let slot = self.catalog.intern(relation);
@@ -439,11 +433,7 @@ impl Grounder {
         // post-removal graph, then brand-new rules in full against the
         // post-update database.  Labelled heads are collected for the
         // evidence pass; the graph keeps them `Query` until then.
-        let since = (
-            self.graph.num_variables(),
-            self.graph.num_weights(),
-            self.graph.num_factors(),
-        );
+        let since = (self.graph.num_variables(), self.graph.num_factors());
         let mut labelled: Vec<VarId> = Vec::new();
         let mut new_groundings = 0;
         for (template, delta) in &rule_deltas {
@@ -472,38 +462,41 @@ impl Grounder {
             }
         }
 
-        // ---- 5. describe: the removals as they ran, the additions off the
-        // graph's tail (new variables still `Query`), then the evidence pass —
-        // every variable whose label counts changed (or whose supervision was
-        // forcibly retracted) gets the role its counters imply.  Forced keys
-        // emit unconditionally: their in-place role was already updated in
-        // phase 0, but a replayed delta still needs the transition.
-        let mut delta = GraphDelta::describe_tail(&self.graph, since);
-        delta.removed_factors = retracted.factors;
-        delta.removed_variables = retracted.variables;
+        // ---- 5. the evidence pass: every variable whose label counts changed
+        // (or whose supervision was forcibly retracted) gets the role its
+        // counters imply, in key order.  A forced key's role was already
+        // updated in phase 0, so its previous role is the one it remembered.
         let keys = &self.catalog.vars.keys;
         label_dirty.extend(labelled.into_iter().map(|var| keys[var].clone()));
-        let mut previous_roles = Vec::new();
+        let mut new_evidence = Vec::new();
+        let mut unpinned = false;
         let dirty: BTreeSet<&VarKey> = label_dirty.iter().chain(forced_evidence.keys()).collect();
         for key in dirty {
             let Some(var) = self.catalog.get_key(key) else {
                 continue;
             };
             let changed = self.catalog.vars.usage[var].apply_role(self.graph.variable_mut(var));
-            if let Some(previous) = forced_evidence.get(key).copied().or(changed) {
-                previous_roles.push(previous);
-                delta.evidence_changes.push(EvidenceChange {
-                    var,
-                    new_role: self.graph.variable(var).role,
-                });
+            let Some(previous) = forced_evidence.get(key).copied().or(changed) else {
+                continue;
+            };
+            // A variable this run created counts as not pinned before.
+            let before = if var < since.0 {
+                previous.fixed_value()
+            } else {
+                None
+            };
+            match self.graph.variable(var).fixed_value() {
+                Some(value) if before != Some(value) => new_evidence.push((var, value)),
+                Some(_) => {}
+                None => unpinned |= before.is_some(),
             }
         }
 
         Ok(IncrementalGrounding {
-            delta,
-            new_variable_ids: (since.0..self.graph.num_variables()).collect(),
-            new_factor_ids: (since.2..self.graph.num_factors()).collect(),
-            previous_roles,
+            new_variables: since.0..self.graph.num_variables(),
+            new_factors: since.1..self.graph.num_factors(),
+            new_evidence,
+            retracted: retracted.factors + retracted.variables > 0 || unpinned,
             new_groundings,
             retracted_groundings: retracted.groundings,
             rows_probed: stats.rows_probed,
@@ -674,6 +667,7 @@ mod tests {
         let mut g = grounded();
         let vars_before = g.graph().num_variables();
         let factors_before = g.graph().num_factors();
+        let weights_before = g.graph().num_weights();
 
         // A new document with a new person pair arrives.
         let mut update = KbcUpdate::new();
@@ -690,8 +684,11 @@ mod tests {
         // The candidate pair (20, 21) is derived and the MarriedMentions variable
         // plus its FE1 factor are created.
         assert_eq!(inc.new_groundings, 1);
+        assert_eq!(inc.new_variables, vars_before..vars_before + 1);
+        assert_eq!(inc.new_factors, factors_before..factors_before + 1);
         assert_eq!(g.graph().num_variables(), vars_before + 1);
         assert_eq!(g.graph().num_factors(), factors_before + 1);
+        assert!(!inc.retracted);
         assert!(g
             .database()
             .table("MarriedCandidate")
@@ -701,7 +698,7 @@ mod tests {
             .variable_for("MarriedMentions", &tuple![20i64, 21i64])
             .is_some());
         // The "and his wife" weight is shared with the original grounding.
-        assert!(inc.delta.new_weights.is_empty());
+        assert_eq!(g.graph().num_weights(), weights_before);
 
         // The drainable catalog delta — the publish dirty-set — names exactly
         // the grown relation and carries its new entry (on top of the
@@ -778,12 +775,13 @@ mod tests {
         update.add_rule(s1);
         let inc = g.ground_incremental(&update).unwrap();
 
-        assert_eq!(inc.delta.evidence_changes.len(), 1);
         assert_eq!(g.graph().stats().num_evidence_variables, 1);
         let v = g
             .variable_for("MarriedMentions", &tuple![10i64, 11i64])
             .unwrap();
         assert_eq!(g.graph().variable(v).fixed_value(), Some(true));
+        assert_eq!(inc.new_evidence, vec![(v, true)]);
+        assert!(!inc.retracted);
     }
 
     #[test]
@@ -803,7 +801,7 @@ mod tests {
         update.add_rule(fe2);
         let inc = g.ground_incremental(&update).unwrap();
 
-        assert!(inc.delta.introduces_new_features());
+        assert_eq!(inc.new_factors.len(), 1);
         assert_eq!(g.graph().num_weights(), weights_before + 1);
         assert_eq!(inc.new_groundings, 1);
         assert!(g.weight_for("FE2::rule").is_some());
@@ -818,8 +816,7 @@ mod tests {
         update.delete("PersonCandidate", tuple![1i64, 11i64, "Michelle"]);
         let inc = g.ground_incremental(&update).unwrap();
         assert_eq!(inc.retracted_groundings, 1);
-        assert_eq!(inc.delta.removed_factors.len(), 1);
-        assert_eq!(inc.delta.removed_variables.len(), 1);
+        assert!(inc.retracted);
         // The grounding, its factor, and the now-unreferenced variable are gone.
         assert_eq!(g.graph().num_factors(), 0);
         assert_eq!(g.graph().num_variables(), 0);
@@ -892,30 +889,7 @@ mod tests {
         assert_eq!(inc.retracted_groundings, 1);
         assert_eq!(g.graph().num_variables(), baseline.num_variables());
         assert_eq!(g.graph().num_factors(), baseline.num_factors());
-        // Zero full-rebuild fallbacks: the delta alone replays the transition.
-        assert!(inc.delta.has_removals());
-    }
-
-    #[test]
-    fn retraction_delta_replays_id_exact_on_the_graph_before_the_update() {
-        let mut g = grounded();
-        let mut grow = KbcUpdate::new();
-        grow.insert(
-            "Sentence",
-            tuple![2i64, "George and his wife Laura were married"],
-        )
-        .insert("PersonCandidate", tuple![2i64, 20i64, "George"])
-        .insert("PersonCandidate", tuple![2i64, 21i64, "Laura"]);
-        g.ground_incremental(&grow).unwrap();
-
-        let pre = g.graph().clone();
-        let mut shrink = KbcUpdate::new();
-        shrink.delete("PersonCandidate", tuple![1i64, 11i64, "Michelle"]);
-        let inc = g.ground_incremental(&shrink).unwrap();
-
-        let mut replayed = pre;
-        replayed.apply_delta(&inc.delta);
-        assert_eq!(&replayed, g.graph());
+        assert!(inc.retracted);
     }
 
     #[test]
@@ -923,7 +897,9 @@ mod tests {
         let mut g = grounded();
         let before = g.graph().stats();
         let inc = g.ground_incremental(&KbcUpdate::new()).unwrap();
-        assert!(inc.delta.is_empty());
+        assert!(inc.new_variables.is_empty() && inc.new_factors.is_empty());
+        assert!(inc.new_evidence.is_empty());
+        assert!(!inc.retracted);
         assert_eq!(inc.new_groundings, 0);
         assert_eq!(inc.retracted_groundings, 0);
         assert_eq!(g.graph().stats(), before);
@@ -975,7 +951,8 @@ mod tests {
         let mut retract = KbcUpdate::new();
         retract.retract_supervision("MarriedMentions", tuple![10i64, 11i64]);
         let inc = g.ground_incremental(&retract).unwrap();
-        assert_eq!(inc.delta.evidence_changes.len(), 1);
+        assert!(inc.retracted);
+        assert!(inc.new_evidence.is_empty());
         assert_eq!(g.graph().stats().num_evidence_variables, 0);
         let v = g
             .variable_for("MarriedMentions", &tuple![10i64, 11i64])

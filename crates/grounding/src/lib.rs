@@ -21,8 +21,8 @@
 //!   binding at a time through the one path every grounding takes;
 //! * [`incremental`] — incremental grounding: base-relation deltas and/or new
 //!   rules → cascaded view deltas (DRed, §3.1) → retractions and new
-//!   bindings applied in place, described as a factor-graph
-//!   [`dd_factorgraph::GraphDelta`].
+//!   bindings applied in place, reported as the change (ΔV, ΔF) they made to
+//!   the factor graph ([`IncrementalGrounding`]).
 
 pub mod ast;
 mod catalog;

@@ -15,8 +15,15 @@
 //! description differently: it samples its approximate graph over the updated
 //! graph's variables and roles plus the new factors, so new evidence and ΔF
 //! reach it and changed weights only through the factors that are new.
+//!
+//! Whoever changes a graph writes the change down beside the edit:
+//! incremental grounding reports its ranges and new evidence
+//! (`dd_grounding::IncrementalGrounding`), learning records the weights it
+//! moved ([`DistributionChange::record_changed_weights`]).  A change that
+//! un-pins evidence or removes structure has no description here: the
+//! stored samples of such a graph are discarded instead.
 
-use dd_factorgraph::{FactorGraph, FactorId, GraphDelta, VarId, VariableRole, WeightId, WorldView};
+use dd_factorgraph::{FactorGraph, FactorId, VarId, WeightId, WorldView};
 use std::collections::{HashMap, HashSet};
 
 /// The changed part of a distribution, expressed against the *updated* graph.
@@ -35,68 +42,6 @@ pub struct DistributionChange {
 }
 
 impl DistributionChange {
-    /// Describe a delta from what its producer saw while making that change
-    /// on its own graph: the ids that graph gave `delta.new_variables` and
-    /// `delta.new_factors`, and, per entry of `delta.evidence_changes`, the
-    /// role the variable held before the update.  This is what an incremental
-    /// grounding run reports, so nobody has to replay the delta on a copy of
-    /// the pre-update graph to find out; the result is the one
-    /// [`DistributionChange::apply_and_describe`] would reach on such a copy.
-    ///
-    /// The producer must not have re-valued weights through the delta
-    /// (grounding never does; learning does, and its caller records those).
-    pub fn from_applied(
-        delta: &GraphDelta,
-        new_variables: Vec<VarId>,
-        new_factors: Vec<FactorId>,
-        previous_roles: &[VariableRole],
-    ) -> Self {
-        debug_assert!(
-            delta.weight_changes.is_empty(),
-            "old weight values are not reported"
-        );
-        debug_assert_eq!(previous_roles.len(), delta.evidence_changes.len());
-        DistributionChange {
-            new_factors,
-            changed_weights: Vec::new(),
-            new_evidence: new_evidence(delta, previous_roles.iter().map(|r| r.fixed_value())),
-            new_variables,
-        }
-    }
-
-    /// Build a change description by applying `delta` to `graph` (mutating it
-    /// into the updated graph) and recording what changed — for callers that
-    /// own the graph the delta is meant for.
-    pub fn apply_and_describe(graph: &mut FactorGraph, delta: &GraphDelta) -> Self {
-        let old_weight_values: Vec<(WeightId, f64)> = delta
-            .weight_changes
-            .iter()
-            .map(|wc| (wc.weight_id, graph.weight(wc.weight_id).value))
-            .collect();
-        // Evidence changes refer to *post-apply* variable ids: a change may
-        // target a variable created by this same delta (born `Query`, pinned
-        // by the change), which has no old role.
-        let old_fixed: Vec<Option<bool>> = delta
-            .evidence_changes
-            .iter()
-            .map(|ec| graph.variables().get(ec.var).and_then(|v| v.fixed_value()))
-            .collect();
-
-        let (new_vars, new_factors) = graph.apply_delta(delta);
-
-        let changed_weights = old_weight_values
-            .into_iter()
-            .filter(|&(w, old)| (graph.weight(w).value - old).abs() > 0.0)
-            .collect();
-
-        DistributionChange {
-            new_factors,
-            changed_weights,
-            new_evidence: new_evidence(delta, old_fixed.into_iter()),
-            new_variables: new_vars,
-        }
-    }
-
     /// Fold a later change into this one, so that it describes everything
     /// that happened since one original distribution — what the stored
     /// samples of a materialization must be corrected for after several
@@ -186,34 +131,6 @@ impl DistributionChange {
     }
 }
 
-/// The evidence assignments `delta` introduces, given each changed variable's
-/// fixed value before the update: a change counts when it pins the variable
-/// to a value it was not already pinned to.
-///
-/// Removals compact variable ids before the evidence changes apply, so a
-/// pre-update graph read at a post-update id may name a different variable.
-/// Any removal-carrying delta's old values are therefore treated as unknown,
-/// whoever supplies them, so that the two describers above always agree
-/// (callers on the retraction path discard their materialization anyway).
-fn new_evidence(
-    delta: &GraphDelta,
-    old_fixed: impl Iterator<Item = Option<bool>>,
-) -> Vec<(VarId, bool)> {
-    let unknown = delta.has_removals();
-    delta
-        .evidence_changes
-        .iter()
-        .zip(old_fixed)
-        .filter_map(|(ec, old)| {
-            let old = if unknown { None } else { old };
-            match ec.new_role.fixed_value() {
-                Some(v) if Some(v) != old => Some((ec.var, v)),
-                _ => None,
-            }
-        })
-        .collect()
-}
-
 /// A [`DistributionChange`] resolved against its updated graph (see
 /// [`DistributionChange::resolve`]).
 #[derive(Debug, Clone)]
@@ -252,10 +169,7 @@ impl ResolvedChange<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_factorgraph::{
-        DeltaFactor, EvidenceChange, Factor, FactorGraphBuilder, NewVarRef, NewWeightRef, Variable,
-        VariableRole, Weight, WeightChange, World,
-    };
+    use dd_factorgraph::{Factor, FactorGraphBuilder, Variable, VariableRole, Weight, World};
 
     fn base() -> FactorGraph {
         let mut b = FactorGraphBuilder::new();
@@ -267,21 +181,16 @@ mod tests {
     }
 
     #[test]
-    fn describes_new_factor_and_variable() {
+    fn prices_a_new_factor_over_a_new_variable() {
         let mut g = base();
-        let delta = GraphDelta {
-            new_variables: vec![Variable::query(0)],
-            new_weights: vec![Weight::learnable(0, 2.0, "new")],
-            new_factors: vec![DeltaFactor {
-                weight: NewWeightRef::New(0),
-                template: Factor::conjunction(0, &[0, 1]),
-                var_refs: vec![NewVarRef::Existing(0), NewVarRef::New(0)],
-            }],
+        let v = g.add_variable(Variable::query(0));
+        let w = g.add_weight(Weight::learnable(0, 2.0, "new"));
+        let f = g.add_factor(Factor::conjunction(w, &[0, v]));
+        let change = DistributionChange {
+            new_variables: vec![v],
+            new_factors: vec![f],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
-        assert_eq!(change.new_variables.len(), 1);
-        assert_eq!(change.new_factors.len(), 1);
         assert!(!change.is_empty());
 
         // Δ log-weight is 2.0 only when both var 0 and the new var are true.
@@ -292,17 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn describes_weight_change() {
+    fn prices_a_weight_change_on_every_tied_factor() {
         let mut g = base();
-        let delta = GraphDelta {
-            weight_changes: vec![WeightChange {
-                weight_id: 0,
-                new_value: 1.5,
-            }],
+        g.set_weight_value(0, 1.5);
+        let change = DistributionChange {
+            changed_weights: vec![(0, 1.0)],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
-        assert_eq!(change.changed_weights, vec![(0, 1.0)]);
         // Both variables true -> two factors tied to weight 0 -> Δ = 2 × 0.5.
         let world = World::from_values(vec![true, true]);
         assert!((change.resolve(&g).delta_log_weight(&world) - 1.0).abs() < 1e-12);
@@ -311,17 +216,15 @@ mod tests {
     }
 
     #[test]
-    fn describes_evidence_change_as_hard_constraint() {
+    fn new_evidence_is_a_hard_constraint() {
         let mut g = base();
-        let delta = GraphDelta {
-            evidence_changes: vec![EvidenceChange {
-                var: 1,
-                new_role: VariableRole::PositiveEvidence,
-            }],
+        let var = g.variable_mut(1);
+        var.role = VariableRole::PositiveEvidence;
+        var.initial_value = true;
+        let change = DistributionChange {
+            new_evidence: vec![(1, true)],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
-        assert_eq!(change.new_evidence, vec![(1, true)]);
         let consistent = World::from_values(vec![false, true]);
         assert_eq!(change.resolve(&g).delta_log_weight(&consistent), 0.0);
         let inconsistent = World::from_values(vec![false, false]);
@@ -332,9 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn noop_delta_is_empty() {
-        let mut g = base();
-        let change = DistributionChange::apply_and_describe(&mut g, &GraphDelta::new());
+    fn empty_change_prices_nothing() {
+        let g = base();
+        let change = DistributionChange::default();
         assert!(change.is_empty());
         let w = World::from_values(vec![true, true]);
         assert_eq!(change.resolve(&g).delta_log_weight(&w), 0.0);

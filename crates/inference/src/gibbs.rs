@@ -425,13 +425,6 @@ impl<'g> GibbsSampler<'g> {
         Self::from_owned_flat(graph.compile(), seed)
     }
 
-    /// Create a sampler that resamples *every* variable, ignoring evidence — the
-    /// "free" chain needed by the gradient estimator of weight learning.
-    pub fn new_unclamped(graph: &'g FactorGraph, seed: u64) -> Self {
-        let num_vars = graph.num_variables();
-        Self::from_owned_flat(graph.compile(), seed).with_free_vars((0..num_vars).collect())
-    }
-
     /// Create a sampler borrowing an already-compiled graph.
     pub fn from_flat(flat: &'g FlatGraph, seed: u64) -> Self {
         GibbsSampler {
@@ -459,12 +452,6 @@ impl<'g> GibbsSampler<'g> {
     pub fn with_free_vars(mut self, free_vars: Vec<VarId>) -> Self {
         self.free_vars = Some(free_vars);
         self
-    }
-
-    /// Replace the current world (e.g. to continue from a stored sample).
-    pub fn set_world(&mut self, world: World) {
-        assert_eq!(world.len(), self.flat.num_variables());
-        self.world = world;
     }
 
     /// Restart the RNG stream from `seed`, keeping the current world.
@@ -904,20 +891,6 @@ mod tests {
             }
             assert_eq!(column[2] >> (150 - 128), 0);
         }
-    }
-
-    #[test]
-    fn unclamped_sampler_resamples_evidence() {
-        let mut b = FactorGraphBuilder::new();
-        let _q = b.add_query_variables(1)[0];
-        let e = b.add_evidence_variable(true);
-        let w = b.tied_weight("neg-prior", -8.0, false);
-        b.add_factor(Factor::is_true(w, e));
-        let g = b.build();
-        let mut s = GibbsSampler::new_unclamped(&g, 1);
-        let m = s.run(&GibbsOptions::new(400, 50, 1));
-        // freed from the evidence pin, the strong negative prior wins
-        assert!(m.get(e) < 0.1);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   bit-deterministic per seed;
 //! * [`rng`] — splitmix-style seed mixing that fans one run seed out into
 //!   decorrelated per-epoch RNG streams;
-//! * [`marginals`] — marginal vectors, distances between them, and probability
-//!   calibration;
+//! * [`marginals`] — marginal vectors and distances between them;
 //! * [`learning`] — weight learning by contrastive stochastic gradient descent
 //!   and full-batch gradient descent, with warmstart (Appendix B.3);
 //! * [`strawman`] — complete materialization of all possible worlds (§3.2.1);
@@ -36,7 +35,7 @@ pub use change::{DistributionChange, ResolvedChange};
 pub use convergence::{iterations_to_converge, ConvergenceReport};
 pub use gibbs::{sigmoid, GibbsOptions, GibbsSampler, SampleRow, SampleSet, SweepRng};
 pub use learning::{LearnOptions, LearnStrategy, Learner, LearningTrace};
-pub use marginals::{calibration_buckets, CalibrationBucket, Marginals};
+pub use marginals::Marginals;
 pub use rng::mix_seed;
 pub use sampling::{MhOutcome, SampleMaterialization};
 pub use strawman::StrawmanMaterialization;

@@ -15,7 +15,7 @@
 //! sampling (the optimizer rule of §3.3).
 
 use crate::change::DistributionChange;
-use crate::gibbs::{GibbsOptions, GibbsSampler, SampleSet};
+use crate::gibbs::{GibbsSampler, SampleSet};
 use crate::marginals::Marginals;
 use dd_factorgraph::{FactorGraph, FlatGraph, World};
 use rand::rngs::StdRng;
@@ -76,9 +76,9 @@ impl SampleMaterialization {
 
     /// Run independent Metropolis–Hastings against the updated distribution.
     ///
-    /// * `updated` — the factor graph *after* the delta was applied.
+    /// * `updated` — the factor graph *after* the change.
     /// * `change`  — the [`DistributionChange`] describing ΔF / weight / evidence
-    ///   changes (produced by `DistributionChange::apply_and_describe`).
+    ///   changes, written by whoever changed the graph.
     /// * `inference_samples` — number of chain steps requested (`S_I`).
     ///
     /// Each chain step consumes one stored proposal; if the store runs out the
@@ -322,19 +322,10 @@ fn shuffle(indices: &mut [usize], rng: &mut StdRng) {
     }
 }
 
-/// Convenience: run plain (non-incremental) Gibbs on a graph — the "Rerun"
-/// baseline used throughout the experiments.
-pub fn rerun_gibbs(graph: &FactorGraph, options: &GibbsOptions) -> Marginals {
-    GibbsSampler::new(graph, options.seed).run(options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_factorgraph::{
-        DeltaFactor, EvidenceChange, Factor, FactorGraphBuilder, GraphDelta, NewVarRef,
-        NewWeightRef, Variable, VariableRole, Weight, WeightChange,
-    };
+    use dd_factorgraph::{Factor, FactorGraphBuilder, Variable, VariableRole, Weight};
 
     fn graph(prior: f64) -> FactorGraph {
         let mut b = FactorGraphBuilder::new();
@@ -356,8 +347,8 @@ mod tests {
     fn identity_update_has_full_acceptance() {
         let g0 = graph(0.5);
         let mat = materialize(&g0, 800);
-        let mut g = g0.clone();
-        let change = DistributionChange::apply_and_describe(&mut g, &GraphDelta::new());
+        let g = g0.clone();
+        let change = DistributionChange::default();
         let out = mat.infer(&g, &change, 500, 3);
         assert!(!out.exhausted);
         assert_eq!(out.acceptance_rate, 1.0);
@@ -372,14 +363,11 @@ mod tests {
         let g0 = graph(0.5);
         let mat = materialize(&g0, 3000);
         let mut g = g0.clone();
-        let delta = GraphDelta {
-            weight_changes: vec![WeightChange {
-                weight_id: 0,
-                new_value: 1.8,
-            }],
+        g.set_weight_value(0, 1.8);
+        let change = DistributionChange {
+            changed_weights: vec![(0, 0.5)],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
         let out = mat.infer(&g, &change, 2500, 5);
         assert!(out.acceptance_rate < 1.0);
         assert!(out.acceptance_rate > 0.05);
@@ -400,14 +388,11 @@ mod tests {
         let mut acc = Vec::new();
         for &new_w in &[0.2, 1.0, 3.0] {
             let mut g = g0.clone();
-            let delta = GraphDelta {
-                weight_changes: vec![WeightChange {
-                    weight_id: 0,
-                    new_value: new_w,
-                }],
+            g.set_weight_value(0, new_w);
+            let change = DistributionChange {
+                changed_weights: vec![(0, 0.0)],
                 ..Default::default()
             };
-            let change = DistributionChange::apply_and_describe(&mut g, &delta);
             let out = mat.infer(&g, &change, 1500, 11);
             acc.push(out.acceptance_rate);
         }
@@ -420,17 +405,14 @@ mod tests {
         let g0 = graph(0.3);
         let mat = materialize(&g0, 2000);
         let mut g = g0.clone();
-        let delta = GraphDelta {
-            new_variables: vec![Variable::query(0)],
-            new_weights: vec![Weight::learnable(0, 1.2, "new")],
-            new_factors: vec![DeltaFactor {
-                weight: NewWeightRef::New(0),
-                template: Factor::equal(0, 0, 1),
-                var_refs: vec![NewVarRef::Existing(0), NewVarRef::New(0)],
-            }],
+        let v = g.add_variable(Variable::query(0));
+        let w = g.add_weight(Weight::learnable(0, 1.2, "new"));
+        let f = g.add_factor(Factor::equal(w, 0, v));
+        let change = DistributionChange {
+            new_variables: vec![v],
+            new_factors: vec![f],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
         let out = mat.infer(&g, &change, 1500, 17);
         assert_eq!(out.marginals.len(), 5);
         for v in 0..5 {
@@ -448,14 +430,13 @@ mod tests {
         let g0 = graph(0.0);
         let mat = materialize(&g0, 1500);
         let mut g = g0.clone();
-        let delta = GraphDelta {
-            evidence_changes: vec![EvidenceChange {
-                var: 0,
-                new_role: VariableRole::PositiveEvidence,
-            }],
+        let var = g.variable_mut(0);
+        var.role = VariableRole::PositiveEvidence;
+        var.initial_value = true;
+        let change = DistributionChange {
+            new_evidence: vec![(0, true)],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
         let out = mat.infer(&g, &change, 1000, 23);
         assert_eq!(out.marginals.get(0), 1.0);
         // variable 1 is coupled to 0, so its marginal should rise above 0.5
@@ -466,9 +447,8 @@ mod tests {
     fn exhaustion_is_reported() {
         let g0 = graph(0.1);
         let mat = materialize(&g0, 50);
-        let mut g = g0.clone();
-        let change = DistributionChange::apply_and_describe(&mut g, &GraphDelta::new());
-        let out = mat.infer(&g, &change, 500, 1);
+        let change = DistributionChange::default();
+        let out = mat.infer(&g0, &change, 500, 1);
         assert!(out.exhausted);
         assert!(out.proposals_used <= 50);
     }
@@ -477,9 +457,8 @@ mod tests {
     fn empty_materialization_is_immediately_exhausted() {
         let g0 = graph(0.1);
         let mat = SampleMaterialization::materialize(&g0, 0, 0, 1);
-        let mut g = g0.clone();
-        let change = DistributionChange::apply_and_describe(&mut g, &GraphDelta::new());
-        let out = mat.infer(&g, &change, 10, 1);
+        let change = DistributionChange::default();
+        let out = mat.infer(&g0, &change, 10, 1);
         assert!(out.exhausted);
         assert_eq!(out.proposals_used, 0);
     }

@@ -164,10 +164,7 @@ impl StrawmanMaterialization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_factorgraph::{
-        DeltaFactor, EvidenceChange, Factor, FactorGraphBuilder, GraphDelta, NewVarRef,
-        NewWeightRef, Variable, VariableRole, Weight, WeightChange,
-    };
+    use dd_factorgraph::{Factor, FactorGraphBuilder, Variable, VariableRole, Weight};
 
     fn small_graph() -> FactorGraph {
         let mut b = FactorGraphBuilder::new();
@@ -205,14 +202,11 @@ mod tests {
         let straw = StrawmanMaterialization::materialize(&g0).unwrap();
 
         let mut g = g0.clone();
-        let delta = GraphDelta {
-            weight_changes: vec![WeightChange {
-                weight_id: 0,
-                new_value: -1.0,
-            }],
+        g.set_weight_value(0, -1.0);
+        let change = DistributionChange {
+            changed_weights: vec![(0, 0.6)],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
         let marg = straw.incremental_marginals(&g, &change).unwrap();
         for v in 0..3 {
             assert!(
@@ -230,17 +224,14 @@ mod tests {
         let straw = StrawmanMaterialization::materialize(&g0).unwrap();
 
         let mut g = g0.clone();
-        let delta = GraphDelta {
-            new_variables: vec![Variable::query(0)],
-            new_weights: vec![Weight::learnable(0, 1.3, "new")],
-            new_factors: vec![DeltaFactor {
-                weight: NewWeightRef::New(0),
-                template: Factor::equal(0, 0, 1),
-                var_refs: vec![NewVarRef::Existing(2), NewVarRef::New(0)],
-            }],
+        let v = g.add_variable(Variable::query(0));
+        let w = g.add_weight(Weight::learnable(0, 1.3, "new"));
+        let f = g.add_factor(Factor::equal(w, 2, v));
+        let change = DistributionChange {
+            new_variables: vec![v],
+            new_factors: vec![f],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
         let marg = straw.incremental_marginals(&g, &change).unwrap();
         for v in 0..4 {
             assert!(
@@ -258,14 +249,13 @@ mod tests {
         let straw = StrawmanMaterialization::materialize(&g0).unwrap();
 
         let mut g = g0.clone();
-        let delta = GraphDelta {
-            evidence_changes: vec![EvidenceChange {
-                var: 2,
-                new_role: VariableRole::PositiveEvidence,
-            }],
+        let var = g.variable_mut(2);
+        var.role = VariableRole::PositiveEvidence;
+        var.initial_value = true;
+        let change = DistributionChange {
+            new_evidence: vec![(2, true)],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
         let marg = straw.incremental_marginals(&g, &change).unwrap();
         assert_eq!(marg.get(2), 1.0);
         for v in 0..2 {

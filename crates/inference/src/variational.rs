@@ -454,9 +454,7 @@ fn invert_spd(m: &[f64], n: usize) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_factorgraph::{
-        DeltaFactor, Factor, FactorGraphBuilder, GraphDelta, NewVarRef, NewWeightRef, Variable,
-    };
+    use dd_factorgraph::{Factor, FactorGraphBuilder, Variable};
 
     fn chain(n: usize, coupling: f64) -> FactorGraph {
         let mut b = FactorGraphBuilder::new();
@@ -568,16 +566,13 @@ mod tests {
             "the model's id also names an approximation weight"
         );
         let mut updated = g.clone();
-        let delta = GraphDelta {
-            new_variables: vec![Variable::query(0)],
-            new_factors: vec![DeltaFactor {
-                weight: NewWeightRef::Existing(strong),
-                template: Factor::is_true(0, 0),
-                var_refs: vec![NewVarRef::New(0)],
-            }],
+        let v = updated.add_variable(Variable::query(0));
+        let f = updated.add_factor(Factor::is_true(strong, v));
+        let change = DistributionChange {
+            new_variables: vec![v],
+            new_factors: vec![f],
             ..Default::default()
         };
-        let change = DistributionChange::apply_and_describe(&mut updated, &delta);
         let m = mat.infer(&updated, &change, &GibbsOptions::new(1500, 200, 9));
         assert_eq!(m.len(), 6);
         assert!(m.get(5) >= 0.95, "new variable at {}", m.get(5));

@@ -22,9 +22,7 @@
 //! Every test runs on fixed seeds, so a failure is a changed sampler, never
 //! bad luck.
 
-use dd_factorgraph::{
-    Factor, FactorGraph, FactorGraphBuilder, GraphDelta, VarId, WeightChange, WorldView,
-};
+use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, VarId, WorldView};
 use dd_inference::{DistributionChange, GibbsOptions, GibbsSampler, SampleMaterialization};
 
 /// `num_static` variables with a prior of their own each (weights spread
@@ -336,20 +334,17 @@ fn mh_over_an_iid_store_matches_exact_marginals_after_a_unary_weight_change() {
         .iter()
         .position(|w| w.description == "head")
         .expect("head weight");
-    let delta = GraphDelta {
-        weight_changes: vec![
-            WeightChange {
-                weight_id: static_prior,
-                new_value: 1.1,
-            },
-            WeightChange {
-                weight_id: head,
-                new_value: -0.4,
-            },
-        ],
+    let changed_weights = [(static_prior, 1.1), (head, -0.4)]
+        .map(|(w, value)| {
+            let old = updated.weight(w).value;
+            updated.set_weight_value(w, value);
+            (w, old)
+        })
+        .to_vec();
+    let change = DistributionChange {
+        changed_weights,
         ..Default::default()
     };
-    let change = DistributionChange::apply_and_describe(&mut updated, &delta);
     let steps = 5000;
     let out = mat.infer(&updated, &change, steps, 5);
     assert!(!out.exhausted);

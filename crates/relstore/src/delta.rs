@@ -11,13 +11,6 @@ use crate::value::Value;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// The direction of a single change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaOp {
-    Insert,
-    Delete,
-}
-
 /// A counted set of changes against one relation.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaRelation {

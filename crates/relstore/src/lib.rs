@@ -37,7 +37,7 @@ pub mod value;
 pub mod view;
 
 pub use database::Database;
-pub use delta::{DeltaOp, DeltaRelation};
+pub use delta::DeltaRelation;
 pub use error::{RelError, RelResult};
 pub use plan::{ExecStats, QueryPlan};
 pub use schema::{Column, DataType, Schema};

@@ -62,11 +62,6 @@ impl Tuple {
         &self.values
     }
 
-    /// Consume the tuple and return its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values.to_vec()
-    }
-
     /// Extract a key — the values at `indices` — as the secondary indexes
     /// store it.
     pub fn key(&self, indices: &[usize]) -> Vec<Value> {

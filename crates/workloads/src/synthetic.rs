@@ -5,7 +5,7 @@
 //! (3) sparsity of correlations …  The numbers are reported for a factor graph
 //! whose factor weights are sampled at random from [−0.5, 0.5]."
 
-use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, GraphDelta, WeightChange};
+use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, WeightId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,32 +70,30 @@ pub fn pairwise_graph(config: &SyntheticConfig) -> FactorGraph {
     graph
 }
 
-/// A [`GraphDelta`] that perturbs a fraction of the weights by `magnitude`.
+/// Perturb a fraction of `graph`'s weights by `magnitude` in place,
+/// returning each perturbed weight with its value before — the
+/// `changed_weights` of the resulting `DistributionChange`.
 ///
 /// This is the "amount of change" knob of Figure 5(b): larger perturbations make
 /// the updated distribution farther from the materialized one, which lowers the
 /// acceptance rate of the sampling strategy.
 pub fn weight_perturbation(
-    graph: &FactorGraph,
+    graph: &mut FactorGraph,
     fraction: f64,
     magnitude: f64,
     seed: u64,
-) -> GraphDelta {
+) -> Vec<(WeightId, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut changes = Vec::new();
-    for w in graph.weights() {
+    let mut changed = Vec::new();
+    for w in 0..graph.num_weights() {
         if rng.gen::<f64>() < fraction {
             let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-            changes.push(WeightChange {
-                weight_id: w.id,
-                new_value: w.value + sign * magnitude,
-            });
+            let old = graph.weight(w).value;
+            graph.set_weight_value(w, old + sign * magnitude);
+            changed.push((w, old));
         }
     }
-    GraphDelta {
-        weight_changes: changes,
-        ..Default::default()
-    }
+    changed
 }
 
 #[cfg(test)]
@@ -163,13 +161,22 @@ mod tests {
     #[test]
     fn perturbation_scales_with_fraction_and_magnitude() {
         let g = pairwise_graph(&SyntheticConfig::default());
-        let small = weight_perturbation(&g, 0.1, 0.1, 3);
-        let large = weight_perturbation(&g, 0.9, 0.1, 3);
-        assert!(large.weight_changes.len() > small.weight_changes.len());
-        let none = weight_perturbation(&g, 0.0, 1.0, 3);
+        let perturbed = |fraction, magnitude| {
+            let mut updated = g.clone();
+            let changed = weight_perturbation(&mut updated, fraction, magnitude, 3);
+            (updated, changed)
+        };
+        let (small_graph, small) = perturbed(0.1, 0.1);
+        let (_, large) = perturbed(0.9, 0.1);
+        assert!(large.len() > small.len());
+        for &(w, old) in &small {
+            assert_eq!(old, g.weight(w).value);
+            assert!((small_graph.weight(w).value - old).abs() > 0.09);
+        }
+        let (unchanged, none) = perturbed(0.0, 1.0);
         assert!(none.is_empty());
+        assert_eq!(unchanged, g);
         // deterministic for a fixed seed
-        let again = weight_perturbation(&g, 0.1, 0.1, 3);
-        assert_eq!(small, again);
+        assert_eq!(perturbed(0.1, 0.1), (small_graph, small));
     }
 }

@@ -48,9 +48,11 @@ fn main() {
         "change", "optimizer", "acceptance", "samp. err", "var. err", "rerun err"
     );
     for &magnitude in &[0.0f64, 0.1, 0.5, 2.0] {
-        let delta = weight_perturbation(&graph, 0.5, magnitude, 5);
         let mut updated = graph.clone();
-        let change = DistributionChange::apply_and_describe(&mut updated, &delta);
+        let change = DistributionChange {
+            changed_weights: weight_perturbation(&mut updated, 0.5, magnitude, 5),
+            ..Default::default()
+        };
 
         // Reference answer: a long Gibbs run on the updated graph.
         let reference = GibbsSampler::new(&updated, 2).run(&GibbsOptions::new(2000, 200, 2));

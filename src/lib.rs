@@ -45,7 +45,7 @@ pub use deepdive as engine;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, GraphDelta, Semantics};
+    pub use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, Semantics};
     pub use dd_grounding::{
         parse_program, standard_udfs, Grounder, GroundingError, KbcUpdate, Program, ProgramError,
     };

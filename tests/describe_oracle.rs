@@ -1,22 +1,32 @@
-//! Differential oracle for "the grounder describes what it applied".
+//! Differential oracle for "incremental grounding reports the change it
+//! applied".
 //!
-//! The engine builds each round's [`DistributionChange`] from what incremental
-//! grounding reports ([`DistributionChange::from_applied`]) instead of
-//! replaying the delta on a copy of the pre-update graph.  Here the replay
-//! ([`DistributionChange::apply_and_describe`] on a clone taken before every
-//! update) is the oracle: over seeded insert / delete / supervision-flip /
-//! supervision-retraction / add-rule sequences the two descriptions must be
-//! equal field for field, in the same order, removal-carrying deltas
-//! included, and every reported previous role must be the role the variable
-//! held — by `(relation, tuple)` identity — before the update (`Query` for a
-//! variable the update created, even in place of one it removed).
+//! The engine writes each round's [`DistributionChange`] from what
+//! [`Grounder::ground_incremental`] reports: the id ranges it appended, the
+//! evidence it newly pinned, and whether it retracted anything.  Here the
+//! reference is a diff of a clone taken before every update — the graph plus
+//! every variable's `(relation, tuple)` and role — against the grounder after
+//! it.  Over seeded insert / delete / supervision-flip /
+//! supervision-retraction / add-rule sequences:
+//!
+//! * on a round without removals, the pre-update factors and weights are an
+//!   unchanged prefix of the updated graph, its variables are unchanged
+//!   except for their roles, and the reported ranges are exactly the tail;
+//! * on every round, the post-update count is the pre-update count plus the
+//!   reported new ones minus the removed ones, for variables and factors
+//!   alike; `new_evidence` equals the role diff by `(relation, tuple)` (a
+//!   variable inside the reported range counts as not pinned before); and
+//!   the retraction flag is set exactly when the diff shows a removal or an
+//!   evidence → `Query` transition.
+//!
+//! [`DistributionChange`]: deepdive_repro::inference::DistributionChange
 
 mod support;
 
-use deepdive_repro::factorgraph::VariableRole;
-use deepdive_repro::inference::DistributionChange;
+use deepdive_repro::factorgraph::{VarId, VariableRole};
+use deepdive_repro::grounding::IncrementalGrounding;
 use deepdive_repro::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use support::oracle::{retraction_spec, Generator, OpKind, Spec};
 
 /// The retraction spec's program, universes and rule pool under its own
@@ -45,94 +55,203 @@ fn spec() -> Spec {
     }
 }
 
-/// What the sweep exercised, so a generator drift cannot make it vacuous.
-#[derive(Default)]
+/// What the sweep exercised, counted off the diff, so a generator drift
+/// cannot make it vacuous.
+#[derive(Debug, Default)]
 struct Coverage {
     updates: usize,
+    /// Rounds that removed a variable or a factor.
     with_removals: usize,
+    /// Variables whose role differs from the one their `(relation, tuple)`
+    /// held before (`Query` for a variable the round created).
     evidence_changes: usize,
-    /// Evidence changes of removal-free deltas on already-pinned variables:
-    /// the ones whose reported previous role decides `new_evidence`.
+    /// Of those, on rounds without removals, the ones pinned before.
     previously_pinned: usize,
     new_evidence: usize,
     new_structure: usize,
+    /// Evidence → `Query` transitions on rounds that removed nothing and
+    /// retracted no supervision: rounds only their un-pins make retractions.
+    unpins_without_removal: usize,
 }
 
-fn roles_by_key(grounder: &Grounder) -> HashMap<(String, Tuple), VariableRole> {
-    grounder
-        .variable_catalog()
-        .map(|((rel, tuple), &var)| {
-            (
-                (rel.clone(), tuple.clone()),
-                grounder.graph().variable(var).role,
-            )
-        })
+type Key = (String, Tuple);
+
+/// Each variable's `(relation, tuple)`, indexed by id.
+fn keys_by_id(grounder: &Grounder) -> Vec<Key> {
+    let mut keys = vec![None; grounder.graph().num_variables()];
+    for ((rel, tuple), &var) in grounder.variable_catalog() {
+        keys[var] = Some((rel.clone(), tuple.clone()));
+    }
+    keys.into_iter()
+        .map(|key| key.expect("every variable is catalogued"))
         .collect()
 }
 
-/// Apply one update both ways and compare the descriptions.
-fn check_update(grounder: &mut Grounder, update: &KbcUpdate, cover: &mut Coverage, what: &str) {
-    let mut replayed = grounder.graph().clone();
-    let roles_before = roles_by_key(grounder);
+/// A factor by content: its weight and its variables' keys in slot order.
+fn factor_line(graph: &FactorGraph, keys: &[Key], factor: &Factor) -> String {
+    let vars: Vec<&Key> = factor.variables().iter().map(|&v| &keys[v]).collect();
+    format!("{} {vars:?}", graph.weight(factor.weight_id).description)
+}
 
-    let grounding = grounder
-        .ground_incremental(update)
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let delta = &grounding.delta;
+/// The grounder's state before an update, for diffing against after.
+struct Before {
+    graph: FactorGraph,
+    keys: Vec<Key>,
+}
 
-    // The report is truthful: each re-labelled variable's previous role is
-    // the one its (relation, tuple) held before the update.
-    let key_of: HashMap<usize, (String, Tuple)> = grounder
-        .variable_catalog()
-        .map(|((rel, tuple), &var)| (var, (rel.clone(), tuple.clone())))
-        .collect();
-    assert_eq!(
-        grounding.previous_roles.len(),
-        delta.evidence_changes.len(),
-        "{what}"
-    );
-    for (ec, &previous) in delta.evidence_changes.iter().zip(&grounding.previous_roles) {
-        let held = if grounding.new_variable_ids.contains(&ec.var) {
-            VariableRole::Query
-        } else {
-            roles_before[&key_of[&ec.var]]
-        };
+impl Before {
+    fn take(grounder: &Grounder) -> Self {
+        Before {
+            graph: grounder.graph().clone(),
+            keys: keys_by_id(grounder),
+        }
+    }
+
+    /// Diff against the grounder after the update, assert the report, and
+    /// count what the round exercised.
+    fn check(
+        &self,
+        grounder: &Grounder,
+        update: &KbcUpdate,
+        report: &IncrementalGrounding,
+        cover: &mut Coverage,
+        what: &str,
+    ) {
+        let (pre, post) = (&self.graph, grounder.graph());
+        let post_keys = keys_by_id(grounder);
+        let roles_before: HashMap<&Key, VariableRole> = self
+            .keys
+            .iter()
+            .zip(pre.variables())
+            .map(|(key, var)| (key, var.role))
+            .collect();
+        let is_new_var = |v: VarId| report.new_variables.contains(&v);
+        assert_eq!(report.new_variables.end, post.num_variables(), "{what}");
+        assert_eq!(report.new_factors.end, post.num_factors(), "{what}");
+
+        // Variables: every one outside the reported range was there before,
+        // under the same key; the rest of the pre-update keys were removed.
+        let survivors: HashSet<&Key> = post_keys
+            .iter()
+            .enumerate()
+            .filter(|&(v, _)| !is_new_var(v))
+            .map(|(_, key)| key)
+            .collect();
+        for key in &survivors {
+            assert!(
+                roles_before.contains_key(key),
+                "{what}: {key:?} is new but outside the reported range"
+            );
+        }
+        let removed_variables = self.keys.iter().filter(|k| !survivors.contains(k)).count();
         assert_eq!(
-            previous, held,
-            "{what}: previous role of variable {}",
-            ec.var
+            post.num_variables() + removed_variables,
+            pre.num_variables() + report.new_variables.len(),
+            "{what}: variables"
         );
-        cover.previously_pinned +=
-            usize::from(previous != VariableRole::Query && !delta.has_removals());
+
+        // Factors, by content: every one outside the reported range was
+        // there before; the rest of the pre-update factors were removed.
+        let mut unmatched: BTreeMap<String, usize> = BTreeMap::new();
+        for factor in pre.factors() {
+            *unmatched
+                .entry(factor_line(pre, &self.keys, factor))
+                .or_default() += 1;
+        }
+        for (f, factor) in post.factors().iter().enumerate() {
+            if report.new_factors.contains(&f) {
+                continue;
+            }
+            let line = factor_line(post, &post_keys, factor);
+            let left = unmatched.get_mut(&line).filter(|n| **n > 0);
+            let left = left.unwrap_or_else(|| {
+                panic!("{what}: factor {f} ({line}) is new but outside the reported range")
+            });
+            *left -= 1;
+        }
+        let removed_factors: usize = unmatched.values().sum();
+        assert_eq!(
+            post.num_factors() + removed_factors,
+            pre.num_factors() + report.new_factors.len(),
+            "{what}: factors"
+        );
+        assert_eq!(
+            post.weights()[..pre.num_weights()],
+            *pre.weights(),
+            "{what}: weights are never removed or re-valued"
+        );
+
+        let removals = removed_variables + removed_factors > 0;
+        if !removals {
+            assert_eq!(
+                report.new_variables,
+                pre.num_variables()..post.num_variables(),
+                "{what}"
+            );
+            assert_eq!(
+                report.new_factors,
+                pre.num_factors()..post.num_factors(),
+                "{what}"
+            );
+            assert_eq!(
+                post.factors()[..pre.num_factors()],
+                *pre.factors(),
+                "{what}"
+            );
+            for (before, after) in pre.variables().iter().zip(post.variables()) {
+                let mut expected = before.clone();
+                expected.role = after.role;
+                expected.initial_value = after.initial_value;
+                assert_eq!(*after, expected, "{what}: only roles change in place");
+            }
+        }
+
+        // Roles, by key and in key order.
+        let mut by_key: Vec<(&Key, VarId)> = post_keys
+            .iter()
+            .enumerate()
+            .map(|(v, key)| (key, v))
+            .collect();
+        by_key.sort();
+        let mut new_evidence = Vec::new();
+        let mut unpins = 0;
+        for (key, var) in by_key {
+            let role = post.variable(var).role;
+            let held = roles_before.get(key).copied();
+            let previous = if is_new_var(var) {
+                VariableRole::Query
+            } else {
+                held.expect("a survivor")
+            };
+            if role != previous {
+                cover.evidence_changes += 1;
+                cover.previously_pinned +=
+                    usize::from(!removals && previous.fixed_value().is_some());
+            }
+            match role.fixed_value() {
+                Some(value) if previous.fixed_value() != Some(value) => {
+                    new_evidence.push((var, value))
+                }
+                Some(_) => {}
+                None => unpins += usize::from(held.and_then(|r| r.fixed_value()).is_some()),
+            }
+        }
+        assert_eq!(report.new_evidence, new_evidence, "{what}: new evidence");
+        assert_eq!(
+            report.retracted,
+            removals || unpins > 0,
+            "{what}: retraction flag ({removed_variables} variables and \
+             {removed_factors} factors removed, {unpins} un-pinned)"
+        );
+
+        cover.updates += 1;
+        cover.with_removals += usize::from(removals);
+        cover.new_evidence += new_evidence.len();
+        cover.new_structure += report.new_variables.len() + report.new_factors.len();
+        if !removals && update.retracted_supervision.is_empty() {
+            cover.unpins_without_removal += unpins;
+        }
     }
-
-    let oracle = DistributionChange::apply_and_describe(&mut replayed, delta);
-    let reported = DistributionChange::from_applied(
-        delta,
-        grounding.new_variable_ids.clone(),
-        grounding.new_factor_ids.clone(),
-        &grounding.previous_roles,
-    );
-    assert_eq!(reported.new_variables, oracle.new_variables, "{what}");
-    assert_eq!(reported.new_factors, oracle.new_factors, "{what}");
-    assert_eq!(reported.new_evidence, oracle.new_evidence, "{what}");
-    assert_eq!(reported.changed_weights, oracle.changed_weights, "{what}");
-
-    // The replay the oracle ran really is the grounder's own application.
-    let live = grounder.graph();
-    assert_eq!(replayed.num_variables(), live.num_variables(), "{what}");
-    assert_eq!(replayed.num_factors(), live.num_factors(), "{what}");
-    assert_eq!(replayed.num_weights(), live.num_weights(), "{what}");
-    for (a, b) in replayed.variables().iter().zip(live.variables()) {
-        assert_eq!(a.role, b.role, "{what}: role of variable {}", a.id);
-    }
-    assert_eq!(&replayed, live, "{what}");
-
-    cover.updates += 1;
-    cover.with_removals += usize::from(delta.has_removals());
-    cover.evidence_changes += delta.evidence_changes.len();
-    cover.new_evidence += reported.new_evidence.len();
-    cover.new_structure += reported.new_variables.len() + reported.new_factors.len();
 }
 
 fn run_sequence(spec: &Spec, seed: u64, ops: usize, cover: &mut Coverage) {
@@ -146,25 +265,31 @@ fn run_sequence(spec: &Spec, seed: u64, ops: usize, cover: &mut Coverage) {
     grounder.ground().expect("initial grounding");
     for step in 0..ops {
         let op = generator.next().expect("the fallback always applies");
-        check_update(
-            &mut grounder,
-            &op.update,
-            cover,
-            &format!("seed {seed} step {step} ({})", op.what),
-        );
+        let what = format!("seed {seed} step {step} ({})", op.what);
+        let before = Before::take(&grounder);
+        let report = grounder
+            .ground_incremental(&op.update)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        before.check(&grounder, &op.update, &report, cover, &what);
     }
 }
 
 #[test]
-fn reported_description_equals_the_replayed_one() {
+fn reported_change_equals_the_diff_against_a_pre_update_clone() {
     let (spec, mut cover) = (spec(), Coverage::default());
     for seed in 0..240 {
         run_sequence(&spec, seed, 8, &mut cover);
     }
+    eprintln!("{cover:?}");
     assert_eq!(cover.updates, 240 * 8);
     assert!(cover.with_removals > 100, "{}", cover.with_removals);
     assert!(cover.evidence_changes > 150, "{}", cover.evidence_changes);
     assert!(cover.previously_pinned > 25, "{}", cover.previously_pinned);
     assert!(cover.new_evidence > 100, "{}", cover.new_evidence);
     assert!(cover.new_structure > 300, "{}", cover.new_structure);
+    assert!(
+        cover.unpins_without_removal > 5,
+        "{}",
+        cover.unpins_without_removal
+    );
 }

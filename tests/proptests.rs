@@ -233,9 +233,11 @@ fn strawman_incremental_is_exact() {
         assert_eq!(sampling.storage_bytes(), 16 * n.div_ceil(8));
 
         let magnitude = rng.gen_range(0.0..2.0);
-        let delta = weight_perturbation(&g0, 0.5, magnitude, seed ^ 0xabc);
         let mut g = g0.clone();
-        let change = DistributionChange::apply_and_describe(&mut g, &delta);
+        let change = DistributionChange {
+            changed_weights: weight_perturbation(&mut g, 0.5, magnitude, seed ^ 0xabc),
+            ..Default::default()
+        };
         let marginals = straw.incremental_marginals(&g, &change).unwrap();
         for v in 0..n {
             assert!((marginals.get(v) - g.exact_marginal(v)).abs() < 1e-9);
