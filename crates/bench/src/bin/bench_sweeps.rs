@@ -909,7 +909,9 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
     // Per MH step: what doubling the chain length adds to `infer`, on a
     // graph with free variables and a changed (tied) weight.
     let graph = fig5_graph(true);
-    let materialization = SampleMaterialization::materialize(&graph, 4 * SAMPLES, 20, 7);
+    let materialization = SampleMaterialization::from_samples(
+        GibbsSampler::new(&graph, 7).draw_samples(4 * SAMPLES, 20),
+    );
     let mut updated = graph.clone();
     let old = updated.weight(0).value;
     updated.set_weight_value(0, old + 0.3);

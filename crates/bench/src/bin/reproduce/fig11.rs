@@ -20,7 +20,7 @@ pub fn run() {
         let update = system.template_update(template);
 
         let mat = engine.materialization().expect("materialized").clone();
-        let gibbs = GibbsOptions::new(120, 30, 3);
+        let gibbs = GibbsOptions::new(120, 30);
 
         // Grounding of the update (shared by all variants).
         let mut grounded_engine = engine;
@@ -50,21 +50,22 @@ pub fn run() {
                 StrategyChoice::Sampling => {
                     let out = mat.sampling.infer(&updated_graph, &change, 400, 3);
                     if out.exhausted {
-                        let _ = mat.variational.infer(&updated_graph, &change, &gibbs);
+                        let _ = mat.variational.infer(&updated_graph, &change, &gibbs, 3);
                     }
                 }
                 StrategyChoice::Variational => {
-                    let _ = mat.variational.infer(&updated_graph, &change, &gibbs);
+                    let _ = mat.variational.infer(&updated_graph, &change, &gibbs, 3);
                 }
             },
         );
-        let (_, t_no_sampling) = timed(|| mat.variational.infer(&updated_graph, &change, &gibbs));
+        let (_, t_no_sampling) =
+            timed(|| mat.variational.infer(&updated_graph, &change, &gibbs, 3));
         let (out_sampling, t_no_relax) =
             timed(|| mat.sampling.infer(&updated_graph, &change, 400, 3));
         let (_, t_no_workload) = timed(|| {
             let out = mat.sampling.infer(&updated_graph, &change, 400, 3);
             if out.exhausted || out.acceptance_rate < 0.05 {
-                let _ = mat.variational.infer(&updated_graph, &change, &gibbs);
+                let _ = mat.variational.infer(&updated_graph, &change, &gibbs, 3);
             }
         });
 

@@ -25,7 +25,7 @@ pub fn run() {
     let active: Vec<bool> = (0..g.num_variables()).map(|v| v % 20 == 0).collect();
     let groups = decompose(&g, &active);
 
-    let gibbs = GibbsOptions::new(150, 30, 5);
+    let gibbs = GibbsOptions::new(150, 30);
     let (_, t_whole) = timed(|| GibbsSampler::new(&g, 5).run(&gibbs));
     let (_, t_grouped) = timed(|| {
         for group in &groups {

@@ -3,36 +3,38 @@
 //! descent with warmstart — after an update (new features + new labels) to the
 //! News system.
 
-use crate::trained;
 use dd_bench::print_table;
+use dd_grounding::{standard_udfs, Grounder};
+use dd_inference::Learner;
 use dd_workloads::{KbcSystem, RuleTemplate, SystemKind};
-use deepdive::{compare_learning_strategies, ExecutionMode};
+use deepdive::{compare_learning_strategies, EngineConfig};
 
 pub fn run() {
     println!("# Figure 16 — incremental learning strategies (News, FE2 + S2 update)");
     let system = KbcSystem::generate(SystemKind::News, 0.25, 91);
+    let config = EngineConfig::fast();
+    let mut grounder = Grounder::new(
+        system.program.clone(),
+        system.corpus.database.clone(),
+        standard_udfs(),
+    )
+    .expect("grounder builds");
+    let ground = |grounder: &mut Grounder, templates: [RuleTemplate; 2]| {
+        for template in templates {
+            grounder
+                .ground_incremental(&system.template_update(template))
+                .expect("template applies");
+        }
+    };
     // Learn the "previous" model on FE1 + S1.
-    let mut engine = trained(&system);
-    let warm = engine.learned_weights().to_vec();
+    ground(&mut grounder, [RuleTemplate::FE1, RuleTemplate::S1]);
+    Learner::new(grounder.graph_mut()).learn(&config.learn, config.seed);
 
-    // Apply the update that introduces new features and new labels (FE2 + S2),
-    // then compare restart strategies on the resulting graph.
-    engine
-        .run_update(
-            &system.template_update(RuleTemplate::FE2),
-            ExecutionMode::Incremental,
-        )
-        .expect("FE2 applies");
-    engine
-        .run_update(
-            &system.template_update(RuleTemplate::S2),
-            ExecutionMode::Incremental,
-        )
-        .expect("S2 applies");
-
-    let mut warm_padded = warm.clone();
-    warm_padded.resize(engine.graph().num_weights(), 0.0);
-    let comparisons = compare_learning_strategies(engine.graph(), &warm_padded, 12, 5);
+    // Ground the update that introduces new features and new labels (FE2 +
+    // S2) without learning: the graph is where a warm round starts — the
+    // previous model on the old weights, the declared 0.0 on the new ones.
+    ground(&mut grounder, [RuleTemplate::FE2, RuleTemplate::S2]);
+    let comparisons = compare_learning_strategies(grounder.graph(), 12, 5);
 
     let optimal = comparisons
         .iter()

@@ -19,35 +19,37 @@ pub fn run() {
     // Materialized model: trained on the 10% prefix (pre-drift distribution).
     let (mut g10, _) = stream.build_training_graph(0..p10);
     let warm = Learner::new(&mut g10)
-        .learn(&LearnOptions {
-            epochs: 20,
-            learning_rate: 0.3,
-            ..Default::default()
-        })
+        .learn(
+            &LearnOptions {
+                epochs: 20,
+                learning_rate: 0.3,
+                ..Default::default()
+            },
+            7,
+        )
         .final_weights;
 
     // Both systems now train on the 30% prefix (which crosses the drift point).
     let (g30, weight_of) = stream.build_training_graph(0..p30);
     let mut rows = Vec::new();
-    for (label, warmstart) in [
-        ("Incremental (warmstart from 10% model)", {
-            let mut w = warm.clone();
-            w.resize(g30.num_weights(), 0.0);
-            Some(w)
-        }),
-        ("Rerun (cold start)", None),
+    // The warmstarted graph holds the 10% model on the weights both prefixes
+    // share; the features only the 30% prefix has keep their declared value.
+    let mut g30_warm = g30.clone();
+    g30_warm.set_weight_values(&warm);
+    for (label, start) in [
+        ("Incremental (warmstart from 10% model)", &g30_warm),
+        ("Rerun (cold start)", &g30),
     ] {
         // Probe the test loss after 1 epoch and after 15 epochs: the warmstarted
         // run should start lower and both should converge to similar losses.
         let loss_after = |epochs: usize| {
-            let mut g = g30.clone();
-            Learner::new(&mut g).learn(&LearnOptions {
+            let mut g = start.clone();
+            let options = LearnOptions {
                 epochs,
                 learning_rate: 0.3,
-                warmstart: warmstart.clone(),
-                seed: 3,
                 ..Default::default()
-            });
+            };
+            Learner::new(&mut g).learn(&options, 3);
             stream.test_loss(test.clone(), &weight_of, &g.weight_values())
         };
         rows.push(vec![

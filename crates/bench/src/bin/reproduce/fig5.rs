@@ -6,20 +6,28 @@
 //!   (c) inference time vs sparsity of correlations.
 
 use dd_bench::{print_table, secs, timed};
+use dd_factorgraph::FactorGraph;
 use dd_inference::{
-    DistributionChange, GibbsOptions, SampleMaterialization, StrawmanMaterialization,
+    DistributionChange, GibbsOptions, GibbsSampler, SampleMaterialization, StrawmanMaterialization,
     VariationalMaterialization, VariationalOptions,
 };
 use dd_workloads::{pairwise_graph, weight_perturbation, SyntheticConfig};
 
-fn variational_opts() -> VariationalOptions {
-    VariationalOptions {
-        num_samples: 300,
+/// The sampling materialization: `n` worlds of `g` after `burn_in` sweeps,
+/// drawn on `seed`.
+fn sampling_of(g: &FactorGraph, n: usize, burn_in: usize, seed: u64) -> SampleMaterialization {
+    SampleMaterialization::from_samples(GibbsSampler::new(g, seed).draw_samples(n, burn_in))
+}
+
+/// Algorithm 1 over 300 worlds of `g`, drawn on seed 19.
+fn variational_of(g: &FactorGraph) -> VariationalMaterialization {
+    let options = VariationalOptions {
         burn_in: 40,
         lambda: 0.01,
         exact_solver_max_vars: 60,
-        ..Default::default()
-    }
+    };
+    let samples = GibbsSampler::new(g, 19).draw_samples(300, options.burn_in);
+    VariationalMaterialization::from_samples(g, &samples, &options)
 }
 
 pub fn run() {
@@ -40,8 +48,8 @@ pub fn run() {
         } else {
             "infeasible".to_string()
         };
-        let (_, t_samp) = timed(|| SampleMaterialization::materialize(&g, 500, 50, 1));
-        let (_, t_var) = timed(|| VariationalMaterialization::materialize(&g, &variational_opts()));
+        let (_, t_samp) = timed(|| sampling_of(&g, 500, 50, 1));
+        let (_, t_var) = timed(|| variational_of(&g));
         rows.push(vec![n.to_string(), straw, secs(t_samp), secs(t_var)]);
     }
     print_table(
@@ -57,8 +65,8 @@ pub fn run() {
         seed: 7,
         ..Default::default()
     });
-    let sampling = SampleMaterialization::materialize(&g, 2000, 100, 2);
-    let variational = VariationalMaterialization::materialize(&g, &variational_opts());
+    let sampling = sampling_of(&g, 2000, 100, 2);
+    let variational = variational_of(&g);
     let mut rows = Vec::new();
     for &magnitude in &[0.0f64, 0.05, 0.3, 1.0, 3.0] {
         let mut updated = g.clone();
@@ -68,7 +76,7 @@ pub fn run() {
         };
         let (outcome, t_samp) = timed(|| sampling.infer(&updated, &change, 1000, 3));
         let (_, t_var) =
-            timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30, 3)));
+            timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30), 3));
         rows.push(vec![
             format!("{magnitude:.2}"),
             format!("{:.2}", outcome.acceptance_rate),
@@ -103,8 +111,8 @@ pub fn run() {
             seed: 13,
             ..Default::default()
         });
-        let sampling = SampleMaterialization::materialize(&g, 800, 60, 2);
-        let variational = VariationalMaterialization::materialize(&g, &variational_opts());
+        let sampling = sampling_of(&g, 800, 60, 2);
+        let variational = variational_of(&g);
         // a moderate change so the sampling approach actually works
         let mut updated = g.clone();
         let change = DistributionChange {
@@ -113,7 +121,7 @@ pub fn run() {
         };
         let (_, t_samp) = timed(|| sampling.infer(&updated, &change, 600, 3));
         let (_, t_var) =
-            timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30, 3)));
+            timed(|| variational.infer(&updated, &change, &GibbsOptions::new(150, 30), 3));
         rows.push(vec![
             format!("{sparsity:.1}"),
             variational.num_pairwise_factors().to_string(),

@@ -11,7 +11,9 @@ use deepdive::{evaluate_quality, ExecutionMode};
 pub fn run() {
     println!("# Figure 6 — variational regularization parameter λ (News)");
 
-    // Build the News system with features + supervision so the graph is non-trivial.
+    // Build the News system with features + supervision, and the symmetry
+    // rule I1: without it no factor couples two query variables, and there
+    // would be no pair for λ to keep or drop.
     let system = KbcSystem::generate(SystemKind::News, 0.3, 21);
     let mut engine = engine_for(&system);
     for t in [
@@ -19,6 +21,7 @@ pub fn run() {
         RuleTemplate::FE2,
         RuleTemplate::S1,
         RuleTemplate::S2,
+        RuleTemplate::I1,
     ] {
         engine
             .run_update(&system.template_update(t), ExecutionMode::Rerun)
@@ -29,18 +32,14 @@ pub fn run() {
 
     let mut rows = Vec::new();
     for &lambda in &[0.001f64, 0.01, 0.1, 1.0, 10.0] {
-        let mat = VariationalMaterialization::materialize(
-            &graph,
-            &VariationalOptions {
-                num_samples: 400,
-                burn_in: 50,
-                lambda,
-                exact_solver_max_vars: 0,
-                ..Default::default()
-            },
-        );
-        let marginals =
-            GibbsSampler::new(mat.approx_graph(), 5).run(&GibbsOptions::new(200, 40, 5));
+        let options = VariationalOptions {
+            burn_in: 50,
+            lambda,
+            exact_solver_max_vars: 0,
+        };
+        let samples = GibbsSampler::new(&graph, 19).draw_samples(400, options.burn_in);
+        let mat = VariationalMaterialization::from_samples(&graph, &samples, &options);
+        let marginals = GibbsSampler::new(mat.approx_graph(), 5).run(&GibbsOptions::new(200, 40));
         // Extract facts above the threshold through the engine's variable catalog.
         let extracted: Vec<Tuple> = engine
             .grounder()

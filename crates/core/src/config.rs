@@ -6,28 +6,24 @@ use dd_inference::{GibbsOptions, LearnOptions, VariationalOptions};
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Gibbs options for full (Rerun) inference and for the materialization
-    /// chain.  The engine overwrites `gibbs.seed` with [`EngineConfig::seed`].
+    /// chain.
     pub gibbs: GibbsOptions,
-    /// Learning options for the initial run and for Rerun (cold start).  The
-    /// engine overwrites `learn.seed` with [`EngineConfig::seed`].
+    /// Learning options for the initial run and for Rerun; a warm
+    /// (Incremental) round learns for half the epochs.
     pub learn: LearnOptions,
     /// Number of samples stored by the sampling materialization (`S_M`).
     pub materialization_samples: usize,
     /// Number of chain steps requested at incremental-inference time (`S_I`).
     pub inference_samples: usize,
     /// Options for the variational materialization (Algorithm 1).  The
-    /// engine reads `burn_in`, `lambda`, `exact_solver_max_vars` and
-    /// `solver_iterations`; it never reads `seed` or `num_samples`: the
     /// approximation is estimated from the one materialization chain's
-    /// `materialization_samples` rows, drawn on [`EngineConfig::seed`].  The
-    /// unread fields stay because the standalone
-    /// [`dd_inference::VariationalMaterialization::materialize`] reads them.
+    /// `materialization_samples` rows.
     pub variational: VariationalOptions,
     /// Probability threshold above which a fact is emitted into the output KB
     /// (the paper uses `p > 0.9` / `p > 0.95` in different places).
     pub fact_threshold: f64,
-    /// Random seed shared by the engine's samplers and its learner: it
-    /// replaces `gibbs.seed` and `learn.seed`.
+    /// The engine's one random seed: every sampler and the learner run on
+    /// streams of it.
     pub seed: u64,
     /// Has no effect: every engine samples on its calling thread.  The field
     /// is kept so existing configurations still compile; a change that may
@@ -38,7 +34,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            gibbs: GibbsOptions::new(300, 60, 7),
+            gibbs: GibbsOptions::new(300, 60),
             learn: LearnOptions {
                 epochs: 20,
                 sweeps_per_epoch: 3,
@@ -59,7 +55,7 @@ impl EngineConfig {
     /// epochs.  Experiments use [`EngineConfig::default`] or their own settings.
     pub fn fast() -> Self {
         EngineConfig {
-            gibbs: GibbsOptions::new(240, 40, 7),
+            gibbs: GibbsOptions::new(240, 40),
             learn: LearnOptions {
                 epochs: 12,
                 sweeps_per_epoch: 4,

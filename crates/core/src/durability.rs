@@ -199,7 +199,6 @@ pub(crate) struct CheckpointView<'a> {
     /// The change accumulated since materialization (`None`: nothing is
     /// materialized, and the empty change is written).
     pub cumulative_change: Option<&'a DistributionChange>,
-    pub learned_weights: &'a [f64],
     pub epoch: u64,
     pub snapshot: &'a Snapshot,
 }
@@ -213,7 +212,6 @@ pub(crate) struct CheckpointState {
     pub materialization: Option<Materialization>,
     pub materialized_epoch: Option<u64>,
     pub cumulative_change: DistributionChange,
-    pub learned_weights: Vec<f64>,
     pub epoch: u64,
     pub snapshot: Snapshot,
 }
@@ -1332,7 +1330,11 @@ impl Encode for CheckpointView<'_> {
                 None => enc_distribution_change(change, &DistributionChange::default()),
                 Some(c) => enc_distribution_change(change, c),
             }
-            enc_f64s(w.key("learned_weights"), self.learned_weights);
+            // The model is the graph's weights, which the grounder state
+            // carries; this copy of their values keeps the format.
+            let weights = self.grounder.graph.weights();
+            w.key("learned_weights")
+                .array(weights, |w, weight| enc_f64(w, weight.value));
             w.key("epoch").u64_string(self.epoch);
             w.field("snapshot", self.snapshot);
         });
@@ -1348,12 +1350,17 @@ impl Decode for CheckpointState {
                     "unsupported checkpoint format {format} (this build reads {OLDEST_READABLE_FORMAT} to {CHECKPOINT_FORMAT_VERSION})"
                 ));
             }
+            let grounder = dec_grounder_state(o.field("grounder")?)?;
+            let materialization = o.field("materialization")?.null_or(dec_materialization)?;
+            let materialized_epoch = o.field("materialized_epoch")?.null_or(dec_u64)?;
+            let cumulative_change = dec_distribution_change(o.field("cumulative_change")?)?;
+            // A copy of the grounder's weight values.
+            o.field("learned_weights")?.skip_value()?;
             Ok(CheckpointState {
-                grounder: dec_grounder_state(o.field("grounder")?)?,
-                materialization: o.field("materialization")?.null_or(dec_materialization)?,
-                materialized_epoch: o.field("materialized_epoch")?.null_or(dec_u64)?,
-                cumulative_change: dec_distribution_change(o.field("cumulative_change")?)?,
-                learned_weights: dec_f64s(o.field("learned_weights")?)?,
+                grounder,
+                materialization,
+                materialized_epoch,
+                cumulative_change,
                 epoch: dec_u64(o.field("epoch")?)?,
                 snapshot: Snapshot::decode(o.field("snapshot")?)?,
             })

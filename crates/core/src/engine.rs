@@ -1,14 +1,14 @@
 //! The DeepDive engine: end-to-end KBC execution, Rerun vs Incremental.
 //!
-//! The engine owns a [`Grounder`] (program + database + factor graph), an
-//! [`EngineConfig`], the current marginals, the learned model, and — after
-//! [`DeepDive::materialize`] has been called — the combined materialization of
-//! §3.3.  A KBC iteration ([`KbcUpdate`]: new data and/or new rules) can then be
-//! executed in either mode:
+//! The engine owns a [`Grounder`] (program + database + factor graph, whose
+//! weights are the learned model), an [`EngineConfig`], the current
+//! marginals, and — after [`DeepDive::materialize`] has been called — the
+//! combined materialization of §3.3.  A KBC iteration ([`KbcUpdate`]: new data
+//! and/or new rules) can then be executed in either mode:
 //!
-//! * [`ExecutionMode::Rerun`] — the baseline of §4.2: learning restarts from a
-//!   cold model and inference runs full Gibbs sampling over the whole updated
-//!   factor graph;
+//! * [`ExecutionMode::Rerun`] — the baseline of §4.2: learning runs the full
+//!   epochs from the graph's current weights (not from a cold model) and
+//!   inference runs full Gibbs sampling over the whole updated factor graph;
 //! * [`ExecutionMode::Incremental`] — the paper's system: learning warmstarts
 //!   from the previous model (Appendix B.3), the rule-based optimizer (§3.3)
 //!   picks the sampling or variational strategy for the observed change, and
@@ -39,9 +39,12 @@
 //!    depend on the mode, and happens only while a materialization exists:
 //!    the accumulated change is what the stored samples must be corrected
 //!    for, whoever changed the graph.
-//! 3. **learn** — cold (initial run, Rerun), warm for half the epochs
-//!    (Incremental, when the change calls for it), or not at all.  Weights
-//!    that learning moves join the accumulated change.
+//! 3. **learn** — the full epochs (initial run, Rerun), half of them
+//!    (Incremental, when the change calls for it), or not at all.  Learning
+//!    always starts from the weights the graph holds: the model the last
+//!    round learned, and the declared value of every weight this round
+//!    created — App. B.3's warmstart.  Weights that learning moves join the
+//!    accumulated change.
 //! 4. **infer** — full Gibbs, or the chosen §3.3 strategy, which reads the
 //!    current graph and the accumulated change whichever it is; only when
 //!    nothing is materialized does the round fall back, to full Gibbs, as
@@ -71,9 +74,7 @@ use crate::quality::QualityReport;
 use crate::snapshot::{CatalogShards, Snapshot, SnapshotReader};
 use dd_factorgraph::{FactorGraph, FlatGraph};
 use dd_grounding::{Grounder, KbcUpdate, Program, UdfRegistry};
-use dd_inference::{
-    DistributionChange, GibbsOptions, GibbsSampler, LearnOptions, Learner, Marginals,
-};
+use dd_inference::{DistributionChange, GibbsSampler, Learner, Marginals};
 use dd_relstore::{Database, Tuple};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -188,7 +189,6 @@ pub struct DeepDive {
     /// was taken; `None` before [`DeepDive::materialize`] and after a
     /// retraction dropped it.
     materialized: Option<Materialized>,
-    learned_weights: Vec<f64>,
     /// Number of completed runs; every publish bumps it by one.
     epoch: u64,
     /// The currently served snapshot.  Readers clone the inner `Arc` under a
@@ -268,7 +268,6 @@ impl DeepDive {
             config,
             compiled: None,
             materialized: None,
-            learned_weights: Vec::new(),
             epoch: 0,
             current: Arc::new(RwLock::new(empty)),
             durability: None,
@@ -296,7 +295,6 @@ impl DeepDive {
                 change: state.cumulative_change,
             });
         }
-        engine.learned_weights = state.learned_weights;
         engine.epoch = state.epoch;
         // The next publish starts from this snapshot's catalog; entries
         // grounded after it was published are still pending in the
@@ -327,8 +325,9 @@ impl DeepDive {
         self.materialized.as_ref().map(|m| m.epoch)
     }
 
-    pub fn learned_weights(&self) -> &[f64] {
-        &self.learned_weights
+    /// The learned model: the graph's weight values.
+    pub fn learned_weights(&self) -> Vec<f64> {
+        self.grounder.graph().weight_values()
     }
 
     // -------------------------------------------------------------- snapshots
@@ -411,7 +410,7 @@ impl DeepDive {
         let snapshot = Snapshot::publish(
             self.epoch,
             marginals,
-            self.learned_weights.clone(),
+            self.learned_weights(),
             catalog,
             self.grounder.graph().stats(),
             self.config.fact_threshold,
@@ -552,18 +551,19 @@ impl DeepDive {
         let model_changes = !change.new_factors.is_empty()
             || !change.new_evidence.is_empty()
             || grounded.has_retraction;
+        // `Some(warm)`: learn, for half the epochs when warm.
         let learn = match ground {
             Ground::None => None,
-            Ground::Delta(_) if incremental => model_changes.then(|| self.learn_options(true)),
-            Ground::Full | Ground::Delta(_) => Some(self.learn_options(false)),
+            Ground::Delta(_) if incremental => model_changes.then_some(true),
+            Ground::Full | Ground::Delta(_) => Some(false),
         };
         if let Some(materialized) = &mut self.materialized {
             materialized.change.absorb(change);
         }
 
         let t = Instant::now();
-        if let Some(options) = &learn {
-            self.learn(options);
+        if let Some(warm) = learn {
+            self.learn(warm);
         }
         let learning_secs = t.elapsed().as_secs_f64();
 
@@ -639,19 +639,31 @@ impl DeepDive {
         })
     }
 
-    /// The learn stage.  While a materialization exists, the weights learning
-    /// moves are part of the distribution change its stored samples must be
-    /// corrected for, whichever mode moved them.
-    fn learn(&mut self, options: &LearnOptions) {
+    /// The learn stage: the configured epochs, or half of them when `warm`,
+    /// from the weights the graph holds.  While a materialization exists,
+    /// the weights learning moves are part of the distribution change its
+    /// stored samples must be corrected for, whichever mode moved them.
+    fn learn(&mut self, warm: bool) {
         let before = self
             .materialized
             .is_some()
             .then(|| self.grounder.graph().weight_values());
-        self.learned_weights = self.run_learner(options).final_weights;
+        let mut options = self.config.learn.clone();
+        if warm {
+            options.epochs = (options.epochs / 2).max(1);
+        }
+        let mut flat = match self.compiled.take() {
+            Some(flat) => flat,
+            None => self.grounder.graph().compile(),
+        };
+        let learned = Learner::new(self.grounder.graph_mut())
+            .learn_on(&mut flat, &options, self.config.seed)
+            .final_weights;
+        self.compiled = Some(flat);
         if let (Some(before), Some(materialized)) = (before, &mut self.materialized) {
             let moved = before
                 .iter()
-                .zip(&self.learned_weights)
+                .zip(&learned)
                 .enumerate()
                 .filter(|(_, (old, new))| (*old - *new).abs() > 1e-12)
                 .map(|(w, (&old, _))| (w, old))
@@ -701,7 +713,10 @@ impl DeepDive {
             self.grounder.graph(),
             &materialized.change,
         );
-        let variational = || mat.variational.infer(graph, change, &self.gibbs_options());
+        let variational = || {
+            mat.variational
+                .infer(graph, change, &self.config.gibbs, self.config.seed)
+        };
         match strategy {
             StrategyChoice::Sampling => {
                 let outcome = mat.sampling.infer(
@@ -791,7 +806,6 @@ impl DeepDive {
             materialization: self.materialization(),
             materialized_epoch: self.materialized_epoch(),
             cumulative_change: self.materialized.as_ref().map(|m| &m.change),
-            learned_weights: &self.learned_weights,
             epoch: self.epoch,
             snapshot,
         }
@@ -876,51 +890,15 @@ impl DeepDive {
 
     // ---------------------------------------------------------------- helpers
 
-    /// Run weight learning over the current graph, returning the trace.
-    fn run_learner(&mut self, learn: &LearnOptions) -> dd_inference::LearningTrace {
-        let mut flat = match self.compiled.take() {
-            Some(flat) => flat,
-            None => self.grounder.graph().compile(),
-        };
-        let trace = Learner::new(self.grounder.graph_mut()).learn_on(&mut flat, learn);
-        self.compiled = Some(flat);
-        trace
-    }
-
     /// Full Gibbs over the current graph, on the compilation the learner left
     /// behind when there is one (the graph has not changed since), on a fresh
     /// one otherwise.
     fn full_gibbs(&self) -> Marginals {
-        let options = self.gibbs_options();
         let flat = match &self.compiled {
             Some(flat) => Cow::Borrowed(flat),
             None => Cow::Owned(self.grounder.graph().compile()),
         };
-        GibbsSampler::from_flat(&flat, self.config.seed).run(&options)
-    }
-
-    /// The configured Gibbs options on the engine's seed.
-    fn gibbs_options(&self) -> GibbsOptions {
-        GibbsOptions {
-            seed: self.config.seed,
-            ..self.config.gibbs.clone()
-        }
-    }
-
-    /// The configured learning options on the engine's seed — a cold start.
-    /// A `warm` one runs half the epochs from the previously learned model.
-    fn learn_options(&self, warm: bool) -> LearnOptions {
-        let mut options = LearnOptions {
-            seed: self.config.seed,
-            ..self.config.learn.clone()
-        };
-        if warm {
-            options.epochs = (options.epochs / 2).max(1);
-            let mut model = self.learned_weights.clone();
-            model.resize(self.grounder.graph().num_weights(), 0.0);
-            options.warmstart = Some(model);
-        }
-        options
+        GibbsSampler::from_flat(&flat, self.config.seed).run(&self.config.gibbs)
     }
 }
 
@@ -1396,7 +1374,8 @@ mod tests {
         let expected = dd.materialization().unwrap().variational.infer(
             dd.graph(),
             &accumulated(&dd),
-            &dd.gibbs_options(),
+            &dd.config.gibbs,
+            dd.config.seed,
         );
         let flat = dd.graph().compile();
         assert!(!flat.coupled_query_variables().is_empty());
@@ -1579,6 +1558,47 @@ mod tests {
         assert!(dd.materialization().is_none());
         grow(&mut dd, 61);
         assert!(accumulated(&dd).is_empty());
+    }
+
+    /// `(fixed, learnable)`: the weights of two rules one `mode` round adds
+    /// to a materialized engine — `weight = 1.5` and `weight = learn(0.5)` —
+    /// after the round learned at rate 0, i.e. where its learning started.
+    fn added_rule_weights(mode: ExecutionMode) -> (f64, f64) {
+        let mut config = EngineConfig::fast();
+        config.learn.learning_rate = 0.0;
+        let mut dd = DeepDive::builder()
+            .program(parse_program(PROGRAM).unwrap())
+            .database(database())
+            .udfs(standard_udfs())
+            .config(config)
+            .build()
+            .unwrap();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        let mut update = KbcUpdate::new();
+        for rule in [
+            "rule I1 inference: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2) weight = 1.5.",
+            "rule FE3 feature: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2) \
+             weight = learn(0.5).",
+        ] {
+            update.add_rule(dd_grounding::parse_rule(rule).unwrap());
+        }
+        dd.run_update(&update, mode).unwrap();
+        let weight = |description| {
+            let w = dd
+                .grounder()
+                .weight_for(description)
+                .expect("rule grounded");
+            dd.graph().weight(w).value
+        };
+        (weight("I1::fixed"), weight("FE3::rule"))
+    }
+
+    #[test]
+    fn a_warm_round_learns_new_weights_from_their_declared_values() {
+        let incremental = added_rule_weights(ExecutionMode::Incremental);
+        assert_eq!(incremental, (1.5, 0.5));
+        assert_eq!(incremental, added_rule_weights(ExecutionMode::Rerun));
     }
 
     #[test]

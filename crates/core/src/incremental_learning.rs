@@ -19,55 +19,47 @@ pub struct LearningComparison {
     pub seconds: f64,
 }
 
-/// Run the three strategies of Figure 16 on (clones of) `graph`.
+/// Run the three strategies of Figure 16 on clones of `graph`, each on the
+/// RNG streams of `seed`.
 ///
-/// * `warm_weights` — the model learned before the update (the warmstart point).
-/// * `epochs` — epochs per strategy.
+/// `graph` is the updated graph as a warm round meets it: the weights it had
+/// before the update hold the model learned then (the warmstart point), the
+/// weights the update created their declared values.  The warmstart
+/// strategies learn from those weights; the cold start first resets every
+/// learnable weight to 0.0.
 pub fn compare_learning_strategies(
     graph: &FactorGraph,
-    warm_weights: &[f64],
     epochs: usize,
     seed: u64,
 ) -> Vec<LearningComparison> {
-    let configs: Vec<(&str, LearnOptions)> = vec![
-        (
-            "SGD+Warmstart",
-            LearnOptions {
-                strategy: LearnStrategy::Sgd,
-                epochs,
-                warmstart: Some(warm_weights.to_vec()),
-                seed,
-                ..Default::default()
-            },
-        ),
-        (
-            "SGD-Warmstart",
-            LearnOptions {
-                strategy: LearnStrategy::Sgd,
-                epochs,
-                warmstart: None,
-                seed,
-                ..Default::default()
-            },
-        ),
+    let options = |strategy| LearnOptions {
+        strategy,
+        epochs,
+        ..Default::default()
+    };
+    let configs = [
+        ("SGD+Warmstart", options(LearnStrategy::Sgd), false),
+        ("SGD-Warmstart", options(LearnStrategy::Sgd), true),
         (
             "GradientDescent+Warmstart",
-            LearnOptions {
-                strategy: LearnStrategy::GradientDescent,
-                epochs,
-                warmstart: Some(warm_weights.to_vec()),
-                seed,
-                ..Default::default()
-            },
+            options(LearnStrategy::GradientDescent),
+            false,
         ),
     ];
 
     configs
         .into_iter()
-        .map(|(name, options)| {
+        .map(|(name, options, cold)| {
             let mut g = graph.clone();
+            if cold {
+                for k in 0..g.num_weights() {
+                    if !g.weight(k).fixed {
+                        g.set_weight_value(k, 0.0);
+                    }
+                }
+            }
             let start = Instant::now();
-            let trace = Learner::new(&mut g).learn(&options);
+            let trace = Learner::new(&mut g).learn(&options, seed);
             LearningComparison {
                 strategy: name.to_string(),
                 trace,
@@ -100,17 +92,17 @@ mod tests {
     #[test]
     fn warmstart_starts_with_lower_loss() {
         let mut g = classifier(40);
-        // learn a decent model first
-        let warm = Learner::new(&mut g)
-            .learn(&LearnOptions {
+        // learn a decent model first: the graph holds it afterwards
+        Learner::new(&mut g).learn(
+            &LearnOptions {
                 epochs: 30,
                 learning_rate: 0.3,
                 ..Default::default()
-            })
-            .final_weights;
+            },
+            7,
+        );
 
-        let fresh = classifier(40);
-        let comparisons = compare_learning_strategies(&fresh, &warm, 3, 11);
+        let comparisons = compare_learning_strategies(&g, 3, 11);
         assert_eq!(comparisons.len(), 3);
         let loss_of = |name: &str| {
             comparisons

@@ -42,8 +42,6 @@ pub struct GibbsOptions {
     pub sweeps: usize,
     /// Sweeps discarded before collecting statistics.
     pub burn_in: usize,
-    /// RNG seed (runs are deterministic given the seed).
-    pub seed: u64,
 }
 
 impl Default for GibbsOptions {
@@ -51,19 +49,14 @@ impl Default for GibbsOptions {
         GibbsOptions {
             sweeps: 200,
             burn_in: 50,
-            seed: 42,
         }
     }
 }
 
 impl GibbsOptions {
     /// Shorthand used by tests and benchmarks.
-    pub fn new(sweeps: usize, burn_in: usize, seed: u64) -> Self {
-        GibbsOptions {
-            sweeps,
-            burn_in,
-            seed,
-        }
+    pub fn new(sweeps: usize, burn_in: usize) -> Self {
+        GibbsOptions { sweeps, burn_in }
     }
 }
 
@@ -400,11 +393,11 @@ pub(crate) fn expected_feature_counts_over(
 /// let graph = b.build();
 ///
 /// let mut sampler = GibbsSampler::new(&graph, 7);
-/// let marginals = sampler.run(&GibbsOptions::new(4000, 200, 7));
+/// let marginals = sampler.run(&GibbsOptions::new(4000, 200));
 /// // P(v) = sigmoid(1.0) ≈ 0.731; the chain estimate lands nearby.
 /// assert!((marginals.get(v) - 0.731).abs() < 0.05);
 /// // Runs are bit-deterministic for a fixed seed.
-/// let again = GibbsSampler::new(&graph, 7).run(&GibbsOptions::new(4000, 200, 7));
+/// let again = GibbsSampler::new(&graph, 7).run(&GibbsOptions::new(4000, 200));
 /// assert_eq!(marginals.values(), again.values());
 /// ```
 pub struct GibbsSampler<'g> {
@@ -488,12 +481,13 @@ impl<'g> GibbsSampler<'g> {
 
     /// Run `options.sweeps` sweeps after `options.burn_in` and return the
     /// marginal estimate for every variable (evidence variables get 0/1).
+    /// The sweeps continue the sampler's RNG stream: the seed it was built
+    /// with, or the last [`GibbsSampler::reseed`].
     ///
     /// Only coupled variables are swept; static ones report their exact
     /// marginal, so a graph without coupled variables is answered without
     /// sampling anything (see the module docs).
     pub fn run(&mut self, options: &GibbsOptions) -> Marginals {
-        self.rng = SweepRng::seed_from_u64(options.seed);
         let (swept, exact) = estimation_split(&self.free_vars, &self.flat);
         let sweeps = options.sweeps.max(1);
         // Only swept variables can change between sweeps, so only they are
@@ -657,7 +651,7 @@ mod tests {
     fn gibbs_matches_exact_marginal_single_variable() {
         let g = single_var_graph(1.0);
         let mut s = GibbsSampler::new(&g, 7);
-        let m = s.run(&GibbsOptions::new(4000, 200, 7));
+        let m = s.run(&GibbsOptions::new(4000, 200));
         let expected = g.exact_marginal(0);
         assert!(
             (m.get(0) - expected).abs() < 0.03,
@@ -671,7 +665,7 @@ mod tests {
     fn gibbs_matches_exact_marginal_pair() {
         let g = pair_graph(0.8, 1.2);
         let mut s = GibbsSampler::new(&g, 11);
-        let m = s.run(&GibbsOptions::new(6000, 500, 11));
+        let m = s.run(&GibbsOptions::new(6000, 500));
         for v in 0..2 {
             let expected = g.exact_marginal(v);
             assert!(
@@ -692,7 +686,7 @@ mod tests {
         b.add_factor(Factor::equal(w, q, e));
         let g = b.build();
         let mut s = GibbsSampler::new(&g, 3);
-        let m = s.run(&GibbsOptions::new(500, 50, 3));
+        let m = s.run(&GibbsOptions::new(500, 50));
         // evidence stays pinned at 1.0
         assert_eq!(m.get(e), 1.0);
         // strong negative coupling pushes q towards false
@@ -702,8 +696,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic_given_seed() {
         let g = pair_graph(0.3, 0.9);
-        let m1 = GibbsSampler::new(&g, 99).run(&GibbsOptions::new(300, 10, 99));
-        let m2 = GibbsSampler::new(&g, 99).run(&GibbsOptions::new(300, 10, 99));
+        let m1 = GibbsSampler::new(&g, 99).run(&GibbsOptions::new(300, 10));
+        let m2 = GibbsSampler::new(&g, 99).run(&GibbsOptions::new(300, 10));
         assert_eq!(m1.values(), m2.values());
     }
 
@@ -713,7 +707,7 @@ mod tests {
         // and one borrowing a pre-compiled FlatGraph must walk the same chain.
         let g = pair_graph(0.3, 0.9);
         let flat = g.compile();
-        let opts = GibbsOptions::new(300, 10, 99);
+        let opts = GibbsOptions::new(300, 10);
         let owned = GibbsSampler::new(&g, 99).run(&opts);
         let borrowed = GibbsSampler::from_flat(&flat, 99).run(&opts);
         assert_eq!(owned.values(), borrowed.values());
@@ -910,7 +904,7 @@ mod tests {
         let g = pair_graph(5.0, 0.0);
         // only variable 1 is free; variable 0 keeps its initial (false) value.
         let mut s = GibbsSampler::new(&g, 2).with_free_vars(vec![1]);
-        let m = s.run(&GibbsOptions::new(200, 10, 2));
+        let m = s.run(&GibbsOptions::new(200, 10));
         assert_eq!(m.get(0), 0.0);
     }
 }

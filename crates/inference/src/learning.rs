@@ -47,19 +47,9 @@ pub struct LearnOptions {
     pub epochs: usize,
     /// Step size.
     pub learning_rate: f64,
-    /// Multiplicative step-size decay per epoch.
-    pub decay: f64,
-    /// ℓ2 regularization strength.
-    pub l2: f64,
     /// Gibbs sweeps per expectation estimate (SGD uses this number, full
     /// gradient descent uses 10×).
     pub sweeps_per_epoch: usize,
-    /// If set, initialize weights from this vector instead of the graph's
-    /// current values — "warmstart means that DeepDive uses the learned model in
-    /// the last run as the starting point" (Appendix B.3).
-    pub warmstart: Option<Vec<f64>>,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for LearnOptions {
@@ -68,14 +58,16 @@ impl Default for LearnOptions {
             strategy: LearnStrategy::Sgd,
             epochs: 30,
             learning_rate: 0.1,
-            decay: 0.97,
-            l2: 1e-4,
             sweeps_per_epoch: 5,
-            warmstart: None,
-            seed: 7,
         }
     }
 }
+
+/// Multiplicative step-size decay per epoch.
+const DECAY: f64 = 0.97;
+
+/// ℓ2 regularization strength.
+const L2: f64 = 1e-4;
 
 /// The loss and weight trajectory of one learning run.
 #[derive(Debug, Clone, Default)]
@@ -149,21 +141,25 @@ impl<'g> Learner<'g> {
         total / evidence.len() as f64
     }
 
-    /// Run learning, mutating the graph's weights, and return the trace.
-    pub fn learn(&mut self, options: &LearnOptions) -> LearningTrace {
+    /// Run learning on the RNG streams of `seed`, starting from the weights
+    /// the graph holds and leaving the learned ones in their place; return
+    /// the trace.  Warmstart — "the learned model in the last run as the
+    /// starting point" (Appendix B.3) — is a graph that still holds that
+    /// model; a cold start is one whose weights were reset first.
+    pub fn learn(&mut self, options: &LearnOptions, seed: u64) -> LearningTrace {
         let mut flat = self.graph.compile();
-        self.learn_on(&mut flat, options)
+        self.learn_on(&mut flat, options, seed)
     }
 
     /// [`Learner::learn`] on a compilation of the learner's graph the caller
     /// holds — and keeps: it comes back carrying the learned weights, ready
     /// for the inference that follows.
-    pub fn learn_on(&mut self, flat: &mut FlatGraph, options: &LearnOptions) -> LearningTrace {
-        if let Some(ws) = &options.warmstart {
-            self.graph.set_weight_values(ws);
-            flat.refresh_weights(self.graph);
-        }
-
+    pub fn learn_on(
+        &mut self,
+        flat: &mut FlatGraph,
+        options: &LearnOptions,
+        seed: u64,
+    ) -> LearningTrace {
         let mut trace = LearningTrace::default();
         let mut lr = options.learning_rate;
         let (clamped_sweeps, free_sweeps) = match options.strategy {
@@ -199,7 +195,7 @@ impl<'g> Learner<'g> {
         for epoch in 0..options.epochs {
             // Expectations with evidence clamped / free.
             let estimate = |vars, world, stream, sweeps| {
-                let mut rng = SweepRng::seed_from_u64(mix_seed(options.seed, stream));
+                let mut rng = SweepRng::seed_from_u64(mix_seed(seed, stream));
                 expected_feature_counts_over(flat, vars, world, &mut rng, sweeps)
             };
             let clamped = estimate(
@@ -220,11 +216,11 @@ impl<'g> Learner<'g> {
                 if self.graph.weight(k).fixed {
                     continue;
                 }
-                let g = clamped[k] - free[k] - options.l2 * self.graph.weight(k).value;
+                let g = clamped[k] - free[k] - L2 * self.graph.weight(k).value;
                 let new = self.graph.weight(k).value + lr * g;
                 self.graph.set_weight_value(k, new);
             }
-            lr *= options.decay;
+            lr *= DECAY;
             trace.sweeps += clamped_sweeps + free_sweeps;
             flat.refresh_weights(self.graph);
             trace.losses.push(self.evidence_loss_on(flat));
@@ -260,12 +256,15 @@ mod tests {
         let mut g = classifier_graph(40);
         let mut learner = Learner::new(&mut g);
         let initial_loss = learner.evidence_loss();
-        let trace = learner.learn(&LearnOptions {
-            epochs: 40,
-            learning_rate: 0.3,
-            sweeps_per_epoch: 3,
-            ..Default::default()
-        });
+        let trace = learner.learn(
+            &LearnOptions {
+                epochs: 40,
+                learning_rate: 0.3,
+                sweeps_per_epoch: 3,
+                ..Default::default()
+            },
+            7,
+        );
         assert!(g.weight(0).value > 0.5, "w(A) = {}", g.weight(0).value);
         assert!(g.weight(1).value < -0.5, "w(B) = {}", g.weight(1).value);
         assert!(trace.best_loss() < initial_loss);
@@ -281,10 +280,13 @@ mod tests {
         b.add_factor(Factor::is_true(w_fixed, v));
         let mut g = b.build();
         let mut learner = Learner::new(&mut g);
-        learner.learn(&LearnOptions {
-            epochs: 5,
-            ..Default::default()
-        });
+        learner.learn(
+            &LearnOptions {
+                epochs: 5,
+                ..Default::default()
+            },
+            7,
+        );
         assert_eq!(g.weight(0).value, 2.0);
     }
 
@@ -299,21 +301,17 @@ mod tests {
         let mut g = b.build();
         let mut learner = Learner::new(&mut g);
         let loss = learner.evidence_loss();
-        let trace = learner.learn(&LearnOptions {
-            epochs: 7,
-            ..Default::default()
-        });
+        let trace = learner.learn(
+            &LearnOptions {
+                epochs: 7,
+                ..Default::default()
+            },
+            7,
+        );
         assert_eq!(trace.sweeps, 0);
         // Same shape as a run that sampled: one loss per epoch, all weights.
         assert_eq!(trace.losses, vec![loss; 7]);
         assert_eq!(trace.final_weights, vec![2.0]);
-        // A warmstart still lands before the early return.
-        let warm = Learner::new(&mut g).learn(&LearnOptions {
-            warmstart: Some(vec![1.25]),
-            ..Default::default()
-        });
-        assert_eq!(warm.sweeps, 0);
-        assert_eq!(warm.final_weights, vec![1.25]);
     }
 
     #[test]
@@ -324,11 +322,13 @@ mod tests {
         let mut g = classifier_graph(12);
         let w_fixed = g.add_weight(dd_factorgraph::Weight::fixed(0, 0.5, "prior"));
         g.add_factor(Factor::is_true(w_fixed, 0));
-        let trace = Learner::new(&mut g).learn(&LearnOptions {
-            epochs: 6,
-            seed: 11,
-            ..Default::default()
-        });
+        let trace = Learner::new(&mut g).learn(
+            &LearnOptions {
+                epochs: 6,
+                ..Default::default()
+            },
+            11,
+        );
         assert_eq!(trace.sweeps, 6 * 10);
         let bits: Vec<u64> = trace.final_weights.iter().map(|w| w.to_bits()).collect();
         let losses: Vec<u64> = trace.losses.iter().map(|l| l.to_bits()).collect();
@@ -354,16 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn warmstart_initializes_from_previous_model() {
+    fn learning_starts_from_the_weights_the_graph_holds() {
         let mut g = classifier_graph(20);
+        g.set_weight_values(&[3.0, -3.0]);
         let opts = LearnOptions {
             epochs: 1,
-            warmstart: Some(vec![3.0, -3.0]),
             learning_rate: 0.0,
             ..Default::default()
         };
-        let trace = Learner::new(&mut g).learn(&opts);
-        // with zero learning rate the weights stay at the warmstart values
+        let trace = Learner::new(&mut g).learn(&opts, 7);
+        // with zero learning rate the weights stay where they started
         assert_eq!(trace.final_weights, vec![3.0, -3.0]);
     }
 
@@ -373,26 +373,26 @@ mod tests {
         // the first-epoch loss.
         let mut g = classifier_graph(40);
         let good = Learner::new(&mut g)
-            .learn(&LearnOptions {
-                epochs: 40,
-                learning_rate: 0.3,
-                ..Default::default()
-            })
+            .learn(
+                &LearnOptions {
+                    epochs: 40,
+                    learning_rate: 0.3,
+                    ..Default::default()
+                },
+                7,
+            )
             .final_weights;
 
+        let restart = LearnOptions {
+            epochs: 1,
+            learning_rate: 0.05,
+            ..Default::default()
+        };
         let mut g_warm = classifier_graph(40);
-        let warm = Learner::new(&mut g_warm).learn(&LearnOptions {
-            epochs: 1,
-            learning_rate: 0.05,
-            warmstart: Some(good),
-            ..Default::default()
-        });
+        g_warm.set_weight_values(&good);
+        let warm = Learner::new(&mut g_warm).learn(&restart, 7);
         let mut g_cold = classifier_graph(40);
-        let cold = Learner::new(&mut g_cold).learn(&LearnOptions {
-            epochs: 1,
-            learning_rate: 0.05,
-            ..Default::default()
-        });
+        let cold = Learner::new(&mut g_cold).learn(&restart, 7);
         assert!(warm.losses[0] < cold.losses[0]);
     }
 

@@ -42,14 +42,9 @@ pub struct SampleMaterialization {
 }
 
 impl SampleMaterialization {
-    /// Materialize `num_samples` worlds from the original graph.
-    pub fn materialize(graph: &FactorGraph, num_samples: usize, burn_in: usize, seed: u64) -> Self {
-        let mut sampler = GibbsSampler::new(graph, seed);
-        Self::from_samples(sampler.draw_samples(num_samples, burn_in))
-    }
-
-    /// Build directly from an existing sample set (used when the engine shares
-    /// one Gibbs run between the sampling and variational materializations).
+    /// Store `samples`, worlds drawn from the original graph by
+    /// [`GibbsSampler::draw_samples`] (the engine shares one Gibbs run
+    /// between the sampling and variational materializations).
     pub fn from_samples(samples: SampleSet) -> Self {
         SampleMaterialization { samples }
     }
@@ -340,7 +335,7 @@ mod tests {
     }
 
     fn materialize(g: &FactorGraph, n: usize) -> SampleMaterialization {
-        SampleMaterialization::materialize(g, n, 200, 13)
+        SampleMaterialization::from_samples(GibbsSampler::new(g, 13).draw_samples(n, 200))
     }
 
     #[test]
@@ -456,7 +451,7 @@ mod tests {
     #[test]
     fn empty_materialization_is_immediately_exhausted() {
         let g0 = graph(0.1);
-        let mat = SampleMaterialization::materialize(&g0, 0, 0, 1);
+        let mat = SampleMaterialization::from_samples(SampleSet::new(g0.num_variables()));
         let change = DistributionChange::default();
         let out = mat.infer(&g0, &change, 10, 1);
         assert!(out.exhausted);

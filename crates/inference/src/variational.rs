@@ -34,8 +34,6 @@ use std::collections::{HashMap, HashSet};
 /// Options for the variational materialization.
 #[derive(Debug, Clone)]
 pub struct VariationalOptions {
-    /// Number of Gibbs samples used to estimate the covariance matrix (N).
-    pub num_samples: usize,
     /// Burn-in sweeps before collecting covariance samples.
     pub burn_in: usize,
     /// Regularization parameter λ controlling sparsity (§3.2.3, Figure 6).
@@ -43,24 +41,20 @@ pub struct VariationalOptions {
     /// Use the dense exact log-det solver when the graph has at most this many
     /// query variables; otherwise use the per-edge approximation.
     pub exact_solver_max_vars: usize,
-    /// Iterations of projected gradient ascent for the exact solver.
-    pub solver_iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for VariationalOptions {
     fn default() -> Self {
         VariationalOptions {
-            num_samples: 500,
             burn_in: 100,
             lambda: 0.01,
             exact_solver_max_vars: 120,
-            solver_iterations: 60,
-            seed: 19,
         }
     }
 }
+
+/// Iterations of projected gradient ascent for the exact solver.
+const SOLVER_ITERATIONS: usize = 60;
 
 /// The stored approximate factor graph.
 #[derive(Debug, Clone)]
@@ -74,19 +68,11 @@ pub struct VariationalMaterialization {
 }
 
 impl VariationalMaterialization {
-    /// Run Algorithm 1 against `graph`.
-    pub fn materialize(graph: &FactorGraph, options: &VariationalOptions) -> Self {
-        // Line 1: draw N samples from the original graph.
-        let mut sampler = GibbsSampler::new(graph, options.seed);
-        let samples = sampler.draw_samples(options.num_samples, options.burn_in);
-
-        Self::from_samples(graph, &samples, options)
-    }
-
-    /// Run Algorithm 1 using an already-drawn sample set (so the engine can share
-    /// one Gibbs run between the sampling and variational materializations, as
-    /// §3.3 prescribes: "Both approaches need samples from the original factor
-    /// graph, and this is the dominant cost during materialization").
+    /// Run Algorithm 1 on `samples`, worlds drawn from `graph` (line 1 of the
+    /// algorithm: [`GibbsSampler::draw_samples`]).  The engine shares one
+    /// Gibbs run between the sampling and variational materializations, as
+    /// §3.3 prescribes: "Both approaches need samples from the original
+    /// factor graph, and this is the dominant cost during materialization".
     pub fn from_samples(
         graph: &FactorGraph,
         samples: &SampleSet,
@@ -160,13 +146,7 @@ impl VariationalMaterialization {
 
         // Line 4: estimate the sparse coupling matrix Xhat.
         let couplings = if query.len() <= options.exact_solver_max_vars && !query.is_empty() {
-            exact_logdet_couplings(
-                &variances,
-                &cov,
-                &nz,
-                options.lambda,
-                options.solver_iterations,
-            )
+            exact_logdet_couplings(&variances, &cov, &nz, options.lambda)
         } else {
             blockwise_couplings(&variances, &cov, &nz, options.lambda)
         };
@@ -242,9 +222,9 @@ impl VariationalMaterialization {
         }
     }
 
-    /// Marginals of the (un-updated) approximate graph.
-    pub fn original_marginals(&self, options: &GibbsOptions) -> Marginals {
-        GibbsSampler::new(&self.approx_graph, options.seed).run(options)
+    /// Marginals of the (un-updated) approximate graph, sampled on `seed`.
+    pub fn original_marginals(&self, options: &GibbsOptions, seed: u64) -> Marginals {
+        GibbsSampler::new(&self.approx_graph, seed).run(options)
     }
 
     /// Incremental inference (§3.2.3): apply the update to the approximate
@@ -258,12 +238,14 @@ impl VariationalMaterialization {
     /// each of the change's new factors tied to its model weight.  The ids
     /// line up as long as `updated` only grew since materialization.  A
     /// model weight that changed is not an edit of the approximation's
-    /// weights: it reaches the result only through the new factors.
+    /// weights: it reaches the result only through the new factors.  The
+    /// result is sampled on `seed`.
     pub fn infer(
         &self,
         updated: &FactorGraph,
         change: &DistributionChange,
         options: &GibbsOptions,
+        seed: u64,
     ) -> Marginals {
         let mut g = updated.variables_only();
         for w in self.approx_graph.weights() {
@@ -281,7 +263,7 @@ impl VariationalMaterialization {
             factor.weight_id += model_weights;
             g.add_factor(factor);
         }
-        GibbsSampler::new(&g, options.seed).run(options)
+        GibbsSampler::new(&g, seed).run(options)
     }
 }
 
@@ -329,7 +311,6 @@ fn exact_logdet_couplings(
     cov: &HashMap<(usize, usize), f64>,
     nz: &HashSet<(usize, usize)>,
     lambda: f64,
-    iterations: usize,
 ) -> Vec<((usize, usize), f64)> {
     let n = variances.len();
     if n == 0 {
@@ -341,7 +322,7 @@ fn exact_logdet_couplings(
         x[i * n + i] = variances[i] + 1.0 / 3.0;
     }
     let mut step = 0.05;
-    for _ in 0..iterations {
+    for _ in 0..SOLVER_ITERATIONS {
         let Some(inv) = invert_spd(&x, n) else { break };
         // gradient of log det X is X^{-1}; ascend and project.
         let mut candidate = x.clone();
@@ -468,6 +449,16 @@ mod tests {
         b.build()
     }
 
+    /// Algorithm 1 over `n` worlds drawn from `g` on seed 19.
+    fn materialize(
+        g: &FactorGraph,
+        n: usize,
+        options: &VariationalOptions,
+    ) -> VariationalMaterialization {
+        let samples = GibbsSampler::new(g, 19).draw_samples(n, options.burn_in);
+        VariationalMaterialization::from_samples(g, &samples, options)
+    }
+
     #[test]
     fn invert_spd_matches_identity() {
         let m = vec![2.0, 0.5, 0.5, 1.0];
@@ -490,10 +481,10 @@ mod tests {
     #[test]
     fn approx_graph_has_unary_and_pairwise_factors() {
         let g = chain(6, 1.0);
-        let mat = VariationalMaterialization::materialize(
+        let mat = materialize(
             &g,
+            400,
             &VariationalOptions {
-                num_samples: 400,
                 lambda: 0.001,
                 ..Default::default()
             },
@@ -509,10 +500,10 @@ mod tests {
     fn larger_lambda_gives_sparser_graph() {
         let g = chain(10, 0.4);
         let count = |lambda: f64| {
-            VariationalMaterialization::materialize(
+            materialize(
                 &g,
+                300,
                 &VariationalOptions {
-                    num_samples: 300,
                     lambda,
                     exact_solver_max_vars: 0, // force the scalable solver
                     ..Default::default()
@@ -532,15 +523,15 @@ mod tests {
     #[test]
     fn approximate_marginals_track_original_for_small_lambda() {
         let g = chain(5, 0.8);
-        let mat = VariationalMaterialization::materialize(
+        let mat = materialize(
             &g,
+            1500,
             &VariationalOptions {
-                num_samples: 1500,
                 lambda: 0.005,
                 ..Default::default()
             },
         );
-        let approx = mat.original_marginals(&GibbsOptions::new(3000, 300, 5));
+        let approx = mat.original_marginals(&GibbsOptions::new(3000, 300), 5);
         for v in 0..5 {
             let exact = g.exact_marginal(v);
             assert!(
@@ -560,7 +551,7 @@ mod tests {
         // same id.
         let mut g = chain(5, 0.6);
         let strong = g.add_weight(Weight::fixed(0, 5.0, "strong"));
-        let mat = VariationalMaterialization::materialize(&g, &VariationalOptions::default());
+        let mat = materialize(&g, 500, &VariationalOptions::default());
         assert!(
             strong < mat.approx_graph().num_weights(),
             "the model's id also names an approximation weight"
@@ -573,7 +564,7 @@ mod tests {
             new_factors: vec![f],
             ..Default::default()
         };
-        let m = mat.infer(&updated, &change, &GibbsOptions::new(1500, 200, 9));
+        let m = mat.infer(&updated, &change, &GibbsOptions::new(1500, 200), 9);
         assert_eq!(m.len(), 6);
         assert!(m.get(5) >= 0.95, "new variable at {}", m.get(5));
     }
@@ -581,19 +572,19 @@ mod tests {
     #[test]
     fn exact_and_block_solvers_agree_on_sign() {
         let g = chain(4, 1.5);
-        let exact = VariationalMaterialization::materialize(
+        let exact = materialize(
             &g,
+            800,
             &VariationalOptions {
-                num_samples: 800,
                 lambda: 0.01,
                 exact_solver_max_vars: 100,
                 ..Default::default()
             },
         );
-        let block = VariationalMaterialization::materialize(
+        let block = materialize(
             &g,
+            800,
             &VariationalOptions {
-                num_samples: 800,
                 lambda: 0.01,
                 exact_solver_max_vars: 0,
                 ..Default::default()
@@ -614,8 +605,9 @@ mod tests {
     #[test]
     fn retention_reports_fraction() {
         let g = chain(6, 0.4);
-        let mat = VariationalMaterialization::materialize(
+        let mat = materialize(
             &g,
+            500,
             &VariationalOptions {
                 lambda: 10.0, // absurdly large λ kills every edge
                 exact_solver_max_vars: 0,

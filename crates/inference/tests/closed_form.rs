@@ -89,8 +89,8 @@ fn static_marginals_are_exact_in_every_sampler() {
     assert_eq!(flat.coupled_query_variables(), m.coupled.as_slice());
 
     // Few sweeps on purpose: exactness must not depend on the chain length.
-    let sequential = GibbsSampler::from_flat(&flat, 3).run(&GibbsOptions::new(10, 2, 3));
-    let other_seed = GibbsSampler::from_flat(&flat, 5).run(&GibbsOptions::new(10, 2, 5));
+    let sequential = GibbsSampler::from_flat(&flat, 3).run(&GibbsOptions::new(10, 2));
+    let other_seed = GibbsSampler::from_flat(&flat, 5).run(&GibbsOptions::new(10, 2));
     for &v in &m.statics {
         let exact = m.graph.exact_marginal(v);
         for (name, got) in [
@@ -116,13 +116,13 @@ fn a_graph_without_coupled_variables_is_answered_without_sampling() {
     let flat = m.graph.compile();
     assert!(flat.coupled_query_variables().is_empty());
     // Zero sweeps requested, two different seeds: the same exact answer.
-    let a = GibbsSampler::from_flat(&flat, 1).run(&GibbsOptions::new(0, 0, 1));
-    let b = GibbsSampler::from_flat(&flat, 2).run(&GibbsOptions::new(500, 50, 2));
+    let a = GibbsSampler::from_flat(&flat, 1).run(&GibbsOptions::new(0, 0));
+    let b = GibbsSampler::from_flat(&flat, 2).run(&GibbsOptions::new(500, 50));
     assert_eq!(a.values(), b.values());
     // The same sampler told to sweep everything only gets close.
     let swept = GibbsSampler::from_flat(&flat, 1)
         .with_free_vars(flat.query_variables().to_vec())
-        .run(&GibbsOptions::new(500, 50, 1));
+        .run(&GibbsOptions::new(500, 50));
     let gap = a.max_abs_diff(&swept);
     assert!(gap > 0.0 && gap < 0.1, "swept estimate off by {gap}");
     assert!((a.get(m.statics[0]) - dd_inference::sigmoid(-2.0)).abs() < 1e-15);
@@ -134,7 +134,7 @@ fn coupled_marginals_stay_within_a_binomial_bound_of_exact() {
     for (seed, coupling) in [(11u64, 0.4), (12, -0.5), (13, 0.6)] {
         let m = mixed(6, 8, coupling);
         let sweeps = 20_000;
-        let got = GibbsSampler::new(&m.graph, seed).run(&GibbsOptions::new(sweeps, 500, seed));
+        let got = GibbsSampler::new(&m.graph, seed).run(&GibbsOptions::new(sweeps, 500));
         for &v in &m.coupled {
             let exact = m.graph.exact_marginal(v);
             // Couplings this weak decorrelate within a few sweeps; τ = 4 is
@@ -156,7 +156,7 @@ fn coupled_marginals_stay_within_a_binomial_bound_of_exact() {
 fn twelve_coupled_variables_are_still_within_bound() {
     let m = mixed(4, 12, 0.3);
     let sweeps = 20_000;
-    let got = GibbsSampler::new(&m.graph, 21).run(&GibbsOptions::new(sweeps, 500, 21));
+    let got = GibbsSampler::new(&m.graph, 21).run(&GibbsOptions::new(sweeps, 500));
     for v in m.coupled.iter().chain(&m.statics) {
         let exact = m.graph.exact_marginal(*v);
         assert!((got.get(*v) - exact).abs() <= binomial_bound(exact, sweeps, 4.0, 5.0) + 1e-12);
@@ -325,7 +325,9 @@ fn draws_are_deterministic_per_seed_and_keep_the_coupled_chain() {
 #[test]
 fn mh_over_an_iid_store_matches_exact_marginals_after_a_unary_weight_change() {
     let m = mixed(5, 5, 0.5);
-    let mat = SampleMaterialization::materialize(&m.graph, 6000, 200, 13);
+    let mat = SampleMaterialization::from_samples(
+        GibbsSampler::new(&m.graph, 13).draw_samples(6000, 200),
+    );
     let mut updated = m.graph.clone();
     // Move one static variable's prior and the coupled chain's head prior.
     let static_prior = 2; // "prior:2"

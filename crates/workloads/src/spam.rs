@@ -195,12 +195,15 @@ mod tests {
         let train_end = s.prefix(0.3);
         let (mut graph, weight_of) = s.build_training_graph(0..train_end);
         let untrained_loss = s.test_loss(train_end..s.len(), &weight_of, &graph.weight_values());
-        Learner::new(&mut graph).learn(&LearnOptions {
-            epochs: 25,
-            learning_rate: 0.3,
-            sweeps_per_epoch: 2,
-            ..Default::default()
-        });
+        Learner::new(&mut graph).learn(
+            &LearnOptions {
+                epochs: 25,
+                learning_rate: 0.3,
+                sweeps_per_epoch: 2,
+                ..Default::default()
+            },
+            7,
+        );
         let trained_loss = s.test_loss(train_end..s.len(), &weight_of, &graph.weight_values());
         assert!(
             trained_loss < untrained_loss,

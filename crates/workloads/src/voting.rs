@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn gibbs_estimates_the_symmetric_marginal() {
         let (g, q) = voting_graph(6, 6, 0.5, Semantics::Logical);
-        let m = GibbsSampler::new(&g, 3).run(&GibbsOptions::new(3000, 300, 3));
+        let m = GibbsSampler::new(&g, 3).run(&GibbsOptions::new(3000, 300));
         assert!((m.get(q) - 0.5).abs() < 0.06);
     }
 

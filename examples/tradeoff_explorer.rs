@@ -27,16 +27,15 @@ fn main() {
         graph.num_factors()
     );
 
-    let sampling = SampleMaterialization::materialize(&graph, 1500, 100, 1);
-    let variational = VariationalMaterialization::materialize(
-        &graph,
-        &VariationalOptions {
-            num_samples: 400,
-            lambda: 0.01,
-            exact_solver_max_vars: 0,
-            ..Default::default()
-        },
-    );
+    let sampling =
+        SampleMaterialization::from_samples(GibbsSampler::new(&graph, 1).draw_samples(1500, 100));
+    let options = VariationalOptions {
+        lambda: 0.01,
+        exact_solver_max_vars: 0,
+        ..Default::default()
+    };
+    let samples = GibbsSampler::new(&graph, 19).draw_samples(400, options.burn_in);
+    let variational = VariationalMaterialization::from_samples(&graph, &samples, &options);
     println!(
         "materialized {} samples and an approximate graph with {} pairwise factors\n",
         sampling.num_samples(),
@@ -55,12 +54,12 @@ fn main() {
         };
 
         // Reference answer: a long Gibbs run on the updated graph.
-        let reference = GibbsSampler::new(&updated, 2).run(&GibbsOptions::new(2000, 200, 2));
+        let reference = GibbsSampler::new(&updated, 2).run(&GibbsOptions::new(2000, 200));
 
         let choice = choose_strategy(&change, sampling.num_samples());
         let mh = sampling.infer(&updated, &change, 1000, 3);
-        let var = variational.infer(&updated, &change, &GibbsOptions::new(300, 50, 3));
-        let rerun = GibbsSampler::new(&updated, 4).run(&GibbsOptions::new(300, 50, 4));
+        let var = variational.infer(&updated, &change, &GibbsOptions::new(300, 50), 3);
+        let rerun = GibbsSampler::new(&updated, 4).run(&GibbsOptions::new(300, 50));
 
         println!(
             "{:>12.2} {:>12} {:>12.2} {:>12.3} {:>12.3} {:>12.3}",

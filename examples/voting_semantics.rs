@@ -49,7 +49,7 @@ fn main() {
 
     // The same voting graph can also be queried for marginals directly.
     let (graph, q) = voting_graph(20, 5, 0.5, Semantics::Ratio);
-    let marginals = GibbsSampler::new(&graph, 1).run(&GibbsOptions::new(2000, 200, 1));
+    let marginals = GibbsSampler::new(&graph, 1).run(&GibbsOptions::new(2000, 200));
     println!(
         "\nwith 20 up-votes and 5 down-votes under Ratio semantics, P(q) ≈ {:.3}",
         marginals.get(q)

@@ -181,8 +181,8 @@ fn gibbs_marginals_are_probabilities() {
             seed,
             ..Default::default()
         });
-        let m1 = GibbsSampler::new(&g, seed).run(&GibbsOptions::new(60, 10, seed));
-        let m2 = GibbsSampler::new(&g, seed).run(&GibbsOptions::new(60, 10, seed));
+        let m1 = GibbsSampler::new(&g, seed).run(&GibbsOptions::new(60, 10));
+        let m2 = GibbsSampler::new(&g, seed).run(&GibbsOptions::new(60, 10));
         assert_eq!(m1.values(), m2.values());
         for v in 0..g.num_variables() {
             assert!((0.0..=1.0).contains(&m1.get(v)));
@@ -199,7 +199,7 @@ fn gibbs_is_deterministic_across_representations() {
         let g = random_graph(rng, 20);
         let flat = FlatGraph::compile(&g);
         let seed = rng.gen::<u64>();
-        let opts = GibbsOptions::new(50, 5, seed);
+        let opts = GibbsOptions::new(50, 5);
         let owned = GibbsSampler::new(&g, seed).run(&opts);
         let borrowed = GibbsSampler::from_flat(&flat, seed).run(&opts);
         assert_eq!(owned.values(), borrowed.values());
@@ -229,7 +229,8 @@ fn strawman_incremental_is_exact() {
             ..Default::default()
         });
         let straw = StrawmanMaterialization::materialize(&g0).unwrap();
-        let sampling = SampleMaterialization::materialize(&g0, 16, 4, seed);
+        let sampling =
+            SampleMaterialization::from_samples(GibbsSampler::new(&g0, seed).draw_samples(16, 4));
         assert_eq!(sampling.storage_bytes(), 16 * n.div_ceil(8));
 
         let magnitude = rng.gen_range(0.0..2.0);

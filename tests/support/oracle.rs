@@ -432,7 +432,7 @@ impl<'a> Generator<'a> {
 /// full-Gibbs updates, and marginal quality is irrelevant here.
 pub fn fast_config() -> EngineConfig {
     let mut config = EngineConfig::fast();
-    config.gibbs = GibbsOptions::new(40, 8, 7);
+    config.gibbs = GibbsOptions::new(40, 8);
     config.learn = LearnOptions {
         epochs: 2,
         sweeps_per_epoch: 2,
