@@ -63,9 +63,12 @@
 //! `Grounder::ground` per grounded binding), `rows_probed_per_binding` (the
 //! same grounding's `GroundingResult::rows_probed` per binding, not an
 //! allocation count but as exact), `allocs_per_sample` (the
-//! allocations one more stored sample adds to `materialize`) and
+//! allocations one more stored sample adds to `materialize`),
 //! `allocs_per_mh_step` (the allocations one more chain step adds to
-//! `SampleMaterialization::infer`).  `check_sweeps` holds them to ceilings,
+//! `SampleMaterialization::infer`) and `index_heap_bytes_per_row` (the live
+//! heap the persistent indexes of a 4 000-fact News grounding hold, per row
+//! handle in them, read off the allocator's live-heap tally as they are
+//! dropped).  `check_sweeps` holds them to ceilings,
 //! so a per-binding or per-sample allocation cannot return unnoticed on a
 //! box too noisy to show it in a timing.
 //!
@@ -873,7 +876,8 @@ fn bench_cold_start_phases(
 
 /// The exact counters of the cold path, on the 4 000-fact claims KB and a
 /// fixed synthetic chain: allocations per grounded binding, per additional
-/// stored sample, per additional MH step.
+/// stored sample, per additional MH step; and on the 4 000-fact News corpus,
+/// the heap its grounding's indexes hold per indexed row.
 fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
     // Per binding: one full grounding.
     let program = dd_grounding::parse_program(CLAIMS_PROGRAM).expect("program parses");
@@ -928,9 +932,30 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
     let (base, doubled) = (infer_allocations(SAMPLES), infer_allocations(2 * SAMPLES));
     let per_step = doubled.saturating_sub(base) as f64 / SAMPLES as f64;
 
+    // Per indexed row: the live heap the persistent indexes of one News
+    // grounding hold, freed by dropping them, per row handle they held.
+    let (program, database) = news_cold_start(4_000.0 / 216.0);
+    let mut grounder =
+        dd_grounding::Grounder::new(program, database, standard_udfs()).expect("grounder builds");
+    grounder.ground().expect("full grounding");
+    let database = grounder.database_mut();
+    let (indexed_rows, heap) = measure_heap(|| {
+        database
+            .table_names()
+            .iter()
+            .map(|name| database.table_mut(name).expect("listed").drop_indexes())
+            .sum::<usize>()
+    });
+    let index_bytes = -heap.retained;
+    let index_per_row = index_bytes as f64 / indexed_rows as f64;
+
     println!(
         "  allocations: {per_binding:.3} per binding ({allocations} over {bindings} bindings) | \
          {per_sample:.4} per sample | {per_step:.4} per MH step"
+    );
+    println!(
+        "  indexes: {index_per_row:.1} heap bytes per indexed row ({index_bytes} B over \
+         {indexed_rows} rows, News n4000)"
     );
     println!(
         "  rows probed: {probed_per_binding:.3} per binding ({} over {bindings} bindings)",
@@ -941,6 +966,7 @@ fn bench_cold_start_allocations(entries: &mut Vec<Entry>) {
         ("rows_probed_per_binding", "rows", probed_per_binding),
         ("allocs_per_sample", "allocs", per_sample),
         ("allocs_per_mh_step", "allocs", per_step),
+        ("index_heap_bytes_per_row", "B", index_per_row),
     ] {
         entries.push(Entry {
             name: format!("cold_start/{name}"),

@@ -11,7 +11,8 @@
 //! `materialize_cost/draw_speedup_unary_n4000` ≥ 5×) is missing or
 //! below it, or an exact counter of the cold path
 //! (`dd_bench::sweeps::COUNT_CEILINGS`: `cold_start/allocs_per_binding`,
-//! `rows_probed_per_binding`, `allocs_per_sample`, `allocs_per_mh_step`),
+//! `rows_probed_per_binding`, `allocs_per_sample`, `allocs_per_mh_step`,
+//! `index_heap_bytes_per_row`),
 //! of incremental grounding
 //! (`grounding_cost/incremental_allocs_per_binding`) or of the codec
 //! (`codec/checkpoint_encode_allocs_per_row`,

@@ -43,15 +43,22 @@ pub fn run() {
 
     let mut rows = Vec::new();
     for c in &comparisons {
+        let within = c.trace.epochs_to_within(optimal, 0.10);
+        // `within` is the index of the first epoch within 10 %, so it took
+        // `within + 1` epochs; every epoch of a strategy runs the same
+        // sweeps, so that share of the run's time.
+        let epochs = c.trace.losses.len() as f64;
+        let millis = c.seconds * 1e3;
         rows.push(vec![
             c.strategy.clone(),
             format!("{:.4}", c.trace.losses[0]),
             format!("{:.4}", c.trace.best_loss()),
-            c.trace
-                .epochs_to_within(optimal, 0.10)
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "not reached".into()),
-            format!("{:.2}s", c.seconds),
+            within.map_or_else(|| "not reached".into(), |e| e.to_string()),
+            within.map_or_else(
+                || "not reached".into(),
+                |e| format!("{:.2} ms", millis * (e + 1) as f64 / epochs),
+            ),
+            format!("{millis:.2} ms"),
         ]);
     }
     print_table(
@@ -61,6 +68,7 @@ pub fn run() {
             "loss after epoch 1",
             "best loss",
             "epochs to within 10% of optimal",
+            "time to within 10%",
             "time",
         ],
         &rows,

@@ -110,29 +110,26 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// Canonical bytes for hashing a single value: a one-byte type tag followed
-/// by the value's natural encoding.  Stable across processes (no pointer or
-/// HashMap dependence), so hash routing is deterministic fleet-wide.
-fn value_bytes(value: &Value) -> Vec<u8> {
-    match value {
+/// FNV-1a of a value's canonical bytes: a one-byte type tag followed by the
+/// value's natural encoding, fed to the hash as they are read — nothing is
+/// copied.  Stable across processes (no pointer or HashMap dependence), so
+/// hash routing is deterministic fleet-wide.
+fn value_hash(value: &Value) -> u64 {
+    let word: [u8; 8];
+    let (tag, body): (u8, &[u8]) = match value {
         Value::Int(i) => {
-            let mut v = vec![0x01];
-            v.extend_from_slice(&i.to_le_bytes());
-            v
+            word = i.to_le_bytes();
+            (0x01, &word)
         }
-        Value::Text(s) => {
-            let mut v = vec![0x02];
-            v.extend_from_slice(s.as_bytes());
-            v
-        }
-        Value::Bool(b) => vec![0x03, *b as u8],
+        Value::Text(s) => (0x02, s.as_bytes()),
+        Value::Bool(b) => (0x03, if *b { &[1] } else { &[0] }),
         Value::Float(x) => {
-            let mut v = vec![0x04];
-            v.extend_from_slice(&x.to_bits().to_le_bytes());
-            v
+            word = x.to_bits().to_le_bytes();
+            (0x04, &word)
         }
-        Value::Null => vec![0x05],
-    }
+        Value::Null => (0x05, &[]),
+    };
+    fnv1a(std::iter::once(tag).chain(body.iter().copied()))
 }
 
 impl ShardAssignment {
@@ -179,9 +176,7 @@ impl ShardAssignment {
             arity: tuple.arity(),
         })?;
         match self {
-            ShardAssignment::HashKey { .. } => {
-                Ok((fnv1a(value_bytes(key)) % num_shards as u64) as usize)
-            }
+            ShardAssignment::HashKey { .. } => Ok((value_hash(key) % num_shards as u64) as usize),
             ShardAssignment::RangeKey { bounds, .. } => {
                 let k = match key {
                     Value::Int(i) => *i,
@@ -312,6 +307,33 @@ mod tests {
             let s = a.shard_of(&t, 4).unwrap();
             assert!(s < 4);
             assert_eq!(s, a.shard_of(&t, 4).unwrap());
+        }
+    }
+
+    #[test]
+    fn hash_routing_is_pinned_per_value_type() {
+        // Recorded when each value's bytes were copied into a buffer before
+        // hashing: routing may not drift, or a cluster would re-home rows.
+        let pinned: [(Value, u64, usize); 13] = [
+            (Value::Int(0), 0x529a_2cdc_8ff5_33ac, 0),
+            (Value::Int(1), 0x7194_f3e5_9ae4_7dcd, 1),
+            (Value::Int(7), 0x339f_65d3_8505_e98b, 3),
+            (Value::Int(-3), 0x88a3_521e_687c_0466, 2),
+            (Value::Int(i64::MAX), 0x685d_583a_d34c_0da4, 0),
+            (Value::text(""), 0xaf63_bf4c_8601_bb45, 1),
+            (Value::text("obama"), 0xc4b1_04c7_891d_4ca5, 1),
+            (Value::text("doc-17"), 0x3f03_5391_bea6_cce4, 0),
+            (Value::Bool(true), 0x0835_ef07_b4ee_54c9, 1),
+            (Value::Bool(false), 0x0835_ee07_b4ee_5316, 2),
+            (Value::Float(0.5), 0x9a7a_e9c3_d3f2_45fa, 2),
+            (Value::Float(-2.25), 0x9853_a0c3_d21d_44e1, 1),
+            (Value::Null, 0xaf63_b84c_8601_af60, 0),
+        ];
+        let a = hash0();
+        for (value, hash, shard) in pinned {
+            assert_eq!(value_hash(&value), hash, "{value:?}");
+            let row = Tuple::new(vec![value.clone(), Value::Int(9)]);
+            assert_eq!(a.shard_of(&row, 4), Ok(shard), "{value:?}");
         }
     }
 

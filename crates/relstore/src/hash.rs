@@ -1,8 +1,9 @@
 //! The row hash: one fast keyed hasher for every tuple- or key-keyed map.
 //!
 //! Grounding and query execution probe hash maps keyed by rows — the
-//! secondary indexes' buckets, the grounder's `tuple → variable` catalogs,
-//! its weight catalog — once or more per binding.  std's SipHash-1-3 spends
+//! secondary indexes (filed by the hash of a row's key columns), the
+//! grounder's `tuple → variable` catalogs, its weight catalog — once or
+//! more per binding.  std's SipHash-1-3 spends
 //! most of such a probe mixing a few machine words; [`RowHash`] folds each
 //! word in with one 64×64→128-bit multiply instead (the "folded multiply"
 //! of foldhash / aHash's fallback), which is about a third of the cost on

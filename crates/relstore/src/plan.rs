@@ -247,9 +247,11 @@ impl QueryPlan {
             sources: &sources,
         };
         let mut state = State::new(self.num_slots, steps.len(), stats);
-        run.descend(0, 1, None, &mut state, &mut |regs, row, count| {
-            rows.push((self.project(regs, row), count));
-        });
+        let mut keys = vec![Value::Null; key_space(steps)];
+        let mut emit = |regs: &[Value], row: Option<&Tuple>, count: i64| {
+            rows.push((self.project(regs, row), count))
+        };
+        run.descend(0, 1, None, &mut keys, &mut state, &mut emit);
         sort_and_sum(&mut rows);
         Ok(rows)
     }
@@ -288,6 +290,7 @@ impl QueryPlan {
         // Small indexes over the Δ rows, shared by every seed position.
         let mut delta_indexes: Vec<(usize, Arc<HashIndex>)> = Vec::new();
         let mut state = State::new(self.num_slots, self.query.atoms.len(), stats);
+        let mut keys: Vec<Value> = Vec::new();
         let mut emit = |regs: &[Value], row: Option<&Tuple>, count: i64| {
             rows.push((self.project(regs, row), count))
         };
@@ -315,11 +318,12 @@ impl QueryPlan {
                 sources: &sources,
             };
             state.cursors.fill(Cursor::default());
+            keys.resize(key_space(rest), Value::Null);
             for (row, count) in seed_delta.iter() {
                 state.stats.rows_probed += 1;
                 if seed.key_matches(row, &state.regs) && seed.bind_row(row, &mut state.regs) {
                     let head_row = seed.binds_head.then_some(row);
-                    run.descend(0, count, head_row, &mut state, &mut emit);
+                    run.descend(0, count, head_row, &mut keys, &mut state, &mut emit);
                 }
             }
         }
@@ -511,12 +515,14 @@ impl Step {
         })
     }
 
-    fn fill_key(&self, regs: &[Value], key: &mut Vec<Value>) {
-        key.clear();
-        key.extend(self.key_src.iter().map(|src| match src {
-            Src::Const(v) => v.clone(),
-            Src::Slot(s) => regs[*s].clone(),
-        }));
+    /// Write the step's probe key into `key` (its `key_cols.len()` slots).
+    fn fill_key(&self, regs: &[Value], key: &mut [Value]) {
+        for (value, src) in key.iter_mut().zip(&self.key_src) {
+            *value = match src {
+                Src::Const(v) => v.clone(),
+                Src::Slot(s) => regs[*s].clone(),
+            };
+        }
     }
 }
 
@@ -584,11 +590,17 @@ fn delta_index(
     index
 }
 
-/// Mutable execution state: the register file, a scratch probe key, one
-/// table cursor per step, and the work counters.
+/// The probe-key space of a join order: every step's key, in step order.
+/// Each step fills its own slots, so a probe key outlives the rows its
+/// probe yields while deeper steps probe with theirs.
+fn key_space(steps: &[Step]) -> usize {
+    steps.iter().map(|step| step.key_cols.len()).sum()
+}
+
+/// Mutable execution state: the register file, one table cursor per step,
+/// and the work counters.
 struct State<'s> {
     regs: Vec<Value>,
-    key: Vec<Value>,
     /// `cursors[depth]`: where the step at `depth` last found a row.  A
     /// step's lookups follow its outer steps' rows, which a scan and a
     /// point lookup visit in tuple order, so they mostly arrive in tuple
@@ -601,7 +613,6 @@ impl<'s> State<'s> {
     fn new(num_slots: usize, num_steps: usize, stats: &'s mut ExecStats) -> Self {
         State {
             regs: vec![Value::Null; num_slots],
-            key: Vec::new(),
             cursors: vec![Cursor::default(); num_steps],
             stats,
         }
@@ -622,11 +633,13 @@ impl Run<'_> {
     /// Extend the partial binding in `state.regs` (carrying `count`
     /// derivations, and `head_row` if an earlier step's row is the head
     /// tuple) through steps `depth..`, calling `emit` per full binding.
+    /// `keys` is the key space of steps `depth..` (see [`key_space`]).
     fn descend(
         &self,
         depth: usize,
         count: i64,
         head_row: Option<&Tuple>,
+        keys: &mut [Value],
         state: &mut State,
         emit: &mut Emit,
     ) {
@@ -636,18 +649,19 @@ impl Run<'_> {
         };
         let source = &self.sources[depth];
         let arity = source.table.schema().arity();
+        let (key, deeper) = keys.split_at_mut(step.key_cols.len());
 
         if step.key_cols.len() == arity {
             // Every column is determined: a point lookup.
-            step.fill_key(&state.regs, &mut state.key);
+            step.fill_key(&state.regs, key);
             state.stats.rows_probed += 1;
-            let present = source.count_at(&state.key, &mut state.cursors[depth]);
+            let present = source.count_at(key, &mut state.cursors[depth]);
             if step.negated {
                 if present <= 0 {
-                    self.descend(depth + 1, count, head_row, state, emit);
+                    self.descend(depth + 1, count, head_row, deeper, state, emit);
                 }
             } else if present > 0 && step.filters_hold(&state.regs) {
-                self.descend(depth + 1, count * present, head_row, state, emit);
+                self.descend(depth + 1, count * present, head_row, deeper, state, emit);
             }
             return;
         }
@@ -656,21 +670,23 @@ impl Run<'_> {
             state.stats.rows_probed += 1;
             if present > 0 && step.bind_row(row, &mut state.regs) {
                 let head_row = if step.binds_head { Some(row) } else { head_row };
-                self.descend(depth + 1, count * present, head_row, state, emit);
+                self.descend(depth + 1, count * present, head_row, deeper, state, emit);
             }
         };
         match &source.index {
             Some(index) => {
-                step.fill_key(&state.regs, &mut state.key);
-                for row in index.get(&state.key) {
+                // The key stays in this step's slots while its rows are
+                // visited: deeper steps probe with theirs.
+                step.fill_key(&state.regs, key);
+                let key = &*key;
+                for row in index.get(key) {
                     let present = source.count_at(row.values(), &mut state.cursors[depth]);
                     visit(row, present, state);
                 }
                 if let (Some(delta), Some(delta_index)) = (source.overlay, &source.delta_index) {
                     // Rows only the overlay knows; the rest came out of the
                     // base index above with the overlay's count added.
-                    step.fill_key(&state.regs, &mut state.key);
-                    for row in delta_index.get(&state.key) {
+                    for row in delta_index.get(key) {
                         if source.table.count_of(row.values()) == 0 {
                             visit(row, delta.count_of(row.values()), state);
                         }

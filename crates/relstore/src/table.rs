@@ -36,9 +36,11 @@ use std::sync::{Arc, RwLock};
 /// Query execution probes the table through secondary hash indexes keyed by
 /// column set.  An index is built on the first probe that needs it and
 /// from then on maintained by every mutation, so a join against an unchanged
-/// table costs the rows it touches, not the rows the table holds.  Indexes
-/// are derived state: a clone starts without them and they are never part of
-/// a persisted table.
+/// table costs the rows it touches, not the rows the table holds.  An index
+/// files each row's handle under the hash of its key columns — one handle
+/// per bucket while a key has one row — and copies no key values (see
+/// `index.rs`).  Indexes are derived state: a clone starts without them and
+/// they are never part of a persisted table.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -641,12 +643,21 @@ impl Table {
     pub fn verify_indexes(&self) -> Result<usize, Vec<usize>> {
         let list = self.indexes.0.read().unwrap_or_else(|e| e.into_inner());
         for index in list.iter() {
-            let rebuilt = HashIndex::build(index.cols(), self.stored_rows());
+            let rebuilt = <HashIndex>::build(index.cols(), self.stored_rows());
             if index.canonical() != rebuilt.canonical() {
                 return Err(index.cols().to_vec());
             }
         }
         Ok(list.len())
+    }
+
+    /// Drop the secondary indexes — derived state: the next probe rebuilds
+    /// the one it needs — and return the number of row handles they held.
+    pub fn drop_indexes(&mut self) -> usize {
+        std::mem::take(self.indexes.get_mut())
+            .iter()
+            .map(|index| index.len())
+            .sum()
     }
 
     /// Every stored row (non-zero count): what the indexes mirror.
@@ -762,7 +773,7 @@ mod tests {
         t.insert(tuple![1i64, 11i64]).unwrap();
         t.insert(tuple![2i64, 12i64]).unwrap();
         assert_eq!(t.verify_indexes(), Ok(0));
-        assert_eq!(t.index(&[0]).get(&[Value::Int(1)]).len(), 2);
+        assert_eq!(t.index(&[0]).get(&[Value::Int(1)]).count(), 2);
         assert_eq!(t.verify_indexes(), Ok(1));
 
         t.insert(tuple![1i64, 13i64]).unwrap();
@@ -770,8 +781,8 @@ mod tests {
         assert!(t.delete(&tuple![1i64, 10i64]));
         t.remove_all(&tuple![2i64, 12i64]);
         let index = t.index(&[0]);
-        assert_eq!(index.get(&[Value::Int(1)]).len(), 2);
-        assert!(index.get(&[Value::Int(2)]).is_empty());
+        assert_eq!(index.get(&[Value::Int(1)]).count(), 2);
+        assert_eq!(index.get(&[Value::Int(2)]).count(), 0);
         assert_eq!(t.verify_indexes(), Ok(1));
 
         // Derived state: a clone starts without indexes, `clear` drops them.

@@ -62,8 +62,8 @@ impl Tuple {
         &self.values
     }
 
-    /// Extract a key — the values at `indices` — as the secondary indexes
-    /// store it.
+    /// Extract a key: the values at `indices`, in that order (an index past
+    /// the row's end contributes nothing).
     pub fn key(&self, indices: &[usize]) -> Vec<Value> {
         indices
             .iter()
