@@ -44,9 +44,8 @@ pub fn run() {
     let mut rows = Vec::new();
     for c in &comparisons {
         let within = c.trace.epochs_to_within(optimal, 0.10);
-        // `within` is the index of the first epoch within 10 %, so it took
-        // `within + 1` epochs; every epoch of a strategy runs the same
-        // sweeps, so that share of the run's time.
+        // Every epoch of a strategy runs the same sweeps, so reaching the
+        // target took that share of the run's time.
         let epochs = c.trace.losses.len() as f64;
         let millis = c.seconds * 1e3;
         rows.push(vec![
@@ -56,7 +55,7 @@ pub fn run() {
             within.map_or_else(|| "not reached".into(), |e| e.to_string()),
             within.map_or_else(
                 || "not reached".into(),
-                |e| format!("{:.2} ms", millis * (e + 1) as f64 / epochs),
+                |e| format!("{:.2} ms", millis * e as f64 / epochs),
             ),
             format!("{millis:.2} ms"),
         ]);

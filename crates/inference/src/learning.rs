@@ -87,11 +87,13 @@ impl LearningTrace {
         self.losses.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// First epoch whose loss is within `fraction` (e.g. 0.10) of `optimal`,
-    /// or `None` if never reached — the measurement Figure 16 reports.
+    /// How many epochs ran until the loss was first within `fraction` (e.g.
+    /// 0.10) of `optimal` — a count, so a run within it after its first
+    /// epoch reads 1 — or `None` if never reached: the measurement Figure 16
+    /// reports.
     pub fn epochs_to_within(&self, optimal: f64, fraction: f64) -> Option<usize> {
         let target = optimal * (1.0 + fraction);
-        self.losses.iter().position(|&l| l <= target)
+        self.losses.iter().position(|&l| l <= target).map(|i| i + 1)
     }
 }
 
@@ -402,8 +404,10 @@ mod tests {
             losses: vec![1.0, 0.6, 0.45, 0.41, 0.40],
             ..Default::default()
         };
-        assert_eq!(trace.epochs_to_within(0.40, 0.10), Some(3));
-        assert_eq!(trace.epochs_to_within(0.40, 0.5), Some(1));
+        // Counts, not indexes: 0.41 is the fourth loss, 0.6 the second.
+        assert_eq!(trace.epochs_to_within(0.40, 0.10), Some(4));
+        assert_eq!(trace.epochs_to_within(0.40, 0.5), Some(2));
+        assert_eq!(trace.epochs_to_within(1.0, 0.0), Some(1));
         assert_eq!(trace.epochs_to_within(0.1, 0.10), None);
         assert!((trace.best_loss() - 0.40).abs() < 1e-12);
     }

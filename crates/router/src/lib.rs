@@ -12,10 +12,10 @@
 //! - [`cluster`] — the deployment: partition a database, build one engine +
 //!   one [`dd_server::Server`] per shard, apply updates to owning shards.
 //! - [`router`] — the scatter-gather core: fan a wire batch out to the
-//!   shards it needs, pin a **cross-shard epoch vector**, merge partial
-//!   results into exactly the answer an unsharded engine would give, and
-//!   degrade into typed `shard_unavailable` / `epoch_unavailable` errors —
-//!   never a hang — when shards are down or racing.
+//!   shards it needs, one frame per shard, report the **cross-shard epoch
+//!   vector** the answers came from, merge partial results into exactly the
+//!   answer an unsharded engine would give, and degrade into typed
+//!   `shard_unavailable` errors — never a hang — when shards are down.
 //! - [`front`] — the front door: a [`dd_server::BatchHandler`] pool serving
 //!   routed batches through an unmodified wire server, so clients cannot
 //!   tell a cluster from a single engine (except for the extra `epochs`

@@ -14,17 +14,15 @@
 //! # Epoch vector
 //!
 //! Shards publish epochs independently, so there is no single "cluster
-//! epoch".  Instead every batch pins a **cross-shard epoch vector**: the
-//! first sub-request to a shard records the epoch that shard answered from,
-//! and every later sub-request (large batches are chunked at
-//! [`MAX_OPS_PER_BATCH`]) is pinned to that epoch with `at_epoch`.  If a
-//! shard publishes a new epoch mid-batch, the pin fails with
-//! `epoch_unavailable` and the router restarts that shard's sub-batch once
-//! from scratch; a second miss surfaces as a typed
-//! [`RouterError::EpochUnavailable`].  Every result a batch returns is
-//! therefore a consistent read of each consulted shard, and the vector of
-//! consulted epochs is reported back (`None` entries are shards the batch
-//! never touched).
+//! epoch".  Instead every batch reports a **cross-shard epoch vector**: each
+//! consulted shard receives its whole sub-batch as one request frame, and a
+//! server answers a request from one pinned snapshot, so the epoch a shard
+//! reports is the one every answer it gave came from.  Every result a batch
+//! returns is therefore a consistent read of each consulted shard, and the
+//! vector of consulted epochs is reported back (`None` entries are shards
+//! the batch never touched).  One frame holds at most [`MAX_OPS_PER_BATCH`]
+//! ops, so a batch that gives any shard more is refused with
+//! [`RouterError::BadRequest`] before a shard is dialed.
 //!
 //! # Merge semantics
 //!
@@ -101,14 +99,8 @@ pub enum RouterError {
         addr: SocketAddr,
         message: String,
     },
-    /// A shard advanced its epoch twice while this batch was in flight, so a
-    /// consistent pinned read was impossible even after a restart.
-    EpochUnavailable {
-        shard: usize,
-        addr: SocketAddr,
-        message: String,
-    },
-    /// The batch itself is not routable (e.g. contains `Sleep`).
+    /// The batch itself is not routable (e.g. contains `Sleep`, or gives one
+    /// shard more than [`MAX_OPS_PER_BATCH`] ops).
     BadRequest(String),
     /// A keyed op's tuple cannot be mapped to a shard.
     Sharding(ShardingError),
@@ -124,7 +116,6 @@ impl RouterError {
     pub fn kind(&self) -> ErrorKind {
         match self {
             RouterError::ShardUnavailable { .. } => ErrorKind::ShardUnavailable,
-            RouterError::EpochUnavailable { .. } => ErrorKind::EpochUnavailable,
             RouterError::BadRequest(_) | RouterError::Sharding(_) => ErrorKind::BadRequest,
             RouterError::Protocol { .. } => ErrorKind::Internal,
         }
@@ -139,11 +130,6 @@ impl std::fmt::Display for RouterError {
                 addr,
                 message,
             } => write!(f, "shard {shard} ({addr}) is unavailable: {message}"),
-            RouterError::EpochUnavailable {
-                shard,
-                addr,
-                message,
-            } => write!(f, "shard {shard} ({addr}) kept moving its epoch: {message}"),
             RouterError::BadRequest(message) => write!(f, "unroutable request: {message}"),
             RouterError::Sharding(err) => write!(f, "cannot route tuple: {err}"),
             RouterError::Protocol { shard, message } => {
@@ -187,14 +173,6 @@ enum Target {
 struct ShardSlot {
     addr: SocketAddr,
     client: Option<Client>,
-}
-
-/// How one shard's sub-batch failed, before the shard index/address are
-/// attached.
-struct ShardFailure {
-    epoch_moved: bool,
-    protocol: bool,
-    message: String,
 }
 
 /// A multi-shard scatter-gather client presenting one logical KB.
@@ -241,10 +219,11 @@ impl Router {
 
     /// Execute a batch of ops against the cluster and merge the answer.
     ///
-    /// Unlike a single server's wire limit, a library batch may exceed
-    /// [`MAX_OPS_PER_BATCH`]: per-shard sub-batches are chunked and the
-    /// chunks after the first are pinned to the first chunk's epoch, so the
-    /// whole batch still reads one epoch per shard.
+    /// Each consulted shard answers its sub-batch — the broadcast ops plus
+    /// the keyed ops it owns — in one frame, so the sub-batch is held to the
+    /// wire cap: a batch that gives one shard more than
+    /// [`MAX_OPS_PER_BATCH`] ops is refused with [`RouterError::BadRequest`]
+    /// before any shard is dialed.
     pub fn batch(&mut self, ops: &[Op]) -> Result<RouterBatch, RouterError> {
         let num_shards = self.shards.len();
         let mut targets = Vec::with_capacity(ops.len());
@@ -267,31 +246,38 @@ impl Router {
             }
         }
 
-        // Scatter: each consulted shard runs its sub-batch pinned to its
-        // first answer's epoch.  Real fan-out gets a thread per shard; a
-        // batch for one shard (every point read) runs on this thread, since
-        // a spawn and a join cost as much as the shard call they would wrap.
+        if let Some(shard) = plans.iter().position(|p| p.len() > MAX_OPS_PER_BATCH) {
+            return Err(RouterError::BadRequest(format!(
+                "the batch gives shard {shard} {} ops; one shard answers at most \
+                 {MAX_OPS_PER_BATCH} per batch",
+                plans[shard].len()
+            )));
+        }
+
+        // Scatter: each consulted shard answers its sub-batch in one frame.
+        // Real fan-out gets a thread per shard; a batch for one shard (every
+        // point read) runs on this thread, since a spawn and a join cost as
+        // much as the shard call they would wrap.
         let config = &self.config;
         let consulted = plans.iter().filter(|plan| !plan.is_empty()).count();
         let jobs = self.shards.iter_mut().zip(&plans);
-        let outcomes: Vec<Option<Result<(u64, VecDeque<OpResult>), ShardFailure>>> =
-            if consulted <= 1 {
-                jobs.map(|(slot, plan)| (!plan.is_empty()).then(|| run_shard(slot, plan, config)))
+        let outcomes: Vec<Option<Result<Batch, ClientError>>> = if consulted <= 1 {
+            jobs.map(|(slot, plan)| (!plan.is_empty()).then(|| call_shard(slot, plan, config)))
+                .collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = jobs
+                    .map(|(slot, plan)| {
+                        (!plan.is_empty())
+                            .then(|| scope.spawn(move || call_shard(slot, plan, config)))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.map(|h| h.join().expect("shard workers do not panic")))
                     .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
-                        .map(|(slot, plan)| {
-                            (!plan.is_empty())
-                                .then(|| scope.spawn(move || run_shard(slot, plan, config)))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.map(|h| h.join().expect("shard workers do not panic")))
-                        .collect()
-                })
-            };
+            })
+        };
 
         // Gather: surface the first shard failure as a typed error, else
         // collect per-shard result queues and the epoch vector.
@@ -301,29 +287,18 @@ impl Router {
         for (shard, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 None => {}
-                Some(Ok((epoch, results))) => {
-                    epochs[shard] = Some(epoch);
-                    queues[shard] = results;
+                Some(Ok(batch)) => {
+                    epochs[shard] = Some(batch.epoch);
+                    queues[shard] = batch.results.into();
                 }
-                Some(Err(failure)) => {
-                    let addr = self.shards[shard].addr;
-                    return Err(if failure.epoch_moved {
-                        RouterError::EpochUnavailable {
-                            shard,
-                            addr,
-                            message: failure.message,
-                        }
-                    } else if failure.protocol {
-                        RouterError::Protocol {
-                            shard,
-                            message: failure.message,
-                        }
-                    } else {
-                        RouterError::ShardUnavailable {
-                            shard,
-                            addr,
-                            message: failure.message,
-                        }
+                Some(Err(ClientError::Protocol(message))) => {
+                    return Err(RouterError::Protocol { shard, message });
+                }
+                Some(Err(err)) => {
+                    return Err(RouterError::ShardUnavailable {
+                        shard,
+                        addr: self.shards[shard].addr,
+                        message: err.to_string(),
                     });
                 }
             }
@@ -365,17 +340,8 @@ impl Router {
     ///
     /// The response's `epochs` field carries the cross-shard epoch vector;
     /// its scalar `epoch` is only informational (the highest consulted shard
-    /// epoch), since no single number can name a cross-shard read.  Requests
-    /// that pin `at_epoch` are rejected: a scalar pin is not addressable
-    /// against a vector of independent shard epochs.
+    /// epoch), since no single number can name a cross-shard read.
     pub fn execute(&mut self, request: &Request) -> Response {
-        if request.at_epoch.is_some() {
-            return Response::error(
-                ErrorKind::BadRequest,
-                "the router answers with a cross-shard epoch vector; \
-                 a scalar at_epoch pin is not addressable here",
-            );
-        }
         match self.batch(&request.ops) {
             Ok(batch) => {
                 let epoch = batch.epochs.iter().filter_map(|e| *e).max().unwrap_or(0);
@@ -445,54 +411,12 @@ fn rewrite_for_shard(op: &Op) -> Op {
     }
 }
 
-/// Run one shard's sub-batch: chunked at the wire cap, pinned to the first
-/// chunk's epoch, restarted once in full if the shard publishes mid-batch.
-fn run_shard(
-    slot: &mut ShardSlot,
-    ops: &[Op],
-    config: &RouterConfig,
-) -> Result<(u64, VecDeque<OpResult>), ShardFailure> {
-    debug_assert!(!ops.is_empty(), "empty plans are never scheduled");
-    for attempt in 0..2 {
-        let mut pinned: Option<u64> = None;
-        let mut results = VecDeque::with_capacity(ops.len());
-        let mut epoch_moved = false;
-        for chunk in ops.chunks(MAX_OPS_PER_BATCH) {
-            match call_shard(slot, chunk, pinned, config) {
-                Ok(batch) => {
-                    pinned.get_or_insert(batch.epoch);
-                    results.extend(batch.results);
-                }
-                Err(ClientError::Server {
-                    kind: ErrorKind::EpochUnavailable,
-                    ..
-                }) if attempt == 0 => {
-                    // The shard published a new epoch between our chunks;
-                    // restart the whole sub-batch against the new epoch.
-                    epoch_moved = true;
-                    break;
-                }
-                Err(err) => return Err(classify(err)),
-            }
-        }
-        if !epoch_moved {
-            let epoch = pinned.expect("at least one chunk answered");
-            return Ok((epoch, results));
-        }
-    }
-    Err(ShardFailure {
-        epoch_moved: true,
-        protocol: false,
-        message: "the shard published new epochs twice while the batch was in flight".to_string(),
-    })
-}
-
-/// One pinned chunk call with transparent reconnect: a transport error drops
-/// the cached client and re-dials once before giving up.
+/// One shard's whole sub-batch in one call, with transparent reconnect: a
+/// transport error drops the cached client and re-dials once before giving
+/// up.
 fn call_shard(
     slot: &mut ShardSlot,
-    chunk: &[Op],
-    at_epoch: Option<u64>,
+    ops: &[Op],
     config: &RouterConfig,
 ) -> Result<Batch, ClientError> {
     let mut redialed = false;
@@ -504,7 +428,7 @@ fn call_shard(
             }
         }
         let client = slot.client.as_mut().expect("dialed above");
-        match client.call_with_retry(&config.retry, |c| c.batch_at(chunk.to_vec(), at_epoch)) {
+        match client.call_with_retry(&config.retry, |c| c.batch(ops.to_vec())) {
             Ok(batch) => return Ok(batch),
             Err(err @ (ClientError::Io(_) | ClientError::Frame(_))) => {
                 slot.client = None;
@@ -515,29 +439,6 @@ fn call_shard(
             }
             Err(err) => return Err(err),
         }
-    }
-}
-
-fn classify(err: ClientError) -> ShardFailure {
-    match err {
-        ClientError::Protocol(message) => ShardFailure {
-            epoch_moved: false,
-            protocol: true,
-            message,
-        },
-        ClientError::Server {
-            kind: ErrorKind::EpochUnavailable,
-            message,
-        } => ShardFailure {
-            epoch_moved: true,
-            protocol: false,
-            message,
-        },
-        other => ShardFailure {
-            epoch_moved: false,
-            protocol: false,
-            message: other.to_string(),
-        },
     }
 }
 
@@ -810,19 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_epoch_pins_are_rejected_at_the_front_door() {
-        let mut router = hash_router(2);
-        let request = Request {
-            ops: vec![Op::Epoch],
-            at_epoch: Some(3),
-        };
-        let Response::Error { kind, .. } = router.execute(&request) else {
-            panic!("pinned requests must be refused");
-        };
-        assert_eq!(kind, ErrorKind::BadRequest);
-    }
-
-    #[test]
     fn an_unreachable_shard_is_a_typed_error_not_a_hang() {
         // Nothing listens on these ports; connect_timeout bounds the dial.
         let mut router = Router::new(
@@ -844,5 +732,21 @@ mod tests {
         assert!(matches!(err, RouterError::ShardUnavailable { .. }));
         assert_eq!(err.kind(), ErrorKind::ShardUnavailable);
         assert!(err.to_string().contains("unavailable"));
+    }
+
+    #[test]
+    fn a_shard_sub_batch_over_the_wire_cap_is_refused_before_any_dial() {
+        // Nothing listens here: a dial would end in `ShardUnavailable`, so
+        // `BadRequest` shows the refusal came first.
+        let mut router = Router::new(
+            ShardAssignment::HashKey { column: 0 },
+            &["127.0.0.1:1".parse().unwrap()],
+            RouterConfig::default(),
+        )
+        .unwrap();
+        let ops = vec![Op::probability_of("Fact", tuple![7i64]); MAX_OPS_PER_BATCH + 1];
+        let err = router.batch(&ops).unwrap_err();
+        assert!(matches!(err, RouterError::BadRequest(_)), "{err}");
+        assert!(err.to_string().contains("1025 ops"), "{err}");
     }
 }

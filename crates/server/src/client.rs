@@ -278,15 +278,7 @@ impl Client {
     /// per-op results) on success, or the typed refusal as
     /// [`ClientError::Server`].
     pub fn batch(&mut self, ops: Vec<Op>) -> Result<Batch, ClientError> {
-        self.batch_at(ops, None)
-    }
-
-    /// Send one batch pinned to a specific server epoch (`at_epoch`); the
-    /// server answers `epoch_unavailable` if its current snapshot differs.
-    /// Routers use this to keep multi-chunk shard requests on one cut.
-    pub fn batch_at(&mut self, ops: Vec<Op>, at_epoch: Option<u64>) -> Result<Batch, ClientError> {
-        let request = Request { ops, at_epoch };
-        write_frame(&mut self.stream, &request.encode())?;
+        write_frame(&mut self.stream, &Request::new(ops).encode())?;
         self.stream.flush()?;
         let payload = read_frame(&mut self.stream, self.max_frame_bytes)?;
         match Response::decode(&payload).map_err(ClientError::Protocol)? {
@@ -550,7 +542,7 @@ mod tests {
 
     #[test]
     fn call_with_retry_rides_out_a_flooded_server() {
-        use crate::server::{Server, ServerConfig};
+        use crate::server::{Server, ServerConfig, SnapshotBatchHandler};
         use deepdive::{CatalogShards, Snapshot, SnapshotReader};
         use std::collections::HashMap;
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -564,13 +556,12 @@ mod tests {
             CatalogShards::build(catalog.iter(), 7),
         ));
         // One worker, one queue slot: two concurrent sleeps saturate it.
-        let server = Server::bind(
+        let server = Server::bind_with_handler(
             "127.0.0.1:0",
-            reader,
+            Arc::new(SnapshotBatchHandler::new(reader, true)),
             ServerConfig {
                 workers: 1,
                 queue_capacity: 1,
-                allow_sleep_op: true,
                 ..ServerConfig::default()
             },
         )

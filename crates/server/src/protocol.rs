@@ -15,19 +15,13 @@
 //!
 //! # Routing metadata (sharded deployments)
 //!
-//! Two optional envelope fields exist for the `dd-router` scatter-gather
-//! front door; unsharded clients and servers never need them:
-//!
-//! * A request may carry `"at_epoch": E` to demand that the batch be served
-//!   from exactly epoch `E`.  A server whose current snapshot is at any
-//!   other epoch answers with a typed [`ErrorKind::EpochUnavailable`] error
-//!   instead of silently serving a different cut.  The router uses this to
-//!   pin multi-chunk per-shard requests to one snapshot.
-//! * A batch response may carry `"epochs": [e0, null, e2, ...]` — the
-//!   **cross-shard epoch vector**: entry `i` is the epoch shard `i`'s
-//!   answers came from, `null` for shards the batch never consulted.  The
-//!   scalar `epoch` field then carries the maximum consulted entry as a
-//!   coarse cluster version; the vector is authoritative.
+//! A batch response may carry `"epochs": [e0, null, e2, ...]` — the
+//! **cross-shard epoch vector** the `dd-router` scatter-gather front door
+//! reports: entry `i` is the epoch shard `i`'s answers came from, `null` for
+//! shards the batch never consulted.  The scalar `epoch` field then carries
+//! the maximum consulted entry as a coarse cluster version; the vector is
+//! authoritative.  Direct servers never send it, and unsharded clients never
+//! need it.
 //!
 //! # Operations
 //!
@@ -118,23 +112,16 @@ impl Op {
     }
 }
 
-/// A decoded request: the operations of one batch, plus an optional epoch
-/// pin (see the module docs on routing metadata).
+/// A decoded request: the operations of one batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     pub ops: Vec<Op>,
-    /// Demand this exact snapshot epoch; the server answers
-    /// [`ErrorKind::EpochUnavailable`] if its current snapshot differs.
-    pub at_epoch: Option<u64>,
 }
 
 impl Request {
-    /// A request with no epoch pin (the common case).
+    /// A request of these operations.
     pub fn new(ops: Vec<Op>) -> Self {
-        Request {
-            ops,
-            at_epoch: None,
-        }
+        Request { ops }
     }
 }
 
@@ -197,9 +184,6 @@ pub enum ErrorKind {
     /// A shard this batch needs is down or unreachable (router-originated;
     /// the batch degraded with a typed error instead of hanging).
     ShardUnavailable,
-    /// The request pinned `at_epoch` to an epoch this server's current
-    /// snapshot does not hold.
-    EpochUnavailable,
     /// A server-side invariant failure (should not happen).
     Internal,
 }
@@ -214,7 +198,6 @@ impl ErrorKind {
             ErrorKind::Oversized => "oversized",
             ErrorKind::ShuttingDown => "shutting_down",
             ErrorKind::ShardUnavailable => "shard_unavailable",
-            ErrorKind::EpochUnavailable => "epoch_unavailable",
             ErrorKind::Internal => "internal",
         }
     }
@@ -228,7 +211,6 @@ impl ErrorKind {
             "oversized" => ErrorKind::Oversized,
             "shutting_down" => ErrorKind::ShuttingDown,
             "shard_unavailable" => ErrorKind::ShardUnavailable,
-            "epoch_unavailable" => ErrorKind::EpochUnavailable,
             "internal" => ErrorKind::Internal,
             _ => return None,
         })
@@ -362,12 +344,6 @@ fn usize_field(o: &mut ObjectReader<'_, '_>, key: &str, default: usize) -> Resul
     Ok(optional_usize_field(o, key)?.unwrap_or(default))
 }
 
-/// A non-negative integer wide enough for epochs (exact up to 2⁵³, far
-/// beyond any update count).
-fn is_epoch(n: f64) -> bool {
-    n.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(&n)
-}
-
 fn f64_field(o: &mut ObjectReader<'_, '_>, key: &str, default: f64) -> Result<f64, String> {
     let n = number_field(o, key, "a finite number", f64::is_finite)?;
     Ok(n.unwrap_or(default))
@@ -457,12 +433,7 @@ impl Decode for Op {
 
 impl Encode for Request {
     fn encode(&self, w: &mut JsonWriter<'_>) {
-        w.object(|w| {
-            w.field("ops", &self.ops);
-            if let Some(epoch) = self.at_epoch {
-                w.key("at_epoch").number(epoch as f64);
-            }
-        });
+        w.object(|w| w.field("ops", &self.ops));
     }
 }
 
@@ -486,11 +457,7 @@ impl Decode for Request {
                 ops.push(Op::decode(r)?);
                 Ok(())
             })?;
-            let at_epoch = number_field(o, "at_epoch", "a non-negative integer", is_epoch)?;
-            Ok(Request {
-                ops,
-                at_epoch: at_epoch.map(|e| e as u64),
-            })
+            Ok(Request { ops })
         })
     }
 }
@@ -791,23 +758,13 @@ mod tests {
     }
 
     #[test]
-    fn epoch_pin_round_trips_and_rejects_junk() {
-        let pinned = Request {
-            ops: vec![Op::Epoch],
-            at_epoch: Some(41),
-        };
-        assert_eq!(Request::decode(&pinned.encode()).unwrap(), pinned);
-        // Absent pin decodes to None.
-        assert_eq!(Request::decode(br#"{"ops": []}"#).unwrap().at_epoch, None);
-        let err = Request::decode(br#"{"ops": [], "at_epoch": -3}"#).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::BadRequest);
-    }
-
-    #[test]
     fn request_defaults_fill_in_for_sparse_queries() {
         let decoded =
             Request::decode(br#"{"ops": [{"op": "query", "relation": "Fact"}]}"#).unwrap();
         assert_eq!(decoded.ops[0], Op::query("Fact", FactQuerySpec::default()));
+        // Members nobody reads are skipped, whatever their value.
+        let decoded = Request::decode(br#"{"ops": [], "at_epoch": -3}"#).unwrap();
+        assert_eq!(decoded, Request::new(Vec::new()));
     }
 
     #[test]
@@ -899,7 +856,6 @@ mod tests {
             ErrorKind::Oversized,
             ErrorKind::ShuttingDown,
             ErrorKind::ShardUnavailable,
-            ErrorKind::EpochUnavailable,
             ErrorKind::Internal,
         ] {
             assert_eq!(ErrorKind::from_wire_name(kind.wire_name()), Some(kind));

@@ -39,11 +39,21 @@
 //! a client sends can panic the server: a panicking batch is caught on its
 //! connection thread and answered `internal`, its slot is released, and the
 //! connection keeps serving.
+//!
+//! **Every blocking socket call has a deadline.**  A connection thread parks
+//! in the socket's own blocking read, with [`ServerConfig::idle_timeout`] as
+//! the read timeout: a peer that sends nothing for that long — idle, or
+//! stalled inside a frame — is closed, so it cannot hold a connection slot
+//! forever.  A response write blocks at most [`ServerConfig::write_timeout`]
+//! on a peer that stopped reading.  Neither deadline can be switched off: a
+//! zero duration would mean "no timeout" to the socket, so [`Server::bind`]
+//! refuses it.  Shutdown does not wait for either deadline: it shuts every
+//! registered socket down, which ends a parked read or write at once.
 
 use crate::protocol::{Batch, ErrorKind, Op, OpResult, Request, Response};
 use dd_wire::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use deepdive::{Snapshot, SnapshotReader};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,17 +80,13 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// Connections beyond this are answered `overloaded` and closed.
     pub max_connections: usize,
-    /// Enable the `sleep` fault-injection op (tests use it to hold slots
-    /// busy deterministically; keep it off for real deployments).
-    pub allow_sleep_op: bool,
-    /// How often parked connection threads wake to check for shutdown.
-    pub poll_interval: Duration,
     /// Cap on how long one response write may block on a peer that stopped
-    /// reading before the connection is dropped.
+    /// reading before the connection is dropped.  Must not be zero.
     pub write_timeout: Duration,
     /// A connection that delivers no byte for this long is closed — the
     /// slowloris bound: idle (or partial-frame-stalled) sockets cannot hold
-    /// connection slots forever.  Clients reconnect on demand.
+    /// connection slots forever.  Clients reconnect on demand.  It is the
+    /// socket's read timeout, so it must not be zero.
     pub idle_timeout: Duration,
 }
 
@@ -91,8 +97,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             max_frame_bytes: MAX_FRAME_BYTES,
             max_connections: 256,
-            allow_sleep_op: false,
-            poll_interval: Duration::from_millis(25),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
         }
@@ -115,9 +119,7 @@ pub trait BatchHandler: Send + Sync + 'static {
 }
 
 /// The default [`BatchHandler`]: pins `reader.snapshot()` once per batch so
-/// every op answers from the same epoch, honoring the request's `at_epoch`
-/// pin (answering [`ErrorKind::EpochUnavailable`] when the current snapshot
-/// is at any other epoch).
+/// every op answers from the same epoch.
 pub struct SnapshotBatchHandler {
     reader: SnapshotReader,
     allow_sleep: bool,
@@ -125,7 +127,9 @@ pub struct SnapshotBatchHandler {
 
 impl SnapshotBatchHandler {
     /// Wrap a snapshot reader; `allow_sleep` enables the fault-injection
-    /// `sleep` op (see [`ServerConfig::allow_sleep_op`]).
+    /// `sleep` op, which tests use to hold execution slots busy
+    /// deterministically.  [`Server::bind`] serves with it off; a server
+    /// that should take it is bound through [`Server::bind_with_handler`].
     pub fn new(reader: SnapshotReader, allow_sleep: bool) -> Self {
         SnapshotBatchHandler {
             reader,
@@ -137,19 +141,7 @@ impl SnapshotBatchHandler {
 impl BatchHandler for SnapshotBatchHandler {
     fn execute(&self, request: &Request) -> Response {
         // One snapshot pin per batch: every op below reads this epoch.
-        let snapshot = self.reader.snapshot();
-        if let Some(want) = request.at_epoch {
-            if snapshot.epoch() != want {
-                return Response::error(
-                    ErrorKind::EpochUnavailable,
-                    format!(
-                        "pinned epoch {want} is not this server's current epoch {}",
-                        snapshot.epoch()
-                    ),
-                );
-            }
-        }
-        execute_batch(&snapshot, request, self.allow_sleep)
+        execute_batch(&self.reader.snapshot(), request, self.allow_sleep)
     }
 }
 
@@ -324,24 +316,38 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start serving
-    /// `reader`'s snapshots.  Returns as soon as the listener is live.
+    /// `reader`'s snapshots, with the `sleep` op refused.  Returns as soon as
+    /// the listener is live.  A zero `idle_timeout` or `write_timeout` is
+    /// refused with [`io::ErrorKind::InvalidInput`].
     pub fn bind(
         addr: impl ToSocketAddrs,
         reader: SnapshotReader,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        let handler = Arc::new(SnapshotBatchHandler::new(reader, config.allow_sleep_op));
+        let handler = Arc::new(SnapshotBatchHandler::new(reader, false));
         Server::bind_with_handler(addr, handler, config)
     }
 
     /// Bind `addr` and serve batches through a custom [`BatchHandler`]
-    /// (acceptor, execution slots, typed backpressure, and panic
-    /// containment all behave exactly as with [`Server::bind`]).
+    /// (acceptor, execution slots, typed backpressure, panic containment
+    /// and the refusal of zero timeouts all behave exactly as with
+    /// [`Server::bind`]).
     pub fn bind_with_handler(
         addr: impl ToSocketAddrs,
         handler: Arc<dyn BatchHandler>,
         config: ServerConfig,
     ) -> io::Result<Server> {
+        for (name, timeout) in [
+            ("idle_timeout", config.idle_timeout),
+            ("write_timeout", config.write_timeout),
+        ] {
+            if timeout.is_zero() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("{name} must be positive: a zero socket timeout means none"),
+                ));
+            }
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(handler, config));
@@ -497,74 +503,26 @@ fn acceptor_loop(
     }
 }
 
-/// A `Read` adapter that turns the socket's read timeout into a shutdown
-/// and idle-deadline poll: timeouts retry (preserving frame alignment — no
-/// byte is lost) until data arrives, the peer closes, the server stops, or
-/// the connection has been silent past its idle deadline (the slowloris
-/// bound — a peer holding the socket open without sending cannot occupy a
-/// connection slot forever).
-struct PolledStream<'a> {
-    stream: &'a TcpStream,
-    stop: &'a AtomicBool,
-    idle_timeout: Duration,
-    last_byte: Instant,
-}
-
-impl Read for PolledStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(err)
-                    if matches!(
-                        err.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.stop.load(Ordering::Acquire) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            "server shutting down",
-                        ));
-                    }
-                    if self.last_byte.elapsed() >= self.idle_timeout {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "connection idle past the deadline",
-                        ));
-                    }
-                }
-                Ok(n) => {
-                    if n > 0 {
-                        self.last_byte = Instant::now();
-                    }
-                    return Ok(n);
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
 /// Serve one connection until it closes, violates framing, or the server
 /// stops.  One request is in flight per connection at a time, so responses
 /// are trivially ordered.
 fn connection_loop(stream: &TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    // A peer that stops *reading* must not wedge this thread forever in
-    // `write_all`; on timeout the write fails and the connection closes
-    // (shutdown also force-unblocks via `Shutdown::Both` on the registry).
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    // A peer that goes silent, or stops *reading*, must not wedge this
+    // thread forever: on either deadline the read or write fails and the
+    // connection closes (shutdown also force-unblocks both via
+    // `Shutdown::Both` on the registry).  A socket that refuses a deadline
+    // is not served at all.
+    let deadlines = stream
+        .set_read_timeout(Some(shared.config.idle_timeout))
+        .and_then(|()| stream.set_write_timeout(Some(shared.config.write_timeout)));
+    if deadlines.is_err() {
+        return;
+    }
     let _ = stream.set_nodelay(true);
-    let mut reader = PolledStream {
-        stream,
-        stop: &shared.stop,
-        idle_timeout: shared.config.idle_timeout,
-        last_byte: Instant::now(),
-    };
-    let mut writer = stream;
+    let mut stream = stream;
 
     loop {
-        let payload = match read_frame(&mut reader, shared.config.max_frame_bytes) {
+        let payload = match read_frame(&mut stream, shared.config.max_frame_bytes) {
             Ok(payload) => payload,
             Err(FrameError::Closed) => return,
             Err(err @ FrameError::Oversized { .. }) => {
@@ -573,11 +531,11 @@ fn connection_loop(stream: &TcpStream, shared: &Shared) {
                 // typed refusal, then close.
                 shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
                 let refusal = Response::error(ErrorKind::Oversized, err.to_string());
-                let _ = write_response(&mut writer, &refusal);
+                let _ = write_response(&mut stream, &refusal);
                 return;
             }
-            // Truncated frame, shutdown poll, or transport error: nothing
-            // well-formed to answer.
+            // Truncated frame, idle deadline, shutdown, or transport error:
+            // nothing well-formed to answer.
             Err(_) => return,
         };
 
@@ -588,7 +546,7 @@ fn connection_loop(stream: &TcpStream, shared: &Shared) {
                 // answer with the typed error and keep serving.  The decode
                 // layer already classified the failure into the taxonomy.
                 shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-                if write_response(&mut writer, &Response::error(err.kind, err.message)).is_err() {
+                if write_response(&mut stream, &Response::error(err.kind, err.message)).is_err() {
                     return;
                 }
                 continue;
@@ -596,7 +554,7 @@ fn connection_loop(stream: &TcpStream, shared: &Shared) {
         };
 
         let response = shared.serve(&request);
-        if write_response(&mut writer, &response).is_err() {
+        if write_response(&mut stream, &response).is_err() {
             return;
         }
         if matches!(
@@ -836,48 +794,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_handler_enforces_the_epoch_pin() {
-        let handler = SnapshotBatchHandler::new(SnapshotReader::fixed(test_snapshot()), false);
-        // Matching pin (the synthetic snapshot is at epoch 3): served.
-        let pinned = Request {
-            ops: vec![Op::Epoch],
-            at_epoch: Some(3),
-        };
-        let Response::Batch(batch) = handler.execute(&pinned) else {
-            panic!("matching pin must be served");
-        };
-        assert_eq!(batch.epoch, 3);
-        // Any other pin: the typed epoch_unavailable error, not a stale cut.
-        let stale = Request {
-            ops: vec![Op::Epoch],
-            at_epoch: Some(2),
-        };
-        assert!(matches!(
-            handler.execute(&stale),
-            Response::Error {
-                kind: ErrorKind::EpochUnavailable,
-                ..
-            }
-        ));
-        // No pin: served from whatever is current.
-        assert!(matches!(
-            handler.execute(&Request::new(vec![Op::Epoch])),
-            Response::Batch(_)
-        ));
-    }
-
-    #[test]
     fn timing_counters_account_queue_wait_and_service_time() {
-        let config = ServerConfig {
-            allow_sleep_op: true,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind(
-            "127.0.0.1:0",
-            SnapshotReader::fixed(test_snapshot()),
-            config,
-        )
-        .expect("bind loopback server");
+        let handler = SnapshotBatchHandler::new(SnapshotReader::fixed(test_snapshot()), true);
+        let server =
+            Server::bind_with_handler("127.0.0.1:0", Arc::new(handler), ServerConfig::default())
+                .expect("bind loopback server");
         let mut client =
             crate::client::Client::connect(server.local_addr()).expect("connect test client");
         client
@@ -894,5 +815,34 @@ mod tests {
         // One batch: the max queue wait IS the total queue wait.
         assert_eq!(stats.max_queue_wait_nanos, stats.queue_wait_nanos_total);
         server.shutdown();
+    }
+
+    /// Binds a server with one timeout zeroed and returns the refusal.
+    fn bind_refusal(config: ServerConfig) -> io::Error {
+        let reader = SnapshotReader::fixed(test_snapshot());
+        match Server::bind("127.0.0.1:0", reader, config) {
+            Ok(_) => panic!("a zero timeout must be refused"),
+            Err(err) => err,
+        }
+    }
+
+    #[test]
+    fn a_zero_idle_timeout_is_refused_at_bind() {
+        let err = bind_refusal(ServerConfig {
+            idle_timeout: Duration::ZERO,
+            ..ServerConfig::default()
+        });
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("idle_timeout"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_write_timeout_is_refused_at_bind() {
+        let err = bind_refusal(ServerConfig {
+            write_timeout: Duration::ZERO,
+            ..ServerConfig::default()
+        });
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("write_timeout"), "{err}");
     }
 }

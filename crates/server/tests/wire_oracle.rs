@@ -90,20 +90,6 @@ mod tree {
         }
     }
 
-    /// An optional non-negative integral field wide enough for epochs (exact up
-    /// to 2⁵³, far beyond any update count).
-    fn optional_u64_field(obj: &Json, key: &str) -> Result<Option<u64>, String> {
-        match obj.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(Json::Number(n))
-                if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.007_199_254_740_992e15 =>
-            {
-                Ok(Some(*n as u64))
-            }
-            Some(_) => Err(format!("\"{key}\" must be a non-negative integer")),
-        }
-    }
-
     fn f64_field(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
         match obj.get(key) {
             None | Some(Json::Null) => Ok(default),
@@ -195,16 +181,12 @@ mod tree {
     }
 
     pub fn encode_request(this: &Request) -> Vec<u8> {
-        {
-            let mut fields = vec![(
-                "ops".to_string(),
-                Json::Array(this.ops.iter().map(op_to_json).collect()),
-            )];
-            if let Some(epoch) = this.at_epoch {
-                fields.push(("at_epoch".to_string(), Json::Number(epoch as f64)));
-            }
-            Json::Object(fields).encode().into_bytes()
-        }
+        Json::Object(vec![(
+            "ops".to_string(),
+            Json::Array(this.ops.iter().map(op_to_json).collect()),
+        )])
+        .encode()
+        .into_bytes()
     }
 
     pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
@@ -234,8 +216,7 @@ mod tree {
                 .map(op_from_json)
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(bad_request)?;
-            let at_epoch = optional_u64_field(&doc, "at_epoch").map_err(bad_request)?;
-            Ok(Request { ops, at_epoch })
+            Ok(Request { ops })
         }
     }
 
@@ -579,10 +560,7 @@ fn same_response(a: &Response, b: &Response) -> bool {
 fn requests_encode_and_decode_as_the_tree_codec_did() {
     let mut rng = SplitMix64(0x51);
     for case in 0..2_000 {
-        let request = Request {
-            ops: (0..rng.below(6)).map(|_| random_op(&mut rng)).collect(),
-            at_epoch: (rng.below(3) == 0).then(|| rng.next() % 10_000),
-        };
+        let request = Request::new((0..rng.below(6)).map(|_| random_op(&mut rng)).collect());
         let bytes = request.encode();
         assert_eq!(
             String::from_utf8_lossy(&bytes),
@@ -651,6 +629,9 @@ fn hand_written_requests_get_the_same_answer() {
         br#"{"ops": [{"op": "probability_of", "relation": "F", "tuple": [9007199254740993]}]}"#,
         br#"{"ops": [{"op": "all_facts"}], "ops": "shadowed", "at_epoch": null}"#,
         br#"{"ops": [{"op": "sleep", "millis": 4294967295}]}"#,
+        // An `at_epoch` member is read by nobody, whatever its value.
+        br#"{"ops": [], "at_epoch": -3}"#,
+        br#"{"ops": [], "at_epoch": "7"}"#,
         // Refused: as bad requests...
         br#"{}"#,
         br#"[1]"#,
@@ -670,8 +651,6 @@ fn hand_written_requests_get_the_same_answer() {
         br#"{"ops": [{"op": "probability_of", "relation": "F", "tuple": [[1]]}]}"#,
         br#"{"ops": [{"op": "probability_of", "relation": "F", "tuple": [{"float": "x"}]}]}"#,
         br#"{"ops": [{"op": "probability_of", "relation": "F", "tuple": [{"float": 1, "more": 2}]}]}"#,
-        br#"{"ops": [], "at_epoch": -3}"#,
-        br#"{"ops": [], "at_epoch": "7"}"#,
         too_many.as_bytes(),
         // ...and as malformed frames, wherever the damage is.
         b"",

@@ -228,14 +228,7 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
     assert_eq!(error_kind(&doc), Some("bad_request"));
 
     // The SAME connection still serves valid requests afterwards.
-    let doc = roundtrip_raw(
-        &mut stream,
-        &Request {
-            ops: vec![Op::Epoch],
-            at_epoch: None,
-        }
-        .encode(),
-    );
+    let doc = roundtrip_raw(&mut stream, &Request::new(vec![Op::Epoch]).encode());
     assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(doc.get("epoch").and_then(Json::as_f64), Some(1.0));
 
@@ -410,10 +403,11 @@ fn bounded_queue_returns_overloaded_under_flood_and_recovers_after_drain() {
     let config = ServerConfig {
         workers: 1,
         queue_capacity: 2,
-        allow_sleep_op: true,
         ..ServerConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", synthetic_reader(), config).expect("server binds");
+    let handler = SnapshotBatchHandler::new(synthetic_reader(), true);
+    let server = Server::bind_with_handler("127.0.0.1:0", std::sync::Arc::new(handler), config)
+        .expect("server binds");
     let addr = server.local_addr();
 
     thread::scope(|scope| {

@@ -1,5 +1,10 @@
 //! `Server::shutdown` always returns.
 //!
+//! A connection thread parks in a blocking socket read whose only deadline
+//! is the idle timeout (60 s by default); shutdown ends that read by shutting
+//! the registered socket down, not by waiting for the deadline.  One test
+//! holds such a silent connection open across a shutdown.
+//!
 //! A request waiting for an execution slot must not miss the wake-up
 //! shutdown sends it: the stop flag is raised under the slot lock, so the
 //! waiter either sees it or is already waiting when `notify_all` runs.  A
@@ -12,8 +17,9 @@
 //! when it takes longer than any healthy run could.
 
 use deepdive_repro::prelude::*;
-use deepdive_repro::server::ErrorKind;
-use std::sync::mpsc;
+use deepdive_repro::server::{ErrorKind, SnapshotBatchHandler};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -67,10 +73,11 @@ fn shutdown_answers_a_request_waiting_for_the_slot() {
     let scenario = thread::spawn(move || {
         let config = ServerConfig {
             workers: 1,
-            allow_sleep_op: true,
             ..ServerConfig::default()
         };
-        let server = Server::bind("127.0.0.1:0", reader(), config).expect("server binds");
+        let handler = Arc::new(SnapshotBatchHandler::new(reader(), true));
+        let server =
+            Server::bind_with_handler("127.0.0.1:0", handler, config).expect("server binds");
         let addr = server.local_addr();
         let holder = thread::spawn(move || {
             let mut client = Client::connect(addr).expect("holder connects");
@@ -100,5 +107,32 @@ fn shutdown_answers_a_request_waiting_for_the_slot() {
         | Err(ClientError::Frame(_)) => {}
         other => panic!("expected shutting_down or a closed socket, got {other:?}"),
     }
+    scenario.join().expect("the scenario thread finishes");
+}
+
+#[test]
+fn shutdown_unblocks_a_connection_parked_in_a_read() {
+    let (done, finished) = mpsc::channel();
+    let scenario = thread::spawn(move || {
+        let config = ServerConfig::default();
+        assert_eq!(config.idle_timeout, Duration::from_secs(60));
+        assert!(
+            config.idle_timeout > STALL,
+            "the deadline must not end the read"
+        );
+        let server = Server::bind("127.0.0.1:0", reader(), config).expect("server binds");
+        // Served once, then silent: its thread is parked reading the next
+        // frame, with nothing but the idle deadline to wake it.
+        let mut client = Client::connect(server.local_addr()).expect("client connects");
+        assert_eq!(client.epoch().expect("epoch"), 1);
+        let silent = TcpStream::connect(server.local_addr()).expect("silent connects");
+        thread::sleep(Duration::from_millis(100)); // both threads are parked
+        server.shutdown();
+        drop((client, silent));
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(STALL)
+        .expect("shutdown hung on a connection parked in a read");
     scenario.join().expect("the scenario thread finishes");
 }
