@@ -1192,7 +1192,7 @@ fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
         .join("checkpoints")
         .join(format!("ckpt-{covered:020}.ckpt"));
     let payload = std::fs::metadata(&file).expect("checkpoint file").len()
-        - dd_wire::record::RECORD_HEADER_BYTES as u64;
+        - dd_wire::RECORD_HEADER_BYTES as u64;
     let peak_per_byte = steady.peak_extra as f64 / payload as f64;
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);

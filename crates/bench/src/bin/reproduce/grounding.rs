@@ -5,10 +5,10 @@
 //! FE1 on News.
 
 use dd_bench::{print_table, secs, speedup, timed};
-use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{
     ConjunctiveQuery, DataType, Database, DeltaRelation, MaterializedView, Schema, Tuple, Value,
 };
+use dd_relstore::{Filter, QueryAtom, Term};
 use std::collections::HashMap;
 
 pub fn run() {

@@ -57,7 +57,7 @@ const TARGET_FLAGS: [&str; 4] = ["--bin", "--example", "--test", "-p"];
 /// `--example`, `--test` or `-p` when it is a plain name (placeholders such
 /// as `<name>` are skipped); `-p` is only read on a line that mentions
 /// `cargo`, since `mkdir -p` is not naming a package.
-pub fn extract_refs(text: &str) -> Vec<DocRef> {
+pub(crate) fn extract_refs(text: &str) -> Vec<DocRef> {
     let mut refs = Vec::new();
     // Markdown link targets.
     let mut i = 0;

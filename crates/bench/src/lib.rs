@@ -11,6 +11,8 @@
 //! benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`) is the one
 //! harness for those.
 
+#![warn(unreachable_pub)]
+
 use std::time::Instant;
 
 pub mod docs;
@@ -24,7 +26,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Print a markdown-style table row.
-pub fn row(cells: &[String]) -> String {
+pub(crate) fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))
 }
 

@@ -47,7 +47,7 @@ use dd_factorgraph::{
     Factor, FactorGraph, FactorKind, GraphStats, Lit, RelName, Semantics, Variable, VariableRole,
     Weight,
 };
-use dd_grounding::grounder::GroundingRecord;
+use dd_grounding::GroundingRecord;
 use dd_grounding::{
     CatalogOp, GrounderState, GrounderStateRef, KbcUpdate, Program, RelationDecl, RelationRole,
     Rule, RuleKind, WeightSpec,
@@ -55,8 +55,8 @@ use dd_grounding::{
 use dd_inference::{
     DistributionChange, Marginals, SampleMaterialization, SampleSet, VariationalMaterialization,
 };
-use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{Column, DataType, Database, DeltaRelation, Schema, Table, Tuple, Value};
+use dd_relstore::{Filter, QueryAtom, Term};
 use dd_storage::{CheckpointStore, StorageError, Wal};
 use dd_wire::json::{hex_bytes, Decode, Encode, JsonReader, JsonWriter, Kind};
 use std::borrow::Cow;
@@ -65,7 +65,7 @@ use std::collections::HashSet;
 /// Format version stamped into every checkpoint payload.  Bumped whenever the
 /// encoding changes incompatibly; recovery refuses versions it does not know
 /// instead of misreading them.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 3;
+pub(crate) const CHECKPOINT_FORMAT_VERSION: u64 = 3;
 
 /// The oldest format recovery still reads.  A format-2 payload is a format-3
 /// one plus members decoding passes over: each variable's active flag, the
@@ -130,7 +130,7 @@ pub(crate) struct DurabilityHandle {
 
 impl DurabilityHandle {
     /// True once either configured threshold has been reached.
-    pub fn auto_checkpoint_due(&self) -> bool {
+    pub(crate) fn auto_checkpoint_due(&self) -> bool {
         self.checkpoint_every_records
             .is_some_and(|n| self.records_since_checkpoint >= n)
             || self
@@ -139,7 +139,7 @@ impl DurabilityHandle {
     }
 
     /// Append one logical operation to the WAL.
-    pub fn append(&mut self, op: &WalOp<'_>) -> R<()> {
+    pub(crate) fn append(&mut self, op: &WalOp<'_>) -> R<()> {
         let payload = encode_wal_op(op);
         self.wal.append(&payload)?;
         self.records_since_checkpoint += 1;
@@ -164,7 +164,7 @@ impl DurabilityHandle {
     /// A crash between any two steps leaves either the old checkpoint or the
     /// new one fully intact, and the WAL always reaches from the newest valid
     /// checkpoint to the last logged operation.
-    pub fn checkpoint(&mut self, state: &impl Encode) -> R<u64> {
+    pub(crate) fn checkpoint(&mut self, state: &impl Encode) -> R<u64> {
         self.wal.sync()?;
         let covered = self.wal.last_seq();
         self.checkpoints
@@ -1465,7 +1465,7 @@ mod tests {
 
     #[test]
     fn rules_round_trip_every_weight_spec() {
-        use dd_relstore::view::Term;
+        use dd_relstore::Term;
         let specs = vec![
             WeightSpec::Fixed(2.5),
             WeightSpec::Learnable { initial: -1.0 },
@@ -1625,9 +1625,16 @@ mod tests {
             vec![(tuple![1i64, 2i64], Some(0)), (tuple![3i64, 4i64], Some(1))],
             7,
         );
-        let snapshot = Snapshot::synthetic(42, vec![0.25, 0.75], shards)
-            .with_weights(vec![1.5, -0.5])
-            .with_fact_threshold(0.8);
+        // Non-default weights and threshold, so both go through the codec.
+        let synthetic = Snapshot::synthetic(42, vec![0.25, 0.75], shards);
+        let snapshot = Snapshot::publish(
+            42,
+            synthetic.marginals().clone(),
+            vec![1.5, -0.5],
+            synthetic.catalog().clone(),
+            *synthetic.stats(),
+            0.8,
+        );
         let bytes = encode_snapshot(&snapshot);
         let decoded = decode_snapshot(&bytes).unwrap();
         assert_eq!(decoded.epoch(), 42);
@@ -1741,7 +1748,7 @@ mod tests {
     fn a_checkpoint_cut_anywhere_leaves_debris_and_recovery_replays_the_tail() {
         use dd_storage::DurabilityConfig;
         use dd_wire::json::CHUNK_BYTES;
-        use dd_wire::record::RECORD_HEADER_BYTES;
+        use dd_wire::RECORD_HEADER_BYTES;
         let dir = temp_data_dir("cut");
         let open = || {
             crate::DeepDive::builder()

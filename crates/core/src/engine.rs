@@ -124,11 +124,6 @@ impl IterationReport {
     pub fn inference_and_learning_secs(&self) -> f64 {
         self.learning_secs + self.inference_secs
     }
-
-    /// Total time including grounding.
-    pub fn total_secs(&self) -> f64 {
-        self.grounding_secs + self.learning_secs + self.inference_secs
-    }
 }
 
 /// The end-to-end engine.
@@ -739,11 +734,6 @@ impl DeepDive {
 
     // ------------------------------------------------------------- durability
 
-    /// Whether this engine persists to a data directory.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Sequence number of the last WAL record (0 before the first append);
     /// `None` on in-memory engines.
     pub fn last_wal_seq(&self) -> Option<u64> {
@@ -875,11 +865,6 @@ impl DeepDive {
     /// Facts of `relation` whose marginal probability is at least `threshold`.
     pub fn extract_facts(&self, relation: &str, threshold: f64) -> Vec<(Tuple, f64)> {
         self.snapshot().extract_facts(relation, threshold)
-    }
-
-    /// Probability currently assigned to one tuple of a variable relation.
-    pub fn probability_of(&self, relation: &str, tuple: &Tuple) -> Option<f64> {
-        self.snapshot().probability_of(relation, tuple)
     }
 
     /// Quality of the facts currently extracted from `relation` (using the
@@ -1032,19 +1017,22 @@ mod tests {
         let mut dd = engine();
         let report = dd.initial_run().unwrap();
         assert!(report.new_variables >= 3);
-        assert!(report.total_secs() >= 0.0);
+        assert!(report.grounding_secs + report.inference_and_learning_secs() >= 0.0);
 
         // The supervised pair has probability 1; the George/Laura pair shares the
         // "and his wife" feature and should get a high probability; the
         // Malia/Sasha pair should not.
         let supervised = dd
+            .snapshot()
             .probability_of("MarriedMentions", &tuple![10i64, 11i64])
             .unwrap();
         assert_eq!(supervised, 1.0);
         let same_phrase = dd
+            .snapshot()
             .probability_of("MarriedMentions", &tuple![20i64, 21i64])
             .unwrap();
         let other = dd
+            .snapshot()
             .probability_of("MarriedMentions", &tuple![30i64, 31i64])
             .unwrap();
         assert!(
@@ -1074,6 +1062,7 @@ mod tests {
         // New factors → the optimizer picks the sampling strategy.
         assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
         let p = dd
+            .snapshot()
             .probability_of("MarriedMentions", &tuple![40i64, 41i64])
             .unwrap();
         assert!(
@@ -1098,6 +1087,7 @@ mod tests {
         let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
         assert_eq!(report.strategy, Some(StrategyChoice::Variational));
         let p = dd
+            .snapshot()
             .probability_of("MarriedMentions", &tuple![20i64, 21i64])
             .unwrap();
         assert_eq!(p, 1.0);
@@ -1197,7 +1187,7 @@ mod tests {
     #[test]
     fn update_rule_with_unknown_udf_is_rejected_before_grounding() {
         use dd_grounding::{Rule, RuleAtom, RuleKind, WeightSpec};
-        use dd_relstore::view::Term;
+        use dd_relstore::Term;
 
         let mut dd = engine();
         dd.initial_run().unwrap();
@@ -1351,7 +1341,10 @@ mod tests {
             assert_eq!(report.strategy, Some(StrategyChoice::Variational));
         }
         for pair in [tuple![20i64, 21i64], tuple![30i64, 31i64]] {
-            assert_eq!(dd.probability_of("MarriedMentions", &pair), Some(1.0));
+            assert_eq!(
+                dd.snapshot().probability_of("MarriedMentions", &pair),
+                Some(1.0)
+            );
         }
     }
 
@@ -1369,7 +1362,10 @@ mod tests {
         assert_eq!(report.strategy, Some(StrategyChoice::Variational));
         assert!(report.new_variables > 0);
         let pair = tuple![40i64, 41i64];
-        assert_eq!(dd.probability_of("MarriedMentions", &pair), Some(1.0));
+        assert_eq!(
+            dd.snapshot().probability_of("MarriedMentions", &pair),
+            Some(1.0)
+        );
 
         let expected = dd.materialization().unwrap().variational.infer(
             dd.graph(),
@@ -1413,7 +1409,10 @@ mod tests {
         dd.run_update(&franklin_document(), ExecutionMode::Rerun)
             .unwrap();
         let pair = tuple![40i64, 41i64];
-        let full_gibbs = dd.probability_of("MarriedMentions", &pair).unwrap();
+        let full_gibbs = dd
+            .snapshot()
+            .probability_of("MarriedMentions", &pair)
+            .unwrap();
         assert!(full_gibbs > 0.5, "well-supported pair, got {full_gibbs}");
         assert_eq!(accumulated(&dd).new_variables.len(), 1);
         assert!(!accumulated(&dd).new_factors.is_empty());
@@ -1423,7 +1422,10 @@ mod tests {
             .unwrap();
         assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
         assert!(!report.fell_back_to_variational);
-        let sampled = dd.probability_of("MarriedMentions", &pair).unwrap();
+        let sampled = dd
+            .snapshot()
+            .probability_of("MarriedMentions", &pair)
+            .unwrap();
         assert!(
             (sampled - full_gibbs).abs() < 0.3,
             "MH over the stored samples gives {sampled}, full Gibbs gave {full_gibbs}"
@@ -1457,7 +1459,12 @@ mod tests {
         assert!(flat.coupled_query_variables().is_empty());
         assert_eq!(flat.static_query_variables().len(), 3);
         let pair = tuple![40i64, 41i64];
-        assert!(dd.probability_of("MarriedMentions", &pair).unwrap() > 0.5);
+        assert!(
+            dd.snapshot()
+                .probability_of("MarriedMentions", &pair)
+                .unwrap()
+                > 0.5
+        );
 
         // The same round on the coupled program does go to the store (the new
         // pair has no mirror image yet, so it is the one static variable) —
@@ -1512,7 +1519,7 @@ mod tests {
         dd.initial_run().unwrap();
         dd.materialize().unwrap();
         let fact = tuple![5i64, 0i64];
-        assert_eq!(dd.probability_of("Fact", &fact), Some(1.0));
+        assert_eq!(dd.snapshot().probability_of("Fact", &fact), Some(1.0));
 
         let mut update = KbcUpdate::new();
         update.delete("Pos", fact.clone());
@@ -1526,7 +1533,7 @@ mod tests {
         );
         assert_eq!(report.acceptance_rate, None, "served by full Gibbs");
         assert!(dd.materialization().is_none());
-        let p = dd.probability_of("Fact", &fact).unwrap();
+        let p = dd.snapshot().probability_of("Fact", &fact).unwrap();
         assert!(p < 0.95, "the un-pinned variable is published at {p}");
     }
 
@@ -1642,7 +1649,7 @@ mod tests {
     #[test]
     fn checkpoint_without_durability_is_a_typed_error() {
         let mut dd = engine();
-        assert!(!dd.is_durable());
+        assert!(dd.durability.is_none());
         assert!(dd.last_wal_seq().is_none());
         match dd.checkpoint() {
             Err(EngineError::Storage(dd_storage::StorageError::NotConfigured)) => {}
@@ -1655,7 +1662,7 @@ mod tests {
         let dir = temp_data_dir("replay");
         let reference = {
             let mut dd = durable_engine(&dir);
-            assert!(dd.is_durable());
+            assert!(dd.durability.is_some());
             dd.initial_run().unwrap();
             dd.materialize().unwrap();
             let mut update = KbcUpdate::new();
@@ -1678,11 +1685,15 @@ mod tests {
             "replayed snapshot must be byte-identical to the pre-shutdown one"
         );
         assert_eq!(
-            recovered.probability_of("MarriedMentions", &tuple![10i64, 11i64]),
+            recovered
+                .snapshot()
+                .probability_of("MarriedMentions", &tuple![10i64, 11i64]),
             Some(1.0)
         );
         assert_eq!(
-            recovered.probability_of("MarriedMentions", &tuple![20i64, 21i64]),
+            recovered
+                .snapshot()
+                .probability_of("MarriedMentions", &tuple![20i64, 21i64]),
             Some(1.0)
         );
         let _ = std::fs::remove_dir_all(&dir);

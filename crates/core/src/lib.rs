@@ -12,36 +12,36 @@
 //!
 //! * **Builder construction** — [`DeepDive::builder`] names every input
 //!   (program, database, UDFs, config) and validates the whole configuration
-//!   at [`builder::DeepDiveBuilder::build`] time.
-//! * **Typed errors** — every fallible path returns [`error::EngineError`],
+//!   at [`DeepDiveBuilder::build`] time.
+//! * **Typed errors** — every fallible path returns [`EngineError`],
 //!   with source payloads chaining down to the grounding and relational
 //!   layers; no `Result<_, String>` anywhere.
 //! * **Lock-free read snapshots** — [`DeepDive::initial_run`] /
 //!   [`DeepDive::run_update`] atomically publish an immutable
-//!   [`snapshot::Snapshot`] per epoch; any number of serving threads query
+//!   [`Snapshot`] per epoch; any number of serving threads query
 //!   `Arc<Snapshot>` handles (see [`DeepDive::reader`]) while the next update
 //!   grounds, learns, and infers.  The variable catalog inside each snapshot
-//!   is sharded per relation ([`snapshot::CatalogShards`]): publishing after
+//!   is sharded per relation ([`CatalogShards`]): publishing after
 //!   an update re-indexes only the relations that grew (O(Δ)), and every
 //!   untouched shard is `Arc`-shared with the previous epoch's snapshot.
 //!
-//! Modules:
+//! The parts:
 //!
-//! * [`config`]   — engine configuration (sampler, learner, materialization).
-//! * [`builder`]  — [`builder::DeepDiveBuilder`], the validated constructor.
-//! * [`error`]    — [`error::EngineError`].
-//! * [`engine`]   — the [`DeepDive`] engine: initial run, materialization,
-//!   Rerun vs Incremental update execution, snapshot publication.
-//! * [`snapshot`] — [`snapshot::Snapshot`], [`snapshot::FactQuery`], and the
-//!   [`snapshot::SnapshotReader`] serving handle.
-//! * [`materialization`] — the combined sampling + variational materialization
+//! * [`EngineConfig`] — engine configuration (sampler, learner, materialization).
+//! * [`DeepDiveBuilder`] — the validated constructor.
+//! * [`EngineError`] — the one error type.
+//! * [`DeepDive`] — the engine: initial run, materialization, Rerun vs
+//!   Incremental update execution, snapshot publication.
+//! * [`Snapshot`], [`FactQuery`], and the [`SnapshotReader`] serving handle.
+//! * [`Materialization`] — the combined sampling + variational materialization
 //!   (§3.3: both are materialized, the choice is deferred to inference time).
-//! * [`optimizer`] — the rule-based strategy optimizer of §3.3.
-//! * [`decomposition`] — Algorithm 2: grouping inactive variables (Appendix B.1).
-//! * [`incremental_learning`] — SGD/GD with and without warmstart (Appendix B.3).
-//! * [`quality`]  — precision / recall / F1 against a ground-truth fact set.
-//! * [`sharding`] — shard-assignment helpers (hash / range partition keys)
-//!   used by the `dd-router` cluster layer to split a KB across engines.
+//! * [`choose_strategy`] — the rule-based strategy optimizer of §3.3.
+//! * [`decompose`] — Algorithm 2: grouping inactive variables (Appendix B.1).
+//! * [`compare_learning_strategies`] — SGD/GD with and without warmstart
+//!   (Appendix B.3).
+//! * [`evaluate_quality`] — precision / recall / F1 against a ground-truth fact set.
+//! * [`ShardAssignment`] — shard assignment (hash / range partition keys), used
+//!   by the `dd-router` cluster layer to split a KB across engines.
 //!
 //! Every engine samples on its calling thread: full-Gibbs inference, both
 //! learning chains and the materialization run the one sequential sampler,
@@ -50,23 +50,25 @@
 //! `PERFORMANCE.md` at the repo root for the runtime design and measured
 //! numbers, and `ARCHITECTURE.md` for the paper-to-module map.
 
-pub mod builder;
-pub mod config;
-pub mod decomposition;
-pub mod durability;
-pub mod engine;
-pub mod error;
-pub mod incremental_learning;
-pub mod materialization;
-pub mod optimizer;
-pub mod quality;
-pub mod sharding;
-pub mod snapshot;
+#![warn(unreachable_pub)]
+
+mod builder;
+mod config;
+mod decomposition;
+mod durability;
+mod engine;
+mod error;
+mod incremental_learning;
+mod materialization;
+mod optimizer;
+mod quality;
+mod sharding;
+mod snapshot;
 
 pub use builder::DeepDiveBuilder;
 pub use config::EngineConfig;
 pub use decomposition::{decompose, DecompositionGroup};
-pub use durability::{decode_snapshot, encode_snapshot, CHECKPOINT_FORMAT_VERSION};
+pub use durability::{decode_snapshot, encode_snapshot};
 pub use engine::{DeepDive, ExecutionMode, IterationReport};
 pub use error::EngineError;
 pub use incremental_learning::{compare_learning_strategies, LearningComparison};

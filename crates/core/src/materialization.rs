@@ -22,15 +22,10 @@ pub struct Materialization {
 }
 
 impl Materialization {
-    /// Materialize both strategies from one Gibbs run over `graph`.
-    pub fn build(graph: &FactorGraph, config: &EngineConfig) -> Self {
-        Self::build_on(&graph.compile(), graph, config)
-    }
-
-    /// [`Materialization::build`] on a compilation of `graph` the caller
-    /// already holds (the engine's learner and full-Gibbs inference compile
-    /// the same graph just before).
-    pub fn build_on(flat: &FlatGraph, graph: &FactorGraph, config: &EngineConfig) -> Self {
+    /// Materialize both strategies from one Gibbs run over `graph`, on a
+    /// compilation of `graph` the caller already holds (the engine's learner
+    /// and full-Gibbs inference compile the same graph just before).
+    pub(crate) fn build_on(flat: &FlatGraph, graph: &FactorGraph, config: &EngineConfig) -> Self {
         let samples = GibbsSampler::from_flat(flat, config.seed)
             .draw_samples(config.materialization_samples, burn_in(config));
         Self::from_sample_set(graph, samples, config)
@@ -113,7 +108,7 @@ mod tests {
     fn builds_both_strategies_from_one_sample_run() {
         let g = graph(6);
         let config = EngineConfig::fast();
-        let m = Materialization::build(&g, &config);
+        let m = Materialization::build_on(&g.compile(), &g, &config);
         assert_eq!(m.sampling.num_samples(), config.materialization_samples);
         assert_eq!(m.variational.approx_graph().num_variables(), 6);
     }
@@ -128,7 +123,7 @@ mod tests {
             let mut config = EngineConfig::fast();
             config.gibbs.burn_in = gibbs_burn_in;
             config.variational.burn_in = variational_burn_in;
-            let counted = Materialization::build(&g, &config);
+            let counted = Materialization::build_on(&g.compile(), &g, &config);
             let budgeted = Materialization::build_with_budget(&g, &config, 0.02);
             assert!(budgeted.sampling.num_samples() >= 1);
             assert_eq!(

@@ -25,7 +25,6 @@
 //! [`ShardAssignment::partition_update`] splits a [`KbcUpdate`] the same way
 //! (new rules are broadcast to every shard, since programs are replicated).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use dd_grounding::KbcUpdate;
@@ -134,7 +133,7 @@ fn value_hash(value: &Value) -> u64 {
 
 impl ShardAssignment {
     /// Partition-key column this assignment reads.
-    pub fn column(&self) -> usize {
+    pub(crate) fn column(&self) -> usize {
         match self {
             ShardAssignment::HashKey { column } => *column,
             ShardAssignment::RangeKey { column, .. } => *column,
@@ -256,38 +255,6 @@ impl ShardAssignment {
         }
         Ok(parts)
     }
-
-    /// Histogram of shard ownership over a database: `result[s]` is the
-    /// number of distinct rows owned by shard `s`.  Handy for eyeballing
-    /// balance before committing to an assignment.
-    pub fn balance(&self, db: &Database, num_shards: usize) -> Result<Vec<usize>, ShardingError> {
-        self.validate(num_shards)?;
-        let mut hist = vec![0usize; num_shards];
-        for table in db.tables() {
-            for (tuple, _) in table.iter_net_counted() {
-                hist[self.owner(tuple, num_shards)?] += 1;
-            }
-        }
-        Ok(hist)
-    }
-}
-
-/// Group `(relation, tuple)` pairs by owning shard, preserving input order
-/// within each shard.  Used by the router to fan point-lookups out.
-pub fn group_by_shard<'a, I>(
-    assignment: &ShardAssignment,
-    num_shards: usize,
-    items: I,
-) -> Result<HashMap<usize, Vec<(&'a str, &'a Tuple)>>, ShardingError>
-where
-    I: IntoIterator<Item = (&'a str, &'a Tuple)>,
-{
-    let mut by_shard: HashMap<usize, Vec<(&'a str, &'a Tuple)>> = HashMap::new();
-    for (relation, tuple) in items {
-        let shard = assignment.shard_of(tuple, num_shards)?;
-        by_shard.entry(shard).or_default().push((relation, tuple));
-    }
-    Ok(by_shard)
 }
 
 #[cfg(test)]
@@ -493,34 +460,6 @@ mod tests {
         let owner = hash0().shard_of(&Tuple::from_iter([5i64, 0]), 4).unwrap();
         for (i, p) in parts.iter().enumerate() {
             assert_eq!(p.retracted_supervision.len(), usize::from(i == owner));
-        }
-    }
-
-    #[test]
-    fn balance_histogram_sums_to_row_count() {
-        let db = sample_db();
-        let hist = hash0().balance(&db, 4).unwrap();
-        assert_eq!(hist.iter().sum::<usize>(), 30, "distinct rows");
-    }
-
-    #[test]
-    fn group_by_shard_preserves_order_within_shard() {
-        let tuples: Vec<Tuple> = (0..12i64).map(|d| Tuple::from_iter([d])).collect();
-        let items: Vec<(&str, &Tuple)> = tuples.iter().map(|t| ("Fact", t)).collect();
-        let grouped = group_by_shard(&hash0(), 4, items).unwrap();
-        for (shard, group) in grouped {
-            let mut last = None;
-            for (_, tuple) in group {
-                assert_eq!(hash0().shard_of(tuple, 4).unwrap(), shard);
-                let doc = match tuple.get(0).unwrap() {
-                    Value::Int(i) => *i,
-                    _ => unreachable!(),
-                };
-                if let Some(prev) = last {
-                    assert!(doc > prev, "input order preserved within shard");
-                }
-                last = Some(doc);
-            }
         }
     }
 }

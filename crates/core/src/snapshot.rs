@@ -222,13 +222,8 @@ impl RankedIndex {
     }
 
     /// Number of ranked entries (equals the relation's in-range catalog size).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sorted.len()
-    }
-
-    /// True if the relation has no ranked entries.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// The ranked `(probability, tuple, variable)` entries, probability
@@ -240,7 +235,7 @@ impl RankedIndex {
     /// Index of the first entry below `min_probability` — the prefix
     /// `[0, cut)` is exactly the facts a threshold scan would keep.
     /// O(log m).
-    pub fn threshold_cut(&self, min_probability: f64) -> usize {
+    pub(crate) fn threshold_cut(&self, min_probability: f64) -> usize {
         self.sorted
             .partition_point(|(p, _, _)| *p >= min_probability)
     }
@@ -261,7 +256,7 @@ pub struct CatalogShard {
 
 impl CatalogShard {
     /// The relation this shard indexes.
-    pub fn relation(&self) -> &str {
+    pub(crate) fn relation(&self) -> &str {
         &self.relation
     }
 
@@ -455,12 +450,12 @@ impl CatalogShards {
     }
 
     /// All shards, sorted by relation name.
-    pub fn shards(&self) -> &[CatalogShard] {
+    pub(crate) fn shards(&self) -> &[CatalogShard] {
         &self.shards
     }
 
     /// Relation names in sorted (deterministic) order.
-    pub fn relation_names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn relation_names(&self) -> impl Iterator<Item = &str> {
         self.shards.iter().map(|s| s.relation.as_str())
     }
 
@@ -521,13 +516,11 @@ impl Snapshot {
     /// for serving-layer tests and tooling that need a `Snapshot` without
     /// running an engine.  Graph stats are synthesized to agree with the
     /// marginal vector (`num_variables == marginals.len()`), the epoch and
-    /// catalog are taken as given, and the fact threshold defaults to 0.9
-    /// (override with [`Snapshot::with_fact_threshold`]).  Weights default to
-    /// empty ([`Snapshot::with_weights`]); with both set, a synthetic snapshot
-    /// round-trips bit-exactly through the checkpoint codec
-    /// ([`crate::durability::encode_snapshot`] /
-    /// [`crate::durability::decode_snapshot`]), so storage tests can run
-    /// without a full engine.
+    /// catalog are taken as given, the fact threshold is 0.9 and the weight
+    /// vector is empty.  A synthetic snapshot round-trips bit-exactly through
+    /// the checkpoint codec ([`crate::encode_snapshot`] /
+    /// [`crate::decode_snapshot`]), so storage tests can run without a full
+    /// engine.
     pub fn synthetic(epoch: u64, marginals: Vec<f64>, catalog: CatalogShards) -> Self {
         let mut stats = Snapshot::empty(0.9).stats;
         stats.num_variables = marginals.len();
@@ -541,22 +534,8 @@ impl Snapshot {
         )
     }
 
-    /// Replace the learned-weight vector (builder-style, for synthetic
-    /// snapshots that must round-trip through the checkpoint codec).
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
-        self.weights = weights;
-        self
-    }
-
-    /// Replace the fact-extraction threshold (builder-style, for synthetic
-    /// snapshots that must round-trip through the checkpoint codec).
-    pub fn with_fact_threshold(mut self, fact_threshold: f64) -> Self {
-        self.fact_threshold = fact_threshold;
-        self
-    }
-
     /// The fact-extraction threshold this snapshot was published with.
-    pub fn fact_threshold(&self) -> f64 {
+    pub(crate) fn fact_threshold(&self) -> f64 {
         self.fact_threshold
     }
 
@@ -597,7 +576,7 @@ impl Snapshot {
     }
 
     /// The learned weight vector of this epoch's model.
-    pub fn weights(&self) -> &[f64] {
+    pub(crate) fn weights(&self) -> &[f64] {
         &self.weights
     }
 
@@ -633,7 +612,7 @@ impl Snapshot {
 
     /// Facts of `relation` whose marginal probability is at least `threshold`,
     /// sorted by tuple.  Convenience wrapper over [`Snapshot::facts`].
-    pub fn extract_facts(&self, relation: &str, threshold: f64) -> Vec<(Tuple, f64)> {
+    pub(crate) fn extract_facts(&self, relation: &str, threshold: f64) -> Vec<(Tuple, f64)> {
         self.facts(relation).min_probability(threshold).run()
     }
 
@@ -737,11 +716,6 @@ impl SnapshotReader {
             Ok(guard) => Arc::clone(&guard),
             Err(poisoned) => Arc::clone(&poisoned.into_inner()),
         }
-    }
-
-    /// The epoch of the current snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch()
     }
 }
 
@@ -991,7 +965,7 @@ mod tests {
         ));
         assert_eq!(next.shard("Fact").unwrap().generation(), 2);
         assert_eq!(next.shard("Fact").unwrap().index().len(), 4);
-        assert!(next.shard("Fact").unwrap().ranked().is_empty());
+        assert_eq!(next.shard("Fact").unwrap().ranked().len(), 0);
         assert_eq!(
             next.shard("Fact").unwrap().index().get(&tuple![4i64]),
             Some(4)

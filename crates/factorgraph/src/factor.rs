@@ -34,7 +34,7 @@ impl Lit {
     }
 
     /// Whether the literal holds in `world`.
-    pub fn holds<W: WorldView + ?Sized>(&self, world: &W) -> bool {
+    pub(crate) fn holds<W: WorldView + ?Sized>(&self, world: &W) -> bool {
         world.value(self.var) == self.positive
     }
 }
@@ -159,11 +159,6 @@ impl Factor {
         }
     }
 
-    /// Number of variable slots (arity) of the factor.
-    pub fn arity(&self) -> usize {
-        self.variables().len()
-    }
-
     /// The *feature value* φ(I) of this factor in `world`, such that the energy
     /// contribution is `weight · φ(I)`.
     pub fn feature_value<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
@@ -241,7 +236,7 @@ mod tests {
         assert_eq!(f.feature_value(&world(&[true, true])), 1.0);
         assert_eq!(f.feature_value(&world(&[true, false])), 0.0);
         assert_eq!(f.energy(&world(&[true, true]), 2.5), 2.5);
-        assert_eq!(f.arity(), 2);
+        assert_eq!(f.variables().len(), 2);
     }
 
     #[test]

@@ -38,7 +38,6 @@
 use crate::factor::{FactorId, FactorKind, Lit};
 use crate::graph::FactorGraph;
 use crate::variable::VarId;
-use crate::weight::WeightId;
 use crate::world::{World, WorldView};
 
 /// Sentinel "no variable is being flipped" marker for single-world evaluation.
@@ -47,7 +46,7 @@ const NO_VAR: usize = usize::MAX;
 /// A literal packed into 32 bits: variable id in the high bits, polarity in
 /// bit 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedLit(u32);
+pub(crate) struct PackedLit(u32);
 
 impl PackedLit {
     #[inline]
@@ -57,12 +56,12 @@ impl PackedLit {
     }
 
     #[inline]
-    pub fn var(self) -> VarId {
+    pub(crate) fn var(self) -> VarId {
         (self.0 >> 1) as VarId
     }
 
     #[inline]
-    pub fn positive(self) -> bool {
+    pub(crate) fn positive(self) -> bool {
         self.0 & 1 == 1
     }
 
@@ -360,7 +359,7 @@ impl FlatGraph {
     }
 
     /// Factor ids incident to `v` (CSR row).
-    pub fn factors_of(&self, v: VarId) -> &[u32] {
+    pub(crate) fn factors_of(&self, v: VarId) -> &[u32] {
         let start = self.var_offsets[v] as usize;
         let end = self.var_offsets[v + 1] as usize;
         &self.var_factors[start..end]
@@ -435,16 +434,6 @@ impl FlatGraph {
             .iter()
             .map(|factor| factor.weight * self.feature_pair(factor, NO_VAR, world).0)
             .sum()
-    }
-
-    /// Feature value φ(I) of factor `f` in `world`.
-    pub fn feature_value<W: WorldView + ?Sized>(&self, f: FactorId, world: &W) -> f64 {
-        self.feature_pair(&self.factors[f], NO_VAR, world).0
-    }
-
-    /// Weight id of factor `f` (needed by the learning gradient).
-    pub fn weight_id_of(&self, f: FactorId) -> WeightId {
-        self.factors[f].weight_id as WeightId
     }
 
     /// Add every factor's feature value to `totals[weight_id]` — one flat pass
@@ -576,6 +565,7 @@ mod tests {
     use crate::factor::{Factor, FactorKind, Lit};
     use crate::graph::FactorGraphBuilder;
     use crate::semantics::Semantics;
+    use crate::weight::WeightId;
 
     /// A graph exercising every factor kind.
     fn zoo() -> FactorGraph {
@@ -608,7 +598,7 @@ mod tests {
         // A spread of assignments, not exhaustive for big n.
         (0..1usize << n)
             .step_by(1)
-            .map(|mask| World::from_words(vec![mask as u64], n))
+            .map(|mask| World::from_values((0..n).map(|v| mask >> v & 1 == 1).collect()))
             .collect()
     }
 
@@ -661,8 +651,10 @@ mod tests {
         let flat = g.compile();
         let world = World::from_values(vec![true, false, true, true, false, true]);
         for (f, factor) in g.factors().iter().enumerate() {
-            assert_eq!(flat.weight_id_of(f), factor.weight_id);
-            assert!((flat.feature_value(f, &world) - factor.feature_value(&world)).abs() < 1e-12);
+            let flat_factor = &flat.factors[f];
+            assert_eq!(flat_factor.weight_id as WeightId, factor.weight_id);
+            let phi = flat.feature_pair(flat_factor, NO_VAR, &world).0;
+            assert!((phi - factor.feature_value(&world)).abs() < 1e-12);
         }
     }
 

@@ -228,7 +228,7 @@ impl FactorGraph {
     }
 
     /// Energy of only the factors adjacent to `v`.
-    pub fn local_energy<W: WorldView + ?Sized>(&self, v: VarId, world: &W) -> f64 {
+    pub(crate) fn local_energy<W: WorldView + ?Sized>(&self, v: VarId, world: &W) -> f64 {
         self.adjacency[v]
             .iter()
             .map(|&f| self.factors[f].energy(world, self.weights[self.factors[f].weight_id].value))
@@ -282,6 +282,9 @@ impl FactorGraph {
     /// connected if they share a factor.  Evidence variables do not connect
     /// components (conditioning on evidence separates them), which is exactly the
     /// decomposition property Appendix B.1 exploits.
+    ///
+    /// No other crate calls this yet: it is kept as the reference an
+    /// exactness oracle over components tests against (see ROADMAP.md).
     pub fn query_components(&self) -> Vec<Vec<VarId>> {
         self.components_excluding(&|v| self.variables[v].is_evidence())
     }
@@ -464,11 +467,6 @@ impl FactorGraphBuilder {
     pub fn build(self) -> FactorGraph {
         self.graph
     }
-
-    /// Access the graph under construction.
-    pub fn graph(&self) -> &FactorGraph {
-        &self.graph
-    }
 }
 
 #[cfg(test)]
@@ -506,7 +504,7 @@ mod tests {
         let w3 = b.tied_weight("FE1:his sister", 0.0, false);
         assert_eq!(w1, w2);
         assert_ne!(w1, w3);
-        assert_eq!(b.graph().num_weights(), 2);
+        assert_eq!(b.graph.num_weights(), 2);
     }
 
     #[test]

@@ -16,15 +16,17 @@
 //!   and graph statistics;
 //! * [`FlatGraph`] — the compiled, read-only representation the samplers run
 //!   on: CSR adjacency, flat literal arenas, pre-resolved weight values, and
-//!   single-pass energy deltas (see the [`flat`] module docs).
+//!   single-pass energy deltas.
 
-pub mod factor;
-pub mod flat;
-pub mod graph;
-pub mod semantics;
-pub mod variable;
-pub mod weight;
-pub mod world;
+#![warn(unreachable_pub)]
+
+mod factor;
+mod flat;
+mod graph;
+mod semantics;
+mod variable;
+mod weight;
+mod world;
 
 pub use factor::{Factor, FactorId, FactorKind, Lit};
 pub use flat::FlatGraph;

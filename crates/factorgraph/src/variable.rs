@@ -44,7 +44,7 @@ impl VariableRole {
     }
 
     /// True if the variable is evidence of either polarity.
-    pub fn is_evidence(self) -> bool {
+    pub(crate) fn is_evidence(self) -> bool {
         !matches!(self, VariableRole::Query)
     }
 }

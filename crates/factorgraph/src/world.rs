@@ -20,8 +20,7 @@ pub trait WorldView {
 /// never flip evidence variables; `World` itself is just the assignment vector.
 ///
 /// The packed layout is the same "1 bit per variable" representation the
-/// sampling materialization stores (§3.2.2), which makes `count_true` and
-/// `hamming_distance` single popcount passes and lets `to_bitvec` be a
+/// sampling materialization stores (§3.2.2), which lets `to_bitvec` be a
 /// reinterpretation instead of a conversion.
 ///
 /// Invariant: bits at positions `>= len` are always zero, so derived equality
@@ -49,18 +48,6 @@ impl World {
                 world.words[i / 64] |= 1u64 << (i % 64);
             }
         }
-        world
-    }
-
-    /// A world from raw words (e.g. a snapshot of the parallel sampler's atomic
-    /// assignment).  Trailing bits beyond `num_vars` are cleared.
-    pub fn from_words(mut words: Vec<u64>, num_vars: usize) -> Self {
-        words.resize(num_vars.div_ceil(64), 0);
-        let mut world = World {
-            words,
-            len: num_vars,
-        };
-        world.mask_tail();
         world
     }
 
@@ -108,15 +95,6 @@ impl World {
         }
     }
 
-    /// Flip a variable, returning the new value.
-    #[inline]
-    pub fn flip(&mut self, v: VarId) -> bool {
-        assert!(v < self.len, "variable {v} out of bounds ({})", self.len);
-        let bit = 1u64 << (v % 64);
-        self.words[v / 64] ^= bit;
-        self.words[v / 64] & bit != 0
-    }
-
     /// The assignment as a dense vector (boundary/interop use only; the hot
     /// paths stay on the packed words).
     pub fn to_vec(&self) -> Vec<bool> {
@@ -128,21 +106,6 @@ impl World {
         (0..self.len).map(move |v| self.value(v))
     }
 
-    /// Number of true variables (popcount over the words).
-    pub fn count_true(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Hamming distance to another world of the same length (xor + popcount).
-    pub fn hamming_distance(&self, other: &World) -> usize {
-        debug_assert_eq!(self.len, other.len);
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a ^ b).count_ones() as usize)
-            .sum()
-    }
-
     /// Pack the world into bytes (8 variables per byte), the "1 bit per variable"
     /// tuple-bundle storage of the sampling materialization approach (§3.2.2).
     pub fn to_bitvec(&self) -> Vec<u8> {
@@ -151,39 +114,6 @@ impl World {
             .flat_map(|w| w.to_le_bytes())
             .take(self.len.div_ceil(8))
             .collect()
-    }
-
-    /// Unpack a bit-packed world.
-    pub fn from_bitvec(bits: &[u8], num_vars: usize) -> Self {
-        let mut world = World::all_false(num_vars);
-        for (i, &byte) in bits.iter().enumerate() {
-            if byte != 0 {
-                world.words[i / 8] |= (byte as u64) << ((i % 8) * 8);
-            }
-        }
-        world.mask_tail();
-        world
-    }
-
-    /// Enumerate every possible world over `num_vars` variables (2^n of them).
-    /// Used by the strawman materialization strategy and by exact-inference tests;
-    /// callers must keep `num_vars` small.
-    pub fn enumerate(num_vars: usize) -> impl Iterator<Item = World> {
-        assert!(
-            num_vars < usize::BITS as usize,
-            "cannot enumerate worlds over {num_vars} variables"
-        );
-        (0..(1usize << num_vars)).map(move |mask| World::from_words(vec![mask as u64], num_vars))
-    }
-
-    /// Clear any bits at positions `>= len` to preserve the Eq/Hash invariant.
-    fn mask_tail(&mut self) {
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
     }
 }
 
@@ -208,45 +138,26 @@ mod tests {
     fn construction_and_mutation() {
         let mut w = World::all_false(4);
         assert_eq!(w.len(), 4);
-        assert_eq!(w.count_true(), 0);
+        assert_eq!(w.iter().filter(|&b| b).count(), 0);
         w.set(2, true);
         assert!(w.value(2));
         assert!(!w.value(0));
-        assert!(w.flip(0));
-        assert!(!w.flip(0));
-        assert_eq!(w.count_true(), 1);
+        assert_eq!(w.iter().filter(|&b| b).count(), 1);
     }
 
     #[test]
-    fn hamming_distance() {
-        let a = World::from_values(vec![true, false, true]);
-        let b = World::from_values(vec![true, true, false]);
-        assert_eq!(a.hamming_distance(&b), 2);
-        assert_eq!(a.hamming_distance(&a), 0);
-    }
-
-    #[test]
-    fn bitvec_round_trip() {
+    fn bitvec_holds_variable_i_at_bit_i() {
         let w = World::from_values((0..37).map(|i| i % 3 == 0).collect());
         let bits = w.to_bitvec();
         assert_eq!(bits.len(), 5);
-        let back = World::from_bitvec(&bits, 37);
-        assert_eq!(w, back);
+        let back: Vec<bool> = (0..37).map(|i| bits[i / 8] >> (i % 8) & 1 == 1).collect();
+        assert_eq!(back, w.to_vec());
     }
 
     #[test]
     fn bitvec_is_one_bit_per_variable() {
         let w = World::all_false(1024);
         assert_eq!(w.to_bitvec().len(), 128);
-    }
-
-    #[test]
-    fn enumerate_covers_all_worlds() {
-        let worlds: Vec<World> = World::enumerate(3).collect();
-        assert_eq!(worlds.len(), 8);
-        let distinct: std::collections::HashSet<Vec<bool>> =
-            worlds.iter().map(|w| w.to_vec()).collect();
-        assert_eq!(distinct.len(), 8);
     }
 
     #[test]
@@ -257,14 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn words_round_trip_across_boundaries() {
+    fn values_round_trip_across_word_boundaries() {
         // 130 variables spans three words; pattern straddles word edges.
         let values: Vec<bool> = (0..130).map(|i| i % 7 == 0 || i == 63 || i == 64).collect();
         let w = World::from_values(values.clone());
         assert_eq!(w.to_vec(), values);
-        let back = World::from_words(w.as_words().to_vec(), 130);
-        assert_eq!(back, w);
-        assert_eq!(w.count_true(), values.iter().filter(|&&b| b).count());
+        assert_eq!(w.as_words().len(), 3);
     }
 
     #[test]
@@ -290,14 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn from_words_masks_tail_bits() {
-        // Give a word with garbage above bit 2; equality must ignore it.
-        let w = World::from_words(vec![0b1111_1111], 3);
-        assert_eq!(w.count_true(), 3);
-        assert_eq!(w, World::from_values(vec![true, true, true]));
-    }
-
-    #[test]
     fn eq_is_content_based_across_representations() {
         let a = World::from_values(vec![true, false, true, false, true]);
         let mut b = World::all_false(5);
@@ -305,7 +206,7 @@ mod tests {
         b.set(2, true);
         b.set(4, true);
         assert_eq!(a, b);
-        b.flip(1);
+        b.set(1, true);
         assert_ne!(a, b);
     }
 }

@@ -1,8 +1,8 @@
 //! The rule AST of the DeepDive language.
 
 use dd_factorgraph::Semantics;
-use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::ConjunctiveQuery;
+use dd_relstore::{Filter, QueryAtom, Term};
 
 /// The four workload categories the paper's experiments group rules into
 /// (Figure 8: A1, FE1/FE2, S1/S2, I1), plus candidate mappings which feed them.
@@ -106,7 +106,7 @@ impl Rule {
     }
 
     /// Variables appearing in the head atom.
-    pub fn head_vars(&self) -> Vec<String> {
+    pub(crate) fn head_vars(&self) -> Vec<String> {
         self.head
             .terms
             .iter()
@@ -117,24 +117,9 @@ impl Rule {
             .collect()
     }
 
-    /// Variables appearing anywhere in the body.
-    pub fn body_vars(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for atom in &self.body {
-            for t in &atom.terms {
-                if let Term::Var(v) = t {
-                    if !out.contains(v) {
-                        out.push(v.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// All variables needed to evaluate this rule's body query: the head
     /// variables plus any variables the weight UDF needs.
-    pub fn projection_vars(&self) -> Vec<String> {
+    pub(crate) fn projection_vars(&self) -> Vec<String> {
         let mut vars = self.head_vars();
         if let WeightSpec::Tied { args, .. } = &self.weight {
             for a in args {
@@ -147,7 +132,7 @@ impl Rule {
     }
 
     /// The body as a [`ConjunctiveQuery`] projecting onto [`Self::projection_vars`].
-    pub fn body_query(&self) -> ConjunctiveQuery {
+    pub(crate) fn body_query(&self) -> ConjunctiveQuery {
         ConjunctiveQuery::new(
             format!("{}::body", self.name),
             self.projection_vars(),
@@ -157,31 +142,15 @@ impl Rule {
     }
 
     /// The relations read by the body.
-    pub fn body_relations(&self) -> Vec<&str> {
+    pub(crate) fn body_relations(&self) -> Vec<&str> {
         self.body.iter().map(|a| a.relation.as_str()).collect()
-    }
-
-    /// A rule is *hierarchical* (Definition A.3) if its head has no variables or
-    /// there is a single variable shared by every body atom.
-    pub fn is_hierarchical(&self) -> bool {
-        let head_vars = self.head_vars();
-        if head_vars.is_empty() {
-            return true;
-        }
-        head_vars.iter().any(|hv| {
-            self.body.iter().all(|atom| {
-                atom.terms
-                    .iter()
-                    .any(|t| matches!(t, Term::Var(v) if v == hv))
-            })
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_relstore::view::Term;
+    use dd_relstore::Term;
 
     fn atom(rel: &str, vars: &[&str]) -> RuleAtom {
         RuleAtom::new(rel, vars.iter().map(|v| Term::var(*v)).collect())
@@ -220,10 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn head_and_body_vars() {
+    fn head_vars_and_body_relations() {
         let r = r1();
         assert_eq!(r.head_vars(), vec!["m1", "m2"]);
-        assert_eq!(r.body_vars(), vec!["s", "m1", "m2"]);
         assert_eq!(
             r.body_relations(),
             vec!["PersonCandidate", "PersonCandidate"]
@@ -240,38 +208,6 @@ mod tests {
         let q = r.body_query();
         assert_eq!(q.head_vars, vars);
         assert_eq!(q.atoms.len(), 2);
-    }
-
-    #[test]
-    fn hierarchical_check() {
-        // r1 is not hierarchical: no single variable appears in both body atoms
-        // *and* the head… actually `m1` is in the head and only in the first atom,
-        // while `s` spans both atoms but is not needed; per Definition A.3 we need
-        // one head variable present in every body atom, which fails here.
-        assert!(!r1().is_hierarchical());
-
-        // A classifier rule Class(x) :- R(x, f) is hierarchical.
-        let classifier = Rule::new(
-            "C",
-            RuleKind::FeatureExtraction,
-            atom("Class", &["x"]),
-            vec![atom("R", &["x", "f"])],
-            WeightSpec::Tied {
-                udf: "identity".into(),
-                args: vec!["f".into()],
-            },
-        );
-        assert!(classifier.is_hierarchical());
-
-        // A boolean rule q() :- Up(x) is trivially hierarchical.
-        let voting = Rule::new(
-            "V",
-            RuleKind::Inference,
-            RuleAtom::new("q", vec![]),
-            vec![atom("Up", &["x"])],
-            WeightSpec::Learnable { initial: 1.0 },
-        );
-        assert!(voting.is_hierarchical());
     }
 
     #[test]

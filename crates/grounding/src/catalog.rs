@@ -11,7 +11,7 @@
 
 use crate::grounder::{CatalogOp, VarUse};
 use dd_factorgraph::{FactorGraph, RelName, VarId, Variable};
-use dd_relstore::hash::RowMap;
+use dd_relstore::RowMap;
 use dd_relstore::Tuple;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -54,7 +54,7 @@ impl RelationCatalog {
     /// Get or create the random variable for `tuple`, entering a new one
     /// into the graph, the map, its inverse, the usage counters and the
     /// publish dirty-set.  The tuple is hashed once either way.
-    pub fn var_for(
+    pub(crate) fn var_for(
         &mut self,
         tuple: &Tuple,
         vars: &mut VarTable,
@@ -106,7 +106,7 @@ impl VariableCatalog {
     /// origin-key counter, over a graph of `num_variables` variables.  The
     /// usage counters start at zero (the grounder recomputes them from its
     /// records).
-    pub fn restore(
+    pub(crate) fn restore(
         entries: Vec<(String, Tuple, VarId)>,
         ops: Vec<(String, Vec<CatalogOp>)>,
         suppressed: Vec<(String, Tuple)>,
@@ -140,12 +140,12 @@ impl VariableCatalog {
     }
 
     /// The slot of `relation`, if it has one.
-    pub fn slot(&self, relation: &str) -> Option<RelSlot> {
+    pub(crate) fn slot(&self, relation: &str) -> Option<RelSlot> {
         self.slots.get(relation).copied()
     }
 
     /// The slot of `relation`, created (empty) on first use.
-    pub fn intern(&mut self, relation: &str) -> RelSlot {
+    pub(crate) fn intern(&mut self, relation: &str) -> RelSlot {
         if let Some(slot) = self.slot(relation) {
             return slot;
         }
@@ -163,20 +163,23 @@ impl VariableCatalog {
         slot
     }
 
-    pub fn relation(&self, slot: RelSlot) -> &RelationCatalog {
+    pub(crate) fn relation(&self, slot: RelSlot) -> &RelationCatalog {
         &self.relations[slot]
     }
 
     /// One relation's catalog together with the id-indexed tables, which a
     /// new variable has to enter too.
-    pub fn relation_and_vars(&mut self, slot: RelSlot) -> (&mut RelationCatalog, &mut VarTable) {
+    pub(crate) fn relation_and_vars(
+        &mut self,
+        slot: RelSlot,
+    ) -> (&mut RelationCatalog, &mut VarTable) {
         (&mut self.relations[slot], &mut self.vars)
     }
 
     /// Clear [`RelationCatalog::heads_in_table`] of `relation`, or of every
     /// relation when `None`: rows may have left its table behind
     /// grounding's back.
-    pub fn heads_maybe_removed(&mut self, relation: Option<&str>) {
+    pub(crate) fn heads_maybe_removed(&mut self, relation: Option<&str>) {
         match relation {
             Some(name) => {
                 if let Some(slot) = self.slot(name) {
@@ -192,27 +195,27 @@ impl VariableCatalog {
     }
 
     /// The catalog of `relation`, if any variable relation has that name.
-    pub fn by_name(&self, relation: &str) -> Option<&RelationCatalog> {
+    pub(crate) fn by_name(&self, relation: &str) -> Option<&RelationCatalog> {
         self.slot(relation).map(|slot| &self.relations[slot])
     }
 
     /// Variable id of a tuple, if it has one.
-    pub fn get(&self, relation: &str, tuple: &Tuple) -> Option<VarId> {
+    pub(crate) fn get(&self, relation: &str, tuple: &Tuple) -> Option<VarId> {
         self.by_name(relation)?.vars.get(tuple).copied()
     }
 
     /// Variable id of a [`VarKey`], if it is (still) catalogued.
-    pub fn get_key(&self, key: &VarKey) -> Option<VarId> {
+    pub(crate) fn get_key(&self, key: &VarKey) -> Option<VarId> {
         self.get(&key.0, &key.1)
     }
 
     /// Number of catalogued variables.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.relations.iter().map(|r| r.vars.len()).sum()
     }
 
     /// Every `((relation, tuple), variable)` entry, relation by relation.
-    pub fn iter(&self) -> impl Iterator<Item = ((&String, &Tuple), &VarId)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ((&String, &Tuple), &VarId)> {
         self.relations.iter().flat_map(|r| {
             r.vars
                 .iter()
@@ -221,13 +224,13 @@ impl VariableCatalog {
     }
 
     /// True if supervision labels on this head are suppressed.
-    pub fn is_suppressed(&self, relation: &str, tuple: &Tuple) -> bool {
+    pub(crate) fn is_suppressed(&self, relation: &str, tuple: &Tuple) -> bool {
         self.by_name(relation)
             .is_some_and(|r| r.suppressed.contains(tuple))
     }
 
     /// Suppressed heads as sorted `(relation, tuple)` pairs.
-    pub fn suppressed(&self) -> Vec<(&str, &Tuple)> {
+    pub(crate) fn suppressed(&self) -> Vec<(&str, &Tuple)> {
         let mut out: Vec<(&str, &Tuple)> = self
             .relations
             .iter()
@@ -239,7 +242,7 @@ impl VariableCatalog {
 
     /// Pending catalog ops per relation, sorted by relation, without
     /// draining them.
-    pub fn pending_ops(&self) -> Vec<(&str, &[CatalogOp])> {
+    pub(crate) fn pending_ops(&self) -> Vec<(&str, &[CatalogOp])> {
         let mut out: Vec<(&str, &[CatalogOp])> = self
             .relations
             .iter()
@@ -251,7 +254,7 @@ impl VariableCatalog {
     }
 
     /// Drain the pending catalog ops, grouped by relation in sorted order.
-    pub fn take_delta(&mut self) -> BTreeMap<String, Vec<CatalogOp>> {
+    pub(crate) fn take_delta(&mut self) -> BTreeMap<String, Vec<CatalogOp>> {
         self.relations
             .iter_mut()
             .filter(|r| !r.fresh.is_empty())
@@ -263,7 +266,7 @@ impl VariableCatalog {
     /// inverse, patching the entry of the variable `swap_remove` moved into
     /// the freed id and recording both catalog ops.  Returns the removed id;
     /// `None` if the key is not catalogued.
-    pub fn remove(&mut self, key: &VarKey, graph: &mut FactorGraph) -> Option<VarId> {
+    pub(crate) fn remove(&mut self, key: &VarKey, graph: &mut FactorGraph) -> Option<VarId> {
         let slot = self.slot(&key.0)?;
         let relation = &mut self.relations[slot];
         let vid = relation.vars.remove(&key.1)?;

@@ -16,8 +16,8 @@ use dd_factorgraph::{
     Factor, FactorGraph, FactorId, FactorKind, Lit, RelName, Semantics, VarId, Variable,
     VariableRole, Weight, WeightId,
 };
-use dd_relstore::hash::RowMap;
-use dd_relstore::view::Term;
+use dd_relstore::RowMap;
+use dd_relstore::Term;
 use dd_relstore::{
     Column, DataType, Database, ExecStats, MaterializedView, QueryPlan, RelError, Schema, Table,
     Tuple, Value,
@@ -37,7 +37,7 @@ pub struct GroundingResult {
     pub groundings_per_rule: HashMap<String, usize>,
     /// Rows the run's queries probed — candidate-mapping views and body
     /// queries together (see [`ExecStats::rows_probed`]); 0 in
-    /// [`Grounder::result`], which describes state, not a run.
+    /// `Grounder::result`, which describes state, not a run.
     pub rows_probed: u64,
 }
 
@@ -216,7 +216,7 @@ impl AtomTemplate {
         }
     }
 
-    pub fn instantiate(&self, binding: &Tuple) -> Tuple {
+    pub(crate) fn instantiate(&self, binding: &Tuple) -> Tuple {
         if self.is_binding && binding.arity() == self.terms.len() {
             return binding.clone();
         }
@@ -277,7 +277,7 @@ impl RuleTemplate {
     /// `program.rules[index]`; `None` for rule kinds the grounder never
     /// grounds bindings of.  The variable relations the rule mentions get
     /// their (possibly still empty) slot in `catalog`.
-    pub fn compile(
+    pub(crate) fn compile(
         program: &Program,
         catalog: &mut VariableCatalog,
         rule: &Rule,
@@ -331,7 +331,7 @@ impl RuleTemplate {
     }
 
     /// The weight descriptor of one grounding: `(tying key, initial value, fixed)`.
-    pub fn weight_descriptor(
+    pub(crate) fn weight_descriptor(
         &self,
         udfs: &UdfRegistry,
         binding: &Tuple,
@@ -623,11 +623,6 @@ impl Grounder {
         self.weight_catalog.get(description).copied()
     }
 
-    /// The support record of one grounded binding, if any.
-    pub fn grounding_record(&self, rule: &str, binding: &Tuple) -> Option<&GroundingRecord> {
-        self.grounded_bindings.get(rule)?.get(binding)
-    }
-
     /// True if supervision labels on this head are suppressed.
     pub fn is_supervision_suppressed(&self, relation: &str, tuple: &Tuple) -> bool {
         self.catalog.is_suppressed(relation, tuple)
@@ -834,7 +829,7 @@ impl Grounder {
     }
 
     /// Summary of the current grounding state.
-    pub fn result(&self) -> GroundingResult {
+    pub(crate) fn result(&self) -> GroundingResult {
         let stats = self.graph.stats();
         GroundingResult {
             num_variables: stats.num_variables,
@@ -1115,7 +1110,7 @@ mod tests {
     use crate::ast::RuleAtom;
     use crate::program::RelationDecl;
     use crate::udf::standard_udfs;
-    use dd_relstore::view::Filter;
+    use dd_relstore::Filter;
     use dd_relstore::{tuple, DataType, Schema};
 
     fn atom(rel: &str, vars: &[&str]) -> RuleAtom {

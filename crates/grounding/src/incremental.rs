@@ -512,8 +512,8 @@ mod tests {
     use crate::program::{Program, RelationDecl, RelationRole};
     use crate::udf::standard_udfs;
     use dd_factorgraph::VariableRole;
-    use dd_relstore::view::{Filter, Term};
     use dd_relstore::{tuple, DataType, Database, Schema};
+    use dd_relstore::{Filter, Term};
 
     fn atom(rel: &str, vars: &[&str]) -> RuleAtom {
         RuleAtom::new(rel, vars.iter().map(|v| Term::var(*v)).collect())
@@ -961,7 +961,7 @@ mod tests {
         assert!(!g.graph().variable(v).initial_value);
         assert!(g.is_supervision_suppressed("MarriedMentions", &tuple![10i64, 11i64]));
         // The suppressed record is still tracked, just label-free.
-        let record = g.grounding_record("S1", &tuple![10i64, 11i64]).unwrap();
+        let record = &g.grounded_bindings["S1"][&tuple![10i64, 11i64]];
         assert_eq!(record.label, None);
     }
 

@@ -11,31 +11,35 @@
 //!
 //! This crate contains:
 //!
-//! * [`ast`] — the rule AST ([`Rule`], [`RuleKind`], [`WeightSpec`]);
-//! * [`program`] — relation declarations, whole programs, stratification and the
-//!   hierarchical-program check of Appendix A;
-//! * [`udf`] — the user-defined-function registry used for feature extraction
+//! * the rule AST ([`Rule`], [`RuleKind`], [`WeightSpec`]);
+//! * [`Program`] — relation declarations, whole programs and the
+//!   stratification of candidate rules;
+//! * [`UdfRegistry`] — the user-defined-function registry used for feature extraction
 //!   and weight tying (`weight = phrase(m1, m2, sent)`);
-//! * [`parser`] — a small text syntax for writing programs in examples/tests;
-//! * [`grounder`] — full grounding: rules + database → factor graph, one
+//! * [`parse_program`] — a small text syntax for writing programs in examples/tests;
+//! * [`Grounder`] — full grounding: rules + database → factor graph, one
 //!   binding at a time through the one path every grounding takes;
-//! * [`incremental`] — incremental grounding: base-relation deltas and/or new
+//! * [`KbcUpdate`] — incremental grounding: base-relation deltas and/or new
 //!   rules → cascaded view deltas (DRed, §3.1) → retractions and new
 //!   bindings applied in place, reported as the change (ΔV, ΔF) they made to
 //!   the factor graph ([`IncrementalGrounding`]).
 
-pub mod ast;
+#![warn(unreachable_pub)]
+
+mod ast;
 mod catalog;
-pub mod error;
-pub mod grounder;
-pub mod incremental;
-pub mod parser;
-pub mod program;
-pub mod udf;
+mod error;
+mod grounder;
+mod incremental;
+mod parser;
+mod program;
+mod udf;
 
 pub use ast::{Rule, RuleAtom, RuleKind, WeightSpec};
 pub use error::{GroundingError, ProgramError};
-pub use grounder::{CatalogOp, Grounder, GrounderState, GrounderStateRef, GroundingResult};
+pub use grounder::{
+    CatalogOp, Grounder, GrounderState, GrounderStateRef, GroundingRecord, GroundingResult,
+};
 pub use incremental::{IncrementalGrounding, KbcUpdate};
 pub use parser::{parse_program, parse_rule, ParseError};
 pub use program::{Program, RelationDecl, RelationRole};

@@ -32,8 +32,8 @@
 use crate::ast::{Rule, RuleAtom, RuleKind, WeightSpec};
 use crate::program::{Program, RelationDecl, RelationRole};
 use dd_factorgraph::Semantics;
-use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{Column, DataType, Schema, Value};
+use dd_relstore::{Filter, QueryAtom, Term};
 
 /// A parse error with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -60,19 +60,19 @@ impl Program {
     }
 
     /// Look up a relation declaration by name.
-    pub fn relation(&self, name: &str) -> Option<&RelationDecl> {
+    pub(crate) fn relation(&self, name: &str) -> Option<&RelationDecl> {
         self.relations.iter().find(|r| r.name == name)
     }
 
     /// The role of a relation, defaulting to `Base` for undeclared names.
-    pub fn role_of(&self, name: &str) -> RelationRole {
+    pub(crate) fn role_of(&self, name: &str) -> RelationRole {
         self.relation(name)
             .map(|r| r.role)
             .unwrap_or(RelationRole::Base)
     }
 
     /// Rules of a given kind, in program order.
-    pub fn rules_of_kind(&self, kind: RuleKind) -> Vec<&Rule> {
+    pub(crate) fn rules_of_kind(&self, kind: RuleKind) -> Vec<&Rule> {
         self.rules.iter().filter(|r| r.kind == kind).collect()
     }
 
@@ -91,7 +91,7 @@ impl Program {
     /// comes before any rule reading `R` (topological order of the derived-
     /// relation dependency graph).  Returns `None` if the dependencies are
     /// cyclic (the program cannot be stratified).
-    pub fn stratified_candidate_rules(&self) -> Option<Vec<&Rule>> {
+    pub(crate) fn stratified_candidate_rules(&self) -> Option<Vec<&Rule>> {
         let candidates: Vec<&Rule> = self.rules_of_kind(RuleKind::CandidateMapping);
         // Map: derived relation -> indices of rules producing it.
         let mut producers: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -134,29 +134,6 @@ impl Program {
         } else {
             None
         }
-    }
-
-    /// A program is hierarchical (Definition A.3) if every weighted rule is
-    /// hierarchical and the candidate rules can be stratified.  The paper notes
-    /// 13/14 KBC systems from the literature are hierarchical; hierarchical
-    /// programs have polynomial mixing-time guarantees under Logical/Ratio
-    /// semantics.
-    pub fn is_hierarchical(&self) -> bool {
-        self.stratified_candidate_rules().is_some()
-            && self
-                .rules
-                .iter()
-                .filter(|r| matches!(r.kind, RuleKind::FeatureExtraction | RuleKind::Inference))
-                .all(|r| r.is_hierarchical())
-    }
-
-    /// Names of variable relations.
-    pub fn variable_relations(&self) -> Vec<&str> {
-        self.relations
-            .iter()
-            .filter(|r| r.role == RelationRole::Variable)
-            .map(|r| r.name.as_str())
-            .collect()
     }
 
     /// Structural validation: every relation referenced by a rule is declared,
@@ -214,8 +191,8 @@ impl Program {
 mod tests {
     use super::*;
     use crate::ast::{RuleAtom, WeightSpec};
-    use dd_relstore::view::Term;
     use dd_relstore::DataType;
+    use dd_relstore::Term;
 
     fn atom(rel: &str, vars: &[&str]) -> RuleAtom {
         RuleAtom::new(rel, vars.iter().map(|v| Term::var(*v)).collect())
@@ -269,7 +246,6 @@ mod tests {
         assert_eq!(p.role_of("MarriedCandidate"), RelationRole::Derived);
         assert_eq!(p.role_of("MarriedMentions"), RelationRole::Variable);
         assert_eq!(p.role_of("Unknown"), RelationRole::Base);
-        assert_eq!(p.variable_relations(), vec!["MarriedMentions"]);
         assert_eq!(p.rules_of_kind(RuleKind::CandidateMapping).len(), 1);
     }
 
@@ -345,7 +321,6 @@ mod tests {
         let order = p.stratified_candidate_rules().unwrap();
         assert_eq!(order[0].name, "make_b");
         assert_eq!(order[1].name, "make_c");
-        assert!(p.is_hierarchical());
     }
 
     #[test]
@@ -376,7 +351,6 @@ mod tests {
                 WeightSpec::None,
             ));
         assert!(p.stratified_candidate_rules().is_none());
-        assert!(!p.is_hierarchical());
         assert_eq!(p.validate(), Err(ProgramError::CyclicCandidateRules));
     }
 

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A user-defined function over bound rule variables.
-pub type Udf = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
+pub(crate) type Udf = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
 
 /// A registry of named UDFs.
 #[derive(Clone, Default)]
@@ -34,7 +34,7 @@ impl UdfRegistry {
     }
 
     /// Register a UDF under `name`.
-    pub fn register<F>(&mut self, name: impl Into<String>, f: F)
+    pub(crate) fn register<F>(&mut self, name: impl Into<String>, f: F)
     where
         F: Fn(&[Value]) -> Value + Send + Sync + 'static,
     {
@@ -48,7 +48,7 @@ impl UdfRegistry {
 
     /// Call a UDF, returning `Value::Null` if it is not registered (grounding
     /// treats a Null tying key as "one shared weight for the whole rule").
-    pub fn call(&self, name: &str, args: &[Value]) -> Value {
+    pub(crate) fn call(&self, name: &str, args: &[Value]) -> Value {
         match self.udfs.get(name) {
             Some(f) => f(args),
             None => Value::Null,

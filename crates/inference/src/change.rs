@@ -96,7 +96,7 @@ impl DistributionChange {
     /// difference.  Finding the latter is one pass over the graph's factors;
     /// callers that price many worlds (an MH chain, the strawman's
     /// enumeration) resolve once and evaluate per world.
-    pub fn resolve<'a>(&'a self, updated: &'a FactorGraph) -> ResolvedChange<'a> {
+    pub(crate) fn resolve<'a>(&'a self, updated: &'a FactorGraph) -> ResolvedChange<'a> {
         // Changed weights with a non-zero difference, in recorded order (a
         // weight recorded twice contributes twice, as it always has).
         let changed: Vec<(WeightId, f64)> = self
@@ -134,7 +134,7 @@ impl DistributionChange {
 /// A [`DistributionChange`] resolved against its updated graph (see
 /// [`DistributionChange::resolve`]).
 #[derive(Debug, Clone)]
-pub struct ResolvedChange<'a> {
+pub(crate) struct ResolvedChange<'a> {
     change: &'a DistributionChange,
     updated: &'a FactorGraph,
     /// `(factor, w_new − w_old)` for every pre-existing factor tied to a
@@ -146,7 +146,7 @@ impl ResolvedChange<'_> {
     /// `ΔW(I)`: the log-weight difference contributed by the changed part of the
     /// graph, evaluated in `world` against the *updated* graph.  Returns
     /// `f64::NEG_INFINITY` for worlds inconsistent with new evidence.
-    pub fn delta_log_weight<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
+    pub(crate) fn delta_log_weight<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
         for &(v, required) in &self.change.new_evidence {
             if world.value(v) != required {
                 return f64::NEG_INFINITY;

@@ -71,21 +71,6 @@ pub fn iterations_to_converge(
     }
 }
 
-/// Empirical total-variation distance between two sets of per-variable marginal
-/// estimates, treating each variable as an independent Bernoulli — an upper
-/// bound proxy used to compare convergence of different chains.
-pub fn mean_marginal_tv(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    if n == 0 {
-        return 0.0;
-    }
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .sum::<f64>()
-        / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,11 +109,5 @@ mod tests {
         let tight = iterations_to_converge(&g, 0, target, 0.01, 50_000, 20, 7);
         assert!(loose.converged);
         assert!(tight.sweeps_to_converge >= loose.sweeps_to_converge);
-    }
-
-    #[test]
-    fn tv_distance_helper() {
-        assert_eq!(mean_marginal_tv(&[], &[]), 0.0);
-        assert!((mean_marginal_tv(&[0.2, 0.8], &[0.4, 0.8]) - 0.1).abs() < 1e-12);
     }
 }

@@ -129,7 +129,7 @@ impl SampleSet {
     }
 
     /// Make room for `additional` more samples.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.words.reserve(additional * self.stride());
     }
 
@@ -153,13 +153,8 @@ impl SampleSet {
     /// Store a sample given as bytes, 8 variables per byte (the inverse of
     /// [`SampleRow::bytes`]; bits at positions `>= num_vars` are dropped).
     /// Returns `false`, storing nothing, unless there are exactly
-    /// `num_vars.div_ceil(8)` bytes.
-    pub fn push_bytes(&mut self, bytes: &[u8]) -> bool {
-        self.push_byte_iter(bytes.iter().copied())
-    }
-
-    /// [`SampleSet::push_bytes`] for bytes that are produced one at a time
-    /// (a decoder's output): they are packed straight into the new row.
+    /// `num_vars.div_ceil(8)` bytes.  The bytes may be produced one at a
+    /// time (a decoder's output): they are packed straight into the new row.
     pub fn push_byte_iter(&mut self, bytes: impl ExactSizeIterator<Item = u8>) -> bool {
         if bytes.len() != self.num_vars.div_ceil(8) {
             return false;
@@ -204,7 +199,7 @@ impl SampleSet {
 
     /// Storage size in bytes at 1 bit per variable per sample (the arena
     /// itself rounds every sample up to whole words).
-    pub fn storage_bytes(&self) -> usize {
+    pub(crate) fn storage_bytes(&self) -> usize {
         self.len * self.num_vars.div_ceil(8)
     }
 
@@ -222,7 +217,7 @@ impl SampleSet {
     /// bits under the mask, so a caller interested in the query variables
     /// of a mostly-evidence graph does not pay for (or even read) the
     /// evidence.
-    pub fn true_counts(&self, mask: &[u64]) -> Vec<usize> {
+    pub(crate) fn true_counts(&self, mask: &[u64]) -> Vec<usize> {
         assert_eq!(mask.len(), self.stride(), "mask over the wrong graph");
         let mut counts = vec![0usize; self.num_vars];
         // Arena columns with nothing selected are never read.
@@ -354,8 +349,10 @@ pub(crate) fn sweep_over(flat: &FlatGraph, vars: &[VarId], world: &mut World, rn
     }
 }
 
-/// Expected value (over `sweeps` sweeps of `vars`) of the total feature
-/// value of every weight — see [`GibbsSampler::expected_feature_counts`].
+/// Expected value (over `sweeps` Gibbs sweeps of `vars`) of the total
+/// feature value of every weight: `E[Σ_{f: weight(f)=k} φ_f(I)]` for each
+/// weight `k`.  This is the sufficient statistic needed by the learning
+/// gradient.
 pub(crate) fn expected_feature_counts_over(
     flat: &FlatGraph,
     vars: &[VarId],
@@ -448,29 +445,19 @@ impl<'g> GibbsSampler<'g> {
     }
 
     /// Restart the RNG stream from `seed`, keeping the current world.
-    pub fn reseed(&mut self, seed: u64) {
+    pub(crate) fn reseed(&mut self, seed: u64) {
         self.rng = SweepRng::seed_from_u64(seed);
     }
 
     /// The current world, for overwriting in place (the caller keeps its
     /// length and the evidence assignment).
-    pub fn world_mut(&mut self) -> &mut World {
+    pub(crate) fn world_mut(&mut self) -> &mut World {
         &mut self.world
     }
 
     /// The current world.
     pub fn world(&self) -> &World {
         &self.world
-    }
-
-    /// The set of variables this sampler resamples.
-    pub fn free_vars(&self) -> &[VarId] {
-        free_vars_of(&self.free_vars, &self.flat)
-    }
-
-    /// The compiled graph this sampler runs on.
-    pub fn flat(&self) -> &FlatGraph {
-        &self.flat
     }
 
     /// Perform one full sweep (resample every free variable once).
@@ -482,7 +469,7 @@ impl<'g> GibbsSampler<'g> {
     /// Run `options.sweeps` sweeps after `options.burn_in` and return the
     /// marginal estimate for every variable (evidence variables get 0/1).
     /// The sweeps continue the sampler's RNG stream: the seed it was built
-    /// with, or the last [`GibbsSampler::reseed`].
+    /// with, or the last `GibbsSampler::reseed`.
     ///
     /// Only coupled variables are swept; static ones report their exact
     /// marginal, so a graph without coupled variables is answered without
@@ -568,14 +555,6 @@ impl<'g> GibbsSampler<'g> {
                 return set;
             }
         }
-    }
-
-    /// Expected value (over `sweeps` Gibbs samples) of the total feature value of
-    /// every weight: `E[Σ_{f: weight(f)=k} φ_f(I)]` for each weight `k`.  This is
-    /// the sufficient statistic needed by the learning gradient.
-    pub fn expected_feature_counts(&mut self, sweeps: usize) -> Vec<f64> {
-        let vars = free_vars_of(&self.free_vars, &self.flat);
-        expected_feature_counts_over(&self.flat, vars, &mut self.world, &mut self.rng, sweeps)
     }
 }
 
@@ -774,7 +753,7 @@ mod tests {
             let mut decoded = SampleSet::new(num_vars);
             for (row, bundle) in set.rows().zip(&bundles) {
                 assert_eq!(&row.bytes().collect::<Vec<u8>>(), bundle, "{num_vars} vars");
-                assert!(decoded.push_bytes(bundle));
+                assert!(decoded.push_byte_iter(bundle.iter().copied()));
             }
             assert_eq!(decoded, set, "{num_vars} vars");
             for (row, world) in decoded.rows().zip(&worlds) {
@@ -791,13 +770,13 @@ mod tests {
     }
 
     #[test]
-    fn push_bytes_rejects_wrong_lengths_and_masks_the_tail() {
+    fn push_byte_iter_rejects_wrong_lengths_and_masks_the_tail() {
         let mut set = SampleSet::new(12);
-        assert!(!set.push_bytes(&[0xff]));
-        assert!(!set.push_bytes(&[0xff, 0xff, 0xff]));
+        assert!(!set.push_byte_iter([0xff].into_iter()));
+        assert!(!set.push_byte_iter([0xff, 0xff, 0xff].into_iter()));
         assert!(set.is_empty());
         // Bits 12..16 of the second byte are beyond the variables.
-        assert!(set.push_bytes(&[0xff, 0xff]));
+        assert!(set.push_byte_iter([0xff, 0xff].into_iter()));
         assert_eq!(set.row(0).words(), &[0x0fff]);
         assert_eq!(set.row(0).bytes().collect::<Vec<u8>>(), vec![0xff, 0x0f]);
     }
@@ -894,7 +873,8 @@ mod tests {
         for _ in 0..100 {
             s.sweep();
         }
-        let counts = s.expected_feature_counts(2000);
+        let vars = free_vars_of(&s.free_vars, &s.flat);
+        let counts = expected_feature_counts_over(&s.flat, vars, &mut s.world, &mut s.rng, 2000);
         let expected = g.exact_marginal(0);
         assert!((counts[0] - expected).abs() < 0.05);
     }

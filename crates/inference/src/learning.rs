@@ -117,14 +117,9 @@ impl<'g> Learner<'g> {
     /// for every evidence variable `v`, `−log P(v = observed | rest of world)`
     /// with the rest of the world set to the evidence/initial assignment.
     /// Deterministic, cheap, and monotone in fit quality — the "loss" axis of
-    /// Figure 16 and Figure 17.
-    pub fn evidence_loss(&self) -> f64 {
-        self.evidence_loss_on(&self.graph.compile())
-    }
-
-    /// [`Learner::evidence_loss`] against an existing compilation (the learning
-    /// loop compiles once and refreshes weights instead of recompiling each
-    /// epoch).
+    /// Figure 16 and Figure 17.  Evaluated on an existing compilation of the
+    /// graph (the learning loop compiles once and refreshes weights instead
+    /// of recompiling each epoch).
     fn evidence_loss_on(&self, flat: &FlatGraph) -> f64 {
         let graph = &*self.graph;
         let world = flat.initial_world();
@@ -257,7 +252,7 @@ mod tests {
     fn learning_separates_features() {
         let mut g = classifier_graph(40);
         let mut learner = Learner::new(&mut g);
-        let initial_loss = learner.evidence_loss();
+        let initial_loss = learner.evidence_loss_on(&learner.graph.compile());
         let trace = learner.learn(
             &LearnOptions {
                 epochs: 40,
@@ -302,7 +297,7 @@ mod tests {
         }
         let mut g = b.build();
         let mut learner = Learner::new(&mut g);
-        let loss = learner.evidence_loss();
+        let loss = learner.evidence_loss_on(&learner.graph.compile());
         let trace = learner.learn(
             &LearnOptions {
                 epochs: 7,
@@ -417,6 +412,7 @@ mod tests {
         let mut b = FactorGraphBuilder::new();
         b.add_query_variables(3);
         let mut g = b.build();
-        assert_eq!(Learner::new(&mut g).evidence_loss(), 0.0);
+        let learner = Learner::new(&mut g);
+        assert_eq!(learner.evidence_loss_on(&learner.graph.compile()), 0.0);
     }
 }

@@ -81,7 +81,7 @@ impl SampleMaterialization {
     /// so far.
     ///
     /// A step allocates nothing: the change is resolved against the updated
-    /// graph once ([`DistributionChange::resolve`]), proposals are read as
+    /// graph once (`DistributionChange::resolve`), proposals are read as
     /// borrowed rows of the sample arena into one reusable world, and the
     /// chain's state is added to the marginal counts once per *stay* —
     /// `steps spent in the state × its bits` when the chain leaves it —

@@ -12,7 +12,7 @@ use crate::marginals::Marginals;
 use dd_factorgraph::{FactorGraph, VarId, World, WorldView};
 
 /// Hard cap on the number of query variables the strawman will enumerate.
-pub const MAX_STRAWMAN_VARS: usize = 22;
+pub(crate) const MAX_STRAWMAN_VARS: usize = 22;
 
 /// Complete materialization: the log-weight of every possible world over the
 /// query variables of the original graph.
@@ -52,21 +52,6 @@ impl StrawmanMaterialization {
             base_world,
             log_weights,
         })
-    }
-
-    /// Number of stored worlds (2^|Q|).
-    pub fn num_worlds(&self) -> usize {
-        self.log_weights.len()
-    }
-
-    /// Approximate storage in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.log_weights.len() * std::mem::size_of::<f64>()
-    }
-
-    /// Exact marginals of the *original* distribution (no change applied).
-    pub fn original_marginals(&self) -> Marginals {
-        self.marginals_with(|_world| 0.0, self.num_vars)
     }
 
     /// Exact marginals of the *updated* distribution described by `change`
@@ -132,33 +117,6 @@ impl StrawmanMaterialization {
             p_true.into_iter().map(|p| p / z).collect(),
         ))
     }
-
-    fn marginals_with<F>(&self, extra: F, total_vars: usize) -> Marginals
-    where
-        F: Fn(&World) -> f64,
-    {
-        let mut world = World::from_values(self.base_world.clone());
-        let mut z = 0.0f64;
-        let mut p_true = vec![0.0f64; total_vars];
-        let max_base = self
-            .log_weights
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        for (mask, &base_lw) in self.log_weights.iter().enumerate() {
-            for (i, &v) in self.query_vars.iter().enumerate() {
-                world.set(v, (mask >> i) & 1 == 1);
-            }
-            let w = (base_lw - max_base + extra(&world)).exp();
-            z += w;
-            for (v, p) in p_true.iter_mut().enumerate() {
-                if world.value(v) {
-                    *p += w;
-                }
-            }
-        }
-        Marginals::from_values(p_true.into_iter().map(|p| p / z).collect())
-    }
 }
 
 #[cfg(test)]
@@ -181,8 +139,10 @@ mod tests {
     fn original_marginals_match_exact() {
         let g = small_graph();
         let m = StrawmanMaterialization::materialize(&g).unwrap();
-        assert_eq!(m.num_worlds(), 8);
-        let marg = m.original_marginals();
+        assert_eq!(m.log_weights.len(), 8);
+        let marg = m
+            .incremental_marginals(&g, &DistributionChange::default())
+            .unwrap();
         for v in 0..3 {
             assert!((marg.get(v) - g.exact_marginal(v)).abs() < 1e-10);
         }
@@ -261,12 +221,5 @@ mod tests {
         for v in 0..2 {
             assert!((marg.get(v) - g.exact_marginal(v)).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn storage_grows_exponentially() {
-        let g = small_graph();
-        let m = StrawmanMaterialization::materialize(&g).unwrap();
-        assert_eq!(m.storage_bytes(), 8 * 8);
     }
 }

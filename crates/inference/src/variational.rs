@@ -222,11 +222,6 @@ impl VariationalMaterialization {
         }
     }
 
-    /// Marginals of the (un-updated) approximate graph, sampled on `seed`.
-    pub fn original_marginals(&self, options: &GibbsOptions, seed: u64) -> Marginals {
-        GibbsSampler::new(&self.approx_graph, seed).run(options)
-    }
-
     /// Incremental inference (§3.2.3): apply the update to the approximate
     /// graph and run Gibbs sampling on the result.
     ///
@@ -531,7 +526,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let approx = mat.original_marginals(&GibbsOptions::new(3000, 300), 5);
+        let approx = GibbsSampler::new(&mat.approx_graph, 5).run(&GibbsOptions::new(3000, 300));
         for v in 0..5 {
             let exact = g.exact_marginal(v);
             assert!(

@@ -38,14 +38,6 @@ impl Database {
             .insert(name.to_string(), Table::new(name, schema));
     }
 
-    /// Drop a table; errors if absent.
-    pub fn drop_table(&mut self, name: &str) -> RelResult<()> {
-        self.tables
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| RelError::NoSuchTable(name.to_string()))
-    }
-
     /// True if a table with this name exists.
     pub fn has_table(&self, name: &str) -> bool {
         self.tables.contains_key(name)
@@ -141,11 +133,10 @@ mod tests {
             db.insert("X", tuple![1i64]),
             Err(RelError::NoSuchTable(_))
         ));
-        assert!(matches!(db.drop_table("X"), Err(RelError::NoSuchTable(_))));
     }
 
     #[test]
-    fn drop_and_totals() {
+    fn totals_and_table_names() {
         let mut db = Database::new();
         db.create_table("A", Schema::of(&[("x", DataType::Int)]))
             .unwrap();
@@ -157,7 +148,5 @@ mod tests {
             .unwrap();
         assert_eq!(db.total_tuples(), 5);
         assert_eq!(db.table_names(), vec!["A".to_string(), "B".to_string()]);
-        db.drop_table("A").unwrap();
-        assert_eq!(db.total_tuples(), 2);
     }
 }

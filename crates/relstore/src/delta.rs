@@ -84,11 +84,6 @@ impl DeltaRelation {
         self.changes.get(values).copied().unwrap_or(0)
     }
 
-    /// Number of tuples with a non-zero net change.
-    pub fn len(&self) -> usize {
-        self.changes.len()
-    }
-
     /// True if there is no net change.
     pub fn is_empty(&self) -> bool {
         self.changes.is_empty()
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(d.count(&tuple![1i64]), 1);
         d.delete(tuple![1i64]);
         assert!(d.is_empty());
-        assert_eq!(d.len(), 0);
         assert_eq!(d.iter().count(), 0);
     }
 

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
-/// A `HashMap` hashed by [`RowHash`].
+/// A `HashMap` hashed by `RowHash`.
 pub type RowMap<K, V> = HashMap<K, V, RowHash>;
 
 /// Odd constant with well-spread bits (the fractional part of π) that every

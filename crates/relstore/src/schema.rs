@@ -52,11 +52,6 @@ impl Schema {
         &self.columns
     }
 
-    /// Index of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Data type of the column at `idx`.
     pub fn type_at(&self, idx: usize) -> Option<DataType> {
         self.columns.get(idx).map(|c| c.data_type)
@@ -66,7 +61,7 @@ impl Schema {
     ///
     /// `Null` is accepted in any column; otherwise the value's type must match
     /// the declared column type exactly.
-    pub fn check(&self, values: &[Value]) -> bool {
+    pub(crate) fn check(&self, values: &[Value]) -> bool {
         values.len() == self.arity()
             && values
                 .iter()
@@ -88,11 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn arity_and_lookup() {
+    fn arity_and_types() {
         let s = person_schema();
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.index_of("mention_id"), Some(1));
-        assert_eq!(s.index_of("missing"), None);
         assert_eq!(s.type_at(2), Some(DataType::Text));
         assert_eq!(s.type_at(5), None);
     }

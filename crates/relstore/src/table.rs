@@ -48,8 +48,6 @@ pub struct Table {
     rows: Rows,
     /// Number of rows with a positive count.
     present: usize,
-    /// Sum of the positive counts.
-    present_total: i64,
     indexes: Indexes,
 }
 
@@ -279,10 +277,6 @@ impl Rows {
         self.run.push(RunEntry { row, count });
     }
 
-    fn clear(&mut self) {
-        *self = Rows::default();
-    }
-
     fn iter(&self) -> RowsIter<'_> {
         RowsIter {
             run: self.run.iter(),
@@ -396,7 +390,6 @@ impl Table {
             schema,
             rows: Rows::default(),
             present: 0,
-            present_total: 0,
             indexes: Indexes::default(),
         }
     }
@@ -412,7 +405,6 @@ impl Table {
         debug_assert!(rows.iter().all(|(_, count)| *count > 0));
         Table {
             present: rows.len(),
-            present_total: rows.iter().map(|(_, count)| count).sum(),
             rows: Rows {
                 keys: rows
                     .iter()
@@ -446,11 +438,6 @@ impl Table {
     /// True if no tuple is present.
     pub fn is_empty(&self) -> bool {
         self.present == 0
-    }
-
-    /// Total multiplicity (sum of positive counts).
-    pub fn total_count(&self) -> i64 {
-        self.present_total
     }
 
     /// Insert a tuple with multiplicity 1, schema-checked.
@@ -548,11 +535,9 @@ impl Table {
         }
         if before > 0 {
             self.present -= 1;
-            self.present_total -= before;
         }
         if after > 0 {
             self.present += 1;
-            self.present_total += after;
         }
         after - before
     }
@@ -563,7 +548,8 @@ impl Table {
     }
 
     /// Remove all derivations of a tuple, returning the previous count.
-    pub fn remove_all(&mut self, tuple: &Tuple) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn remove_all(&mut self, tuple: &Tuple) -> i64 {
         -self.merge_with(tuple.clone(), |count| -count)
     }
 
@@ -613,10 +599,10 @@ impl Table {
     }
 
     /// Remove every tuple.
-    pub fn clear(&mut self) {
-        self.rows.clear();
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
+        self.rows = Rows::default();
         self.present = 0;
-        self.present_total = 0;
         self.indexes.get_mut().clear();
     }
 
@@ -666,7 +652,7 @@ impl Table {
     }
 
     /// Bulk-load tuples with count 1 (schema-checked, stops at the first error).
-    pub fn extend<I: IntoIterator<Item = Tuple>>(&mut self, tuples: I) -> RelResult<usize> {
+    pub(crate) fn extend<I: IntoIterator<Item = Tuple>>(&mut self, tuples: I) -> RelResult<usize> {
         let mut n = 0;
         for t in tuples {
             self.insert(t)?;
@@ -681,6 +667,11 @@ mod tests {
     use super::*;
     use crate::schema::DataType;
     use crate::tuple;
+
+    /// Sum of the positive counts.
+    fn total(t: &Table) -> i64 {
+        t.iter_counted().map(|(_, count)| count).sum()
+    }
 
     fn people() -> Table {
         Table::new(
@@ -716,7 +707,7 @@ mod tests {
         t.insert(tuple![1i64, 10i64]).unwrap();
         assert_eq!(t.count(&tuple![1i64, 10i64]), 2);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.total_count(), 2);
+        assert_eq!(total(&t), 2);
 
         assert!(t.delete(&tuple![1i64, 10i64]));
         assert!(t.contains(&tuple![1i64, 10i64]));
@@ -740,16 +731,16 @@ mod tests {
         t.insert(tuple![1i64, 11i64]).unwrap();
         // An over-deleted row is stored but not present.
         t.insert_with_count(tuple![2i64, 12i64], -2).unwrap();
-        assert_eq!((t.len(), t.total_count()), (2, 4));
+        assert_eq!((t.len(), total(&t)), (2, 4));
         assert_eq!(t.iter_net_counted().count(), 3);
         t.insert_with_count(tuple![2i64, 12i64], 3).unwrap();
-        assert_eq!((t.len(), t.total_count()), (3, 5));
+        assert_eq!((t.len(), total(&t)), (3, 5));
         assert!(t.delete(&tuple![1i64, 10i64]));
-        assert_eq!((t.len(), t.total_count()), (3, 4));
+        assert_eq!((t.len(), total(&t)), (3, 4));
         assert_eq!(t.remove_all(&tuple![1i64, 10i64]), 2);
-        assert_eq!((t.len(), t.total_count()), (2, 2));
+        assert_eq!((t.len(), total(&t)), (2, 2));
         t.clear();
-        assert_eq!((t.len(), t.total_count()), (0, 0));
+        assert_eq!((t.len(), total(&t)), (0, 0));
         assert!(t.is_empty());
     }
 
@@ -809,16 +800,6 @@ mod tests {
             .unwrap();
         assert_eq!(n, 5);
         assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn remove_all_and_clear() {
-        let mut t = people();
-        t.insert_with_count(tuple![1i64, 1i64], 4).unwrap();
-        assert_eq!(t.remove_all(&tuple![1i64, 1i64]), 4);
-        t.insert(tuple![2i64, 2i64]).unwrap();
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -1092,8 +1073,6 @@ mod tests {
                 "iter {at}"
             );
             assert_eq!(table.len(), present.len(), "len {at}");
-            let total: i64 = present.iter().map(|(_, c)| c).sum();
-            assert_eq!(table.total_count(), total, "total_count {at}");
             for t in probes {
                 let expected = model.get(*t).copied().unwrap_or(0);
                 assert_eq!(table.count(t), expected, "count of {t} {at}");

@@ -111,7 +111,7 @@ mod tests {
         let t = tuple![1i64, "spouse", true];
         assert_eq!(t.arity(), 3);
         assert_eq!(t.get(1).and_then(|v| v.as_text()), Some("spouse"));
-        assert_eq!(t.get(2).and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(t.get(2), Some(&Value::Bool(true)));
     }
 
     #[test]

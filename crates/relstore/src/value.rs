@@ -35,7 +35,7 @@ pub enum Value {
 
 impl Value {
     /// Data type of this value.
-    pub fn data_type(&self) -> DataType {
+    pub(crate) fn data_type(&self) -> DataType {
         match self {
             Value::Int(_) => DataType::Int,
             Value::Text(_) => DataType::Text,
@@ -66,14 +66,6 @@ impl Value {
         }
     }
 
-    /// Return the boolean payload if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Return the float payload if this is a `Float` (or an `Int`, widened).
     pub fn as_float(&self) -> Option<f64> {
         match self {
@@ -84,7 +76,7 @@ impl Value {
     }
 
     /// True if the value is `Null`.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 }
@@ -236,7 +228,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::text("hi").as_text(), Some("hi"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::Int(2).as_float(), Some(2.0));
         assert!(Value::Null.is_null());

@@ -438,7 +438,7 @@ mod tests {
             let mut deltas = HashMap::new();
             deltas.insert("PersonCandidate".to_string(), delta.clone());
             let distinct = view.refresh_dred(&db, &deltas).unwrap();
-            assert_eq!(distinct.len(), 1);
+            assert_eq!(distinct.iter().count(), 1);
             assert_eq!(distinct.count(&pair), count);
 
             // Apply the base delta and compare with full recomputation.

@@ -8,11 +8,11 @@
 //! `refresh_dred`, and every index the executor built along the way must equal
 //! one rebuilt from the post-update table.
 
-use dd_relstore::view::{Filter, QueryAtom, Term};
 use dd_relstore::{
     ConjunctiveQuery, DataType, Database, DeltaRelation, ExecStats, MaterializedView, QueryPlan,
     RelError, Schema, Table, Tuple, Value,
 };
+use dd_relstore::{Filter, QueryAtom, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;

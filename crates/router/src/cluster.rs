@@ -162,11 +162,6 @@ impl Cluster {
         })
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The assignment tuples are routed under.
     pub fn assignment(&self) -> &ShardAssignment {
         &self.assignment

@@ -9,14 +9,14 @@
 //!
 //! The crate has three layers:
 //!
-//! - [`cluster`] — the deployment: partition a database, build one engine +
+//! - [`Cluster`] — the deployment: partition a database, build one engine +
 //!   one [`dd_server::Server`] per shard, apply updates to owning shards.
-//! - [`router`] — the scatter-gather core: fan a wire batch out to the
+//! - [`Router`] — the scatter-gather core: fan a wire batch out to the
 //!   shards it needs, one frame per shard, report the **cross-shard epoch
 //!   vector** the answers came from, merge partial results into exactly the
 //!   answer an unsharded engine would give, and degrade into typed
 //!   `shard_unavailable` errors — never a hang — when shards are down.
-//! - [`front`] — the front door: a [`dd_server::BatchHandler`] pool serving
+//! - [`RouterHandler`] — the front door: a [`dd_server::BatchHandler`] pool serving
 //!   routed batches through an unmodified wire server, so clients cannot
 //!   tell a cluster from a single engine (except for the extra `epochs`
 //!   vector in the batch envelope).
@@ -56,9 +56,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod cluster;
-pub mod front;
-pub mod router;
+#![warn(unreachable_pub)]
+
+mod cluster;
+mod front;
+mod router;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterError};
 pub use front::RouterHandler;

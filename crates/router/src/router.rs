@@ -113,7 +113,7 @@ pub enum RouterError {
 impl RouterError {
     /// The wire taxonomy kind this error maps to when the router is serving
     /// as a front door.
-    pub fn kind(&self) -> ErrorKind {
+    pub(crate) fn kind(&self) -> ErrorKind {
         match self {
             RouterError::ShardUnavailable { .. } => ErrorKind::ShardUnavailable,
             RouterError::BadRequest(_) | RouterError::Sharding(_) => ErrorKind::BadRequest,
@@ -186,7 +186,7 @@ impl Router {
     /// Build a router over `addrs` (one per shard, index-aligned with the
     /// cluster's shard numbering).  Connections are dialed lazily on first
     /// use.
-    pub fn new(
+    pub(crate) fn new(
         assignment: ShardAssignment,
         addrs: &[SocketAddr],
         config: RouterConfig,
@@ -200,21 +200,6 @@ impl Router {
                 .map(|&addr| ShardSlot { addr, client: None })
                 .collect(),
         })
-    }
-
-    /// Number of shards behind this router.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The assignment used to route keyed ops.
-    pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
-    }
-
-    /// The shard addresses, index-aligned with the epoch vector.
-    pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.shards.iter().map(|s| s.addr).collect()
     }
 
     /// Execute a batch of ops against the cluster and merge the answer.
@@ -341,7 +326,7 @@ impl Router {
     /// The response's `epochs` field carries the cross-shard epoch vector;
     /// its scalar `epoch` is only informational (the highest consulted shard
     /// epoch), since no single number can name a cross-shard read.
-    pub fn execute(&mut self, request: &Request) -> Response {
+    pub(crate) fn execute(&mut self, request: &Request) -> Response {
         match self.batch(&request.ops) {
             Ok(batch) => {
                 let epoch = batch.epochs.iter().filter_map(|e| *e).max().unwrap_or(0);

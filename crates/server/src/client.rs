@@ -22,7 +22,7 @@
 
 use crate::protocol::{Batch, ErrorKind, FactQuerySpec, Op, OpResult, Request, Response};
 use dd_relstore::Tuple;
-use dd_wire::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
+use dd_wire::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -137,7 +137,7 @@ impl ClientError {
     /// closes the connection after this refusal, so a retry must reconnect
     /// first — [`Client::call_with_retry`] does exactly that, which is how a
     /// shard restart becomes a ride-out instead of a hard failure.
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         matches!(
             self,
             ClientError::Server {
@@ -151,7 +151,7 @@ impl ClientError {
     /// `overloaded` (transient backpressure) and `shutting_down` (a restart
     /// in progress).  Everything else — transport errors, framing errors,
     /// other refusals — is not load and returns immediately.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         self.is_overloaded() || self.is_shutting_down()
     }
 }
@@ -194,7 +194,6 @@ impl From<FrameError> for ClientError {
 /// A blocking connection to a [`crate::Server`].
 pub struct Client {
     stream: TcpStream,
-    max_frame_bytes: usize,
     /// The addresses `connect` resolved, kept so [`Client::reconnect`] can
     /// re-dial the same server after a restart.
     addrs: Vec<SocketAddr>,
@@ -227,7 +226,6 @@ impl Client {
         let stream = Client::dial(&addrs, &config)?;
         Ok(Client {
             stream,
-            max_frame_bytes: MAX_FRAME_BYTES,
             addrs,
             config,
         })
@@ -263,24 +261,13 @@ impl Client {
         Ok(())
     }
 
-    /// Raise (or lower) the cap on response frames this client will accept.
-    ///
-    /// The default is [`MAX_FRAME_BYTES`] (16 MiB).  Response size is driven
-    /// by what the client asks for — an `all_facts` sweep of a huge catalog
-    /// with no `limit` can legitimately exceed the default, and an oversized
-    /// response frame is unrecoverable on this connection (the payload is
-    /// never consumed), so size the cap to the largest page you request.
-    pub fn set_max_frame_bytes(&mut self, cap: usize) {
-        self.max_frame_bytes = cap;
-    }
-
     /// Send one batch and wait for its response.  Returns the batch (epoch +
     /// per-op results) on success, or the typed refusal as
     /// [`ClientError::Server`].
     pub fn batch(&mut self, ops: Vec<Op>) -> Result<Batch, ClientError> {
         write_frame(&mut self.stream, &Request::new(ops).encode())?;
         self.stream.flush()?;
-        let payload = read_frame(&mut self.stream, self.max_frame_bytes)?;
+        let payload = read_frame(&mut self.stream, MAX_FRAME_BYTES)?;
         match Response::decode(&payload).map_err(ClientError::Protocol)? {
             Response::Batch(batch) => Ok(batch),
             Response::Error { kind, message } => Err(ClientError::Server { kind, message }),
@@ -326,7 +313,7 @@ impl Client {
     }
 
     /// Run `call`, retrying with bounded exponential backoff while the server
-    /// refuses for transient reasons ([`ClientError::is_retryable`]).
+    /// refuses for transient reasons (`ClientError::is_retryable`).
     ///
     /// `overloaded` refusals leave the connection healthy, so their retries
     /// reuse it.  `shutting_down` refusals are followed by a socket close on

@@ -9,7 +9,7 @@
 //! workspace, so the stack is hand-rolled on `std::net` in the same spirit
 //! as the `vendor/` stand-ins — no async runtime, no JSON crate.
 //!
-//! Three properties define the design (see [`server`] for the full
+//! Three properties define the design (see [`Server`] for the full
 //! lifecycle):
 //!
 //! 1. **Batch = consistency unit.**  A request is a batch of operations; the
@@ -41,9 +41,11 @@
 //! # }
 //! ```
 
-pub mod client;
-pub mod protocol;
-pub mod server;
+#![warn(unreachable_pub)]
+
+mod client;
+mod protocol;
+mod server;
 
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use protocol::{

@@ -248,7 +248,7 @@ impl Response {
 const MAX_EXACT_INT: f64 = 9.007_199_254_740_992e15;
 
 /// Encode one store value (see the module docs for the mapping).
-pub fn encode_value(w: &mut JsonWriter<'_>, value: &Value) {
+pub(crate) fn encode_value(w: &mut JsonWriter<'_>, value: &Value) {
     match value {
         Value::Int(i) => w.number(*i as f64),
         Value::Text(s) => w.string(s),
@@ -259,7 +259,7 @@ pub fn encode_value(w: &mut JsonWriter<'_>, value: &Value) {
 }
 
 /// Decode one store value.
-pub fn decode_value(r: &mut JsonReader<'_>) -> Result<Value, String> {
+pub(crate) fn decode_value(r: &mut JsonReader<'_>) -> Result<Value, String> {
     match r.peek()? {
         Kind::Null => r.null().map(|()| Value::Null),
         Kind::Bool => r.bool().map(Value::Bool),
@@ -288,12 +288,12 @@ pub fn decode_value(r: &mut JsonReader<'_>) -> Result<Value, String> {
 }
 
 /// Encode a tuple as a JSON array of values.
-pub fn encode_tuple(w: &mut JsonWriter<'_>, tuple: &Tuple) {
+pub(crate) fn encode_tuple(w: &mut JsonWriter<'_>, tuple: &Tuple) {
     w.array(tuple.values(), encode_value);
 }
 
 /// Decode a tuple from a JSON array of values.
-pub fn decode_tuple(r: &mut JsonReader<'_>) -> Result<Tuple, String> {
+pub(crate) fn decode_tuple(r: &mut JsonReader<'_>) -> Result<Tuple, String> {
     if r.peek()? != Kind::Array {
         return Err(r.error("tuple must be an array"));
     }

@@ -51,7 +51,7 @@
 //! registered socket down, which ends a parked read or write at once.
 
 use crate::protocol::{Batch, ErrorKind, Op, OpResult, Request, Response};
-use dd_wire::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
+use dd_wire::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use deepdive::{Snapshot, SnapshotReader};
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -9,7 +9,7 @@
 //! members differently, repeats one, or carries ones nobody reads.
 
 use dd_relstore::{Tuple, Value};
-use dd_server::protocol::{
+use dd_server::{
     Batch, DecodeError, ErrorKind, FactQuerySpec, Op, OpResult, Request, Response,
     MAX_OPS_PER_BATCH,
 };

@@ -24,7 +24,7 @@
 
 use crate::dir::{create_dir_durably, sync_dir};
 use crate::error::StorageError;
-use dd_wire::record::{split_record, RecordStream, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES};
+use dd_wire::{split_record, RecordStream, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES};
 use std::fs::{self, File};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -258,11 +258,6 @@ impl CheckpointStore {
         sync_dir(&self.dir, &mut self.fsyncs)
     }
 
-    /// Paths of all checkpoint files, sorted by covered sequence (test aid).
-    pub fn paths(&self) -> Result<Vec<PathBuf>, StorageError> {
-        Ok(self.list()?.into_iter().map(|(_, p)| p).collect())
-    }
-
     /// Covered sequences of all checkpoint files, ascending (unvalidated —
     /// callers use this to size WAL pruning, where counting a damaged file
     /// merely keeps more log around).
@@ -361,7 +356,7 @@ mod tests {
         fs::write(dir.join("ckpt-00000000000000000009.ckpt.tmp"), b"half").unwrap();
         let store2 = CheckpointStore::open(&dir).unwrap();
         assert_eq!(store2.latest_valid().unwrap(), Some((2, b"real".to_vec())));
-        assert_eq!(store2.paths().unwrap().len(), 1);
+        assert_eq!(store2.covered_seqs().unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -373,11 +368,11 @@ mod tests {
             store.write(seq, format!("s{seq}").as_bytes()).unwrap();
         }
         store.prune(2).unwrap();
-        assert_eq!(store.paths().unwrap().len(), 2);
+        assert_eq!(store.covered_seqs().unwrap().len(), 2);
         assert_eq!(store.latest_valid().unwrap(), Some((12, b"s12".to_vec())));
         // keep = 0 is clamped to 1.
         store.prune(0).unwrap();
-        assert_eq!(store.paths().unwrap().len(), 1);
+        assert_eq!(store.covered_seqs().unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -413,7 +408,7 @@ mod tests {
             .unwrap();
         assert_eq!(store.latest_valid().unwrap(), Some((11, big.clone())));
         let file = fs::read(dir.join(checkpoint_name(11))).unwrap();
-        assert_eq!(file, dd_wire::record::encode_record(11, &big));
+        assert_eq!(file, dd_wire::encode_record(11, &big));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -30,7 +30,7 @@ pub enum StorageError {
 
 impl StorageError {
     /// Convenience constructor for the I/O case.
-    pub fn io(context: impl Into<String>, source: io::Error) -> Self {
+    pub(crate) fn io(context: impl Into<String>, source: io::Error) -> Self {
         StorageError::Io {
             context: context.into(),
             source,

@@ -37,7 +37,7 @@
 use crate::config::FsyncPolicy;
 use crate::dir::{create_dir_durably, sync_dir};
 use crate::error::StorageError;
-use dd_wire::record::{encode_record, read_record, RecordError, MAX_PAYLOAD_BYTES};
+use dd_wire::{encode_record, read_record, RecordError, MAX_PAYLOAD_BYTES};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Cursor, Write};
 use std::path::{Path, PathBuf};
@@ -347,11 +347,6 @@ impl Wal {
         self.next_seq - 1
     }
 
-    /// Sequence number the next append will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Fsyncs this log has issued since it was opened, the ones `open` made
     /// included.
     pub fn fsyncs(&self) -> u64 {
@@ -399,7 +394,7 @@ mod tests {
         drop(wal);
         let (wal, recovered) = Wal::open(&dir, FsyncPolicy::Always).unwrap();
         assert_eq!(recovered, vec![(1, b"one".to_vec()), (2, b"two".to_vec())]);
-        assert_eq!(wal.next_seq(), 3);
+        assert_eq!(wal.next_seq, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -429,7 +424,7 @@ mod tests {
                 vec![&b"alpha"[..], b"beta", b"gamma"],
                 "cut at {cut}"
             );
-            assert_eq!(wal.next_seq(), 4, "cut at {cut}");
+            assert_eq!(wal.next_seq, 4, "cut at {cut}");
             drop(wal);
             // The tail was physically removed.
             assert_eq!(fs::read(&path).unwrap(), intact, "cut at {cut}");
@@ -460,7 +455,7 @@ mod tests {
                 fs::write(&path, &damaged).unwrap();
                 let (wal, recovered) = Wal::open(&dir, FsyncPolicy::Never).unwrap();
                 assert_eq!(payloads(&recovered), vec![&b"keep me"[..]]);
-                assert_eq!(wal.next_seq(), 2);
+                assert_eq!(wal.next_seq, 2);
                 drop(wal);
                 assert_eq!(fs::metadata(&path).unwrap().len(), keep_len);
                 // Restore the intact bytes for the next iteration.
@@ -491,7 +486,7 @@ mod tests {
         drop(wal);
         let (wal, recovered) = Wal::open(&dir, FsyncPolicy::Always).unwrap();
         assert_eq!(recovered, vec![(3, b"c".to_vec())]);
-        assert_eq!(wal.next_seq(), 4);
+        assert_eq!(wal.next_seq, 4);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -542,7 +537,7 @@ mod tests {
         fs::write(&first, &bytes).unwrap();
         let (wal, recovered) = Wal::open(&dir, FsyncPolicy::Never).unwrap();
         assert!(recovered.is_empty());
-        assert_eq!(wal.next_seq(), 1);
+        assert_eq!(wal.next_seq, 1);
         assert_eq!(wal.segment_paths().unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -564,7 +559,7 @@ mod tests {
         assert_eq!(recovered.len(), 2);
         assert_eq!(recovered[0], (1, big));
         assert_eq!(recovered[1], (2, b"after the big one".to_vec()));
-        assert_eq!(wal.next_seq(), 3);
+        assert_eq!(wal.next_seq, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -15,7 +15,7 @@
 //!   error worth logging.
 //!
 //! ```
-//! use dd_wire::frame::{read_frame, write_frame, FrameError};
+//! use dd_wire::{read_frame, write_frame, FrameError};
 //! use std::io::Cursor;
 //!
 //! let mut buf = Vec::new();
@@ -72,13 +72,6 @@ impl std::error::Error for FrameError {
 impl From<io::Error> for FrameError {
     fn from(err: io::Error) -> Self {
         FrameError::Io(err)
-    }
-}
-
-impl FrameError {
-    /// True for the clean end-of-connection case.
-    pub fn is_closed(&self) -> bool {
-        matches!(self, FrameError::Closed)
     }
 }
 
@@ -165,7 +158,10 @@ mod tests {
             read_frame(&mut stream, 1024).unwrap(),
             "🚀 second".as_bytes()
         );
-        assert!(read_frame(&mut stream, 1024).unwrap_err().is_closed());
+        assert!(matches!(
+            read_frame(&mut stream, 1024).unwrap_err(),
+            FrameError::Closed
+        ));
     }
 
     #[test]
@@ -212,7 +208,7 @@ mod tests {
         let err = FrameError::from(io::Error::new(ErrorKind::ConnectionReset, "reset"));
         assert!(err.to_string().contains("reset"));
         assert!(std::error::Error::source(&err).is_some());
-        assert!(!err.is_closed());
+        assert!(!matches!(err, FrameError::Closed));
         assert!(FrameError::Closed.to_string().contains("closed"));
     }
 }

@@ -13,7 +13,7 @@ use std::borrow::Cow;
 use std::str::FromStr;
 
 /// Why a document could not be read, as `invalid JSON at byte N: …` text.
-pub type Result<T> = std::result::Result<T, String>;
+pub(super) type Result<T> = std::result::Result<T, String>;
 
 /// A type decodable from its canonical JSON spelling.
 pub trait Decode: Sized {

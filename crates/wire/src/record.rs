@@ -31,7 +31,7 @@
 //! layer only guarantees the number read is the number written.
 //!
 //! ```
-//! use dd_wire::record::{encode_record, read_record, RecordError};
+//! use dd_wire::{encode_record, read_record, RecordError};
 //! use std::io::Cursor;
 //!
 //! let mut stream = Cursor::new(encode_record(7, b"payload"));
@@ -93,11 +93,6 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
         k += 1;
     }
     tables
-}
-
-/// CRC-32 (IEEE) of `bytes`.  Matches zlib's `crc32(0, …)`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(0xFFFF_FFFF, bytes)
 }
 
 /// Feed `bytes` into a running (un-finalized) CRC-32 state, eight bytes per
@@ -259,7 +254,7 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
 /// [`RecordError::Oversized`].
 ///
 /// ```
-/// use dd_wire::record::{encode_record, RecordStream, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES};
+/// use dd_wire::{encode_record, RecordStream, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES};
 /// use std::io::Write;
 ///
 /// let mut file = vec![0u8; RECORD_HEADER_BYTES];
@@ -413,6 +408,11 @@ fn read_exact_or(
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// CRC-32 (IEEE) of `bytes`.  Matches zlib's `crc32(0, …)`.
+    fn crc32(bytes: &[u8]) -> u32 {
+        !crc32_update(0xFFFF_FFFF, bytes)
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -10,7 +10,7 @@
 mod common;
 
 use common::SplitMix64;
-use dd_wire::record::RecordError;
+use dd_wire::RecordError;
 use dd_wire::{encode_record, read_frame, read_record, write_frame, FrameError};
 use std::io::Cursor;
 

@@ -85,7 +85,7 @@ pub struct Corpus {
 
 impl Corpus {
     /// Generate a corpus.
-    pub fn generate(config: CorpusConfig) -> Corpus {
+    pub(crate) fn generate(config: CorpusConfig) -> Corpus {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut db = Database::new();
         db.create_table(

@@ -12,20 +12,21 @@
 //! templates (A1, FE1, FE2, S1, S2, I1) applied as development-iteration
 //! updates.
 //!
-//! * [`synthetic`] — pairwise factor graphs with controllable size, sparsity,
-//!   and amount-of-change (Figure 5's three axes).
-//! * [`voting`]   — the Voting program under Linear/Ratio/Logical semantics.
-//! * [`corpus`]   — the synthetic document/mention/KB generator.
-//! * [`systems`]  — the five KBC systems and their rule-template updates.
-//! * [`spam`]     — the concept-drift e-mail stream.
+//! * [`pairwise_graph`] — pairwise factor graphs with controllable size,
+//!   sparsity, and amount-of-change (Figure 5's three axes).
+//! * [`voting_graph`] — the Voting program under Linear/Ratio/Logical semantics.
+//! * [`corpus`] — the synthetic document/mention/KB generator.
+//! * [`KbcSystem`] — the five KBC systems and their rule-template updates.
+//! * [`spam_stream`] — the concept-drift e-mail stream.
+
+#![warn(unreachable_pub)]
 
 pub mod corpus;
-pub mod spam;
-pub mod synthetic;
-pub mod systems;
-pub mod voting;
+mod spam;
+mod synthetic;
+mod systems;
+mod voting;
 
-pub use corpus::{Corpus, CorpusConfig};
 pub use spam::{spam_stream, SpamConfig, SpamStream};
 pub use synthetic::{pairwise_graph, weight_perturbation, SyntheticConfig};
 pub use systems::{KbcSystem, RuleTemplate, SystemKind};

@@ -70,7 +70,7 @@ impl SystemKind {
     /// * Genomics/Pharmacogenomics get precise text but ambiguous relations
     ///   (higher label noise);
     /// * Paleontology gets clean, precise text (low noise).
-    pub fn corpus_config(self, scale: f64, seed: u64) -> CorpusConfig {
+    pub(crate) fn corpus_config(self, scale: f64, seed: u64) -> CorpusConfig {
         let docs = |millions: f64| ((millions * 120.0 * scale).round() as usize).max(20);
         match self {
             SystemKind::Adversarial => CorpusConfig {
@@ -182,7 +182,7 @@ impl RuleTemplate {
     /// The order in which the development-iteration snapshots apply the rules
     /// (features first, then supervision, then the inference rule, then the
     /// analysis query) — the sequence behind Figure 10(a).
-    pub fn development_order() -> [RuleTemplate; 6] {
+    pub(crate) fn development_order() -> [RuleTemplate; 6] {
         [
             RuleTemplate::FE1,
             RuleTemplate::FE2,
@@ -251,7 +251,7 @@ impl RuleTemplate {
     }
 
     /// The [`KbcUpdate`] that adds this template's rule.
-    pub fn update(self, semantics: Semantics) -> KbcUpdate {
+    pub(crate) fn update(self, semantics: Semantics) -> KbcUpdate {
         let mut u = KbcUpdate::new();
         match self {
             // A1 reads marginals; as an update it changes nothing.
@@ -297,7 +297,7 @@ impl KbcSystem {
 
     /// The base program: relation declarations plus the candidate-mapping rule
     /// R1.  Features, supervision, and inference rules arrive as updates.
-    pub fn base_program() -> Program {
+    pub(crate) fn base_program() -> Program {
         parse_program(
             r#"
             relation Sentence(s: int, content: text) base.

@@ -54,13 +54,6 @@ pub fn voting_graph(
     (graph, q)
 }
 
-/// The exact marginal of `q` when the votes are symmetric (|U| = |D| and no
-/// evidence): by symmetry it is exactly 0.5 under every semantics — the target
-/// Figure 13's convergence measurement uses.
-pub fn symmetric_target() -> f64 {
-    0.5
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,13 +70,12 @@ mod tests {
 
     #[test]
     fn symmetric_votes_give_half_probability() {
+        // |U| = |D| and no evidence: by symmetry the exact marginal of `q` is
+        // 0.5 under every semantics (the target Figure 13 converges to).
         for s in Semantics::all() {
             let (g, q) = voting_graph(3, 3, 1.0, s);
             let p = g.exact_marginal(q);
-            assert!(
-                (p - symmetric_target()).abs() < 1e-9,
-                "{s:?}: expected 0.5, got {p}"
-            );
+            assert!((p - 0.5).abs() < 1e-9, "{s:?}: expected 0.5, got {p}");
         }
     }
 

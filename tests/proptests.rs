@@ -10,8 +10,8 @@ use deepdive_repro::inference::{
     DistributionChange, GibbsOptions, GibbsSampler, SampleMaterialization, StrawmanMaterialization,
 };
 use deepdive_repro::prelude::*;
-use deepdive_repro::relstore::view::{Filter, QueryAtom, Term};
 use deepdive_repro::relstore::{ConjunctiveQuery, DeltaRelation, MaterializedView};
+use deepdive_repro::relstore::{Filter, QueryAtom, Term};
 use deepdive_repro::workloads::{pairwise_graph, weight_perturbation, SyntheticConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

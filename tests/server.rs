@@ -12,11 +12,9 @@
 mod support;
 
 use deepdive_repro::prelude::*;
-use deepdive_repro::server::{
-    protocol::Request, BatchHandler, ErrorKind, Response, SnapshotBatchHandler,
-};
-use deepdive_repro::wire::frame::{read_frame, write_frame, FrameError};
+use deepdive_repro::server::{BatchHandler, ErrorKind, Request, Response, SnapshotBatchHandler};
 use deepdive_repro::wire::json::{parse, Json};
+use deepdive_repro::wire::{read_frame, write_frame, FrameError};
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
