@@ -92,18 +92,23 @@
 //! and 16 update rounds logged after it.
 //!
 //! An eighth series, `materialize_cost/*`, prices drawing and digesting the
-//! materialization's sample store by how much of the graph is coupled, on
-//! two 4 000-variable graphs: `unary_n4000` (every variable has only a prior
-//! of its own — the logistic-regression shape of Example 2.6) and
-//! `mixed_n4000` (half of them chained pairwise).  `draw_ms_*` is
-//! `GibbsSampler::draw_samples` of 1 500 samples, which sweeps the coupled
-//! variables and fills the static ones' columns with bit-sliced i.i.d.
-//! draws; `draw_swept_ms_*` is the reference leg, the same sampler forced to
-//! sweep every query variable via `with_free_vars`; `draw_speedup_*` their
-//! ratio (`check_sweeps` holds the unary one to a 5× floor);
-//! `moments_ms_*` is `VariationalMaterialization::from_samples` over the
-//! drawn store, and `static_share_*` the fraction of query variables the
-//! compiler found static.
+//! materialization's sample store on two 4 000-variable graphs:
+//! `unary_n4000` (every variable has only a prior of its own — the
+//! logistic-regression shape of Example 2.6 — so every component is a
+//! singleton) and `chained_n4000` (the same variables chained into one
+//! component).  `draw_ms_*` is `GibbsSampler::draw_samples` of 1 500
+//! samples, which sweeps and stores only the variables of components above
+//! the enumeration limit; `moments_ms_*` is
+//! `VariationalMaterialization::from_samples` over the drawn store; and
+//! `stored_bits_per_var_*` the store's bits per query variable, exact: 0
+//! for the unary graph, 1 500 for the chained one.  `check_sweeps` holds
+//! both to ceilings.
+//!
+//! A ninth series, `exactness/max_gap_<system>`, runs the exactness oracle
+//! (`dd_bench::exactness`) over every rule template in development order
+//! in both modes at scale 0.15, and records the largest |published − exact|
+//! over the components the engine enumerates — exact, so `check_sweeps`
+//! holds it to a 1e-9 ceiling.
 //!
 //! Usage: `cargo run --release -p dd-bench --bin bench_sweeps [--smoke] [--only <series>] [output.json]`
 //!
@@ -1060,37 +1065,33 @@ fn bench_materialize_cost_of(
     reps: usize,
     entries: &mut Vec<Entry>,
 ) {
-    const SAMPLES: usize = 1_500;
+    let samples_per_store = EngineConfig::default().materialization_samples;
     const BURN_IN: usize = 100;
     let flat = graph.compile();
     let draw_ms = best_ms(reps, &mut || {
-        black_box(GibbsSampler::from_flat(&flat, 7).draw_samples(SAMPLES, BURN_IN));
+        black_box(GibbsSampler::from_flat(&flat, 7).draw_samples(samples_per_store, BURN_IN));
     });
-    let swept_ms = best_ms(reps, &mut || {
-        let mut swept =
-            GibbsSampler::from_flat(&flat, 7).with_free_vars(flat.query_variables().to_vec());
-        black_box(swept.draw_samples(SAMPLES, BURN_IN));
-    });
-    let samples = GibbsSampler::from_flat(&flat, 7).draw_samples(SAMPLES, BURN_IN);
+    let samples = GibbsSampler::from_flat(&flat, 7).draw_samples(samples_per_store, BURN_IN);
     let options = VariationalOptions::default();
     let moments_ms = best_ms(reps, &mut || {
         black_box(VariationalMaterialization::from_samples(
             graph, &samples, &options,
         ));
     });
-    let static_share =
-        flat.static_query_variables().len() as f64 / flat.query_variables().len() as f64;
-    let speedup = swept_ms / draw_ms;
+    // Exact: one bit per sample for each variable of a sampled component,
+    // nothing for the others.
+    let stored_bits = samples.len() * samples.columns().len();
+    let sampled = flat.sampled_query_variables().len();
+    assert_eq!(stored_bits, samples_per_store * sampled, "{label}");
+    let bits_per_var = stored_bits as f64 / flat.query_variables().len() as f64;
     println!(
-        "  {label}: draw {draw_ms:.3} ms | swept {swept_ms:.3} ms ({speedup:.1}x) | \
-         moments {moments_ms:.3} ms | static share {static_share:.2}"
+        "  {label}: draw {draw_ms:.3} ms | moments {moments_ms:.3} ms | \
+         {stored_bits} stored bits ({bits_per_var:.1} per query variable)"
     );
     for (kind, unit, value) in [
         ("draw_ms", "ms", draw_ms),
-        ("draw_swept_ms", "ms", swept_ms),
-        ("draw_speedup", "x", speedup),
         ("moments_ms", "ms", moments_ms),
-        ("static_share", "ratio", static_share),
+        ("stored_bits_per_var", "bits", bits_per_var),
     ] {
         entries.push(Entry {
             name: format!("materialize_cost/{kind}_{label}"),
@@ -1101,7 +1102,7 @@ fn bench_materialize_cost_of(
 }
 
 fn bench_materialize_cost(reps: usize, entries: &mut Vec<Entry>) {
-    println!("\nmaterialize_cost: 1 500 samples, bit-sliced static columns vs sweeping everything");
+    println!("\nmaterialize_cost: 1 500 samples of the sampled components' columns");
     bench_materialize_cost_of(
         "unary_n4000",
         &materialize_cost_graph(4_000, 0),
@@ -1109,11 +1110,31 @@ fn bench_materialize_cost(reps: usize, entries: &mut Vec<Entry>) {
         entries,
     );
     bench_materialize_cost_of(
-        "mixed_n4000",
-        &materialize_cost_graph(4_000, 2_000),
+        "chained_n4000",
+        &materialize_cost_graph(4_000, 4_000),
         reps,
         entries,
     );
+}
+
+/// `exactness/max_gap_<system>`: the largest |published − exact| over the
+/// enumerated components of `dd_bench::exactness`'s oracle cells — every
+/// rule template in development order, both modes — at scale 0.15.
+fn bench_exactness(entries: &mut Vec<Entry>) {
+    println!("\nexactness: published vs brute-force marginals of every small component");
+    for system in SystemKind::all() {
+        let gap = [ExecutionMode::Incremental, ExecutionMode::Rerun]
+            .into_iter()
+            .flat_map(|mode| dd_bench::exactness::development_cells(system, 0.15, 41, mode))
+            .map(|cell| cell.enumerated_max_gap)
+            .fold(0.0, f64::max);
+        println!("  {}: max gap {gap:.3e}", system.name());
+        entries.push(Entry {
+            name: format!("exactness/max_gap_{}", system.name().to_lowercase()),
+            unit: "abs",
+            value: gap,
+        });
+    }
 }
 
 /// A wire response holding one `all_facts` page of `rows` facts.
@@ -1369,12 +1390,15 @@ fn main() {
     if runs("materialize_cost") {
         bench_materialize_cost(publish_reps, &mut entries);
     }
+    if runs("exactness") {
+        bench_exactness(&mut entries);
+    }
 
     let mut json = String::from("[\n");
     for (i, e) in entries.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             json,
-            "  {{\"name\": \"{}\", \"unit\": \"{}\", \"value\": {:.6}}}{}\n",
+            "  {{\"name\": \"{}\", \"unit\": \"{}\", \"value\": {:.6}}}{}",
             e.name,
             e.unit,
             e.value,

@@ -3,13 +3,10 @@
 //! Exits non-zero when the file is unreadable, malformed, empty, holds a
 //! non-finite value, any `*_speedup` metric sits below 1.0× — i.e. when an
 //! optimization this repo has already banked (compiled flat graph, sharded
-//! O(Δ) publish, incremental retraction, static-variable draws) has regressed
+//! O(Δ) publish, incremental retraction, indexed reads) has regressed
 //! behind its baseline — a whole required series stopped emitting speedup
 //! entries (the coverage floor: a sweep that silently stops running is a
-//! regression too), or a speedup with a floor of its own
-//! (`dd_bench::sweeps::SPEEDUP_FLOORS`:
-//! `materialize_cost/draw_speedup_unary_n4000` ≥ 5×) is missing or
-//! below it, or an exact counter of the cold path
+//! regression too), or an exact counter of the cold path
 //! (`dd_bench::sweeps::COUNT_CEILINGS`: `cold_start/allocs_per_binding`,
 //! `rows_probed_per_binding`, `allocs_per_sample`, `allocs_per_mh_step`,
 //! `index_heap_bytes_per_row`),
@@ -17,7 +14,10 @@
 //! (`grounding_cost/incremental_allocs_per_binding`) or of the codec
 //! (`codec/checkpoint_encode_allocs_per_row`,
 //! `checkpoint_peak_heap_per_payload_byte`,
-//! `checkpoint_retained_heap_bytes`, `response_decode_allocs_per_row`) is
+//! `checkpoint_retained_heap_bytes`, `response_decode_allocs_per_row`), of
+//! the sample store (`materialize_cost/stored_bits_per_var_unary_n4000` 0,
+//! `stored_bits_per_var_chained_n4000` 1 500) or of exact inference
+//! (`exactness/max_gap_<system>`, rounding only) is
 //! missing or not below its ceiling — a count repeats exactly, so this gate
 //! holds on a box too noisy for a timing — or a cost grows with its input
 //! (`dd_bench::sweeps::RATIO_CEILINGS`, ratios of two timings of one run:
@@ -34,8 +34,8 @@
 //! ```
 
 use dd_bench::sweeps::{
-    ceiling_violations, coverage_violations, floor_violations, gate_violations,
-    parse_bench_entries, COUNT_CEILINGS, RATIO_CEILINGS,
+    ceiling_violations, coverage_violations, gate_violations, parse_bench_entries, COUNT_CEILINGS,
+    RATIO_CEILINGS,
 };
 use std::process::ExitCode;
 
@@ -82,7 +82,6 @@ fn main() -> ExitCode {
 
     let mut violations = gate_violations(&entries, 1.0);
     violations.extend(coverage_violations(&entries));
-    violations.extend(floor_violations(&entries));
     violations.extend(ceiling_violations(&entries));
     if violations.is_empty() {
         println!("check_sweeps: all gates pass");

@@ -33,9 +33,11 @@ pub fn run() {
         let updated_graph = grounded_engine.graph().clone();
         // Reconstruct the distribution change from the graphs' difference: new
         // factors are those beyond the pre-update count.
-        let mut change = DistributionChange::default();
-        change.new_factors = (pre_graph.num_factors()..updated_graph.num_factors()).collect();
-        change.new_variables = (pre_graph.num_variables()..updated_graph.num_variables()).collect();
+        let mut change = DistributionChange {
+            new_factors: (pre_graph.num_factors()..updated_graph.num_factors()).collect(),
+            new_variables: (pre_graph.num_variables()..updated_graph.num_variables()).collect(),
+            ..Default::default()
+        };
         for v in 0..pre_graph.num_variables() {
             let before = pre_graph.variable(v).fixed_value();
             let after = updated_graph.variable(v).fixed_value();

@@ -8,15 +8,23 @@
 use dd_bench::{print_table, secs, timed};
 use dd_factorgraph::FactorGraph;
 use dd_inference::{
-    DistributionChange, GibbsOptions, GibbsSampler, SampleMaterialization, StrawmanMaterialization,
-    VariationalMaterialization, VariationalOptions,
+    DistributionChange, GibbsOptions, GibbsSampler, SampleMaterialization, SampleSet,
+    StrawmanMaterialization, VariationalMaterialization, VariationalOptions,
 };
 use dd_workloads::{pairwise_graph, weight_perturbation, SyntheticConfig};
 
-/// The sampling materialization: `n` worlds of `g` after `burn_in` sweeps,
-/// drawn on `seed`.
+/// `n` worlds of `g` after `burn_in` sweeps, drawn on `seed`, with a column
+/// for every query variable: the study compares the strategies over the
+/// whole graph, where the engine would enumerate the small components.
+fn worlds_of(g: &FactorGraph, n: usize, burn_in: usize, seed: u64) -> SampleSet {
+    GibbsSampler::new(g, seed)
+        .with_free_vars(g.query_variables())
+        .draw_samples(n, burn_in)
+}
+
+/// The sampling materialization: [`worlds_of`] as its proposal store.
 fn sampling_of(g: &FactorGraph, n: usize, burn_in: usize, seed: u64) -> SampleMaterialization {
-    SampleMaterialization::from_samples(GibbsSampler::new(g, seed).draw_samples(n, burn_in))
+    SampleMaterialization::from_samples(worlds_of(g, n, burn_in, seed))
 }
 
 /// Algorithm 1 over 300 worlds of `g`, drawn on seed 19.
@@ -26,7 +34,7 @@ fn variational_of(g: &FactorGraph) -> VariationalMaterialization {
         lambda: 0.01,
         exact_solver_max_vars: 60,
     };
-    let samples = GibbsSampler::new(g, 19).draw_samples(300, options.burn_in);
+    let samples = worlds_of(g, 300, options.burn_in, 19);
     VariationalMaterialization::from_samples(g, &samples, &options)
 }
 

@@ -37,8 +37,15 @@ pub fn run() {
             lambda,
             exact_solver_max_vars: 0,
         };
-        let samples = GibbsSampler::new(&graph, 19).draw_samples(400, options.burn_in);
+        // A column for every query variable: the approximation is fitted
+        // over the whole graph, where the engine would enumerate the small
+        // components instead.
+        let samples = GibbsSampler::new(&graph, 19)
+            .with_free_vars(graph.query_variables())
+            .draw_samples(400, options.burn_in);
         let mat = VariationalMaterialization::from_samples(&graph, &samples, &options);
+        // The approximate graph's components within the enumeration limit
+        // are read exactly; only larger ones are sampled (200 sweeps).
         let marginals = GibbsSampler::new(mat.approx_graph(), 5).run(&GibbsOptions::new(200, 40));
         // Extract facts above the threshold through the engine's variable catalog.
         let extracted: Vec<Tuple> = engine

@@ -5,7 +5,8 @@
 //! tracks the per-layer cost trajectory in `BENCH_sweeps.json`, which
 //! `check_sweeps` gates, and `check_docs` keeps the docs' links, anchors and
 //! commands resolving.  This library holds what they share: timing, table
-//! printing, the `BENCH_sweeps.json` schema and the doc audit.
+//! printing, the `BENCH_sweeps.json` schema, the doc audit and the
+//! exactness oracle (which `tests/exactness.rs` also runs).
 //!
 //! End-to-end and serving numbers are not measured here: the repository
 //! benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`) is the one
@@ -16,6 +17,7 @@
 use std::time::Instant;
 
 pub mod docs;
+pub mod exactness;
 pub mod sweeps;
 
 /// Time a closure, returning (result, seconds).

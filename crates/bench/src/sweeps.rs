@@ -7,7 +7,8 @@
 //! scaling ratio has risen past its ceiling — the cheapest mechanical guard
 //! that the perf trajectory (compiled flat graph, sharded O(Δ) publish,
 //! incremental retraction, indexed reads, allocation-free cold path, linear
-//! tree-free codec, bit-sliced static draws) never silently goes backwards.
+//! tree-free codec, a sample store of the sampled components only, exact
+//! small components) never silently goes backwards.
 //!
 //! The workspace is fully offline (vendored stand-in deps only), so parsing
 //! uses the workspace's hand-rolled JSON reader — [`dd_wire::json`], the same
@@ -94,40 +95,6 @@ pub fn coverage_violations(entries: &[BenchEntry]) -> Vec<String> {
         .collect()
 }
 
-/// Speedups held to more than the general 1.0×.
-///
-/// `materialize_cost/draw_speedup_unary_n4000` — drawing 1 500 samples of a
-/// 4 000-variable graph in which every variable is static, against the same
-/// sampler sweeping all of them — is the bit-sliced i.i.d. generator against
-/// one coin flip and one bit store per variable per sample: ~8 random words
-/// per 64 samples instead of 64.  Falling back to a per-variable sweep reads
-/// 1×; 5× leaves the generator (measured 15–20×) room on a slow box.
-///
-/// `retraction_cost/delete_speedup_n8000` is recorded without a floor: it
-/// raced an O(Δ) path against full grounding, and full grounding got cheaper
-/// (3.6× in the committed file against a 4× floor, on unchanged code).
-/// Whether a retraction costs what it deletes is
-/// `retraction_cost/delete_scaling_x`'s ceiling in [`RATIO_CEILINGS`].
-pub const SPEEDUP_FLOORS: [(&str, f64); 1] = [("materialize_cost/draw_speedup_unary_n4000", 5.0)];
-
-/// The named floors of [`SPEEDUP_FLOORS`]: each entry must be present and at
-/// or above its floor.  Returns one violation message per failure.
-pub fn floor_violations(entries: &[BenchEntry]) -> Vec<String> {
-    SPEEDUP_FLOORS
-        .iter()
-        .filter_map(
-            |(name, floor)| match entries.iter().find(|e| e.name == *name) {
-                None => Some(format!("{name} is missing (floor {floor:.1}x)")),
-                Some(e) if e.value.is_nan() || e.value < *floor => Some(format!(
-                    "{name}: {:.3}x is below its {floor:.1}x floor",
-                    e.value
-                )),
-                Some(_) => None,
-            },
-        )
-        .collect()
-}
-
 /// Counts held to a ceiling: exact counters (`bench_sweeps` takes them with a
 /// counting allocator), so unlike a timing they repeat run to run and a
 /// regression shows on any box.  `allocs_per_binding` — heap allocations of
@@ -173,7 +140,18 @@ pub fn floor_violations(entries: &[BenchEntry]) -> Vec<String> {
 /// row handle in them — measured 65.1 once an index is keyed by the hash of
 /// the key columns and a key with one row is one handle; it read 233.1
 /// while every key was a `Vec<Value>` and every bucket a `Vec` of handles.
-pub const COUNT_CEILINGS: [(&str, f64); 10] = [
+/// `materialize_cost/stored_bits_per_var_*` — the bits the sample store
+/// keeps per query variable for 1 500 samples — read 0 on a graph of
+/// singleton components (`unary_n4000`: every component is enumerated, so
+/// nothing is stored; 1 500 if they were stored again) and 1 500 on one
+/// component above the enumeration limit (`chained_n4000`: one bit per
+/// sample per variable, and `bench_sweeps` asserts exactly that).  They
+/// replace a 5× floor on drawing the unary graph's columns, a code path
+/// that no longer exists.  `exactness/max_gap_<system>` — the largest gap
+/// between a published marginal of an enumerated component and its
+/// brute-force value, over every rule template and both modes — is
+/// rounding only; a sampled estimate reads 1e-3 or more.
+pub const COUNT_CEILINGS: [(&str, f64); 17] = [
     ("cold_start/allocs_per_binding", 0.7),
     ("cold_start/rows_probed_per_binding", 1.8),
     ("cold_start/allocs_per_sample", 0.01),
@@ -187,6 +165,13 @@ pub const COUNT_CEILINGS: [(&str, f64); 10] = [
         dd_wire::json::CHUNK_BYTES as f64,
     ),
     ("codec/response_decode_allocs_per_row", 3.1),
+    ("materialize_cost/stored_bits_per_var_unary_n4000", 1.0),
+    ("materialize_cost/stored_bits_per_var_chained_n4000", 1500.5),
+    ("exactness/max_gap_adversarial", 1e-9),
+    ("exactness/max_gap_news", 1e-9),
+    ("exactness/max_gap_genomics", 1e-9),
+    ("exactness/max_gap_pharmacogenomics", 1e-9),
+    ("exactness/max_gap_paleontology", 1e-9),
 ];
 
 /// Ratios of two timings of one run held to a ceiling.  The timings are
@@ -324,14 +309,14 @@ mod tests {
                 value: 2.0,
             },
             BenchEntry {
-                name: "w/draw_speedup_mixed_n4000".into(),
+                name: "w/delete_speedup_n8000".into(),
                 unit: "x".into(),
                 value: 0.93,
             },
         ];
         let violations = gate_violations(&entries, 1.0);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("draw_speedup_mixed_n4000"));
+        assert!(violations[0].contains("delete_speedup_n8000"));
     }
 
     #[test]
@@ -360,82 +345,99 @@ mod tests {
     }
 
     #[test]
-    fn named_floors_require_presence_and_value() {
-        // Every floor met except, in turn, the one under test.
-        for (index, &(name, floor)) in SPEEDUP_FLOORS.iter().enumerate() {
-            let entries = |value: f64| -> Vec<BenchEntry> {
-                SPEEDUP_FLOORS
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(n, f))| BenchEntry {
-                        name: n.into(),
-                        unit: "x".into(),
-                        value: if i == index { value } else { f },
-                    })
-                    .collect()
-            };
-            assert!(floor_violations(&entries(floor)).is_empty());
-            assert!(floor_violations(&entries(floor + 10.0)).is_empty());
-            // A draw that sweeps after all passes the general gate but not
-            // this one.
-            assert!(gate_violations(&entries(2.4), 1.0).is_empty());
-            assert_eq!(floor_violations(&entries(2.4)).len(), 1);
-            assert_eq!(floor_violations(&entries(f64::NAN)).len(), 1);
-            let mut without = entries(floor);
-            without.remove(index);
-            let missing = floor_violations(&without);
-            assert_eq!(missing.len(), 1);
-            assert!(missing[0].contains(name) && missing[0].contains("missing"));
-        }
-    }
-
-    #[test]
     fn named_ceilings_require_presence_and_value() {
-        // Every gated entry at its measured value, but for the first three.
-        let entries = |binding: f64, probed: f64, sample: f64| -> Vec<BenchEntry> {
-            [
-                binding, probed, sample, 0.0, 65.1, 1.842, 0.0076, 0.0824, 0.0, 3.0225, 1.15, 4.2,
-            ]
-            .into_iter()
-            .zip(COUNT_CEILINGS.iter().chain(&RATIO_CEILINGS))
-            .map(|(value, (name, _))| BenchEntry {
-                name: name.to_string(),
-                unit: "allocs".into(),
-                value,
-            })
-            .collect()
-        };
-        assert!(ceiling_violations(&entries(0.630, 1.75, 0.0)).is_empty());
-        // The tuple allocated per binding (1.629), the written-order probes
-        // (2.5 per binding) and 3.0 allocations per sample are each caught,
-        // and so is one more allocation per new variable (+0.5).
-        assert_eq!(ceiling_violations(&entries(1.629, 2.5, 3.001)).len(), 3);
-        assert_eq!(ceiling_violations(&entries(1.130, 1.75, 0.0)).len(), 1);
-        assert_eq!(ceiling_violations(&entries(f64::NAN, 1.75, 0.0)).len(), 1);
-        // Indexes keyed by `Vec<Value>` with a `Vec` per bucket (233.1
-        // bytes per indexed row), the incremental grounder's copy of its
-        // additions into a replayable delta (3.406 per grounding), the
-        // cloned checkpoint export's allocations, peak and retained buffer,
-        // the tree codec's allocations, the quadratic scanner's 19.6x and a
-        // deletion that re-grounds the whole KB.
-        let mut parents = entries(0.630, 1.75, 0.0);
-        let parent_values = [
-            233.1,
-            3.406,
-            1.1767,
-            0.6752,
-            3_670_016.0,
-            10.065,
-            19.6,
-            23.0,
+        // Every gated entry at its measured value ...
+        let measured = [
+            ("cold_start/allocs_per_binding", 0.630),
+            ("cold_start/rows_probed_per_binding", 1.75),
+            ("cold_start/allocs_per_sample", 0.0),
+            ("cold_start/allocs_per_mh_step", 0.0),
+            ("cold_start/index_heap_bytes_per_row", 65.1),
+            ("grounding_cost/incremental_allocs_per_binding", 1.842),
+            ("codec/checkpoint_encode_allocs_per_row", 0.0076),
+            ("codec/checkpoint_peak_heap_per_payload_byte", 0.0824),
+            ("codec/checkpoint_retained_heap_bytes", 0.0),
+            ("codec/response_decode_allocs_per_row", 3.0225),
+            ("materialize_cost/stored_bits_per_var_unary_n4000", 0.0),
+            ("materialize_cost/stored_bits_per_var_chained_n4000", 1500.0),
+            ("exactness/max_gap_adversarial", 1.1e-16),
+            ("exactness/max_gap_news", 2.2e-16),
+            ("exactness/max_gap_genomics", 0.0),
+            ("exactness/max_gap_pharmacogenomics", 0.0),
+            ("exactness/max_gap_paleontology", 1.1e-16),
+            ("codec/parse_scaling_x", 1.15),
+            ("retraction_cost/delete_scaling_x", 4.2),
         ];
-        for (entry, value) in parents[4..].iter_mut().zip(parent_values) {
-            entry.value = value;
+        let gated: Vec<&str> = COUNT_CEILINGS
+            .iter()
+            .chain(&RATIO_CEILINGS)
+            .map(|&(name, _)| name)
+            .collect();
+        assert_eq!(gated, measured.map(|(name, _)| name));
+        let entries = |overrides: &[(&str, f64)]| -> Vec<BenchEntry> {
+            measured
+                .iter()
+                .map(|&(name, value)| BenchEntry {
+                    name: name.to_string(),
+                    unit: "allocs".into(),
+                    value: overrides
+                        .iter()
+                        .find(|(n, _)| *n == name)
+                        .map_or(value, |&(_, v)| v),
+                })
+                .collect()
+        };
+        assert!(ceiling_violations(&entries(&[])).is_empty());
+        // ... and each caught at the value its regression read: the tuple
+        // allocated per binding (1.629), the written-order probes (2.5 per
+        // binding), 3.0 allocations per sample, indexes keyed by
+        // `Vec<Value>` with a `Vec` per bucket (233.1 bytes per indexed
+        // row), the incremental grounder's copy of its additions into a
+        // replayable delta (3.406 per grounding), the cloned checkpoint
+        // export's allocations, peak and retained buffer, the tree codec's
+        // allocations, static columns stored again, a store that also kept
+        // evidence, a sampled estimate of an enumerable component, the
+        // quadratic scanner's 19.6x and a deletion that re-grounds the
+        // whole KB.
+        let regressions = [
+            ("cold_start/allocs_per_binding", 1.629),
+            ("cold_start/rows_probed_per_binding", 2.5),
+            ("cold_start/allocs_per_sample", 3.001),
+            ("cold_start/index_heap_bytes_per_row", 233.1),
+            ("grounding_cost/incremental_allocs_per_binding", 3.406),
+            ("codec/checkpoint_encode_allocs_per_row", 1.1767),
+            ("codec/checkpoint_peak_heap_per_payload_byte", 0.6752),
+            ("codec/checkpoint_retained_heap_bytes", 3_670_016.0),
+            ("codec/response_decode_allocs_per_row", 10.065),
+            ("materialize_cost/stored_bits_per_var_unary_n4000", 1500.0),
+            ("materialize_cost/stored_bits_per_var_chained_n4000", 1875.0),
+            ("exactness/max_gap_news", 0.06),
+            ("codec/parse_scaling_x", 19.6),
+            ("retraction_cost/delete_scaling_x", 23.0),
+        ];
+        for regression in regressions {
+            let violations = ceiling_violations(&entries(&[regression]));
+            assert_eq!(violations.len(), 1, "{regression:?}");
+            assert!(violations[0].contains(regression.0));
         }
-        assert_eq!(ceiling_violations(&parents).len(), 8);
+        assert_eq!(
+            ceiling_violations(&entries(&regressions)).len(),
+            regressions.len()
+        );
+        assert_eq!(
+            ceiling_violations(&entries(&[("cold_start/allocs_per_binding", f64::NAN)])).len(),
+            1
+        );
+        // One more allocation per new variable (+0.5) is caught too.
+        assert_eq!(
+            ceiling_violations(&entries(&[("cold_start/allocs_per_binding", 1.130)])).len(),
+            1
+        );
         // A retained chunk is allowed; a retained payload buffer is not.
-        let mut chunk = entries(0.630, 1.75, 0.0);
-        chunk[8].value = dd_wire::json::CHUNK_BYTES as f64 - 1.0;
+        let chunk = entries(&[(
+            "codec/checkpoint_retained_heap_bytes",
+            dd_wire::json::CHUNK_BYTES as f64 - 1.0,
+        )]);
         assert!(ceiling_violations(&chunk).is_empty());
         let missing = ceiling_violations(&[]);
         assert_eq!(missing.len(), COUNT_CEILINGS.len() + RATIO_CEILINGS.len());

@@ -65,13 +65,20 @@ use std::collections::HashSet;
 /// Format version stamped into every checkpoint payload.  Bumped whenever the
 /// encoding changes incompatibly; recovery refuses versions it does not know
 /// instead of misreading them.
-pub(crate) const CHECKPOINT_FORMAT_VERSION: u64 = 3;
+pub(crate) const CHECKPOINT_FORMAT_VERSION: u64 = 4;
 
-/// The oldest format recovery still reads.  A format-2 payload is a format-3
-/// one plus members decoding passes over: each variable's active flag, the
-/// materialization's strawman, model weights, wall-clock seconds and two
-/// sample counts, and the engine's coverage pair.
+/// The oldest format recovery still reads.  A format-3 payload is a format-4
+/// one whose sample store keeps a column for every variable, plus a
+/// `learned_weights` member (a copy of the graph's weights) decoding passes
+/// over; its store decodes to the columns of the recovered graph's sampled
+/// components.  A format-2 payload is a format-3 one plus more members
+/// decoding passes over: each variable's active flag, the materialization's
+/// strawman, model weights, wall-clock seconds and two sample counts, and
+/// the engine's coverage pair.
 const OLDEST_READABLE_FORMAT: u64 = 2;
+
+/// The first format whose sample store names its columns.
+const COLUMN_STORE_FORMAT: u64 = 4;
 
 type R<T> = Result<T, StorageError>;
 
@@ -860,28 +867,42 @@ fn enc_usizes(w: &mut JsonWriter<'_>, ns: &[usize]) {
     w.array(ns, |w, &n| enc_usize(w, n));
 }
 
-/// One hex string per sample — the sample's bits, 8 variables per byte —
-/// which is what the per-sample byte bundles this store used to be made of
-/// encoded to; the arena's rows write the same bytes.
+/// The store's columns, then one hex string per sample — its column bits,
+/// 8 per byte.
 fn enc_sample_set(w: &mut JsonWriter<'_>, s: &SampleSet) {
     w.object(|w| {
         enc_usize(w.key("num_vars"), s.num_vars());
+        enc_usizes(w.key("columns"), s.columns());
         w.key("bundles")
             .array(s.rows(), |w, row| w.hex(row.bytes()));
     });
 }
 
-/// Each bundle's nibbles go straight into the arena row they spell.
-fn dec_sample_set(r: &mut JsonReader<'_>) -> D<SampleSet> {
+/// Each bundle's nibbles go straight into the arena row they spell.  Before
+/// [`COLUMN_STORE_FORMAT`] a store had no `columns` member: it kept every
+/// variable.
+fn dec_sample_set(r: &mut JsonReader<'_>, format: u64) -> D<SampleSet> {
     r.object(|o| {
-        let mut samples = SampleSet::new(dec_usize(o.field("num_vars")?)?);
+        let num_vars = dec_usize(o.field("num_vars")?)?;
+        let columns = if format >= COLUMN_STORE_FORMAT {
+            let columns = o.field("columns")?.seq(dec_usize)?;
+            if !columns.windows(2).all(|w| w[0] < w[1])
+                || columns.last().is_some_and(|&v| v >= num_vars)
+            {
+                return Err(o.error("sample columns are not ascending variable ids"));
+            }
+            columns
+        } else {
+            (0..num_vars).collect()
+        };
+        let mut samples = SampleSet::new(num_vars, columns);
         o.field("bundles")?.for_each(|r| {
             let bundle = r.string()?;
             let bytes = hex_bytes(&bundle).map_err(|e| r.error(e))?;
             if samples.push_byte_iter(bytes) {
                 Ok(())
             } else {
-                Err(r.error("sample bundle does not cover the variables"))
+                Err(r.error("sample bundle does not cover the columns"))
             }
         })?;
         Ok(samples)
@@ -908,11 +929,12 @@ fn enc_materialization(w: &mut JsonWriter<'_>, m: &Materialization) {
     });
 }
 
-fn dec_materialization(r: &mut JsonReader<'_>) -> D<Materialization> {
+fn dec_materialization(r: &mut JsonReader<'_>, format: u64) -> D<Materialization> {
     r.object(|o| {
         let sampling = o.field("sampling")?.object(|s| {
             Ok(SampleMaterialization::from_samples(dec_sample_set(
                 s.field("samples")?,
+                format,
             )?))
         })?;
         let variational = o.field("variational")?.object(|v| {
@@ -1330,11 +1352,6 @@ impl Encode for CheckpointView<'_> {
                 None => enc_distribution_change(change, &DistributionChange::default()),
                 Some(c) => enc_distribution_change(change, c),
             }
-            // The model is the graph's weights, which the grounder state
-            // carries; this copy of their values keeps the format.
-            let weights = self.grounder.graph.weights();
-            w.key("learned_weights")
-                .array(weights, |w, weight| enc_f64(w, weight.value));
             w.key("epoch").u64_string(self.epoch);
             w.field("snapshot", self.snapshot);
         });
@@ -1351,11 +1368,27 @@ impl Decode for CheckpointState {
                 ));
             }
             let grounder = dec_grounder_state(o.field("grounder")?)?;
-            let materialization = o.field("materialization")?.null_or(dec_materialization)?;
+            let mut materialization = o
+                .field("materialization")?
+                .null_or(|r| dec_materialization(r, format))?;
+            if format < COLUMN_STORE_FORMAT {
+                if let Some(m) = &mut materialization {
+                    let flat = grounder.graph.compile();
+                    let samples = m.sampling.samples();
+                    if samples.num_vars() > grounder.graph.num_variables() {
+                        return Err("the sample store covers more variables than the graph".into());
+                    }
+                    m.sampling = SampleMaterialization::from_samples(
+                        samples.restrict_to(flat.sampled_query_variables()),
+                    );
+                }
+            }
             let materialized_epoch = o.field("materialized_epoch")?.null_or(dec_u64)?;
             let cumulative_change = dec_distribution_change(o.field("cumulative_change")?)?;
-            // A copy of the grounder's weight values.
-            o.field("learned_weights")?.skip_value()?;
+            if format < COLUMN_STORE_FORMAT {
+                // A copy of the grounder's weight values.
+                o.field("learned_weights")?.skip_value()?;
+            }
             Ok(CheckpointState {
                 grounder,
                 materialization,
@@ -1402,7 +1435,7 @@ mod tests {
     }
 
     fn dec_sample_set(j: &Json, _ctx: &str) -> R<SampleSet> {
-        read(j, super::dec_sample_set)
+        read(j, |r| super::dec_sample_set(r, CHECKPOINT_FORMAT_VERSION))
     }
 
     fn hex_of(j: &Json, ctx: &str) -> R<Vec<u8>> {
@@ -1528,22 +1561,28 @@ mod tests {
 
     #[test]
     fn sample_sets_round_trip_through_hex() {
-        // Sub-byte, sub-word, word-aligned and word-straddling sizes.
-        for num_vars in [0usize, 5, 12, 64, 70, 130] {
-            let mut set = SampleSet::new(num_vars);
+        // Sub-byte, sub-word, word-aligned and word-straddling column counts.
+        for num_columns in [0usize, 5, 12, 64, 70, 130] {
+            let num_vars = num_columns + 3;
+            let mut set = SampleSet::new(num_vars, (3..num_vars).collect());
             for s in 0..4 {
                 let values = (0..num_vars).map(|v| (v * 5 + s) % 3 == 0).collect();
                 set.push(&dd_factorgraph::World::from_values(values));
             }
             let encoded = enc_sample_set(&set);
             let decoded = dec_sample_set(&encoded, "test").unwrap();
-            assert_eq!(decoded, set, "{num_vars} vars");
+            assert_eq!(decoded, set, "{num_columns} columns");
             assert_eq!(enc_sample_set(&decoded).encode(), encoded.encode());
         }
         // The empty set.
-        let empty = SampleSet::new(12);
+        let empty = SampleSet::new(12, vec![1, 4]);
         let decoded = dec_sample_set(&enc_sample_set(&empty), "test").unwrap();
         assert_eq!(decoded, empty);
+        // Columns must be ascending ids of the graph.
+        for columns in [r#"["4","1"]"#, r#"["1","12"]"#] {
+            let payload = format!(r#"{{"num_vars":"12","columns":{columns},"bundles":[]}}"#);
+            assert!(dec_sample_set(&parse(&payload).unwrap(), "test").is_err());
+        }
         assert!(hex_of(&Json::String("0g".into()), "test").is_err());
         assert!(hex_of(&Json::String("abc".into()), "test").is_err());
     }
@@ -1552,22 +1591,30 @@ mod tests {
     fn sample_sets_keep_the_per_bundle_hex_format() {
         // The payload a store of per-sample byte bundles over 12 variables
         // wrote for the worlds {0, 2, 9} and {11}: one two-byte hex string
-        // per sample.  The arena must write exactly that, and read it back.
+        // per sample.  Before format 4 it had no columns member and kept
+        // every variable; it still reads so.
         let payload = r#"{"num_vars":"12","bundles":["0502","0008"]}"#;
-        let decoded = dec_sample_set(&parse(payload).unwrap(), "test").unwrap();
+        let decoded = read(&parse(payload).unwrap(), |r| super::dec_sample_set(r, 3)).unwrap();
         assert_eq!(decoded.len(), 2);
+        assert_eq!(decoded.columns(), (0..12).collect::<Vec<_>>().as_slice());
         let trues = |i: usize| -> Vec<usize> {
             let row = decoded.row(i);
-            (0..12)
-                .filter(|&v| dd_factorgraph::WorldView::value(&row, v))
-                .collect()
+            (0..12).filter(|&j| row.get(j)).collect()
         };
         assert_eq!(trues(0), vec![0, 2, 9]);
         assert_eq!(trues(1), vec![11]);
-        assert_eq!(enc_sample_set(&decoded).encode(), payload);
+        // Format 4 writes the columns, then the same bundles.
+        let columns: String = (0..12)
+            .map(|v| format!(r#""{v}""#))
+            .collect::<Vec<_>>()
+            .join(",");
+        assert_eq!(
+            enc_sample_set(&decoded).encode(),
+            format!(r#"{{"num_vars":"12","columns":[{columns}],"bundles":["0502","0008"]}}"#)
+        );
         // A bundle of the wrong length is a typed error, not a panic.
         let short = r#"{"num_vars":"12","bundles":["05"]}"#;
-        assert!(dec_sample_set(&parse(short).unwrap(), "test").is_err());
+        assert!(read(&parse(short).unwrap(), |r| super::dec_sample_set(r, 3)).is_err());
     }
 
     #[test]

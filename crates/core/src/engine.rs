@@ -72,9 +72,9 @@ use crate::materialization::{Materialization, Materialized};
 use crate::optimizer::{choose_strategy, StrategyChoice};
 use crate::quality::QualityReport;
 use crate::snapshot::{CatalogShards, Snapshot, SnapshotReader};
-use dd_factorgraph::{FactorGraph, FlatGraph};
+use dd_factorgraph::{FactorGraph, FlatGraph, VarId};
 use dd_grounding::{Grounder, KbcUpdate, Program, UdfRegistry};
-use dd_inference::{DistributionChange, GibbsSampler, Learner, Marginals};
+use dd_inference::{enumerate_components, DistributionChange, GibbsSampler, Learner, Marginals};
 use dd_relstore::{Database, Tuple};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -671,11 +671,15 @@ impl DeepDive {
     /// the materialization, as `(marginals, MH acceptance rate, fell back)`.
     /// Without a materialization the round runs full Gibbs.
     ///
-    /// Static query variables are independent of everything the stored
-    /// samples describe: their exact marginal replaces the strategy's
-    /// estimate, and when the updated graph couples no query variable at all
-    /// the round is answered by (sweep-free) full Gibbs with the
-    /// materialization left untouched.
+    /// The query component is the unit of inference.  Every component small
+    /// enough to enumerate is answered exactly on the current graph.  The
+    /// strategy serves the larger components every variable of which has a
+    /// stored column; a larger component that gained a variable since the
+    /// materialization — new, or merged in from a formerly small component —
+    /// is Gibbs-sampled on the current graph for this round.  When the
+    /// strategy would serve nothing, the round is full Gibbs (which samples
+    /// only the larger components) and the materialization is left
+    /// untouched.
     fn infer_incremental(&mut self, strategy: StrategyChoice) -> (Marginals, Option<f64>, bool) {
         if self.compiled.is_none() {
             self.compiled = Some(self.grounder.graph().compile());
@@ -684,14 +688,25 @@ impl DeepDive {
         let Some(materialized) = &self.materialized else {
             return (self.full_gibbs(), None, false);
         };
-        if flat.coupled_query_variables().is_empty() {
+        let stored = materialized.materialization.sampling.samples().columns();
+        let (served, unserved): (Vec<&[VarId]>, Vec<&[VarId]>) = flat
+            .sampled_components()
+            .partition(|c| c.iter().all(|v| stored.binary_search(v).is_ok()));
+        if served.is_empty() {
             return (self.full_gibbs(), None, false);
         }
         let (mut marginals, rate, fell_back) =
             self.infer_from_materialization(materialized, strategy);
-        for &v in flat.static_query_variables() {
-            marginals.set(v, flat.static_p_true(v).expect("static variable"));
+        let unserved: Vec<VarId> = unserved.concat();
+        if !unserved.is_empty() {
+            let fresh = GibbsSampler::from_flat(flat, self.config.seed)
+                .with_free_vars(unserved.clone())
+                .run(&self.config.gibbs);
+            for v in unserved {
+                marginals.set(v, fresh.get(v));
+            }
         }
+        enumerate_components(flat, &mut marginals);
         (marginals, rate, fell_back)
     }
 
@@ -993,7 +1008,7 @@ mod tests {
     }
 
     /// [`engine`] with the symmetry rule of Figure 8's I1 on top: every pair
-    /// is coupled to its mirror image, so rounds really sample.
+    /// is tied to its mirror image: two-variable components, enumerated.
     fn coupled_engine() -> DeepDive {
         let mut program = parse_program(PROGRAM).unwrap();
         program.rules.push(
@@ -1348,22 +1363,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_variational_round_over_new_and_relabelled_variables_is_served() {
-        // One update creates the candidate pair (40, 41) and labels it: the
-        // evidence change names a variable the same update creates.  The
-        // round is served by the approximation over the current graph and
-        // the accumulated change, not by full Gibbs.
-        let mut dd = coupled_engine();
+    /// Items whose `On` variables are tied together by rule `C`, so linked
+    /// items form one query component.  (Its body variable `a` is not
+    /// projected — a known grounding gap — so every `C` factor ties its
+    /// head to one shared `On(NULL)`: one star-shaped component either way.)
+    const CHAIN_PROGRAM: &str = "
+        relation Item(id: int) base.
+        relation Link(a: int, b: int) base.
+        relation Label(id: int) base.
+        relation Boost(id: int) base.
+        relation On(id: int) variable.
+        rule F feature: On(id) :- Item(id) weight = 0.5.
+        rule C inference: On(b) :- Link(a, b), On(a) weight = 0.8.
+        rule S supervision+: On(id) :- Item(id), Label(id).
+    ";
+
+    /// `n` linked items: a component far above the enumeration limit, which
+    /// the materialization stores a column for every variable of.
+    fn chain_engine(n: i64) -> DeepDive {
+        let mut db = Database::new();
+        for table in ["Item", "Label", "Boost"] {
+            db.create_table(table, Schema::of(&[("id", DataType::Int)]))
+                .unwrap();
+        }
+        db.create_table(
+            "Link",
+            Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]),
+        )
+        .unwrap();
+        db.insert_all("Item", (0..n).map(|id| tuple![id]).collect::<Vec<_>>())
+            .unwrap();
+        db.insert_all(
+            "Link",
+            (1..n).map(|id| tuple![id - 1, id]).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let mut dd = DeepDive::builder()
+            .program_text(CHAIN_PROGRAM)
+            .database(db)
+            .config(EngineConfig::fast())
+            .build()
+            .unwrap();
         dd.initial_run().unwrap();
         dd.materialize().unwrap();
-        let update = with_label(franklin_document(), 40, 41);
+        let flat = dd.graph().compile();
+        assert!(flat.sampled_query_variables().len() >= n as usize);
+        let columns = dd.materialization().unwrap().sampling.samples().columns();
+        assert_eq!(columns, flat.sampled_query_variables());
+        dd
+    }
+
+    #[test]
+    fn a_variational_round_serves_the_components_it_has_columns_for() {
+        // Labelling an item leaves the large component(s) above the limit
+        // and stored: the approximation over the current graph and the
+        // accumulated change serves them.
+        let mut dd = chain_engine(40);
+        let mut update = KbcUpdate::new();
+        update.insert("Label", tuple![20i64]);
         let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
         assert_eq!(report.strategy, Some(StrategyChoice::Variational));
-        assert!(report.new_variables > 0);
-        let pair = tuple![40i64, 41i64];
         assert_eq!(
-            dd.snapshot().probability_of("MarriedMentions", &pair),
+            dd.snapshot().probability_of("On", &tuple![20i64]),
             Some(1.0)
         );
 
@@ -1374,15 +1435,49 @@ mod tests {
             dd.config.seed,
         );
         let flat = dd.graph().compile();
-        assert!(!flat.coupled_query_variables().is_empty());
+        assert!(!flat.sampled_query_variables().is_empty());
         let published = dd.snapshot();
-        for &v in flat.coupled_query_variables() {
+        for &v in flat.sampled_query_variables() {
             assert_eq!(
                 published.marginals().get(v).to_bits(),
                 expected.get(v).to_bits(),
                 "variable {v}"
             );
         }
+    }
+
+    #[test]
+    fn a_sampling_round_serves_the_stored_components_by_mh() {
+        // A new feature over old items only: every variable of the one
+        // large component has a column, so the stored worlds serve it.
+        let mut dd = chain_engine(30);
+        let mut update = KbcUpdate::new();
+        update.insert("Boost", tuple![3i64]);
+        update.add_rule(
+            dd_grounding::parse_rule("rule B feature: On(id) :- Item(id), Boost(id) weight = 1.0.")
+                .unwrap(),
+        );
+        let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
+        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
+        assert!(report.acceptance_rate.is_some(), "served by MH");
+        assert!(!report.fell_back_to_variational);
+    }
+
+    #[test]
+    fn a_large_component_that_gained_a_variable_is_gibbs_sampled() {
+        // Item 30 joins the component: the stored worlds have no column for
+        // it, so the component is not proposed from them; the round samples
+        // it on the current graph — full Gibbs, as no other large component
+        // is left for the store to serve.
+        let mut dd = chain_engine(30);
+        let mut update = KbcUpdate::new();
+        update.insert("Item", tuple![30i64]);
+        update.insert("Link", tuple![29i64, 30i64]);
+        let report = dd.run_update(&update, ExecutionMode::Incremental).unwrap();
+        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
+        assert_eq!(report.acceptance_rate, None, "no proposal was consumed");
+        let expected = GibbsSampler::new(dd.graph(), dd.config.seed).run(&dd.config.gibbs);
+        assert!(dd.snapshot().marginals().values() == expected.values());
     }
 
     fn franklin_document() -> KbcUpdate {
@@ -1433,53 +1528,35 @@ mod tests {
     }
 
     #[test]
-    fn incremental_round_without_coupled_variables_skips_the_materialization() {
-        // The spouse program grounds prior-shaped factors only, so every
-        // query variable is static: the sampling strategy is chosen, but no
-        // stored proposal is consumed — there is no acceptance rate to report.
-        let mut dd = engine();
-        dd.initial_run().unwrap();
-        dd.materialize().unwrap();
-        let report = dd
-            .run_update(&franklin_document(), ExecutionMode::Incremental)
-            .unwrap();
-        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
-        assert_eq!(report.acceptance_rate, None, "no proposal was consumed");
-        assert!(!report.fell_back_to_variational);
-        // What was published is the closed form, for old and new pairs.
-        let published_exactly = |dd: &DeepDive| {
+    fn incremental_round_over_small_components_skips_the_materialization() {
+        // The spouse program's query components are single pairs (with I1:
+        // each pair and its mirror image), so every one is enumerated: the
+        // sampling strategy is chosen, but nothing was stored and no
+        // proposal is consumed — there is no acceptance rate to report.
+        for mut dd in [engine(), coupled_engine()] {
+            dd.initial_run().unwrap();
+            dd.materialize().unwrap();
+            assert_eq!(dd.materialization().unwrap().sample_storage_bytes(), 0);
+            let report = dd
+                .run_update(&franklin_document(), ExecutionMode::Incremental)
+                .unwrap();
+            assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
+            assert_eq!(report.acceptance_rate, None, "no proposal was consumed");
+            assert!(!report.fell_back_to_variational);
+            // What was published is exact, for old and new pairs.
             let flat = dd.graph().compile();
-            let snapshot = dd.snapshot();
-            for &v in flat.static_query_variables() {
-                assert_eq!(Some(snapshot.marginals().get(v)), flat.static_p_true(v));
-            }
-            flat
-        };
-        let flat = published_exactly(&dd);
-        assert!(flat.coupled_query_variables().is_empty());
-        assert_eq!(flat.static_query_variables().len(), 3);
-        let pair = tuple![40i64, 41i64];
-        assert!(
-            dd.snapshot()
-                .probability_of("MarriedMentions", &pair)
-                .unwrap()
-                > 0.5
-        );
-
-        // The same round on the coupled program does go to the store (the new
-        // pair has no mirror image yet, so it is the one static variable) —
-        // and static variables are still published exactly.
-        let mut dd = coupled_engine();
-        dd.initial_run().unwrap();
-        dd.materialize().unwrap();
-        let report = dd
-            .run_update(&franklin_document(), ExecutionMode::Incremental)
-            .unwrap();
-        assert_eq!(report.strategy, Some(StrategyChoice::Sampling));
-        assert!(report.acceptance_rate.is_some(), "served by MH");
-        let flat = published_exactly(&dd);
-        assert_eq!(flat.static_query_variables().len(), 1);
-        assert!(!flat.coupled_query_variables().is_empty());
+            assert!(flat.sampled_query_variables().is_empty());
+            let mut exact = dd.snapshot().marginals().clone();
+            enumerate_components(&flat, &mut exact);
+            assert!(exact.values() == dd.snapshot().marginals().values());
+            let pair = tuple![40i64, 41i64];
+            assert!(
+                dd.snapshot()
+                    .probability_of("MarriedMentions", &pair)
+                    .unwrap()
+                    > 0.5
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! the dominant cost during materialization" — so the engine draws one sample set
 //! and feeds it to both.  While it is in service, both read one description of
 //! what changed since: `Materialized::change`.
+//!
+//! Both cover only the variables of the graph's sampled components (the
+//! ones above `dd_factorgraph::MAX_ENUMERATED_VARS`): every other query
+//! variable is answered by exact enumeration whatever the strategy, so a
+//! graph of small components materializes nothing but a sample count.
 
 use crate::config::EngineConfig;
 use dd_factorgraph::{FactorGraph, FlatGraph};
@@ -106,19 +111,36 @@ mod tests {
 
     #[test]
     fn builds_both_strategies_from_one_sample_run() {
+        let g = graph(20);
+        let config = EngineConfig::fast();
+        let m = Materialization::build_on(&g.compile(), &g, &config);
+        assert_eq!(m.sampling.num_samples(), config.materialization_samples);
+        assert_eq!(m.sampling.samples().columns().len(), 20);
+        assert_eq!(
+            m.sample_storage_bytes(),
+            config.materialization_samples * 20usize.div_ceil(8)
+        );
+        assert_eq!(m.variational.approx_graph().num_variables(), 20);
+    }
+
+    #[test]
+    fn a_graph_of_small_components_stores_nothing() {
         let g = graph(6);
         let config = EngineConfig::fast();
         let m = Materialization::build_on(&g.compile(), &g, &config);
         assert_eq!(m.sampling.num_samples(), config.materialization_samples);
-        assert_eq!(m.variational.approx_graph().num_variables(), 6);
+        assert_eq!(m.sample_storage_bytes(), 0);
+        assert_eq!(m.variational.approx_graph().num_variables(), 0);
+        assert_eq!(m.variational.approx_graph().num_factors(), 0);
     }
 
     #[test]
     fn budgeted_and_counted_builds_burn_in_identically() {
         // One burn-in rule: the first sample either path stores is the same
         // world of the same chain, even when the two configured burn-ins
-        // differ in either direction.
-        let g = graph(10);
+        // differ in either direction.  Every variable of the chain is a
+        // column, so a stored row is the chain's world word for word.
+        let g = graph(20);
         for (gibbs_burn_in, variational_burn_in) in [(5, 40), (40, 5)] {
             let mut config = EngineConfig::fast();
             config.gibbs.burn_in = gibbs_burn_in;
@@ -145,7 +167,7 @@ mod tests {
 
     #[test]
     fn budgeted_materialization_scales_with_budget() {
-        let g = graph(10);
+        let g = graph(20);
         let config = EngineConfig::fast();
         let small = Materialization::build_with_budget(&g, &config, 0.02);
         let large = Materialization::build_with_budget(&g, &config, 0.1);

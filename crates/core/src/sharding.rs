@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn hash_spreads_across_shards() {
         let a = hash0();
-        let mut seen = vec![false; 4];
+        let mut seen = [false; 4];
         for doc in 0..64i64 {
             seen[a.shard_of(&Tuple::from_iter([doc]), 4).unwrap()] = true;
         }

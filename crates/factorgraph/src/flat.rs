@@ -23,12 +23,19 @@
 //!   needs only a `&World` (no temporary mutation), which is what the lock-free
 //!   parallel sweep requires.
 //!
-//! Compilation also splits the query variables into **static** ones — every
-//! incident factor mentions no other variable, so the conditional is a
-//! constant and the variable is independent of the rest of the graph — and
-//! **coupled** ones.  The split depends on structure only; samplers sweep
-//! the coupled variables and read the static ones' marginals off
-//! [`FlatGraph::static_p_true`].
+//! Compilation also computes the **query components**: the connected
+//! components of the query variables, two of them connected when a factor
+//! mentions both.  Evidence variables cut components — conditioned on the
+//! evidence, the components are independent (App. B.1) — so each is a unit
+//! of inference of its own.  A component of at most [`MAX_ENUMERATED_VARS`]
+//! variables is answered by exact enumeration of its worlds; samplers
+//! sweep, and the sample store keeps columns for, only the variables of the
+//! larger ones ([`FlatGraph::sampled_query_variables`]).  Components depend
+//! on structure and roles only.
+//!
+//! A query variable every factor of which mentions no other variable is
+//! also **static**: its Gibbs conditional is a constant, folded at compile
+//! time into [`FlatGraph::conditional_p_true`].
 //!
 //! After a change to the graph's structure or roles recompile; after a
 //! learning step that only moved weight values,
@@ -42,6 +49,11 @@ use crate::world::{World, WorldView};
 
 /// Sentinel "no variable is being flipped" marker for single-world evaluation.
 const NO_VAR: usize = usize::MAX;
+
+/// The largest query component answered by exact enumeration of its `2^k`
+/// worlds; larger ones are sampled.  At 12 an enumeration costs at most
+/// 4 096 single-variable energy deltas.
+pub const MAX_ENUMERATED_VARS: usize = 12;
 
 /// A literal packed into 32 bits: variable id in the high bits, polarity in
 /// bit 0.
@@ -154,10 +166,17 @@ pub struct FlatGraph {
     /// logistic-regression-shaped variables (paper Example 2.6), and for them
     /// the sweep reduces to one cached-probability coin flip.
     static_p_true: Vec<f64>,
-    /// The query variables with a constant-folded conditional, in id order.
-    static_query: Vec<VarId>,
-    /// The other query variables, in id order.
+    /// The query variables without a constant-folded conditional, in id
+    /// order.
     coupled_query: Vec<VarId>,
+    /// Query components, CSR: component `c` is
+    /// `component_vars[component_offsets[c] .. component_offsets[c + 1]]`,
+    /// its variables ascending, components ordered by their smallest one.
+    component_offsets: Vec<u32>,
+    component_vars: Vec<VarId>,
+    /// The variables of components above [`MAX_ENUMERATED_VARS`], in id
+    /// order.
+    sampled_query: Vec<VarId>,
 }
 
 impl FactorGraph {
@@ -261,8 +280,10 @@ impl FlatGraph {
             evidence: graph.variables().iter().map(|v| v.is_evidence()).collect(),
             initial: graph.initial_world(),
             static_p_true: Vec::new(),
-            static_query: Vec::new(),
             coupled_query: Vec::new(),
+            component_offsets: Vec::new(),
+            component_vars: Vec::new(),
+            sampled_query: Vec::new(),
         };
         flat.static_p_true = (0..num_vars)
             .map(|v| {
@@ -277,12 +298,70 @@ impl FlatGraph {
                 }
             })
             .collect();
-        (flat.static_query, flat.coupled_query) = flat
+        flat.coupled_query = flat
             .query_vars
             .iter()
             .copied()
-            .partition(|&v| !flat.static_p_true[v].is_nan());
+            .filter(|&v| flat.static_p_true[v].is_nan())
+            .collect();
+        flat.compute_components();
         flat
+    }
+
+    /// Union-find over every factor's query variables, then the components
+    /// in CSR form and the variables of the sampled ones.
+    fn compute_components(&mut self) {
+        let mut parent: Vec<u32> = (0..self.num_vars as u32).collect();
+        fn root(parent: &mut [u32], mut v: u32) -> u32 {
+            while parent[v as usize] != v {
+                let up = parent[parent[v as usize] as usize];
+                parent[v as usize] = up;
+                v = up;
+            }
+            v
+        }
+        for factor in &self.factors {
+            let mut first: Option<u32> = None;
+            self.for_each_var(factor, |v| {
+                if self.evidence[v] {
+                    return;
+                }
+                let r = root(&mut parent, v as u32);
+                match first {
+                    None => first = Some(r),
+                    Some(f) => {
+                        let f = root(&mut parent, f);
+                        // The smaller id becomes the root, so a component's
+                        // root is its smallest variable.
+                        let (lo, hi) = (f.min(r), f.max(r));
+                        parent[hi as usize] = lo;
+                        first = Some(lo);
+                    }
+                }
+            });
+        }
+        // Sorted by root (its component's smallest variable), then by id:
+        // each component is one run, components in the order of their
+        // smallest variable.
+        let mut members: Vec<(u32, VarId)> = self
+            .query_vars
+            .iter()
+            .map(|&v| (root(&mut parent, v as u32), v))
+            .collect();
+        members.sort_unstable();
+        self.component_offsets = std::iter::once(0)
+            .chain((1..members.len()).filter(|&i| members[i - 1].0 != members[i].0))
+            .chain((!members.is_empty()).then_some(members.len()))
+            .map(|i| i as u32)
+            .collect();
+        self.component_vars = members.into_iter().map(|(_, v)| v).collect();
+        self.sampled_query = self
+            .query_components()
+            .filter(|c| c.len() > MAX_ENUMERATED_VARS)
+            .flatten()
+            .copied()
+            .collect();
+        self.sampled_query.sort_unstable();
     }
 
     /// Re-resolve cached weight values from `graph` without rebuilding the
@@ -327,25 +406,39 @@ impl FlatGraph {
         &self.query_vars
     }
 
-    /// The query variables whose conditional depends on no other variable
-    /// (every incident factor mentions them alone), in id order.  Each is
-    /// independent of the rest of the graph, so its marginal is exactly
-    /// [`FlatGraph::static_p_true`] — nothing to sample.
-    pub fn static_query_variables(&self) -> &[VarId] {
-        &self.static_query
-    }
-
-    /// The query variables that share a factor with another variable, in id
-    /// order: the ones inference has to sample.
+    /// The query variables that share a factor with another variable
+    /// (evidence included), in id order: the ones whose Gibbs conditional
+    /// is not constant-folded.
     pub fn coupled_query_variables(&self) -> &[VarId] {
         &self.coupled_query
     }
 
-    /// `P(v = true)` when `v`'s conditional is world-independent (for a
-    /// query variable: its exact marginal), `None` when `v` is coupled.
-    pub fn static_p_true(&self, v: VarId) -> Option<f64> {
-        let p = self.static_p_true[v];
-        (!p.is_nan()).then_some(p)
+    /// The query components (see the module docs): each one's variables
+    /// ascending, components in the order of their smallest variable.
+    pub fn query_components(&self) -> impl Iterator<Item = &[VarId]> + '_ {
+        self.component_offsets
+            .windows(2)
+            .map(|w| &self.component_vars[w[0] as usize..w[1] as usize])
+    }
+
+    /// The components of at most [`MAX_ENUMERATED_VARS`] variables: the ones
+    /// inference enumerates exactly.
+    pub fn enumerated_components(&self) -> impl Iterator<Item = &[VarId]> + '_ {
+        self.query_components()
+            .filter(|c| c.len() <= MAX_ENUMERATED_VARS)
+    }
+
+    /// The components above [`MAX_ENUMERATED_VARS`] variables: the ones
+    /// inference samples.
+    pub fn sampled_components(&self) -> impl Iterator<Item = &[VarId]> + '_ {
+        self.query_components()
+            .filter(|c| c.len() > MAX_ENUMERATED_VARS)
+    }
+
+    /// The variables of [`FlatGraph::sampled_components`], in id order: what
+    /// samplers sweep and the sample store keeps columns for.
+    pub fn sampled_query_variables(&self) -> &[VarId] {
+        &self.sampled_query
     }
 
     /// True if `v` is an evidence variable.
@@ -399,18 +492,24 @@ impl FlatGraph {
         }
     }
 
-    /// True if factor `f` mentions no variable other than `v`.
-    fn factor_touches_only(&self, f: FactorId, v: VarId) -> bool {
-        let only = |range: LitRange| {
-            self.lits[range.start as usize..range.end as usize]
-                .iter()
-                .all(|lit| lit.var() == v)
+    /// Call `each` on every variable `factor` mentions (repeats included).
+    fn for_each_var(&self, factor: &FlatFactor, mut each: impl FnMut(VarId)) {
+        let mut range = |range: LitRange| {
+            for lit in &self.lits[range.start as usize..range.end as usize] {
+                each(lit.var());
+            }
         };
-        match self.factors[f].kind {
-            FlatKind::Conjunction(range) => only(range),
-            FlatKind::Imply { body, head } => only(body) && head.var() == v,
-            FlatKind::Equal(a, b) => a as usize == v && b as usize == v,
-            FlatKind::IsTrue(u) => u as usize == v,
+        match factor.kind {
+            FlatKind::Conjunction(body) => range(body),
+            FlatKind::Imply { body, head } => {
+                range(body);
+                each(head.var());
+            }
+            FlatKind::Equal(a, b) => {
+                each(a as usize);
+                each(b as usize);
+            }
+            FlatKind::IsTrue(v) => each(v as usize),
             FlatKind::Aggregate {
                 head,
                 offsets_start,
@@ -419,13 +518,20 @@ impl FlatGraph {
             } => {
                 let offsets = &self.grounding_offsets[offsets_start as usize..]
                     [..num_groundings as usize + 1];
-                head.var() == v
-                    && only(LitRange {
-                        start: offsets[0],
-                        end: offsets[num_groundings as usize],
-                    })
+                range(LitRange {
+                    start: offsets[0],
+                    end: offsets[num_groundings as usize],
+                });
+                each(head.var());
             }
         }
+    }
+
+    /// True if factor `f` mentions no variable other than `v`.
+    fn factor_touches_only(&self, f: FactorId, v: VarId) -> bool {
+        let mut only = true;
+        self.for_each_var(&self.factors[f], |u| only &= u == v);
+        only
     }
 
     /// Total log-weight `W(F, I)` of a world.
@@ -759,37 +865,85 @@ mod tests {
     }
 
     #[test]
-    fn query_variables_split_into_static_and_coupled() {
+    fn coupled_variables_are_structural_and_the_rest_folded() {
         // q0: prior only; q1 -- q2 coupled; q3: no factor at all; q4 shares a
-        // factor with evidence (still coupled: the split is structural);
-        // e2 has only a prior of its own but is not a query variable.
+        // factor with evidence (still coupled: the split is structural, and
+        // unlike a component it is not cut by evidence).
         let mut b = FactorGraphBuilder::new();
         let q = b.add_query_variables(5);
         let e = b.add_evidence_variable(true);
-        let e2 = b.add_evidence_variable(false);
         let w = b.tied_weight("w", 0.9, false);
         b.add_factor(Factor::is_true(w, q[0]));
         b.add_factor(Factor::is_true(w, q[0]));
         b.add_factor(Factor::equal(w, q[1], q[2]));
         b.add_factor(Factor::imply(w, &[e], q[4]));
-        b.add_factor(Factor::is_true(w, e2));
         let mut g = b.build();
         let mut flat = g.compile();
-        assert_eq!(flat.static_query_variables(), &[q[0], q[3]]);
         assert_eq!(flat.coupled_query_variables(), &[q[1], q[2], q[4]]);
-        assert_eq!(flat.static_p_true(q[0]), Some(sigmoid(1.8)));
-        assert_eq!(flat.static_p_true(q[3]), Some(0.5));
-        assert_eq!(flat.static_p_true(q[1]), None);
-        assert_eq!(flat.static_p_true(e), None);
-        assert_eq!(flat.static_p_true(e2), Some(sigmoid(0.9)));
-        for &v in flat.static_query_variables() {
-            assert!((flat.static_p_true(v).unwrap() - g.exact_marginal(v)).abs() < 1e-12);
-        }
+        let world = flat.initial_world();
+        assert_eq!(flat.static_p_true[q[0]], sigmoid(1.8));
+        assert_eq!(flat.static_p_true[q[3]], 0.5);
+        assert!(flat.static_p_true[q[1]].is_nan() && flat.static_p_true[e].is_nan());
+        assert_eq!(flat.conditional_p_true(q[0], &world), sigmoid(1.8));
+        assert_eq!(
+            flat.query_components().count(),
+            4,
+            "q4 is its own component"
+        );
         // Weights move the probabilities, never the split.
         g.set_weight_value(0, -0.4);
         flat.refresh_weights(&g);
-        assert_eq!(flat.static_query_variables(), &[q[0], q[3]]);
-        assert_eq!(flat.static_p_true(q[0]), Some(sigmoid(-0.8)));
+        assert_eq!(flat.coupled_query_variables(), &[q[1], q[2], q[4]]);
+        assert_eq!(flat.static_p_true[q[0]], sigmoid(-0.8));
+    }
+
+    #[test]
+    fn compiled_components_match_the_graph_reference() {
+        // zoo: every query variable shares a factor with another; the
+        // evidence variable joins nothing.  The split graph: evidence cuts
+        // q4 off and leaves q0 and q3 alone.
+        let mut b = FactorGraphBuilder::new();
+        let q = b.add_query_variables(5);
+        let e = b.add_evidence_variable(true);
+        let w = b.tied_weight("w", 0.9, false);
+        b.add_factor(Factor::is_true(w, q[0]));
+        b.add_factor(Factor::equal(w, q[1], q[2]));
+        b.add_factor(Factor::imply(w, &[e], q[4]));
+        b.add_factor(Factor::conjunction(w, &[q[2], e, q[1]]));
+        for g in [zoo(), b.build()] {
+            let flat = g.compile();
+            let compiled: Vec<Vec<VarId>> =
+                flat.query_components().map(<[VarId]>::to_vec).collect();
+            assert_eq!(compiled, g.query_components());
+            assert!(flat.sampled_query_variables().is_empty());
+            assert_eq!(flat.enumerated_components().count(), compiled.len());
+        }
+    }
+
+    #[test]
+    fn components_above_the_limit_are_sampled() {
+        // A chain one longer than the limit, a chain at the limit, and an
+        // evidence variable splitting a third chain into two small halves.
+        let mut b = FactorGraphBuilder::new();
+        let w = b.tied_weight("w", 0.5, false);
+        let long = b.add_query_variables(MAX_ENUMERATED_VARS + 1);
+        let limit = b.add_query_variables(MAX_ENUMERATED_VARS);
+        let left = b.add_query_variables(8);
+        let cut = b.add_evidence_variable(false);
+        let right = b.add_query_variables(8);
+        for chain in [&long[..], &limit[..], &left[..], &right[..]] {
+            for pair in chain.windows(2) {
+                b.add_factor(Factor::equal(w, pair[0], pair[1]));
+            }
+        }
+        b.add_factor(Factor::equal(w, left[7], cut));
+        b.add_factor(Factor::equal(w, cut, right[0]));
+        let flat = b.build().compile();
+        assert_eq!(flat.sampled_query_variables(), long.as_slice());
+        let sampled: Vec<&[VarId]> = flat.sampled_components().collect();
+        assert_eq!(sampled, vec![long.as_slice()]);
+        let sizes: Vec<usize> = flat.enumerated_components().map(<[VarId]>::len).collect();
+        assert_eq!(sizes, vec![MAX_ENUMERATED_VARS, 8, 8]);
     }
 
     #[test]

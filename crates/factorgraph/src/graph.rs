@@ -283,8 +283,9 @@ impl FactorGraph {
     /// components (conditioning on evidence separates them), which is exactly the
     /// decomposition property Appendix B.1 exploits.
     ///
-    /// No other crate calls this yet: it is kept as the reference an
-    /// exactness oracle over components tests against (see ROADMAP.md).
+    /// The samplers read the compiled components
+    /// ([`crate::FlatGraph::query_components`]); this one is the independent
+    /// reference the exactness oracle (`tests/exactness.rs`) enumerates.
     pub fn query_components(&self) -> Vec<Vec<VarId>> {
         self.components_excluding(&|v| self.variables[v].is_evidence())
     }

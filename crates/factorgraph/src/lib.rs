@@ -15,8 +15,9 @@
 //!   evaluation, per-variable energy deltas (the quantity Gibbs sampling needs),
 //!   and graph statistics;
 //! * [`FlatGraph`] — the compiled, read-only representation the samplers run
-//!   on: CSR adjacency, flat literal arenas, pre-resolved weight values, and
-//!   single-pass energy deltas.
+//!   on: CSR adjacency, flat literal arenas, pre-resolved weight values,
+//!   single-pass energy deltas, and the query components inference treats
+//!   one at a time.
 
 #![warn(unreachable_pub)]
 
@@ -29,7 +30,7 @@ mod weight;
 mod world;
 
 pub use factor::{Factor, FactorId, FactorKind, Lit};
-pub use flat::FlatGraph;
+pub use flat::{FlatGraph, MAX_ENUMERATED_VARS};
 pub use graph::{FactorGraph, FactorGraphBuilder, GraphStats};
 pub use semantics::Semantics;
 pub use variable::{RelName, VarId, Variable, VariableRole};

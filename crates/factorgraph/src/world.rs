@@ -51,23 +51,6 @@ impl World {
         world
     }
 
-    /// Overwrite this world with `prefix` on variables `0..prefix_len` (packed
-    /// words, bits at positions `>= prefix_len` zero) and `rest` on the
-    /// variables after them — how a stored sample of a smaller, earlier graph
-    /// is extended over this world's graph without allocating.
-    pub fn assign_prefix_and_rest(&mut self, prefix: &[u64], prefix_len: usize, rest: &World) {
-        assert_eq!(rest.len, self.len, "worlds over different graphs");
-        assert!(prefix_len <= self.len && prefix.len() == prefix_len.div_ceil(64));
-        self.words.copy_from_slice(&rest.words);
-        let whole = prefix_len / 64;
-        self.words[..whole].copy_from_slice(&prefix[..whole]);
-        let tail = prefix_len % 64;
-        if tail != 0 {
-            let mask = (1u64 << tail) - 1;
-            self.words[whole] = (prefix[whole] & mask) | (self.words[whole] & !mask);
-        }
-    }
-
     /// The underlying 64-variable words (low bit of word 0 is variable 0).
     pub fn as_words(&self) -> &[u64] {
         &self.words
@@ -174,28 +157,6 @@ mod tests {
         let w = World::from_values(values.clone());
         assert_eq!(w.to_vec(), values);
         assert_eq!(w.as_words().len(), 3);
-    }
-
-    #[test]
-    fn prefix_and_rest_assignment_splits_mid_word() {
-        // 70 stored variables extended over a 150-variable graph: the split
-        // falls inside word 1.
-        let stored: Vec<bool> = (0..70).map(|i| i % 3 == 0).collect();
-        let rest: Vec<bool> = (0..150).map(|i| i % 2 == 0).collect();
-        let prefix = World::from_values(stored.clone());
-        let rest_world = World::from_values(rest.clone());
-        let mut w = World::from_values(vec![true; 150]);
-        w.assign_prefix_and_rest(prefix.as_words(), 70, &rest_world);
-        let expected: Vec<bool> = (0..150)
-            .map(|i| if i < 70 { stored[i] } else { rest[i] })
-            .collect();
-        assert_eq!(w, World::from_values(expected));
-        // Degenerate splits: nothing stored, everything stored.
-        w.assign_prefix_and_rest(&[], 0, &rest_world);
-        assert_eq!(w, rest_world);
-        let full = World::from_values((0..150).map(|i| i % 5 == 0).collect());
-        w.assign_prefix_and_rest(full.as_words(), 150, &rest_world);
-        assert_eq!(w, full);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!   bit-deterministic per seed;
 //! * `rng.rs` — splitmix-style seed mixing that fans one run seed out into
 //!   decorrelated per-epoch RNG streams;
+//! * [`enumerate_components`] — exact marginals of every query component
+//!   small enough to enumerate (§3.2.1's strawman per component, App. B.1):
+//!   every inference path answers those components this way and samples
+//!   only the larger ones;
 //! * [`Marginals`] — marginal vectors and distances between them;
 //! * [`Learner`] — weight learning by contrastive stochastic gradient descent
 //!   and full-batch gradient descent, with warmstart (Appendix B.3);
@@ -25,6 +29,7 @@
 
 mod change;
 mod convergence;
+mod exact;
 mod gibbs;
 mod learning;
 mod marginals;
@@ -35,6 +40,7 @@ mod variational;
 
 pub use change::DistributionChange;
 pub use convergence::{iterations_to_converge, ConvergenceReport};
+pub use exact::enumerate_components;
 pub use gibbs::{sigmoid, GibbsOptions, GibbsSampler, SampleRow, SampleSet, SweepRng};
 pub use learning::{LearnOptions, LearnStrategy, Learner, LearningTrace};
 pub use marginals::Marginals;

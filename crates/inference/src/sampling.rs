@@ -13,11 +13,19 @@
 //! approach (Figure 5b); when the stored samples are exhausted, the caller is
 //! told so it can fall back to the variational approach or to fresh Gibbs
 //! sampling (the optimizer rule of §3.3).
+//!
+//! A stored sample holds the columns of the materialized graph's sampled
+//! components only ([`SampleSet`]).  A proposal is that sample's columns
+//! over the updated graph's initial world: the chain never proposes a value
+//! for a variable without a column.  So it is exact for a component of the
+//! updated graph every variable of which has a column — the original
+//! distribution and the change both factorise over the updated graph's
+//! components — and the caller samples any other component afresh.
 
 use crate::change::DistributionChange;
-use crate::gibbs::{GibbsSampler, SampleSet};
+use crate::gibbs::SampleSet;
 use crate::marginals::Marginals;
-use dd_factorgraph::{FactorGraph, FlatGraph, World};
+use dd_factorgraph::{FactorGraph, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,7 +51,7 @@ pub struct SampleMaterialization {
 
 impl SampleMaterialization {
     /// Store `samples`, worlds drawn from the original graph by
-    /// [`GibbsSampler::draw_samples`] (the engine shares one Gibbs run
+    /// [`crate::GibbsSampler::draw_samples`] (the engine shares one Gibbs run
     /// between the sampling and variational materializations).
     pub fn from_samples(samples: SampleSet) -> Self {
         SampleMaterialization { samples }
@@ -78,14 +86,14 @@ impl SampleMaterialization {
     ///
     /// Each chain step consumes one stored proposal; if the store runs out the
     /// outcome is flagged `exhausted` and the marginals reflect the steps taken
-    /// so far.
+    /// so far.  A variable without a column reads its value in the updated
+    /// graph's initial world (see the module docs).
     ///
     /// A step allocates nothing: the change is resolved against the updated
-    /// graph once (`DistributionChange::resolve`), proposals are read as
-    /// borrowed rows of the sample arena into one reusable world, and the
-    /// chain's state is added to the marginal counts once per *stay* —
-    /// `steps spent in the state × its bits` when the chain leaves it —
-    /// instead of once per step.
+    /// graph once (`DistributionChange::resolve`), proposals are loaded
+    /// into one reusable world, and the chain's state is added to the
+    /// marginal counts once per *stay* — `steps spent in the state × its
+    /// bits` when the chain leaves it — instead of once per step.
     pub fn infer(
         &self,
         updated: &FactorGraph,
@@ -104,12 +112,13 @@ impl SampleMaterialization {
                 exhausted: true,
             };
         }
+        assert!(
+            self.samples.num_vars() <= total_vars,
+            "stored samples cover a larger graph than the updated one"
+        );
 
         let resolved = change.resolve(updated);
-        // Proposal extension Gibbs-samples the new variables; compile the
-        // updated graph once here instead of once per stored proposal.
-        let flat = (!change.new_variables.is_empty()).then(|| updated.compile());
-        let mut proposals = ProposalStage::new(self, flat.as_ref(), updated, change);
+        let mut proposal = updated.initial_world();
 
         // Proposals are consumed in a shuffled order.  Consecutive Gibbs sweeps
         // are autocorrelated; the independence-sampler analysis (and therefore
@@ -128,9 +137,9 @@ impl SampleMaterialization {
         let mut next_proposal = 0usize;
         let mut found: Option<f64> = None;
         while next_proposal < order.len() {
-            let cand = proposals.load(order[next_proposal], seed);
+            self.samples.load_row(order[next_proposal], &mut proposal);
             next_proposal += 1;
-            let d = resolved.delta_log_weight(cand);
+            let d = resolved.delta_log_weight(&proposal);
             if d > f64::NEG_INFINITY {
                 found = Some(d);
                 break;
@@ -139,11 +148,11 @@ impl SampleMaterialization {
         let mut current_delta = match found {
             Some(d) => d,
             None => {
-                let c = proposals.load(order[0], seed);
+                self.samples.load_row(order[0], &mut proposal);
                 for &(v, val) in &change.new_evidence {
-                    c.set(v, val);
+                    proposal.set(v, val);
                 }
-                let d = resolved.delta_log_weight(c);
+                let d = resolved.delta_log_weight(&proposal);
                 if d == f64::NEG_INFINITY {
                     0.0
                 } else {
@@ -152,7 +161,7 @@ impl SampleMaterialization {
             }
         };
         // The chain's state, and the steps it has been counted for so far.
-        let mut current = proposals.take();
+        let mut current = proposal.clone();
         let mut stay = 0usize;
 
         let mut counts = vec![0usize; total_vars];
@@ -164,17 +173,17 @@ impl SampleMaterialization {
                 exhausted = true;
                 break;
             }
-            let proposal = proposals.load(order[next_proposal], seed ^ 0x9e37);
+            self.samples.load_row(order[next_proposal], &mut proposal);
             next_proposal += 1;
             steps += 1;
 
-            let proposal_delta = resolved.delta_log_weight(proposal);
+            let proposal_delta = resolved.delta_log_weight(&proposal);
             // Independence sampler acceptance: the Pr(0) terms cancel, leaving
             // exp(ΔW(I') − ΔW(I)).
             let log_alpha = proposal_delta - current_delta;
             if log_alpha >= 0.0 || rng.gen::<f64>() < log_alpha.exp() {
                 add_weighted(&mut counts, &current, stay);
-                proposals.swap(&mut current);
+                std::mem::swap(&mut current, &mut proposal);
                 stay = 0;
                 current_delta = proposal_delta;
                 accepted += 1;
@@ -199,8 +208,7 @@ impl SampleMaterialization {
     }
 }
 
-/// `counts[v] += times` for every variable `v` true in `world` (variables
-/// beyond `counts` are not counted).
+/// `counts[v] += times` for every variable `v` true in `world`.
 fn add_weighted(counts: &mut [usize], world: &World, times: usize) {
     if times == 0 {
         return;
@@ -208,103 +216,9 @@ fn add_weighted(counts: &mut [usize], world: &World, times: usize) {
     for (word_index, &word) in world.as_words().iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
-            let v = word_index * 64 + bits.trailing_zeros() as usize;
-            if let Some(count) = counts.get_mut(v) {
-                *count += times;
-            }
+            counts[word_index * 64 + bits.trailing_zeros() as usize] += times;
             bits &= bits - 1;
         }
-    }
-}
-
-/// Turns stored samples into proposals over the updated graph, one at a time,
-/// in one reusable world: new variables (ΔV) get values by Gibbs-sampling
-/// them conditioned on the stored part, everything else the stored sample
-/// does not cover starts from the updated graph's initial world.
-struct ProposalStage<'a> {
-    samples: &'a SampleSet,
-    /// The updated graph's initial world.
-    init: World,
-    /// Restricted sampler over the non-evidence new variables (its world is
-    /// the staged proposal); `None` when the change adds none.
-    sampler: Option<GibbsSampler<'a>>,
-    /// The staged proposal when there is no sampler to hold it.
-    world: World,
-}
-
-impl<'a> ProposalStage<'a> {
-    /// `flat` is the compiled updated graph, present exactly when the change
-    /// introduces new variables.
-    fn new(
-        materialization: &'a SampleMaterialization,
-        flat: Option<&'a FlatGraph>,
-        updated: &FactorGraph,
-        change: &DistributionChange,
-    ) -> Self {
-        let samples = &materialization.samples;
-        let mut init = updated.initial_world();
-        if init.len() < samples.num_vars() {
-            // A stored sample never covers more than the graph it extends
-            // to; keep every stored bit addressable if a caller breaks that.
-            init = World::all_false(samples.num_vars());
-        }
-        let sampler = flat.and_then(|flat| {
-            // A few restricted Gibbs sweeps over only the new variables.
-            let free: Vec<usize> = change
-                .new_variables
-                .iter()
-                .copied()
-                .filter(|&v| !flat.is_evidence(v))
-                .collect();
-            (!free.is_empty() && flat.num_variables() == init.len())
-                .then(|| GibbsSampler::from_flat(flat, 0).with_free_vars(free))
-        });
-        ProposalStage {
-            samples,
-            world: init.clone(),
-            init,
-            sampler,
-        }
-    }
-
-    fn staged(&mut self) -> &mut World {
-        match &mut self.sampler {
-            Some(sampler) => sampler.world_mut(),
-            None => &mut self.world,
-        }
-    }
-
-    /// Stage stored sample `i` extended to the updated graph.
-    fn load(&mut self, i: usize, seed: u64) -> &mut World {
-        let row = self.samples.row(i);
-        let num_stored = self.samples.num_vars();
-        match &mut self.sampler {
-            Some(sampler) => {
-                sampler
-                    .world_mut()
-                    .assign_prefix_and_rest(row.words(), num_stored, &self.init);
-                sampler.reseed(seed.wrapping_add(i as u64));
-                for _ in 0..3 {
-                    sampler.sweep();
-                }
-            }
-            None => self
-                .world
-                .assign_prefix_and_rest(row.words(), num_stored, &self.init),
-        }
-        self.staged()
-    }
-
-    /// Move the staged proposal out (the stage keeps a world to reuse).
-    fn take(&mut self) -> World {
-        let mut out = self.init.clone();
-        self.swap(&mut out);
-        out
-    }
-
-    /// Exchange the staged proposal with `other`.
-    fn swap(&mut self, other: &mut World) {
-        std::mem::swap(self.staged(), other);
     }
 }
 
@@ -320,6 +234,7 @@ fn shuffle(indices: &mut [usize], rng: &mut StdRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gibbs::GibbsSampler;
     use dd_factorgraph::{Factor, FactorGraphBuilder, Variable, VariableRole, Weight};
 
     fn graph(prior: f64) -> FactorGraph {
@@ -334,8 +249,15 @@ mod tests {
         b.build()
     }
 
+    /// Every query variable gets a column: the chain is tested on a graph
+    /// small enough to check against exact marginals, whose components a
+    /// default sampler would enumerate instead of storing.
     fn materialize(g: &FactorGraph, n: usize) -> SampleMaterialization {
-        SampleMaterialization::from_samples(GibbsSampler::new(g, 13).draw_samples(n, 200))
+        SampleMaterialization::from_samples(
+            GibbsSampler::new(g, 13)
+                .with_free_vars(g.query_variables())
+                .draw_samples(n, 200),
+        )
     }
 
     #[test]
@@ -396,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn new_variable_and_factor_are_handled() {
+    fn a_variable_without_a_column_is_never_proposed() {
         let g0 = graph(0.3);
         let mat = materialize(&g0, 2000);
         let mut g = g0.clone();
@@ -410,9 +332,12 @@ mod tests {
         };
         let out = mat.infer(&g, &change, 1500, 17);
         assert_eq!(out.marginals.len(), 5);
-        for v in 0..5 {
+        // The new variable keeps its initial value in every proposal ...
+        assert_eq!(out.marginals.get(v), 0.0);
+        // ... and the component it does not touch is still served exactly.
+        for v in 2..4 {
             assert!(
-                (out.marginals.get(v) - g.exact_marginal(v)).abs() < 0.12,
+                (out.marginals.get(v) - g.exact_marginal(v)).abs() < 0.06,
                 "var {v}: {} vs {}",
                 out.marginals.get(v),
                 g.exact_marginal(v)
@@ -451,7 +376,8 @@ mod tests {
     #[test]
     fn empty_materialization_is_immediately_exhausted() {
         let g0 = graph(0.1);
-        let mat = SampleMaterialization::from_samples(SampleSet::new(g0.num_variables()));
+        let mat =
+            SampleMaterialization::from_samples(SampleSet::new(g0.num_variables(), Vec::new()));
         let change = DistributionChange::default();
         let out = mat.infer(&g0, &change, 10, 1);
         assert!(out.exhausted);
@@ -459,10 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn storage_is_one_bit_per_variable() {
+    fn storage_is_one_bit_per_column() {
         let g0 = graph(0.1);
         let mat = materialize(&g0, 100);
-        // 4 variables -> 1 byte per sample
+        // 4 columns -> 1 byte per sample
         assert_eq!(mat.storage_bytes(), 100);
         assert_eq!(mat.num_samples(), 100);
     }

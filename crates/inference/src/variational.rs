@@ -73,21 +73,26 @@ impl VariationalMaterialization {
     /// Gibbs run between the sampling and variational materializations, as
     /// §3.3 prescribes: "Both approaches need samples from the original
     /// factor graph, and this is the dominant cost during materialization".
+    ///
+    /// The approximation covers the sample set's columns — the variables of
+    /// the graph's sampled components; the others are enumerated exactly
+    /// wherever the approximation would be read.  Without a column there is
+    /// nothing to approximate, and the approximate graph is empty.
     pub fn from_samples(
         graph: &FactorGraph,
         samples: &SampleSet,
         options: &VariationalOptions,
     ) -> Self {
-        let query: Vec<VarId> = graph.query_variables();
-        // Dense query index by variable id (`NOT_QUERY` for evidence).
+        let query: &[VarId] = samples.columns();
+        // Dense column index by variable id (`NOT_QUERY` for the others).
         const NOT_QUERY: usize = usize::MAX;
         let mut index_of = vec![NOT_QUERY; graph.num_variables()];
         for (i, &v) in query.iter().enumerate() {
             index_of[v] = i;
         }
 
-        // Line 2: NZ = pairs of query variables co-occurring in some factor
-        // (none without query variables: the factors need not be walked).
+        // Line 2: NZ = pairs of columns co-occurring in some factor (none
+        // without columns: the factors need not be walked).
         let mut nz: HashSet<(usize, usize)> = HashSet::new();
         let factors = if query.is_empty() {
             &[][..]
@@ -111,25 +116,20 @@ impl VariationalMaterialization {
             }
         }
 
-        // Line 3: means from the arena's word-level counts (of the query
-        // variables only: evidence bits are masked out), and the covariance
-        // matrix restricted to NZ from the two variables' sample
-        // columns: E[xa·xb] is the popcount of their AND.  Only variables in
-        // some NZ pair (coupled ones, by definition) have a column extracted.
+        // Line 3: means from the arena's word-level column counts, and the
+        // covariance matrix restricted to NZ from the two variables' sample
+        // columns: E[xa·xb] is the popcount of their AND.  Only columns in
+        // some NZ pair are extracted.
         let n_samples = samples.len().max(1) as f64;
-        let mut query_mask = vec![0u64; samples.num_vars().div_ceil(64)];
-        for &v in &query {
-            query_mask[v / 64] |= 1 << (v % 64);
-        }
-        let counts = samples.true_counts(&query_mask);
-        let means: Vec<f64> = query
-            .iter()
-            .map(|&v| counts[v] as f64 / n_samples)
+        let means: Vec<f64> = samples
+            .column_counts()
+            .into_iter()
+            .map(|count| count as f64 / n_samples)
             .collect();
         let mut columns: Vec<Option<Vec<u64>>> = vec![None; query.len()];
         for &(a, b) in &nz {
             for q in [a, b] {
-                columns[q].get_or_insert_with(|| samples.column(query[q]));
+                columns[q].get_or_insert_with(|| samples.column(q));
             }
         }
         let column = |q: usize| columns[q].as_deref().expect("extracted above");
@@ -152,7 +152,11 @@ impl VariationalMaterialization {
         };
 
         // Lines 5-7: build the approximate graph — same variables, new factors.
-        let mut approx = graph.variables_only();
+        let mut approx = if query.is_empty() {
+            FactorGraph::new()
+        } else {
+            graph.variables_only()
+        };
         // Unary factors from the sample means preserve original marginals.
         for (qi, &v) in query.iter().enumerate() {
             let p = means[qi].clamp(1e-3, 1.0 - 1e-3);
@@ -444,14 +448,29 @@ mod tests {
         b.build()
     }
 
-    /// Algorithm 1 over `n` worlds drawn from `g` on seed 19.
+    /// Algorithm 1 over `n` worlds drawn from `g` on seed 19, with a column
+    /// for every query variable (these graphs are small enough to
+    /// enumerate, so a default sampler would store none).
     fn materialize(
         g: &FactorGraph,
         n: usize,
         options: &VariationalOptions,
     ) -> VariationalMaterialization {
-        let samples = GibbsSampler::new(g, 19).draw_samples(n, options.burn_in);
+        let samples = GibbsSampler::new(g, 19)
+            .with_free_vars(g.query_variables())
+            .draw_samples(n, options.burn_in);
         VariationalMaterialization::from_samples(g, &samples, options)
+    }
+
+    #[test]
+    fn without_columns_the_approximation_is_empty() {
+        let g = chain(6, 1.0);
+        let samples = GibbsSampler::new(&g, 19).draw_samples(300, 10);
+        assert!(samples.columns().is_empty());
+        let mat = VariationalMaterialization::from_samples(&g, &samples, &Default::default());
+        assert_eq!(mat.approx_graph().num_variables(), 0);
+        assert_eq!(mat.approx_graph().num_factors(), 0);
+        assert_eq!(mat.num_candidate_pairs(), 0);
     }
 
     #[test]

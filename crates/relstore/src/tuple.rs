@@ -28,22 +28,20 @@ impl Borrow<[Value]> for Tuple {
     }
 }
 
+/// Build a tuple from anything convertible to `Value`.
+impl<V: Into<Value>> FromIterator<V> for Tuple {
+    fn from_iter<I: IntoIterator<Item = V>>(iter: I) -> Self {
+        Tuple {
+            values: iter.into_iter().map(Into::into).collect(),
+        }
+    }
+}
+
 impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: Vec<Value>) -> Self {
         Tuple {
             values: values.into(),
-        }
-    }
-
-    /// Build a tuple from anything convertible to `Value`.
-    pub fn from_iter<I, V>(iter: I) -> Self
-    where
-        I: IntoIterator<Item = V>,
-        V: Into<Value>,
-    {
-        Tuple {
-            values: iter.into_iter().map(Into::into).collect(),
         }
     }
 
@@ -137,7 +135,7 @@ mod tests {
         s.insert(tuple![2i64, "a"]);
         assert_eq!(s.len(), 2);
 
-        let mut v = vec![tuple![2i64], tuple![1i64]];
+        let mut v = [tuple![2i64], tuple![1i64]];
         v.sort();
         assert_eq!(v[0], tuple![1i64]);
     }

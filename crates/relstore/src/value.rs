@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut vals = vec![
+        let mut vals = [
             Value::text("b"),
             Value::Int(2),
             Value::Null,

@@ -89,10 +89,7 @@ mod tests {
 
     #[test]
     fn display_and_source_chains() {
-        let err = StorageError::io(
-            "appending",
-            io::Error::new(io::ErrorKind::Other, "disk gone"),
-        );
+        let err = StorageError::io("appending", io::Error::other("disk gone"));
         assert!(err.to_string().contains("appending"));
         assert!(err.to_string().contains("disk gone"));
         assert!(std::error::Error::source(&err).is_some());

@@ -96,6 +96,9 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
     Ok(segments)
 }
 
+/// One logged record as [`Wal::open`] returns it: `(seq, payload)`.
+pub(crate) type Record = (u64, Vec<u8>);
+
 impl Wal {
     /// Open (or create) the log in `dir`, repair any torn tail, and return
     /// the WAL positioned for appending plus every valid `(seq, payload)`
@@ -103,7 +106,7 @@ impl Wal {
     pub fn open(
         dir: impl Into<PathBuf>,
         fsync: FsyncPolicy,
-    ) -> Result<(Wal, Vec<(u64, Vec<u8>)>), StorageError> {
+    ) -> Result<(Wal, Vec<Record>), StorageError> {
         let dir = dir.into();
         let mut fsyncs = 0;
         create_dir_durably(&dir, "WAL", &mut fsyncs)?;

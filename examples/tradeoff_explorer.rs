@@ -27,14 +27,22 @@ fn main() {
         graph.num_factors()
     );
 
-    let sampling =
-        SampleMaterialization::from_samples(GibbsSampler::new(&graph, 1).draw_samples(1500, 100));
+    // A column for every query variable: the strategies are compared over
+    // the whole graph (the engine itself enumerates small components).
+    let all = graph.query_variables();
+    let sampling = SampleMaterialization::from_samples(
+        GibbsSampler::new(&graph, 1)
+            .with_free_vars(all.clone())
+            .draw_samples(1500, 100),
+    );
     let options = VariationalOptions {
         lambda: 0.01,
         exact_solver_max_vars: 0,
         ..Default::default()
     };
-    let samples = GibbsSampler::new(&graph, 19).draw_samples(400, options.burn_in);
+    let samples = GibbsSampler::new(&graph, 19)
+        .with_free_vars(all)
+        .draw_samples(400, options.burn_in);
     let variational = VariationalMaterialization::from_samples(&graph, &samples, &options);
     println!(
         "materialized {} samples and an approximate graph with {} pairwise factors\n",

@@ -39,6 +39,21 @@
 //! initial program, so no round creates a weight) held across it, as did
 //! every digest before the model change itself: the seeds moving from the
 //! option structs to arguments changed no stream.
+//!
+//! `PINNED` and `PINNED_CLAIMS` were then re-recorded once more, by the
+//! change that made the query component the unit of inference: every
+//! component of at most 12 query variables — every component of both
+//! programs — is now answered by exact enumeration on the current graph,
+//! in every mode and strategy, where a Gibbs chain or an MH chain over the
+//! stored worlds estimated it before.  News moves from I1 on (before it,
+//! every component was a static singleton and already exact); its MH rounds
+//! now report no acceptance rate, and the digest of materializing once now
+//! equals the one of re-materializing after every update, since the store
+//! keeps no column for a graph of small components.  The claims KB moves
+//! from the first publish: rule `C` ties each document's one open claim to
+//! a labelled one, which the old static/coupled split called coupled and
+//! sampled; evidence now cuts it into a one-variable component.  Learning
+//! was not touched and `PINNED_WEIGHTS` holds bit for bit.
 
 mod support;
 
@@ -270,9 +285,9 @@ fn claims_digest(seed: u64) -> u64 {
 /// `(corpus seed, digest materializing once, digest re-materializing after
 /// every update)`.
 const PINNED: [(u64, u64, u64); 3] = [
-    (3, 0x5e91_5da4_ae2e_97dc, 0x9c8d_5ad4_f9c5_ea4f),
-    (5, 0xd3fd_88a3_2474_53b6, 0x1045_56cd_b572_4272),
-    (11, 0x2880_44ce_323e_4816, 0x173d_f683_a74c_67f2),
+    (3, 0x6100_0d5e_e3c7_b588, 0x6100_0d5e_e3c7_b588),
+    (5, 0x11ee_c472_b09e_0a92, 0x11ee_c472_b09e_0a92),
+    (11, 0x8227_945f_2d74_8f02, 0x8227_945f_2d74_8f02),
 ];
 
 #[test]
@@ -310,8 +325,8 @@ fn learned_weights_are_bit_identical_to_the_parents() {
 }
 
 /// The same seed twice: identical snapshot bytes after every step, and an
-/// identical sample store (static columns included — the bit-sliced draws
-/// come off the sampler's own seeded stream).
+/// identical sample store — which, every News component being small enough
+/// to enumerate, keeps the sample count and no column.
 #[test]
 fn same_seed_twice_gives_identical_snapshots_and_sample_store() {
     let run = |seed: u64| {
@@ -338,17 +353,17 @@ fn same_seed_twice_gives_identical_snapshots_and_sample_store() {
     let (snapshots_a, store_a) = run(5);
     let (snapshots_b, store_b) = run(5);
     assert!(snapshots_a == snapshots_b, "snapshot bytes differ");
-    assert!(!store_a.is_empty());
+    assert!(!store_a.is_empty() && store_a.columns().is_empty());
     assert!(store_a == store_b, "sample stores differ");
-    let (snapshots_c, store_c) = run(6);
-    assert!(snapshots_a != snapshots_c && store_a != store_c);
+    let (snapshots_c, _) = run(6);
+    assert!(snapshots_a != snapshots_c);
 }
 
 /// `(seed, digest)` of [`claims_digest`].
 const PINNED_CLAIMS: [(u64, u64); 3] = [
-    (1, 0xfc36_d956_5148_d9c0),
-    (2, 0x1cb1_263d_cc6b_7749),
-    (9, 0x4d4f_f188_08a2_f7e4),
+    (1, 0x4b0b_140f_bcc9_5b16),
+    (2, 0x2539_5a82_df14_b341),
+    (9, 0xae06_d936_c264_6006),
 ];
 
 #[test]
