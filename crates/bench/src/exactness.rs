@@ -1,11 +1,11 @@
 //! The exactness oracle: an engine's published marginals against exact
 //! marginals computed by brute force, per query component.
 //!
-//! The reference enumerates every world of each component of at most
-//! [`REFERENCE_MAX_VARS`] variables of [`FactorGraph::query_components`],
-//! pricing it with the build-side [`dd_factorgraph::Factor`] evaluation —
-//! no compiled graph and no inference code, so it is independent of the
-//! enumerator the engine answers small components with.  A component the
+//! The reference is [`FactorGraph::exact_marginal`] of every variable of
+//! each component of at most [`REFERENCE_MAX_VARS`] variables of
+//! [`FactorGraph::query_components`]: brute force on the build-side graph,
+//! with no compiled graph and no inference code, so it is independent of
+//! the enumerator the engine answers small components with.  A component the
 //! engine enumerates must match to [`ENUMERATED_TOLERANCE`]; a larger one
 //! within a bound derived from the engine's sample counts.
 //!
@@ -34,50 +34,13 @@ pub struct ComponentReference {
 /// The exact marginals of every query component of `graph` with at most
 /// [`REFERENCE_MAX_VARS`] variables.
 pub fn reference(graph: &FactorGraph) -> Vec<ComponentReference> {
-    let mut world = graph.initial_world();
     graph
         .query_components()
         .into_iter()
         .filter(|vars| vars.len() <= REFERENCE_MAX_VARS)
-        .map(|vars| {
-            let mut factors: Vec<usize> = vars
-                .iter()
-                .flat_map(|&v| graph.factors_of(v).iter().copied())
-                .collect();
-            factors.sort_unstable();
-            factors.dedup();
-            let log_weights: Vec<f64> = (0..1usize << vars.len())
-                .map(|mask| {
-                    for (i, &v) in vars.iter().enumerate() {
-                        world.set(v, mask >> i & 1 == 1);
-                    }
-                    factors
-                        .iter()
-                        .map(|&f| {
-                            let factor = graph.factor(f);
-                            graph.weight(factor.weight_id).value * factor.feature_value(&world)
-                        })
-                        .sum()
-                })
-                .collect();
-            let max = log_weights
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let weights: Vec<f64> = log_weights.iter().map(|lw| (lw - max).exp()).collect();
-            let z: f64 = weights.iter().sum();
-            let exact = (0..vars.len())
-                .map(|i| {
-                    let p: f64 = weights
-                        .iter()
-                        .enumerate()
-                        .filter(|(mask, _)| mask >> i & 1 == 1)
-                        .map(|(_, w)| w)
-                        .sum();
-                    p / z
-                })
-                .collect();
-            ComponentReference { vars, exact }
+        .map(|vars| ComponentReference {
+            exact: vars.iter().map(|&v| graph.exact_marginal(v)).collect(),
+            vars,
         })
         .collect()
 }
@@ -146,31 +109,4 @@ pub fn development_cells(
             cell
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dd_factorgraph::{Factor, FactorGraphBuilder};
-
-    #[test]
-    fn reference_matches_whole_graph_enumeration() {
-        let mut b = FactorGraphBuilder::new();
-        let q = b.add_query_variables(5);
-        let e = b.add_evidence_variable(true);
-        let w = b.tied_weight("w", 0.9, false);
-        let u = b.tied_weight("u", -0.4, false);
-        b.add_factor(Factor::is_true(w, q[0]));
-        b.add_factor(Factor::equal(u, q[1], q[2]));
-        b.add_factor(Factor::imply(w, &[e, q[2]], q[3]));
-        b.add_factor(Factor::conjunction(u, &[q[4], e]));
-        let g = b.build();
-        let components = reference(&g);
-        assert_eq!(components.len(), 3);
-        for component in components {
-            for (&v, &exact) in component.vars.iter().zip(&component.exact) {
-                assert!((exact - g.exact_marginal(v)).abs() < 1e-12);
-            }
-        }
-    }
 }

@@ -1378,9 +1378,8 @@ mod tests {
         rule S supervision+: On(id) :- Item(id), Label(id).
     ";
 
-    /// `n` linked items: a component far above the enumeration limit, which
-    /// the materialization stores a column for every variable of.
-    fn chain_engine(n: i64) -> DeepDive {
+    /// An engine over `n` linked items, not yet run.
+    fn chain_builder(n: i64) -> crate::builder::DeepDiveBuilder {
         let mut db = Database::new();
         for table in ["Item", "Label", "Boost"] {
             db.create_table(table, Schema::of(&[("id", DataType::Int)]))
@@ -1398,12 +1397,16 @@ mod tests {
             (1..n).map(|id| tuple![id - 1, id]).collect::<Vec<_>>(),
         )
         .unwrap();
-        let mut dd = DeepDive::builder()
+        DeepDive::builder()
             .program_text(CHAIN_PROGRAM)
             .database(db)
             .config(EngineConfig::fast())
-            .build()
-            .unwrap();
+    }
+
+    /// `n` linked items: a component far above the enumeration limit, which
+    /// the materialization stores a column for every variable of.
+    fn chain_engine(n: i64) -> DeepDive {
+        let mut dd = chain_builder(n).build().unwrap();
         dd.initial_run().unwrap();
         dd.materialize().unwrap();
         let flat = dd.graph().compile();
@@ -1773,6 +1776,109 @@ mod tests {
                 .probability_of("MarriedMentions", &tuple![20i64, 21i64]),
             Some(1.0)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A [`CheckpointView`]'s bytes as a format-3 checkpoint wrote them: no
+    /// `columns` member, one bit per variable of the graph in every sample,
+    /// and a copy of the learned weights.
+    fn as_format_3(
+        checkpoint: &[u8],
+        graph: &FactorGraph,
+        samples: &dd_inference::SampleSet,
+    ) -> Vec<u8> {
+        use dd_factorgraph::WorldView;
+        use dd_wire::json::{parse, Json};
+        fn member<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+            match j {
+                Json::Object(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                _ => panic!("{key}: not an object"),
+            }
+        }
+        let mut doc = parse(std::str::from_utf8(checkpoint).unwrap()).unwrap();
+        *member(&mut doc, "format") = Json::String("3".into());
+        let store = member(
+            member(member(&mut doc, "materialization"), "sampling"),
+            "samples",
+        );
+        let Json::Object(fields) = store else {
+            panic!("samples: not an object")
+        };
+        fields.retain(|(k, _)| k != "columns");
+        let mut world = graph.initial_world();
+        let bundles = (0..samples.len())
+            .map(|i| {
+                samples.load_row(i, &mut world);
+                let bytes = (0..graph.num_variables().div_ceil(8)).map(|b| {
+                    (0..8)
+                        .filter(|bit| b * 8 + bit < world.len() && world.value(b * 8 + bit))
+                        .fold(0u8, |byte, bit| byte | 1 << bit)
+                });
+                Json::String(bytes.map(|byte| format!("{byte:02x}")).collect())
+            })
+            .collect();
+        *member(store, "bundles") = Json::Array(bundles);
+        let Json::Object(top) = &mut doc else {
+            unreachable!()
+        };
+        top.push(("learned_weights".into(), Json::Array(Vec::new())));
+        doc.encode().into_bytes()
+    }
+
+    #[test]
+    fn a_sampled_component_replays_and_recovers_bit_identically() {
+        // The durable path of a sample store with columns: a format-4
+        // checkpoint holding them, then MH over the stored worlds and a
+        // Gibbs round of a component that gained a variable, replayed from
+        // the WAL; then a checkpoint covering both rounds.
+        use dd_wire::json::Encode;
+        let dir = temp_data_dir("sampled");
+        let open = || {
+            chain_builder(30)
+                .durability(dd_storage::DurabilityConfig::new(&dir))
+                .build()
+                .unwrap()
+        };
+        let state = |dd: &DeepDive| {
+            let snapshot = dd.snapshot();
+            dd.checkpoint_view(&snapshot).to_bytes()
+        };
+        let mut dd = open();
+        dd.initial_run().unwrap();
+        dd.materialize().unwrap();
+        let store = dd.materialization().unwrap().sampling.samples().clone();
+        assert!(store.columns().len() >= 30 && !store.is_empty());
+        dd.checkpoint().unwrap();
+
+        // A format-3 checkpoint of the same state keeps every variable per
+        // sample; it decodes to the columns of the graph's large components.
+        let legacy = as_format_3(&state(&dd), dd.graph(), &store);
+        let decoded = durability::decode_checkpoint(&legacy).unwrap();
+        assert!(decoded.materialization.unwrap().sampling.samples() == &store);
+
+        let mut mh = KbcUpdate::new();
+        mh.insert("Boost", tuple![3i64]);
+        mh.add_rule(
+            dd_grounding::parse_rule("rule B feature: On(id) :- Item(id), Boost(id) weight = 1.0.")
+                .unwrap(),
+        );
+        let report = dd.run_update(&mh, ExecutionMode::Incremental).unwrap();
+        assert!(report.acceptance_rate.is_some(), "served by MH");
+        let mut gain = KbcUpdate::new();
+        gain.insert("Item", tuple![30i64]);
+        gain.insert("Link", tuple![29i64, 30i64]);
+        let report = dd.run_update(&gain, ExecutionMode::Incremental).unwrap();
+        assert_eq!(report.acceptance_rate, None, "Gibbs-sampled");
+        let reference = state(&dd);
+        drop(dd);
+
+        let mut recovered = open();
+        assert!(recovered.recovery_replay_errors().is_empty());
+        assert!(state(&recovered) == reference, "replayed state differs");
+        assert!(recovered.materialization().unwrap().sampling.samples() == &store);
+        recovered.checkpoint().unwrap();
+        drop(recovered);
+        assert!(state(&open()) == reference, "checkpointed state differs");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

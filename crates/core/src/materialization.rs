@@ -132,6 +132,10 @@ mod tests {
         assert_eq!(m.sample_storage_bytes(), 0);
         assert_eq!(m.variational.approx_graph().num_variables(), 0);
         assert_eq!(m.variational.approx_graph().num_factors(), 0);
+        // A budgeted build counts its samples of no bit the same way.
+        let budgeted = Materialization::build_with_budget(&g, &config, 0.01);
+        assert!(budgeted.sampling.num_samples() >= 1);
+        assert_eq!(budgeted.sample_storage_bytes(), 0);
     }
 
     #[test]

@@ -293,32 +293,41 @@ impl FactorGraph {
     /// Connected components of the variables for which `excluded(v)` is false,
     /// treating excluded variables as removed from the graph.
     pub fn components_excluding(&self, excluded: &dyn Fn(VarId) -> bool) -> Vec<Vec<VarId>> {
-        let n = self.variables.len();
-        let mut comp = vec![usize::MAX; n];
+        let mut seen = vec![false; self.variables.len()];
         let mut components = Vec::new();
-        for start in 0..n {
-            if excluded(start) || comp[start] != usize::MAX {
-                continue;
+        for start in 0..self.variables.len() {
+            if !excluded(start) && !seen[start] {
+                components.push(self.flood(start, excluded, &mut seen));
             }
-            let cid = components.len();
-            let mut stack = vec![start];
-            let mut members = Vec::new();
-            comp[start] = cid;
-            while let Some(v) = stack.pop() {
-                members.push(v);
-                for &f in &self.adjacency[v] {
-                    for u in self.factors[f].variables() {
-                        if u < n && !excluded(u) && comp[u] == usize::MAX {
-                            comp[u] = cid;
-                            stack.push(u);
-                        }
+        }
+        components
+    }
+
+    /// The component of `start` (not excluded, not yet `seen`) among the
+    /// variables for which `excluded(v)` is false, ascending; marks it seen.
+    fn flood(
+        &self,
+        start: VarId,
+        excluded: &dyn Fn(VarId) -> bool,
+        seen: &mut [bool],
+    ) -> Vec<VarId> {
+        let n = self.variables.len();
+        let mut stack = vec![start];
+        let mut members = Vec::new();
+        seen[start] = true;
+        while let Some(v) = stack.pop() {
+            members.push(v);
+            for &f in &self.adjacency[v] {
+                for u in self.factors[f].variables() {
+                    if u < n && !excluded(u) && !seen[u] {
+                        seen[u] = true;
+                        stack.push(u);
                     }
                 }
             }
-            members.sort_unstable();
-            components.push(members);
         }
-        components
+        members.sort_unstable();
+        members
     }
 
     // -------------------------------------------------------------- retraction
@@ -391,24 +400,49 @@ impl FactorGraph {
         Some(last)
     }
 
-    /// Marginal-style helper: exact probability that variable `v` is true,
-    /// computed by brute-force enumeration over query variables.  Only usable on
-    /// tiny graphs; primarily for tests and the strawman strategy.
+    /// Exact probability that variable `v` is true, by brute-force
+    /// enumeration of the worlds of `v`'s query component (one of
+    /// [`FactorGraph::query_components`]): given the evidence, the rest of
+    /// the graph is independent of it, so only the component's factors are
+    /// priced.  Exponential in the component's size; for tests, the
+    /// exactness oracle and the strawman strategy.
     pub fn exact_marginal(&self, v: VarId) -> f64 {
-        let query: Vec<VarId> = self.query_variables();
-        assert!(
-            query.len() <= 24,
-            "exact_marginal is exponential; {} query variables is too many",
-            query.len()
-        );
         let mut world = self.initial_world();
-        let mut z = 0.0;
-        let mut p_true = 0.0;
-        for mask in 0u64..(1u64 << query.len()) {
-            for (i, &q) in query.iter().enumerate() {
+        if self.variables[v].is_evidence() {
+            return f64::from(u8::from(world.value(v)));
+        }
+        let is_evidence = |u: VarId| self.variables[u].is_evidence();
+        let component = self.flood(v, &is_evidence, &mut vec![false; self.variables.len()]);
+        assert!(
+            component.len() <= 24,
+            "exact_marginal is exponential; a component of {} query variables is too large",
+            component.len()
+        );
+        let mut factors: Vec<FactorId> = component
+            .iter()
+            .flat_map(|&u| self.adjacency[u].iter().copied())
+            .collect();
+        factors.sort_unstable();
+        factors.dedup();
+        // Weights relative to the largest log-weight seen so far.
+        let (mut max, mut z, mut p_true) = (f64::NEG_INFINITY, 0.0, 0.0);
+        for mask in 0u64..(1u64 << component.len()) {
+            for (i, &q) in component.iter().enumerate() {
                 world.set(q, (mask >> i) & 1 == 1);
             }
-            let w = self.log_weight(&world).exp();
+            let log_weight: f64 = factors
+                .iter()
+                .map(|&f| {
+                    self.factors[f].energy(&world, self.weights[self.factors[f].weight_id].value)
+                })
+                .sum();
+            if log_weight > max {
+                let rescale = (max - log_weight).exp();
+                z *= rescale;
+                p_true *= rescale;
+                max = log_weight;
+            }
+            let w = (log_weight - max).exp();
             z += w;
             if world.value(v) {
                 p_true += w;
@@ -556,6 +590,61 @@ mod tests {
         let g = b.build();
         let expected = (1.5f64).exp() / ((1.5f64).exp() + 1.0);
         assert!((g.exact_marginal(v) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_marginal_enumerates_only_the_component() {
+        // Four components once the evidence cuts them: {q0}, {q1, q2}, {q3},
+        // {q4}.  Each variable's marginal equals whole-graph enumeration.
+        let mut b = FactorGraphBuilder::new();
+        let q = b.add_query_variables(5);
+        let e = b.add_evidence_variable(true);
+        let w = b.tied_weight("w", 0.9, false);
+        let u = b.tied_weight("u", -0.4, false);
+        b.add_factor(Factor::is_true(w, q[0]));
+        b.add_factor(Factor::equal(u, q[1], q[2]));
+        b.add_factor(Factor::imply(w, &[e, q[2]], q[3]));
+        b.add_factor(Factor::conjunction(u, &[q[4], e]));
+        let g = b.build();
+        let mut world = g.initial_world();
+        let (mut z, mut p_true) = (0.0, [0.0; 5]);
+        for mask in 0..1u32 << 5 {
+            for (i, &v) in q.iter().enumerate() {
+                world.set(v, mask >> i & 1 == 1);
+            }
+            let weight = g.log_weight(&world).exp();
+            z += weight;
+            for (i, &v) in q.iter().enumerate() {
+                if world.value(v) {
+                    p_true[i] += weight;
+                }
+            }
+        }
+        for (i, &v) in q.iter().enumerate() {
+            assert!((g.exact_marginal(v) - p_true[i] / z).abs() < 1e-12);
+        }
+        assert_eq!(g.exact_marginal(e), 1.0);
+
+        // Forty pairs: far too many query variables for the whole graph's
+        // worlds, four worlds per component.
+        let mut b = FactorGraphBuilder::new();
+        let w = b.tied_weight("eq", 2.0, false);
+        let prior = b.tied_weight("prior", 1.0, false);
+        for _ in 0..40 {
+            let pair = b.add_query_variables(2);
+            b.add_factor(Factor::equal(w, pair[0], pair[1]));
+            b.add_factor(Factor::is_true(prior, pair[0]));
+        }
+        let g = b.build();
+        let (e1, e2, e3) = (1f64.exp(), 2f64.exp(), 3f64.exp());
+        let z = e3 + e1 + e2 + 1.0;
+        for v in 0..80 {
+            let expected = if v % 2 == 0 { e3 + e1 } else { e3 + 1.0 } / z;
+            assert!(
+                (g.exact_marginal(v) - expected).abs() < 1e-12,
+                "variable {v}"
+            );
+        }
     }
 
     #[test]

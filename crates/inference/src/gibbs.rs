@@ -477,7 +477,8 @@ impl<'g> GibbsSampler<'g> {
     /// [`GibbsSampler::draw_samples`] for as long as `more(samples drawn so
     /// far)` holds (asked before every sample): the best-effort
     /// materialization of §3.3 draws until a time budget is spent.  With
-    /// nothing to sweep there is nothing to draw: the set is empty.
+    /// nothing to sweep a sample stores no bit and costs no RNG draw, but is
+    /// counted all the same.
     pub fn draw_samples_while(
         &mut self,
         burn_in: usize,
@@ -487,8 +488,6 @@ impl<'g> GibbsSampler<'g> {
     }
 
     /// The drawing loop, into a set with room for `expected` samples.
-    /// Without a variable to sweep a sample stores no bit: the set holds
-    /// `expected` of them and `more` is not asked.
     fn draw(
         &mut self,
         expected: usize,
@@ -499,10 +498,6 @@ impl<'g> GibbsSampler<'g> {
         let flat = &*self.flat;
         let mut set = SampleSet::new(flat.num_variables(), swept.to_vec());
         set.reserve(expected);
-        if swept.is_empty() {
-            set.len = expected;
-            return set;
-        }
         for _ in 0..burn_in {
             sweep_over(flat, swept, &mut self.world, &mut self.rng);
         }
