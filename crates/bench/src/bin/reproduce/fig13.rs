@@ -4,9 +4,8 @@
 //! exponential for Linear; Figure 13 plots the measured iterations to get within
 //! 1% of the correct marginal.
 
-use dd_bench::print_table;
+use dd_bench::{iterations_to_converge, print_table};
 use dd_factorgraph::Semantics;
-use dd_inference::iterations_to_converge;
 use dd_workloads::voting_graph;
 
 pub fn run() {

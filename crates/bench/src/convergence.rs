@@ -4,10 +4,11 @@
 //! under the three semantics (Figure 12) and measures, empirically, the number
 //! of Gibbs iterations needed to get within 1 % of the correct marginal of the
 //! query variable (Figure 13).  This module provides that measurement for any
-//! factor graph with a known (or exactly computable) target marginal.
+//! factor graph with a known (or exactly computable) target marginal;
+//! `reproduce fig13` and `examples/voting_semantics.rs` run it.
 
-use crate::gibbs::GibbsSampler;
-use dd_factorgraph::{FactorGraph, VarId, WorldView};
+use dd_factorgraph::{FactorGraph, VarId};
+use dd_inference::GibbsSampler;
 
 /// The result of a convergence measurement.
 #[derive(Debug, Clone)]

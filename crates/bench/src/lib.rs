@@ -5,8 +5,10 @@
 //! tracks the per-layer cost trajectory in `BENCH_sweeps.json`, which
 //! `check_sweeps` gates, and `check_docs` keeps the docs' links, anchors and
 //! commands resolving.  This library holds what they share: timing, table
-//! printing, the `BENCH_sweeps.json` schema, the doc audit and the
-//! exactness oracle (which `tests/exactness.rs` also runs).
+//! printing, the `BENCH_sweeps.json` schema, the doc audit, the
+//! exactness oracle (which `tests/exactness.rs` also runs) and the
+//! mixing-time measurement of Figures 12/13 (which
+//! `examples/voting_semantics.rs` also runs).
 //!
 //! End-to-end and serving numbers are not measured here: the repository
 //! benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`) is the one
@@ -16,9 +18,12 @@
 
 use std::time::Instant;
 
+mod convergence;
 pub mod docs;
 pub mod exactness;
 pub mod sweeps;
+
+pub use convergence::{iterations_to_converge, ConvergenceReport};
 
 /// Time a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {

@@ -45,11 +45,14 @@
 //!    round learned, and the declared value of every weight this round
 //!    created — App. B.3's warmstart.  Weights that learning moves join the
 //!    accumulated change.
-//! 4. **infer** — full Gibbs, or the chosen §3.3 strategy, which reads the
-//!    current graph and the accumulated change whichever it is; only when
-//!    nothing is materialized does the round fall back, to full Gibbs, as
-//!    §3.3 does when its samples run out.  No round is refused for want of
-//!    a materialization.
+//! 4. **infer** — one stage for every round (`DeepDive::infer`), which
+//!    answers each query component once: an enumerated component exactly,
+//!    a sampled component the materialization has a column for every
+//!    variable of by the chosen §3.3 strategy (Incremental Δ rounds only),
+//!    and every other sampled component by Gibbs.  A round that serves
+//!    nothing from a materialization — the initial run, Rerun, refresh, or
+//!    a round with none in service — is one plain Gibbs run.  No round is
+//!    refused for want of a materialization.
 //! 5. **publish** — commit the marginals as the next epoch's snapshot; the
 //!    round's one [`IterationReport`] is built from the stage results.
 //!
@@ -176,8 +179,8 @@ pub struct DeepDive {
     config: EngineConfig,
     /// The compilation of the grounder's current graph, when one is at hand:
     /// the learner compiles (and keeps current with the weights it moves),
-    /// the full-Gibbs inference and the materialization that follow sample
-    /// on the same compilation.  Dropped whenever grounding is about to
+    /// the infer stage and the materialization that follow sample on the
+    /// same compilation.  Dropped whenever grounding is about to
     /// change the graph.
     compiled: Option<FlatGraph>,
     /// The materialization in service, with the change accumulated since it
@@ -563,10 +566,7 @@ impl DeepDive {
         let learning_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let (marginals, acceptance_rate, fell_back_to_variational) = match strategy {
-            Some(strategy) => self.infer_incremental(strategy),
-            None => (self.full_gibbs(), None, false),
-        };
+        let (marginals, acceptance_rate, fell_back_to_variational) = self.infer(strategy);
         let inference_secs = t.elapsed().as_secs_f64();
 
         let resharded_relations = self.commit_marginals(marginals)?;
@@ -667,84 +667,63 @@ impl DeepDive {
         }
     }
 
-    /// The infer stage of an Incremental Δ round: the chosen §3.3 strategy on
-    /// the materialization, as `(marginals, MH acceptance rate, fell back)`.
-    /// Without a materialization the round runs full Gibbs.
-    ///
-    /// The query component is the unit of inference.  Every component small
-    /// enough to enumerate is answered exactly on the current graph.  The
-    /// strategy serves the larger components every variable of which has a
-    /// stored column; a larger component that gained a variable since the
-    /// materialization — new, or merged in from a formerly small component —
-    /// is Gibbs-sampled on the current graph for this round.  When the
-    /// strategy would serve nothing, the round is full Gibbs (which samples
-    /// only the larger components) and the materialization is left
-    /// untouched.
-    fn infer_incremental(&mut self, strategy: StrategyChoice) -> (Marginals, Option<f64>, bool) {
-        if self.compiled.is_none() {
-            self.compiled = Some(self.grounder.graph().compile());
-        }
-        let flat = self.compiled.as_ref().expect("compiled just above");
-        let Some(materialized) = &self.materialized else {
-            return (self.full_gibbs(), None, false);
+    /// The infer stage of every round: each query component of the current
+    /// graph answered once.  An enumerated component is exact; on an
+    /// Incremental Δ round, a sampled component the materialization has a
+    /// column for every variable of is served by the §3.3 strategy, which
+    /// reads the current graph and the change accumulated since the
+    /// materialization; every other sampled component is Gibbs-sampled, in
+    /// ascending variable order on one stream of the seed.  A round that
+    /// serves nothing is one [`GibbsSampler::run`].  Returns the marginals,
+    /// the MH acceptance rate and whether sampling fell back to variational.
+    fn infer(&mut self, strategy: Option<StrategyChoice>) -> (Marginals, Option<f64>, bool) {
+        let (graph, config) = (self.grounder.graph(), &self.config);
+        let flat = &*self.compiled.get_or_insert_with(|| graph.compile());
+        let served = strategy
+            .zip(self.materialized.as_ref())
+            .and_then(|(strategy, m)| {
+                let stored = m.materialization.sampling.samples().columns();
+                let (served, unserved): (Vec<&[VarId]>, Vec<&[VarId]>) = flat
+                    .sampled_components()
+                    .partition(|c| c.iter().all(|v| stored.binary_search(v).is_ok()));
+                (!served.is_empty()).then(|| (strategy, m, unserved.concat()))
+            });
+        let Some((strategy, materialized, mut unserved)) = served else {
+            let marginals = GibbsSampler::from_flat(flat, config.seed).run(&config.gibbs);
+            return (marginals, None, false);
         };
-        let stored = materialized.materialization.sampling.samples().columns();
-        let (served, unserved): (Vec<&[VarId]>, Vec<&[VarId]>) = flat
-            .sampled_components()
-            .partition(|c| c.iter().all(|v| stored.binary_search(v).is_ok()));
-        if served.is_empty() {
-            return (self.full_gibbs(), None, false);
-        }
-        let (mut marginals, rate, fell_back) =
-            self.infer_from_materialization(materialized, strategy);
-        let unserved: Vec<VarId> = unserved.concat();
+
+        let (mat, change) = (&materialized.materialization, &materialized.change);
+        let variational = || {
+            mat.variational
+                .infer(graph, change, &config.gibbs, config.seed)
+        };
+        let (mut marginals, acceptance_rate, fell_back) = match strategy {
+            StrategyChoice::Sampling => {
+                let outcome =
+                    mat.sampling
+                        .infer(graph, change, config.inference_samples, config.seed);
+                // Rule 4: out of samples → variational.
+                let marginals = if outcome.exhausted {
+                    variational()
+                } else {
+                    outcome.marginals
+                };
+                (marginals, Some(outcome.acceptance_rate), outcome.exhausted)
+            }
+            StrategyChoice::Variational => (variational(), None, false),
+        };
         if !unserved.is_empty() {
-            let fresh = GibbsSampler::from_flat(flat, self.config.seed)
+            unserved.sort_unstable();
+            let fresh = GibbsSampler::from_flat(flat, config.seed)
                 .with_free_vars(unserved.clone())
-                .run(&self.config.gibbs);
+                .run(&config.gibbs);
             for v in unserved {
                 marginals.set(v, fresh.get(v));
             }
         }
         enumerate_components(flat, &mut marginals);
-        (marginals, rate, fell_back)
-    }
-
-    /// [`DeepDive::infer_incremental`]'s strategy proper, over every
-    /// variable.  Both strategies read the current graph and the change
-    /// accumulated since the materialization was taken.
-    fn infer_from_materialization(
-        &self,
-        materialized: &Materialized,
-        strategy: StrategyChoice,
-    ) -> (Marginals, Option<f64>, bool) {
-        let (mat, graph, change) = (
-            &materialized.materialization,
-            self.grounder.graph(),
-            &materialized.change,
-        );
-        let variational = || {
-            mat.variational
-                .infer(graph, change, &self.config.gibbs, self.config.seed)
-        };
-        match strategy {
-            StrategyChoice::Sampling => {
-                let outcome = mat.sampling.infer(
-                    graph,
-                    change,
-                    self.config.inference_samples,
-                    self.config.seed,
-                );
-                let rate = Some(outcome.acceptance_rate);
-                if outcome.exhausted {
-                    // Rule 4: out of samples → variational.
-                    (variational(), rate, true)
-                } else {
-                    (outcome.marginals, rate, false)
-                }
-            }
-            StrategyChoice::Variational => (variational(), None, false),
-        }
+        (marginals, acceptance_rate, fell_back)
     }
 
     // ------------------------------------------------------------- durability
@@ -886,19 +865,6 @@ impl DeepDive {
     /// configured threshold) against a ground-truth set.
     pub fn quality(&self, relation: &str, truth: &HashSet<Tuple>) -> QualityReport {
         self.snapshot().quality(relation, truth)
-    }
-
-    // ---------------------------------------------------------------- helpers
-
-    /// Full Gibbs over the current graph, on the compilation the learner left
-    /// behind when there is one (the graph has not changed since), on a fresh
-    /// one otherwise.
-    fn full_gibbs(&self) -> Marginals {
-        let flat = match &self.compiled {
-            Some(flat) => Cow::Borrowed(flat),
-            None => Cow::Owned(self.grounder.graph().compile()),
-        };
-        GibbsSampler::from_flat(&flat, self.config.seed).run(&self.config.gibbs)
     }
 }
 
@@ -1483,6 +1449,27 @@ mod tests {
         assert!(dd.snapshot().marginals().values() == expected.values());
     }
 
+    #[test]
+    fn an_unmaterialized_incremental_round_publishes_what_refresh_does() {
+        // Neither round learns (an empty Δ changes no model), and neither
+        // has a materialization to serve from: both reach the infer stage's
+        // nothing-served path, one Gibbs run over the sampled component.
+        let mut round = chain_builder(30).build().unwrap();
+        let mut twin = chain_builder(30).build().unwrap();
+        for dd in [&mut round, &mut twin] {
+            dd.initial_run().unwrap();
+        }
+        assert!(!round.graph().compile().sampled_query_variables().is_empty());
+        let report = round
+            .run_update(&KbcUpdate::new(), ExecutionMode::Incremental)
+            .unwrap();
+        assert_eq!(report.acceptance_rate, None);
+        twin.refresh().unwrap();
+        let (a, b) = (round.snapshot(), twin.snapshot());
+        assert_eq!(a.epoch(), b.epoch());
+        assert!(a.marginals().values() == b.marginals().values());
+    }
+
     fn franklin_document() -> KbcUpdate {
         let mut update = KbcUpdate::new();
         update
@@ -1787,7 +1774,6 @@ mod tests {
         graph: &FactorGraph,
         samples: &dd_inference::SampleSet,
     ) -> Vec<u8> {
-        use dd_factorgraph::WorldView;
         use dd_wire::json::{parse, Json};
         fn member<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
             match j {

@@ -31,19 +31,18 @@
 //! * [`DeepDiveBuilder`] — the validated constructor.
 //! * [`EngineError`] — the one error type.
 //! * [`DeepDive`] — the engine: initial run, materialization, Rerun vs
-//!   Incremental update execution, snapshot publication.
+//!   Incremental update execution through one infer stage (every query
+//!   component answered once: enumerated, served by the §3.3 strategy, or
+//!   Gibbs-sampled), snapshot publication.
 //! * [`Snapshot`], [`FactQuery`], and the [`SnapshotReader`] serving handle.
 //! * [`Materialization`] — the combined sampling + variational materialization
 //!   (§3.3: both are materialized, the choice is deferred to inference time).
 //! * [`choose_strategy`] — the rule-based strategy optimizer of §3.3.
-//! * [`decompose`] — Algorithm 2: grouping inactive variables (Appendix B.1).
-//! * [`compare_learning_strategies`] — SGD/GD with and without warmstart
-//!   (Appendix B.3).
 //! * [`evaluate_quality`] — precision / recall / F1 against a ground-truth fact set.
 //! * [`ShardAssignment`] — shard assignment (hash / range partition keys), used
 //!   by the `dd-router` cluster layer to split a KB across engines.
 //!
-//! Every engine samples on its calling thread: full-Gibbs inference, both
+//! Every engine samples on its calling thread: Gibbs inference, both
 //! learning chains and the materialization run the one sequential sampler,
 //! so a run — and a WAL replay of it — is bit-deterministic per seed at any
 //! graph size.  See
@@ -54,11 +53,9 @@
 
 mod builder;
 mod config;
-mod decomposition;
 mod durability;
 mod engine;
 mod error;
-mod incremental_learning;
 mod materialization;
 mod optimizer;
 mod quality;
@@ -67,11 +64,9 @@ mod snapshot;
 
 pub use builder::DeepDiveBuilder;
 pub use config::EngineConfig;
-pub use decomposition::{decompose, DecompositionGroup};
 pub use durability::{decode_snapshot, encode_snapshot};
 pub use engine::{DeepDive, ExecutionMode, IterationReport};
 pub use error::EngineError;
-pub use incremental_learning::{compare_learning_strategies, LearningComparison};
 pub use materialization::Materialization;
 pub use optimizer::{choose_strategy, StrategyChoice};
 pub use quality::{evaluate_quality, QualityReport};

@@ -3,7 +3,7 @@
 use crate::semantics::Semantics;
 use crate::variable::VarId;
 use crate::weight::WeightId;
-use crate::world::WorldView;
+use crate::world::World;
 
 /// Index of a factor in its [`crate::FactorGraph`].
 pub type FactorId = usize;
@@ -34,7 +34,7 @@ impl Lit {
     }
 
     /// Whether the literal holds in `world`.
-    pub(crate) fn holds<W: WorldView + ?Sized>(&self, world: &W) -> bool {
+    pub(crate) fn holds(&self, world: &World) -> bool {
         world.value(self.var) == self.positive
     }
 }
@@ -161,7 +161,7 @@ impl Factor {
 
     /// The *feature value* φ(I) of this factor in `world`, such that the energy
     /// contribution is `weight · φ(I)`.
-    pub fn feature_value<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
+    pub fn feature_value(&self, world: &World) -> f64 {
         match &self.kind {
             FactorKind::Conjunction(lits) => {
                 if lits.iter().all(|l| l.holds(world)) {
@@ -207,7 +207,7 @@ impl Factor {
     }
 
     /// Energy contribution `weight · φ(I)`.
-    pub fn energy<W: WorldView + ?Sized>(&self, world: &W, weight: f64) -> f64 {
+    pub fn energy(&self, world: &World, weight: f64) -> f64 {
         weight * self.feature_value(world)
     }
 }

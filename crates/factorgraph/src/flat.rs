@@ -45,7 +45,7 @@
 use crate::factor::{FactorId, FactorKind, Lit};
 use crate::graph::FactorGraph;
 use crate::variable::VarId;
-use crate::world::{World, WorldView};
+use crate::world::World;
 
 /// Sentinel "no variable is being flipped" marker for single-world evaluation.
 const NO_VAR: usize = usize::MAX;
@@ -80,7 +80,7 @@ impl PackedLit {
     /// `(holds if flip_var = true, holds if flip_var = false)` in `world`,
     /// where the value of `flip_var` is overridden rather than read.
     #[inline]
-    fn holds_pair<W: WorldView + ?Sized>(self, world: &W, flip_var: VarId) -> (bool, bool) {
+    fn holds_pair(self, world: &World, flip_var: VarId) -> (bool, bool) {
         let positive = self.positive();
         if self.var() == flip_var {
             (positive, !positive)
@@ -166,9 +166,6 @@ pub struct FlatGraph {
     /// logistic-regression-shaped variables (paper Example 2.6), and for them
     /// the sweep reduces to one cached-probability coin flip.
     static_p_true: Vec<f64>,
-    /// The query variables without a constant-folded conditional, in id
-    /// order.
-    coupled_query: Vec<VarId>,
     /// Query components, CSR: component `c` is
     /// `component_vars[component_offsets[c] .. component_offsets[c + 1]]`,
     /// its variables ascending, components ordered by their smallest one.
@@ -280,7 +277,6 @@ impl FlatGraph {
             evidence: graph.variables().iter().map(|v| v.is_evidence()).collect(),
             initial: graph.initial_world(),
             static_p_true: Vec::new(),
-            coupled_query: Vec::new(),
             component_offsets: Vec::new(),
             component_vars: Vec::new(),
             sampled_query: Vec::new(),
@@ -297,12 +293,6 @@ impl FlatGraph {
                     f64::NAN
                 }
             })
-            .collect();
-        flat.coupled_query = flat
-            .query_vars
-            .iter()
-            .copied()
-            .filter(|&v| flat.static_p_true[v].is_nan())
             .collect();
         flat.compute_components();
         flat
@@ -406,13 +396,6 @@ impl FlatGraph {
         &self.query_vars
     }
 
-    /// The query variables that share a factor with another variable
-    /// (evidence included), in id order: the ones whose Gibbs conditional
-    /// is not constant-folded.
-    pub fn coupled_query_variables(&self) -> &[VarId] {
-        &self.coupled_query
-    }
-
     /// The query components (see the module docs): each one's variables
     /// ascending, components in the order of their smallest variable.
     pub fn query_components(&self) -> impl Iterator<Item = &[VarId]> + '_ {
@@ -465,8 +448,8 @@ impl FlatGraph {
     /// is `P(v = true | rest) = σ(energy_delta)`.
     ///
     /// Unlike [`FactorGraph::energy_delta`] this never mutates the world, so
-    /// it works directly against shared/atomic world views.
-    pub fn energy_delta<W: WorldView + ?Sized>(&self, v: VarId, world: &W) -> f64 {
+    /// it reads the world through a shared reference.
+    pub fn energy_delta(&self, v: VarId, world: &World) -> f64 {
         let mut delta = 0.0;
         for &f in self.factors_of(v) {
             let factor = &self.factors[f as usize];
@@ -483,7 +466,7 @@ impl FlatGraph {
     /// For variables whose conditional was constant-folded at compile time
     /// this is a single table read — no factor traversal, no `exp`.
     #[inline]
-    pub fn conditional_p_true<W: WorldView + ?Sized>(&self, v: VarId, world: &W) -> f64 {
+    pub fn conditional_p_true(&self, v: VarId, world: &World) -> f64 {
         let cached = self.static_p_true[v];
         if !cached.is_nan() {
             cached
@@ -535,7 +518,7 @@ impl FlatGraph {
     }
 
     /// Total log-weight `W(F, I)` of a world.
-    pub fn log_weight<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
+    pub fn log_weight(&self, world: &World) -> f64 {
         self.factors
             .iter()
             .map(|factor| factor.weight * self.feature_pair(factor, NO_VAR, world).0)
@@ -544,7 +527,7 @@ impl FlatGraph {
 
     /// Add every factor's feature value to `totals[weight_id]` — one flat pass
     /// producing the sufficient statistic of the learning gradient.
-    pub fn accumulate_feature_counts<W: WorldView + ?Sized>(&self, world: &W, totals: &mut [f64]) {
+    pub fn accumulate_feature_counts(&self, world: &World, totals: &mut [f64]) {
         for factor in &self.factors {
             let phi = self.feature_pair(factor, NO_VAR, world).0;
             if phi != 0.0 {
@@ -557,12 +540,7 @@ impl FlatGraph {
     /// in a single traversal of its literals.  With `flip_var == NO_VAR` both
     /// components equal φ(I).
     #[inline]
-    fn feature_pair<W: WorldView + ?Sized>(
-        &self,
-        factor: &FlatFactor,
-        flip_var: VarId,
-        world: &W,
-    ) -> (f64, f64) {
+    fn feature_pair(&self, factor: &FlatFactor, flip_var: VarId, world: &World) -> (f64, f64) {
         match factor.kind {
             FlatKind::Conjunction(range) => {
                 let (t, f) = self.conjunction_pair(range, flip_var, world);
@@ -614,12 +592,7 @@ impl FlatGraph {
 
     /// Whether all literals in `range` hold, under both values of `flip_var`.
     #[inline]
-    fn conjunction_pair<W: WorldView + ?Sized>(
-        &self,
-        range: LitRange,
-        flip_var: VarId,
-        world: &W,
-    ) -> (bool, bool) {
+    fn conjunction_pair(&self, range: LitRange, flip_var: VarId, world: &World) -> (bool, bool) {
         let mut sat_true = true;
         let mut sat_false = true;
         for &lit in &self.lits[range.start as usize..range.end as usize] {
@@ -647,7 +620,7 @@ fn sigmoid(x: f64) -> f64 {
 
 /// `(value if flip_var = true, value if flip_var = false)` of variable `x`.
 #[inline]
-fn value_pair<W: WorldView + ?Sized>(world: &W, x: VarId, flip_var: VarId) -> (bool, bool) {
+fn value_pair(world: &World, x: VarId, flip_var: VarId) -> (bool, bool) {
     if x == flip_var {
         (true, false)
     } else {
@@ -879,7 +852,10 @@ mod tests {
         b.add_factor(Factor::imply(w, &[e], q[4]));
         let mut g = b.build();
         let mut flat = g.compile();
-        assert_eq!(flat.coupled_query_variables(), &[q[1], q[2], q[4]]);
+        let folded = |flat: &FlatGraph| -> Vec<bool> {
+            q.iter().map(|&v| !flat.static_p_true[v].is_nan()).collect()
+        };
+        assert_eq!(folded(&flat), [true, false, false, true, false]);
         let world = flat.initial_world();
         assert_eq!(flat.static_p_true[q[0]], sigmoid(1.8));
         assert_eq!(flat.static_p_true[q[3]], 0.5);
@@ -893,7 +869,7 @@ mod tests {
         // Weights move the probabilities, never the split.
         g.set_weight_value(0, -0.4);
         flat.refresh_weights(&g);
-        assert_eq!(flat.coupled_query_variables(), &[q[1], q[2], q[4]]);
+        assert_eq!(folded(&flat), [true, false, false, true, false]);
         assert_eq!(flat.static_p_true[q[0]], sigmoid(-0.8));
     }
 

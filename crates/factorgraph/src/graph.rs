@@ -3,7 +3,7 @@
 use crate::factor::{Factor, FactorId, FactorKind};
 use crate::variable::{VarId, Variable};
 use crate::weight::{Weight, WeightId};
-use crate::world::{World, WorldView};
+use crate::world::World;
 use std::collections::HashMap;
 
 /// Summary statistics of a factor graph (used by Figure 7 and the optimizer).
@@ -220,7 +220,7 @@ impl FactorGraph {
     }
 
     /// Total log-weight `W(F, I)` of a world (paper Equation before §2.5's `Pr[I]`).
-    pub fn log_weight<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
+    pub fn log_weight(&self, world: &World) -> f64 {
         self.factors
             .iter()
             .map(|f| f.energy(world, self.weights[f.weight_id].value))
@@ -228,7 +228,7 @@ impl FactorGraph {
     }
 
     /// Energy of only the factors adjacent to `v`.
-    pub(crate) fn local_energy<W: WorldView + ?Sized>(&self, v: VarId, world: &W) -> f64 {
+    pub(crate) fn local_energy(&self, v: VarId, world: &World) -> f64 {
         self.adjacency[v]
             .iter()
             .map(|&f| self.factors[f].energy(world, self.weights[self.factors[f].weight_id].value))

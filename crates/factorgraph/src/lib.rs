@@ -35,4 +35,4 @@ pub use graph::{FactorGraph, FactorGraphBuilder, GraphStats};
 pub use semantics::Semantics;
 pub use variable::{RelName, VarId, Variable, VariableRole};
 pub use weight::{Weight, WeightId};
-pub use world::{World, WorldView};
+pub use world::World;

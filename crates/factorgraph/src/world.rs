@@ -2,16 +2,6 @@
 
 use crate::variable::VarId;
 
-/// Read-only view of a possible world.
-///
-/// Both the sequential sampler's [`World`] and the parallel sampler's atomic
-/// assignment (in `dd-inference`) implement this, so factor energies can be
-/// evaluated against either representation.
-pub trait WorldView {
-    /// Truth value of variable `v` in this world.
-    fn value(&self, v: VarId) -> bool;
-}
-
 /// A bit-packed possible world: one bit per variable, stored in `u64` words.
 ///
 /// Paper §2.4: "An assignment to each of the query variables yields a possible
@@ -66,6 +56,12 @@ impl World {
         self.len == 0
     }
 
+    /// Truth value of variable `v`.
+    #[inline]
+    pub fn value(&self, v: VarId) -> bool {
+        self.words[v / 64] >> (v % 64) & 1 == 1
+    }
+
     /// Set the value of a variable.
     #[inline]
     pub fn set(&mut self, v: VarId, value: bool) {
@@ -100,19 +96,6 @@ impl World {
     }
 }
 
-impl WorldView for World {
-    #[inline]
-    fn value(&self, v: VarId) -> bool {
-        self.words[v / 64] >> (v % 64) & 1 == 1
-    }
-}
-
-impl WorldView for Vec<bool> {
-    fn value(&self, v: VarId) -> bool {
-        self[v]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,13 +124,6 @@ mod tests {
     fn bitvec_is_one_bit_per_variable() {
         let w = World::all_false(1024);
         assert_eq!(w.to_bitvec().len(), 128);
-    }
-
-    #[test]
-    fn worldview_for_vec() {
-        let v = vec![false, true];
-        assert!(!WorldView::value(&v, 0));
-        assert!(WorldView::value(&v, 1));
     }
 
     #[test]

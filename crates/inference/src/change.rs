@@ -23,7 +23,7 @@
 //! un-pins evidence or removes structure has no description here: the
 //! stored samples of such a graph are discarded instead.
 
-use dd_factorgraph::{FactorGraph, FactorId, VarId, WeightId, WorldView};
+use dd_factorgraph::{FactorGraph, FactorId, VarId, WeightId, World};
 use std::collections::{HashMap, HashSet};
 
 /// The changed part of a distribution, expressed against the *updated* graph.
@@ -146,7 +146,7 @@ impl ResolvedChange<'_> {
     /// `ΔW(I)`: the log-weight difference contributed by the changed part of the
     /// graph, evaluated in `world` against the *updated* graph.  Returns
     /// `f64::NEG_INFINITY` for worlds inconsistent with new evidence.
-    pub(crate) fn delta_log_weight<W: WorldView + ?Sized>(&self, world: &W) -> f64 {
+    pub(crate) fn delta_log_weight(&self, world: &World) -> f64 {
         for &(v, required) in &self.change.new_evidence {
             if world.value(v) != required {
                 return f64::NEG_INFINITY;

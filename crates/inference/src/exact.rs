@@ -12,7 +12,7 @@
 //! [`MAX_ENUMERATED_VARS`]: dd_factorgraph::MAX_ENUMERATED_VARS
 
 use crate::marginals::Marginals;
-use dd_factorgraph::{FlatGraph, VarId, World, WorldView, MAX_ENUMERATED_VARS};
+use dd_factorgraph::{FlatGraph, VarId, World, MAX_ENUMERATED_VARS};
 
 /// Set the marginal of every variable of every enumerated component of
 /// `flat` ([`FlatGraph::enumerated_components`]) to its exact value.

@@ -28,7 +28,7 @@
 
 use crate::exact::enumerate_components;
 use crate::marginals::Marginals;
-use dd_factorgraph::{FactorGraph, FlatGraph, VarId, World, WorldView};
+use dd_factorgraph::{FactorGraph, FlatGraph, VarId, World};
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 

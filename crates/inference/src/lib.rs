@@ -22,13 +22,11 @@
 //! * [`SampleMaterialization`] — sample (tuple-bundle) materialization with independent
 //!   Metropolis–Hastings incremental inference (§3.2.2);
 //! * [`VariationalMaterialization`] — the log-determinant/ℓ1 variational materialization of
-//!   Algorithm 1 (§3.2.3);
-//! * [`iterations_to_converge`] — empirical mixing-time measurement used for Figures 12/13.
+//!   Algorithm 1 (§3.2.3).
 
 #![warn(unreachable_pub)]
 
 mod change;
-mod convergence;
 mod exact;
 mod gibbs;
 mod learning;
@@ -39,7 +37,6 @@ mod strawman;
 mod variational;
 
 pub use change::DistributionChange;
-pub use convergence::{iterations_to_converge, ConvergenceReport};
 pub use exact::enumerate_components;
 pub use gibbs::{sigmoid, GibbsOptions, GibbsSampler, SampleRow, SampleSet, SweepRng};
 pub use learning::{LearnOptions, LearnStrategy, Learner, LearningTrace};

@@ -9,7 +9,7 @@
 
 use crate::change::DistributionChange;
 use crate::marginals::Marginals;
-use dd_factorgraph::{FactorGraph, VarId, World, WorldView};
+use dd_factorgraph::{FactorGraph, VarId, World};
 
 /// Hard cap on the number of query variables the strawman will enumerate.
 pub(crate) const MAX_STRAWMAN_VARS: usize = 22;

@@ -24,9 +24,7 @@
 //! Every test runs on fixed seeds, so a failure is a changed sampler, never
 //! bad luck.
 
-use dd_factorgraph::{
-    Factor, FactorGraph, FactorGraphBuilder, VarId, WorldView, MAX_ENUMERATED_VARS,
-};
+use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, VarId, MAX_ENUMERATED_VARS};
 use dd_inference::{DistributionChange, GibbsOptions, GibbsSampler, SampleMaterialization};
 
 /// `num_single` variables with a prior of their own each (weights spread

@@ -6,7 +6,8 @@
 //!
 //! Run with `cargo run --release --example voting_semantics`.
 
-use deepdive_repro::inference::{iterations_to_converge, GibbsOptions, GibbsSampler};
+use dd_bench::iterations_to_converge;
+use deepdive_repro::inference::{GibbsOptions, GibbsSampler};
 use deepdive_repro::prelude::*;
 use deepdive_repro::workloads::voting_graph;
 

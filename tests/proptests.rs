@@ -5,7 +5,7 @@
 //! deterministic seeds, generating random inputs from the vendored RNG.  A
 //! failing case prints its seed, which reproduces the input exactly.
 
-use deepdive_repro::factorgraph::FlatGraph;
+use deepdive_repro::factorgraph::{FlatGraph, World};
 use deepdive_repro::inference::{
     DistributionChange, GibbsOptions, GibbsSampler, SampleMaterialization, StrawmanMaterialization,
 };
@@ -151,7 +151,7 @@ fn flat_energy_delta_matches_factor_graph() {
 }
 
 /// Flat log-weight over the bit-packed world equals the dense log-weight over
-/// the same assignment viewed as a plain `Vec<bool>`.
+/// the same assignment rebuilt from a plain `Vec<bool>`.
 #[test]
 fn flat_log_weight_matches_dense_log_weight() {
     for_cases("flat_log_weight_matches_dense_log_weight", |rng, _| {
@@ -161,7 +161,7 @@ fn flat_log_weight_matches_dense_log_weight() {
             let world = random_world(rng, &g);
             let dense: Vec<bool> = world.to_vec();
             let packed = flat.log_weight(&world);
-            let reference = g.log_weight(&dense);
+            let reference = g.log_weight(&World::from_values(dense));
             assert!(
                 (packed - reference).abs() < 1e-9,
                 "packed {packed} vs dense {reference}"

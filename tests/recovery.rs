@@ -26,7 +26,8 @@
 //! its WAL replay are bit-exact per seed at any graph size — the property
 //! the byte-identical assertions lean on.  The small program below keeps the
 //! fault sweeps fast; the "replay at any graph size" test holds the same
-//! rule on a graph with over 2 000 coupled variables.
+//! rule on a graph with over 2 000 sampled variables: query variables in
+//! components too large to enumerate, which every round sweeps.
 
 mod support;
 
@@ -561,108 +562,77 @@ fn damaged_newest_checkpoint_falls_back_without_losing_operations() {
 
 // ------------------------------------------------ replay at any graph size
 
-/// `pairs` two-mention sentences (mentions `2s` and `2s + 1` of sentence
-/// `s`, over four phrasings) with every hundredth pair supervised, and the
-/// symmetry rule I1 coupling each candidate pair to its mirror image: about
-/// `2 * pairs` coupled query variables.
-fn coupled_inputs(pairs: i64) -> (String, Database) {
-    const PHRASES: [&str; 4] = ["and his wife", "met with", "and the widow of", "sued"];
-    let program = format!(
-        "{PROGRAM}\n    rule I1 inference: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2) \
-         weight = 1.5.\n"
-    );
-    let mut db = database();
-    for s in 100..100 + pairs {
-        let (m1, m2) = (2 * s, 2 * s + 1);
-        let (a, b) = (format!("A{s}"), format!("B{s}"));
-        let phrase = PHRASES[(s % 4) as usize];
-        db.insert_all(
-            "Sentence",
-            [Tuple::from_iter([
-                Value::Int(s),
-                Value::text(format!("{a} {phrase} {b} yesterday")),
-            ])],
-        )
-        .unwrap();
-        db.insert_all(
-            "PersonCandidate",
-            [
-                Tuple::from_iter([Value::Int(s), Value::Int(m1), Value::text(a.clone())]),
-                Tuple::from_iter([Value::Int(s), Value::Int(m2), Value::text(b.clone())]),
-            ],
-        )
-        .unwrap();
-        if s % 100 == 0 {
-            db.insert_all(
-                "EL",
-                [
-                    Tuple::from_iter([Value::Int(m1), Value::text(format!("e{m1}"))]),
-                    Tuple::from_iter([Value::Int(m2), Value::text(format!("e{m2}"))]),
-                ],
-            )
+/// Items whose `On` variables rule `C` ties together along `Link`, in
+/// chains of 20: every component is above `MAX_ENUMERATED_VARS`, so it is
+/// sampled, never enumerated.  (`C`'s body variable `a` is not projected —
+/// a known grounding gap — so every `C` factor ties its head to one shared
+/// `On(NULL)`: one star-shaped component, sampled all the same.)
+const CHAIN_PROGRAM: &str = "
+    relation Item(id: int) base.
+    relation Link(a: int, b: int) base.
+    relation Label(id: int) base.
+    relation On(id: int) variable.
+    rule F feature: On(id) :- Item(id) weight = 0.5.
+    rule C inference: On(b) :- Link(a, b), On(a) weight = 0.8.
+    rule S supervision+: On(id) :- Item(id), Label(id).
+";
+
+/// `items` items in chains of 20, every hundredth one labelled.
+fn chain_database(items: i64) -> Database {
+    let mut db = Database::new();
+    for table in ["Item", "Label"] {
+        db.create_table(table, Schema::of(&[("id", DataType::Int)]))
             .unwrap();
-            db.insert_all(
-                "Married",
-                [Tuple::from_iter([
-                    Value::text(format!("e{m1}")),
-                    Value::text(format!("e{m2}")),
-                ])],
-            )
-            .unwrap();
-        }
     }
-    (program, db)
+    db.create_table(
+        "Link",
+        Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]),
+    )
+    .unwrap();
+    let id = |i: i64| Tuple::from_iter([Value::Int(i)]);
+    db.insert_all("Item", (0..items).map(id)).unwrap();
+    db.insert_all("Label", (0..items).step_by(100).map(id))
+        .unwrap();
+    db.insert_all(
+        "Link",
+        (1..items)
+            .filter(|i| i % 20 != 0)
+            .map(|i| Tuple::from_iter([Value::Int(i - 1), Value::Int(i)])),
+    )
+    .unwrap();
+    db
 }
 
-/// Ten new documents, the first of them a supervised married pair.
-fn coupled_update() -> KbcUpdate {
+/// Ten new items extending the first chain, the last of them labelled.
+fn chain_update() -> KbcUpdate {
     let mut update = KbcUpdate::new();
-    for s in 5000..5010i64 {
-        let (m1, m2) = (2 * s, 2 * s + 1);
-        let (a, b) = (format!("A{s}"), format!("B{s}"));
+    for i in 5000..5010i64 {
+        let previous = if i == 5000 { 19 } else { i - 1 };
         update
+            .insert("Item", Tuple::from_iter([Value::Int(i)]))
             .insert(
-                "Sentence",
-                Tuple::from_iter([Value::Int(s), Value::text(format!("{a} and his wife {b}"))]),
-            )
-            .insert(
-                "PersonCandidate",
-                Tuple::from_iter([Value::Int(s), Value::Int(m1), Value::text(a)]),
-            )
-            .insert(
-                "PersonCandidate",
-                Tuple::from_iter([Value::Int(s), Value::Int(m2), Value::text(b)]),
+                "Link",
+                Tuple::from_iter([Value::Int(previous), Value::Int(i)]),
             );
     }
-    update
-        .insert(
-            "EL",
-            Tuple::from_iter([Value::Int(10000), Value::text("e10000")]),
-        )
-        .insert(
-            "EL",
-            Tuple::from_iter([Value::Int(10001), Value::text("e10001")]),
-        )
-        .insert(
-            "Married",
-            Tuple::from_iter([Value::text("e10000"), Value::text("e10001")]),
-        );
+    update.insert("Label", Tuple::from_iter([Value::Int(5009)]));
     update
 }
 
-/// WAL replay re-runs learning and full Gibbs on the recovered engine, so it
-/// is only exact if every sweep is a function of the seed alone.  This graph
-/// has more coupled query variables than the 2 048 at which full Gibbs and
-/// the learner once switched to multi-threaded sampling; replay must still
-/// land on the live state bit for bit, and so must a second engine built
-/// from the same inputs.
+/// WAL replay re-runs learning and the infer stage's Gibbs sweeps on the
+/// recovered engine, so it is only exact if every sweep is a function of
+/// the seed alone.  This graph has more sampled query variables than the
+/// 2 048 at which full Gibbs and the learner once switched to
+/// multi-threaded sampling, so the initial run and the Incremental round
+/// both sweep them; replay must still land on the live state bit for bit,
+/// and so must a second engine built from the same inputs.
 #[test]
-fn replay_is_exact_on_a_graph_with_thousands_of_coupled_variables() {
-    let dir = scratch_dir("coupled");
-    let (program, db) = coupled_inputs(1100);
+fn replay_is_exact_on_a_graph_with_thousands_of_sampled_variables() {
+    let dir = scratch_dir("sampled");
+    let db = chain_database(2200);
     let build = |durability: Option<&Path>| {
         let mut builder = DeepDive::builder()
-            .program_text(program.clone())
+            .program_text(CHAIN_PROGRAM)
             .database(db.clone())
             .config(EngineConfig::fast());
         if let Some(dir) = durability {
@@ -672,7 +642,7 @@ fn replay_is_exact_on_a_graph_with_thousands_of_coupled_variables() {
     };
     let run = |dd: &mut DeepDive| {
         dd.initial_run().unwrap();
-        dd.run_update(&coupled_update(), ExecutionMode::Incremental)
+        dd.run_update(&chain_update(), ExecutionMode::Incremental)
             .unwrap();
         (dd.epoch(), encode_snapshot(&dd.snapshot()))
     };
@@ -683,8 +653,8 @@ fn replay_is_exact_on_a_graph_with_thousands_of_coupled_variables() {
     let live = {
         let mut dd = build(Some(&dir));
         let live = run(&mut dd);
-        let coupled = dd.graph().compile().coupled_query_variables().len();
-        assert!(coupled > 2048, "only {coupled} coupled query variables");
+        let sampled = dd.graph().compile().sampled_query_variables().len();
+        assert!(sampled > 2048, "only {sampled} sampled query variables");
         live
     };
     let recovered = build(Some(&dir));
