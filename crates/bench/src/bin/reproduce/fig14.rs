@@ -20,24 +20,15 @@
 //! boundary contains the other's.
 
 use dd_bench::{print_table, secs, timed};
-use dd_factorgraph::{FactorGraph, VarId};
+use dd_factorgraph::{Factor, FactorGraph, FactorGraphBuilder, VarId};
 use dd_inference::{GibbsOptions, GibbsSampler};
-use dd_workloads::{pairwise_graph, SyntheticConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 pub fn run() {
     println!("# Figure 14 — decomposition with inactive variables");
-    // A blocky graph: 20 blocks of 20 variables, connected through one active
-    // variable each, so conditioning on the active variables decomposes it.
-    let g = pairwise_graph(&SyntheticConfig {
-        num_variables: 400,
-        sparsity: 0.6,
-        factors_per_variable: 2,
-        seed: 3,
-        ..Default::default()
-    });
-    // Every 20th variable is in the developer's interest area (active).
-    let active: Vec<bool> = (0..g.num_variables()).map(|v| v % 20 == 0).collect();
+    let (g, active) = block_graph(20, 20, 3);
     let groups = decompose(&g, &active);
 
     let gibbs = GibbsOptions::new(150, 30);
@@ -72,6 +63,42 @@ pub fn run() {
          workloads because each group touches a fraction of the variables; the analysis\n\
          rule A1 sees little difference."
     );
+}
+
+/// `blocks` blocks of `block_size` variables and the active set: the first
+/// variable of each block — every `block_size`-th — is in the developer's
+/// interest area.  A block's inactive variables form a chain from its own
+/// active variable, plus one random pairwise factor each within the block,
+/// and its last one is tied to the next block's active variable.  Blocks
+/// touch only through active variables, so Algorithm 2 finds one group per
+/// block, and lines 4–6 merge the last block into its neighbour, whose
+/// boundary contains the last block's.
+fn block_graph(blocks: usize, block_size: usize, seed: u64) -> (FactorGraph, Vec<bool>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pairs: Vec<(VarId, VarId)> = Vec::new();
+    for block in 0..blocks {
+        let first = block * block_size;
+        for v in first + 1..first + block_size {
+            pairs.push((v - 1, v));
+            let other = first + rng.gen_range(0..block_size);
+            if other != v {
+                pairs.push((v, other));
+            }
+        }
+        if block + 1 < blocks {
+            pairs.push((first + block_size - 1, first + block_size));
+        }
+    }
+    let mut b = FactorGraphBuilder::new();
+    b.add_query_variables(blocks * block_size);
+    for (i, (x, y)) in pairs.into_iter().enumerate() {
+        let w = b.tied_weight(&format!("pair:{i}"), rng.gen_range(-1.0..=1.0), false);
+        b.add_factor(Factor::equal(w, x, y));
+    }
+    let active = (0..blocks * block_size)
+        .map(|v| v % block_size == 0)
+        .collect();
+    (b.build(), active)
 }
 
 /// One group of Algorithm 2's output: inactive variables plus the active
@@ -151,7 +178,6 @@ fn decompose(graph: &FactorGraph, active: &[bool]) -> Vec<DecompositionGroup> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_factorgraph::{Factor, FactorGraphBuilder};
 
     /// Chain v0 - v1 - v2 - v3 - v4 with v2 active: removing v2 splits the
     /// inactive variables into {v0, v1} and {v3, v4}, both with boundary {v2}.
@@ -192,6 +218,19 @@ mod tests {
             groups.iter().map(|g| g.active_boundary.clone()).collect();
         assert!(boundaries.contains(&vec![1]));
         assert!(boundaries.contains(&vec![2]));
+    }
+
+    #[test]
+    fn the_figure_graph_decomposes_into_one_group_per_block() {
+        let (g, active) = block_graph(20, 20, 3);
+        let groups = decompose(&g, &active);
+        assert_eq!(groups.len(), 19);
+        // Every group but the merged last pair is one block and the active
+        // variables at both of its ends.
+        assert_eq!(groups[0].all_variables(), (0..=20).collect::<Vec<_>>());
+        let sizes: Vec<usize> = groups.iter().map(|g| g.inactive.len()).collect();
+        assert_eq!(sizes.iter().sum::<usize>(), 20 * 19);
+        assert_eq!(sizes.iter().filter(|&&n| n == 19).count(), 18);
     }
 
     #[test]

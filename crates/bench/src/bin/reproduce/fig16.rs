@@ -6,7 +6,7 @@
 use dd_bench::{print_table, timed};
 use dd_factorgraph::FactorGraph;
 use dd_grounding::{standard_udfs, Grounder};
-use dd_inference::{LearnOptions, LearnStrategy, Learner, LearningTrace};
+use dd_inference::{LearnOptions, Learner, LearningTrace};
 use dd_workloads::{KbcSystem, RuleTemplate, SystemKind};
 use deepdive::EngineConfig;
 
@@ -92,17 +92,16 @@ fn learn_each_strategy(
     epochs: usize,
     seed: u64,
 ) -> Vec<(&'static str, LearningTrace, f64)> {
+    // Full-batch gradient descent is SGD with 10× the sweeps per gradient
+    // estimate: long chains for a low-noise gradient.
+    let sgd = LearnOptions::default().sweeps_per_epoch;
     [
-        ("SGD+Warmstart", LearnStrategy::Sgd, false),
-        ("SGD-Warmstart", LearnStrategy::Sgd, true),
-        (
-            "GradientDescent+Warmstart",
-            LearnStrategy::GradientDescent,
-            false,
-        ),
+        ("SGD+Warmstart", sgd, false),
+        ("SGD-Warmstart", sgd, true),
+        ("GradientDescent+Warmstart", 10 * sgd, false),
     ]
     .into_iter()
-    .map(|(name, strategy, cold)| {
+    .map(|(name, sweeps_per_epoch, cold)| {
         let mut g = graph.clone();
         if cold {
             for k in 0..g.num_weights() {
@@ -112,8 +111,8 @@ fn learn_each_strategy(
             }
         }
         let options = LearnOptions {
-            strategy,
             epochs,
+            sweeps_per_epoch,
             ..Default::default()
         };
         let (trace, seconds) = timed(|| Learner::new(&mut g).learn(&options, seed));

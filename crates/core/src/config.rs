@@ -60,7 +60,6 @@ impl EngineConfig {
                 epochs: 12,
                 sweeps_per_epoch: 4,
                 learning_rate: 0.2,
-                ..Default::default()
             },
             materialization_samples: 400,
             inference_samples: 300,

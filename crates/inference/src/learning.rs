@@ -16,7 +16,8 @@
 //! Appendix B.3 compares three strategies for *incremental* learning after a KBC
 //! update: stochastic gradient descent with warmstart (DeepDive's choice),
 //! stochastic gradient descent from a cold start, and full-batch gradient descent
-//! with warmstart.  [`LearnStrategy`] selects between them and
+//! with warmstart.  They differ only in the starting weights and in
+//! [`LearnOptions::sweeps_per_epoch`] (full-batch descent is 10× SGD's), and
 //! [`Learner::learn`] records a [`LearningTrace`] so Figure 16 can be reproduced.
 
 use crate::gibbs::{expected_feature_counts_over, sigmoid, SweepRng};
@@ -28,34 +29,21 @@ use rand::SeedableRng;
 /// chain's in [`mix_seed`]'s stream space.
 const FREE_STREAM: u64 = 0x8000_0000;
 
-/// Which optimization strategy to use (Appendix B.3 / Figure 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LearnStrategy {
-    /// Stochastic gradient descent: one (mini-batch) gradient estimate per epoch
-    /// from short Gibbs chains.
-    Sgd,
-    /// Full-batch gradient descent: long Gibbs chains per epoch for a low-noise
-    /// gradient estimate.
-    GradientDescent,
-}
-
 /// Options controlling a learning run.
 #[derive(Debug, Clone)]
 pub struct LearnOptions {
-    pub strategy: LearnStrategy,
     /// Number of epochs (gradient steps).
     pub epochs: usize,
     /// Step size.
     pub learning_rate: f64,
-    /// Gibbs sweeps per expectation estimate (SGD uses this number, full
-    /// gradient descent uses 10×).
+    /// Gibbs sweeps per expectation estimate, run by each of the clamped and
+    /// free chains every epoch.
     pub sweeps_per_epoch: usize,
 }
 
 impl Default for LearnOptions {
     fn default() -> Self {
         LearnOptions {
-            strategy: LearnStrategy::Sgd,
             epochs: 30,
             learning_rate: 0.1,
             sweeps_per_epoch: 5,
@@ -159,12 +147,7 @@ impl<'g> Learner<'g> {
     ) -> LearningTrace {
         let mut trace = LearningTrace::default();
         let mut lr = options.learning_rate;
-        let (clamped_sweeps, free_sweeps) = match options.strategy {
-            LearnStrategy::Sgd => (options.sweeps_per_epoch, options.sweeps_per_epoch),
-            LearnStrategy::GradientDescent => {
-                (options.sweeps_per_epoch * 10, options.sweeps_per_epoch * 10)
-            }
-        };
+        let sweeps = options.sweeps_per_epoch;
 
         // `flat` serves the whole run: each epoch only moves weight values,
         // which `refresh_weights` re-resolves in place without rebuilding
@@ -199,13 +182,13 @@ impl<'g> Learner<'g> {
                 flat.query_variables(),
                 &mut clamped_world,
                 epoch as u64,
-                clamped_sweeps,
+                sweeps,
             );
             let free = estimate(
                 &all_vars,
                 &mut free_world,
                 FREE_STREAM + epoch as u64,
-                free_sweeps,
+                sweeps,
             );
 
             // Gradient ascent on the log-likelihood (descent on the loss).
@@ -218,7 +201,7 @@ impl<'g> Learner<'g> {
                 self.graph.set_weight_value(k, new);
             }
             lr *= DECAY;
-            trace.sweeps += clamped_sweeps + free_sweeps;
+            trace.sweeps += 2 * sweeps;
             flat.refresh_weights(self.graph);
             trace.losses.push(self.evidence_loss_on(flat));
         }
@@ -258,7 +241,6 @@ mod tests {
                 epochs: 40,
                 learning_rate: 0.3,
                 sweeps_per_epoch: 3,
-                ..Default::default()
             },
             7,
         );

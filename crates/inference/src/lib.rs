@@ -39,7 +39,7 @@ mod variational;
 pub use change::DistributionChange;
 pub use exact::enumerate_components;
 pub use gibbs::{sigmoid, GibbsOptions, GibbsSampler, SampleRow, SampleSet, SweepRng};
-pub use learning::{LearnOptions, LearnStrategy, Learner, LearningTrace};
+pub use learning::{LearnOptions, Learner, LearningTrace};
 pub use marginals::Marginals;
 pub use sampling::{MhOutcome, SampleMaterialization};
 pub use strawman::StrawmanMaterialization;

@@ -11,6 +11,12 @@
 //! - `Sleep` is fault-injection for a single server and is rejected with
 //!   `bad_request` — it has no meaning across shards.
 //!
+//! A batch runs on the calling thread: it writes every consulted shard's
+//! sub-batch as one frame, then reads every reply, both in shard order.  The
+//! shards work on their frames at once, so a batch costs its slowest shard.
+//! A server reads a whole frame before executing it and frees its execution
+//! slot before replying, so the unread replies block no one.
+//!
 //! # Epoch vector
 //!
 //! Shards publish epochs independently, so there is no single "cluster
@@ -175,6 +181,16 @@ struct ShardSlot {
     client: Option<Client>,
 }
 
+impl ShardSlot {
+    /// The shard's client, dialed first if the slot has none.
+    fn client(&mut self, config: &RouterConfig) -> Result<&mut Client, ClientError> {
+        if self.client.is_none() {
+            self.client = Some(Client::connect_with(self.addr, config.client.clone())?);
+        }
+        Ok(self.client.as_mut().expect("dialed above"))
+    }
+}
+
 /// A multi-shard scatter-gather client presenting one logical KB.
 pub struct Router {
     assignment: ShardAssignment,
@@ -208,7 +224,7 @@ impl Router {
     /// the keyed ops it owns — in one frame, so the sub-batch is held to the
     /// wire cap: a batch that gives one shard more than
     /// [`MAX_OPS_PER_BATCH`] ops is refused with [`RouterError::BadRequest`]
-    /// before any shard is dialed.
+    /// before any shard is dialed.  A failure names the first failing shard.
     pub fn batch(&mut self, ops: &[Op]) -> Result<RouterBatch, RouterError> {
         let num_shards = self.shards.len();
         let mut targets = Vec::with_capacity(ops.len());
@@ -239,83 +255,69 @@ impl Router {
             )));
         }
 
-        // Scatter: each consulted shard answers its sub-batch in one frame.
-        // Real fan-out gets a thread per shard; a batch for one shard (every
-        // point read) runs on this thread, since a spawn and a join cost as
-        // much as the shard call they would wrap.
+        // Scatter every frame (a failed write drops its client), then gather
+        // every reply, even after a failure: no connection is left holding
+        // an unread reply.
         let config = &self.config;
-        let consulted = plans.iter().filter(|plan| !plan.is_empty()).count();
-        let jobs = self.shards.iter_mut().zip(&plans);
-        let outcomes: Vec<Option<Result<Batch, ClientError>>> = if consulted <= 1 {
-            jobs.map(|(slot, plan)| (!plan.is_empty()).then(|| call_shard(slot, plan, config)))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .map(|(slot, plan)| {
-                        (!plan.is_empty())
-                            .then(|| scope.spawn(move || call_shard(slot, plan, config)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.map(|h| h.join().expect("shard workers do not panic")))
-                    .collect()
-            })
-        };
-
-        // Gather: surface the first shard failure as a typed error, else
-        // collect per-shard result queues and the epoch vector.
+        let mut sent: Vec<Option<Result<bool, ClientError>>> = Vec::new();
+        for (slot, plan) in self.shards.iter_mut().zip(&plans) {
+            sent.push((!plan.is_empty()).then(|| {
+                let written = slot.client(config)?.send(plan).is_ok();
+                if !written {
+                    slot.client = None;
+                }
+                Ok(written)
+            }));
+        }
         let mut epochs: Vec<Option<u64>> = vec![None; num_shards];
         let mut queues: Vec<VecDeque<OpResult>> =
             (0..num_shards).map(|_| VecDeque::new()).collect();
-        for (shard, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                None => {}
-                Some(Ok(batch)) => {
+        let mut failure = None;
+        let gather = self.shards.iter_mut().zip(&plans).zip(sent).enumerate();
+        for (shard, ((slot, plan), sent)) in gather {
+            let Some(sent) = sent else { continue };
+            match sent.and_then(|written| call_shard(slot, plan, written, config)) {
+                Ok(batch) => {
                     epochs[shard] = Some(batch.epoch);
                     queues[shard] = batch.results.into();
                 }
-                Some(Err(ClientError::Protocol(message))) => {
-                    return Err(RouterError::Protocol { shard, message });
-                }
-                Some(Err(err)) => {
-                    return Err(RouterError::ShardUnavailable {
-                        shard,
-                        addr: self.shards[shard].addr,
-                        message: err.to_string(),
-                    });
+                Err(err) => {
+                    failure.get_or_insert((shard, slot.addr, err));
                 }
             }
         }
+        // The first failing shard fails the batch with a typed error.
+        if let Some((shard, addr, err)) = failure {
+            return Err(match err {
+                ClientError::Protocol(message) => RouterError::Protocol { shard, message },
+                err => RouterError::ShardUnavailable {
+                    shard,
+                    addr,
+                    message: err.to_string(),
+                },
+            });
+        }
 
         // Merge, popping each consulted shard's queue in submission order.
+        let mut pop = |shard: usize| {
+            queues[shard]
+                .pop_front()
+                .ok_or_else(|| RouterError::Protocol {
+                    shard,
+                    message: "returned fewer results than ops sent".to_string(),
+                })
+        };
         let mut results = Vec::with_capacity(ops.len());
         for (op, target) in ops.iter().zip(&targets) {
-            let merged = match target {
-                Target::One(shard) => {
-                    queues[*shard]
-                        .pop_front()
-                        .ok_or_else(|| RouterError::Protocol {
-                            shard: *shard,
-                            message: "returned fewer results than ops sent".to_string(),
-                        })?
-                }
+            results.push(match target {
+                Target::One(shard) => pop(*shard)?,
                 Target::All => {
-                    let mut parts = Vec::with_capacity(num_shards);
-                    for (shard, queue) in queues.iter_mut().enumerate() {
-                        parts.push((
-                            shard,
-                            queue.pop_front().ok_or_else(|| RouterError::Protocol {
-                                shard,
-                                message: "returned fewer results than ops sent".to_string(),
-                            })?,
-                        ));
-                    }
+                    let parts = (0..num_shards)
+                        .map(|shard| Ok((shard, pop(shard)?)))
+                        .collect::<Result<_, RouterError>>()?;
                     merge_broadcast(op, parts)?
                 }
-            };
-            results.push(merged);
+            });
         }
 
         Ok(RouterBatch { epochs, results })
@@ -360,29 +362,20 @@ impl Router {
 /// at full local `top_k`).
 fn rewrite_for_shard(op: &Op) -> Op {
     match op {
-        Op::Query { relation, spec } => {
-            let local = if spec.top_k.is_some() {
-                FactQuerySpec {
-                    min_probability: spec.min_probability,
-                    top_k: spec.top_k.map(|k| k.min(WIRE_USIZE_MAX)),
-                    offset: 0,
-                    limit: None,
-                }
-            } else {
-                FactQuerySpec {
-                    min_probability: spec.min_probability,
-                    top_k: None,
-                    offset: 0,
-                    limit: spec
+        Op::Query { relation, spec } => Op::Query {
+            relation: relation.clone(),
+            spec: FactQuerySpec {
+                min_probability: spec.min_probability,
+                top_k: spec.top_k.map(|k| k.min(WIRE_USIZE_MAX)),
+                offset: 0,
+                limit: match spec.top_k {
+                    Some(_) => None,
+                    None => spec
                         .limit
                         .map(|l| l.saturating_add(spec.offset).min(WIRE_USIZE_MAX)),
-                }
-            };
-            Op::Query {
-                relation: relation.clone(),
-                spec: local,
-            }
-        }
+                },
+            },
+        },
         Op::AllFacts {
             min_probability,
             offset,
@@ -396,24 +389,26 @@ fn rewrite_for_shard(op: &Op) -> Op {
     }
 }
 
-/// One shard's whole sub-batch in one call, with transparent reconnect: a
-/// transport error drops the cached client and re-dials once before giving
-/// up.
+/// Gather one shard's answer to its whole sub-batch, with transparent
+/// reconnect: a transport error drops the cached client and re-dials once
+/// before giving up.  If the scatter `written` the frame, the first attempt
+/// only reads; a write that failed was the first attempt.
 fn call_shard(
     slot: &mut ShardSlot,
     ops: &[Op],
+    mut written: bool,
     config: &RouterConfig,
 ) -> Result<Batch, ClientError> {
-    let mut redialed = false;
+    let mut redialed = !written;
     loop {
-        if slot.client.is_none() {
-            match Client::connect_with(slot.addr, config.client.clone()) {
-                Ok(client) => slot.client = Some(client),
-                Err(err) => return Err(ClientError::Io(err)),
+        let client = slot.client(config)?;
+        let outcome = client.call_with_retry(&config.retry, |c| {
+            if !std::mem::take(&mut written) {
+                c.send(ops)?;
             }
-        }
-        let client = slot.client.as_mut().expect("dialed above");
-        match client.call_with_retry(&config.retry, |c| c.batch(ops.to_vec())) {
+            c.recv()
+        });
+        match outcome {
             Ok(batch) => return Ok(batch),
             Err(err @ (ClientError::Io(_) | ClientError::Frame(_))) => {
                 slot.client = None;
@@ -476,7 +471,6 @@ fn merge_broadcast(op: &Op, parts: Vec<(usize, OpResult)>) -> Result<OpResult, R
                 };
                 facts.extend(part);
             }
-            let limit = spec.limit.unwrap_or(usize::MAX);
             match spec.top_k {
                 Some(k) => {
                     // The exact comparator of `FactQuery::run`'s ranked path:
@@ -487,19 +481,15 @@ fn merge_broadcast(op: &Op, parts: Vec<(usize, OpResult)>) -> Result<OpResult, R
                             .then_with(|| a.0.cmp(&b.0))
                     });
                     facts.truncate(k);
-                    Ok(OpResult::Facts(
-                        facts.into_iter().skip(spec.offset).take(limit).collect(),
-                    ))
                 }
-                None => {
-                    // Shards are tuple-disjoint, so sorting the union by
-                    // tuple restores the single-index scan order.
-                    facts.sort_by(|a, b| a.0.cmp(&b.0));
-                    Ok(OpResult::Facts(
-                        facts.into_iter().skip(spec.offset).take(limit).collect(),
-                    ))
-                }
+                // Shards are tuple-disjoint, so sorting the union by tuple
+                // restores the single-index scan order.
+                None => facts.sort_by(|a, b| a.0.cmp(&b.0)),
             }
+            let limit = spec.limit.unwrap_or(usize::MAX);
+            Ok(OpResult::Facts(
+                facts.into_iter().skip(spec.offset).take(limit).collect(),
+            ))
         }
         Op::AllFacts { offset, limit, .. } => {
             let mut facts = Vec::new();
@@ -531,6 +521,10 @@ fn mismatch(shard: usize, wanted: &str, got: &OpResult) -> RouterError {
 mod tests {
     use super::*;
     use dd_relstore::tuple;
+    use dd_server::{BatchHandler, Server, ServerConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
 
     fn hash_router(num_shards: usize) -> Router {
         let addrs: Vec<SocketAddr> = (0..num_shards)
@@ -733,5 +727,135 @@ mod tests {
         let err = router.batch(&ops).unwrap_err();
         assert!(matches!(err, RouterError::BadRequest(_)), "{err}");
         assert!(err.to_string().contains("1025 ops"), "{err}");
+    }
+
+    // The scatter-gather against live shard servers: fan-out concurrency,
+    // retries against `overloaded`, and the redial after a shard restart.
+
+    /// A shard stand-in: sleeps `delay` per batch, refuses its first
+    /// `refusals` batches as `overloaded`, and answers every other op `Empty`
+    /// at epoch 0.
+    struct TestShard {
+        delay: Duration,
+        refusals: AtomicUsize,
+    }
+
+    impl BatchHandler for TestShard {
+        fn execute(&self, request: &Request) -> Response {
+            std::thread::sleep(self.delay);
+            let refuse = self
+                .refusals
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok();
+            if refuse {
+                return Response::error(ErrorKind::Overloaded, "test refusal");
+            }
+            Response::Batch(Batch {
+                epoch: 0,
+                results: vec![OpResult::Empty; request.ops.len()],
+                epochs: None,
+            })
+        }
+    }
+
+    fn serve(addr: &str, delay: Duration, refusals: usize) -> Server {
+        let handler = TestShard {
+            delay,
+            refusals: AtomicUsize::new(refusals),
+        };
+        Server::bind_with_handler(addr, Arc::new(handler), ServerConfig::default())
+            .expect("test shard binds")
+    }
+
+    fn router_over(shards: &[Server], retry: RetryPolicy) -> Router {
+        let addrs: Vec<SocketAddr> = shards.iter().map(Server::local_addr).collect();
+        Router::new(
+            ShardAssignment::HashKey { column: 0 },
+            &addrs,
+            RouterConfig {
+                retry,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    fn quick_retries(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        }
+    }
+
+    #[test]
+    fn a_fan_out_batch_costs_its_slowest_shard_not_the_sum() {
+        let delay = Duration::from_millis(100);
+        let shards: Vec<Server> = (0..4).map(|_| serve("127.0.0.1:0", delay, 0)).collect();
+        let mut router = router_over(&shards, RetryPolicy::default());
+        // The first batch dials every shard; the timed one reuses the clients.
+        router.batch(&[Op::Epoch]).unwrap();
+
+        let start = Instant::now();
+        let batch = router.batch(&[Op::Epoch]).unwrap();
+        let elapsed = start.elapsed();
+        // One shard at a time would take 4 × 100 ms.
+        assert!(elapsed < 2 * delay, "fan-out took {elapsed:?}");
+        assert_eq!(batch.epochs, vec![Some(0); 4]);
+        assert_eq!(batch.results, vec![OpResult::Empty]);
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    #[test]
+    fn the_router_rides_out_overloaded_within_its_retry_budget() {
+        let cluster = || -> Vec<Server> {
+            (0..4)
+                .map(|shard| {
+                    serve(
+                        "127.0.0.1:0",
+                        Duration::ZERO,
+                        if shard == 2 { 2 } else { 0 },
+                    )
+                })
+                .collect()
+        };
+
+        let shards = cluster();
+        let batch = router_over(&shards, quick_retries(3))
+            .batch(&[Op::Epoch])
+            .unwrap();
+        assert_eq!(batch.epochs, vec![Some(0); 4]);
+        shards.into_iter().for_each(Server::shutdown);
+
+        let shards = cluster();
+        let err = router_over(&shards, quick_retries(1))
+            .batch(&[Op::Epoch])
+            .unwrap_err();
+        let RouterError::ShardUnavailable { shard, addr, .. } = &err else {
+            panic!("expected shard_unavailable, got {err}");
+        };
+        assert_eq!((*shard, *addr), (2, shards[2].local_addr()));
+        assert!(err.to_string().contains("overloaded"), "{err}");
+        shards.into_iter().for_each(Server::shutdown);
+    }
+
+    #[test]
+    fn a_restarted_shard_is_redialed_once() {
+        let shard = serve("127.0.0.1:0", Duration::ZERO, 0);
+        let addr = shard.local_addr();
+        let mut router = router_over(std::slice::from_ref(&shard), quick_retries(1));
+        router.batch(&[Op::Epoch]).unwrap();
+
+        // The router still holds a client on the old server's dead connection:
+        // the frame it sends there fails, and the shard is dialed again.
+        shard.shutdown();
+        let restarted = serve(&addr.to_string(), Duration::ZERO, 0);
+        let batch = router.batch(&[Op::Epoch]).unwrap();
+        assert_eq!(batch.epochs, vec![Some(0)]);
+        assert_eq!(restarted.stats().connections_accepted, 1);
+        restarted.shutdown();
     }
 }

@@ -1,11 +1,11 @@
 //! A blocking client for the [`crate::Server`] wire protocol.
 //!
-//! One [`Client`] owns one TCP connection and sends one batch at a time
-//! (request, then response — the protocol keeps a single request in flight
-//! per connection).  Typed server refusals — `overloaded` above all — arrive
-//! as [`ClientError::Server`], distinct from transport failures, so callers
-//! can implement retry-with-backoff against backpressure without string
-//! matching.
+//! One [`Client`] owns one TCP connection.  [`Client::batch`] is
+//! [`Client::send`] then [`Client::recv`], split so a caller can write to
+//! several servers before it waits on any.  Typed server refusals —
+//! `overloaded` above all — arrive as [`ClientError::Server`], distinct from
+//! transport failures, so callers can implement retry-with-backoff against
+//! backpressure without string matching.
 //!
 //! ```no_run
 //! use dd_server::{Client, FactQuerySpec};
@@ -261,12 +261,21 @@ impl Client {
         Ok(())
     }
 
-    /// Send one batch and wait for its response.  Returns the batch (epoch +
-    /// per-op results) on success, or the typed refusal as
-    /// [`ClientError::Server`].
+    /// Send one batch and wait for its response.
     pub fn batch(&mut self, ops: Vec<Op>) -> Result<Batch, ClientError> {
-        write_frame(&mut self.stream, &Request::new(ops).encode())?;
-        self.stream.flush()?;
+        self.send(&ops)?;
+        self.recv()
+    }
+
+    /// Write one batch as one request frame, without waiting for the answer.
+    pub fn send(&mut self, ops: &[Op]) -> Result<(), ClientError> {
+        write_frame(&mut self.stream, &Request::encode_ops(ops))?;
+        Ok(self.stream.flush()?)
+    }
+
+    /// Read the answer to the oldest unanswered [`Client::send`]: the batch
+    /// (epoch + per-op results), or the refusal as [`ClientError::Server`].
+    pub fn recv(&mut self) -> Result<Batch, ClientError> {
         let payload = read_frame(&mut self.stream, MAX_FRAME_BYTES)?;
         match Response::decode(&payload).map_err(ClientError::Protocol)? {
             Response::Batch(batch) => Ok(batch),

@@ -118,13 +118,6 @@ pub struct Request {
     pub ops: Vec<Op>,
 }
 
-impl Request {
-    /// A request of these operations.
-    pub fn new(ops: Vec<Op>) -> Self {
-        Request { ops }
-    }
-}
-
 /// Why a request payload could not be decoded, already classified into the
 /// wire taxonomy: byte/JSON-level breakage is [`ErrorKind::MalformedFrame`],
 /// well-formed JSON that is not a valid request is [`ErrorKind::BadRequest`].
@@ -431,12 +424,6 @@ impl Decode for Op {
     }
 }
 
-impl Encode for Request {
-    fn encode(&self, w: &mut JsonWriter<'_>) {
-        w.object(|w| w.field("ops", &self.ops));
-    }
-}
-
 impl Decode for Request {
     fn decode(r: &mut JsonReader<'_>) -> Result<Self, String> {
         let no_ops = "request must be an object with an \"ops\" array";
@@ -463,9 +450,22 @@ impl Decode for Request {
 }
 
 impl Request {
+    /// A request of these operations.
+    pub fn new(ops: Vec<Op>) -> Self {
+        Request { ops }
+    }
+
     /// Encode to the frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        self.to_bytes()
+        Request::encode_ops(&self.ops)
+    }
+
+    /// The frame payload of a request carrying `ops`, encoded from the
+    /// borrowed slice.
+    pub(crate) fn encode_ops(ops: &[Op]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        JsonWriter::new(&mut payload).object(|w| w.field("ops", ops));
+        payload
     }
 
     /// Decode a frame payload, classifying failures into the wire taxonomy

@@ -200,7 +200,6 @@ mod tests {
                 epochs: 25,
                 learning_rate: 0.3,
                 sweeps_per_epoch: 2,
-                ..Default::default()
             },
             7,
         );
