@@ -110,6 +110,13 @@
 //! over the components the engine enumerates — exact, so `check_sweeps`
 //! holds it to a 1e-9 ceiling.
 //!
+//! A tenth series, `router/page_allocs_per_row`, builds a 4-shard cluster
+//! of the 4 000-fact claims KB and counts the heap allocations one warm
+//! `Router::batch` of an `all_facts` page at offset 300 makes on the
+//! calling thread, per row of the 100-row page: what the router's merge
+//! costs, without the shard servers' own work.  `check_sweeps` holds it to
+//! a ceiling.
+//!
 //! Usage: `cargo run --release -p dd-bench --bin bench_sweeps [--smoke] [--only <series>] [output.json]`
 //!
 //! `--only cold_start` (any series name above) runs that series alone, for
@@ -129,7 +136,8 @@ use dd_inference::{
     VariationalMaterialization, VariationalOptions,
 };
 use dd_relstore::{tuple, DataType, Database, Schema, Tuple};
-use dd_server::{Batch, OpResult, Response};
+use dd_router::{Cluster, ClusterConfig, RouterConfig};
+use dd_server::{Batch, Op, OpResult, Response};
 use dd_workloads::{pairwise_graph, KbcSystem, RuleTemplate, SyntheticConfig, SystemKind};
 use deepdive::{
     CatalogShards, DeepDive, DurabilityConfig, EngineConfig, ExecutionMode, FsyncPolicy,
@@ -137,6 +145,7 @@ use deepdive::{
 };
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -153,6 +162,20 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// The calling thread's share of `ALLOCATIONS`.  A const-initialized
+    /// `Cell` allocates nothing and has no destructor, so the allocator may
+    /// touch it.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one call that obtains memory.
+fn obtained() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // A thread that is being torn down has no slot left to count in.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 fn heap_grew(bytes: usize) {
     let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
@@ -166,7 +189,7 @@ fn heap_shrank(bytes: usize) {
 // upholds the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        obtained();
         // SAFETY: `layout` is the caller's, passed through as is.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
@@ -176,7 +199,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        obtained();
         // SAFETY: as for `alloc`.
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
@@ -186,7 +209,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        obtained();
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`; the caller guarantees `new_size` is valid for it.
         let moved = unsafe { System.realloc(ptr, layout, new_size) };
@@ -216,6 +239,14 @@ fn count_allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = work();
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// [`count_allocations`] for work that runs beside other threads (servers):
+/// only the allocations of the calling thread are counted.
+fn count_thread_allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (out, THREAD_ALLOCATIONS.with(Cell::get) - before)
 }
 
 /// What a piece of work did to the live heap, in bytes.
@@ -1316,6 +1347,49 @@ fn bench_codec(reps: usize, entries: &mut Vec<Entry>) {
     }
 }
 
+/// The router's share of a paged scan: the heap allocations one warm
+/// `Router::batch` of an `all_facts` page at offset 300 makes, per row of
+/// the page, over a 4-shard cluster of the 4 000-fact claims KB.  Every
+/// shard answers 400 rows; the router's thread does all of the scatter,
+/// gather and merge, and only its allocations are counted.
+fn bench_router(entries: &mut Vec<Entry>) {
+    println!("\nrouter: allocations of one routed page");
+    const OFFSET: usize = 300;
+    const PAGE: usize = 100;
+    let cluster = Cluster::build(
+        CLAIMS_PROGRAM,
+        &claims_database(4_000),
+        &standard_udfs(),
+        &ClusterConfig::new(4),
+    )
+    .expect("cluster builds");
+    cluster.initial_run().expect("initial run");
+    let mut router = cluster
+        .router(RouterConfig::default())
+        .expect("router over the cluster");
+    let page = [Op::AllFacts {
+        min_probability: 0.0,
+        offset: OFFSET,
+        limit: PAGE,
+    }];
+    // The first batch dials every shard; the counted one reuses the
+    // connections.
+    router.batch(&page).expect("routed page");
+    let (batch, allocations) = count_thread_allocations(|| router.batch(&page));
+    let batch = batch.expect("routed page");
+    assert!(
+        matches!(&batch.results[..], [OpResult::AllFacts(rows)] if rows.len() == PAGE),
+        "the page is full"
+    );
+    let per_row = allocations as f64 / PAGE as f64;
+    println!("  allocations: {per_row:.2} per row of a {PAGE}-row page at offset {OFFSET}");
+    entries.push(Entry {
+        name: "router/page_allocs_per_row".to_string(),
+        unit: "allocs",
+        value: per_row,
+    });
+}
+
 fn main() {
     let mut smoke = false;
     let mut only: Option<String> = None;
@@ -1392,6 +1466,9 @@ fn main() {
     }
     if runs("exactness") {
         bench_exactness(&mut entries);
+    }
+    if runs("router") {
+        bench_router(&mut entries);
     }
 
     let mut json = String::from("[\n");

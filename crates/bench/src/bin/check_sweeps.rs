@@ -15,6 +15,7 @@
 //! (`codec/checkpoint_encode_allocs_per_row`,
 //! `checkpoint_peak_heap_per_payload_byte`,
 //! `checkpoint_retained_heap_bytes`, `response_decode_allocs_per_row`), of
+//! the router's merge (`router/page_allocs_per_row`), of
 //! the sample store (`materialize_cost/stored_bits_per_var_unary_n4000` 0,
 //! `stored_bits_per_var_chained_n4000` 1 500) or of exact inference
 //! (`exactness/max_gap_<system>`, rounding only) is

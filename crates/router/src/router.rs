@@ -34,18 +34,29 @@
 //!
 //! Partition keys make shards disjoint, so merging is order restoration, not
 //! deduplication.  Each merge mirrors the corresponding single-engine read
-//! byte for byte:
+//! byte for byte.  Every shard's fact list already arrives sorted in its
+//! op's own order, so nothing is re-sorted: the router keeps each shard's
+//! reply payload and runs a streaming k-way merge over the lists, straight
+//! from the payloads.  It passes over the first `offset` merged rows,
+//! comparing them in reused buffers without building them, and decodes
+//! only the rows the page keeps:
 //!
 //! - unranked `Query`: shards are asked for the first `offset + limit` facts
-//!   (tuple-ascending); the merged stream is re-sorted by tuple, then the
-//!   global `offset`/`limit` window is applied.
-//! - `top_k` `Query`: shards return their full local top-k; the union is
-//!   re-ranked (probability descending, ties by tuple ascending — the same
-//!   comparator as `FactQuery::run`), truncated to `k`, then paginated.
-//!   The global top-k is always contained in the union of local top-k sets.
+//!   (tuple-ascending), merged by tuple.
+//! - `top_k` `Query`: shards return their full local top-k, merged by the
+//!   comparator of `FactQuery::run` (probability descending, ties by tuple
+//!   ascending); the merged stream ends at the `k`-th row, and the page is
+//!   cut from what comes before.  The global top-k is always contained in
+//!   the union of local top-k sets.
 //! - `AllFacts`: per-shard windows of `offset + limit`, merged in
-//!   `(relation, tuple)` order, then the global window is applied.
-//! - `Relations`: sorted union.  `Stats`: field-wise sum.
+//!   `(relation, tuple)` order.
+//! - `Relations`: sorted union.  `Stats`: field-wise sum.  These, `Epoch`
+//!   and the keyed ops decode one result per shard whole.
+//!
+//! A shard reply is never silently a wrong page: a fact list that is not
+//! sorted in its op's order (as far as the merge reads it), a result of the
+//! wrong kind, or fewer results than the sub-batch had ops fails the batch
+//! with [`RouterError::Protocol`] naming the shard.
 //!
 //! # Failure
 //!
@@ -56,13 +67,14 @@
 //! of the answer: a degraded cluster answers with a typed error, not with a
 //! hole in the data.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::time::Duration;
 
 use dd_server::{
-    Batch, Client, ClientConfig, ClientError, ErrorKind, FactQuerySpec, Op, OpResult, Request,
-    Response, RetryPolicy, MAX_OPS_PER_BATCH,
+    Batch, BatchCursor, Client, ClientConfig, ClientError, ErrorKind, FactBuf, FactQuerySpec,
+    FactStream, Op, OpResult, Reply, Request, Response, RetryPolicy, MAX_OPS_PER_BATCH,
 };
 use deepdive::{ShardAssignment, ShardingError};
 
@@ -269,18 +281,13 @@ impl Router {
                 Ok(written)
             }));
         }
-        let mut epochs: Vec<Option<u64>> = vec![None; num_shards];
-        let mut queues: Vec<VecDeque<OpResult>> =
-            (0..num_shards).map(|_| VecDeque::new()).collect();
+        let mut replies: Vec<Option<Vec<u8>>> = vec![None; num_shards];
         let mut failure = None;
         let gather = self.shards.iter_mut().zip(&plans).zip(sent).enumerate();
         for (shard, ((slot, plan), sent)) in gather {
             let Some(sent) = sent else { continue };
             match sent.and_then(|written| call_shard(slot, plan, written, config)) {
-                Ok(batch) => {
-                    epochs[shard] = Some(batch.epoch);
-                    queues[shard] = batch.results.into();
-                }
+                Ok(payload) => replies[shard] = Some(payload),
                 Err(err) => {
                     failure.get_or_insert((shard, slot.addr, err));
                 }
@@ -297,30 +304,7 @@ impl Router {
                 },
             });
         }
-
-        // Merge, popping each consulted shard's queue in submission order.
-        let mut pop = |shard: usize| {
-            queues[shard]
-                .pop_front()
-                .ok_or_else(|| RouterError::Protocol {
-                    shard,
-                    message: "returned fewer results than ops sent".to_string(),
-                })
-        };
-        let mut results = Vec::with_capacity(ops.len());
-        for (op, target) in ops.iter().zip(&targets) {
-            results.push(match target {
-                Target::One(shard) => pop(*shard)?,
-                Target::All => {
-                    let parts = (0..num_shards)
-                        .map(|shard| Ok((shard, pop(shard)?)))
-                        .collect::<Result<_, RouterError>>()?;
-                    merge_broadcast(op, parts)?
-                }
-            });
-        }
-
-        Ok(RouterBatch { epochs, results })
+        merge_replies(ops, &targets, &replies)
     }
 
     /// Serve one wire [`Request`] — the front-door entry point.
@@ -392,13 +376,14 @@ fn rewrite_for_shard(op: &Op) -> Op {
 /// Gather one shard's answer to its whole sub-batch, with transparent
 /// reconnect: a transport error drops the cached client and re-dials once
 /// before giving up.  If the scatter `written` the frame, the first attempt
-/// only reads; a write that failed was the first attempt.
+/// only reads; a write that failed was the first attempt.  The answer is the
+/// batch response's payload, read later by [`merge_replies`].
 fn call_shard(
     slot: &mut ShardSlot,
     ops: &[Op],
     mut written: bool,
     config: &RouterConfig,
-) -> Result<Batch, ClientError> {
+) -> Result<Vec<u8>, ClientError> {
     let mut redialed = !written;
     loop {
         let client = slot.client(config)?;
@@ -406,10 +391,10 @@ fn call_shard(
             if !std::mem::take(&mut written) {
                 c.send(ops)?;
             }
-            c.recv()
+            c.recv_payload()
         });
         match outcome {
-            Ok(batch) => return Ok(batch),
+            Ok(payload) => return Ok(payload),
             Err(err @ (ClientError::Io(_) | ClientError::Frame(_))) => {
                 slot.client = None;
                 if redialed {
@@ -422,8 +407,229 @@ fn call_shard(
     }
 }
 
-/// Merge one broadcast op's per-shard partial results into the answer the
-/// unsharded engine would give.
+/// Answer `ops` from the consulted shards' batch-response payloads
+/// (`replies[shard]` is `None` for a shard no op targets), walking every
+/// sub-batch op by op in submission order; a reply must then hold no
+/// result more and end well.
+fn merge_replies(
+    ops: &[Op],
+    targets: &[Target],
+    replies: &[Option<Vec<u8>>],
+) -> Result<RouterBatch, RouterError> {
+    let mut cursors = Vec::with_capacity(replies.len());
+    for (shard, reply) in replies.iter().enumerate() {
+        cursors.push(match reply {
+            None => None,
+            Some(payload) => match Reply::open(payload) {
+                Ok(Reply::Batch(cursor)) => Some(cursor),
+                Ok(Reply::Error { kind, .. }) => {
+                    return Err(protocol(shard, format!("a {kind} refusal read as a batch")))
+                }
+                Err(message) => return Err(protocol(shard, message)),
+            },
+        });
+    }
+    let epochs = cursors
+        .iter()
+        .map(|cursor| cursor.as_ref().map(BatchCursor::epoch))
+        .collect();
+
+    let mut results = Vec::with_capacity(ops.len());
+    for (op, target) in ops.iter().zip(targets) {
+        results.push(match (target, op) {
+            (Target::One(shard), _) => next_result(&mut cursors, *shard)?,
+            (Target::All, Op::Query { spec, .. }) => {
+                let order = match spec.top_k {
+                    Some(_) => FactOrder::Ranked,
+                    None => FactOrder::Tuple,
+                };
+                // `top_k` cuts the ranked stream before the window does.
+                let ranked = spec
+                    .top_k
+                    .map_or(usize::MAX, |k| k.saturating_sub(spec.offset));
+                let take = spec.limit.unwrap_or(usize::MAX).min(ranked);
+                let mut facts = Vec::new();
+                merge_facts(&mut cursors, order, spec.offset, take, |fact| {
+                    facts.push(fact.to_fact())
+                })?;
+                OpResult::Facts(facts)
+            }
+            (Target::All, Op::AllFacts { offset, limit, .. }) => {
+                let mut facts = Vec::new();
+                merge_facts(
+                    &mut cursors,
+                    FactOrder::RelationTuple,
+                    *offset,
+                    *limit,
+                    |fact| facts.push(fact.to_cross_fact()),
+                )?;
+                OpResult::AllFacts(facts)
+            }
+            (Target::All, _) => {
+                let parts = (0..cursors.len())
+                    .map(|shard| Ok((shard, next_result(&mut cursors, shard)?)))
+                    .collect::<Result<_, RouterError>>()?;
+                merge_broadcast(op, parts)?
+            }
+        });
+    }
+    for (shard, cursor) in cursors.into_iter().enumerate() {
+        if let Some(cursor) = cursor {
+            cursor
+                .finish()
+                .map_err(|message| protocol(shard, message))?;
+        }
+    }
+    Ok(RouterBatch { epochs, results })
+}
+
+/// Shard `shard`'s next result, decoded whole.
+fn next_result(
+    cursors: &mut [Option<BatchCursor<'_>>],
+    shard: usize,
+) -> Result<OpResult, RouterError> {
+    cursors[shard]
+        .as_mut()
+        .expect("every shard an op targets was consulted")
+        .next_result()
+        .map_err(|message| protocol(shard, message))?
+        .ok_or_else(|| too_few(shard))
+}
+
+/// The order of one fact-list op's rows, on every shard and in the merged
+/// page alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FactOrder {
+    /// Unranked `query`: tuple ascending (the single-index scan order).
+    Tuple,
+    /// `top_k` `query`: the comparator of `FactQuery::run`'s ranked path,
+    /// probability descending, ties by tuple ascending.
+    Ranked,
+    /// `all_facts`: `(relation, tuple)` ascending.
+    RelationTuple,
+}
+
+impl FactOrder {
+    fn cmp(self, a: &FactBuf, b: &FactBuf) -> Ordering {
+        match self {
+            FactOrder::Tuple => a.values.cmp(&b.values),
+            FactOrder::Ranked => b
+                .probability
+                .partial_cmp(&a.probability)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.values.cmp(&b.values)),
+            FactOrder::RelationTuple => a
+                .relation
+                .cmp(&b.relation)
+                .then_with(|| a.values.cmp(&b.values)),
+        }
+    }
+
+    /// The result kind this order's op answers with.
+    fn kind(self) -> &'static str {
+        match self {
+            FactOrder::Tuple | FactOrder::Ranked => "facts",
+            FactOrder::RelationTuple => "all_facts",
+        }
+    }
+}
+
+/// One shard's fact list during a merge: its stream, the fact at its head,
+/// and the fact before it, which the order check compares against.
+struct ShardFacts<'c, 'a> {
+    shard: usize,
+    facts: FactStream<'c, 'a>,
+    head: FactBuf,
+    prev: FactBuf,
+    /// `head` holds a fact (the stream is not exhausted).
+    live: bool,
+}
+
+impl ShardFacts<'_, '_> {
+    /// Read the next fact into `head`, checking that it does not sort before
+    /// the one it follows.
+    fn advance(&mut self, order: FactOrder) -> Result<(), RouterError> {
+        let had_head = self.live;
+        std::mem::swap(&mut self.head, &mut self.prev);
+        self.live = self
+            .facts
+            .next_into(&mut self.head)
+            .map_err(|message| protocol(self.shard, message))?;
+        if had_head && self.live && order.cmp(&self.prev, &self.head) == Ordering::Greater {
+            return Err(protocol(
+                self.shard,
+                format!("its {} rows are out of order", order.kind()),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Merge one fact-list op's per-shard streams into the page the unsharded
+/// engine would return: a k-way merge under `order` that passes over the
+/// first `skip` rows and hands the next `take` to `keep`.  Each stream is
+/// read only as far as the page needs; a row passed over is compared in a
+/// reused buffer and never built.
+fn merge_facts(
+    cursors: &mut [Option<BatchCursor<'_>>],
+    order: FactOrder,
+    skip: usize,
+    take: usize,
+    mut keep: impl FnMut(&FactBuf),
+) -> Result<(), RouterError> {
+    let mut streams = Vec::with_capacity(cursors.len());
+    for (shard, cursor) in cursors.iter_mut().enumerate() {
+        let cursor = cursor
+            .as_mut()
+            .expect("a broadcast op consults every shard");
+        let facts = cursor
+            .next_facts()
+            .map_err(|message| protocol(shard, message))?
+            .ok_or_else(|| too_few(shard))?;
+        if facts.cross_relation() != (order == FactOrder::RelationTuple) {
+            let got = if facts.cross_relation() {
+                "all_facts"
+            } else {
+                "facts"
+            };
+            return Err(protocol(
+                shard,
+                format!("expected a {} result, got {got}", order.kind()),
+            ));
+        }
+        let mut stream = ShardFacts {
+            shard,
+            facts,
+            head: FactBuf::default(),
+            prev: FactBuf::default(),
+            live: false,
+        };
+        stream.advance(order)?;
+        streams.push(stream);
+    }
+    let (mut passed, mut kept) = (0, 0);
+    while kept < take {
+        // The least head; of equal heads, the lowest shard's.
+        let mut least: Option<usize> = None;
+        for (i, stream) in streams.iter().enumerate().filter(|(_, s)| s.live) {
+            if least.is_none_or(|l| order.cmp(&stream.head, &streams[l].head) == Ordering::Less) {
+                least = Some(i);
+            }
+        }
+        let Some(least) = least else { break };
+        if passed < skip {
+            passed += 1;
+        } else {
+            keep(&streams[least].head);
+            kept += 1;
+        }
+        streams[least].advance(order)?;
+    }
+    Ok(())
+}
+
+/// Merge the per-shard results of a broadcast `epoch`, `relations` or
+/// `stats` op into the answer the unsharded engine would give.
 fn merge_broadcast(op: &Op, parts: Vec<(usize, OpResult)>) -> Result<OpResult, RouterError> {
     match op {
         Op::Epoch => Ok(OpResult::Empty),
@@ -463,66 +669,35 @@ fn merge_broadcast(op: &Op, parts: Vec<(usize, OpResult)>) -> Result<OpResult, R
                 num_catalogued: catalogued,
             })
         }
-        Op::Query { spec, .. } => {
-            let mut facts = Vec::new();
-            for (shard, part) in parts {
-                let OpResult::Facts(part) = part else {
-                    return Err(mismatch(shard, "facts", &part));
-                };
-                facts.extend(part);
-            }
-            match spec.top_k {
-                Some(k) => {
-                    // The exact comparator of `FactQuery::run`'s ranked path:
-                    // probability descending, ties by tuple ascending.
-                    facts.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| a.0.cmp(&b.0))
-                    });
-                    facts.truncate(k);
-                }
-                // Shards are tuple-disjoint, so sorting the union by tuple
-                // restores the single-index scan order.
-                None => facts.sort_by(|a, b| a.0.cmp(&b.0)),
-            }
-            let limit = spec.limit.unwrap_or(usize::MAX);
-            Ok(OpResult::Facts(
-                facts.into_iter().skip(spec.offset).take(limit).collect(),
+        Op::Query { .. } | Op::AllFacts { .. } | Op::ProbabilityOf { .. } | Op::Sleep { .. } => {
+            Err(RouterError::BadRequest(
+                "fact lists merge as streams, and keyed and fault-injection ops are never \
+                 broadcast"
+                    .to_string(),
             ))
         }
-        Op::AllFacts { offset, limit, .. } => {
-            let mut facts = Vec::new();
-            for (shard, part) in parts {
-                let OpResult::AllFacts(part) = part else {
-                    return Err(mismatch(shard, "all_facts", &part));
-                };
-                facts.extend(part);
-            }
-            facts.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            Ok(OpResult::AllFacts(
-                facts.into_iter().skip(*offset).take(*limit).collect(),
-            ))
-        }
-        Op::ProbabilityOf { .. } | Op::Sleep { .. } => Err(RouterError::BadRequest(
-            "keyed and fault-injection ops are never broadcast".to_string(),
-        )),
     }
 }
 
 fn mismatch(shard: usize, wanted: &str, got: &OpResult) -> RouterError {
-    RouterError::Protocol {
-        shard,
-        message: format!("expected a {wanted} result, got {got:?}"),
-    }
+    protocol(shard, format!("expected a {wanted} result, got {got:?}"))
+}
+
+fn too_few(shard: usize) -> RouterError {
+    protocol(shard, "returned fewer results than ops sent".to_string())
+}
+
+fn protocol(shard: usize, message: String) -> RouterError {
+    RouterError::Protocol { shard, message }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_relstore::tuple;
+    use dd_relstore::{tuple, Tuple};
     use dd_server::{BatchHandler, Server, ServerConfig};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::VecDeque;
+    use std::sync::atomic::{self, AtomicUsize};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -583,58 +758,379 @@ mod tests {
         assert_eq!(limit, WIRE_USIZE_MAX);
     }
 
-    #[test]
-    fn top_k_merge_reranks_across_shards() {
-        let op = Op::Query {
+    /// Shard replies as real batch-response payloads: `answers[shard]` is
+    /// that shard's results in sub-batch order, `None` for a shard the
+    /// batch did not consult.
+    fn replies(answers: Vec<Option<Vec<OpResult>>>) -> Vec<Option<Vec<u8>>> {
+        answers
+            .into_iter()
+            .enumerate()
+            .map(|(shard, results)| {
+                results.map(|results| {
+                    Response::Batch(Batch {
+                        epoch: 10 + shard as u64,
+                        results,
+                        epochs: None,
+                    })
+                    .encode()
+                })
+            })
+            .collect()
+    }
+
+    fn query(top_k: Option<usize>, offset: usize, limit: Option<usize>) -> Op {
+        Op::Query {
             relation: "Fact".to_string(),
             spec: FactQuerySpec {
                 min_probability: 0.0,
-                top_k: Some(2),
-                offset: 0,
-                limit: None,
+                top_k,
+                offset,
+                limit,
             },
-        };
-        let parts = vec![
-            (
-                0,
+        }
+    }
+
+    /// One broadcast op answered by every shard with one result each.
+    fn merge_one(op: &Op, answers: Vec<OpResult>) -> Result<OpResult, RouterError> {
+        let replies = replies(answers.into_iter().map(|a| Some(vec![a])).collect());
+        let mut batch = merge_replies(std::slice::from_ref(op), &[Target::All], &replies)?;
+        Ok(batch.results.remove(0))
+    }
+
+    #[test]
+    fn top_k_merge_reranks_across_shards() {
+        let merged = merge_one(
+            &query(Some(2), 0, None),
+            vec![
                 OpResult::Facts(vec![(tuple![2i64], 0.9), (tuple![4i64], 0.2)]),
-            ),
-            (
-                1,
                 OpResult::Facts(vec![(tuple![1i64], 0.8), (tuple![3i64], 0.7)]),
-            ),
-        ];
-        let OpResult::Facts(merged) = merge_broadcast(&op, parts).unwrap() else {
-            panic!("query merges into facts");
-        };
-        assert_eq!(merged, vec![(tuple![2i64], 0.9), (tuple![1i64], 0.8)]);
+            ],
+        );
+        assert_eq!(
+            merged.unwrap(),
+            OpResult::Facts(vec![(tuple![2i64], 0.9), (tuple![1i64], 0.8)])
+        );
     }
 
     #[test]
     fn unranked_merge_restores_tuple_order_and_applies_the_global_window() {
-        let op = Op::Query {
-            relation: "Fact".to_string(),
-            spec: FactQuerySpec {
-                min_probability: 0.0,
-                top_k: None,
-                offset: 1,
-                limit: Some(2),
-            },
-        };
-        let parts = vec![
-            (
-                0,
+        let merged = merge_one(
+            &query(None, 1, Some(2)),
+            vec![
                 OpResult::Facts(vec![(tuple![2i64], 0.5), (tuple![5i64], 0.5)]),
-            ),
-            (
-                1,
                 OpResult::Facts(vec![(tuple![1i64], 0.5), (tuple![4i64], 0.5)]),
-            ),
-        ];
-        let OpResult::Facts(merged) = merge_broadcast(&op, parts).unwrap() else {
-            panic!("query merges into facts");
+            ],
+        );
+        assert_eq!(
+            merged.unwrap(),
+            OpResult::Facts(vec![(tuple![2i64], 0.5), (tuple![4i64], 0.5)])
+        );
+    }
+
+    // The k-way merge against the sort-based merge it replaced.
+
+    /// The sort-based merge of fact lists the k-way merge replaced, kept as
+    /// its reference: concatenate every shard's whole list, sort, cut the
+    /// window.
+    fn sort_merge(op: &Op, parts: Vec<(usize, OpResult)>) -> Result<OpResult, RouterError> {
+        match op {
+            Op::Query { spec, .. } => {
+                let mut facts = Vec::new();
+                for (shard, part) in parts {
+                    let OpResult::Facts(part) = part else {
+                        return Err(mismatch(shard, "facts", &part));
+                    };
+                    facts.extend(part);
+                }
+                match spec.top_k {
+                    Some(k) => {
+                        facts.sort_by(|a, b| {
+                            b.1.partial_cmp(&a.1)
+                                .unwrap_or(Ordering::Equal)
+                                .then_with(|| a.0.cmp(&b.0))
+                        });
+                        facts.truncate(k);
+                    }
+                    None => facts.sort_by(|a, b| a.0.cmp(&b.0)),
+                }
+                let limit = spec.limit.unwrap_or(usize::MAX);
+                Ok(OpResult::Facts(
+                    facts.into_iter().skip(spec.offset).take(limit).collect(),
+                ))
+            }
+            Op::AllFacts { offset, limit, .. } => {
+                let mut facts = Vec::new();
+                for (shard, part) in parts {
+                    let OpResult::AllFacts(part) = part else {
+                        return Err(mismatch(shard, "all_facts", &part));
+                    };
+                    facts.extend(part);
+                }
+                facts.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                Ok(OpResult::AllFacts(
+                    facts.into_iter().skip(*offset).take(*limit).collect(),
+                ))
+            }
+            other => merge_broadcast(other, parts),
+        }
+    }
+
+    /// [`merge_replies`] computed the old way: every reply decoded whole,
+    /// results popped shard by shard, fact lists through [`sort_merge`].
+    fn reference_merge(
+        ops: &[Op],
+        targets: &[Target],
+        replies: &[Option<Vec<u8>>],
+    ) -> Result<RouterBatch, RouterError> {
+        let mut epochs = Vec::new();
+        let mut queues = Vec::new();
+        for reply in replies {
+            let batch = reply
+                .as_ref()
+                .map(|payload| match Response::decode(payload) {
+                    Ok(Response::Batch(batch)) => batch,
+                    other => panic!("test replies are batches, got {other:?}"),
+                });
+            epochs.push(batch.as_ref().map(|b| b.epoch));
+            queues.push(batch.map_or_else(VecDeque::new, |b| VecDeque::from(b.results)));
+        }
+        let mut pop = |shard: usize| queues[shard].pop_front().ok_or_else(|| too_few(shard));
+        let mut results = Vec::new();
+        for (op, target) in ops.iter().zip(targets) {
+            results.push(match target {
+                Target::One(shard) => pop(*shard)?,
+                Target::All => {
+                    let parts = (0..replies.len())
+                        .map(|shard| Ok((shard, pop(shard)?)))
+                        .collect::<Result<_, RouterError>>()?;
+                    sort_merge(op, parts)?
+                }
+            });
+        }
+        Ok(RouterBatch { epochs, results })
+    }
+
+    /// SplitMix64, for seeded test data.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// A probability from a small set, so ranked lists tie often.
+        fn probability(&mut self) -> f64 {
+            [0.25, 0.5, 0.75, 1.0][self.below(4)]
+        }
+    }
+
+    /// Disjoint per-shard fact lists of one op, each sorted in the op's
+    /// order; a shard draws nothing now and then.
+    fn shard_facts(rng: &mut Rng, op: &Op, num_shards: usize) -> Vec<Vec<(String, Tuple, f64)>> {
+        let order = match op {
+            Op::Query { spec, .. } if spec.top_k.is_some() => FactOrder::Ranked,
+            Op::Query { .. } => FactOrder::Tuple,
+            _ => FactOrder::RelationTuple,
         };
-        assert_eq!(merged, vec![(tuple![2i64], 0.5), (tuple![4i64], 0.5)]);
+        let relations = if order == FactOrder::RelationTuple {
+            3
+        } else {
+            1
+        };
+        let empty = rng.below(num_shards + 2);
+        let mut lists = vec![Vec::new(); num_shards];
+        for relation in ["A", "B", "C"].into_iter().take(relations) {
+            for id in 0..rng.below(40) as i64 {
+                let shard = rng.below(num_shards);
+                if shard != empty {
+                    let tuple = tuple![id % 5, id];
+                    lists[shard].push((relation.to_string(), tuple, rng.probability()));
+                }
+            }
+        }
+        let key = |(relation, tuple, p): &(String, Tuple, f64)| FactBuf {
+            relation: relation.clone(),
+            values: tuple.values().to_vec(),
+            probability: *p,
+        };
+        for list in &mut lists {
+            list.sort_by(|a, b| order.cmp(&key(a), &key(b)));
+        }
+        lists
+    }
+
+    /// A broadcast op of any kind, or a keyed one, with windows that reach
+    /// past the data, `top_k` below the offset and open limits.
+    fn random_op(rng: &mut Rng) -> Op {
+        let limit = |rng: &mut Rng| [None, Some(0), Some(3), Some(25)][rng.below(4)];
+        match rng.below(7) {
+            0 | 1 => query(None, rng.below(50), limit(rng)),
+            2 | 3 => query(Some(rng.below(60)), rng.below(50), limit(rng)),
+            4 => Op::AllFacts {
+                min_probability: 0.0,
+                offset: rng.below(150),
+                limit: rng.below(40),
+            },
+            5 => Op::probability_of("Fact", tuple![rng.below(100) as i64]),
+            _ => [Op::Epoch, Op::Relations, Op::Stats][rng.below(3)].clone(),
+        }
+    }
+
+    #[test]
+    fn the_k_way_merge_answers_as_the_sort_merge_did() {
+        let mut rng = Rng(7);
+        for case in 0..400 {
+            let num_shards = 1 + rng.below(4);
+            let mut ops: Vec<Op> = (0..1 + rng.below(6)).map(|_| random_op(&mut rng)).collect();
+            if case == 0 {
+                // The edges every run must cover, whatever the seed draws.
+                ops = vec![
+                    query(Some(3), 5, None),
+                    query(None, 1_000, Some(5)),
+                    query(None, 0, None),
+                    Op::AllFacts {
+                        min_probability: 0.0,
+                        offset: 10_000,
+                        limit: 10,
+                    },
+                ];
+            }
+            let mut targets = Vec::new();
+            let mut answers: Vec<Option<Vec<OpResult>>> = vec![None; num_shards];
+            for op in &ops {
+                let target = match op {
+                    Op::ProbabilityOf { .. } => Target::One(rng.below(num_shards)),
+                    _ => Target::All,
+                };
+                targets.push(target);
+                let lists = match op {
+                    Op::Query { .. } | Op::AllFacts { .. } => shard_facts(&mut rng, op, num_shards),
+                    _ => vec![Vec::new(); num_shards],
+                };
+                for (shard, list) in lists.into_iter().enumerate() {
+                    let result = match op {
+                        Op::Query { .. } => {
+                            OpResult::Facts(list.into_iter().map(|(_, t, p)| (t, p)).collect())
+                        }
+                        Op::AllFacts { .. } => OpResult::AllFacts(list),
+                        Op::ProbabilityOf { .. } if target != Target::One(shard) => continue,
+                        Op::ProbabilityOf { .. } => OpResult::Probability(Some(rng.probability())),
+                        Op::Relations => OpResult::Relations(
+                            ["A", "B", "C"]
+                                .into_iter()
+                                .filter(|_| rng.below(2) == 0)
+                                .map(String::from)
+                                .collect(),
+                        ),
+                        Op::Stats => OpResult::Stats {
+                            num_variables: rng.below(100),
+                            num_factors: rng.below(100),
+                            num_weights: rng.below(10),
+                            num_catalogued: rng.below(100),
+                        },
+                        _ => OpResult::Empty,
+                    };
+                    answers[shard].get_or_insert_with(Vec::new).push(result);
+                }
+            }
+            let replies = replies(answers);
+            let merged = merge_replies(&ops, &targets, &replies).unwrap();
+            let reference = reference_merge(&ops, &targets, &replies).unwrap();
+            assert_eq!(merged, reference, "case {case}: {ops:?}");
+        }
+    }
+
+    // A wrong shard reply is a protocol error naming the shard.
+
+    #[test]
+    fn a_fact_list_out_of_order_is_a_protocol_error() {
+        let sorted = OpResult::AllFacts(vec![
+            ("A".to_string(), tuple![1i64], 0.5),
+            ("B".to_string(), tuple![0i64], 0.5),
+        ]);
+        let unsorted = |op: &Op| match op {
+            Op::AllFacts { .. } => OpResult::AllFacts(vec![
+                ("B".to_string(), tuple![0i64], 0.5),
+                ("A".to_string(), tuple![1i64], 0.5),
+            ]),
+            Op::Query { spec, .. } if spec.top_k.is_some() => {
+                OpResult::Facts(vec![(tuple![2i64], 0.5), (tuple![1i64], 0.9)])
+            }
+            _ => OpResult::Facts(vec![(tuple![2i64], 0.5), (tuple![1i64], 0.5)]),
+        };
+        let all_facts = Op::AllFacts {
+            min_probability: 0.0,
+            offset: 0,
+            limit: 10,
+        };
+        for op in [query(None, 0, None), query(Some(5), 0, None), all_facts] {
+            let first = match op {
+                Op::AllFacts { .. } => sorted.clone(),
+                _ => OpResult::Facts(Vec::new()),
+            };
+            let err = merge_one(&op, vec![first, unsorted(&op)]).unwrap_err();
+            let RouterError::Protocol { shard, message } = &err else {
+                panic!("expected a protocol error, got {err}");
+            };
+            assert_eq!(*shard, 1, "{op:?}: {err}");
+            assert!(message.contains("out of order"), "{op:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_result_of_the_wrong_kind_is_a_protocol_error() {
+        let all_facts = Op::AllFacts {
+            min_probability: 0.0,
+            offset: 0,
+            limit: 10,
+        };
+        // A whole-decoded result of the wrong kind is
+        // `result_type_mismatches_surface_as_protocol_errors`.
+        for (op, wrong) in [
+            (query(None, 0, None), OpResult::AllFacts(Vec::new())),
+            (all_facts.clone(), OpResult::Facts(Vec::new())),
+            (all_facts, OpResult::Relations(Vec::new())),
+        ] {
+            let right = match &op {
+                Op::Query { .. } => OpResult::Facts(Vec::new()),
+                _ => OpResult::AllFacts(Vec::new()),
+            };
+            let err = merge_one(&op, vec![right, wrong]).unwrap_err();
+            assert!(
+                matches!(err, RouterError::Protocol { shard: 1, .. }),
+                "{op:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reply_with_too_few_results_is_a_protocol_error() {
+        let ops = [Op::Epoch, query(None, 0, None)];
+        let targets = [Target::All, Target::All];
+        let facts = OpResult::Facts(vec![(tuple![1i64], 0.5)]);
+        for short in [vec![OpResult::Empty], Vec::new()] {
+            let replies = replies(vec![
+                Some(vec![OpResult::Empty, facts.clone()]),
+                Some(short),
+            ]);
+            let err = merge_replies(&ops, &targets, &replies).unwrap_err();
+            let RouterError::Protocol { shard, message } = &err else {
+                panic!("expected a protocol error, got {err}");
+            };
+            assert_eq!(*shard, 1, "{err}");
+            assert!(message.contains("fewer results"), "{err}");
+        }
+        // More results than ops is no answer to the batch either.
+        let replies = replies(vec![Some(vec![OpResult::Empty, facts.clone(), facts])]);
+        let err = merge_replies(&ops[..1], &targets[..1], &replies).unwrap_err();
+        assert!(
+            matches!(err, RouterError::Protocol { shard: 0, .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -745,7 +1241,9 @@ mod tests {
             std::thread::sleep(self.delay);
             let refuse = self
                 .refusals
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .fetch_update(atomic::Ordering::SeqCst, atomic::Ordering::SeqCst, |n| {
+                    n.checked_sub(1)
+                })
                 .is_ok();
             if refuse {
                 return Response::error(ErrorKind::Overloaded, "test refusal");

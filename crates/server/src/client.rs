@@ -2,7 +2,9 @@
 //!
 //! One [`Client`] owns one TCP connection.  [`Client::batch`] is
 //! [`Client::send`] then [`Client::recv`], split so a caller can write to
-//! several servers before it waits on any.  Typed server refusals —
+//! several servers before it waits on any; [`Client::recv_payload`] hands
+//! back the batch's frame payload undecoded, for a caller that reads it
+//! result by result through a [`crate::BatchCursor`].  Typed server refusals —
 //! `overloaded` above all — arrive as [`ClientError::Server`], distinct from
 //! transport failures, so callers can implement retry-with-backoff against
 //! backpressure without string matching.
@@ -20,7 +22,7 @@
 //! # Ok::<(), dd_server::ClientError>(())
 //! ```
 
-use crate::protocol::{Batch, ErrorKind, FactQuerySpec, Op, OpResult, Request, Response};
+use crate::protocol::{Batch, ErrorKind, FactQuerySpec, Op, OpResult, Reply, Request, Response};
 use dd_relstore::Tuple;
 use dd_wire::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use std::io::{self, Write};
@@ -276,11 +278,23 @@ impl Client {
     /// Read the answer to the oldest unanswered [`Client::send`]: the batch
     /// (epoch + per-op results), or the refusal as [`ClientError::Server`].
     pub fn recv(&mut self) -> Result<Batch, ClientError> {
-        let payload = read_frame(&mut self.stream, MAX_FRAME_BYTES)?;
+        let payload = self.recv_payload()?;
         match Response::decode(&payload).map_err(ClientError::Protocol)? {
             Response::Batch(batch) => Ok(batch),
             Response::Error { kind, message } => Err(ClientError::Server { kind, message }),
         }
+    }
+
+    /// [`Client::recv`] without decoding the results: the payload of a
+    /// batch response, whose [`Reply::open`] is a [`Reply::Batch`].  A
+    /// refusal is still [`ClientError::Server`].
+    pub fn recv_payload(&mut self) -> Result<Vec<u8>, ClientError> {
+        let payload = read_frame(&mut self.stream, MAX_FRAME_BYTES)?;
+        let refusal = match Reply::open(&payload).map_err(ClientError::Protocol)? {
+            Reply::Batch(_) => None,
+            Reply::Error { kind, message } => Some(ClientError::Server { kind, message }),
+        };
+        refusal.map_or(Ok(payload), Err)
     }
 
     /// The server's current epoch.

@@ -49,7 +49,7 @@ mod server;
 
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use protocol::{
-    Batch, DecodeError, ErrorKind, FactQuerySpec, Op, OpResult, Request, Response,
-    MAX_OPS_PER_BATCH,
+    Batch, BatchCursor, DecodeError, ErrorKind, FactBuf, FactQuerySpec, FactStream, Op, OpResult,
+    Reply, Request, Response, MAX_OPS_PER_BATCH,
 };
 pub use server::{BatchHandler, Server, ServerConfig, ServerStats, SnapshotBatchHandler};

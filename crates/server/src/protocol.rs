@@ -287,10 +287,21 @@ pub(crate) fn encode_tuple(w: &mut JsonWriter<'_>, tuple: &Tuple) {
 
 /// Decode a tuple from a JSON array of values.
 pub(crate) fn decode_tuple(r: &mut JsonReader<'_>) -> Result<Tuple, String> {
+    let mut values = Vec::new();
+    read_values(r, &mut values)?;
+    Ok(Tuple::new(values))
+}
+
+/// Read a tuple's JSON array into `values`, replacing what it held.
+fn read_values(r: &mut JsonReader<'_>, values: &mut Vec<Value>) -> Result<(), String> {
     if r.peek()? != Kind::Array {
         return Err(r.error("tuple must be an array"));
     }
-    r.seq(decode_value).map(Tuple::new)
+    values.clear();
+    r.for_each(|r| {
+        values.push(decode_value(r)?);
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -500,16 +511,75 @@ fn encode_fact(w: &mut JsonWriter<'_>, relation: Option<&str>, tuple: &Tuple, pr
     });
 }
 
-/// The `tuple` and `probability` members every fact carries.
-fn decode_fact(o: &mut ObjectReader<'_, '_>) -> Result<(Tuple, f64), String> {
-    let tuple = match o.opt_field("tuple")? {
-        Some(r) => decode_tuple(r)?,
-        None => return Err(o.error("fact missing \"tuple\"")),
-    };
-    match o.opt_field_of("probability", Kind::Number)? {
-        Some(r) => Ok((tuple, r.number()?)),
-        None => Err(o.error("fact missing numeric \"probability\"")),
+/// One fact of a fact list, read into buffers that are reused from fact to
+/// fact: once they have grown to size, reading a fact allocates only the
+/// text values of its tuple.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FactBuf {
+    /// The fact's relation; empty in a single-relation (`query`) list.
+    pub relation: String,
+    /// The fact's tuple.
+    pub values: Vec<Value>,
+    /// The fact's marginal probability.
+    pub probability: f64,
+}
+
+impl FactBuf {
+    /// The fact as a row of [`OpResult::Facts`].
+    pub fn to_fact(&self) -> (Tuple, f64) {
+        (self.values.iter().cloned().collect(), self.probability)
     }
+
+    /// The fact as a row of [`OpResult::AllFacts`].
+    pub fn to_cross_fact(&self) -> (String, Tuple, f64) {
+        let (tuple, probability) = self.to_fact();
+        (self.relation.clone(), tuple, probability)
+    }
+}
+
+/// The fact decoder: read the fact object at `r` into `fact`.  A fact of a
+/// cross-relation list also carries its relation.
+fn read_fact(
+    r: &mut JsonReader<'_>,
+    cross_relation: bool,
+    fact: &mut FactBuf,
+) -> Result<(), String> {
+    r.object(|o| {
+        fact.relation.clear();
+        if cross_relation {
+            match o.opt_field_of("relation", Kind::String)? {
+                Some(r) => fact.relation.push_str(&r.string()?),
+                None => return Err(o.error("cross-relation fact missing \"relation\"")),
+            }
+        }
+        match o.opt_field("tuple")? {
+            Some(r) => read_values(r, &mut fact.values)?,
+            None => return Err(o.error("fact missing \"tuple\"")),
+        }
+        match o.opt_field_of("probability", Kind::Number)? {
+            Some(r) => fact.probability = r.number()?,
+            None => return Err(o.error("fact missing numeric \"probability\"")),
+        }
+        Ok(())
+    })
+}
+
+/// A result's fact list, if it has one: whether the list is cross-relation,
+/// and the reader at the list's array.
+fn fact_list<'o, 'a>(
+    o: &'o mut ObjectReader<'_, 'a>,
+) -> Result<Option<(bool, &'o mut JsonReader<'a>)>, String> {
+    let cross_relation = match o.opt_field_of("cross_relation", Kind::Bool)? {
+        Some(r) => r.bool()?,
+        None => false,
+    };
+    let Some(r) = o.opt_field("facts")? else {
+        return Ok(None);
+    };
+    if r.peek()? != Kind::Array {
+        return Err(r.error("\"facts\" must be an array"));
+    }
+    Ok(Some((cross_relation, r)))
 }
 
 impl Encode for OpResult {
@@ -556,30 +626,20 @@ impl Decode for OpResult {
             if o.is_empty()? {
                 return Ok(OpResult::Empty);
             }
-            let cross_relation = match o.opt_field_of("cross_relation", Kind::Bool)? {
-                Some(r) => r.bool()?,
-                None => false,
-            };
-            if let Some(r) = o.opt_field("facts")? {
-                if r.peek()? != Kind::Array {
-                    return Err(r.error("\"facts\" must be an array"));
-                }
+            if let Some((cross_relation, r)) = fact_list(o)? {
+                let mut fact = FactBuf::default();
                 return if cross_relation {
-                    let fact = |r: &mut JsonReader<'_>| {
-                        r.object(|o| {
-                            let relation = match o.opt_field_of("relation", Kind::String)? {
-                                Some(r) => r.string()?.into_owned(),
-                                None => {
-                                    return Err(o.error("cross-relation fact missing \"relation\""))
-                                }
-                            };
-                            let (tuple, p) = decode_fact(o)?;
-                            Ok((relation, tuple, p))
-                        })
-                    };
-                    r.seq(fact).map(OpResult::AllFacts)
+                    r.seq(|r| {
+                        read_fact(r, true, &mut fact)?;
+                        Ok(fact.to_cross_fact())
+                    })
+                    .map(OpResult::AllFacts)
                 } else {
-                    r.seq(|r| r.object(decode_fact)).map(OpResult::Facts)
+                    r.seq(|r| {
+                        read_fact(r, false, &mut fact)?;
+                        Ok(fact.to_fact())
+                    })
+                    .map(OpResult::Facts)
                 };
             }
             if let Some(r) = o.opt_field("relations")? {
@@ -636,42 +696,61 @@ impl Encode for Response {
     }
 }
 
+/// What a response says before its results.
+enum Head {
+    /// A batch answered at this epoch.
+    Batch(u64),
+    /// A typed refusal, read whole.
+    Refused(ErrorKind, String),
+}
+
+const NO_RESULTS: &str = "missing \"results\" array";
+
+/// Read a response's `ok` member, then its refusal or its epoch.
+fn read_head(o: &mut ObjectReader<'_, '_>) -> Result<Head, String> {
+    let ok = match o.opt_field_of("ok", Kind::Bool)? {
+        Some(r) => r.bool()?,
+        None => return Err(o.error("response must carry a boolean \"ok\"")),
+    };
+    if !ok {
+        let Some(r) = o.opt_field("error")? else {
+            return Err(o.error("missing \"error\" object"));
+        };
+        let unknown = "missing or unknown error \"kind\"";
+        return r.object(|o| {
+            let kind = match o.opt_field_of("kind", Kind::String)? {
+                Some(r) => ErrorKind::from_wire_name(&r.string()?),
+                None => None,
+            };
+            let kind = kind.ok_or_else(|| o.error(unknown))?;
+            let message = match o.opt_field_of("message", Kind::String)? {
+                Some(r) => r.string()?.into_owned(),
+                None => String::new(),
+            };
+            Ok(Head::Refused(kind, message))
+        });
+    }
+    let epoch = match o.opt_field_of("epoch", Kind::Number)? {
+        Some(r) => Some(r.number()?).filter(|e| e.fract() == 0.0 && *e >= 0.0),
+        None => None,
+    };
+    let epoch = epoch.ok_or_else(|| o.error("missing integral \"epoch\""))?;
+    Ok(Head::Batch(epoch as u64))
+}
+
 impl Decode for Response {
     fn decode(r: &mut JsonReader<'_>) -> Result<Self, String> {
         r.object(|o| {
-            let ok = match o.opt_field_of("ok", Kind::Bool)? {
-                Some(r) => r.bool()?,
-                None => return Err(o.error("response must carry a boolean \"ok\"")),
+            let epoch = match read_head(o)? {
+                Head::Batch(epoch) => epoch,
+                Head::Refused(kind, message) => return Ok(Response::Error { kind, message }),
             };
-            if !ok {
-                let Some(r) = o.opt_field("error")? else {
-                    return Err(o.error("missing \"error\" object"));
-                };
-                let unknown = "missing or unknown error \"kind\"";
-                return r.object(|o| {
-                    let kind = match o.opt_field_of("kind", Kind::String)? {
-                        Some(r) => ErrorKind::from_wire_name(&r.string()?),
-                        None => None,
-                    };
-                    let kind = kind.ok_or_else(|| o.error(unknown))?;
-                    let message = match o.opt_field_of("message", Kind::String)? {
-                        Some(r) => r.string()?.into_owned(),
-                        None => String::new(),
-                    };
-                    Ok(Response::Error { kind, message })
-                });
-            }
-            let epoch = match o.opt_field_of("epoch", Kind::Number)? {
-                Some(r) => Some(r.number()?).filter(|e| e.fract() == 0.0 && *e >= 0.0),
-                None => None,
-            };
-            let epoch = epoch.ok_or_else(|| o.error("missing integral \"epoch\""))? as u64;
             // `results` before `epochs`, though it is written after: a
             // direct server's response has no `epochs`, and looking for it
             // first would scan past every result to learn that.
             let results = match o.opt_field_of("results", Kind::Array)? {
                 Some(r) => Vec::decode(r)?,
-                None => return Err(o.error("missing \"results\" array")),
+                None => return Err(o.error(NO_RESULTS)),
             };
             let epochs = match o.opt_field("epochs")? {
                 None => None,
@@ -703,6 +782,155 @@ impl Response {
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, String> {
         Response::from_bytes(payload)
+    }
+}
+
+/// A response frame's payload, read as far as its kind.
+pub enum Reply<'a> {
+    /// A batch, before its first result.
+    Batch(BatchCursor<'a>),
+    /// A typed refusal.
+    Error { kind: ErrorKind, message: String },
+}
+
+impl<'a> Reply<'a> {
+    /// Read a response payload up to its first result.  A refusal is read
+    /// whole, and so is the document around it.
+    pub fn open(payload: &'a [u8]) -> Result<Reply<'a>, String> {
+        let mut r = JsonReader::new(payload);
+        let mut o = r.object_reader()?;
+        let epoch = match read_head(&mut o)? {
+            Head::Batch(epoch) => epoch,
+            Head::Refused(kind, message) => {
+                o.end()?;
+                r.finish()?;
+                return Ok(Reply::Error { kind, message });
+            }
+        };
+        // Left open without `end`: the reader stays in the results array.
+        match o.opt_field_of("results", Kind::Array)? {
+            Some(r) => r.begin_array()?,
+            None => return Err(o.error(NO_RESULTS)),
+        }
+        Ok(Reply::Batch(BatchCursor {
+            r,
+            epoch,
+            in_facts: false,
+            ended: false,
+        }))
+    }
+}
+
+/// A batch response read one result at a time, straight from its payload.
+///
+/// [`BatchCursor::next_result`] decodes a result whole;
+/// [`BatchCursor::next_facts`] opens a fact list as a [`FactStream`], which
+/// reads one fact at a time into a caller's [`FactBuf`], so a caller that
+/// keeps a few facts of a long list builds only those.  Whatever a stream
+/// leaves unread is checked, without being built, on the way to the next
+/// result.
+pub struct BatchCursor<'a> {
+    r: JsonReader<'a>,
+    epoch: u64,
+    /// A fact list is open: its stream stopped before the end.
+    in_facts: bool,
+    /// The results array is closed.
+    ended: bool,
+}
+
+impl<'a> BatchCursor<'a> {
+    /// The epoch the batch was answered at.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Step to the next result: `false` once the results are exhausted.
+    fn advance(&mut self) -> Result<bool, String> {
+        if std::mem::take(&mut self.in_facts) {
+            while self.r.next_element()? {
+                self.r.skip_value()?;
+            }
+            close_object(&mut self.r)?;
+        }
+        if self.ended {
+            return Ok(false);
+        }
+        self.ended = !self.r.next_element()?;
+        Ok(!self.ended)
+    }
+
+    /// The next result, decoded whole; `None` once the results are exhausted.
+    pub fn next_result(&mut self) -> Result<Option<OpResult>, String> {
+        if !self.advance()? {
+            return Ok(None);
+        }
+        OpResult::decode(&mut self.r).map(Some)
+    }
+
+    /// The next result as a stream of its facts; `None` once the results are
+    /// exhausted, and an error if the result is not a fact list.
+    pub fn next_facts(&mut self) -> Result<Option<FactStream<'_, 'a>>, String> {
+        if !self.advance()? {
+            return Ok(None);
+        }
+        let mut o = self.r.object_reader()?;
+        let Some((cross_relation, r)) = fact_list(&mut o)? else {
+            return Err(o.error("expected a fact list"));
+        };
+        // Left open without `end`: the reader stays inside the list.
+        r.begin_array()?;
+        self.in_facts = true;
+        Ok(Some(FactStream {
+            cursor: self,
+            cross_relation,
+        }))
+    }
+
+    /// Check the rest of the payload: no result is left, and the document
+    /// ends well.
+    pub fn finish(mut self) -> Result<(), String> {
+        if self.advance()? {
+            return Err("the batch holds more results than it was sent ops".to_string());
+        }
+        close_object(&mut self.r)?;
+        self.r.finish()
+    }
+}
+
+/// Read past the members left in the open object and its `}`.
+fn close_object(r: &mut JsonReader<'_>) -> Result<(), String> {
+    while r.next_key()?.is_some() {
+        r.skip_value()?;
+    }
+    Ok(())
+}
+
+/// One result's fact list, read a fact at a time (see [`BatchCursor`]).
+pub struct FactStream<'c, 'a> {
+    cursor: &'c mut BatchCursor<'a>,
+    cross_relation: bool,
+}
+
+impl FactStream<'_, '_> {
+    /// Whether this is an `all_facts` list, whose facts carry a relation.
+    pub fn cross_relation(&self) -> bool {
+        self.cross_relation
+    }
+
+    /// Read the next fact into `fact`: `false`, with `fact` untouched, once
+    /// the list is exhausted.
+    pub fn next_into(&mut self, fact: &mut FactBuf) -> Result<bool, String> {
+        let cursor = &mut *self.cursor;
+        if !cursor.in_facts {
+            return Ok(false);
+        }
+        if !cursor.r.next_element()? {
+            cursor.in_facts = false;
+            close_object(&mut cursor.r)?;
+            return Ok(false);
+        }
+        read_fact(&mut cursor.r, self.cross_relation, fact)?;
+        Ok(true)
     }
 }
 

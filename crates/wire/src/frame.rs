@@ -25,7 +25,7 @@
 //! assert!(matches!(read_frame(&mut stream, 1024), Err(FrameError::Closed)));
 //! ```
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 /// Default cap on a single frame's payload (16 MiB) — far above any batch the
 /// protocol produces, far below what would let a bad length prefix hurt.
@@ -77,8 +77,11 @@ impl From<io::Error> for FrameError {
 
 /// Write one frame: 4-byte big-endian length, then the payload.
 ///
-/// Refuses payloads longer than `u32::MAX` (they could not be declared in the
-/// prefix).  Does not flush — callers batching several frames flush once.
+/// Prefix and payload go out in one vectored write, so on a `TCP_NODELAY`
+/// socket a frame costs one syscall and leaves as one segment, not two; a
+/// partial write continues where it stopped.  Refuses payloads longer than
+/// `u32::MAX` (they could not be declared in the prefix).  Does not flush —
+/// callers batching several frames flush once.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         io::Error::new(
@@ -89,8 +92,23 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             ),
         )
     })?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)
+    let prefix = len.to_be_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut unwritten = &mut slices[..];
+    while !unwritten.is_empty() {
+        match writer.write_vectored(unwritten) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    ErrorKind::WriteZero,
+                    "the writer took no byte of the frame",
+                ))
+            }
+            Ok(written) => IoSlice::advance_slices(&mut unwritten, written),
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
+    Ok(())
 }
 
 /// Read one frame's payload, allocating at most `max_payload` bytes.
@@ -201,6 +219,60 @@ mod tests {
         write_frame(&mut buf, &[7u8; 16]).unwrap();
         let mut stream = Cursor::new(buf);
         assert_eq!(read_frame(&mut stream, 16).unwrap(), vec![7u8; 16]);
+    }
+
+    /// A writer that records the bytes each call took, and takes at most
+    /// `cap` bytes per call.
+    struct Recorder {
+        calls: Vec<Vec<u8>>,
+        cap: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let call: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let taken = call.len().min(self.cap);
+            self.calls.push(call[..taken].to_vec());
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write_and_partial_writes_resume() {
+        let mut whole = Recorder {
+            calls: Vec::new(),
+            cap: usize::MAX,
+        };
+        write_frame(&mut whole, b"payload").unwrap();
+        assert_eq!(whole.calls, vec![b"\0\0\0\x07payload".to_vec()]);
+
+        // A writer that takes three bytes a call still gets the frame whole,
+        // in order, across the prefix/payload boundary.
+        let mut trickle = Recorder {
+            calls: Vec::new(),
+            cap: 3,
+        };
+        write_frame(&mut trickle, b"payload").unwrap();
+        assert_eq!(trickle.calls.len(), 4);
+        assert_eq!(trickle.calls.concat(), whole.calls.concat());
+        let mut stream = Cursor::new(trickle.calls.concat());
+        assert_eq!(read_frame(&mut stream, 1024).unwrap(), b"payload");
+
+        // A writer that takes nothing is an error, not a spin.
+        let mut stuck = Recorder {
+            calls: Vec::new(),
+            cap: 0,
+        };
+        let err = write_frame(&mut stuck, b"x").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
 
     #[test]
